@@ -28,7 +28,7 @@ use sparse_alloc_dynamic::adapter::{churn_stream, ChurnMix};
 use sparse_alloc_dynamic::{NetServeLoop, ServeLoop, ShardedConfig, TransportKind};
 use sparse_alloc_graph::generators::union_of_spanning_trees;
 
-use crate::table::{f1, f3, json_object, json_str, Table};
+use crate::table::{f1, f3, json_object, json_str, provenance, Table};
 
 const EPS: f64 = 0.25;
 const EPOCHS: usize = 3;
@@ -149,8 +149,15 @@ pub fn run() {
          see ROADMAP)."
     );
 
-    let record = json_object(&[
-        ("experiment", json_str("e23_p2p")),
+    let (star_ms, p2p_ms) = (stats[0].2, stats[1].2);
+    println!(
+        "  wall: p2p {p2p_ms:.1} ms vs star {star_ms:.1} ms over {EPOCHS} epochs \
+         (p2p_over_star {:.2}).",
+        p2p_ms / star_ms
+    );
+    let mut fields = vec![("experiment", json_str("e23_p2p"))];
+    fields.extend(provenance());
+    fields.extend([
         ("n", n.to_string()),
         ("m", m.to_string()),
         ("eps", EPS.to_string()),
@@ -164,8 +171,9 @@ pub fn run() {
         ("p2p_handoff_bytes", p2p.handoff_bytes.to_string()),
         ("p2p_handoff_frames", p2p.handoff_frames.to_string()),
         ("p2p_max_handoff_rounds", p2p.max_handoff_rounds.to_string()),
-        ("star_serve_ms", f1(stats[0].2)),
-        ("p2p_serve_ms", f1(stats[1].2)),
+        ("star_serve_ms", f1(star_ms)),
+        ("p2p_serve_ms", f1(p2p_ms)),
+        ("p2p_over_star", f3(p2p_ms / star_ms)),
         (
             "commit_bytes_below_star",
             (p2p.commit_bytes < star.commit_bytes).to_string(),
@@ -176,6 +184,7 @@ pub fn run() {
         ),
         ("p2p_equal_serial", stats.iter().all(|s| s.3).to_string()),
     ]);
+    let record = json_object(&fields);
     match std::fs::write("BENCH_p2p.json", format!("{record}\n")) {
         Ok(()) => println!("  wrote BENCH_p2p.json"),
         Err(e) => println!("  could not write BENCH_p2p.json: {e}"),

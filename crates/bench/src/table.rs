@@ -91,6 +91,48 @@ pub fn json_object(fields: &[(&str, String)]) -> String {
     format!("{{{body}}}")
 }
 
+/// Where a perf record was measured, as [`json_object`] fields: the
+/// host's available parallelism (`nproc`), the build profile, and the
+/// git revision checked out at run time (`git_rev`: `HEAD` read from
+/// `.git` without running git; "none" outside a checkout).
+pub fn provenance() -> Vec<(&'static str, String)> {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    vec![
+        ("nproc", nproc.to_string()),
+        ("profile", json_str(profile)),
+        ("git_rev", json_str(&git_rev())),
+    ]
+}
+
+fn git_rev() -> String {
+    let git = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.git");
+    let Ok(head) = std::fs::read_to_string(git.join("HEAD")) else {
+        return "none".into();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    if let Ok(rev) = std::fs::read_to_string(git.join(reference)) {
+        return rev.trim().to_string();
+    }
+    // A ref git has packed away lives in `packed-refs` as "<rev> <ref>".
+    std::fs::read_to_string(git.join("packed-refs"))
+        .ok()
+        .and_then(|packed| {
+            packed
+                .lines()
+                .find(|l| l.ends_with(reference))
+                .and_then(|l| l.split_whitespace().next().map(str::to_string))
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Format a float with 3 decimals.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")

@@ -87,16 +87,18 @@
 //! reads/writes rights inside its plan's footprint (lefts one step
 //! around it), so concurrent workers never race on a row, and a worker
 //! can serve `HANDOFF_REQ`/`FLIP` for its slice *while* running its own
-//! plans. Spoke traffic of the dispatch is metered under
-//! [`labels::NET_WAVE`]; the worker↔worker bytes — which never touch
-//! the coordinator — are reported back on the acks and metered under
-//! [`labels::NET_HANDOFF`]. A wire fault mid-wave tears down and
+//! plans. Each worker blocks on one inbox that all of its links feed
+//! ([`WorkerLinks::recv`]), so a fetch is answered as soon as it lands,
+//! whether the owner is idle or mid-wave. Spoke traffic of the dispatch
+//! is metered under [`labels::NET_WAVE`]; the worker↔worker bytes —
+//! which never touch the coordinator — are reported back on the acks
+//! and metered under [`labels::NET_HANDOFF`]. A wire fault mid-wave tears down and
 //! rebuilds the whole mesh ([`Mesh::rebuild_p2p`]), re-scatters the
 //! coordinator's engine state, and re-dispatches the interrupted wave;
 //! outcomes fold only after a full ack barrier, so a retried wave lands
 //! exactly once.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::path::Path;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -105,7 +107,9 @@ use sparse_alloc_graph::io::{fnv1a64, ByteReader, ByteWriter, IoError};
 use sparse_alloc_graph::{Assignment, Bipartite, LeftId, RightId};
 use sparse_alloc_mpc::ledger::RoundRecord;
 use sparse_alloc_mpc::shard::labels;
-use sparse_alloc_mpc::transport::{Fault, Frame, Mesh, Peer, TransportError, WorkerLinks};
+use sparse_alloc_mpc::transport::{
+    Fault, Frame, Mesh, Peer, TransportError, WorkerLinks, COORDINATOR,
+};
 use sparse_alloc_mpc::{Ledger, MpcError, ShardMap};
 use sparse_alloc_obs::{Counter, MetricsSnapshot, Phase, Registry, Tracer};
 
@@ -114,6 +118,7 @@ use crate::distributed::{
 };
 use crate::serve::{run_repair, RepairOutcome, RepairPlan, ServeLoop};
 use crate::snapshot::{self, DeltaBase, DeltaCheckpoint, SnapshotError};
+use crate::stamp::StampSet;
 use crate::update::{put_update, take_update, Update};
 use crate::wal::{WalError, WalWriter};
 use crate::walks::{MatchSlots, SearchScratch, WalkTopology};
@@ -384,6 +389,13 @@ struct WorkerState {
     /// a matched-list section.
     p2p: bool,
     matched: BTreeMap<u32, Vec<u32>>,
+    /// Spoke frames that arrived while a p2p wave awaited peer acks,
+    /// handled next in arrival order.
+    held: VecDeque<Frame>,
+    /// p2p wave scratch, kept across waves and reset to empty rows
+    /// after each.
+    wave: WaveState,
+    search: SearchScratch,
 }
 
 impl WorkerState {
@@ -779,24 +791,28 @@ struct ShippedPlan {
 /// A worker's dense scratch state for one `WAVE` frame: mate/matched
 /// rows over every id the frame's plans can touch, filled from the
 /// worker's own slice first, then the frame's state overrides, then
-/// `HANDOFF` fetches — later sources win.
+/// `HANDOFF` fetches — later sources win. The buffers outlive the wave:
+/// [`WaveState::reset`] empties only the rows it used.
 #[derive(Debug, Default)]
 struct WaveState {
     mate: Vec<Option<RightId>>,
     matched: Vec<Vec<LeftId>>,
-    have_left: Vec<bool>,
-    have_right: Vec<bool>,
+    have_left: StampSet,
+    have_right: StampSet,
+    /// Rows loaded this wave, each once.
+    loaded_l: Vec<u32>,
+    loaded_r: Vec<u32>,
 }
 
 impl WaveState {
     fn ensure(&mut self, n_left: usize, n_right: usize) {
         if self.mate.len() < n_left {
             self.mate.resize(n_left, None);
-            self.have_left.resize(n_left, false);
+            self.have_left.grow(n_left);
         }
         if self.matched.len() < n_right {
             self.matched.resize_with(n_right, Vec::new);
-            self.have_right.resize(n_right, false);
+            self.have_right.grow(n_right);
         }
     }
 
@@ -808,7 +824,9 @@ impl WaveState {
             self.ensure(0, m as usize + 1);
         }
         self.mate[u as usize] = (m != UNMATCHED).then_some(m);
-        self.have_left[u as usize] = true;
+        if self.have_left.insert(u as usize) {
+            self.loaded_l.push(u);
+        }
     }
 
     fn set_right(&mut self, v: u32, list: Vec<u32>) {
@@ -817,25 +835,36 @@ impl WaveState {
             self.ensure(mx as usize + 1, 0);
         }
         self.matched[v as usize] = list;
-        self.have_right[v as usize] = true;
+        if self.have_right.insert(v as usize) {
+            self.loaded_r.push(v);
+        }
     }
 
     fn loaded_left(&self, u: u32) -> bool {
-        self.have_left.get(u as usize).copied().unwrap_or(false)
+        (u as usize) < self.have_left.universe() && self.have_left.contains(u as usize)
     }
 
     fn loaded_right(&self, v: u32) -> bool {
-        self.have_right.get(v as usize).copied().unwrap_or(false)
+        (v as usize) < self.have_right.universe() && self.have_right.contains(v as usize)
     }
-}
 
-/// Sum of the sent-side wire counters over a worker's peer links. Each
-/// worker reports its *sent* deltas on the wave ack; summing only sent
-/// sides across workers counts every worker↔worker channel exactly once.
-fn peer_sent(links: &WorkerLinks) -> (u64, u64) {
-    links.peers.iter().flatten().fold((0, 0), |(f, b), p| {
-        (f + p.frames_sent(), b + p.bytes_sent())
-    })
+    /// Empty every row this wave used, so the next wave starts from the
+    /// state a fresh scratch would have: the loaded rows, plus the
+    /// footprint rows `topo` shipped — the only rows a walk may write.
+    fn reset(&mut self, topo: &WaveTopology) {
+        for u in self.loaded_l.drain(..).chain(topo.lefts.keys().copied()) {
+            if let Some(m) = self.mate.get_mut(u as usize) {
+                *m = None;
+            }
+        }
+        for v in self.loaded_r.drain(..).chain(topo.rights.keys().copied()) {
+            if let Some(list) = self.matched.get_mut(v as usize) {
+                list.clear();
+            }
+        }
+        self.have_left.clear();
+        self.have_right.clear();
+    }
 }
 
 /// Answer a peer's `HANDOFF_REQ` from this worker's authoritative slice.
@@ -972,41 +1001,14 @@ fn serve_peer_frame(
         .map_err(|e| fail(e.to_string()))
 }
 
-/// Answer at most one pending frame on every worker↔worker link —
-/// non-blocking; the idle half of the worker's multiplexing loop.
-/// `busy_with` marks a peer whose reply the caller is collecting, so
-/// its frames are left for [`await_acks`] to pick up in order.
-fn service_peers(
-    st: &mut WorkerState,
-    links: &mut WorkerLinks,
-    map: &ShardMap,
-    busy_with: Option<u32>,
-) -> Result<(), String> {
-    let me = links.shard();
-    for s in 0..links.peers.len() as u32 {
-        if Some(s) == busy_with {
-            continue;
-        }
-        let got = {
-            let Some(peer) = links.peer_to(s) else {
-                continue;
-            };
-            peer.poll_recv(Duration::ZERO)
-                .map_err(|e| format!("HANDOFF {me}<->{s}: {e}"))?
-        };
-        if let Some(f) = got {
-            serve_peer_frame(st, links, map, s, f)?;
-        }
-    }
-    Ok(())
-}
-
-/// Block until every owner in `pending` has sent a `want` frame,
+/// Block until every owner in `owners` has sent a `want` frame,
 /// collecting the payloads per owner. Acks are taken in *arrival* order
 /// — with requests outstanding to several owners at once, nothing says
 /// which answers first — and every other peer frame (another worker's
 /// fetch or flip) is served in the meantime: two workers waiting on each
-/// other's fetches must both keep answering, so waiting *is* serving.
+/// other's fetches must both keep answering, so waiting *is* serving. A
+/// spoke frame arriving meanwhile is held for the worker loop; a spoke
+/// failure (the coordinator tearing the mesh down) ends the wait.
 fn await_acks(
     st: &mut WorkerState,
     links: &mut WorkerLinks,
@@ -1016,41 +1018,34 @@ fn await_acks(
     deadline: Instant,
 ) -> Result<BTreeMap<u32, Vec<u8>>, String> {
     let me = links.shard();
-    let mut pending: HashSet<u32> = owners.iter().copied().collect();
+    let mut pending: BTreeSet<u32> = owners.iter().copied().collect();
     let mut out = BTreeMap::new();
-    while !pending.is_empty() {
-        for s in 0..links.peers.len() as u32 {
-            let waiting = pending.contains(&s);
-            let got = {
-                let Some(peer) = links.peer_to(s) else {
-                    continue;
-                };
-                // Linger only on peers we still expect an ack from; the
-                // rest get a non-blocking drain so their fetches keep
-                // being answered.
-                let wait = if waiting {
-                    Duration::from_micros(500)
-                } else {
-                    Duration::ZERO
-                };
-                peer.poll_recv(wait).map_err(|e| {
-                    format!("HANDOFF {me}<->{s}: awaiting {}: {e}", phase_name(want))
-                })?
-            };
-            let Some(f) = got else { continue };
-            if waiting && f.phase == want {
-                pending.remove(&s);
-                out.insert(s, f.payload);
-            } else {
-                serve_peer_frame(st, links, map, s, f)?;
+    while let Some(&first) = pending.first() {
+        let (from, f) = match links.recv(Some(deadline)) {
+            Ok(got) => got,
+            Err(e) if e.is_transient() => {
+                return Err(format!(
+                    "HANDOFF {me}<->{first}: timed out awaiting {}",
+                    phase_name(want)
+                ))
             }
-        }
-        if Instant::now() >= deadline {
-            let p = pending.iter().min().copied().unwrap_or(me);
-            return Err(format!(
-                "HANDOFF {me}<->{p}: timed out awaiting {}",
-                phase_name(want)
-            ));
+            Err(e) if e.peer() == COORDINATOR => {
+                return Err(format!("spoke failed awaiting {}: {e}", phase_name(want)))
+            }
+            Err(e) => {
+                return Err(format!(
+                    "HANDOFF {me}<->{}: awaiting {}: {e}",
+                    e.peer(),
+                    phase_name(want)
+                ))
+            }
+        };
+        if from == COORDINATOR {
+            st.held.push_back(f);
+        } else if f.phase == want && pending.remove(&from) {
+            out.insert(from, f.payload);
+        } else {
+            serve_peer_frame(st, links, map, from, f)?;
         }
     }
     Ok(out)
@@ -1309,13 +1304,16 @@ fn run_wave(
         }
     }
 
-    // Peer wire counters at wave start; the ack carries the deltas.
-    let sent0 = peer_sent(links);
+    // Peer wire counters and search counters at wave start; the ack
+    // carries the deltas.
+    let sent0 = links.peer_sent();
+    let mut scratch = std::mem::take(&mut st.search);
+    let (exp0, caps0) = (scratch.expansions, scratch.cap_hits);
 
     // Seed the scratch: own rows from the authoritative slice, then the
     // coordinator's overrides on top (rows its engine moved past the
     // synced slices — fresh arrivals and locally-run plans).
-    let mut ws = WaveState::default();
+    let mut ws = std::mem::take(&mut st.wave);
     for &v in topo.rights.keys() {
         if map.owner_of_right(v) as u32 == me {
             let list = st.matched.get(&v).cloned().ok_or_else(|| {
@@ -1340,7 +1338,6 @@ fn run_wave(
         ws.set_right(v, list);
     }
 
-    let mut scratch = SearchScratch::default();
     let mut acks: Vec<PlanAck> = Vec::with_capacity(plans.len());
     let mut own_l: Vec<(u32, u32)> = Vec::new();
     let mut own_r: Vec<(u32, Vec<u32>)> = Vec::new();
@@ -1407,6 +1404,10 @@ fn run_wave(
             rounds,
         });
     }
+    let (expansions, cap_hits) = (scratch.expansions - exp0, scratch.cap_hits - caps0);
+    ws.reset(&topo);
+    st.wave = ws;
+    st.search = scratch;
 
     // Commit own changes to the authoritative slice.
     for &(u, m) in &own_l {
@@ -1450,7 +1451,7 @@ fn run_wave(
         }
     }
 
-    let (sf, sb) = peer_sent(links);
+    let (sf, sb) = links.peer_sent();
     let mut w = ByteWriter::new();
     w.put_u64(acks.len() as u64);
     for a in &acks {
@@ -1466,8 +1467,8 @@ fn run_wave(
         put_right_rows(&mut w, &a.rights);
         w.put_u64(a.rounds);
     }
-    w.put_u64(scratch.expansions);
-    w.put_u64(scratch.cap_hits);
+    w.put_u64(expansions);
+    w.put_u64(cap_hits);
     w.put_u64(sf - sent0.0);
     w.put_u64(sb - sent0.1);
     w.put_u64(max_rounds);
@@ -1505,93 +1506,83 @@ fn arm_link(
     }
 }
 
-/// The p2p worker thread: multiplex the coordinator spoke (`WAVE`/`ARM`
-/// plus every star phase) with the worker↔worker links (`HANDOFF_REQ`/
-/// `FLIP` from peers executing their own plans). Failures NACK the
-/// coordinator with a detail naming the peer pair and protocol phase,
-/// then the worker exits — recovery rebuilds the whole mesh.
+/// The p2p worker thread: block on the worker's one inbox and serve
+/// whichever link speaks — the coordinator spoke (`WAVE`/`ARM` plus
+/// every star phase) or a worker↔worker link (`HANDOFF_REQ`/`FLIP` from
+/// peers executing their own plans). Spoke frames held back during a
+/// wave go first. Failures NACK the coordinator with a detail naming
+/// the peer pair and protocol phase, then the worker exits — recovery
+/// rebuilds the whole mesh.
 fn worker_main_p2p(mut links: WorkerLinks, map: ShardMap) {
     let mut st = WorkerState {
         p2p: true,
         ..WorkerState::default()
     };
     let mut handoff_timeout = DEFAULT_HANDOFF_TIMEOUT;
-    fn nack(links: &mut WorkerLinks, epoch: u64, detail: &str) {
+    let me = links.shard();
+    let nack = |links: &mut WorkerLinks, epoch: u64, kind: u32, body: &[u8]| {
         let mut w = ByteWriter::new();
-        w.put_u32(NACK_PROTOCOL);
-        w.put_bytes(detail.as_bytes());
-        let _ = links.coordinator.send(PH_NACK, epoch, &w.into_bytes());
-    }
+        w.put_u32(kind);
+        w.put_bytes(body);
+        let _ = links.coordinator().send(PH_NACK, epoch, &w.into_bytes());
+    };
     loop {
-        match links.coordinator.poll_recv(Duration::from_millis(2)) {
-            Ok(Some(frame)) => match frame.phase {
-                PH_WAVE => match run_wave(
-                    &mut st,
-                    &mut links,
-                    &map,
-                    frame.epoch,
-                    &frame.payload,
-                    handoff_timeout,
-                ) {
-                    Ok(ack) => {
-                        if links
-                            .coordinator
-                            .send(PH_WAVE_ACK, frame.epoch, &ack)
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    Err(detail) => {
-                        nack(&mut links, frame.epoch, &detail);
-                        return;
-                    }
-                },
-                PH_ARM => match arm_link(&mut links, &frame.payload, &mut handoff_timeout) {
-                    Ok(()) => {
-                        if links
-                            .coordinator
-                            .send(PH_ARM_ACK, frame.epoch, &[])
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    Err(detail) => {
-                        nack(&mut links, frame.epoch, &detail);
-                        return;
-                    }
-                },
-                other => match st.handle(other, &frame.payload) {
-                    Ok((phase, reply)) => {
-                        let done = phase == PH_SHUTDOWN_ACK;
-                        if links.coordinator.send(phase, frame.epoch, &reply).is_err() {
-                            return;
-                        }
-                        if done {
-                            return;
-                        }
-                    }
-                    Err(detail) => {
-                        nack(&mut links, frame.epoch, &detail);
-                        return;
-                    }
-                },
-            },
-            Ok(None) => {}
-            Err(err) => {
-                let mut w = ByteWriter::new();
-                w.put_u32(NACK_TRANSPORT);
-                w.put_bytes(&err.encode());
-                let _ = links.coordinator.send(PH_NACK, 0, &w.into_bytes());
+        let got = match st.held.pop_front() {
+            Some(frame) => Ok((COORDINATOR, frame)),
+            None => links.recv(None),
+        };
+        let frame = match got {
+            Ok((COORDINATOR, frame)) => frame,
+            Ok((from, frame)) => {
+                if let Err(detail) = serve_peer_frame(&mut st, &mut links, &map, from, frame) {
+                    nack(&mut links, 0, NACK_PROTOCOL, detail.as_bytes());
+                    return;
+                }
+                continue;
+            }
+            Err(err) if err.peer() == COORDINATOR => {
+                nack(&mut links, 0, NACK_TRANSPORT, &err.encode());
                 return;
             }
-        }
-        // Idle half: answer peers even when no wave of our own is
-        // running — another shard's walk may need our rows at any time.
-        if let Err(detail) = service_peers(&mut st, &mut links, &map, None) {
-            nack(&mut links, 0, &detail);
-            return;
+            // An idle peer link closing is that peer exiting — shut down,
+            // or failed and NACKing the coordinator itself. A later fetch
+            // over the link fails typed (closed, or its ack times out).
+            Err(TransportError::Closed { .. }) => continue,
+            Err(err) => {
+                let detail = format!("HANDOFF {me}<->{}: {err}", err.peer());
+                nack(&mut links, 0, NACK_PROTOCOL, detail.as_bytes());
+                return;
+            }
+        };
+        let reply = match frame.phase {
+            PH_WAVE => run_wave(
+                &mut st,
+                &mut links,
+                &map,
+                frame.epoch,
+                &frame.payload,
+                handoff_timeout,
+            )
+            .map(|ack| (PH_WAVE_ACK, ack)),
+            PH_ARM => arm_link(&mut links, &frame.payload, &mut handoff_timeout)
+                .map(|()| (PH_ARM_ACK, Vec::new())),
+            other => st.handle(other, &frame.payload),
+        };
+        match reply {
+            Ok((phase, reply)) => {
+                if links
+                    .coordinator()
+                    .send(phase, frame.epoch, &reply)
+                    .is_err()
+                    || phase == PH_SHUTDOWN_ACK
+                {
+                    return;
+                }
+            }
+            Err(detail) => {
+                nack(&mut links, frame.epoch, NACK_PROTOCOL, detail.as_bytes());
+                return;
+            }
         }
     }
 }
@@ -2468,17 +2459,10 @@ impl NetServeLoop {
             .into_iter()
             .map(|l| std::thread::spawn(move || worker_main_p2p(l, map)))
             .collect();
-        // Old threads see their channels close and exit; one still
-        // pumping a dead peer gives up at its handoff deadline — bound
-        // the join and detach stragglers rather than wedge recovery.
-        let deadline = Instant::now() + Duration::from_secs(2);
+        // The rebuild closed every old spoke: each old worker reads that
+        // `Closed` from its inbox wherever it blocks, and exits.
         for h in old {
-            while !h.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            if h.is_finished() {
-                let _ = h.join();
-            }
+            let _ = h.join();
         }
         // Fresh channels restart the wire counters from zero.
         let (bytes_now, frames_now) = self.wire_totals();
@@ -3944,6 +3928,111 @@ mod tests {
             detail.contains("HANDOFF 1<->0"),
             "the error names the peer pair, got: {detail}"
         );
+        drop(l0);
+        drop(mesh);
+        worker.join().unwrap();
+    }
+
+    /// An idle worker answers a peer's fetch the moment it arrives: 500
+    /// `HANDOFF_REQ`→`HANDOFF_ACK` round trips on owned rows, with no
+    /// spoke traffic at all, stay far below a millisecond each. A worker
+    /// that waited on its spoke before turning to its peers would pay
+    /// that wait on every round trip.
+    #[test]
+    fn an_idle_worker_answers_handoffs_without_waiting_on_its_spoke() {
+        let map = ShardMap::new(2);
+        let (mut tl, mut tr) = Default::default();
+        let x = pick_left(&map, 1, &mut tl);
+        let v = pick_right(&map, 1, &mut tr);
+        let (mut mesh, mut links) = Mesh::loopback_mesh(2, &Mesh::all_pairs(2));
+        // Spawn only worker 1; the test plays worker 0 on its links.
+        let l1 = links.pop().unwrap();
+        let mut l0 = links.pop().unwrap();
+        let worker = std::thread::spawn(move || worker_main_p2p(l1, map));
+        mesh.send_to(1, PH_INIT, 0, &p2p_init_frame(&[(x, v)], &[(v, vec![x])]))
+            .unwrap();
+        assert_eq!(mesh.recv_from(1).unwrap().phase, PH_INIT_ACK);
+        let mut w = ByteWriter::new();
+        w.put_u64(1);
+        w.put_u32(x);
+        w.put_u64(1);
+        w.put_u32(v);
+        let req = w.into_bytes();
+        let t0 = Instant::now();
+        let mut ack = None;
+        for _ in 0..500 {
+            l0.peer_to(1)
+                .unwrap()
+                .send(PH_HANDOFF_REQ, 0, &req)
+                .unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let (from, f) = l0.recv(Some(deadline)).unwrap();
+            assert_eq!((from, f.phase), (1, PH_HANDOFF_ACK));
+            ack = Some(f.payload);
+        }
+        let took = t0.elapsed();
+        let ack = ack.unwrap();
+        let mut r = ByteReader::new(&ack);
+        assert_eq!(take_left_rows(&mut r).unwrap(), vec![(x, v)]);
+        assert_eq!(take_right_rows(&mut r).unwrap(), vec![(v, vec![x])]);
+        assert!(
+            took < Duration::from_millis(250),
+            "500 idle handoff round trips took {took:?}"
+        );
+        drop(l0);
+        drop(mesh);
+        worker.join().unwrap();
+    }
+
+    /// A spoke frame that lands while a wave awaits a peer's ack is held,
+    /// not dropped, and answered right after the wave, in arrival order.
+    #[test]
+    fn a_spoke_frame_arriving_mid_wave_is_held_and_answered_after_the_wave() {
+        let map = ShardMap::new(2);
+        let (mut tl, mut tr) = Default::default();
+        let u = pick_left(&map, 1, &mut tl);
+        let v = pick_right(&map, 0, &mut tr);
+        let (mut mesh, mut links) = Mesh::loopback_mesh(2, &Mesh::all_pairs(2));
+        // Spawn only worker 1; the test plays worker 0 on its links.
+        let l1 = links.pop().unwrap();
+        let mut l0 = links.pop().unwrap();
+        let worker = std::thread::spawn(move || worker_main_p2p(l1, map));
+        mesh.send_to(1, PH_INIT, 0, &p2p_init_frame(&[(u, UNMATCHED)], &[]))
+            .unwrap();
+        assert_eq!(mesh.recv_from(1).unwrap().phase, PH_INIT_ACK);
+        // `Place{u}` must fetch the free right `v` from worker 0.
+        let frame = wave_frame(
+            2,
+            &RepairPlan::Place { u },
+            &[(v, 1, vec![u])],
+            &[(u, vec![v])],
+        );
+        mesh.send_to(1, PH_WAVE, 0, &frame).unwrap();
+        let soon = || Some(Instant::now() + Duration::from_secs(5));
+        let (from, req) = l0.recv(soon()).unwrap();
+        assert_eq!((from, req.phase), (1, PH_HANDOFF_REQ));
+        // The coordinator speaks while the wave waits on the fetch.
+        mesh.send_to(1, PH_GATHER, 0, &[]).unwrap();
+        let mut w = ByteWriter::new();
+        put_left_rows(&mut w, &[]);
+        put_right_rows(&mut w, &[(v, vec![])]);
+        l0.peer_to(1)
+            .unwrap()
+            .send(PH_HANDOFF_ACK, 0, &w.into_bytes())
+            .unwrap();
+        let (from, flip) = l0.recv(soon()).unwrap();
+        assert_eq!((from, flip.phase), (1, PH_FLIP));
+        let mut w = ByteWriter::new();
+        w.put_u64(1);
+        l0.peer_to(1)
+            .unwrap()
+            .send(PH_FLIP_ACK, 0, &w.into_bytes())
+            .unwrap();
+        assert_eq!(mesh.recv_from(1).unwrap().phase, PH_WAVE_ACK);
+        let gather = mesh.recv_from(1).unwrap();
+        assert_eq!(gather.phase, PH_GATHER_ACK, "the held frame is answered");
+        let mut r = ByteReader::new(&gather.payload);
+        assert_eq!(take_left_rows(&mut r).unwrap(), vec![(u, v)]);
         drop(l0);
         drop(mesh);
         worker.join().unwrap();

@@ -628,6 +628,26 @@ fn read_full(
     Ok(true)
 }
 
+/// Read one whole frame's bytes from a byte stream, checksum still
+/// unverified: the framing half of [`read_frame`], for a reader that
+/// hands the bytes to [`decode_frame`] elsewhere. The header is checked
+/// before the body is read (magic, version, length cap), so a corrupted
+/// length field cannot provoke an unbounded read. A clean end-of-stream
+/// at a frame boundary returns `Ok(None)`; ending *inside* a frame is
+/// [`FrameError::Truncated`].
+pub fn read_frame_bytes(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>, FrameError> {
+    let mut head = [0u8; FRAME_HEADER_LEN];
+    if !read_full(r, &mut head, FRAME_HEADER_LEN, 0)? {
+        return Ok(None);
+    }
+    let (_, len) = header_of(&head)?;
+    let total = FRAME_HEADER_LEN + len as usize + 8;
+    let mut bytes = vec![0u8; total];
+    bytes[..FRAME_HEADER_LEN].copy_from_slice(&head);
+    read_full(r, &mut bytes[FRAME_HEADER_LEN..], total, FRAME_HEADER_LEN)?;
+    Ok(Some(bytes))
+}
+
 /// Read one frame from a byte stream (the TCP transport's receive path).
 /// A clean end-of-stream at a frame boundary returns `Ok(None)`; ending
 /// *inside* a frame is [`FrameError::Truncated`]; every other corruption
@@ -635,25 +655,9 @@ fn read_full(
 pub fn read_frame(
     r: &mut impl std::io::Read,
 ) -> Result<Option<(FrameHeader, Vec<u8>)>, FrameError> {
-    let mut head = [0u8; FRAME_HEADER_LEN];
-    if !read_full(r, &mut head, FRAME_HEADER_LEN, 0)? {
-        return Ok(None);
-    }
-    let (header, len) = header_of(&head)?;
-    let total = FRAME_HEADER_LEN + len as usize + 8;
-    let mut rest = vec![0u8; len as usize + 8];
-    read_full(r, &mut rest, total, FRAME_HEADER_LEN)?;
-    let mut body = head.to_vec();
-    body.extend_from_slice(&rest[..len as usize]);
-    let carried = u64::from_le_bytes(rest[len as usize..].try_into().unwrap());
-    let computed = fnv1a64(&body);
-    if carried != computed {
-        return Err(FrameError::Checksum {
-            expected: computed,
-            found: carried,
-        });
-    }
-    Ok(Some((header, rest[..len as usize].to_vec())))
+    read_frame_bytes(r)?
+        .map(|bytes| decode_frame(&bytes))
+        .transpose()
 }
 
 #[cfg(test)]

@@ -24,6 +24,16 @@
 //!   between threads (Nagle disabled, bounded read timeouts so a dead
 //!   peer is a typed error, not a hang).
 //!
+//! A p2p worker's links ([`WorkerLinks`]) share **one inbox**: every
+//! incoming link — the coordinator spoke and each worker↔worker channel —
+//! delivers into one blocking queue of `(sender, frame bytes)` entries,
+//! so a worker waits on exactly one receive ([`WorkerLinks::recv`])
+//! whichever link speaks next. Loopback senders push straight into it;
+//! each TCP socket gets a reader thread that reads whole frames (or the
+//! typed failure that ended the stream) and pushes them. Verification
+//! stays per link: the receiving [`Peer`] still checks checksum, sender
+//! and sequence, and keeps its own counters and flight ring.
+//!
 //! Both ends count the bytes and frames they actually moved
 //! ([`Peer::bytes_sent`] and friends), which is what lets the dynamic
 //! subsystem's ledger record **measured** wire traffic next to the
@@ -80,10 +90,11 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use sparse_alloc_graph::io::{
-    decode_frame, encode_frame, read_frame, ByteReader, ByteWriter, FrameError, FrameHeader,
+    decode_frame, encode_frame, read_frame_bytes, ByteReader, ByteWriter, FrameError, FrameHeader,
     IoError,
 };
 use sparse_alloc_obs::{FlightEvent, FlightKind, FlightRecorder, MetricsSnapshot, PeerWire};
@@ -393,62 +404,178 @@ impl Fault {
 
 // ----------------------------------------------------------- byte links
 
-#[derive(Debug, Default)]
-struct QueueState {
-    frames: VecDeque<Vec<u8>>,
-    closed: bool,
-}
+/// What a link hands its receiver: one frame's bytes, not yet verified,
+/// or the typed failure that ended the link.
+type Delivery = Result<Vec<u8>, TransportError>;
 
-/// One direction of a loopback channel.
+/// A receive queue: one loopback direction, or a worker's inbox shared
+/// by all of its incoming links. Entries carry the sender's id, so a
+/// shared queue still tells its links apart.
 #[derive(Debug, Default)]
 struct Queue {
-    state: Mutex<QueueState>,
+    entries: Mutex<VecDeque<(u32, Delivery)>>,
     ready: Condvar,
 }
 
 impl Queue {
-    fn push(&self, bytes: Vec<u8>) -> bool {
-        let mut st = self.state.lock().unwrap();
-        if st.closed {
-            return false;
-        }
-        st.frames.push_back(bytes);
-        self.ready.notify_all();
-        true
+    fn push(&self, from: u32, got: Delivery) {
+        self.entries
+            .lock()
+            .expect("a queue holder panicked")
+            .push_back((from, got));
+        self.ready.notify_one();
     }
 
-    fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.ready.notify_all();
-    }
-
-    /// `Ok(Some(bytes))` on delivery, `Ok(None)` when closed and fully
-    /// drained, `Err(())` on timeout.
-    fn pop(&self, timeout: Duration) -> Result<Option<Vec<u8>>, ()> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.state.lock().unwrap();
+    /// The oldest entry, waiting for one until `deadline` (forever when
+    /// `None`); `None` once the deadline passes.
+    fn pop(&self, deadline: Option<Instant>) -> Option<(u32, Delivery)> {
+        let mut q = self.entries.lock().expect("a queue holder panicked");
         loop {
-            if let Some(bytes) = st.frames.pop_front() {
-                return Ok(Some(bytes));
+            if let Some(entry) = q.pop_front() {
+                return Some(entry);
             }
-            if st.closed {
-                return Ok(None);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(());
-            }
-            let (next, timed_out) = self.ready.wait_timeout(st, deadline - now).unwrap();
-            st = next;
-            let _ = timed_out;
+            q = match deadline {
+                None => self.ready.wait(q).expect("a queue holder panicked"),
+                Some(d) => {
+                    let left = d.checked_duration_since(Instant::now())?;
+                    self.ready
+                        .wait_timeout(q, left)
+                        .expect("a queue holder panicked")
+                        .0
+                }
+            };
         }
     }
 }
 
 #[derive(Debug)]
 enum Link {
-    Loopback { tx: Arc<Queue>, rx: Arc<Queue> },
-    Tcp(TcpStream),
+    /// In-process queues. Sends go into `tx` (the remote's own queue or
+    /// its inbox) while `open`; `rx` is this end's own queue, `None`
+    /// when its frames feed a worker inbox instead.
+    Loopback {
+        tx: Arc<Queue>,
+        open: bool,
+        rx: Option<Arc<Queue>>,
+    },
+    /// A socket, read in place — or, when `reader` is set, drained into
+    /// a worker inbox by that thread.
+    Tcp {
+        stream: TcpStream,
+        reader: Option<JoinHandle<()>>,
+    },
+}
+
+/// Read one frame's bytes off a socket, mapping stream failures to
+/// typed errors against `peer` (`timeout` only names the wait in a
+/// timeout error).
+fn read_tcp(s: &mut TcpStream, peer: u32, timeout: Duration) -> Delivery {
+    match read_frame_bytes(s) {
+        Ok(Some(bytes)) => Ok(bytes),
+        Ok(None) => Err(TransportError::Closed { peer }),
+        Err(FrameError::Io(e))
+            if e.kind() == std::io::ErrorKind::WouldBlock
+                || e.kind() == std::io::ErrorKind::TimedOut =>
+        {
+            Err(TransportError::Io {
+                peer,
+                detail: format!("recv timed out after {timeout:?}"),
+            })
+        }
+        Err(FrameError::Io(e))
+            if e.kind() == std::io::ErrorKind::ConnectionReset
+                || e.kind() == std::io::ErrorKind::ConnectionAborted =>
+        {
+            Err(TransportError::Closed { peer })
+        }
+        Err(err) => Err(TransportError::Frame { peer, err }),
+    }
+}
+
+/// Drain a socket into `inbox` on a thread of its own: each whole frame
+/// as it arrives, or its typed failure, until the stream closes or
+/// fails, after which the thread exits. Shutting the socket down
+/// (dropping its [`Peer`]) is what ends a healthy stream.
+fn spawn_reader(
+    stream: &TcpStream,
+    remote: u32,
+    inbox: Arc<Queue>,
+) -> Result<JoinHandle<()>, TransportError> {
+    let io_err = |e: std::io::Error| TransportError::Io {
+        peer: remote,
+        detail: e.to_string(),
+    };
+    let mut s = stream.try_clone().map_err(io_err)?;
+    // A read timeout could expire mid-frame and tear the stream; the
+    // inbox's receive deadline bounds the wait instead.
+    s.set_read_timeout(None).map_err(io_err)?;
+    Ok(std::thread::spawn(move || loop {
+        let got = read_tcp(&mut s, remote, Duration::ZERO);
+        // A frame that decodes badly leaves the stream readable, as it
+        // does for an in-place reader; closure and I/O failures end it.
+        let end = match &got {
+            Ok(_) => false,
+            Err(TransportError::Frame { err, .. }) => matches!(err, FrameError::Io(_)),
+            Err(_) => true,
+        };
+        inbox.push(remote, got);
+        if end {
+            return;
+        }
+    }))
+}
+
+/// The receive side of a fresh link end: deliveries land in `inbox`
+/// when one is given, else in a queue of the end's own. Returns the
+/// queue senders push into and the end's own queue, if any.
+fn receive_queue(inbox: Option<&Arc<Queue>>) -> (Arc<Queue>, Option<Arc<Queue>>) {
+    match inbox {
+        Some(q) => (Arc::clone(q), None),
+        None => {
+            let q = Arc::new(Queue::default());
+            (Arc::clone(&q), Some(q))
+        }
+    }
+}
+
+/// Connect `a` and `b` over loopback or TCP. An end given an inbox
+/// receives there instead of in place.
+fn connect(
+    a: u32,
+    b: u32,
+    tcp: bool,
+    inbox_a: Option<&Arc<Queue>>,
+    inbox_b: Option<&Arc<Queue>>,
+) -> Result<(Peer, Peer), TransportError> {
+    if !tcp {
+        let (into_a, rx_a) = receive_queue(inbox_a);
+        let (into_b, rx_b) = receive_queue(inbox_b);
+        let end = |tx, rx| Link::Loopback { tx, open: true, rx };
+        return Ok((
+            Peer::new(a, b, end(into_b, rx_a)),
+            Peer::new(b, a, end(into_a, rx_b)),
+        ));
+    }
+    let io_err = |peer: u32, e: std::io::Error| TransportError::Io {
+        peer,
+        detail: e.to_string(),
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| io_err(b, e))?;
+    let addr = listener.local_addr().map_err(|e| io_err(b, e))?;
+    let out = TcpStream::connect(addr).map_err(|e| io_err(b, e))?;
+    let (inn, _) = listener.accept().map_err(|e| io_err(a, e))?;
+    for s in [&out, &inn] {
+        s.set_nodelay(true).map_err(|e| io_err(b, e))?;
+        s.set_read_timeout(Some(DEFAULT_RECV_TIMEOUT))
+            .map_err(|e| io_err(b, e))?;
+    }
+    let end = |local, remote, stream: TcpStream, inbox: Option<&Arc<Queue>>| {
+        let reader = inbox
+            .map(|q| spawn_reader(&stream, remote, Arc::clone(q)))
+            .transpose()?;
+        Ok::<_, TransportError>(Peer::new(local, remote, Link::Tcp { stream, reader }))
+    };
+    Ok((end(a, b, out, inbox_a)?, end(b, a, inn, inbox_b)?))
 }
 
 // ----------------------------------------------------------------- peer
@@ -469,6 +596,8 @@ pub struct Peer {
     /// and the fault to apply when it fires.
     scheduled: Option<(u64, u64, Fault)>,
     recv_timeout: Duration,
+    /// The receive side has reported `Closed`; it stays closed.
+    closed: bool,
     bytes_sent: u64,
     bytes_received: u64,
     frames_sent: u64,
@@ -488,6 +617,7 @@ impl Peer {
             faults: VecDeque::new(),
             scheduled: None,
             recv_timeout: DEFAULT_RECV_TIMEOUT,
+            closed: false,
             bytes_sent: 0,
             bytes_received: 0,
             frames_sent: 0,
@@ -499,41 +629,13 @@ impl Peer {
     /// A connected loopback pair: what `a` sends, `b` receives, and vice
     /// versa, over deterministic in-process queues.
     pub fn loopback_pair(a: u32, b: u32) -> (Peer, Peer) {
-        let ab = Arc::new(Queue::default());
-        let ba = Arc::new(Queue::default());
-        (
-            Peer::new(
-                a,
-                b,
-                Link::Loopback {
-                    tx: Arc::clone(&ab),
-                    rx: Arc::clone(&ba),
-                },
-            ),
-            Peer::new(b, a, Link::Loopback { tx: ba, rx: ab }),
-        )
+        connect(a, b, false, None, None).expect("loopback links cannot fail")
     }
 
     /// A connected TCP pair over `127.0.0.1` (Nagle disabled, bounded
     /// read timeouts on both ends).
     pub fn tcp_pair(a: u32, b: u32) -> Result<(Peer, Peer), TransportError> {
-        let io_err = |peer: u32, e: std::io::Error| TransportError::Io {
-            peer,
-            detail: e.to_string(),
-        };
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| io_err(b, e))?;
-        let addr = listener.local_addr().map_err(|e| io_err(b, e))?;
-        let out = TcpStream::connect(addr).map_err(|e| io_err(b, e))?;
-        let (inn, _) = listener.accept().map_err(|e| io_err(a, e))?;
-        for s in [&out, &inn] {
-            s.set_nodelay(true).map_err(|e| io_err(b, e))?;
-            s.set_read_timeout(Some(DEFAULT_RECV_TIMEOUT))
-                .map_err(|e| io_err(b, e))?;
-        }
-        Ok((
-            Peer::new(a, b, Link::Tcp(out)),
-            Peer::new(b, a, Link::Tcp(inn)),
-        ))
+        connect(a, b, true, None, None)
     }
 
     /// Id of the other end.
@@ -578,8 +680,13 @@ impl Peer {
     /// tripping the timeout.
     pub fn set_recv_timeout(&mut self, timeout: Duration) -> Result<(), TransportError> {
         self.recv_timeout = timeout.max(Duration::from_millis(1));
-        if let Link::Tcp(s) = &self.link {
-            s.set_read_timeout(Some(self.recv_timeout))
+        if let Link::Tcp {
+            stream,
+            reader: None,
+        } = &self.link
+        {
+            stream
+                .set_read_timeout(Some(self.recv_timeout))
                 .map_err(|e| TransportError::Io {
                     peer: self.remote,
                     detail: e.to_string(),
@@ -635,13 +742,14 @@ impl Peer {
     fn push_bytes(&mut self, bytes: Vec<u8>) -> Result<(), TransportError> {
         let n = bytes.len() as u64;
         match &mut self.link {
-            Link::Loopback { tx, .. } => {
-                if !tx.push(bytes) {
+            Link::Loopback { tx, open, .. } => {
+                if !*open {
                     return Err(TransportError::Closed { peer: self.remote });
                 }
+                tx.push(self.local, Ok(bytes));
             }
-            Link::Tcp(s) => {
-                s.write_all(&bytes).map_err(|e| {
+            Link::Tcp { stream, .. } => {
+                stream.write_all(&bytes).map_err(|e| {
                     if e.kind() == std::io::ErrorKind::BrokenPipe
                         || e.kind() == std::io::ErrorKind::ConnectionReset
                         || e.kind() == std::io::ErrorKind::NotConnected
@@ -662,10 +770,15 @@ impl Peer {
     }
 
     fn close_link(&mut self) {
-        match &self.link {
-            Link::Loopback { tx, .. } => tx.close(),
-            Link::Tcp(s) => {
-                let _ = s.shutdown(Shutdown::Both);
+        match &mut self.link {
+            Link::Loopback { tx, open, .. } => {
+                // The receiver drains what was sent, then reads `Closed`.
+                if std::mem::replace(open, false) {
+                    tx.push(self.local, Err(TransportError::Closed { peer: self.local }));
+                }
+            }
+            Link::Tcp { stream, .. } => {
+                let _ = stream.shutdown(Shutdown::Both);
             }
         }
     }
@@ -769,8 +882,48 @@ impl Peer {
     /// Receive, verify, and sequence-check one frame. Every outcome —
     /// the verified header or the typed failure — is noted in the
     /// flight recorder for post-mortem.
+    ///
+    /// An end bundled in a [`WorkerLinks`] receives through
+    /// [`WorkerLinks::recv`] instead; here it is a typed
+    /// [`TransportError::Protocol`].
     pub fn recv(&mut self) -> Result<Frame, TransportError> {
-        let res = self.recv_inner();
+        let got = self.next_delivery();
+        self.accept(got)
+    }
+
+    /// Wait for this end's next delivery under its receive timeout.
+    fn next_delivery(&mut self) -> Delivery {
+        let peer = self.remote;
+        if self.closed {
+            return Err(TransportError::Closed { peer });
+        }
+        let timeout = self.recv_timeout;
+        match &mut self.link {
+            Link::Loopback { rx: Some(rx), .. } => match rx.pop(Some(Instant::now() + timeout)) {
+                Some((_, got)) => got,
+                None => Err(TransportError::Io {
+                    peer,
+                    detail: format!("recv timed out after {timeout:?}"),
+                }),
+            },
+            Link::Tcp {
+                stream,
+                reader: None,
+            } => read_tcp(stream, peer, timeout),
+            _ => Err(TransportError::Protocol {
+                peer,
+                detail: "this end receives through its worker's inbox".into(),
+            }),
+        }
+    }
+
+    /// Verify one delivery, count it, and note the outcome in the
+    /// flight ring.
+    fn accept(&mut self, got: Delivery) -> Result<Frame, TransportError> {
+        let res = self.verify(got);
+        if matches!(res, Err(TransportError::Closed { .. })) {
+            self.closed = true;
+        }
         self.note_recv(&res);
         res
     }
@@ -798,108 +951,13 @@ impl Peer {
         }
     }
 
-    /// Wait up to `wait` for a frame without committing to a blocking
-    /// receive: `Ok(None)` means the channel is healthy but idle.
-    ///
-    /// This is the primitive a worker needs to multiplex its coordinator
-    /// spoke and its worker↔worker links in one loop. A plain
-    /// [`Peer::recv`] with a short timeout would do for loopback, but a
-    /// short TCP read can tear: consuming half a frame header before the
-    /// clock expires poisons the stream position for every later
-    /// receive. Here the TCP path gates on a non-consuming `peek`, and
-    /// the full frame is only read — under the channel's configured
-    /// [`Peer::set_recv_timeout`] — once at least one byte is known to
-    /// have arrived. Idle polls skip the flight ring (a multiplexing
-    /// loop polling at millisecond cadence would otherwise flood the
-    /// post-mortem window with non-events).
-    pub fn poll_recv(&mut self, wait: Duration) -> Result<Option<Frame>, TransportError> {
-        let remote = self.remote;
-        if let Link::Tcp(s) = &self.link {
-            let io_err = |e: std::io::Error| TransportError::Io {
-                peer: remote,
-                detail: e.to_string(),
-            };
-            s.set_read_timeout(Some(wait.max(Duration::from_millis(1))))
-                .map_err(io_err)?;
-            let mut probe = [0u8; 1];
-            let peeked = s.peek(&mut probe);
-            s.set_read_timeout(Some(self.recv_timeout))
-                .map_err(io_err)?;
-            return match peeked {
-                Ok(0) => Err(TransportError::Closed { peer: remote }),
-                Ok(_) => self.recv().map(Some),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    Ok(None)
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::ConnectionReset
-                        || e.kind() == std::io::ErrorKind::ConnectionAborted =>
-                {
-                    Err(TransportError::Closed { peer: remote })
-                }
-                Err(e) => Err(io_err(e)),
-            };
-        }
-        // Loopback queues pop whole frames, so a short wait cannot tear;
-        // borrow the timeout for one receive.
-        let prev = self.recv_timeout;
-        self.recv_timeout = wait.max(Duration::from_micros(1));
-        let res = self.recv_inner();
-        self.recv_timeout = prev;
-        match res {
-            Err(ref e) if e.is_transient() => Ok(None),
-            res => {
-                self.note_recv(&res);
-                res.map(Some)
-            }
-        }
-    }
-
-    fn recv_inner(&mut self) -> Result<Frame, TransportError> {
+    /// The per-link checks: checksum, sequence, sender.
+    fn verify(&mut self, got: Delivery) -> Result<Frame, TransportError> {
         let peer = self.remote;
-        let (header, payload) = match &mut self.link {
-            Link::Loopback { rx, .. } => {
-                let bytes = match rx.pop(self.recv_timeout) {
-                    Ok(Some(bytes)) => bytes,
-                    Ok(None) => return Err(TransportError::Closed { peer }),
-                    Err(()) => {
-                        return Err(TransportError::Io {
-                            peer,
-                            detail: format!("recv timed out after {:?}", self.recv_timeout),
-                        })
-                    }
-                };
-                self.bytes_received += bytes.len() as u64;
-                decode_frame(&bytes).map_err(|err| TransportError::Frame { peer, err })?
-            }
-            Link::Tcp(s) => match read_frame(s) {
-                Ok(Some((header, payload))) => {
-                    self.bytes_received +=
-                        (sparse_alloc_graph::io::FRAME_HEADER_LEN + payload.len() + 8) as u64;
-                    (header, payload)
-                }
-                Ok(None) => return Err(TransportError::Closed { peer }),
-                Err(FrameError::Io(e))
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Err(TransportError::Io {
-                        peer,
-                        detail: format!("recv timed out after {:?}", self.recv_timeout),
-                    })
-                }
-                Err(FrameError::Io(e))
-                    if e.kind() == std::io::ErrorKind::ConnectionReset
-                        || e.kind() == std::io::ErrorKind::ConnectionAborted =>
-                {
-                    return Err(TransportError::Closed { peer })
-                }
-                Err(err) => return Err(TransportError::Frame { peer, err }),
-            },
-        };
+        let bytes = got?;
+        self.bytes_received += bytes.len() as u64;
+        let (header, payload) =
+            decode_frame(&bytes).map_err(|err| TransportError::Frame { peer, err })?;
         if header.seq != self.recv_seq {
             return Err(TransportError::OutOfOrder {
                 peer,
@@ -931,6 +989,12 @@ impl Drop for Peer {
         // silent: loopback receivers drain and get `Closed`, TCP readers
         // get EOF.
         self.close_link();
+        // The shutdown above ended this end's own reader thread too.
+        if let Link::Tcp { reader, .. } = &mut self.link {
+            if let Some(h) = reader.take() {
+                let _ = h.join();
+            }
+        }
     }
 }
 
@@ -951,23 +1015,25 @@ impl Mesh {
     /// A loopback mesh over `workers` shards. Returns the coordinator's
     /// mesh and the per-worker endpoints (index = shard id).
     pub fn loopback(workers: usize) -> (Mesh, Vec<Peer>) {
-        let mut peers = Vec::with_capacity(workers);
-        let mut ends = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (c, e) = Peer::loopback_pair(COORDINATOR, w as u32);
-            peers.push(c);
-            ends.push(e);
-        }
-        let on_respawn = (0..workers).map(|_| Vec::new()).collect();
-        (Mesh { peers, on_respawn }, ends)
+        Mesh::star(workers, false, None).expect("loopback links cannot fail")
     }
 
     /// A TCP mesh over `workers` shards (one `127.0.0.1` socket each).
     pub fn tcp(workers: usize) -> Result<(Mesh, Vec<Peer>), TransportError> {
+        Mesh::star(workers, true, None)
+    }
+
+    /// A star over `workers` shards; with `inboxes`, worker `w`'s spoke
+    /// delivers into `inboxes[w]`.
+    fn star(
+        workers: usize,
+        tcp: bool,
+        inboxes: Option<&[Arc<Queue>]>,
+    ) -> Result<(Mesh, Vec<Peer>), TransportError> {
         let mut peers = Vec::with_capacity(workers);
         let mut ends = Vec::with_capacity(workers);
         for w in 0..workers {
-            let (c, e) = Peer::tcp_pair(COORDINATOR, w as u32)?;
+            let (c, e) = connect(COORDINATOR, w as u32, tcp, None, inboxes.map(|q| &q[w]))?;
             peers.push(c);
             ends.push(e);
         }
@@ -992,9 +1058,7 @@ impl Mesh {
     /// otherwise). Returns the coordinator's mesh and one
     /// [`WorkerLinks`] bundle per worker.
     pub fn loopback_mesh(workers: usize, edges: &[(usize, usize)]) -> (Mesh, Vec<WorkerLinks>) {
-        let (mesh, spokes) = Mesh::loopback(workers);
-        let links = link_matrix(workers, edges, false).expect("loopback links cannot fail");
-        (mesh, bundle(spokes, links))
+        Mesh::p2p(workers, edges, false).expect("loopback links cannot fail")
     }
 
     /// The TCP twin of [`Mesh::loopback_mesh`]: every spoke and every
@@ -1003,9 +1067,18 @@ impl Mesh {
         workers: usize,
         edges: &[(usize, usize)],
     ) -> Result<(Mesh, Vec<WorkerLinks>), TransportError> {
-        let (mesh, spokes) = Mesh::tcp(workers)?;
-        let links = link_matrix(workers, edges, true)?;
-        Ok((mesh, bundle(spokes, links)))
+        Mesh::p2p(workers, edges, true)
+    }
+
+    fn p2p(
+        workers: usize,
+        edges: &[(usize, usize)],
+        tcp: bool,
+    ) -> Result<(Mesh, Vec<WorkerLinks>), TransportError> {
+        let inboxes = new_inboxes(workers);
+        let (mesh, spokes) = Mesh::star(workers, tcp, Some(&inboxes))?;
+        let links = link_matrix(workers, edges, tcp, &inboxes)?;
+        Ok((mesh, bundle(spokes, links, inboxes)))
     }
 
     /// Tear down and rebuild the *entire* mesh — every spoke and every
@@ -1022,16 +1095,12 @@ impl Mesh {
     /// exactly like a single-spoke respawn.
     pub fn rebuild_p2p(&mut self, tcp: bool) -> Result<Vec<WorkerLinks>, TransportError> {
         let n = self.peers.len();
-        let mut links = link_matrix(n, &Mesh::all_pairs(n), tcp)?;
-        let mut out = Vec::with_capacity(n);
-        for (w, row) in links.iter_mut().enumerate() {
-            let spoke = self.respawn(w, tcp)?;
-            out.push(WorkerLinks {
-                coordinator: spoke,
-                peers: std::mem::take(row),
-            });
-        }
-        Ok(out)
+        let inboxes = new_inboxes(n);
+        let links = link_matrix(n, &Mesh::all_pairs(n), tcp, &inboxes)?;
+        let spokes = (0..n)
+            .map(|w| self.respawn_into(w, tcp, Some(&inboxes[w])))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(bundle(spokes, links, inboxes))
     }
 
     /// Replace the channel to worker `w` with a fresh one (loopback or
@@ -1043,11 +1112,18 @@ impl Mesh {
     /// old channel's receive timeout carries over to the coordinator
     /// side only (the worker end keeps the spawn-time default).
     pub fn respawn(&mut self, w: usize, tcp: bool) -> Result<Peer, TransportError> {
-        let (mut c, e) = if tcp {
-            Peer::tcp_pair(COORDINATOR, w as u32)?
-        } else {
-            Peer::loopback_pair(COORDINATOR, w as u32)
-        };
+        self.respawn_into(w, tcp, None)
+    }
+
+    /// [`Mesh::respawn`], with the new worker end delivering into
+    /// `inbox` when one is given.
+    fn respawn_into(
+        &mut self,
+        w: usize,
+        tcp: bool,
+        inbox: Option<&Arc<Queue>>,
+    ) -> Result<Peer, TransportError> {
+        let (mut c, e) = connect(COORDINATOR, w as u32, tcp, None, inbox)?;
         // Only the coordinator side inherits the configured timeout: the
         // replacement worker endpoint keeps the long default, exactly
         // like an originally-spawned worker — a coordinator running with
@@ -1206,23 +1282,67 @@ impl Mesh {
 /// workers a partial mesh leaves unconnected). Worker↔worker channels
 /// are full [`Peer`]s — same frame codec, sequence numbers, byte/frame
 /// counters, flight ring, and fault arming as a spoke.
+///
+/// Every incoming link feeds the bundle's one inbox, so frames are
+/// received only through [`WorkerLinks::recv`]; the [`Peer`]s serve for
+/// sending, fault arming and counters. Dropping the bundle closes every
+/// link and joins its TCP reader threads.
 #[derive(Debug)]
 pub struct WorkerLinks {
-    /// This worker's end of the coordinator channel.
-    pub coordinator: Peer,
+    spoke: Peer,
     /// Direct worker↔worker channels, indexed by shard id.
-    pub peers: Vec<Option<Peer>>,
+    peers: Vec<Option<Peer>>,
+    inbox: Arc<Queue>,
 }
 
 impl WorkerLinks {
     /// This worker's shard id (the coordinator channel knows it).
     pub fn shard(&self) -> u32 {
-        self.coordinator.local
+        self.spoke.local
+    }
+
+    /// This worker's end of the coordinator channel.
+    pub fn coordinator(&mut self) -> &mut Peer {
+        &mut self.spoke
     }
 
     /// The direct channel to `shard`, if the mesh has one.
     pub fn peer_to(&mut self, shard: u32) -> Option<&mut Peer> {
         self.peers.get_mut(shard as usize)?.as_mut()
+    }
+
+    /// Block until any link delivers, then verify the delivery on its
+    /// own link (checksum, sender, sequence, counters, flight ring).
+    /// Returns the sender — [`COORDINATOR`] for the spoke — and the
+    /// frame, in arrival order across links and in sequence order within
+    /// each. A link's failure is its typed error naming that link's
+    /// remote end; a passed `deadline` (`None` waits forever) is a
+    /// transient [`TransportError::Io`] naming this worker's own shard.
+    pub fn recv(&mut self, deadline: Option<Instant>) -> Result<(u32, Frame), TransportError> {
+        let me = self.shard();
+        let (from, got) = self.inbox.pop(deadline).ok_or(TransportError::Io {
+            peer: me,
+            detail: "inbox recv timed out".into(),
+        })?;
+        let link = if from == COORDINATOR {
+            Some(&mut self.spoke)
+        } else {
+            self.peers.get_mut(from as usize).and_then(Option::as_mut)
+        };
+        let link = link.ok_or_else(|| TransportError::Protocol {
+            peer: from,
+            detail: format!("delivery from {from}, which has no link to shard {me}"),
+        })?;
+        link.accept(got).map(|f| (from, f))
+    }
+
+    /// Sent-side `(frames, bytes)` over the worker↔worker links only:
+    /// summed over all workers, it counts every worker↔worker frame
+    /// exactly once.
+    pub fn peer_sent(&self) -> (u64, u64) {
+        self.peers.iter().flatten().fold((0, 0), |(f, b), p| {
+            (f + p.frames_sent(), b + p.bytes_sent())
+        })
     }
 
     /// Shard ids this worker has direct channels to, ascending.
@@ -1244,12 +1364,18 @@ impl WorkerLinks {
     }
 }
 
+fn new_inboxes(workers: usize) -> Vec<Arc<Queue>> {
+    (0..workers).map(|_| Arc::new(Queue::default())).collect()
+}
+
 /// Build the worker↔worker channel matrix for `edges`:
-/// `rows[a][b]` holds `a`'s endpoint of the `a↔b` channel.
+/// `rows[a][b]` holds `a`'s endpoint of the `a↔b` channel, which
+/// delivers into `inboxes[a]`.
 fn link_matrix(
     workers: usize,
     edges: &[(usize, usize)],
     tcp: bool,
+    inboxes: &[Arc<Queue>],
 ) -> Result<Vec<Vec<Option<Peer>>>, TransportError> {
     let mut rows: Vec<Vec<Option<Peer>>> = (0..workers)
         .map(|_| (0..workers).map(|_| None).collect())
@@ -1259,24 +1385,32 @@ fn link_matrix(
             a != b && a < workers && b < workers,
             "bad mesh edge ({a},{b})"
         );
-        let (pa, pb) = if tcp {
-            Peer::tcp_pair(a as u32, b as u32)?
-        } else {
-            Peer::loopback_pair(a as u32, b as u32)
-        };
+        let (pa, pb) = connect(
+            a as u32,
+            b as u32,
+            tcp,
+            Some(&inboxes[a]),
+            Some(&inboxes[b]),
+        )?;
         rows[a][b] = Some(pa);
         rows[b][a] = Some(pb);
     }
     Ok(rows)
 }
 
-fn bundle(spokes: Vec<Peer>, mut links: Vec<Vec<Option<Peer>>>) -> Vec<WorkerLinks> {
+fn bundle(
+    spokes: Vec<Peer>,
+    links: Vec<Vec<Option<Peer>>>,
+    inboxes: Vec<Arc<Queue>>,
+) -> Vec<WorkerLinks> {
     spokes
         .into_iter()
-        .enumerate()
-        .map(|(w, coordinator)| WorkerLinks {
-            coordinator,
-            peers: std::mem::take(&mut links[w]),
+        .zip(links)
+        .zip(inboxes)
+        .map(|((spoke, peers), inbox)| WorkerLinks {
+            spoke,
+            peers,
+            inbox,
         })
         .collect()
 }
@@ -1321,7 +1455,7 @@ mod tests {
         // rejection needs a dead descriptor, so close the socket out
         // from under the peer.
         let (mut a, b) = Peer::tcp_pair(COORDINATOR, 0).unwrap();
-        if let Link::Tcp(s) = &a.link {
+        if let Link::Tcp { stream: s, .. } = &a.link {
             use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
             // SAFETY: `a` is forgotten below, so the descriptor is
             // closed exactly once (here) and never reused by a double
@@ -1714,42 +1848,134 @@ mod tests {
         assert!(Fault::decode(&mut ByteReader::new(&w.into_bytes())).is_err());
     }
 
+    /// Full p2p meshes over `workers` shards on both transports.
+    fn meshes(workers: usize) -> Vec<(&'static str, Mesh, Vec<WorkerLinks>)> {
+        let edges = Mesh::all_pairs(workers);
+        let (lm, ll) = Mesh::loopback_mesh(workers, &edges);
+        let (tm, tl) = Mesh::tcp_mesh(workers, &edges).unwrap();
+        vec![("loopback", lm, ll), ("tcp", tm, tl)]
+    }
+
+    /// A deadline no healthy delivery in these tests gets near.
+    fn soon() -> Option<Instant> {
+        Some(Instant::now() + Duration::from_secs(5))
+    }
+
     #[test]
-    fn poll_recv_idle_frame_and_closed_both_transports() {
-        for (name, mut a, mut b) in pairs() {
-            // Idle: no frame within the window, channel unharmed.
-            assert!(
-                b.poll_recv(Duration::from_millis(2)).unwrap().is_none(),
-                "{name}: idle poll"
-            );
-            // A queued frame is picked up whole, with normal sequencing.
-            a.send(2, 7, b"over the top").unwrap();
-            a.send(4, 7, b"and again").unwrap();
-            let f = b.poll_recv(Duration::from_millis(500)).unwrap().unwrap();
+    fn the_inbox_tags_interleaved_frames_with_their_sender_in_link_order() {
+        for (name, mut mesh, mut links) in meshes(3) {
+            let mut l2 = links.pop().unwrap();
+            let mut l1 = links.pop().unwrap();
+            let mut l0 = links.pop().unwrap();
+            for i in 0..4u64 {
+                mesh.send_to(0, 1, i, b"spoke").unwrap();
+                l1.peer_to(0).unwrap().send(2, i, b"one").unwrap();
+                l2.peer_to(0).unwrap().send(3, i, b"two").unwrap();
+            }
+            let mut next = std::collections::BTreeMap::new();
+            for _ in 0..12 {
+                let (from, f) = l0.recv(soon()).unwrap();
+                let (phase, body): (u32, &[u8]) = match from {
+                    COORDINATOR => (1, b"spoke"),
+                    1 => (2, b"one"),
+                    2 => (3, b"two"),
+                    other => panic!("{name}: delivery from unknown sender {other}"),
+                };
+                assert_eq!(
+                    (f.src, f.phase, &f.payload[..]),
+                    (from, phase, body),
+                    "{name}"
+                );
+                let seq = next.entry(from).or_insert(0u64);
+                assert_eq!(
+                    (f.seq, f.epoch),
+                    (*seq, *seq),
+                    "{name}: link {from} in order"
+                );
+                *seq += 1;
+            }
+            assert_eq!(next.into_values().collect::<Vec<_>>(), [4, 4, 4], "{name}");
+        }
+    }
+
+    #[test]
+    fn an_expired_inbox_deadline_is_a_transient_error() {
+        for (name, mut mesh, mut links) in meshes(2) {
+            let l0 = &mut links[0];
+            let err = l0
+                .recv(Some(Instant::now() + Duration::from_millis(20)))
+                .unwrap_err();
+            assert!(err.is_transient(), "{name}: {err}");
+            assert_eq!(err.peer(), 0, "{name}: names the inbox's own shard");
+            // The inbox is unharmed.
+            mesh.send_to(0, 1, 0, b"late").unwrap();
+            let (from, f) = l0.recv(soon()).unwrap();
             assert_eq!(
-                (f.phase, f.seq, &f.payload[..]),
-                (2, 0, &b"over the top"[..]),
+                (from, &f.payload[..]),
+                (COORDINATOR, &b"late"[..]),
                 "{name}"
             );
-            let f = b.poll_recv(Duration::from_millis(500)).unwrap().unwrap();
-            assert_eq!((f.phase, f.seq), (4, 1), "{name}");
-            // Blocking recv still works after polls (stream position and
-            // sequence tracking are intact).
-            a.send(6, 7, b"blocking").unwrap();
-            assert_eq!(b.recv().unwrap().payload, b"blocking");
-            // A closed channel surfaces as typed Closed, not idle.
-            drop(a);
-            let got = loop {
-                match b.poll_recv(Duration::from_millis(50)) {
-                    Ok(None) => continue, // close may race the poll
-                    other => break other,
-                }
-            };
-            assert!(
-                matches!(got, Err(TransportError::Closed { .. })),
-                "{name}: got {got:?}"
-            );
         }
+    }
+
+    #[test]
+    fn a_dropped_link_is_closed_naming_that_peer() {
+        for (name, mut mesh, mut links) in meshes(3) {
+            let l2 = links.pop().unwrap();
+            let mut l1 = links.pop().unwrap();
+            let mut l0 = links.pop().unwrap();
+            // One link dropped by a fault, then a whole worker's links.
+            l1.peer_to(0).unwrap().inject(Fault::Drop);
+            l1.peer_to(0).unwrap().send(2, 0, b"never arrives").unwrap();
+            match l0.recv(soon()) {
+                Err(TransportError::Closed { peer: 1 }) => {}
+                other => panic!("{name}: dropped link surfaced as {other:?}"),
+            }
+            drop(l2);
+            match l0.recv(soon()) {
+                Err(TransportError::Closed { peer: 2 }) => {}
+                other => panic!("{name}: dropped worker surfaced as {other:?}"),
+            }
+            // The surviving link still delivers.
+            mesh.send_to(0, 1, 0, b"spoke").unwrap();
+            assert_eq!(l0.recv(soon()).unwrap().0, COORDINATOR, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_truncated_peer_frame_is_a_typed_error_not_a_hang() {
+        for (name, _mesh, mut links) in meshes(2) {
+            let mut l1 = links.pop().unwrap();
+            let mut l0 = links.pop().unwrap();
+            let link = l1.peer_to(0).unwrap();
+            link.inject(Fault::Truncate);
+            link.send(18, 0, b"a handoff payload that gets cut")
+                .unwrap();
+            match l0.recv(soon()) {
+                Err(TransportError::Frame {
+                    peer: 1,
+                    err: FrameError::Truncated { .. },
+                }) => {}
+                other => panic!("{name}: truncation surfaced as {other:?}"),
+            }
+            match l0.recv(soon()) {
+                Err(TransportError::Closed { peer: 1 }) => {}
+                other => panic!("{name}: the cut link surfaced as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn reader_threads_exit_when_their_links_drop() {
+        let (_mesh, mut links) = Mesh::tcp_mesh(3, &Mesh::all_pairs(3)).unwrap();
+        let l0 = links.remove(0);
+        let inbox = Arc::downgrade(&l0.inbox);
+        // The spoke's and both peer links' readers share the inbox.
+        assert_eq!(inbox.strong_count(), 4);
+        // The remote ends stay open: dropping the bundle alone must end
+        // its readers.
+        drop(l0);
+        assert_eq!(inbox.strong_count(), 0, "every reader thread was joined");
     }
 
     #[test]
@@ -1771,20 +1997,17 @@ mod tests {
             }
             // Worker 0 talks straight to worker 2; the coordinator spoke
             // still works and never saw the bytes.
-            let (mut l0, mut l2) = {
-                let mut it = links.drain(..);
-                let l0 = it.next().unwrap();
-                let _l1 = it.next().unwrap();
-                let l2 = it.next().unwrap();
-                (l0, l2)
-            };
+            let mut l2 = links.pop().unwrap();
+            // Kept alive: dropping it would put a `Closed` in l2's inbox.
+            let _l1 = links.pop().unwrap();
+            let mut l0 = links.pop().unwrap();
             l0.peer_to(2).unwrap().send(16, 1, b"direct").unwrap();
-            let f = l2.peer_to(0).unwrap().recv().unwrap();
-            assert_eq!((f.src, &f.payload[..]), (0, &b"direct"[..]));
+            let (from, f) = l2.recv(soon()).unwrap();
+            assert_eq!((from, f.src, &f.payload[..]), (0, 0, &b"direct"[..]));
             assert!(l0.peer_bytes_moved() > 0);
             assert!(l2.peer_bytes_moved() > 0);
             mesh.send_to(0, 1, 0, b"spoke").unwrap();
-            assert_eq!(l0.coordinator.recv().unwrap().payload, b"spoke");
+            assert_eq!(l0.recv(soon()).unwrap().1.payload, b"spoke");
             let (sent, _) = mesh.frames_moved();
             assert_eq!(sent, 1, "coordinator never carried the direct frame");
         }
@@ -1813,7 +2036,7 @@ mod tests {
             .send(18, 0, b"handoff payload")
             .unwrap();
         assert!(matches!(
-            l1.peer_to(0).unwrap().recv(),
+            l1.recv(soon()),
             Err(TransportError::Frame { peer: 0, .. })
         ));
     }
@@ -1828,28 +2051,27 @@ mod tests {
         let mut it = links.into_iter();
         let mut l0 = it.next().unwrap();
         let mut l1 = it.next().unwrap();
-        assert!(matches!(
-            l0.coordinator.recv(),
-            Err(TransportError::Closed { .. })
-        ));
-        assert!(matches!(
-            l1.coordinator.recv(),
-            Err(TransportError::Closed { .. })
-        ));
+        for l in [&mut l0, &mut l1] {
+            assert!(matches!(
+                l.recv(soon()),
+                Err(TransportError::Closed { peer: COORDINATOR })
+            ));
+        }
         // ...and a dropped bundle closes its worker↔worker ends, so a
         // mate still blocked on one sees typed Closed, not a hang.
         drop(l0);
         assert!(matches!(
-            l1.peer_to(0).unwrap().recv(),
-            Err(TransportError::Closed { .. })
+            l1.recv(soon()),
+            Err(TransportError::Closed { peer: 0 })
         ));
         // New spokes and peer links carry frames with reset sequences.
         mesh.send_to(1, 1, 5, b"fresh spoke").unwrap();
-        let f = fresh[1].coordinator.recv().unwrap();
+        let (_, f) = fresh[1].recv(soon()).unwrap();
         assert_eq!((f.seq, &f.payload[..]), (0, &b"fresh spoke"[..]));
         let mut f1 = fresh.pop().unwrap();
         let mut f0 = fresh.pop().unwrap();
         f0.peer_to(1).unwrap().send(18, 5, b"fresh link").unwrap();
-        assert_eq!(f1.peer_to(0).unwrap().recv().unwrap().seq, 0);
+        let (from, f) = f1.recv(soon()).unwrap();
+        assert_eq!((from, f.seq), (0, 0));
     }
 }
