@@ -268,6 +268,18 @@ if [ "${1:-}" != "fast" ]; then
         || { echo "e23 FAILED: no cross-shard walk state ever moved worker↔worker"; exit 1; }
     grep -q '"commit_bytes_below_star": true' BENCH_p2p.json \
         || { echo "e23 FAILED: p2p coordinator commit bytes did not drop below the star's"; exit 1; }
+    # Wave frames name cached topology rows by id: the deterministic wave
+    # byte count must stay at or below a quarter of the 162,343,716 bytes
+    # recorded when every frame re-shipped its footprint's full rows.
+    wave_bytes="$(grep -o '"p2p_wave_bytes": [0-9]*' BENCH_p2p.json | awk '{print $2}')"
+    awk -v b="$wave_bytes" 'BEGIN {
+        limit = 0.25 * 162343716
+        if (b > limit) {
+            printf "e23 FAILED: p2p wave bytes %d > %d (0.25 × the uncached record)\n", b, limit
+            exit 1
+        }
+        printf "e23 wave-bytes gate: %d (limit %d) — OK\n", b, limit
+    }' || exit 1
 
     step "sharded ≡ serial proptest under --release (threaded wave execution)"
     cargo test --release -q --test properties \

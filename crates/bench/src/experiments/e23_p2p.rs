@@ -21,6 +21,11 @@
 //!   bytes drop strictly below the star's on the identical workload
 //!   (repair state still moves, but worker↔worker, metered under
 //!   `net_handoff`).
+//!
+//! It also records the wave dispatch cost: `p2p_wave_bytes` (gated by
+//! `ci.sh` at a quarter of the 162,343,716 bytes waves moved before
+//! workers cached footprint topology), the topology rows shipped, and
+//! the words the workers' topology caches hold.
 
 use std::time::Instant;
 
@@ -72,6 +77,7 @@ pub fn run() {
         "handoff-bytes",
         "handoff-frames",
         "max-rounds",
+        "topo-rows",
     ]);
     let mut stats = Vec::new(); // (name, final NetStats, total ms, equal)
     for (name, p2p) in [("star", false), ("p2p", true)] {
@@ -102,6 +108,7 @@ pub fn run() {
                 (s.handoff_bytes - prev.handoff_bytes).to_string(),
                 (s.handoff_frames - prev.handoff_frames).to_string(),
                 s.max_handoff_rounds.to_string(),
+                (s.topology_rows_shipped - prev.topology_rows_shipped).to_string(),
             ]);
             prev = s;
         }
@@ -143,10 +150,11 @@ pub fn run() {
         "  shape: the star commits every repair's row changes over the spokes; p2p folds \
          them from wave acks and commits only the structural remainder, so the spokes \
          carry scheduling + barriers while the walks' data dependencies ride the mesh. \
-         The cost is wave dispatch: each shipped plan carries its footprint topology, \
-         and each wave is a lockstep spoke round-trip — the epoch-ms and wave-bytes \
-         columns price that honestly (worker-side topology caching is the open lever; \
-         see ROADMAP)."
+         Workers cache footprint topology across waves, so a wave frame names its rows \
+         by id and ships only the rows a worker lacks or holds stale ({} rows shipped, \
+         {} words resident on the workers at the last census); each wave is still a \
+         lockstep spoke round-trip with per-plan handoff rounds (see ROADMAP).",
+        p2p.topology_rows_shipped, p2p.topology_cache_words
     );
 
     let (star_ms, p2p_ms) = (stats[0].2, stats[1].2);
@@ -171,6 +179,14 @@ pub fn run() {
         ("p2p_handoff_bytes", p2p.handoff_bytes.to_string()),
         ("p2p_handoff_frames", p2p.handoff_frames.to_string()),
         ("p2p_max_handoff_rounds", p2p.max_handoff_rounds.to_string()),
+        (
+            "p2p_topology_rows_shipped",
+            p2p.topology_rows_shipped.to_string(),
+        ),
+        (
+            "p2p_topology_cache_words",
+            p2p.topology_cache_words.to_string(),
+        ),
         ("star_serve_ms", f1(star_ms)),
         ("p2p_serve_ms", f1(p2p_ms)),
         ("p2p_over_star", f3(p2p_ms / star_ms)),

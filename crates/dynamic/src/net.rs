@@ -75,7 +75,7 @@
 //!
 //! | phase | direction | payload |
 //! |---|---|---|
-//! | `WAVE` | down / up | one wave's disjoint-footprint plans, each shipped to the worker owning its ball: plan args, footprint topology (capacities + full adjacency), and *state overrides* for rows where the coordinator's engine has moved past the worker slices; the ack carries each plan's `RepairOutcome` plus the changed mate/matched rows and the worker's own peer-wire counters |
+//! | `WAVE` | down / up | one wave's disjoint-footprint plans, each shipped to the worker owning its ball: plan args, the footprint's right ids and left ids, full topology rows (capacity + adjacency) only for the ids that worker lacks or holds stale, and *state overrides* for rows where the coordinator's engine has moved past the worker slices; the ack carries each plan's `RepairOutcome` plus the changed mate/matched rows and the worker's own peer-wire counters |
 //! | `HANDOFF_REQ` | worker → worker | frontier rows a bounded walk needs from another shard's slice — left mates and right matched-lists, fetched level by level as the walk expands; the ping-pong is bounded by the walk radius |
 //! | `HANDOFF_ACK` | worker → worker | the owned rows answered in request order |
 //! | `FLIP` | worker → worker | match flips a finished plan wrote into *another* shard's rows, committed directly to the owner |
@@ -97,8 +97,21 @@
 //! coordinator's engine state, and re-dispatches the interrupted wave;
 //! outcomes fold only after a full ack barrier, so a retried wave lands
 //! exactly once.
+//!
+//! Footprint topology is worker-resident. Each worker caches every row a
+//! `WAVE` frame shipped it, and the coordinator keeps a per-worker record
+//! of which rows that worker holds current, so a frame names its
+//! footprint by id and ships only the missing or stale rows. A wave's
+//! structural updates (arrive, depart, edge insert/delete, capacity)
+//! mark the rows they rewrite stale for every worker; a compaction or
+//! drift rebuild re-sorts rows into CSR order and, like every re-`INIT`,
+//! forgets everything. A frame naming an id with neither a cached nor a
+//! shipped row is refused by a NACK naming that id. Walks read the cache
+//! through the wave's footprint membership, so they see exactly the
+//! topology a frame shipping every row would carry. The `CENSUS` ack
+//! reports each cache's words apart from the slice's resident words.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::Path;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -361,6 +374,15 @@ pub struct NetStats {
     /// Deepest fetch ping-pong any single plan needed (bounded by the
     /// walk radius; see [`labels::NET_HANDOFF`]).
     pub max_handoff_rounds: u64,
+    /// Full topology rows `WAVE` frames shipped (left and right rows):
+    /// rows a worker lacked or held stale. Every other footprint row
+    /// travels as its bare id and is read from the worker's cache.
+    pub topology_rows_shipped: u64,
+    /// Words the workers' topology caches held at the last census, summed
+    /// over workers as each reported it (one per left row, two per right
+    /// row, one per row entry). Kept apart from the census's resident
+    /// slice words.
+    pub topology_cache_words: u64,
 }
 
 /// What one [`NetServeLoop::end_epoch`] did.
@@ -396,6 +418,8 @@ struct WorkerState {
     /// after each.
     wave: WaveState,
     search: SearchScratch,
+    /// p2p wave topology, resident across waves.
+    topo: TopoCache,
 }
 
 impl WorkerState {
@@ -444,6 +468,9 @@ impl WorkerState {
                 self.lefts.clear();
                 self.rights.clear();
                 self.matched.clear();
+                // The coordinator forgets what this worker caches on
+                // every (re-)INIT, so the cache starts over with it.
+                self.topo = TopoCache::default();
                 let nl = r.take_len(8).map_err(parse)?;
                 for _ in 0..nl {
                     let u = r.take_u32().map_err(parse)?;
@@ -591,6 +618,7 @@ impl WorkerState {
                 w.put_u64(self.checksum());
                 if self.p2p {
                     w.put_u64(self.matched_checksum());
+                    w.put_u64(self.topo.words);
                 }
                 Ok((PH_CENSUS_ACK, w.into_bytes()))
             }
@@ -709,6 +737,23 @@ fn take_right_rows(r: &mut ByteReader) -> Result<Vec<(u32, Vec<u32>)>, IoError> 
     Ok(rows)
 }
 
+/// A length-prefixed id list (footprint ids, adjacency rows).
+fn put_ids(w: &mut ByteWriter, ids: impl ExactSizeIterator<Item = u32>) {
+    w.put_u64(ids.len() as u64);
+    for x in ids {
+        w.put_u32(x);
+    }
+}
+
+fn take_ids(r: &mut ByteReader) -> Result<Vec<u32>, IoError> {
+    let n = r.take_len(4)?;
+    let mut ids = Vec::with_capacity(n);
+    for _ in 0..n {
+        ids.push(r.take_u32()?);
+    }
+    Ok(ids)
+}
+
 fn encode_plan(w: &mut ByteWriter, plan: &RepairPlan) {
     let (tag, a, b) = match *plan {
         RepairPlan::Noop => (0, 0, 0),
@@ -738,38 +783,120 @@ fn decode_plan(r: &mut ByteReader) -> Result<RepairPlan, IoError> {
     })
 }
 
-/// The footprint topology a `WAVE` frame ships, merged over the frame's
-/// plans into one id-keyed view the worker's bounded walks read exactly
-/// like the coordinator reads its live graph.
+/// A p2p worker's resident copy of the wave topology: every row a `WAVE`
+/// frame ever shipped it, in live-graph order, kept across waves until
+/// the coordinator ships a fresher one. A frame ships only the rows this
+/// worker lacks or holds stale and names the rest by id.
+///
+/// Walks read the cache through the running wave's footprint membership,
+/// so they see exactly the topology a frame shipping every row would
+/// carry: rights outside the footprint read capacity 0 and no neighbors,
+/// lefts outside the shipped left set read no neighbors.
 #[derive(Debug, Default)]
-struct WaveTopology {
-    /// Left id → its full right-neighbor list (live-graph order).
-    lefts: HashMap<u32, Vec<u32>>,
-    /// Right id → `(capacity, full left-neighbor list)`.
-    rights: HashMap<u32, (u64, Vec<u32>)>,
+struct TopoCache {
+    /// Left id → its right-neighbor row, once shipped.
+    lefts: Vec<Option<Vec<u32>>>,
+    /// Right id → `(capacity, left-neighbor row)`, once shipped.
+    rights: Vec<Option<(u64, Vec<u32>)>>,
+    /// The running wave's footprint rights and shipped lefts.
+    in_l: StampSet,
+    in_r: StampSet,
+    /// Resident size: one word per left row id, two per right row
+    /// (id, capacity), plus one per row entry.
+    words: u64,
 }
 
-impl WalkTopology for WaveTopology {
+impl TopoCache {
+    fn set_left(&mut self, u: u32, row: Vec<u32>) {
+        let i = u as usize;
+        if self.lefts.len() <= i {
+            self.lefts.resize_with(i + 1, || None);
+        }
+        self.words += 1 + row.len() as u64;
+        if let Some(old) = self.lefts[i].replace(row) {
+            self.words -= 1 + old.len() as u64;
+        }
+    }
+
+    fn set_right(&mut self, v: u32, cap: u64, row: Vec<u32>) {
+        let i = v as usize;
+        if self.rights.len() <= i {
+            self.rights.resize_with(i + 1, || None);
+        }
+        self.words += 2 + row.len() as u64;
+        if let Some((_, old)) = self.rights[i].replace((cap, row)) {
+            self.words -= 2 + old.len() as u64;
+        }
+    }
+
+    /// Admit `u` to the running wave's left set; its row must be cached.
+    fn admit_left(&mut self, u: u32) -> Result<(), String> {
+        if !matches!(self.lefts.get(u as usize), Some(Some(_))) {
+            return Err(format!(
+                "WAVE names left {u} with neither a cached nor a shipped row"
+            ));
+        }
+        self.in_l.grow(self.lefts.len());
+        self.in_l.insert(u as usize);
+        Ok(())
+    }
+
+    /// Admit `v` to the running wave's footprint; its row must be cached.
+    fn admit_right(&mut self, v: u32) -> Result<(), String> {
+        if !matches!(self.rights.get(v as usize), Some(Some(_))) {
+            return Err(format!(
+                "WAVE names footprint right {v} with neither a cached nor a shipped row"
+            ));
+        }
+        self.in_r.grow(self.rights.len());
+        self.in_r.insert(v as usize);
+        Ok(())
+    }
+
+    fn has_left(&self, u: u32) -> bool {
+        (u as usize) < self.in_l.universe() && self.in_l.contains(u as usize)
+    }
+
+    fn has_right(&self, v: u32) -> bool {
+        (v as usize) < self.in_r.universe() && self.in_r.contains(v as usize)
+    }
+
+    /// End the running wave: every row drops out of view, none out of
+    /// the cache.
+    fn close_wave(&mut self) {
+        self.in_l.clear();
+        self.in_r.clear();
+    }
+
+    fn left_row(&self, u: u32) -> &[u32] {
+        match self.lefts.get(u as usize) {
+            Some(Some(row)) if self.has_left(u) => row,
+            _ => &[],
+        }
+    }
+
+    fn right_row(&self, v: u32) -> Option<&(u64, Vec<u32>)> {
+        match self.rights.get(v as usize) {
+            Some(Some(row)) if self.has_right(v) => Some(row),
+            _ => None,
+        }
+    }
+}
+
+impl WalkTopology for TopoCache {
     fn left_neighbors(&self, u: LeftId) -> impl Iterator<Item = RightId> + '_ {
-        self.lefts
-            .get(&u)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-            .iter()
-            .copied()
+        self.left_row(u).iter().copied()
     }
 
     fn right_neighbors(&self, v: RightId) -> impl Iterator<Item = LeftId> + '_ {
-        self.rights
-            .get(&v)
-            .map(|(_, l)| l.as_slice())
-            .unwrap_or(&[])
+        self.right_row(v)
+            .map_or(&[][..], |(_, l)| l.as_slice())
             .iter()
             .copied()
     }
 
     fn capacity(&self, v: RightId) -> u64 {
-        self.rights.get(&v).map_or(0, |&(c, _)| c)
+        self.right_row(v).map_or(0, |&(c, _)| c)
     }
 }
 
@@ -802,6 +929,15 @@ struct WaveState {
     /// Rows loaded this wave, each once.
     loaded_l: Vec<u32>,
     loaded_r: Vec<u32>,
+    /// One plan's fetch-frontier visits ([`fetch_plan_state`]).
+    seen_l: StampSet,
+    seen_r: StampSet,
+}
+
+/// Insert `i` into `set`, growing its universe first.
+fn stamp_insert(set: &mut StampSet, i: u32) -> bool {
+    set.grow(i as usize + 1);
+    set.insert(i as usize)
 }
 
 impl WaveState {
@@ -850,14 +986,16 @@ impl WaveState {
 
     /// Empty every row this wave used, so the next wave starts from the
     /// state a fresh scratch would have: the loaded rows, plus the
-    /// footprint rows `topo` shipped — the only rows a walk may write.
-    fn reset(&mut self, topo: &WaveTopology) {
-        for u in self.loaded_l.drain(..).chain(topo.lefts.keys().copied()) {
+    /// plans' footprint rows — the only rows a walk may write.
+    fn reset(&mut self, plans: &[ShippedPlan]) {
+        let foot_l = plans.iter().flat_map(|sp| sp.lefts.iter().copied());
+        for u in self.loaded_l.drain(..).chain(foot_l) {
             if let Some(m) = self.mate.get_mut(u as usize) {
                 *m = None;
             }
         }
-        for v in self.loaded_r.drain(..).chain(topo.rights.keys().copied()) {
+        let foot_r = plans.iter().flat_map(|sp| sp.rights.iter().copied());
+        for v in self.loaded_r.drain(..).chain(foot_r) {
             if let Some(list) = self.matched.get_mut(v as usize) {
                 list.clear();
             }
@@ -1066,7 +1204,7 @@ fn fetch_plan_state(
     st: &mut WorkerState,
     links: &mut WorkerLinks,
     map: &ShardMap,
-    topo: &WaveTopology,
+    topo: &TopoCache,
     plan: &RepairPlan,
     epoch: u64,
     radius: u64,
@@ -1075,16 +1213,20 @@ fn fetch_plan_state(
     let me = links.shard();
     let cap = handoff_round_cap(radius);
     let mut rounds = 0u64;
-    let mut seen_l: HashSet<u32> = HashSet::new();
-    let mut seen_r: HashSet<u32> = HashSet::new();
+    ws.seen_l.clear();
+    ws.seen_r.clear();
     let (mut frontier_l, mut frontier_r): (Vec<u32>, Vec<u32>) = match *plan {
         RepairPlan::Noop => (vec![], vec![]),
         RepairPlan::Place { u } | RepairPlan::Release { u } => (vec![u], vec![]),
         RepairPlan::Rematch { u, v } => (vec![u], vec![v]),
         RepairPlan::Evict { v } | RepairPlan::Fill { v } => (vec![], vec![v]),
     };
-    seen_l.extend(&frontier_l);
-    seen_r.extend(&frontier_r);
+    for &u in &frontier_l {
+        stamp_insert(&mut ws.seen_l, u);
+    }
+    for &v in &frontier_r {
+        stamp_insert(&mut ws.seen_r, v);
+    }
     let mut level = 0u64;
     while !frontier_l.is_empty() || !frontier_r.is_empty() {
         level += 1;
@@ -1184,25 +1326,25 @@ fn fetch_plan_state(
         let (mut next_l, mut next_r) = (Vec::new(), Vec::new());
         for &u in &frontier_l {
             for v in topo.left_neighbors(u) {
-                if topo.rights.contains_key(&v) && seen_r.insert(v) {
+                if topo.has_right(v) && stamp_insert(&mut ws.seen_r, v) {
                     next_r.push(v);
                 }
             }
             if let Some(m) = ws.mate.get(u as usize).copied().flatten() {
-                if topo.rights.contains_key(&m) && seen_r.insert(m) {
+                if topo.has_right(m) && stamp_insert(&mut ws.seen_r, m) {
                     next_r.push(m);
                 }
             }
         }
         for &v in &frontier_r {
             for x in topo.right_neighbors(v) {
-                if topo.lefts.contains_key(&x) && seen_l.insert(x) {
+                if topo.has_left(x) && stamp_insert(&mut ws.seen_l, x) {
                     next_l.push(x);
                 }
             }
             if let Some(list) = ws.matched.get(v as usize) {
                 for &x in list {
-                    if topo.lefts.contains_key(&x) && seen_l.insert(x) {
+                    if topo.has_left(x) && stamp_insert(&mut ws.seen_l, x) {
                         next_l.push(x);
                     }
                 }
@@ -1246,37 +1388,35 @@ fn run_wave(
     let ecap = r.take_u64().map_err(parse)? as usize;
     let radius = r.take_u64().map_err(parse)?;
     let n_plans = r.take_len(12).map_err(parse)?;
-    let mut topo = WaveTopology::default();
+    let mut topo = std::mem::take(&mut st.topo);
     let mut plans: Vec<ShippedPlan> = Vec::with_capacity(n_plans);
     let mut override_l: Vec<(u32, u32)> = Vec::new();
     let mut override_r: Vec<(u32, Vec<u32>)> = Vec::new();
     for _ in 0..n_plans {
         let j = r.take_u32().map_err(parse)?;
         let plan = decode_plan(&mut r).map_err(parse)?;
-        let nr = r.take_len(16).map_err(parse)?;
-        let mut rights = Vec::with_capacity(nr);
+        let rights = take_ids(&mut r).map_err(parse)?;
+        let lefts = take_ids(&mut r).map_err(parse)?;
+        // Fresh rows for the ids this worker lacked or held stale; the
+        // cache keeps them for later waves.
+        let nr = r.take_len(20).map_err(parse)?;
         for _ in 0..nr {
             let v = r.take_u32().map_err(parse)?;
             let cap = r.take_u64().map_err(parse)?;
-            let n = r.take_len(4).map_err(parse)?;
-            let mut nbrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                nbrs.push(r.take_u32().map_err(parse)?);
-            }
-            topo.rights.insert(v, (cap, nbrs));
-            rights.push(v);
+            let row = take_ids(&mut r).map_err(parse)?;
+            topo.set_right(v, cap, row);
         }
-        let nl = r.take_len(8).map_err(parse)?;
-        let mut lefts = Vec::with_capacity(nl);
+        let nl = r.take_len(12).map_err(parse)?;
         for _ in 0..nl {
             let u = r.take_u32().map_err(parse)?;
-            let n = r.take_len(4).map_err(parse)?;
-            let mut nbrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                nbrs.push(r.take_u32().map_err(parse)?);
-            }
-            topo.lefts.insert(u, nbrs);
-            lefts.push(u);
+            let row = take_ids(&mut r).map_err(parse)?;
+            topo.set_left(u, row);
+        }
+        for &v in &rights {
+            topo.admit_right(v)?;
+        }
+        for &u in &lefts {
+            topo.admit_left(u)?;
         }
         override_l.extend(take_left_rows(&mut r).map_err(parse)?);
         override_r.extend(take_right_rows(&mut r).map_err(parse)?);
@@ -1296,7 +1436,7 @@ fn run_wave(
             _ => None,
         };
         if let Some(v) = named {
-            if !topo.rights.contains_key(&v) {
+            if !topo.has_right(v) {
                 return Err(format!(
                     "plan names right {v} outside its shipped footprint"
                 ));
@@ -1314,7 +1454,7 @@ fn run_wave(
     // coordinator's overrides on top (rows its engine moved past the
     // synced slices — fresh arrivals and locally-run plans).
     let mut ws = std::mem::take(&mut st.wave);
-    for &v in topo.rights.keys() {
+    for &v in plans.iter().flat_map(|sp| &sp.rights) {
         if map.owner_of_right(v) as u32 == me {
             let list = st.matched.get(&v).cloned().ok_or_else(|| {
                 format!("wave topology names owned right {v} missing from the slice")
@@ -1322,7 +1462,7 @@ fn run_wave(
             ws.set_right(v, list);
         }
     }
-    for &u in topo.lefts.keys() {
+    for &u in plans.iter().flat_map(|sp| &sp.lefts) {
         if map.owner_of_left(u) as u32 == me {
             // A missing owned left is a fresh arrival whose row rides
             // the overrides below.
@@ -1405,9 +1545,11 @@ fn run_wave(
         });
     }
     let (expansions, cap_hits) = (scratch.expansions - exp0, scratch.cap_hits - caps0);
-    ws.reset(&topo);
+    ws.reset(&plans);
+    topo.close_wave();
     st.wave = ws;
     st.search = scratch;
+    st.topo = topo;
 
     // Commit own changes to the authoritative slice.
     for &(u, m) in &own_l {
@@ -1636,6 +1778,83 @@ struct RemotePlanOutcome {
     rights: Vec<(u32, Vec<u32>)>,
 }
 
+/// The coordinator's record of which wave-topology rows each p2p worker
+/// holds current ([`TopoCache`]): a `WAVE` frame ships a row only to a
+/// worker whose record lacks it. A wave's structural half forgets the
+/// rows it rewrote; a compaction or drift rebuild (which re-sorts rows
+/// into CSR order) and every (re-)INIT forget everything.
+#[derive(Debug, Default)]
+struct TopoRecord {
+    /// `lefts[w][u]`: worker `w` holds left `u`'s current row.
+    lefts: Vec<Vec<bool>>,
+    /// `rights[w][v]`: worker `w` holds right `v`'s current row.
+    rights: Vec<Vec<bool>>,
+    /// Compactions + drift rebuilds of the serial core when the record
+    /// was last valid.
+    layout: usize,
+    /// Debug builds: per worker, every row as last shipped (`(is_right,
+    /// id)` → capacity-led right row or plain left row), so each cache
+    /// hit is checked against the live row. A missed invalidation then
+    /// fails loudly even where no walk happens to diverge (compaction
+    /// only reorders rows).
+    #[cfg(debug_assertions)]
+    audit: Vec<std::collections::HashMap<(bool, u32), Vec<u64>>>,
+}
+
+impl TopoRecord {
+    fn reset(&mut self, workers: usize) {
+        self.lefts = vec![Vec::new(); workers];
+        self.rights = vec![Vec::new(); workers];
+        #[cfg(debug_assertions)]
+        {
+            self.audit = vec![Default::default(); workers];
+        }
+    }
+
+    /// Debug builds: remember a shipped row, or check a cache hit
+    /// against `live` (the row's current contents).
+    #[cfg(debug_assertions)]
+    fn audit(
+        &mut self,
+        w: usize,
+        key: (bool, u32),
+        shipped: bool,
+        live: impl FnOnce() -> Vec<u64>,
+    ) {
+        if shipped {
+            self.audit[w].insert(key, live());
+        } else {
+            assert_eq!(
+                self.audit[w].get(&key),
+                Some(&live()),
+                "worker {w} would read a stale topology row {key:?}"
+            );
+        }
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[inline]
+    fn audit(&mut self, _: usize, _: (bool, u32), _: bool, _: impl FnOnce() -> Vec<u64>) {}
+
+    fn forget(held: &mut [Vec<bool>], x: u32) {
+        for row in held {
+            if let Some(h) = row.get_mut(x as usize) {
+                *h = false;
+            }
+        }
+    }
+
+    /// Note that worker `w` is about to receive row `x`: `true` iff its
+    /// record lacked the row, i.e. the row must ship.
+    fn ship(held: &mut [Vec<bool>], w: usize, x: u32) -> bool {
+        let row = &mut held[w];
+        if row.len() <= x as usize {
+            row.resize(x as usize + 1, false);
+        }
+        !std::mem::replace(&mut row[x as usize], true)
+    }
+}
+
 /// The networked serving engine. See the [module docs](self).
 #[derive(Debug)]
 pub struct NetServeLoop {
@@ -1678,6 +1897,10 @@ pub struct NetServeLoop {
     /// Handoff-deadline override to (re-)broadcast to the workers —
     /// remembered so a mesh rebuild re-arms it.
     handoff_timeout: Option<Duration>,
+    /// p2p: which topology rows each worker caches current.
+    topo: TopoRecord,
+    /// p2p: a plan's left-set scratch while encoding `WAVE` frames.
+    wave_lefts: StampSet,
 }
 
 /// Human name of a protocol phase tag (frame headers and flight dumps).
@@ -1819,6 +2042,8 @@ impl NetServeLoop {
             p2p,
             synced_matched: Vec::new(),
             handoff_timeout: None,
+            topo: TopoRecord::default(),
+            wave_lefts: StampSet::default(),
         };
         this.scatter_init(labels::NET_INIT)?;
         this.epoch_mark = this.wire_totals();
@@ -2084,6 +2309,8 @@ impl NetServeLoop {
         } else {
             Vec::new()
         };
+        // INIT empties the workers' topology caches.
+        self.topo.reset(p);
         for (w, (lefts, rights)) in writers.iter().enumerate() {
             let mut wtr = ByteWriter::new();
             wtr.put_u64(lefts.len() as u64);
@@ -2543,6 +2770,15 @@ impl NetServeLoop {
         let Some(mut staged) = self.inner.stage_batch(wire)? else {
             return Ok(BatchReport::default());
         };
+        let layout = {
+            let s = self.inner.serve_stats();
+            s.compactions + s.rebuilds
+        };
+        if layout != self.topo.layout {
+            // Compaction re-sorted every row into CSR order.
+            self.topo.reset(self.mesh.workers());
+            self.topo.layout = layout;
+        }
         let (eager_k, ecap, radius) = {
             let cfg = self.inner.serial().config();
             (
@@ -2570,6 +2806,26 @@ impl NetServeLoop {
                     .collect();
                 self.inner.serial_mut().wave_structural(&ups, &arrive_ids)
             };
+            // The structural half rewrote these rows of the live graph
+            // (`touched` holds exactly its right marks so far): every
+            // worker's copy of them is stale now.
+            for (j, &i) in idxs.iter().enumerate() {
+                for &v in &results[j].touched {
+                    TopoRecord::forget(&mut self.topo.rights, v);
+                }
+                let left = match staged.routed[i].as_ref() {
+                    Some(Update::Arrive { .. }) => results[j].arrived,
+                    Some(
+                        Update::Depart { u }
+                        | Update::InsertEdge { u, .. }
+                        | Update::DeleteEdge { u, .. },
+                    ) => Some(*u),
+                    _ => None,
+                };
+                if let Some(u) = left {
+                    TopoRecord::forget(&mut self.topo.lefts, u);
+                }
+            }
             // Which plans ship: disjoint footprint, non-empty, and a
             // real repair to run. Everything else stays local.
             let shipped: Vec<Option<usize>> = idxs
@@ -2582,9 +2838,12 @@ impl NetServeLoop {
                 })
                 .collect();
             let (mut remote, exp_remote, cap_remote) = if shipped.iter().any(Option::is_some) {
-                let frames =
-                    self.build_wave_frames(&staged, &idxs, &plans, &shipped, eager_k, ecap, radius);
                 loop {
+                    // Encoded per attempt: a recovery re-INITs every
+                    // worker, emptying their topology caches, so a retry
+                    // must re-ship every row.
+                    let frames = self
+                        .build_wave_frames(&staged, &idxs, &plans, &shipped, eager_k, ecap, radius);
                     match self.exchange_wave(&frames, &shipped) {
                         Ok(folded) => break folded,
                         Err(e) => self.recover_or_quarantine(e)?,
@@ -2636,16 +2895,17 @@ impl NetServeLoop {
     }
 
     /// Encode one wave's `WAVE` frame per worker: each shipped plan's
-    /// args, its footprint topology (right capacities and full adjacency
-    /// on both sides, straight from the live graph), and the *state
-    /// overrides* — rows in the plan's id set where the coordinator's
-    /// engine has moved past the worker slices (fresh arrivals, rows a
-    /// locally-run plan changed mid-batch). Workers treat overrides as
-    /// already-loaded rows, so nothing here is ever re-fetched over a
-    /// `HANDOFF` link.
+    /// args; its footprint right ids and left ids (the footprint's
+    /// neighbors); full rows — right capacities and adjacency on both
+    /// sides, straight from the live graph — only for the ids the
+    /// worker's [`TopoRecord`] lacks; and the *state overrides* — rows in
+    /// the plan's id set where the coordinator's engine has moved past
+    /// the worker slices (fresh arrivals, rows a locally-run plan changed
+    /// mid-batch). Workers treat overrides as already-loaded rows, so
+    /// nothing here is ever re-fetched over a `HANDOFF` link.
     #[allow(clippy::too_many_arguments)]
     fn build_wave_frames(
-        &self,
+        &mut self,
         staged: &StagedBatch,
         idxs: &[usize],
         plans: &[RepairPlan],
@@ -2655,12 +2915,25 @@ impl NetServeLoop {
         radius: u64,
     ) -> Vec<Vec<u8>> {
         let p = self.mesh.workers();
-        let dg = self.inner.serial().graph();
-        let matching = self.inner.serial().matching();
+        let NetServeLoop {
+            inner,
+            synced_mate,
+            synced_matched,
+            stats,
+            topo,
+            wave_lefts: seen,
+            ..
+        } = self;
+        let dg = inner.serial().graph();
+        let matching = inner.serial().matching();
         let mate_now = matching.mate_slice();
         let matched_now = matching.matched_at_slice();
         let mut bodies: Vec<ByteWriter> = (0..p).map(|_| ByteWriter::new()).collect();
         let mut counts = vec![0u64; p];
+        let mut lefts: Vec<u32> = Vec::new();
+        let mut row: Vec<u32> = Vec::new();
+        let (mut ship_r, mut ship_l): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        seen.grow(dg.n_left());
         for (j, &i) in idxs.iter().enumerate() {
             let Some(owner) = shipped[j] else { continue };
             counts[owner] += 1;
@@ -2668,8 +2941,8 @@ impl NetServeLoop {
             w.put_u32(j as u32);
             encode_plan(w, &plans[j]);
             let foot = staged.sched.footprint(i);
-            let mut lefts: Vec<u32> = Vec::new();
-            let mut seen: HashSet<u32> = HashSet::new();
+            lefts.clear();
+            seen.clear();
             // Plan-argument lefts first: a departed left has no live
             // edges, so collecting the footprint's neighborhoods alone
             // would miss it (its mate pointer is how the walk enters).
@@ -2677,31 +2950,56 @@ impl NetServeLoop {
             | RepairPlan::Release { u }
             | RepairPlan::Rematch { u, .. } = plans[j]
             {
-                if seen.insert(u) {
+                if seen.insert(u as usize) {
                     lefts.push(u);
                 }
             }
-            w.put_u64(foot.len() as u64);
             for &v in foot {
-                w.put_u32(v);
-                w.put_u64(dg.capacity(v));
-                let nbrs: Vec<u32> = dg.right_neighbors_iter(v).collect();
-                w.put_u64(nbrs.len() as u64);
-                for &u in &nbrs {
-                    w.put_u32(u);
-                    if seen.insert(u) {
+                dg.for_each_right_neighbor(v, |u| {
+                    if seen.insert(u as usize) {
                         lefts.push(u);
                     }
+                });
+            }
+            put_ids(w, foot.iter().copied());
+            put_ids(w, lefts.iter().copied());
+            ship_r.clear();
+            for &v in foot {
+                let ship = TopoRecord::ship(&mut topo.rights, owner, v);
+                topo.audit(owner, (true, v), ship, || {
+                    let mut row = vec![dg.capacity(v)];
+                    dg.for_each_right_neighbor(v, |u| row.push(u.into()));
+                    row
+                });
+                if ship {
+                    ship_r.push(v);
                 }
             }
-            w.put_u64(lefts.len() as u64);
+            ship_l.clear();
             for &u in &lefts {
-                w.put_u32(u);
-                let nbrs: Vec<u32> = dg.left_neighbors_iter(u).collect();
-                w.put_u64(nbrs.len() as u64);
-                for &v in &nbrs {
-                    w.put_u32(v);
+                let ship = TopoRecord::ship(&mut topo.lefts, owner, u);
+                topo.audit(owner, (false, u), ship, || {
+                    dg.left_neighbors_iter(u).map(u64::from).collect()
+                });
+                if ship {
+                    ship_l.push(u);
                 }
+            }
+            stats.topology_rows_shipped += (ship_r.len() + ship_l.len()) as u64;
+            w.put_u64(ship_r.len() as u64);
+            for &v in &ship_r {
+                w.put_u32(v);
+                w.put_u64(dg.capacity(v));
+                row.clear();
+                dg.for_each_right_neighbor(v, |u| row.push(u));
+                put_ids(w, row.iter().copied());
+            }
+            w.put_u64(ship_l.len() as u64);
+            for &u in &ship_l {
+                w.put_u32(u);
+                row.clear();
+                dg.for_each_left_neighbor(u, |v| row.push(v));
+                put_ids(w, row.iter().copied());
             }
             let mut or_l: Vec<(u32, u32)> = Vec::new();
             for &u in &lefts {
@@ -2710,14 +3008,14 @@ impl NetServeLoop {
                     .copied()
                     .flatten()
                     .map_or(UNMATCHED, |v| v);
-                if self.synced_mate.get(u as usize).copied() != Some(now) {
+                if synced_mate.get(u as usize).copied() != Some(now) {
                     or_l.push((u, now));
                 }
             }
             let mut or_r: Vec<(u32, Vec<u32>)> = Vec::new();
             for &v in foot {
                 let now = &matched_now[v as usize];
-                if self.synced_matched.get(v as usize) != Some(now) {
+                if synced_matched.get(v as usize) != Some(now) {
                     or_r.push((v, now.clone()));
                 }
             }
@@ -2982,6 +3280,7 @@ impl NetServeLoop {
             self.send(w, PH_CENSUS, epoch, &[])?;
         }
         let (mut total_lefts, mut total_rights) = (0u64, 0u64);
+        let mut cache_words = 0u64;
         for w in 0..p {
             let payload = self.expect(w, PH_CENSUS_ACK, epoch)?;
             let mut r = ByteReader::new(&payload);
@@ -3022,7 +3321,9 @@ impl NetServeLoop {
                         ),
                     });
                 }
+                cache_words += r.take_u64().map_err(|e| self.payload_err(w, e))?;
             }
+            r.expect_end().map_err(|e| self.payload_err(w, e))?;
             total_lefts += lefts;
             total_rights += rights;
         }
@@ -3039,6 +3340,7 @@ impl NetServeLoop {
                 ),
             });
         }
+        self.stats.topology_cache_words = cache_words;
 
         let mut wtr = ByteWriter::new();
         wtr.put_u64(report.serial.match_size as u64);
@@ -3664,6 +3966,79 @@ mod tests {
         );
     }
 
+    /// One deterministic stream through every way a cached topology row
+    /// goes stale — compaction and drift rebuild (tiny thresholds),
+    /// capacity changes, a departure revived by an edge insert, and a
+    /// supervised respawn — still gathers exactly the serial allocation,
+    /// and an epoch on a warm cache ships fewer wave bytes than the cold
+    /// first one.
+    #[test]
+    fn the_topology_cache_stays_coherent_through_every_invalidation() {
+        let g = union_of_spanning_trees(60, 45, 2, 2, 33).graph;
+        let mut cfg = ShardedConfig::for_eps(0.25, 3);
+        // Thresholds tuned so the cache runs warm for a few epochs first:
+        // the drift rebuild closes epoch 6 and a compaction epoch 8.
+        cfg.dynamic.compact_threshold = 0.2;
+        cfg.dynamic.drift_threshold = 1.2;
+        let dynamic = cfg.dynamic.clone();
+        let churn = churn_stream(&g, 300, &ChurnMix::default(), 33);
+        let mut chunks: Vec<Vec<Update>> = churn.chunks(30).map(<[Update]>::to_vec).collect();
+        let d = (0..g.n_left() as u32)
+            .find(|&u| !g.left_neighbors(u).is_empty())
+            .unwrap();
+        let x = g.left_neighbors(d)[0];
+        chunks[1].extend([
+            Update::SetCapacity { v: 3, cap: 3 },
+            Update::SetCapacity { v: 4, cap: 1 },
+            Update::Depart { u: d },
+        ]);
+        chunks[2].push(Update::InsertEdge { u: d, v: x });
+        let mut net = NetServeLoop::new_p2p(g.clone(), cfg, TransportKind::Loopback).unwrap();
+        net.set_supervisor(SupervisorConfig {
+            max_respawns: 4,
+            retry_budget: 0,
+            backoff_base: Duration::from_micros(100),
+        });
+        let mut serial = ServeLoop::new(g, dynamic);
+        let (mut compacted, mut rebuilt) = (0, 0);
+        let mut wave_bytes = Vec::new();
+        let mut prev = net.net_stats();
+        for (e, chunk) in chunks.iter().enumerate() {
+            if e == 3 {
+                // Lands on a warm cache: the respawn must forget it.
+                net.inject_fault(1, Fault::FlipBit { bit: 200 });
+            }
+            net.apply_batch(chunk).unwrap();
+            let rep = net.end_epoch().unwrap();
+            compacted += rep.inner.serial.compacted as usize;
+            rebuilt += rep.inner.serial.rebuilt as usize;
+            for up in chunk {
+                serial.apply(up);
+            }
+            serial.end_epoch();
+            let s = net.net_stats();
+            wave_bytes.push(s.wave_bytes - prev.wave_bytes);
+            prev = s;
+        }
+        let s = net.net_stats();
+        assert!(compacted >= 1, "a compaction fired");
+        assert!(rebuilt >= 1, "a drift rebuild fired");
+        assert!(s.respawns >= 1, "the fault cost a respawn");
+        assert!(net.quarantine_reason().is_none());
+        assert!(
+            serial.graph().has_edge(d, x),
+            "the departed left came back through its edge insert"
+        );
+        assert!(s.topology_rows_shipped > 0 && s.topology_cache_words > 0);
+        assert!(
+            wave_bytes[1..].iter().any(|&b| b < wave_bytes[0]),
+            "a warm-cache epoch ships fewer wave bytes than the first: {wave_bytes:?}"
+        );
+        let gathered = net.gather_assignment().unwrap();
+        assert_eq!(gathered.mate, serial.assignment().mate);
+        net.validate().unwrap();
+    }
+
     /// First unused left id owned by `shard`, skipping `taken`.
     fn pick_left(map: &ShardMap, shard: usize, taken: &mut std::collections::HashSet<u32>) -> u32 {
         (0u32..)
@@ -3696,11 +4071,26 @@ mod tests {
         w.into_bytes()
     }
 
-    /// Hand-rolled WAVE frame holding exactly one plan.
-    #[allow(clippy::too_many_arguments)]
+    /// Hand-rolled WAVE frame holding exactly one plan, shipping the full
+    /// row of every footprint id.
     fn wave_frame(
         radius: u64,
         plan: &RepairPlan,
+        rights: &[(u32, u64, Vec<u32>)],
+        lefts: &[(u32, Vec<u32>)],
+    ) -> Vec<u8> {
+        let right_ids: Vec<u32> = rights.iter().map(|r| r.0).collect();
+        let left_ids: Vec<u32> = lefts.iter().map(|l| l.0).collect();
+        wave_frame_naming(radius, plan, &right_ids, &left_ids, rights, lefts)
+    }
+
+    /// Hand-rolled WAVE frame holding exactly one plan whose footprint
+    /// names `right_ids`/`left_ids` but ships only the given rows.
+    fn wave_frame_naming(
+        radius: u64,
+        plan: &RepairPlan,
+        right_ids: &[u32],
+        left_ids: &[u32],
         rights: &[(u32, u64, Vec<u32>)],
         lefts: &[(u32, Vec<u32>)],
     ) -> Vec<u8> {
@@ -3711,22 +4101,18 @@ mod tests {
         w.put_u64(1); // n_plans
         w.put_u32(0); // j
         encode_plan(&mut w, plan);
+        put_ids(&mut w, right_ids.iter().copied());
+        put_ids(&mut w, left_ids.iter().copied());
         w.put_u64(rights.len() as u64);
         for (v, cap, nbrs) in rights {
             w.put_u32(*v);
             w.put_u64(*cap);
-            w.put_u64(nbrs.len() as u64);
-            for &u in nbrs {
-                w.put_u32(u);
-            }
+            put_ids(&mut w, nbrs.iter().copied());
         }
         w.put_u64(lefts.len() as u64);
         for (u, nbrs) in lefts {
             w.put_u32(*u);
-            w.put_u64(nbrs.len() as u64);
-            for &v in nbrs {
-                w.put_u32(v);
-            }
+            put_ids(&mut w, nbrs.iter().copied());
         }
         put_left_rows(&mut w, &[]); // no overrides
         put_right_rows(&mut w, &[]);
@@ -4034,6 +4420,68 @@ mod tests {
         let mut r = ByteReader::new(&gather.payload);
         assert_eq!(take_left_rows(&mut r).unwrap(), vec![(u, v)]);
         drop(l0);
+        drop(mesh);
+        worker.join().unwrap();
+    }
+
+    /// A later wave reads a cached row by id alone, but a footprint id
+    /// with neither a cached nor a shipped row is refused with a NACK
+    /// naming it — never read as an empty adjacency.
+    #[test]
+    fn a_footprint_id_with_no_cached_or_shipped_row_is_refused_by_name() {
+        let map = ShardMap::new(2);
+        let (mut tl, mut tr) = Default::default();
+        let u = pick_left(&map, 0, &mut tl);
+        let v = pick_right(&map, 0, &mut tr);
+        let v2 = pick_right(&map, 0, &mut tr);
+        let (mut mesh, mut links) = Mesh::loopback_mesh(2, &Mesh::all_pairs(2));
+        // Spawn only worker 0; its peer link stays idle.
+        let l1 = links.pop().unwrap();
+        let l0 = links.pop().unwrap();
+        let worker = std::thread::spawn(move || worker_main_p2p(l0, map));
+        mesh.send_to(
+            0,
+            PH_INIT,
+            0,
+            &p2p_init_frame(&[(u, UNMATCHED)], &[(v, vec![]), (v2, vec![])]),
+        )
+        .unwrap();
+        assert_eq!(mesh.recv_from(0).unwrap().phase, PH_INIT_ACK);
+        // Wave 1 ships every row; the worker caches them.
+        let frame = wave_frame(
+            2,
+            &RepairPlan::Place { u },
+            &[(v, 1, vec![u])],
+            &[(u, vec![v])],
+        );
+        mesh.send_to(0, PH_WAVE, 0, &frame).unwrap();
+        assert_eq!(mesh.recv_from(0).unwrap().phase, PH_WAVE_ACK);
+        mesh.send_to(0, PH_CENSUS, 0, &[]).unwrap();
+        let census = mesh.recv_from(0).unwrap();
+        let mut r = ByteReader::new(&census.payload);
+        for _ in 0..5 {
+            r.take_u64().unwrap();
+        }
+        assert_eq!(
+            r.take_u64().unwrap(),
+            (1 + 1) + (2 + 1),
+            "the census reports the cached rows' words"
+        );
+        // Wave 2 names `v` (cached) and `v2` (never shipped), shipping
+        // no rows at all.
+        let frame = wave_frame_naming(2, &RepairPlan::Place { u }, &[v, v2], &[u], &[], &[]);
+        mesh.send_to(0, PH_WAVE, 0, &frame).unwrap();
+        let nack = mesh.recv_from(0).unwrap();
+        assert_eq!(nack.phase, PH_NACK);
+        let err = decode_nack(0, &nack.payload);
+        assert!(matches!(err, NetError::Protocol { shard: 0, .. }));
+        let detail = err.to_string();
+        assert!(
+            detail.contains(&format!("footprint right {v2} "))
+                && !detail.contains(&format!("right {v} ")),
+            "the NACK names the uncached id, got: {detail}"
+        );
+        drop(l1);
         drop(mesh);
         worker.join().unwrap();
     }

@@ -1223,6 +1223,11 @@ fn cmd_dynamic_net(
              worker↔worker frames (deepest fetch ping-pong {} rounds)",
             stats.wave_bytes, stats.handoff_bytes, stats.handoff_frames, stats.max_handoff_rounds,
         );
+        let _ = writeln!(
+            out,
+            "p2p topology cache : {} rows shipped, {} words resident on the workers",
+            stats.topology_rows_shipped, stats.topology_cache_words,
+        );
     }
     if let Some(note) = &chaos_note {
         let _ = writeln!(out, "chaos              : {note}");
@@ -1652,6 +1657,7 @@ mod tests {
         .unwrap();
         assert!(p2p.contains("p2p repair waves"), "{p2p}");
         assert!(p2p.contains("p2p repair traffic"), "{p2p}");
+        assert!(p2p.contains("p2p topology cache"), "{p2p}");
         assert_eq!(
             std::fs::read_to_string(&p2p_assign).unwrap(),
             std::fs::read_to_string(&serial_assign).unwrap(),
