@@ -111,6 +111,20 @@ if [ "${1:-}" != "fast" ]; then
         --restore "$tmp/sh.snap" --assign "$tmp/sh-resumed.txt"
     cmp "$tmp/sh-full.txt" "$tmp/sh-resumed.txt" \
         || { echo "re-sharded warm restart diverged from the uninterrupted run"; exit 1; }
+    # Networked p2p: checkpoint on 2 workers, restore onto 4 with a WAL.
+    # The serial reference runs under the eager budget the fresh p2p
+    # engine was given (the restore inherits it from the snapshot).
+    cargo run --release -q --bin salloc -- \
+        dynamic "$tmp/g.txt" --epochs 3 --events 120 --eps 0.25 --seed 1 --no-full \
+        --eager-budget 1 --assign "$tmp/e1-full.txt"
+    cargo run --release -q --bin salloc -- \
+        dynamic "$tmp/g.txt" --epochs 2 --events 120 --eps 0.25 --seed 1 --shards 2 --net \
+        --p2p --eager-budget 1 --checkpoint "$tmp/p2p.snap"
+    cargo run --release -q --bin salloc -- \
+        dynamic "$tmp/g.txt" --epochs 3 --events 120 --seed 1 --shards 4 --net --p2p \
+        --restore "$tmp/p2p.snap" --wal "$tmp/p2p.wal" --assign "$tmp/p2p-resumed.txt"
+    cmp "$tmp/e1-full.txt" "$tmp/p2p-resumed.txt" \
+        || { echo "p2p warm restart onto 4 workers diverged from the serial engine"; exit 1; }
     rm -rf "$tmp"
 
     step "CLI chaos smoke (mid-stream fault recovered, WAL'd run ≡ serial)"

@@ -19,6 +19,7 @@
 use std::time::Instant;
 
 use sparse_alloc_dynamic::adapter::{churn_stream, ChurnMix};
+use sparse_alloc_dynamic::engine::drive;
 use sparse_alloc_dynamic::{ServeLoop, ShardedConfig, ShardedServeLoop};
 use sparse_alloc_graph::generators::union_of_spanning_trees;
 use sparse_alloc_obs::Registry;
@@ -45,18 +46,14 @@ pub fn run() {
 
     let events_per_epoch = ((m as f64) * CHURN).round().max(1.0) as usize;
     let updates = churn_stream(&g, EPOCHS * events_per_epoch, &ChurnMix::default(), 31);
+    let batches = || updates.chunks(events_per_epoch).take(EPOCHS);
 
     // Serial baseline — same engine config as the sharded runs (the
     // sharded default lowers the eager walk budget; the equivalence
     // contract is per-config).
     let mut serial = ServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, 2).dynamic);
     let t0 = Instant::now();
-    for chunk in updates.chunks(events_per_epoch).take(EPOCHS) {
-        for up in chunk {
-            serial.apply(up);
-        }
-        serial.end_epoch();
-    }
+    drive(&mut serial, batches()).expect("serial serving cannot fail");
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
     let serial_size = serial.match_size();
 
@@ -85,15 +82,10 @@ pub fn run() {
         let mut serve = ShardedServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, shards))
             .expect("initial state fits the space budget");
         let t1 = Instant::now();
-        let mut last_peak = 0usize;
-        let mut last_budget = 0usize;
-        for chunk in updates.chunks(events_per_epoch).take(EPOCHS) {
-            serve.apply_batch(chunk).expect("batch within budget");
-            let rep = serve.end_epoch().expect("epoch within budget");
-            last_peak = rep.peak_shard_words;
-            last_budget = rep.budget;
-        }
+        let reports = drive(&mut serve, batches()).expect("epochs within budget");
         let ms = t1.elapsed().as_secs_f64() * 1e3;
+        let last = reports.last().cloned().unwrap_or_default();
+        let (last_peak, last_budget) = (last.peak_shard_words, last.budget);
         let equal = serve.match_size() == serial_size;
         all_equal &= equal;
         assert!(

@@ -34,6 +34,7 @@
 use std::time::Instant;
 
 use sparse_alloc_dynamic::adapter::{churn_stream, ChurnMix};
+use sparse_alloc_dynamic::engine::drive;
 use sparse_alloc_dynamic::{ServeLoop, ShardedConfig, ShardedServeLoop};
 use sparse_alloc_graph::generators::union_of_spanning_trees;
 use sparse_alloc_obs::{Phase, Registry};
@@ -72,6 +73,7 @@ pub fn run() {
 
     let events_per_epoch = ((m as f64) * CHURN).round().max(1.0) as usize;
     let updates = churn_stream(&g, EPOCHS * events_per_epoch, &ChurnMix::default(), 31);
+    let batches = || updates.chunks(events_per_epoch).take(EPOCHS);
 
     // Serial baseline, same engine config as the sharded runs. The box a
     // CI run lands on is noisy (one core, shared with the harness), so
@@ -81,12 +83,7 @@ pub fn run() {
     let serial_drive = || {
         let mut serial = ServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, 2).dynamic);
         let t0 = Instant::now();
-        for chunk in updates.chunks(events_per_epoch).take(EPOCHS) {
-            for up in chunk {
-                serial.apply(up);
-            }
-            serial.end_epoch();
-        }
+        drive(&mut serial, batches()).expect("serial serving cannot fail");
         (t0.elapsed().as_secs_f64() * 1e3, serial)
     };
     let (ms_a, _) = serial_drive();
@@ -124,16 +121,10 @@ pub fn run() {
             let mut serve = ShardedServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, shards))
                 .expect("initial state fits the space budget");
             let t1 = Instant::now();
-            let mut last_peak = 0usize;
-            let mut last_budget = 0usize;
-            for chunk in updates.chunks(events_per_epoch).take(EPOCHS) {
-                serve.apply_batch(chunk).expect("batch within budget");
-                let rep = serve.end_epoch().expect("epoch within budget");
-                last_peak = rep.peak_shard_words;
-                last_budget = rep.budget;
-            }
+            let reports = drive(&mut serve, batches()).expect("epochs within budget");
             let ms = t1.elapsed().as_secs_f64() * 1e3;
-            (ms, serve, last_peak, last_budget)
+            let last = reports.last().cloned().unwrap_or_default();
+            (ms, serve, last.peak_shard_words, last.budget)
         };
         let (ms_a, _, _, _) = sharded_drive();
         let (ms_b, serve, last_peak, last_budget) = sharded_drive();
@@ -195,10 +186,7 @@ pub fn run() {
             .expect("initial state fits the space budget");
         serve.obs_mut().set_enabled(enabled);
         let t = Instant::now();
-        for chunk in updates.chunks(events_per_epoch).take(EPOCHS) {
-            serve.apply_batch(chunk).expect("batch within budget");
-            serve.end_epoch().expect("epoch within budget");
-        }
+        drive(&mut serve, batches()).expect("epochs within budget");
         t.elapsed().as_secs_f64() * 1e3
     };
     let (mut off_ms, mut on_ms) = (f64::INFINITY, f64::INFINITY);

@@ -21,6 +21,7 @@
 use std::time::Instant;
 
 use sparse_alloc_dynamic::adapter::{churn_stream, ChurnMix};
+use sparse_alloc_dynamic::engine::drive;
 use sparse_alloc_dynamic::{snapshot, ServeLoop, ShardedConfig, ShardedServeLoop};
 use sparse_alloc_graph::generators::union_of_spanning_trees;
 use sparse_alloc_obs::Registry;
@@ -67,6 +68,7 @@ pub fn run() {
         .chunks(events_per_epoch)
         .take(total_epochs)
         .collect();
+    let (before, after) = chunks.split_at(EPOCHS_BEFORE);
 
     let mut t = Table::new(&[
         "engine",
@@ -79,12 +81,7 @@ pub fn run() {
 
     // --- serial -----------------------------------------------------
     let mut serial = ServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, 2).dynamic);
-    for chunk in &chunks[..EPOCHS_BEFORE] {
-        for up in *chunk {
-            serial.apply(up);
-        }
-        serial.end_epoch();
-    }
+    drive(&mut serial, before.iter().copied()).expect("serial serving cannot fail");
     let t0 = Instant::now();
     let mut serial_bytes = Vec::new();
     snapshot::write_serial(&serial, &mut serial_bytes).expect("serial checkpoint");
@@ -92,13 +89,8 @@ pub fn run() {
     let t1 = Instant::now();
     let mut serial_restored = snapshot::read_serial(&mut &serial_bytes[..]).expect("restore");
     let serial_restore_ms = t1.elapsed().as_secs_f64() * 1e3;
-    for chunk in &chunks[EPOCHS_BEFORE..] {
-        for up in *chunk {
-            serial.apply(up);
-            serial_restored.apply(up);
-        }
-        serial.end_epoch();
-        serial_restored.end_epoch();
+    for engine in [&mut serial, &mut serial_restored] {
+        drive(engine, after.iter().copied()).expect("serial serving cannot fail");
     }
     let serial_fidelity = serial.assignment().mate == serial_restored.assignment().mate;
     assert!(serial_fidelity, "serial warm restart diverged");
@@ -115,10 +107,7 @@ pub fn run() {
     // --- sharded (2 shards, restored onto 4) ------------------------
     let mut sharded = ShardedServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, 2))
         .expect("initial state fits the space budget");
-    for chunk in &chunks[..EPOCHS_BEFORE] {
-        sharded.apply_batch(chunk).expect("batch within budget");
-        sharded.end_epoch().expect("epoch within budget");
-    }
+    drive(&mut sharded, before.iter().copied()).expect("epochs within budget");
     let t2 = Instant::now();
     let mut sharded_bytes = Vec::new();
     snapshot::write_sharded(&mut sharded, &mut sharded_bytes).expect("sharded checkpoint");
@@ -128,11 +117,8 @@ pub fn run() {
         snapshot::read_sharded(&mut &sharded_bytes[..], Some(4)).expect("re-shard restore");
     let sharded_restore_ms = t3.elapsed().as_secs_f64() * 1e3;
     assert_eq!(resharded.shards(), 4);
-    for chunk in &chunks[EPOCHS_BEFORE..] {
-        sharded.apply_batch(chunk).expect("batch within budget");
-        sharded.end_epoch().expect("epoch within budget");
-        resharded.apply_batch(chunk).expect("batch within budget");
-        resharded.end_epoch().expect("epoch within budget");
+    for engine in [&mut sharded, &mut resharded] {
+        drive(engine, after.iter().copied()).expect("epochs within budget");
     }
     let sharded_fidelity = sharded.assignment().mate == resharded.assignment().mate;
     assert!(sharded_fidelity, "re-sharded warm restart diverged");

@@ -20,6 +20,7 @@
 use std::time::Instant;
 
 use sparse_alloc_dynamic::adapter::{churn_stream, ChurnMix};
+use sparse_alloc_dynamic::engine::drive;
 use sparse_alloc_dynamic::{NetServeLoop, ServeLoop, ShardedConfig, TransportKind};
 use sparse_alloc_graph::generators::union_of_spanning_trees;
 use sparse_alloc_obs::Registry;
@@ -52,12 +53,8 @@ pub fn run() {
     // Serial reference under the identical engine config (equivalence is
     // per-config; the sharded default lowers the eager walk budget).
     let mut serial = ServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, SHARDS).dynamic);
-    for chunk in updates.chunks(events_per_epoch).take(EPOCHS) {
-        for up in chunk {
-            serial.apply(up);
-        }
-        serial.end_epoch();
-    }
+    let batches = updates.chunks(events_per_epoch).take(EPOCHS);
+    drive(&mut serial, batches).expect("serial serving cannot fail");
     let serial_mate = serial.assignment().mate;
     let serial_size = serial.match_size();
 

@@ -27,6 +27,7 @@
 use std::time::Instant;
 
 use sparse_alloc_dynamic::adapter::{churn_stream, ChurnMix};
+use sparse_alloc_dynamic::engine::drive;
 use sparse_alloc_dynamic::{
     snapshot, wal, NetServeLoop, ServeLoop, ShardedConfig, SupervisorConfig, TransportKind,
     WalWriter,
@@ -66,12 +67,8 @@ pub fn run() {
 
     // Serial reference under the identical engine config.
     let mut serial = ServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, SHARDS).dynamic);
-    for chunk in updates.chunks(events_per_epoch).take(EPOCHS) {
-        for up in chunk {
-            serial.apply(up);
-        }
-        serial.end_epoch();
-    }
+    let batches = updates.chunks(events_per_epoch).take(EPOCHS);
+    drive(&mut serial, batches).expect("serial serving cannot fail");
     let serial_mate = serial.assignment().mate;
     let serial_size = serial.match_size();
 
@@ -152,8 +149,8 @@ pub fn run() {
     let t0 = Instant::now();
     let mut recovered = snapshot::load_sharded(&base_path, Some(SHARDS)).expect("base loads");
     let log = wal::read_wal_file(&wal_path).expect("log reads clean");
-    let replayed = wal::replay_sharded(&mut recovered, &log.records[log.tail_start()..])
-        .expect("tail replays");
+    let replayed =
+        wal::replay(&mut recovered, &log.records[log.tail_start()..]).expect("tail replays");
     let replay_ms = t0.elapsed().as_secs_f64() * 1e3;
     let replay_equal = recovered.assignment().mate == serial_mate;
     assert!(replay_equal, "crash replay diverged from serial");

@@ -1,0 +1,243 @@
+//! One engine interface: the verbs every serving engine shares.
+//!
+//! The crate serves one algorithm through three engines: the serial
+//! [`ServeLoop`], the MPC-simulated [`ShardedServeLoop`] and the
+//! networked [`NetServeLoop`]. [`Engine`] is what they have in common,
+//! so each driver is written once and runs all three: the `salloc
+//! dynamic` loop, WAL replay ([`crate::wal::replay`]), the experiments'
+//! reference runs and the ≡-serial property harness ([`drive`]).
+//!
+//! | verb | serial | sharded | networked |
+//! |---|---|---|---|
+//! | [`Engine::apply_batch`] | `apply` per update | routed repair waves | wire route + waves |
+//! | [`Engine::end_epoch`] | certificate sweep | + migration commit, census | + wire commit, census |
+//! | [`Engine::served`] | the maintained matching | the maintained matching | gathered from the workers over the wire |
+//! | [`Engine::checkpoint`] | serial snapshot | sharded snapshot | sharded snapshot + WAL base marker |
+//!
+//! The engines keep their own inherent methods and typed errors; the
+//! trait wraps them and boxes the error ([`EngineError`]).
+//!
+//! # Who owns the write-ahead log
+//!
+//! The networked engine logs from inside its verbs: a batch and an epoch
+//! close are appended before the wire exchange that acts on them, and a
+//! checkpoint appends a base marker. [`Engine::adopt_wal`] hands it the
+//! log. The other two engines hand the log back, and
+//! [`Engine::run_epoch`] appends around their verbs: the same records,
+//! in the same order.
+//!
+//! # One epoch source
+//!
+//! Every engine's epoch is the serial core's completed-epoch count,
+//! [`ServeStats::epochs`](crate::ServeStats::epochs), read through
+//! [`Engine::serial`]. WAL records, replay's skip rule and the resume
+//! point of a restored engine all read that one counter.
+
+use std::fs::File;
+use std::path::Path;
+
+use sparse_alloc_graph::Assignment;
+use sparse_alloc_obs::{Registry, Tracer};
+
+use crate::distributed::{BatchReport, ShardedEpochReport, ShardedServeLoop};
+use crate::net::{NetEpochReport, NetServeLoop};
+use crate::serve::{EpochReport, ServeLoop};
+use crate::snapshot;
+use crate::update::Update;
+use crate::wal::WalWriter;
+
+/// Why an engine verb failed: the engine's own typed error, boxed.
+pub type EngineError = Box<dyn std::error::Error + Send + Sync>;
+
+/// A serving engine: apply batches, close epochs, serve the allocation.
+/// See the [module docs](self).
+pub trait Engine {
+    /// What applying one batch reports.
+    type Batch;
+    /// What closing one epoch reports.
+    type Report;
+
+    /// Apply one epoch's update batch, in arrival order.
+    fn apply_batch(&mut self, updates: &[Update]) -> Result<Self::Batch, EngineError>;
+
+    /// Close the epoch: restore the `k/(k+1)` certificate and advance
+    /// the epoch counter.
+    fn end_epoch(&mut self) -> Result<Self::Report, EngineError>;
+
+    /// The allocation the engine serves.
+    fn served(&mut self) -> Result<Assignment, EngineError>;
+
+    /// The serial core: configuration, lifetime stats (the epoch
+    /// counter), match size and the live graph.
+    fn serial(&self) -> &ServeLoop;
+
+    /// The stack's metrics registry.
+    fn obs(&self) -> &Registry;
+
+    /// Install a phase tracer on the whole stack.
+    fn set_tracer(&mut self, tracer: Tracer);
+
+    /// Full consistency check of the engine state.
+    fn validate(&self) -> Result<(), String>;
+
+    /// Atomically write a full snapshot to `path`.
+    fn checkpoint(&mut self, path: &Path) -> Result<(), EngineError>;
+
+    /// Offer the engine the write-ahead log. An engine that logs from
+    /// inside its own verbs keeps it and returns `None`; the default
+    /// hands it back for [`Engine::run_epoch`] to append to.
+    fn adopt_wal(&mut self, wal: WalWriter<File>) -> Option<WalWriter<File>> {
+        Some(wal)
+    }
+
+    /// One whole epoch: append `updates` to `wal`, apply them, close the
+    /// epoch, then append the close with the resulting match size. Pass
+    /// only a log the engine handed back from [`Engine::adopt_wal`].
+    fn run_epoch(
+        &mut self,
+        updates: &[Update],
+        mut wal: Option<&mut WalWriter<File>>,
+    ) -> Result<(Self::Batch, Self::Report), EngineError> {
+        let epoch = self.serial().stats().epochs as u64;
+        if let Some(w) = wal.as_deref_mut() {
+            w.append_batch(epoch, updates)?;
+        }
+        let batch = self.apply_batch(updates)?;
+        let report = self.end_epoch()?;
+        if let Some(w) = wal {
+            w.append_epoch_end(epoch, self.serial().match_size() as u64)?;
+        }
+        Ok((batch, report))
+    }
+}
+
+/// Run `engine` one epoch per batch, without a log, and return the
+/// epoch reports.
+pub fn drive<'a, E: Engine>(
+    engine: &mut E,
+    batches: impl IntoIterator<Item = &'a [Update]>,
+) -> Result<Vec<E::Report>, EngineError> {
+    batches
+        .into_iter()
+        .map(|batch| engine.run_epoch(batch, None).map(|(_, report)| report))
+        .collect()
+}
+
+impl Engine for ServeLoop {
+    type Batch = ();
+    type Report = EpochReport;
+
+    fn apply_batch(&mut self, updates: &[Update]) -> Result<(), EngineError> {
+        for up in updates {
+            self.apply(up);
+        }
+        Ok(())
+    }
+
+    fn end_epoch(&mut self) -> Result<EpochReport, EngineError> {
+        Ok(ServeLoop::end_epoch(self))
+    }
+
+    fn served(&mut self) -> Result<Assignment, EngineError> {
+        Ok(self.assignment())
+    }
+
+    fn serial(&self) -> &ServeLoop {
+        self
+    }
+
+    fn obs(&self) -> &Registry {
+        ServeLoop::obs(self)
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        ServeLoop::set_tracer(self, tracer);
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        ServeLoop::validate(self)
+    }
+
+    fn checkpoint(&mut self, path: &Path) -> Result<(), EngineError> {
+        Ok(snapshot::save_serial(self, path)?)
+    }
+}
+
+impl Engine for ShardedServeLoop {
+    type Batch = BatchReport;
+    type Report = ShardedEpochReport;
+
+    fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, EngineError> {
+        Ok(ShardedServeLoop::apply_batch(self, updates)?)
+    }
+
+    fn end_epoch(&mut self) -> Result<ShardedEpochReport, EngineError> {
+        Ok(ShardedServeLoop::end_epoch(self)?)
+    }
+
+    fn served(&mut self) -> Result<Assignment, EngineError> {
+        Ok(self.assignment())
+    }
+
+    fn serial(&self) -> &ServeLoop {
+        ShardedServeLoop::serial(self)
+    }
+
+    fn obs(&self) -> &Registry {
+        ShardedServeLoop::obs(self)
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        ShardedServeLoop::set_tracer(self, tracer);
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        ShardedServeLoop::validate(self)
+    }
+
+    fn checkpoint(&mut self, path: &Path) -> Result<(), EngineError> {
+        Ok(snapshot::save_sharded(self, path)?)
+    }
+}
+
+impl Engine for NetServeLoop {
+    type Batch = BatchReport;
+    type Report = NetEpochReport;
+
+    fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, EngineError> {
+        Ok(NetServeLoop::apply_batch(self, updates)?)
+    }
+
+    fn end_epoch(&mut self) -> Result<NetEpochReport, EngineError> {
+        Ok(NetServeLoop::end_epoch(self)?)
+    }
+
+    fn served(&mut self) -> Result<Assignment, EngineError> {
+        Ok(self.gather_assignment()?)
+    }
+
+    fn serial(&self) -> &ServeLoop {
+        NetServeLoop::serial(self)
+    }
+
+    fn obs(&self) -> &Registry {
+        NetServeLoop::obs(self)
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        NetServeLoop::set_tracer(self, tracer);
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        NetServeLoop::validate(self)
+    }
+
+    fn checkpoint(&mut self, path: &Path) -> Result<(), EngineError> {
+        Ok(NetServeLoop::checkpoint(self, path)?)
+    }
+
+    fn adopt_wal(&mut self, wal: WalWriter<File>) -> Option<WalWriter<File>> {
+        self.attach_wal(wal);
+        None
+    }
+}

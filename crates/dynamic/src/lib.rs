@@ -20,6 +20,7 @@
 //! | conflict batching of update balls into parallel waves | [`batch`] |
 //! | sharded serving across the MPC simulator | [`distributed`] |
 //! | shard workers on a real transport (loopback / TCP) | [`net`] |
+//! | the one interface all three engines implement | [`engine`] |
 //! | checkpoint/restore snapshots for warm restarts | [`snapshot`] |
 //! | write-ahead delta log + crash recovery by replay | [`wal`] |
 //! | adapters from `sparse-alloc-online` streams, churn generator | [`adapter`] |
@@ -102,6 +103,7 @@
 pub mod adapter;
 pub mod batch;
 pub mod distributed;
+pub mod engine;
 pub mod net;
 pub mod repair;
 pub mod scheduler;
@@ -113,6 +115,7 @@ pub mod wal;
 pub mod walks;
 
 pub use distributed::{ShardedConfig, ShardedServeLoop};
+pub use engine::{Engine, EngineError};
 pub use net::{NetEpochReport, NetError, NetServeLoop, NetStats, SupervisorConfig, TransportKind};
 pub use serve::{DynamicConfig, EpochReport, ServeLoop, ServeStats};
 pub use snapshot::{DeltaBase, DeltaCheckpoint, SnapshotError};

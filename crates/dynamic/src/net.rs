@@ -1865,7 +1865,6 @@ pub struct NetServeLoop {
     synced_mate: Vec<u32>,
     synced_level: Vec<i64>,
     synced_load: Vec<u64>,
-    epoch: u64,
     stats: NetStats,
     epoch_mark: (u64, u64),
     /// Phase tracer for the `net_*` wire phases (shares the stack's sink).
@@ -2027,7 +2026,6 @@ impl NetServeLoop {
             synced_mate: Vec::new(),
             synced_level: Vec::new(),
             synced_load: Vec::new(),
-            epoch: 0,
             stats: NetStats::default(),
             epoch_mark: (0, 0),
             tracer,
@@ -2073,8 +2071,9 @@ impl NetServeLoop {
         let checksum = fnv1a64(&bytes);
         write_file_atomic(path.as_ref(), &bytes).map_err(SnapshotError::Io)?;
         self.base = Some(DeltaBase::of_sharded(&self.inner, checksum));
+        let epoch = self.epoch();
         let appended = match self.wal.as_mut() {
-            Some(w) => Some(w.append_base(self.epoch, checksum)?),
+            Some(w) => Some(w.append_base(epoch, checksum)?),
             None => None,
         };
         if let Some(n) = appended {
@@ -2130,6 +2129,13 @@ impl NetServeLoop {
     }
 
     // ------------------------------------------------------- plumbing
+
+    /// Completed epochs — the stamp every frame, WAL record and span of
+    /// the current epoch carries. Read from the engine's own counter, so
+    /// a restored engine resumes the stamps where its snapshot left off.
+    fn epoch(&self) -> u64 {
+        self.inner.serve_stats().epochs as u64
+    }
 
     fn wire_totals(&self) -> (u64, u64) {
         let (bs, br) = self.mesh.bytes_moved();
@@ -2290,7 +2296,8 @@ impl NetServeLoop {
         } else {
             Phase::NetInit
         };
-        let mut sp = self.tracer.span(phase, self.epoch);
+        let epoch = self.epoch();
+        let mut sp = self.tracer.span(phase, epoch);
         let mark = self.mark();
         let (mate, levels, load) = self.engine_state();
         let p = self.mesh.workers();
@@ -2333,10 +2340,10 @@ impl NetServeLoop {
                     .collect();
                 put_right_rows(&mut wtr, &rows);
             }
-            self.send(w, PH_INIT, self.epoch, &wtr.into_bytes())?;
+            self.send(w, PH_INIT, epoch, &wtr.into_bytes())?;
         }
         for (w, (lefts, rights)) in writers.iter().enumerate() {
-            let payload = self.expect(w, PH_INIT_ACK, self.epoch)?;
+            let payload = self.expect(w, PH_INIT_ACK, epoch)?;
             let mut r = ByteReader::new(&payload);
             let (nl, nr) = (
                 r.take_u64().map_err(|e| self.payload_err(w, e))?,
@@ -2396,8 +2403,8 @@ impl NetServeLoop {
     /// lengths, and the lists travel as [`LIST_PUSH`]-family ops), and
     /// rows a wave fold already advanced the mirror past are skipped —
     /// the worker applied them itself, directly or via a peer `FLIP`.
-    fn commit_deltas(&mut self) -> Result<(), NetError> {
-        let mut sp = self.tracer.span(Phase::NetCommit, self.epoch);
+    fn commit_deltas(&mut self, epoch: u64) -> Result<(), NetError> {
+        let mut sp = self.tracer.span(Phase::NetCommit, epoch);
         let mark = self.mark();
         let (mate, levels, load) = self.engine_state();
         let p = self.mesh.workers();
@@ -2448,7 +2455,6 @@ impl NetServeLoop {
                 }
             }
         }
-        let epoch = self.epoch;
         for w in 0..p {
             let mut wtr = ByteWriter::new();
             wtr.put_u64(mates[w].len() as u64);
@@ -2721,8 +2727,9 @@ impl NetServeLoop {
         if updates.is_empty() {
             return Ok(self.inner.apply_batch(updates)?);
         }
+        let epoch = self.epoch();
         let appended = match self.wal.as_mut() {
-            Some(w) => Some(w.append_batch(self.epoch, updates)?),
+            Some(w) => Some(w.append_batch(epoch, updates)?),
             None => None,
         };
         if let Some(n) = appended {
@@ -2742,7 +2749,7 @@ impl NetServeLoop {
             self.inner.apply_batch(&wire)?
         };
         loop {
-            match self.commit_deltas() {
+            match self.commit_deltas(self.epoch()) {
                 Ok(()) => break,
                 Err(e) => self.recover_or_quarantine(e)?,
             }
@@ -3050,7 +3057,7 @@ impl NetServeLoop {
         frames: &[Vec<u8>],
         shipped: &[Option<usize>],
     ) -> Result<(Vec<Option<RemotePlanOutcome>>, u64, u64), NetError> {
-        let epoch = self.epoch;
+        let epoch = self.epoch();
         let p = self.mesh.workers();
         let mut sp = self.tracer.span(Phase::NetWave, epoch);
         let mark = self.mark();
@@ -3178,7 +3185,7 @@ impl NetServeLoop {
     /// copies in batch order. Touches no engine state — safe to retry
     /// wholesale after a recovery.
     fn route_batch(&mut self, updates: &[Update]) -> Result<Vec<Update>, NetError> {
-        let epoch = self.epoch;
+        let epoch = self.epoch();
         let p = self.mesh.workers();
         let map = *self.inner.shard_map();
         let mut sp = self.tracer.span(Phase::NetRoute, epoch);
@@ -3244,21 +3251,23 @@ impl NetServeLoop {
     /// re-INIT.
     pub fn end_epoch(&mut self) -> Result<NetEpochReport, NetError> {
         self.check_quarantine()?;
+        // The closing epoch's stamp, taken before the engine's sweep
+        // advances the epoch counter.
+        let epoch = self.epoch();
         let report = self.inner.end_epoch()?;
         let appended = match self.wal.as_mut() {
-            Some(w) => Some(w.append_epoch_end(self.epoch, report.serial.match_size as u64)?),
+            Some(w) => Some(w.append_epoch_end(epoch, report.serial.match_size as u64)?),
             None => None,
         };
         if let Some(n) = appended {
             self.inner.obs_mut().inc(Counter::WalBytes, n);
         }
         let rep = loop {
-            match self.close_epoch_wire(&report) {
+            match self.close_epoch_wire(&report, epoch) {
                 Ok(rep) => break rep,
                 Err(e) => self.recover_or_quarantine(e)?,
             }
         };
-        self.epoch += 1;
         Ok(rep)
     }
 
@@ -3269,10 +3278,10 @@ impl NetServeLoop {
     fn close_epoch_wire(
         &mut self,
         report: &ShardedEpochReport,
+        epoch: u64,
     ) -> Result<NetEpochReport, NetError> {
-        let epoch = self.epoch;
         let p = self.mesh.workers();
-        self.commit_deltas()?;
+        self.commit_deltas(epoch)?;
 
         let mut sp = self.tracer.span(Phase::NetCensus, epoch);
         let mark = self.mark();
@@ -3395,7 +3404,7 @@ impl NetServeLoop {
     /// One attempt at the gather exchange — read-only on both sides, so
     /// a retry after recovery is trivially safe.
     fn gather_once(&mut self) -> Result<Assignment, NetError> {
-        let epoch = self.epoch;
+        let epoch = self.epoch();
         let p = self.mesh.workers();
         let map = *self.inner.shard_map();
         let n_left = self.synced_mate.len();
@@ -3557,7 +3566,7 @@ impl NetServeLoop {
         w.put_u32(0);
         w.put_u32(to as u32);
         fault.encode(&mut w);
-        let epoch = self.epoch;
+        let epoch = self.epoch();
         self.send(from, PH_ARM, epoch, &w.into_bytes())?;
         let payload = self.expect(from, PH_ARM_ACK, epoch)?;
         let r = ByteReader::new(&payload);
@@ -3581,7 +3590,7 @@ impl NetServeLoop {
     }
 
     fn broadcast_handoff_timeout(&mut self, timeout: Duration) -> Result<(), NetError> {
-        let epoch = self.epoch;
+        let epoch = self.epoch();
         let mut w = ByteWriter::new();
         w.put_u32(1);
         w.put_u64(timeout.as_micros() as u64);
@@ -3632,7 +3641,7 @@ impl NetServeLoop {
     pub fn shutdown(&mut self) {
         let _ = self.mesh.set_recv_timeout(Duration::from_millis(250));
         for w in 0..self.mesh.workers() {
-            let _ = self.mesh.send_to(w, PH_SHUTDOWN, self.epoch, &[]);
+            let _ = self.mesh.send_to(w, PH_SHUTDOWN, self.epoch(), &[]);
         }
         for w in 0..self.mesh.workers() {
             let _ = self.mesh.recv_from(w);
@@ -3825,6 +3834,53 @@ mod tests {
         net.validate().unwrap();
     }
 
+    /// A restored engine resumes its epoch stamps where the snapshot
+    /// left off: its log records carry the right epochs, so base + log
+    /// replay reconstructs the engine after a restore too.
+    #[test]
+    fn a_restored_engine_logs_under_its_resumed_epoch() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let base_path = dir.join(format!("salloc-net-resumed-base-{pid}.bin"));
+        let wal_path = dir.join(format!("salloc-net-resumed-wal-{pid}.log"));
+
+        let g = union_of_spanning_trees(50, 40, 2, 2, 27).graph;
+        let updates = churn_stream(&g, 60, &ChurnMix::default(), 27);
+        let chunks: Vec<_> = updates.chunks(15).collect();
+        let mut net =
+            NetServeLoop::new(g, ShardedConfig::for_eps(0.25, 2), TransportKind::Loopback).unwrap();
+        for chunk in &chunks[..2] {
+            net.apply_batch(chunk).unwrap();
+            net.end_epoch().unwrap();
+        }
+        net.checkpoint(&base_path).unwrap();
+        drop(net);
+
+        let mut net = NetServeLoop::restore(&base_path, None, TransportKind::Loopback).unwrap();
+        net.attach_wal(WalWriter::create(&wal_path).unwrap());
+        for chunk in &chunks[2..4] {
+            net.apply_batch(chunk).unwrap();
+            net.end_epoch().unwrap();
+        }
+        let live = net.gather_assignment().unwrap();
+        drop(net);
+
+        let log = crate::wal::read_wal_file(&wal_path).unwrap();
+        let stamps: Vec<u64> = log.records.iter().map(|r| r.epoch()).collect();
+        assert_eq!(stamps, [2, 2, 3, 3], "records carry the resumed epochs");
+        let mut rec = crate::snapshot::load_sharded(&base_path, None).unwrap();
+        let stats = crate::wal::replay(&mut rec, &log.records[log.tail_start()..]).unwrap();
+        assert_eq!(stats.epochs, 2);
+        assert_eq!(
+            rec.assignment().mate,
+            live.mate,
+            "base + log replay must reconstruct the restored engine"
+        );
+        for p in [&wal_path, &base_path] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
     #[test]
     fn wal_plus_base_checkpoint_recovers_the_engine_verbatim() {
         let dir = std::env::temp_dir();
@@ -3861,8 +3917,7 @@ mod tests {
         let base = DeltaBase::of_sharded(&rec, fnv1a64(&base_bytes));
         let replay = crate::wal::read_wal_file(&wal_path).unwrap();
         assert!(!replay.torn, "a clean shutdown leaves no torn tail");
-        let stats =
-            crate::wal::replay_sharded(&mut rec, &replay.records[replay.tail_start()..]).unwrap();
+        let stats = crate::wal::replay(&mut rec, &replay.records[replay.tail_start()..]).unwrap();
         assert!(stats.batches >= 2, "the tail holds the post-base epochs");
         assert_eq!(
             rec.assignment().mate,

@@ -5,8 +5,10 @@
 //! process can reconstruct the exact engine state it died with:
 //!
 //! 1. restore the last base snapshot (or start from the initial graph),
-//! 2. [`replay_serial`]/[`replay_sharded`] the log tail — every update
-//!    batch and epoch boundary appended since that base.
+//! 2. [`replay`] the log tail — every update batch and epoch boundary
+//!    appended since that base — through the engine's
+//!    [`Engine`] verbs, so one replay serves the
+//!    serial, sharded and networked engines alike.
 //!
 //! # Frame layout
 //!
@@ -46,8 +48,7 @@ use sparse_alloc_graph::io::{
     FRAME_HEADER_LEN,
 };
 
-use crate::distributed::ShardedServeLoop;
-use crate::serve::ServeLoop;
+use crate::engine::Engine;
 use crate::update::{put_update, take_update, Update};
 
 /// The `src` word of every WAL frame (`"WAL"` little-endian); a frame
@@ -442,68 +443,37 @@ pub struct ReplayStats {
     pub skipped: u64,
 }
 
-/// Replay a log tail onto a restored serial engine.
+/// Replay a log tail onto a restored engine, through its
+/// [`Engine`] verbs.
 ///
 /// Records stamped with an epoch the engine has already completed are
 /// skipped (they are covered by the restored base); every
 /// [`WalRecord::EpochEnd`] that *is* replayed verifies the resulting
 /// matching size against the logged one — a mismatch means the tail
 /// does not belong to this base and is a typed [`WalError::Replay`].
-pub fn replay_serial(
-    serve: &mut ServeLoop,
-    records: &[WalRecord],
-) -> Result<ReplayStats, WalError> {
+/// Replay onto an engine that holds no log: a logging engine would
+/// append the replayed records a second time.
+pub fn replay<E: Engine>(engine: &mut E, records: &[WalRecord]) -> Result<ReplayStats, WalError> {
     let mut stats = ReplayStats::default();
     for rec in records {
-        if (rec.epoch() as usize) < serve.stats().epochs {
+        if (rec.epoch() as usize) < engine.serial().stats().epochs {
             stats.skipped += 1;
             continue;
         }
         match rec {
             WalRecord::Batch { updates, .. } => {
-                for up in updates {
-                    serve.apply(up);
-                }
-                stats.batches += 1;
-                stats.updates += updates.len() as u64;
-            }
-            WalRecord::EpochEnd { match_size, .. } => {
-                serve.end_epoch();
-                stats.epochs += 1;
-                verify_match_size(serve.match_size(), *match_size, stats.epochs)?;
-            }
-            WalRecord::Base { .. } => stats.skipped += 1,
-        }
-    }
-    Ok(stats)
-}
-
-/// Replay a log tail onto a restored sharded engine; the sharded twin
-/// of [`replay_serial`], with identical skip and verification rules.
-pub fn replay_sharded(
-    serve: &mut ShardedServeLoop,
-    records: &[WalRecord],
-) -> Result<ReplayStats, WalError> {
-    let mut stats = ReplayStats::default();
-    for rec in records {
-        if (rec.epoch() as usize) < serve.serial().stats().epochs {
-            stats.skipped += 1;
-            continue;
-        }
-        match rec {
-            WalRecord::Batch { updates, .. } => {
-                serve.apply_batch(updates).map_err(|e| WalError::Replay {
+                engine.apply_batch(updates).map_err(|e| WalError::Replay {
                     detail: format!("batch re-application failed: {e}"),
                 })?;
                 stats.batches += 1;
                 stats.updates += updates.len() as u64;
             }
             WalRecord::EpochEnd { match_size, .. } => {
-                serve.end_epoch().map_err(|e| WalError::Replay {
+                engine.end_epoch().map_err(|e| WalError::Replay {
                     detail: format!("epoch re-close failed: {e}"),
                 })?;
                 stats.epochs += 1;
-                verify_match_size(serve.match_size(), *match_size, stats.epochs)?;
+                verify_match_size(engine.serial().match_size(), *match_size, stats.epochs)?;
             }
             WalRecord::Base { .. } => stats.skipped += 1,
         }
@@ -525,7 +495,8 @@ fn verify_match_size(got: usize, logged: u64, nth: u64) -> Result<(), WalError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::DynamicConfig;
+    use crate::distributed::ShardedServeLoop;
+    use crate::serve::{DynamicConfig, ServeLoop};
     use sparse_alloc_graph::generators::union_of_spanning_trees;
     use sparse_alloc_graph::io::fnv1a64;
 
@@ -709,9 +680,9 @@ mod tests {
             w.append_epoch_end(epoch, live.match_size() as u64).unwrap();
         }
         let bytes = w.into_inner();
-        let replay = read_wal(&mut &bytes[..]).unwrap();
+        let log = read_wal(&mut &bytes[..]).unwrap();
         let mut recovered = ServeLoop::new(g, cfg);
-        let stats = replay_serial(&mut recovered, &replay.records).unwrap();
+        let stats = replay(&mut recovered, &log.records).unwrap();
         assert_eq!(stats.batches, 3);
         assert_eq!(stats.epochs, 3);
         assert_eq!(stats.skipped, 0);
@@ -744,9 +715,9 @@ mod tests {
                 base = Some(buf);
             }
         }
-        let replay = read_wal(&mut &w.into_inner()[..]).unwrap();
+        let log = read_wal(&mut &w.into_inner()[..]).unwrap();
         let mut recovered = crate::snapshot::read_serial(&mut &base.unwrap()[..]).unwrap();
-        let stats = replay_serial(&mut recovered, &replay.records).unwrap();
+        let stats = replay(&mut recovered, &log.records).unwrap();
         assert_eq!(stats.epochs, 2, "only the tail epochs re-close");
         assert!(stats.skipped >= 4, "pre-base records are skipped");
         assert_eq!(recovered.match_size(), live.match_size());
@@ -754,8 +725,8 @@ mod tests {
 
         // Replaying the *whole* log from the base (not just the tail)
         // must also converge: the skip rule makes replay idempotent.
-        let tail = &replay.records[replay.tail_start()..];
-        assert!(tail.len() < replay.records.len());
+        let tail = &log.records[log.tail_start()..];
+        assert!(tail.len() < log.records.len());
     }
 
     #[test]
@@ -772,9 +743,9 @@ mod tests {
         live.end_epoch();
         // Log a deliberately wrong matching size for the close.
         w.append_epoch_end(0, live.match_size() as u64 + 1).unwrap();
-        let replay = read_wal(&mut &w.into_inner()[..]).unwrap();
+        let log = read_wal(&mut &w.into_inner()[..]).unwrap();
         let mut recovered = ServeLoop::new(g, cfg);
-        match replay_serial(&mut recovered, &replay.records) {
+        match replay(&mut recovered, &log.records) {
             Err(WalError::Replay { detail }) => {
                 assert!(detail.contains("log recorded"), "detail: {detail}")
             }
@@ -795,9 +766,9 @@ mod tests {
             live.end_epoch().unwrap();
             w.append_epoch_end(epoch, live.match_size() as u64).unwrap();
         }
-        let replay = read_wal(&mut &w.into_inner()[..]).unwrap();
+        let log = read_wal(&mut &w.into_inner()[..]).unwrap();
         let mut recovered = ShardedServeLoop::new(g, ShardedConfig::for_eps(0.25, 3)).unwrap();
-        let stats = replay_sharded(&mut recovered, &replay.records).unwrap();
+        let stats = replay(&mut recovered, &log.records).unwrap();
         assert_eq!(stats.epochs, 2);
         assert_eq!(recovered.match_size(), live.match_size());
     }

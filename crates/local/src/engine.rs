@@ -3,9 +3,9 @@
 use rayon::prelude::*;
 use sparse_alloc_graph::{Bipartite, Side};
 
-use crate::metrics::Metrics;
 use crate::program::{InMap, LocalProgram, VertexCtx};
 use crate::sync_slice::SyncSlice;
+use sparse_alloc_obs::RoundMetrics;
 
 /// Result of a [`LocalEngine::run`].
 #[derive(Debug)]
@@ -15,7 +15,7 @@ pub struct RunResult<S> {
     /// Final state of every right vertex.
     pub right_states: Vec<S>,
     /// Round/message accounting.
-    pub metrics: Metrics,
+    pub metrics: RoundMetrics,
 }
 
 /// Executes [`LocalProgram`]s on a bipartite graph with synchronous-round
@@ -69,7 +69,7 @@ impl<'g> LocalEngine<'g> {
         let mut r2l_prev: Vec<Option<P::Msg>> = fill_none(m);
         let mut r2l_next: Vec<Option<P::Msg>> = fill_none(m);
 
-        let mut metrics = Metrics::default();
+        let mut metrics = RoundMetrics::default();
 
         for round in 0..max_rounds {
             let (l2r_next_view, r2l_next_view) =

@@ -11,7 +11,7 @@
 //!   an `init` and a `round` callback),
 //! * [`LocalEngine`] — the executor: double-buffered per-edge mailboxes,
 //!   rayon-parallel vertex execution, deterministic regardless of thread
-//!   count, with round/message [`Metrics`],
+//!   count, with round/message [`RoundMetrics`](sparse_alloc_obs::RoundMetrics),
 //! * [`programs`] — reference programs (BFS, degree aggregation) used for
 //!   engine validation and as examples.
 //!
@@ -42,11 +42,9 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod metrics;
 pub mod program;
 pub mod programs;
 mod sync_slice;
 
 pub use engine::LocalEngine;
-pub use metrics::Metrics;
 pub use program::{LocalProgram, VertexCtx};

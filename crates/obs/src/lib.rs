@@ -21,8 +21,8 @@
 //! * [`FlightRecorder`] — a fixed-size ring of recent protocol events
 //!   and frame headers, kept per peer by the transport and dumped on
 //!   any wire fault for post-mortem.
-//! * [`RoundMetrics`] — LOCAL-model round/message accounting (re-exported
-//!   by `sparse_alloc_local` as its `Metrics`).
+//! * [`RoundMetrics`] — LOCAL-model round/message accounting (what
+//!   `sparse_alloc_local`'s engine reports per run).
 //! * [`MetricsSnapshot`] — per-peer wire counters exported by the
 //!   transport mesh, the single source for e21 and `salloc report`.
 

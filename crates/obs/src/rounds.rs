@@ -1,8 +1,6 @@
-//! Round and message accounting for LOCAL-model executions.
-//!
-//! This lived in `sparse-alloc-local` as its private `Metrics` type;
-//! it is part of the workspace metrics vocabulary now, and that crate
-//! re-exports it under the old name.
+//! Round and message accounting for LOCAL-model executions, part of the
+//! workspace metrics vocabulary; `sparse-alloc-local`'s engine reports
+//! it per run.
 
 /// Metrics accumulated by a LOCAL-engine run.
 #[derive(Debug, Clone, Default, PartialEq)]

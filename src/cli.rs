@@ -16,7 +16,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
-use sparse_alloc_core::algo1;
 use sparse_alloc_core::guessing::run_with_guessing;
 use sparse_alloc_core::loadbalance::{
     approx_min_makespan, exact_min_makespan, greedy_least_loaded, ApproxBalanceConfig,
@@ -24,9 +23,10 @@ use sparse_alloc_core::loadbalance::{
 use sparse_alloc_core::params::Schedule;
 use sparse_alloc_core::pipeline::{solve, Booster, PipelineConfig, Rounder};
 use sparse_alloc_dynamic::adapter::{churn_stream, ChurnMix};
+use sparse_alloc_dynamic::distributed::{BatchReport, ShardedEpochReport};
 use sparse_alloc_dynamic::{
-    snapshot, wal, DynamicConfig, NetServeLoop, ServeLoop, ShardedConfig, ShardedServeLoop,
-    SupervisorConfig, TransportKind, WalWriter,
+    snapshot, wal, DynamicConfig, Engine, EpochReport, NetEpochReport, NetServeLoop, ServeLoop,
+    ShardedConfig, ShardedServeLoop, SupervisorConfig, TransportKind, Update, WalWriter,
 };
 use sparse_alloc_flow::opt::opt_value;
 use sparse_alloc_graph::generators::{
@@ -34,7 +34,7 @@ use sparse_alloc_graph::generators::{
     PowerLawParams,
 };
 use sparse_alloc_graph::sparsity::arboricity_bracket;
-use sparse_alloc_graph::{io, Bipartite};
+use sparse_alloc_graph::{io, Assignment, Bipartite};
 use sparse_alloc_mpc::transport::Fault;
 use sparse_alloc_obs::{read_trace, Phase, TraceEvent, Tracer};
 use sparse_alloc_online::arrival;
@@ -344,13 +344,7 @@ fn cmd_solve(args: &[String]) -> Result<String, CliError> {
         .validate(&g)
         .map_err(|e| err(format!("internal: infeasible output: {e}")))?;
 
-    if let Some(assign_path) = f.named.get("assign") {
-        let mut text = String::new();
-        for (u, v) in result.assignment.pairs() {
-            let _ = writeln!(text, "{u} {v}");
-        }
-        std::fs::write(assign_path, text).map_err(|e| err(format!("{assign_path}: {e}")))?;
-    }
+    write_assignment(f.named.get("assign"), &result.assignment)?;
 
     let fills =
         sparse_alloc_graph::stats::fill_report(&g, &result.assignment.right_loads(g.n_right()));
@@ -463,55 +457,30 @@ fn cmd_online(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-/// Persistence flags of `salloc dynamic`, shared by both modes.
-struct PersistOpts {
+/// `--assign OUT`: dump `assignment` to `path`, one "u v" pair per line.
+fn write_assignment(path: Option<&String>, assignment: &Assignment) -> Result<(), CliError> {
+    let Some(path) = path else {
+        return Ok(());
+    };
+    let mut text = String::new();
+    for (u, v) in assignment.pairs() {
+        let _ = writeln!(text, "{u} {v}");
+    }
+    std::fs::write(path, text).map_err(|e| err(format!("{path}: {e}")))
+}
+
+/// Everything `salloc dynamic` needs besides its engine: the stream and
+/// the persistence, durability, supervision and trace flags.
+struct Run {
+    epochs: usize,
+    events: usize,
+    /// The churn stream, regenerated identically by every run with the
+    /// same FILE, `--epochs`, `--events` and `--seed`.
+    updates: Vec<Update>,
     checkpoint: Option<String>,
     every: usize,
     restore: Option<String>,
     assign: Option<String>,
-}
-
-impl PersistOpts {
-    fn parse(f: &Flags) -> Result<PersistOpts, CliError> {
-        let p = PersistOpts {
-            checkpoint: f.named.get("checkpoint").cloned(),
-            every: f.get("checkpoint-every", 0)?,
-            restore: f.named.get("restore").cloned(),
-            assign: f.named.get("assign").cloned(),
-        };
-        if p.every > 0 && p.checkpoint.is_none() {
-            return Err(err("--checkpoint-every requires --checkpoint"));
-        }
-        if p.restore.is_some() {
-            // The engine configuration travels inside the snapshot;
-            // accepting config flags here would silently misreport what
-            // actually runs.
-            for flag in ["eps", "eager-budget", "footprint-cap"] {
-                if f.named.contains_key(flag) {
-                    return Err(err(format!(
-                        "--{flag} conflicts with --restore (the engine \
-                         configuration comes from the snapshot)"
-                    )));
-                }
-            }
-        }
-        Ok(p)
-    }
-
-    fn dump_assignment(&self, assignment: &sparse_alloc_graph::Assignment) -> Result<(), CliError> {
-        let Some(ap) = &self.assign else {
-            return Ok(());
-        };
-        let mut text = String::new();
-        for (u, v) in assignment.pairs() {
-            let _ = writeln!(text, "{u} {v}");
-        }
-        std::fs::write(ap, text).map_err(|e| err(format!("{ap}: {e}")))
-    }
-}
-
-/// Durability and supervision flags of `salloc dynamic`.
-struct RobustOpts {
     /// `--wal LOG`: append every batch and epoch boundary to a
     /// write-ahead log before acting on it; with `--restore`, replay the
     /// log tail past the snapshot first.
@@ -527,11 +496,22 @@ struct RobustOpts {
     /// drop|truncate|flip|reorder|every:N. Used by the ci.sh chaos
     /// smoke; deliberately absent from USAGE.
     chaos: Option<(Fault, usize)>,
+    tracer: Tracer,
+    trace: Option<String>,
 }
 
-impl RobustOpts {
-    fn parse(f: &Flags) -> Result<RobustOpts, CliError> {
-        Ok(RobustOpts {
+impl Run {
+    fn parse(f: &Flags, g: &Bipartite) -> Result<Run, CliError> {
+        let (epochs, events) = (f.get("epochs", 4)?, f.get("events", 200)?);
+        let trace = f.named.get("trace").cloned();
+        let run = Run {
+            epochs,
+            events,
+            updates: churn_stream(g, epochs * events, &ChurnMix::default(), f.get("seed", 1)?),
+            checkpoint: f.named.get("checkpoint").cloned(),
+            every: f.get("checkpoint-every", 0)?,
+            restore: f.named.get("restore").cloned(),
+            assign: f.named.get("assign").cloned(),
             wal: f.named.get("wal").cloned(),
             max_respawns: f.get("max-respawns", 0)?,
             retry_budget: f.get("retry-budget", 0)?,
@@ -539,7 +519,29 @@ impl RobustOpts {
                 Some(spec) => Some(parse_chaos(spec)?),
                 None => None,
             },
-        })
+            tracer: match &trace {
+                Some(p) => Tracer::to_file(p).map_err(|e| err(format!("{p}: {e}")))?,
+                None => Tracer::disabled(),
+            },
+            trace,
+        };
+        if run.every > 0 && run.checkpoint.is_none() {
+            return Err(err("--checkpoint-every requires --checkpoint"));
+        }
+        if run.restore.is_some() {
+            // The engine configuration travels inside the snapshot;
+            // accepting config flags here would silently misreport what
+            // actually runs.
+            for flag in ["eps", "eager-budget", "footprint-cap"] {
+                if f.named.contains_key(flag) {
+                    return Err(err(format!(
+                        "--{flag} conflicts with --restore (the engine \
+                         configuration comes from the snapshot)"
+                    )));
+                }
+            }
+        }
+        Ok(run)
     }
 }
 
@@ -570,26 +572,280 @@ fn parse_chaos(spec: &str) -> Result<(Fault, usize), CliError> {
     Ok((fault, epoch))
 }
 
+fn cmd_dynamic(args: &[String]) -> Result<String, CliError> {
+    let f = parse_flags(args, &["no-full", "waves", "net", "p2p"])?;
+    let path = f
+        .positional
+        .first()
+        .ok_or_else(|| err("dynamic: missing FILE"))?;
+    let g = load(path)?;
+    let eps: f64 = f.get("eps", 0.1)?;
+    if !(eps > 0.0 && eps <= 1.0) {
+        return Err(err("--eps must be in (0, 1]"));
+    }
+    let shards: usize = f.get("shards", 0)?;
+    let (sharded, net) = (shards > 0, f.has("net"));
+    // Supervision only exists where there are real workers to supervise,
+    // and scheduling knobs only in sharded mode; accepting these flags
+    // elsewhere would silently misreport what actually ran.
+    let named = |flag: &str| f.named.contains_key(flag);
+    let requires = [
+        ("p2p", f.has("p2p"), net, "net"),
+        ("max-respawns", named("max-respawns"), sharded && net, "net"),
+        ("retry-budget", named("retry-budget"), sharded && net, "net"),
+        ("chaos", named("chaos"), sharded && net, "net"),
+        ("net", net, sharded, "shards"),
+        ("waves", f.has("waves"), sharded, "shards"),
+        ("footprint-cap", named("footprint-cap"), sharded, "shards"),
+    ];
+    if let Some((flag, .., needs)) = requires.iter().find(|(_, given, ok, _)| *given && !ok) {
+        return Err(err(format!("--{flag} requires --{needs}")));
+    }
+    if net && f.has("waves") {
+        return Err(err("--waves is a simulator report; drop it with --net"));
+    }
+    let run = Run::parse(&f, &g)?;
+    // Both modes run the same engine config, so a serial run stays the
+    // reference for a sharded run under identical flags. 0 = the serial
+    // default (the full walk budget).
+    let eager_budget: usize = f.get("eager-budget", 0)?;
+    let mut cfg = DynamicConfig::for_eps(eps);
+    if eager_budget > 0 {
+        cfg.eager_walk_budget = eager_budget;
+    }
+    if !sharded {
+        let serve = match &run.restore {
+            Some(snap) => snapshot::load_serial(snap).map_err(|e| err(format!("{snap}: {e}")))?,
+            None => ServeLoop::new(g, cfg),
+        };
+        let report = SerialReport {
+            compare_full: !f.has("no-full"),
+            ..SerialReport::default()
+        };
+        return drive(serve, report, &run);
+    }
+    let footprint_cap: usize =
+        f.get("footprint-cap", sparse_alloc_dynamic::batch::FOOTPRINT_CAP)?;
+    if footprint_cap == 0 {
+        return Err(err("--footprint-cap must be ≥ 1"));
+    }
+    let mut scfg = ShardedConfig::for_eps(eps, shards);
+    scfg.dynamic = cfg;
+    scfg.footprint_cap = footprint_cap;
+    let mut inner = match &run.restore {
+        Some(snap) => {
+            snapshot::load_sharded(snap, Some(shards)).map_err(|e| err(format!("{snap}: {e}")))?
+        }
+        None => ShardedServeLoop::new(g, scfg)
+            .map_err(|e| err(format!("sharded serving left the MPC regime: {e}")))?,
+    };
+    if !net {
+        let report = ShardedReport {
+            waves: f.has("waves"),
+            ..ShardedReport::default()
+        };
+        return drive(inner, report, &run);
+    }
+    // The tracer goes onto the *inner* sharded engine before the mesh
+    // comes up, so the scatter-init span on construction is captured too.
+    inner.set_tracer(run.tracer.clone());
+    let p2p = f.has("p2p");
+    let mut serve = if p2p {
+        NetServeLoop::from_inner_p2p(inner, TransportKind::Tcp)
+    } else {
+        NetServeLoop::from_inner(inner, TransportKind::Tcp)
+    }
+    .map_err(|e| err(format!("networked serving failed to start: {e}")))?;
+    if run.max_respawns > 0 || run.retry_budget > 0 {
+        serve.set_supervisor(SupervisorConfig {
+            max_respawns: run.max_respawns,
+            retry_budget: run.retry_budget,
+            ..SupervisorConfig::default()
+        });
+    }
+    let report = NetReport {
+        p2p,
+        ..NetReport::default()
+    };
+    drive(serve, report, &run)
+}
+
+/// What one engine adds to the shared [`drive`] loop: its report header,
+/// per-epoch columns and footer lines.
+trait Report<E: Engine> {
+    /// Names and widths of the columns after `epoch events matched`.
+    const COLUMNS: &'static [(&'static str, usize)];
+    /// How the served-allocation line names the allocation.
+    const SERVED: &'static str = "maintained";
+
+    /// The lines before the restore note, from the post-replay engine.
+    fn title(&mut self, serve: &E, run: &Run) -> String;
+
+    /// Runs before 1-based epoch `epoch`.
+    fn before_epoch(&mut self, _serve: &mut E, _run: &Run, _epoch: usize) {}
+
+    /// A periodic checkpoint after the first full base, taken at epoch
+    /// `base_at`: write a delta against it and return `true`, or return
+    /// `false` for another full snapshot.
+    fn delta(&mut self, _serve: &mut E, _path: &str, _base_at: usize) -> Result<bool, CliError> {
+        Ok(false)
+    }
+
+    /// One epoch's cells under [`Report::COLUMNS`]; `ms` is the epoch's
+    /// apply + close wall time.
+    fn cells(&mut self, serve: &E, batch: &E::Batch, report: &E::Report, ms: f64) -> Vec<String>;
+
+    /// The lines after the served-allocation line.
+    fn footer(&mut self, serve: &E, run: &Run, out: &mut String);
+}
+
+/// One labelled report line, the label padded to the colon column.
+fn field(out: &mut String, label: &str, value: impl std::fmt::Display) {
+    let _ = writeln!(out, "{label:<19}: {value}");
+}
+
+/// One table row: `cells` right-aligned to the widths of `columns`, two
+/// spaces apart.
+fn row(out: &mut String, columns: &[(&str, usize)], cells: impl Iterator<Item = String>) {
+    let cells: Vec<String> = columns
+        .iter()
+        .zip(cells)
+        .map(|(&(_, w), c)| format!("{c:>w$}"))
+        .collect();
+    let _ = writeln!(out, "{}", cells.join("  "));
+}
+
+/// The one `salloc dynamic` loop, generic over the engine: WAL open and
+/// replay, the epoch loop with its periodic checkpoints, validation, the
+/// OPT ratio line, the trace and the `--assign` dump.
+fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result<String, CliError> {
+    serve.set_tracer(run.tracer.clone());
+    let restored_at = serve.serial().stats().epochs;
+    // Crash recovery: a restored engine first replays the WAL tail past
+    // its snapshot, then resumes the (identically regenerated) stream
+    // from wherever base + tail left off.
+    let (mut walw, wal_note) = open_wal(&mut serve, run)?;
+    // A restored engine resumes where the snapshot (plus any replayed
+    // log tail) left off: its epoch counter says how much of the stream
+    // was already consumed.
+    let done = serve.serial().stats().epochs;
+
+    let mut out = rep.title(&serve, run);
+    if let Some(snap) = &run.restore {
+        field(
+            &mut out,
+            "restored",
+            format!("{snap} (resuming after epoch {restored_at})"),
+        );
+    }
+    if let Some(note) = wal_note {
+        field(&mut out, "wal", note);
+    }
+    let head = [("epoch", 5), ("events", 7), ("matched", 7)];
+    let columns: Vec<(&str, usize)> = head.iter().chain(R::COLUMNS).copied().collect();
+    row(&mut out, &columns, columns.iter().map(|c| c.0.to_string()));
+    let mut saved_at: Option<usize> = None;
+    let batches = run.updates.chunks(run.events.max(1)).take(run.epochs);
+    for (e, chunk) in batches.enumerate().skip(done) {
+        rep.before_epoch(&mut serve, run, e + 1);
+        let t0 = std::time::Instant::now();
+        let (batch, report) = serve
+            .run_epoch(chunk, walw.as_mut())
+            .map_err(|me| err(format!("epoch {}: {me}", e + 1)))?;
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        if let Some(cp) = &run.checkpoint {
+            if run.every > 0 && (e + 1) % run.every == 0 {
+                let delta = match saved_at {
+                    Some(base_at) => rep.delta(&mut serve, cp, base_at)?,
+                    None => false,
+                };
+                if !delta {
+                    serve
+                        .checkpoint(cp.as_ref())
+                        .map_err(|me| err(format!("{cp}: {me}")))?;
+                    saved_at = Some(e + 1);
+                }
+            }
+        }
+        let head = [e + 1, chunk.len(), serve.serial().match_size()].map(|c| c.to_string());
+        let cells = rep.cells(&serve, &batch, &report, ms);
+        row(&mut out, &columns, head.into_iter().chain(cells));
+    }
+    serve
+        .validate()
+        .map_err(|e| err(format!("internal: inconsistent serve state: {e}")))?;
+
+    let served = serve
+        .served()
+        .map_err(|e| err(format!("gathering the allocation failed: {e}")))?;
+    let live = serve.serial().snapshot();
+    let what = R::SERVED;
+    served
+        .validate(&live)
+        .map_err(|e| err(format!("internal: infeasible {what} allocation: {e}")))?;
+    let (size, opt) = (served.size(), opt_value(&live));
+    let ratio = size as f64 / opt.max(1) as f64;
+    let line = format!(
+        "{size} of {} live clients (OPT {opt}, ratio {ratio:.4})",
+        live.n_left()
+    );
+    field(&mut out, &format!("{what} matched"), line);
+    rep.footer(&serve, run, &mut out);
+    if let Some(cp) = &run.checkpoint {
+        // The final snapshot — unless the last epoch's periodic write
+        // already produced these exact bytes (a repeat would also charge
+        // a sharded engine a second CHECKPOINT ledger phase).
+        let epochs = serve.serial().stats().epochs;
+        if saved_at != Some(epochs) {
+            serve
+                .checkpoint(cp.as_ref())
+                .map_err(|me| err(format!("{cp}: {me}")))?;
+        }
+        field(
+            &mut out,
+            "checkpoint",
+            format!("wrote {cp} (after epoch {epochs})"),
+        );
+    }
+    if let Some(w) = &walw {
+        let (bytes, records) = (w.bytes_appended(), w.seq());
+        field(
+            &mut out,
+            "wal",
+            format!("{bytes} bytes appended ({records} records)"),
+        );
+    }
+    // Finish the `--trace` stream: the final metrics registry, then flush.
+    if let Some(p) = &run.trace {
+        run.tracer.emit_registry(serve.obs());
+        run.tracer.flush();
+        field(
+            &mut out,
+            "trace",
+            format!("wrote {p} ({} events)", run.tracer.events()),
+        );
+    }
+    write_assignment(run.assign.as_ref(), &served)?;
+    Ok(out)
+}
+
 /// Open (or create) the `--wal` log. On a `--restore` run the log is
-/// opened in place (torn tail repaired), the records past the last base
-/// marker are handed to `replay` — crash recovery's `base + log tail` —
-/// and the returned note says what was replayed. A fresh run truncates
-/// the log and starts over.
-fn open_wal<F>(
-    wal: &Option<String>,
-    replaying: bool,
-    replay: F,
-) -> Result<(Option<WalWriter<std::fs::File>>, Option<String>), CliError>
-where
-    F: FnOnce(&[wal::WalRecord]) -> Result<wal::ReplayStats, wal::WalError>,
-{
-    let Some(wp) = wal else {
+/// opened in place (torn tail repaired) and the records past the last
+/// base marker are replayed onto `serve` — crash recovery's `base + log
+/// tail`. A fresh run truncates the log and starts over. Returns the log
+/// the engine hands back from [`Engine::adopt_wal`] (an engine that logs
+/// from inside its verbs keeps it) and a note on what was done.
+fn open_wal<E: Engine>(
+    serve: &mut E,
+    run: &Run,
+) -> Result<(Option<WalWriter<std::fs::File>>, Option<String>), CliError> {
+    let Some(wp) = &run.wal else {
         return Ok((None, None));
     };
     let p = std::path::Path::new(wp);
-    if replaying {
+    let (w, note) = if run.restore.is_some() {
         let (log, w) = WalWriter::open(p).map_err(|e| err(format!("{wp}: {e}")))?;
-        let stats = replay(&log.records[log.tail_start()..])
+        let stats = wal::replay(serve, &log.records[log.tail_start()..])
             .map_err(|e| err(format!("{wp}: replay: {e}")))?;
         let note = format!(
             "replayed {} batches / {} updates over {} epochs from {wp}{}",
@@ -602,680 +858,313 @@ where
                 ""
             }
         );
-        Ok((Some(w), Some(note)))
+        (w, note)
     } else {
         let w = WalWriter::create(p).map_err(|e| err(format!("{wp}: {e}")))?;
-        Ok((Some(w), Some(format!("logging to {wp}"))))
-    }
+        (w, format!("logging to {wp}"))
+    };
+    Ok((serve.adopt_wal(w), Some(note)))
 }
 
-fn cmd_dynamic(args: &[String]) -> Result<String, CliError> {
-    let f = parse_flags(args, &["no-full", "waves", "net", "p2p"])?;
-    let path = f
-        .positional
-        .first()
-        .ok_or_else(|| err("dynamic: missing FILE"))?;
-    let g = load(path)?;
-    let epochs: usize = f.get("epochs", 4)?;
-    let events: usize = f.get("events", 200)?;
-    let eps: f64 = f.get("eps", 0.1)?;
-    let seed: u64 = f.get("seed", 1)?;
-    if !(eps > 0.0 && eps <= 1.0) {
-        return Err(err("--eps must be in (0, 1]"));
-    }
-    let compare_full = !f.has("no-full");
-    let shards: usize = f.get("shards", 0)?;
-    if f.has("p2p") && !f.has("net") {
-        return Err(err("--p2p requires --net"));
-    }
-    let persist = PersistOpts::parse(&f)?;
-    let robust = RobustOpts::parse(&f)?;
-    // Supervision only exists where there are real workers to supervise;
-    // accepting these flags elsewhere would silently do nothing.
-    if !(shards > 0 && f.has("net")) {
-        for flag in ["max-respawns", "retry-budget", "chaos"] {
-            if f.named.contains_key(flag) {
-                return Err(err(format!("--{flag} requires --net")));
-            }
-        }
-    }
-    let trace_path = f.named.get("trace").cloned();
-    let tracer = match &trace_path {
-        Some(p) => Tracer::to_file(p).map_err(|e| err(format!("{p}: {e}")))?,
-        None => Tracer::disabled(),
-    };
-    // Both modes run the same engine config, so a serial run stays the
-    // reference for a sharded run under identical flags. 0 = the serial
-    // default (the full walk budget).
-    let eager_budget: usize = f.get("eager-budget", 0)?;
-    let mut cfg = DynamicConfig::for_eps(eps);
-    if eager_budget > 0 {
-        cfg.eager_walk_budget = eager_budget;
-    }
-    if shards > 0 {
-        let footprint_cap: usize =
-            f.get("footprint-cap", sparse_alloc_dynamic::batch::FOOTPRINT_CAP)?;
-        if footprint_cap == 0 {
-            return Err(err("--footprint-cap must be ≥ 1"));
-        }
-        let mut scfg = ShardedConfig::for_eps(eps, shards);
-        scfg.dynamic = cfg;
-        scfg.footprint_cap = footprint_cap;
-        if f.has("net") {
-            if f.has("waves") {
-                return Err(err("--waves is a simulator report; drop it with --net"));
-            }
-            return cmd_dynamic_net(
-                &g,
-                epochs,
-                events,
-                seed,
-                scfg,
-                f.has("p2p"),
-                &persist,
-                &robust,
-                &tracer,
-                &trace_path,
-            );
-        }
-        return cmd_dynamic_sharded(
-            &g,
-            epochs,
-            events,
-            seed,
-            scfg,
-            f.has("waves"),
-            &persist,
-            &robust,
-            &tracer,
-            &trace_path,
-        );
-    }
-    // Scheduling knobs only exist in sharded mode; ignoring them silently
-    // would misreport what actually ran.
-    if f.has("net") {
-        return Err(err("--net requires --shards"));
-    }
-    if f.has("waves") {
-        return Err(err("--waves requires --shards"));
-    }
-    if f.named.contains_key("footprint-cap") {
-        return Err(err("--footprint-cap requires --shards"));
+/// The serial engine's report: sweep and repair columns, timed against
+/// an optional per-epoch full recompute.
+#[derive(Default)]
+struct SerialReport {
+    /// Time a from-scratch pipeline run after every epoch (not `--no-full`).
+    compare_full: bool,
+    incr_ms: f64,
+    full_ms: f64,
+}
+
+impl Report<ServeLoop> for SerialReport {
+    const COLUMNS: &'static [(&'static str, usize)] = &[
+        ("swept", 5),
+        ("ball", 4),
+        ("rebuilt", 7),
+        ("incr-ms", 8),
+        ("full-ms", 8),
+    ];
+
+    fn title(&mut self, serve: &ServeLoop, run: &Run) -> String {
+        format!(
+            "dynamic serving: {} epochs × ~{} events (ε {}, walk budget k = {})\n",
+            run.epochs,
+            run.events,
+            serve.config().eps,
+            serve.config().walk_budget
+        )
     }
 
-    let updates = churn_stream(&g, epochs * events, &ChurnMix::default(), seed);
-    let mut serve = match &persist.restore {
-        Some(snap) => snapshot::load_serial(snap).map_err(|e| err(format!("{snap}: {e}")))?,
-        None => ServeLoop::new(g, cfg),
-    };
-    serve.set_tracer(tracer.clone());
-    let restored_at = serve.stats().epochs;
-    // Crash recovery: a restored engine first replays the WAL tail past
-    // its snapshot, then resumes the (identically regenerated) stream
-    // from wherever base + tail left off.
-    let (mut walw, wal_note) = open_wal(&robust.wal, persist.restore.is_some(), |records| {
-        wal::replay_serial(&mut serve, records)
-    })?;
-    // A restored engine resumes where the snapshot (plus any replayed
-    // log tail) left off: its epoch counter says how much of the stream
-    // was already consumed.
-    let done = serve.stats().epochs;
-    let eps = serve.config().eps;
-    let k = serve.config().walk_budget;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "dynamic serving: {epochs} epochs × ~{events} events (ε {eps}, walk budget k = {k})"
-    );
-    if let Some(snap) = &persist.restore {
-        let _ = writeln!(
-            out,
-            "restored           : {snap} (resuming after epoch {restored_at})"
-        );
-    }
-    if let Some(note) = wal_note {
-        let _ = writeln!(out, "wal                : {note}");
-    }
-    let _ = writeln!(
-        out,
-        "{:>5}  {:>7}  {:>7}  {:>5}  {:>4}  {:>7}  {:>8}  {:>8}",
-        "epoch", "events", "matched", "swept", "ball", "rebuilt", "incr-ms", "full-ms"
-    );
-    let mut incr_total = 0.0f64;
-    let mut full_total = 0.0f64;
-    let mut saved_at: Option<usize> = None;
-    for (e, chunk) in updates
-        .chunks(events.max(1))
-        .take(epochs)
-        .enumerate()
-        .skip(done)
-    {
-        let t0 = std::time::Instant::now();
-        let ep = serve.stats().epochs as u64;
-        if let Some(w) = walw.as_mut() {
-            w.append_batch(ep, chunk)
-                .map_err(|me| err(format!("wal: {me}")))?;
-        }
-        for up in chunk {
-            serve.apply(up);
-        }
-        let report = serve.end_epoch();
-        if let Some(w) = walw.as_mut() {
-            w.append_epoch_end(ep, report.match_size as u64)
-                .map_err(|me| err(format!("wal: {me}")))?;
-        }
-        let incr_ms = t0.elapsed().as_secs_f64() * 1e3;
-        incr_total += incr_ms;
-        if let Some(cp) = &persist.checkpoint {
-            if persist.every > 0 && (e + 1) % persist.every == 0 {
-                snapshot::save_serial(&serve, cp).map_err(|me| err(format!("{cp}: {me}")))?;
-                saved_at = Some(e + 1);
-            }
-        }
-        let full_ms = if compare_full {
+    fn cells(&mut self, serve: &ServeLoop, _: &(), report: &EpochReport, ms: f64) -> Vec<String> {
+        self.incr_ms += ms;
+        let full_ms = if self.compare_full {
             let snapshot = serve.snapshot();
             let t1 = std::time::Instant::now();
             let scratch = solve(&snapshot, &PipelineConfig::default());
             let ms = t1.elapsed().as_secs_f64() * 1e3;
             debug_assert!(scratch.assignment.size() <= snapshot.n_left());
-            full_total += ms;
+            self.full_ms += ms;
             format!("{ms:.2}")
         } else {
             "-".into()
         };
-        let _ = writeln!(
-            out,
-            "{:>5}  {:>7}  {:>7}  {:>5}  {:>4}  {:>7}  {:>8.2}  {:>8}",
-            e + 1,
-            chunk.len(),
-            report.match_size,
-            report.sweep_augmentations,
-            report.ball_rights,
-            if report.rebuilt { "yes" } else { "no" },
-            incr_ms,
+        vec![
+            report.sweep_augmentations.to_string(),
+            report.ball_rights.to_string(),
+            if report.rebuilt { "yes" } else { "no" }.into(),
+            format!("{ms:.2}"),
             full_ms,
-        );
+        ]
     }
-    serve
-        .validate()
-        .map_err(|e| err(format!("internal: inconsistent serve state: {e}")))?;
 
-    let live = serve.snapshot();
-    serve
-        .assignment()
-        .validate(&live)
-        .map_err(|e| err(format!("internal: infeasible maintained allocation: {e}")))?;
-    let opt = opt_value(&live);
-    let s = serve.stats();
-    let _ = writeln!(
-        out,
-        "maintained matched : {} of {} live clients (OPT {}, ratio {:.4})",
-        serve.match_size(),
-        live.n_left(),
-        opt,
-        serve.match_size() as f64 / opt.max(1) as f64
-    );
-    let _ = writeln!(
-        out,
-        "repairs            : {} augmentations, {} evictions, {} rebuilds, {} compactions",
-        s.augmentations, s.evictions, s.rebuilds, s.compactions
-    );
-    if compare_full {
-        let _ = writeln!(
-            out,
-            "incremental total  : {incr_total:.2} ms vs full recompute {full_total:.2} ms ({:.1}×)",
-            full_total / incr_total.max(1e-9)
+    fn footer(&mut self, serve: &ServeLoop, _: &Run, out: &mut String) {
+        let s = serve.stats();
+        let repairs = format!(
+            "{} augmentations, {} evictions, {} rebuilds, {} compactions",
+            s.augmentations, s.evictions, s.rebuilds, s.compactions
         );
-    } else {
-        let _ = writeln!(out, "incremental total  : {incr_total:.2} ms");
+        field(out, "repairs", repairs);
+        let (incr, full) = (self.incr_ms, self.full_ms);
+        let total = if self.compare_full {
+            let speedup = full / incr.max(1e-9);
+            format!("{incr:.2} ms vs full recompute {full:.2} ms ({speedup:.1}×)")
+        } else {
+            format!("{incr:.2} ms")
+        };
+        field(out, "incremental total", total);
     }
-    if let Some(cp) = &persist.checkpoint {
-        // The final snapshot — unless the last epoch's periodic write
-        // already produced these exact bytes.
-        if saved_at != Some(serve.stats().epochs) {
-            snapshot::save_serial(&serve, cp).map_err(|me| err(format!("{cp}: {me}")))?;
-        }
-        let _ = writeln!(
-            out,
-            "checkpoint         : wrote {cp} (after epoch {})",
-            serve.stats().epochs
-        );
-    }
-    if let Some(w) = &walw {
-        let _ = writeln!(
-            out,
-            "wal                : {} bytes appended ({} records)",
-            w.bytes_appended(),
-            w.seq()
-        );
-    }
-    finish_trace(&mut out, &tracer, &trace_path, serve.obs());
-    persist.dump_assignment(&serve.assignment())?;
-    Ok(out)
 }
 
-/// Finish a `--trace` stream: serialize the final metrics registry,
-/// flush the JSONL writer, and append the report line.
-fn finish_trace(
-    out: &mut String,
-    tracer: &Tracer,
-    trace_path: &Option<String>,
-    obs: &sparse_alloc_obs::Registry,
-) {
-    let Some(p) = trace_path else { return };
-    tracer.emit_registry(obs);
-    tracer.flush();
-    let _ = writeln!(
-        out,
-        "trace              : wrote {p} ({} events)",
-        tracer.events()
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cmd_dynamic_sharded(
-    g: &Bipartite,
-    epochs: usize,
-    events: usize,
-    seed: u64,
-    cfg: ShardedConfig,
-    report_waves: bool,
-    persist: &PersistOpts,
-    robust: &RobustOpts,
-    tracer: &Tracer,
-    trace_path: &Option<String>,
-) -> Result<String, CliError> {
-    let updates = churn_stream(g, epochs * events, &ChurnMix::default(), seed);
-    let shards = cfg.shards;
-    let mut serve = match &persist.restore {
-        Some(snap) => {
-            snapshot::load_sharded(snap, Some(shards)).map_err(|e| err(format!("{snap}: {e}")))?
-        }
-        None => ShardedServeLoop::new(g.clone(), cfg)
-            .map_err(|e| err(format!("sharded serving left the MPC regime: {e}")))?,
-    };
-    serve.set_tracer(tracer.clone());
-    let restored_at = serve.serve_stats().epochs;
-    let (mut walw, wal_note) = open_wal(&robust.wal, persist.restore.is_some(), |records| {
-        wal::replay_sharded(&mut serve, records)
-    })?;
-    let done = serve.serve_stats().epochs;
-    let eps = serve.serial().config().eps;
-    let k = serve.serial().config().walk_budget;
-    let eager = serve.serial().config().eager_budget();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "sharded serving: {epochs} epochs × ~{events} events on {shards} machines \
-         (ε {eps}, walk budget k = {k}, eager budget {eager})"
-    );
-    if let Some(snap) = &persist.restore {
-        let _ = writeln!(
-            out,
-            "restored           : {snap} (resuming after epoch {restored_at} on {shards} machines)"
-        );
-    }
-    if let Some(note) = wal_note {
-        let _ = writeln!(out, "wal                : {note}");
-    }
-    let _ = writeln!(
-        out,
-        "{:>5}  {:>7}  {:>7}  {:>5}  {:>7}  {:>7}  {:>9}  {:>9}",
-        "epoch", "events", "matched", "waves", "handoff", "rounds", "peak-wds", "budget"
-    );
-    let mut rounds_before = serve.ledger().rounds;
-    let mut saved_at: Option<usize> = None;
-    for (e, chunk) in updates
-        .chunks(events.max(1))
-        .take(epochs)
-        .enumerate()
-        .skip(done)
-    {
-        let ep = serve.serve_stats().epochs as u64;
-        if let Some(w) = walw.as_mut() {
-            w.append_batch(ep, chunk)
-                .map_err(|me| err(format!("wal: {me}")))?;
-        }
-        let batch = serve
-            .apply_batch(chunk)
-            .map_err(|me| err(format!("epoch {}: {me}", e + 1)))?;
-        let report = serve
-            .end_epoch()
-            .map_err(|me| err(format!("epoch {}: {me}", e + 1)))?;
-        if let Some(w) = walw.as_mut() {
-            w.append_epoch_end(ep, report.serial.match_size as u64)
-                .map_err(|me| err(format!("wal: {me}")))?;
-        }
-        if let Some(cp) = &persist.checkpoint {
-            if persist.every > 0 && (e + 1) % persist.every == 0 {
-                snapshot::save_sharded(&mut serve, cp).map_err(|me| err(format!("{cp}: {me}")))?;
-                saved_at = Some(e + 1);
-            }
-        }
-        let rounds = serve.ledger().rounds;
-        let _ = writeln!(
-            out,
-            "{:>5}  {:>7}  {:>7}  {:>5}  {:>7}  {:>7}  {:>9}  {:>9}",
-            e + 1,
-            chunk.len(),
-            report.serial.match_size,
-            batch.waves,
-            batch.handoff_words,
-            rounds - rounds_before,
-            report.peak_shard_words,
-            report.budget,
-        );
-        rounds_before = rounds;
-    }
-    serve
-        .validate()
-        .map_err(|e| err(format!("internal: inconsistent serve state: {e}")))?;
-
-    let live = serve.snapshot();
-    serve
-        .assignment()
-        .validate(&live)
-        .map_err(|e| err(format!("internal: infeasible maintained allocation: {e}")))?;
-    let opt = opt_value(&live);
-    let ledger = serve.ledger();
-    let s = serve.stats();
-    let _ = writeln!(
-        out,
-        "maintained matched : {} of {} live clients (OPT {}, ratio {:.4})",
-        serve.match_size(),
-        live.n_left(),
-        opt,
-        serve.match_size() as f64 / opt.max(1) as f64
-    );
-    let _ = writeln!(
-        out,
-        "MPC rounds         : {} total ({} words moved, peak machine storage {} words)",
+/// The footer line the sharded and networked reports share.
+fn mpc_rounds(out: &mut String, ledger: &sparse_alloc_mpc::Ledger) {
+    let rounds = format!(
+        "{} total ({} words moved, peak machine storage {} words)",
         ledger.rounds, ledger.words_total, ledger.peak_storage
     );
-    let _ = writeln!(
-        out,
-        "sharding           : {} batches, {} waves, {} updates routed, {} migrations",
-        s.batches, s.waves, s.routed_updates, s.migrations
-    );
-    if report_waves {
-        let mean = s.routed_updates as f64 / s.waves.max(1) as f64;
-        let _ = writeln!(
-            out,
-            "waves              : {:.1} per epoch, width max {} mean {mean:.1}, {} delayed, {} global escalations",
-            s.waves as f64 / s.batches.max(1) as f64,
-            s.widest_wave,
-            s.delayed,
-            s.escalations
-        );
-    }
-    if let Some(cp) = &persist.checkpoint {
-        // The final snapshot — unless the last epoch's periodic write
-        // already produced these exact bytes (a repeat would also charge
-        // a second CHECKPOINT ledger phase).
-        if saved_at != Some(serve.serve_stats().epochs) {
-            snapshot::save_sharded(&mut serve, cp).map_err(|me| err(format!("{cp}: {me}")))?;
-        }
-        let _ = writeln!(
-            out,
-            "checkpoint         : wrote {cp} (after epoch {})",
-            serve.serve_stats().epochs
-        );
-    }
-    if let Some(w) = &walw {
-        let _ = writeln!(
-            out,
-            "wal                : {} bytes appended ({} records)",
-            w.bytes_appended(),
-            w.seq()
-        );
-    }
-    finish_trace(&mut out, tracer, trace_path, serve.obs());
-    persist.dump_assignment(&serve.assignment())?;
-    Ok(out)
+    field(out, "MPC rounds", rounds);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn cmd_dynamic_net(
-    g: &Bipartite,
-    epochs: usize,
-    events: usize,
-    seed: u64,
-    cfg: ShardedConfig,
-    p2p: bool,
-    persist: &PersistOpts,
-    robust: &RobustOpts,
-    tracer: &Tracer,
-    trace_path: &Option<String>,
-) -> Result<String, CliError> {
-    let updates = churn_stream(g, epochs * events, &ChurnMix::default(), seed);
-    let shards = cfg.shards;
-    // The tracer goes onto the *inner* sharded engine before the mesh
-    // comes up, so the scatter-init span on construction is captured too.
-    let mut inner = match &persist.restore {
-        Some(snap) => {
-            snapshot::load_sharded(snap, Some(shards)).map_err(|e| err(format!("{snap}: {e}")))?
-        }
-        None => ShardedServeLoop::new(g.clone(), cfg)
-            .map_err(|e| err(format!("networked serving failed to start: {e}")))?,
-    };
-    inner.set_tracer(tracer.clone());
-    let restored_at = inner.serve_stats().epochs;
-    // Crash recovery happens *before* the mesh comes up: the log tail is
-    // replayed onto the restored engine, and the workers then INIT from
-    // the recovered state.
-    let (walw, wal_note) = open_wal(&robust.wal, persist.restore.is_some(), |records| {
-        wal::replay_sharded(&mut inner, records)
-    })?;
-    let mut serve = if p2p {
-        NetServeLoop::from_inner_p2p(inner, TransportKind::Tcp)
-    } else {
-        NetServeLoop::from_inner(inner, TransportKind::Tcp)
-    }
-    .map_err(|e| err(format!("networked serving failed to start: {e}")))?;
-    if let Some(w) = walw {
-        serve.attach_wal(w);
-    }
-    if robust.max_respawns > 0 || robust.retry_budget > 0 {
-        serve.set_supervisor(SupervisorConfig {
-            max_respawns: robust.max_respawns,
-            retry_budget: robust.retry_budget,
-            ..SupervisorConfig::default()
-        });
-    }
-    let done = serve.inner().serve_stats().epochs;
-    let eps = serve.serial().config().eps;
-    let k = serve.serial().config().walk_budget;
+/// The MPC-simulated engine's report: waves, handoffs, ledger rounds and
+/// per-machine space.
+#[derive(Default)]
+struct ShardedReport {
+    /// `--waves`: add the wave-occupancy line.
+    waves: bool,
+    /// The ledger's rounds before the current epoch.
+    rounds: usize,
+}
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "networked serving: {epochs} epochs × ~{events} events on {shards} TCP workers{} \
-         (ε {eps}, walk budget k = {k})",
-        if p2p { ", p2p repair waves" } else { "" }
-    );
-    if let Some(snap) = &persist.restore {
-        let _ = writeln!(
-            out,
-            "restored           : {snap} (resuming after epoch {restored_at} on {shards} workers)"
+impl Report<ShardedServeLoop> for ShardedReport {
+    const COLUMNS: &'static [(&'static str, usize)] = &[
+        ("waves", 5),
+        ("handoff", 7),
+        ("rounds", 7),
+        ("peak-wds", 9),
+        ("budget", 9),
+    ];
+
+    fn title(&mut self, serve: &ShardedServeLoop, run: &Run) -> String {
+        self.rounds = serve.ledger().rounds;
+        let c = serve.serial().config();
+        format!(
+            "sharded serving: {} epochs × ~{} events on {} machines \
+             (ε {}, walk budget k = {}, eager budget {})\n",
+            run.epochs,
+            run.events,
+            serve.shards(),
+            c.eps,
+            c.walk_budget,
+            c.eager_budget()
+        )
+    }
+
+    fn cells(
+        &mut self,
+        serve: &ShardedServeLoop,
+        batch: &BatchReport,
+        report: &ShardedEpochReport,
+        _: f64,
+    ) -> Vec<String> {
+        let before = std::mem::replace(&mut self.rounds, serve.ledger().rounds);
+        vec![
+            batch.waves.to_string(),
+            batch.handoff_words.to_string(),
+            (self.rounds - before).to_string(),
+            report.peak_shard_words.to_string(),
+            report.budget.to_string(),
+        ]
+    }
+
+    fn footer(&mut self, serve: &ShardedServeLoop, _: &Run, out: &mut String) {
+        mpc_rounds(out, serve.ledger());
+        let s = serve.stats();
+        let sharding = format!(
+            "{} batches, {} waves, {} updates routed, {} migrations",
+            s.batches, s.waves, s.routed_updates, s.migrations
         );
+        field(out, "sharding", sharding);
+        if self.waves {
+            let mean = s.routed_updates as f64 / s.waves.max(1) as f64;
+            let waves = format!(
+                "{:.1} per epoch, width max {} mean {mean:.1}, {} delayed, {} global escalations",
+                s.waves as f64 / s.batches.max(1) as f64,
+                s.widest_wave,
+                s.delayed,
+                s.escalations
+            );
+            field(out, "waves", waves);
+        }
     }
-    if let Some(note) = wal_note {
-        let _ = writeln!(out, "wal                : {note}");
-    }
-    if robust.max_respawns > 0 || robust.retry_budget > 0 {
-        let _ = writeln!(
-            out,
-            "supervision        : up to {} respawns, {} transient retries per exchange",
-            robust.max_respawns, robust.retry_budget
+}
+
+/// The networked engine's report: wire bytes and frames, supervision,
+/// p2p repair traffic and delta checkpoints.
+#[derive(Default)]
+struct NetReport {
+    p2p: bool,
+    /// The ledger's rounds before the current epoch.
+    rounds: usize,
+    /// What `--chaos` injected, once it has.
+    chaos: Option<String>,
+    /// Delta checkpoints written and their total bytes.
+    deltas: (usize, u64),
+    /// The epoch of the full base the deltas diff against.
+    base_at: usize,
+}
+
+impl Report<NetServeLoop> for NetReport {
+    const COLUMNS: &'static [(&'static str, usize)] = &[
+        ("waves", 5),
+        ("rounds", 7),
+        ("wire-bytes", 10),
+        ("frames", 7),
+    ];
+    const SERVED: &'static str = "gathered";
+
+    fn title(&mut self, serve: &NetServeLoop, run: &Run) -> String {
+        self.rounds = serve.ledger().rounds;
+        let c = serve.serial().config();
+        let mut out = format!(
+            "networked serving: {} epochs × ~{} events on {} TCP workers{} \
+             (ε {}, walk budget k = {})\n",
+            run.epochs,
+            run.events,
+            serve.shards(),
+            if self.p2p { ", p2p repair waves" } else { "" },
+            c.eps,
+            c.walk_budget
         );
+        if run.max_respawns > 0 || run.retry_budget > 0 {
+            let supervision = format!(
+                "up to {} respawns, {} transient retries per exchange",
+                run.max_respawns, run.retry_budget
+            );
+            field(&mut out, "supervision", supervision);
+        }
+        out
     }
-    let _ = writeln!(
-        out,
-        "{:>5}  {:>7}  {:>7}  {:>5}  {:>7}  {:>10}  {:>7}",
-        "epoch", "events", "matched", "waves", "rounds", "wire-bytes", "frames"
-    );
-    let mut rounds_before = serve.ledger().rounds;
-    let mut saved_at: Option<usize> = None;
-    let mut delta_count = 0usize;
-    let mut delta_bytes = 0u64;
-    let mut chaos_note: Option<String> = None;
-    for (e, chunk) in updates
-        .chunks(events.max(1))
-        .take(epochs)
-        .enumerate()
-        .skip(done)
-    {
-        if let Some((fault, at)) = &robust.chaos {
-            if e + 1 == *at {
-                let target = 1.min(shards.saturating_sub(1));
+
+    fn before_epoch(&mut self, serve: &mut NetServeLoop, run: &Run, epoch: usize) {
+        if let Some((fault, at)) = &run.chaos {
+            if epoch == *at {
+                let target = 1.min(serve.shards().saturating_sub(1));
                 serve.inject_fault(target, fault.clone());
-                chaos_note = Some(format!(
-                    "injected {fault:?} on the channel to worker {target} before epoch {}",
-                    e + 1
+                self.chaos = Some(format!(
+                    "injected {fault:?} on the channel to worker {target} before epoch {epoch}"
                 ));
             }
         }
-        let batch = serve
-            .apply_batch(chunk)
-            .map_err(|me| err(format!("epoch {}: {me}", e + 1)))?;
-        let report = serve
-            .end_epoch()
-            .map_err(|me| err(format!("epoch {}: {me}", e + 1)))?;
-        if let Some(cp) = &persist.checkpoint {
-            if persist.every > 0 && (e + 1) % persist.every == 0 {
-                // The first periodic write is the full base; every later
-                // one is a delta against it — the cheap periodic path,
-                // since recovery is base + WAL tail anyway.
-                if saved_at.is_none() {
-                    serve
-                        .checkpoint(cp)
-                        .map_err(|me| err(format!("{cp}: {me}")))?;
-                    saved_at = Some(e + 1);
-                } else {
-                    let dp = format!("{cp}.delta");
-                    delta_bytes += serve
-                        .checkpoint_delta(&dp)
-                        .map_err(|me| err(format!("{dp}: {me}")))?;
-                    delta_count += 1;
-                }
-            }
-        }
-        let rounds = serve.ledger().rounds;
-        let _ = writeln!(
-            out,
-            "{:>5}  {:>7}  {:>7}  {:>5}  {:>7}  {:>10}  {:>7}",
-            e + 1,
-            chunk.len(),
-            report.inner.serial.match_size,
-            batch.waves,
-            rounds - rounds_before,
-            report.wire_bytes,
-            report.wire_frames,
-        );
-        rounds_before = rounds;
     }
-    serve
-        .validate()
-        .map_err(|e| err(format!("internal: inconsistent serve state: {e}")))?;
 
-    // The reported allocation is gathered from the worker slices over the
-    // wire — not read out of the coordinator's engine.
-    let assignment = serve
-        .gather_assignment()
-        .map_err(|e| err(format!("gathering the allocation failed: {e}")))?;
-    let live = serve.inner().snapshot();
-    assignment
-        .validate(&live)
-        .map_err(|e| err(format!("internal: infeasible gathered allocation: {e}")))?;
-    let opt = opt_value(&live);
-    let ledger = serve.ledger();
-    let stats = serve.net_stats();
-    let _ = writeln!(
-        out,
-        "gathered matched   : {} of {} live clients (OPT {}, ratio {:.4})",
-        assignment.size(),
-        live.n_left(),
-        opt,
-        assignment.size() as f64 / opt.max(1) as f64
-    );
-    let _ = writeln!(
-        out,
-        "MPC rounds         : {} total ({} words moved, peak machine storage {} words)",
-        ledger.rounds, ledger.words_total, ledger.peak_storage
-    );
-    let _ = writeln!(
-        out,
-        "wire traffic       : {} bytes in {} frames \
-         (route {} / commit {} / census {} / init {})",
-        stats.bytes_sent + stats.bytes_received,
-        stats.frames_sent + stats.frames_received,
-        stats.route_bytes,
-        stats.commit_bytes,
-        stats.census_bytes,
-        stats.init_bytes,
-    );
-    if p2p {
-        let _ = writeln!(
-            out,
-            "p2p repair traffic : {} wave bytes over the spokes, {} handoff bytes in {} \
-             worker↔worker frames (deepest fetch ping-pong {} rounds)",
-            stats.wave_bytes, stats.handoff_bytes, stats.handoff_frames, stats.max_handoff_rounds,
-        );
-        let _ = writeln!(
-            out,
-            "p2p topology cache : {} rows shipped, {} words resident on the workers",
-            stats.topology_rows_shipped, stats.topology_cache_words,
-        );
+    /// Every periodic write after the first full base is a delta against
+    /// it — the cheap periodic path, since recovery is base + WAL tail
+    /// anyway.
+    fn delta(
+        &mut self,
+        serve: &mut NetServeLoop,
+        path: &str,
+        base_at: usize,
+    ) -> Result<bool, CliError> {
+        let dp = format!("{path}.delta");
+        let bytes = serve
+            .checkpoint_delta(&dp)
+            .map_err(|me| err(format!("{dp}: {me}")))?;
+        self.deltas = (self.deltas.0 + 1, self.deltas.1 + bytes);
+        self.base_at = base_at;
+        Ok(true)
     }
-    if let Some(note) = &chaos_note {
-        let _ = writeln!(out, "chaos              : {note}");
+
+    fn cells(
+        &mut self,
+        serve: &NetServeLoop,
+        batch: &BatchReport,
+        report: &NetEpochReport,
+        _: f64,
+    ) -> Vec<String> {
+        let before = std::mem::replace(&mut self.rounds, serve.ledger().rounds);
+        vec![
+            batch.waves.to_string(),
+            (self.rounds - before).to_string(),
+            report.wire_bytes.to_string(),
+            report.wire_frames.to_string(),
+        ]
     }
-    if stats.retries + stats.respawns > 0 {
-        let _ = writeln!(
-            out,
-            "recovery           : {} transient retries, {} respawns, {} bytes re-scattered, \
-             {:.2} ms",
-            stats.retries,
-            stats.respawns,
-            stats.replayed_bytes,
-            stats.recovery_ns as f64 / 1e6,
+
+    fn footer(&mut self, serve: &NetServeLoop, run: &Run, out: &mut String) {
+        mpc_rounds(out, serve.ledger());
+        let s = serve.net_stats();
+        let wire = format!(
+            "{} bytes in {} frames (route {} / commit {} / census {} / init {})",
+            s.bytes_sent + s.bytes_received,
+            s.frames_sent + s.frames_received,
+            s.route_bytes,
+            s.commit_bytes,
+            s.census_bytes,
+            s.init_bytes,
         );
-    }
-    if robust.wal.is_some() {
-        let _ = writeln!(
-            out,
-            "wal                : {} bytes appended",
-            serve.wal_bytes()
-        );
-    }
-    if delta_count > 0 {
-        let _ = writeln!(
-            out,
-            "delta checkpoints  : {delta_count} written, {delta_bytes} bytes \
-             (full base at epoch {})",
-            saved_at.unwrap_or(0)
-        );
-    }
-    if let Some(cp) = &persist.checkpoint {
-        if saved_at != Some(serve.inner().serve_stats().epochs) {
-            serve
-                .checkpoint(cp)
-                .map_err(|me| err(format!("{cp}: {me}")))?;
+        field(out, "wire traffic", wire);
+        if self.p2p {
+            let traffic = format!(
+                "{} wave bytes over the spokes, {} handoff bytes in {} \
+                 worker↔worker frames (deepest fetch ping-pong {} rounds)",
+                s.wave_bytes, s.handoff_bytes, s.handoff_frames, s.max_handoff_rounds,
+            );
+            field(out, "p2p repair traffic", traffic);
+            let cache = format!(
+                "{} rows shipped, {} words resident on the workers",
+                s.topology_rows_shipped, s.topology_cache_words,
+            );
+            field(out, "p2p topology cache", cache);
         }
-        let _ = writeln!(
-            out,
-            "checkpoint         : wrote {cp} (after epoch {})",
-            serve.inner().serve_stats().epochs
-        );
+        if let Some(note) = &self.chaos {
+            field(out, "chaos", note);
+        }
+        if s.retries + s.respawns > 0 {
+            let recovery = format!(
+                "{} transient retries, {} respawns, {} bytes re-scattered, {:.2} ms",
+                s.retries,
+                s.respawns,
+                s.replayed_bytes,
+                s.recovery_ns as f64 / 1e6,
+            );
+            field(out, "recovery", recovery);
+        }
+        // The engine keeps its own log (see `Engine::adopt_wal`).
+        if run.wal.is_some() {
+            field(out, "wal", format!("{} bytes appended", serve.wal_bytes()));
+        }
+        let (written, bytes) = self.deltas;
+        if written > 0 {
+            let deltas = format!(
+                "{written} written, {bytes} bytes (full base at epoch {})",
+                self.base_at
+            );
+            field(out, "delta checkpoints", deltas);
+        }
+        if run.tracer.enabled() {
+            run.tracer.emit_snapshot(&serve.metrics_snapshot());
+        }
     }
-    if tracer.enabled() {
-        tracer.emit_snapshot(&serve.metrics_snapshot());
-    }
-    finish_trace(&mut out, tracer, trace_path, serve.obs());
-    persist.dump_assignment(&assignment)?;
-    Ok(out)
 }
 
 /// Nearest-rank percentile over a sorted slice.
@@ -1416,12 +1305,6 @@ fn cmd_report(rest: &[String]) -> Result<String, CliError> {
     }
 
     Ok(out)
-}
-
-/// Convenience used by tests: the approximation ratio for a report line.
-pub fn ratio_line(g: &Bipartite, matched: usize) -> String {
-    let opt = opt_value(g);
-    format!("ratio: {:.4}", algo1::ratio(opt, matched as f64))
 }
 
 #[cfg(test)]
@@ -1802,6 +1685,51 @@ mod tests {
         for f in [&file, &full_assign, &snap, &resumed_assign] {
             let _ = std::fs::remove_file(f);
         }
+    }
+
+    /// Two recoveries from one snapshot share one log: the second run
+    /// replays the first run's epochs from the log, then serves on, and
+    /// ends where an uninterrupted run does — on every engine.
+    #[test]
+    fn dynamic_chained_recovery_replays_the_log_on_every_engine() {
+        let file = temp("dynch.txt");
+        run(&args(&format!(
+            "gen forests --nl 120 --nr 90 --k 3 --cap 2 --seed 8 --out {file}"
+        )))
+        .unwrap();
+        let base = format!("dynamic {file} --events 40 --seed 5 --no-full");
+        let legs = [
+            ("serial", ""),
+            ("sharded", "--shards 2"),
+            ("p2p", "--shards 2 --net --p2p"),
+        ];
+        for (leg, mode) in legs {
+            let [full, snap, log, resumed] = ["full.txt", "ck.snap", "wal.log", "resumed.txt"]
+                .map(|f| temp(&format!("dynch-{leg}-{f}")));
+            run(&args(&format!(
+                "{base} --eps 0.25 {mode} --epochs 4 --assign {full}"
+            )))
+            .unwrap();
+            run(&args(&format!(
+                "{base} --eps 0.25 {mode} --epochs 1 --checkpoint {snap}"
+            )))
+            .unwrap();
+            let _ = std::fs::remove_file(&log);
+            let first = format!("{base} {mode} --restore {snap} --wal {log}");
+            run(&args(&format!("{first} --epochs 3"))).unwrap();
+            let report = run(&args(&format!("{first} --epochs 4 --assign {resumed}")))
+                .unwrap_or_else(|e| panic!("{leg}: {e}"));
+            assert!(report.contains("replayed 2 batches"), "{leg}: {report}");
+            assert_eq!(
+                std::fs::read_to_string(&full).unwrap(),
+                std::fs::read_to_string(&resumed).unwrap(),
+                "{leg}: chained recovery diverged from the uninterrupted run"
+            );
+            for f in [&full, &snap, &log, &resumed] {
+                let _ = std::fs::remove_file(f);
+            }
+        }
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! and for [`ShardedServeLoop`] at shard counts {1, 2, 4}, including
 //! restores that re-shard onto a *different* machine count.
 
+mod common;
+
+use common::materialize_ops;
 use proptest::prelude::*;
+use sparse_alloc::dynamic::engine::drive;
 use sparse_alloc::dynamic::{snapshot, wal};
 use sparse_alloc::flow::opt::opt_value;
 use sparse_alloc::prelude::*;
@@ -27,33 +31,6 @@ fn instance() -> impl Strategy<Value = Bipartite> {
             b.build(caps).expect("in-range instance")
         })
     })
-}
-
-/// Materialize an engine-independent update stream (arrival ids are
-/// assigned in order, so the stream replays identically on any engine).
-fn materialize(g: &Bipartite, ops: &[(u8, u32, u32, u64)]) -> Vec<Update> {
-    let mut nl = g.n_left() as u32;
-    let nr = g.n_right() as u32;
-    ops.iter()
-        .map(|&(kind, a, b, cap)| match kind {
-            0 => {
-                nl += 1;
-                Update::Arrive {
-                    neighbors: vec![a % nr, b % nr],
-                }
-            }
-            1 => Update::Depart { u: a % nl },
-            2 => Update::InsertEdge {
-                u: a % nl,
-                v: b % nr,
-            },
-            3 => Update::DeleteEdge {
-                u: a % nl,
-                v: b % nr,
-            },
-            _ => Update::SetCapacity { v: a % nr, cap },
-        })
-        .collect()
 }
 
 fn roundtrip_serial(serve: &ServeLoop) -> ServeLoop {
@@ -78,7 +55,7 @@ proptest! {
         cut_pct in 0usize..=100,
     ) {
         let eps = 0.25;
-        let updates = materialize(&g, &ops);
+        let updates = materialize_ops(&g, &ops);
         let cut = updates.len() * cut_pct / 100;
 
         let mut uninterrupted = ServeLoop::new(g.clone(), DynamicConfig::for_eps(eps));
@@ -139,7 +116,7 @@ proptest! {
         cut_pct in 0usize..=100,
     ) {
         let eps = 0.25;
-        let updates = materialize(&g, &ops);
+        let updates = materialize_ops(&g, &ops);
         let chunks: Vec<&[Update]> = updates.chunks(epoch_every).collect();
         let cut_epoch = chunks.len() * cut_pct / 100;
 
@@ -203,7 +180,7 @@ proptest! {
         cut_pct in 0usize..=100,
     ) {
         let eps = 0.25;
-        let updates = materialize(&g, &ops);
+        let updates = materialize_ops(&g, &ops);
         let chunks: Vec<&[Update]> = updates.chunks(epoch_every).collect();
         let cut_epoch = chunks.len() * cut_pct / 100;
 
@@ -281,7 +258,7 @@ proptest! {
         flip_pos in 0usize..1_000_000,
         flip_bit in 0u8..8,
     ) {
-        let updates = materialize(&g, &ops);
+        let updates = materialize_ops(&g, &ops);
         let mut w = wal::WalWriter::new(Vec::new());
         for (e, chunk) in updates.chunks(epoch_every).enumerate() {
             w.append_batch(e as u64, chunk).unwrap();
@@ -344,7 +321,7 @@ proptest! {
         use sparse_alloc::dynamic::SupervisorConfig;
         use sparse_alloc::mpc::transport::Fault;
         let eps = 0.25;
-        let updates = materialize(&g, &ops);
+        let updates = materialize_ops(&g, &ops);
         let chunks: Vec<&[Update]> = updates.chunks(epoch_every).collect();
         let base_epoch = (chunks.len() / 2).max(1);
         let fault_epoch = ((chunks.len() - 1) * fault_pct / 100).min(chunks.len() - 1);
@@ -357,12 +334,7 @@ proptest! {
 
         let cfg = ShardedConfig::for_eps(eps, 1);
         let mut serial = ServeLoop::new(g.clone(), cfg.dynamic);
-        for chunk in &chunks {
-            for up in *chunk {
-                serial.apply(up);
-            }
-            serial.end_epoch();
-        }
+        drive(&mut serial, chunks.iter().copied()).unwrap();
 
         for &shards in &[1usize, 2, 4, 7] {
             let dir = std::env::temp_dir();
@@ -400,7 +372,7 @@ proptest! {
             let mut recovered = snapshot::load_sharded(&base_path, Some(shards)).unwrap();
             let log = wal::read_wal_file(&wal_path).unwrap();
             prop_assert!(!log.torn, "fsynced appends leave no torn tail");
-            wal::replay_sharded(&mut recovered, &log.records[log.tail_start()..]).unwrap();
+            wal::replay(&mut recovered, &log.records[log.tail_start()..]).unwrap();
             recovered.validate().unwrap();
             prop_assert_eq!(
                 recovered.assignment().mate, serial.assignment().mate,

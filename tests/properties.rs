@@ -2,12 +2,17 @@
 //! instances: structural invariants of the substrate and the paper's
 //! guarantees, checked against the exact oracle.
 
+mod common;
+
+use common::materialize_ops;
 use proptest::prelude::*;
 use sparse_alloc::core::algo1::{self, ProportionalConfig};
 use sparse_alloc::core::boosting::{boost_hk, shortest_augmenting_walk};
 use sparse_alloc::core::params::Schedule;
 use sparse_alloc::core::rounding;
 use sparse_alloc::core::sampled::{run_sampled, SampleBudget, SampledConfig};
+use sparse_alloc::dynamic::distributed::ShardedEpochReport;
+use sparse_alloc::dynamic::engine::{drive, Engine};
 use sparse_alloc::flow::greedy::{greedy_allocation, is_maximal};
 use sparse_alloc::flow::opt::{max_allocation, opt_value, trivial_upper_bound};
 use sparse_alloc::graph::io;
@@ -288,128 +293,95 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// ε of every ≡-serial property.
+const EPS: f64 = 0.25;
 
-    #[test]
-    fn sharded_serving_equals_serial_for_any_shard_count(
-        g in instance(),
-        ops in proptest::collection::vec((0u8..5, 0u32..1_000_000, 0u32..1_000_000, 1u64..=4), 0..26),
-        epoch_every in 2usize..8,
+/// The serial reference the ≡-serial properties compare against: the
+/// same stream, one epoch per `epoch_every` updates, under the sharded
+/// default engine config (the equivalence contract is per-config).
+struct Reference {
+    /// Matching size after each epoch.
+    sizes: Vec<usize>,
+    /// The final matching.
+    mate: Vec<Option<u32>>,
+    /// The exact optimum of the final live graph.
+    opt: u64,
+    /// The walk budget `k` of the `k/(k+1)` certificate.
+    k: f64,
+}
+
+impl Reference {
+    fn of(g: &Bipartite, updates: &[Update], epoch_every: usize) -> Reference {
+        let mut serial = ServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, 1).dynamic);
+        let reports = drive(&mut serial, updates.chunks(epoch_every)).unwrap();
+        Reference {
+            sizes: reports.iter().map(|r| r.match_size).collect(),
+            mate: serial.assignment().mate,
+            opt: opt_value(&serial.snapshot()),
+            k: serial.config().walk_budget as f64,
+        }
+    }
+
+    /// The one ≡-serial harness, for any engine: drive `engine` over the
+    /// same stream and assert that no machine ever leaves its space
+    /// budget, that the per-epoch matching sizes and the served
+    /// allocation equal the reference's (a networked engine gathers its
+    /// allocation from the worker slices over the wire, not from the
+    /// coordinator's copy), and that the served size keeps the
+    /// `k/(k+1)·OPT` certificate. `sharded` reads the sharded half of an
+    /// epoch report. Failure is a panic, which proptest reports as a
+    /// failed case.
+    fn assert_matched_by<E: Engine>(
+        &self,
+        what: &str,
+        engine: &mut E,
+        updates: &[Update],
+        epoch_every: usize,
+        sharded: impl Fn(&E::Report) -> ShardedEpochReport,
     ) {
-        // The distributed contract: for ANY update sequence and ANY shard
-        // count, ShardedServeLoop — update routing, conflict-wave
-        // scheduling, cross-shard sweep commit and all — maintains an
-        // allocation *identical* to the serial ServeLoop's (hence the same
-        // size and the same (1+O(ε)) guarantee), and no machine ever
-        // leaves its n^δ-style space budget (the strict cluster and the
-        // per-epoch ledger assertion would return Err).
-        let eps = 0.25;
-
-        // Materialize one concrete update stream (arrival ids are
-        // allocated in order, so the stream is engine-independent).
-        let mut nl = g.n_left() as u32;
-        let nr = g.n_right() as u32;
-        let mut updates: Vec<Update> = Vec::with_capacity(ops.len());
-        for &(kind, a, b, cap) in &ops {
-            updates.push(match kind {
-                0 => { nl += 1; Update::Arrive { neighbors: vec![a % nr, b % nr] } }
-                1 => Update::Depart { u: a % nl },
-                2 => Update::InsertEdge { u: a % nl, v: b % nr },
-                3 => Update::DeleteEdge { u: a % nl, v: b % nr },
-                _ => Update::SetCapacity { v: a % nr, cap },
-            });
-        }
-
-        // Serial reference: per-epoch sizes and the final matching. The
-        // engine config must be the sharded default's (eager budget 1 —
-        // the equivalence contract is per-config).
-        let mut serial = ServeLoop::new(g.clone(), ShardedConfig::for_eps(eps, 1).dynamic);
-        let mut serial_sizes = Vec::new();
-        for chunk in updates.chunks(epoch_every) {
-            for up in chunk {
-                serial.apply(up);
-            }
-            serial.end_epoch();
-            serial_sizes.push(serial.match_size());
-        }
-        let serial_mate = serial.assignment().mate;
-        let live = serial.snapshot();
-        let opt = opt_value(&live);
-        let k = serial.config().walk_budget as f64;
-
-        for &shards in &[1usize, 2, 4, 7] {
-            // Force real worker threads (2–3) regardless of the host's
-            // core count: the threaded wave executor must produce the
-            // identical state, that is the commuting-repairs contract.
-            let mut cfg = ShardedConfig::for_eps(eps, shards);
-            cfg.wave_threads = 2 + shards % 2;
-            let sharded = ShardedServeLoop::new(g.clone(), cfg);
-            prop_assert!(sharded.is_ok(), "{} shards: initial state over budget", shards);
-            let mut sharded = sharded.unwrap();
-            let mut sizes = Vec::new();
-            for chunk in updates.chunks(epoch_every) {
-                let batch = sharded.apply_batch(chunk);
-                prop_assert!(batch.is_ok(), "{} shards: batch left the space budget: {:?}",
-                    shards, batch.err());
-                let report = sharded.end_epoch();
-                prop_assert!(report.is_ok(), "{} shards: epoch left the space budget: {:?}",
-                    shards, report.err());
-                let report = report.unwrap();
-                prop_assert!(report.peak_shard_words <= report.budget,
-                    "{} shards: {} words on one machine exceeds the budget {}",
-                    shards, report.peak_shard_words, report.budget);
-                sizes.push(report.serial.match_size);
-            }
-            sharded.validate().unwrap();
-            prop_assert_eq!(&sizes, &serial_sizes, "{} shards: epoch sizes diverged", shards);
-            prop_assert_eq!(&sharded.assignment().mate, &serial_mate,
-                "{} shards: final matching diverged", shards);
-            prop_assert!(
-                sharded.match_size() as f64 >= k / (k + 1.0) * opt as f64 - 1e-9,
-                "{} shards: {} below k/(k+1)·OPT (OPT {})", shards, sharded.match_size(), opt
+        let reports = drive(engine, updates.chunks(epoch_every))
+            .unwrap_or_else(|e| panic!("{what}: an epoch failed: {e}"));
+        let mut sizes = Vec::new();
+        for report in reports.iter().map(sharded) {
+            assert!(
+                report.peak_shard_words <= report.budget,
+                "{what}: {} words on one machine exceeds the budget {}",
+                report.peak_shard_words,
+                report.budget
             );
+            sizes.push(report.serial.match_size);
         }
+        engine.validate().unwrap();
+        assert_eq!(sizes, self.sizes, "{what}: epoch sizes diverged");
+        let served = engine
+            .served()
+            .unwrap_or_else(|e| panic!("{what}: serving the allocation failed: {e}"));
+        assert_eq!(served.mate, self.mate, "{what}: final matching diverged");
+        let (k, opt) = (self.k, self.opt);
+        assert!(
+            served.size() as f64 >= k / (k + 1.0) * opt as f64 - 1e-9,
+            "{what}: {} below k/(k+1)·OPT (OPT {opt})",
+            served.size()
+        );
     }
 }
 
-/// Materialize the proptest op tuples into a concrete update stream
-/// (arrival ids are allocated in order, so the stream is
-/// engine-independent). Shared by the sharded and networked
-/// equivalence tests.
-fn materialize_ops(g: &Bipartite, ops: &[(u8, u32, u32, u64)]) -> Vec<Update> {
-    let mut nl = g.n_left() as u32;
-    let nr = g.n_right() as u32;
-    ops.iter()
-        .map(|&(kind, a, b, cap)| match kind {
-            0 => {
-                nl += 1;
-                Update::Arrive {
-                    neighbors: vec![a % nr, b % nr],
-                }
-            }
-            1 => Update::Depart { u: a % nl },
-            2 => Update::InsertEdge {
-                u: a % nl,
-                v: b % nr,
-            },
-            3 => Update::DeleteEdge {
-                u: a % nl,
-                v: b % nr,
-            },
-            _ => Update::SetCapacity { v: a % nr, cap },
-        })
-        .collect()
+/// The sharded engine on `shards` machines, forced onto real wave
+/// threads (2–3) regardless of the host's core count: the threaded wave
+/// executor must produce the identical state — that is the
+/// commuting-repairs contract.
+fn sharded_engine(g: &Bipartite, shards: usize) -> ShardedServeLoop {
+    let mut cfg = ShardedConfig::for_eps(EPS, shards);
+    cfg.wave_threads = 2 + shards % 2;
+    ShardedServeLoop::new(g.clone(), cfg)
+        .unwrap_or_else(|e| panic!("{shards} shards: initial state over budget: {e}"))
 }
 
-/// Drive a networked engine and the serial reference over the same
-/// stream; assert per-epoch sizes and the final *wire-gathered* matching
-/// are identical. With `p2p` the engine runs peer-to-peer repair waves
-/// (walk state moving worker↔worker) instead of the star topology — the
-/// contract is the same either way. Returns the run's handoff frame
-/// count so deterministic callers can assert cross-shard traffic
-/// actually happened. Failure is proptest-style panic (the caller is
-/// inside `proptest!`).
+/// The harness on a networked engine. With `p2p` the engine runs
+/// peer-to-peer repair waves (walk state moving worker↔worker) instead of
+/// the star topology — the contract is the same either way. Returns the
+/// run's handoff frame count so deterministic callers can assert
+/// cross-shard traffic actually happened.
 fn assert_net_equals_serial(
     g: &Bipartite,
     updates: &[Update],
@@ -418,50 +390,44 @@ fn assert_net_equals_serial(
     kind: TransportKind,
     p2p: bool,
 ) -> u64 {
-    let eps = 0.25;
-    let mut serial = ServeLoop::new(g.clone(), ShardedConfig::for_eps(eps, shards).dynamic);
-    let mut serial_sizes = Vec::new();
-    for chunk in updates.chunks(epoch_every) {
-        for up in chunk {
-            serial.apply(up);
-        }
-        serial.end_epoch();
-        serial_sizes.push(serial.match_size());
-    }
-
-    let cfg = ShardedConfig::for_eps(eps, shards);
+    let what = format!("{shards} shards over {kind:?}");
+    let cfg = ShardedConfig::for_eps(EPS, shards);
     let mut net = if p2p {
         NetServeLoop::new_p2p(g.clone(), cfg, kind)
     } else {
         NetServeLoop::new(g.clone(), cfg, kind)
     }
-    .unwrap_or_else(|e| panic!("{shards} shards over {kind:?}: startup failed: {e}"));
+    .unwrap_or_else(|e| panic!("{what}: startup failed: {e}"));
     assert_eq!(net.is_p2p(), p2p);
-    let mut sizes = Vec::new();
-    for chunk in updates.chunks(epoch_every) {
-        net.apply_batch(chunk)
-            .unwrap_or_else(|e| panic!("{shards} shards over {kind:?}: batch failed: {e}"));
-        let rep = net
-            .end_epoch()
-            .unwrap_or_else(|e| panic!("{shards} shards over {kind:?}: epoch failed: {e}"));
-        sizes.push(rep.inner.serial.match_size);
-    }
-    net.validate().unwrap();
-    assert_eq!(
-        sizes, serial_sizes,
-        "{shards} shards over {kind:?}: epoch sizes diverged"
-    );
-    // The headline comparison is against the allocation gathered from
-    // the worker slices over the transport, not the coordinator's copy.
-    let gathered = net
-        .gather_assignment()
-        .unwrap_or_else(|e| panic!("{shards} shards over {kind:?}: gather failed: {e}"));
-    assert_eq!(
-        gathered.mate,
-        serial.assignment().mate,
-        "{shards} shards over {kind:?}: wire-gathered matching diverged"
-    );
+    let reference = Reference::of(g, updates, epoch_every);
+    reference.assert_matched_by(&what, &mut net, updates, epoch_every, |r| r.inner.clone());
     net.net_stats().handoff_frames
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The distributed contract: for ANY update sequence and ANY shard
+    /// count, ShardedServeLoop — update routing, conflict-wave
+    /// scheduling, cross-shard sweep commit and all — maintains an
+    /// allocation *identical* to the serial ServeLoop's (hence the same
+    /// size and the same (1+O(ε)) guarantee), and no machine ever leaves
+    /// its n^δ-style space budget (the strict cluster and the per-epoch
+    /// ledger assertion would return Err).
+    #[test]
+    fn sharded_serving_equals_serial_for_any_shard_count(
+        g in instance(),
+        ops in proptest::collection::vec((0u8..5, 0u32..1_000_000, 0u32..1_000_000, 1u64..=4), 0..26),
+        epoch_every in 2usize..8,
+    ) {
+        let updates = materialize_ops(&g, &ops);
+        let reference = Reference::of(&g, &updates, epoch_every);
+        for shards in [1usize, 2, 4, 7] {
+            let mut sharded = sharded_engine(&g, shards);
+            let what = format!("{shards} shards");
+            reference.assert_matched_by(&what, &mut sharded, &updates, epoch_every, |r| r.clone());
+        }
+    }
 }
 
 proptest! {
@@ -587,35 +553,13 @@ proptest! {
         use sparse_alloc::dynamic::batch::{schedule, FOOTPRINT_CAP};
         use sparse_alloc::mpc::ShardMap;
 
-        let eps = 0.25;
-        let mut nl = g.n_left() as u32;
-        let nr = g.n_right() as u32;
-        let mut updates: Vec<Update> = Vec::with_capacity(ops.len());
-        for &(kind, a, b, cap) in &ops {
-            updates.push(match kind {
-                0 => { nl += 1; Update::Arrive { neighbors: vec![a % nr, b % nr] } }
-                1 => Update::Depart { u: a % nl },
-                2 => Update::InsertEdge { u: a % nl, v: b % nr },
-                3 => Update::DeleteEdge { u: a % nl, v: b % nr },
-                _ => Update::SetCapacity { v: a % nr, cap },
-            });
-        }
-
-        // Serial reference under the sharded default config (the
-        // equivalence contract is per-config).
-        let mut serial = ServeLoop::new(g.clone(), ShardedConfig::for_eps(eps, 1).dynamic);
-        for chunk in updates.chunks(epoch_every) {
-            for up in chunk {
-                serial.apply(up);
-            }
-            serial.end_epoch();
-        }
-        let serial_mate = serial.assignment().mate;
+        let updates = materialize_ops(&g, &ops);
+        let reference = Reference::of(&g, &updates, epoch_every);
 
         for &shards in &[1usize, 2, 4, 7] {
             // Structural invariants of the schedule itself, on the
             // pre-batch graph (exactly what apply_batch schedules on).
-            let cfg = ShardedConfig::for_eps(eps, shards);
+            let cfg = ShardedConfig::for_eps(EPS, shards);
             let dg = DeltaGraph::new(g.clone());
             let map = ShardMap::new(shards);
             let sched = schedule(&dg, &updates, &cfg.dynamic, &map, FOOTPRINT_CAP, shards).unwrap();
@@ -659,14 +603,10 @@ proptest! {
             // executor, epoch-chunked like the serial reference so the
             // staged footprints stay inside the space budget) reproduces
             // the serial mate vector.
-            let mut cfg = ShardedConfig::for_eps(eps, shards);
-            cfg.wave_threads = 2 + shards % 2;
-            let mut sharded = ShardedServeLoop::new(g.clone(), cfg).unwrap();
-            for chunk in updates.chunks(epoch_every) {
-                prop_assert!(sharded.apply_batch(chunk).is_ok(), "{} shards: batch over budget", shards);
-                prop_assert!(sharded.end_epoch().is_ok(), "{} shards: epoch over budget", shards);
-            }
-            prop_assert_eq!(&sharded.assignment().mate, &serial_mate,
+            let mut sharded = sharded_engine(&g, shards);
+            let batches = updates.chunks(epoch_every);
+            prop_assert!(drive(&mut sharded, batches).is_ok(), "{} shards: over budget", shards);
+            prop_assert_eq!(&sharded.assignment().mate, &reference.mate,
                 "{} shards: schedule application diverged from serial", shards);
         }
     }
