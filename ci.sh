@@ -180,23 +180,24 @@ if [ "${1:-}" != "fast" ]; then
     grep -q '"pass": true' BENCH_batching.json \
         || { echo "e19 FAILED its ≥3×-over-e18 (serial-normalized) criterion"; exit 1; }
     # One-box gate: sharding should beat the serial engine same-config
-    # on the same machine — and on a multi-core host it must (the JSON
-    # records one_box_win honestly). On a single-core host the serial
-    # engine's lazy eager-repairs cost ~3ms/run while the scheduler's
-    # footprint+wave passes are irreducible surplus (~5.5ms/batch), so
-    # wall-clock parity is structurally unreachable there; the gate then
-    # falls back to an absolute overhead cap: sharded wall-clock within
-    # 1.6× of serial. The cap is wide because box noise alone swings the
-    # measured ratio 1.16–1.47 between runs (serial itself swings
-    # 62–84 ms); the relative ratchet below tightens it run over run.
-    # See the e19_batching.rs module docs for the cost model.
+    # on the same machine (the JSON records one_box_win honestly). The
+    # serial engine's eager repairs cost a few ms per run, while the
+    # scheduler's footprint+wave passes (~7 ms/batch) and the wave
+    # executor's per-wave thread spawns (nproc > 1) are surplus the
+    # sharded path pays on top of the shared epoch close, so wall-clock
+    # parity is out of reach on a 2-vCPU host; the gate then falls
+    # back to an absolute overhead cap: sharded wall-clock
+    # within 1.6× of serial. The cap is wide because box noise alone
+    # swings the measured ratio between runs; the relative ratchet below
+    # tightens it run over run. See the e19_batching.rs module docs for
+    # the cost model and the measured ratios.
     if ! grep -q '"one_box_win": true' BENCH_batching.json; then
         awk -v r="$new_ratio" 'BEGIN {
             if (r > 1.6) {
                 printf "e19 FAILED its one-box gate: no win and sharded/serial overhead %.3f > 1.6\n", r
                 exit 1
             }
-            printf "e19 one-box gate: no outright win (single-core host) but overhead %.3f within the 1.6 cap — OK\n", r
+            printf "e19 one-box gate: no outright win but overhead %.3f within the 1.6 cap — OK\n", r
         }' || exit 1
     fi
     # Wave-shape regression gates: the schedule must stay short (waves)

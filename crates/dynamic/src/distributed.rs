@@ -25,7 +25,7 @@
 //!    is sorted by id (distributed sample sort — the global sweep order),
 //!    the sweep runs, and the matching migrations it produced are
 //!    committed to the shards owning the receiving rights
-//!    ([`labels::SWEEP_COMMIT`]), followed by an aggregated state census
+//!    ([`labels::MIGRATION_COMMIT`]), followed by an aggregated state census
 //!    and a broadcast of the epoch summary.
 //!
 //! Every phase ends with [`Ledger::assert_space_within`] against the
@@ -839,14 +839,14 @@ impl ShardedServeLoop {
         let n_migrations = migrations.len();
         self.stats.migrations += n_migrations;
         let epoch_no = self.inner.stats().epochs as u64;
-        // The serial core already spanned the sweep half of SweepCommit;
-        // this sibling span times the distributed commit of its
-        // migrations (same phase, same histogram, no nesting).
-        let mut sp = self.tracer.span(Phase::SweepCommit, epoch_no);
+        // The serial core spanned its own sweep, level repair and
+        // compaction; this span times the distributed commit of the
+        // migrations they produced.
+        let mut sp = self.tracer.span(Phase::MigrationCommit, epoch_no);
         let map = self.map;
         let committed = self.route_chunked(
             &mut epoch,
-            labels::SWEEP_COMMIT,
+            labels::MIGRATION_COMMIT,
             migrations,
             move |&(_, from, to)| {
                 if to != u32::MAX {
@@ -858,9 +858,9 @@ impl ShardedServeLoop {
             budget,
         )?;
         debug_assert_eq!(committed.len(), n_migrations);
-        sp.set_words(epoch.words_labeled(labels::SWEEP_COMMIT));
+        sp.set_words(epoch.words_labeled(labels::MIGRATION_COMMIT));
         let ns = sp.close();
-        self.inner.obs_mut().phase_ns(Phase::SweepCommit, ns);
+        self.inner.obs_mut().phase_ns(Phase::MigrationCommit, ns);
 
         // State census (aggregate) + epoch summary (broadcast).
         let mut spc = self.tracer.span(Phase::ShardState, epoch_no);
@@ -1071,7 +1071,9 @@ mod tests {
             Phase::BatchSchedule,
             Phase::RouteUpdates,
             Phase::RepairWave,
-            Phase::SweepCommit,
+            Phase::CertSweep,
+            Phase::LevelRepair,
+            Phase::MigrationCommit,
             Phase::ShardState,
         ] {
             assert!(obs.phase(p).count() > 0, "phase {} timed", p.label());

@@ -20,7 +20,7 @@ use std::collections::HashSet;
 use sparse_alloc_core::aggregates::{alloc_share, left_aggregate_of, LeftAggregate};
 use sparse_alloc_core::levels::{update_level, PowTable};
 use sparse_alloc_core::termination;
-use sparse_alloc_graph::{DeltaGraph, RightId};
+use sparse_alloc_graph::{DeltaGraph, LeftId, RightId};
 
 use crate::stamp::StampSet;
 
@@ -178,6 +178,66 @@ pub fn ball_of_capped_into(
         std::mem::swap(frontier, next);
     }
     out.sort_unstable();
+}
+
+/// Does the radius-`radius` right ball around `N(u)` hold a member of
+/// `targets`? The same BFS as [`ball_of_capped_into`] seeded with `u`'s
+/// neighbourhood (uncapped), stopped at the first target it reaches.
+/// Every right the probe adds to its ball costs one unit of `budget`;
+/// `None` means the budget ran out before the probe could decide.
+pub(crate) fn probe_reaches(
+    dg: &DeltaGraph,
+    u: LeftId,
+    radius: usize,
+    targets: &StampSet,
+    scratch: &mut BallScratch,
+    budget: &mut usize,
+) -> Option<bool> {
+    scratch.rights.grow(dg.n_right());
+    scratch.lefts.grow(dg.n_left());
+    scratch.rights.clear();
+    scratch.lefts.clear();
+    let BallScratch {
+        rights: in_ball,
+        lefts: seen_left,
+        frontier,
+        next,
+    } = scratch;
+    frontier.clear();
+    seen_left.insert(u as usize);
+    for w in dg.left_neighbors_iter(u) {
+        if in_ball.insert(w as usize) {
+            *budget = budget.checked_sub(1)?;
+            if targets.contains(w as usize) {
+                return Some(true);
+            }
+            frontier.push(w);
+        }
+    }
+    for _ in 0..radius {
+        next.clear();
+        for &v in frontier.iter() {
+            for x in dg.right_neighbors_iter(v) {
+                if !seen_left.insert(x as usize) {
+                    continue;
+                }
+                for w in dg.left_neighbors_iter(x) {
+                    if in_ball.insert(w as usize) {
+                        *budget = budget.checked_sub(1)?;
+                        if targets.contains(w as usize) {
+                            return Some(true);
+                        }
+                        next.push(w);
+                    }
+                }
+            }
+        }
+        if next.is_empty() {
+            break;
+        }
+        std::mem::swap(frontier, next);
+    }
+    Some(false)
 }
 
 /// Re-run the proportional level dynamics on the ball around `seeds`,

@@ -24,7 +24,9 @@ use sparse_alloc_core::rounding;
 use sparse_alloc_graph::{Assignment, Bipartite, DeltaGraph, LeftId, RightId};
 use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Tracer};
 
-use crate::repair::{ball_of_capped_into, repair_levels, BallScratch, LevelRepairConfig};
+use crate::repair::{
+    ball_of_capped_into, probe_reaches, repair_levels, BallScratch, LevelRepairConfig,
+};
 use crate::scheduler::{CompactionPolicy, DriftTracker};
 use crate::stamp::StampSet;
 use crate::update::Update;
@@ -300,18 +302,104 @@ pub struct ServeLoop {
     tracer: Tracer,
 }
 
-/// Persistent scratch of [`ServeLoop::certificate_sweep`]: the dirty
-/// region and candidate membership (stamped, `O(1)` clear), the candidate
+/// Persistent scratch of [`ServeLoop::certificate_sweep`]: the region
+/// absorbed so far and candidate membership (stamped, `O(1)` clear), the
+/// dirty-right marks the inverted derivation probes for, the candidate
 /// worklist, and the ball-growth scratch + output. Rebuilt empty on
 /// restore — like `wave_scratch`, it is ephemeral state no snapshot
 /// carries.
 #[derive(Debug, Default)]
-struct SweepScratch {
+pub(crate) struct SweepScratch {
     region: StampSet,
     is_candidate: StampSet,
+    dirty: StampSet,
     candidates: Vec<u32>,
     ball: BallScratch,
     ball_out: Vec<RightId>,
+}
+
+impl SweepScratch {
+    /// Empty the region, the candidate set and the worklist, sized for
+    /// `dg`.
+    fn reset(&mut self, dg: &DeltaGraph) {
+        self.region.grow(dg.n_right());
+        self.region.clear();
+        self.is_candidate.grow(dg.n_left());
+        self.is_candidate.clear();
+        self.candidates.clear();
+    }
+
+    /// Grow the radius-`k` ball around `seeds` into `ball_out`, then
+    /// absorb it: every ball right not yet in the region joins it, and
+    /// its free neighbours not yet candidates are appended to the
+    /// worklist (in ball order).
+    fn absorb_ball(&mut self, dg: &DeltaGraph, matching: &Matching, seeds: &[RightId], k: usize) {
+        ball_of_capped_into(dg, seeds, k, usize::MAX, &mut self.ball, &mut self.ball_out);
+        for &v in &self.ball_out {
+            if self.region.insert(v as usize) {
+                for u in dg.right_neighbors_iter(v) {
+                    if matching.mate(u).is_none() && self.is_candidate.insert(u as usize) {
+                        self.candidates.push(u);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The forward candidate derivation of the certificate sweep: grow the
+/// radius-`k` region around the `dirty` rights and collect the free lefts
+/// adjacent to it. Costs `O(region)` — the whole graph once the dirty set
+/// is spread out. Leaves the region absorbed in `scr`.
+pub(crate) fn forward_candidates(
+    dg: &DeltaGraph,
+    matching: &Matching,
+    dirty: &[RightId],
+    k: usize,
+    scr: &mut SweepScratch,
+) {
+    scr.reset(dg);
+    scr.absorb_ball(dg, matching, dirty, k);
+}
+
+/// The inverted candidate derivation of the certificate sweep: scan for
+/// the free lefts and probe `k` right-hops out from each one's
+/// neighbourhood ([`probe_reaches`]); a free left is a candidate iff its
+/// probe reaches a `dirty` right. Right-hop distance is symmetric, so
+/// this is exactly the set [`forward_candidates`] derives, in ascending
+/// id order, and it leaves the region empty. Returns `false` — with the
+/// candidates incomplete — once the probes together have visited more
+/// than `budget` rights.
+pub(crate) fn probe_candidates(
+    dg: &DeltaGraph,
+    matching: &Matching,
+    dirty: &[RightId],
+    k: usize,
+    mut budget: usize,
+    scr: &mut SweepScratch,
+) -> bool {
+    scr.reset(dg);
+    scr.dirty.grow(dg.n_right());
+    scr.dirty.clear();
+    for &v in dirty {
+        if (v as usize) < dg.n_right() {
+            scr.dirty.insert(v as usize);
+        }
+    }
+    for u in 0..dg.n_left() as LeftId {
+        if matching.mate(u).is_some() {
+            continue;
+        }
+        match probe_reaches(dg, u, k, &scr.dirty, &mut scr.ball, &mut budget) {
+            Some(true) => {
+                scr.is_candidate.insert(u as usize);
+                scr.candidates.push(u);
+            }
+            Some(false) => {}
+            None => return false,
+        }
+    }
+    true
 }
 
 /// The deferred (repair) half of one update: everything
@@ -832,23 +920,23 @@ impl ServeLoop {
 
     /// Close the epoch: restore the global `k/(k+1)` certificate, repair
     /// the β-levels on the dirty ball, and rebuild or compact if the
-    /// scheduler says so.
+    /// scheduler says so. Each step is its own phase (`cert_sweep`,
+    /// `level_repair`, `compaction` — a drift rebuild, which folds the
+    /// overlay too, records as `compaction`).
     pub fn end_epoch(&mut self) -> EpochReport {
         self.stats.epochs += 1;
-        // The sweep half of the epoch's `sweep_commit` phase: one span
-        // carrying the measured nanoseconds (the sharded loop adds the
-        // commit half, and the ledger the simulated words).
-        let sp = self
-            .tracer
-            .span(Phase::SweepCommit, self.stats.epochs as u64);
+        let epoch = self.stats.epochs as u64;
         self.obs
             .observe(Dist::SweepSize, self.sweep_dirty.len() as u64);
         let mut report = EpochReport::default();
 
         if self.drift.should_rebuild(self.dg.m()) {
+            let sp = self.tracer.span(Phase::Compaction, epoch);
             self.rebuild();
             report.rebuilt = true;
+            self.obs.phase_ns(Phase::Compaction, sp.close());
         } else {
+            let sp = self.tracer.span(Phase::CertSweep, epoch);
             let exp0 = self.matching.expansions();
             let (aug, starts) = self.certificate_sweep();
             self.stats.augmentations += aug;
@@ -858,7 +946,9 @@ impl ServeLoop {
             report.sweep_expansions = self.matching.expansions() - exp0;
             self.obs
                 .inc(Counter::SweepExpansions, report.sweep_expansions);
+            self.obs.phase_ns(Phase::CertSweep, sp.close());
             if !self.dirty.is_empty() {
+                let sp = self.tracer.span(Phase::LevelRepair, epoch);
                 let rep = repair_levels(
                     &self.dg,
                     &mut self.levels,
@@ -875,24 +965,25 @@ impl ServeLoop {
                 // The repaired ball's levels moved: the memoized fractional
                 // allocation must refresh exactly that ball.
                 self.frac.get_mut().dirty.extend_from_slice(&rep.ball);
+                self.obs.phase_ns(Phase::LevelRepair, sp.close());
             }
             if self
                 .compaction
                 .should_compact(self.dg.overlay_edges(), self.dg.m())
             {
+                let sp = self.tracer.span(Phase::Compaction, epoch);
                 // Compaction is the identity on the live graph, so the
                 // fractional cache (if any) stays valid.
                 self.dg = DeltaGraph::new(self.dg.compact());
                 self.stats.compactions += 1;
                 report.compacted = true;
+                self.obs.phase_ns(Phase::Compaction, sp.close());
             }
         }
 
         self.dirty.clear();
         self.sweep_dirty.clear();
         report.match_size = self.matching.size();
-        let ns = sp.close();
-        self.obs.phase_ns(Phase::SweepCommit, ns);
         report
     }
 
@@ -911,17 +1002,37 @@ impl ServeLoop {
     /// certifying every (reachable) free vertex against the same final
     /// matching.
     ///
-    /// The candidate set — *free* lefts with a neighbor inside the
-    /// region — is derived once from the region's adjacency and extended
-    /// exactly when a flip grows the region, so a pass costs
-    /// `O(|candidates|)` mate probes plus the searches, instead of
+    /// The candidate set — *free* lefts within `k` right-hops of a dirty
+    /// right — is derived once, from whichever side is smaller:
+    ///
+    /// - **forward** ([`forward_candidates`]), when free lefts are at
+    ///   least as many as the dirty marks (`sweep_dirty`, duplicates
+    ///   included): grow the radius-`k` region around the dirty rights
+    ///   and collect the free lefts adjacent to it;
+    /// - **inverted** ([`probe_candidates`]), when free lefts are fewer:
+    ///   probe `k` right-hops out from each free left's neighbourhood and
+    ///   keep the lefts whose probe reaches a dirty right. Right-hop
+    ///   distance is symmetric — `N(u)` has a right within `k` hops of a
+    ///   dirty right exactly when a dirty right has one within `k` hops
+    ///   of `N(u)` — so this is the forward set, not an approximation. If
+    ///   the probes together visit more than `n_right` rights the sweep
+    ///   falls back to the forward derivation, which bounds the epoch's
+    ///   worst case at about twice the forward cost.
+    ///
+    /// The set is extended exactly when a flip grows the region, so a pass
+    /// costs `O(|candidates|)` mate probes plus the searches, instead of
     /// re-testing every left's neighborhood against the region each pass.
     /// The sweep only ever augments, so a left matched when the region
     /// reached it can never become free later — skipping matched lefts at
     /// derivation loses nothing. New candidates discovered mid-pass are
     /// appended (searched later the same pass); passes iterate in
     /// ascending id order and repeat until clean, so every candidate is
-    /// certified against the final matching.
+    /// certified against the final matching. The inverted derivation
+    /// starts the region empty, so a flip's ball re-scans rights the
+    /// forward region already held; their free neighbours are candidates
+    /// already and `is_candidate` drops them, so both derivations append
+    /// the same lefts in the same order and the sweep result is
+    /// byte-identical.
     ///
     /// Returns `(augmentations, searches started)`.
     fn certificate_sweep(&mut self) -> (usize, usize) {
@@ -932,48 +1043,30 @@ impl ServeLoop {
         self.matching.ensure_left(self.dg.n_left());
         // The scratch persists across epochs (stamped membership clears
         // in `O(1)`, the vectors keep their capacity): the sweep performs
-        // no dense `O(n)` allocation per epoch close. Moved out of `self`
-        // for the duration so the absorb closure can borrow the graph.
+        // no dense `O(n)` allocation per epoch close.
         let mut scr = std::mem::take(&mut self.sweep_scratch);
-        scr.region.grow(self.dg.n_right());
-        scr.region.clear();
-        scr.is_candidate.grow(self.dg.n_left());
-        scr.is_candidate.clear();
-        scr.candidates.clear();
+        let (dg, dirty) = (&self.dg, &self.sweep_dirty);
+        let free = dg.n_left() - self.matching.size();
+        if free >= dirty.len()
+            || !probe_candidates(dg, &self.matching, dirty, k, dg.n_right(), &mut scr)
+        {
+            forward_candidates(dg, &self.matching, dirty, k, &mut scr);
+        }
+        let out = self.search_candidates(&mut scr);
+        self.sweep_scratch = scr;
+        out
+    }
+
+    /// The search half of [`ServeLoop::certificate_sweep`]: exact searches
+    /// from the derived candidates, in ascending id order, absorbing each
+    /// flip's ball, until a pass augments nothing. Returns
+    /// `(augmentations, searches started)`.
+    fn search_candidates(&mut self, scr: &mut SweepScratch) -> (usize, usize) {
+        let k = self.cfg.walk_budget;
         let dg = &self.dg;
-        let absorb = |ball: &[RightId],
-                      matching: &Matching,
-                      region: &mut StampSet,
-                      is_candidate: &mut StampSet,
-                      candidates: &mut Vec<u32>| {
-            for &v in ball {
-                if region.insert(v as usize) {
-                    for u in dg.right_neighbors_iter(v) {
-                        if matching.mate(u).is_none() && is_candidate.insert(u as usize) {
-                            candidates.push(u);
-                        }
-                    }
-                }
-            }
-        };
-        ball_of_capped_into(
-            dg,
-            &self.sweep_dirty,
-            k,
-            usize::MAX,
-            &mut scr.ball,
-            &mut scr.ball_out,
-        );
-        absorb(
-            &scr.ball_out,
-            &self.matching,
-            &mut scr.region,
-            &mut scr.is_candidate,
-            &mut scr.candidates,
-        );
         let mut total = 0usize;
         let mut starts = 0usize;
-        'sweep: loop {
+        loop {
             scr.candidates.sort_unstable();
             let mut progressed = 0usize;
             let mut at = 0usize;
@@ -987,30 +1080,14 @@ impl ServeLoop {
                 // Searches are uncapped: the certificate must be exact.
                 if self.matching.try_augment_from_left(dg, u, k, usize::MAX) {
                     progressed += 1;
-                    ball_of_capped_into(
-                        dg,
-                        self.matching.last_walk(),
-                        k,
-                        usize::MAX,
-                        &mut scr.ball,
-                        &mut scr.ball_out,
-                    );
-                    absorb(
-                        &scr.ball_out,
-                        &self.matching,
-                        &mut scr.region,
-                        &mut scr.is_candidate,
-                        &mut scr.candidates,
-                    );
+                    scr.absorb_ball(dg, &self.matching, self.matching.last_walk(), k);
                 }
             }
             total += progressed;
             if progressed == 0 {
-                break 'sweep;
+                return (total, starts);
             }
         }
-        self.sweep_scratch = scr;
-        (total, starts)
     }
 
     /// Force a full static rebuild from the compacted live graph.
@@ -1325,17 +1402,85 @@ impl ServeLoop {
         }
         Ok(())
     }
+
+    /// Independent check of the `k/(k+1)` certificate (tests /
+    /// debugging): no free left has an augmenting walk of length
+    /// `≤ 2k−1`. A brute-force depth-first enumeration of every
+    /// alternating walk from every free left — right-simple, which loses
+    /// nothing, since a walk that revisits a right shortcuts to a shorter
+    /// one. It shares no code with the sweep's BFS searches, so it can
+    /// catch a sweep that skips a left it should have searched. The
+    /// enumeration is exponential in `k`: small instances only.
+    pub fn validate_certificate(&self) -> Result<(), String> {
+        /// Extend `walk` from left `x` with `hops` matched hops left;
+        /// `true` (with `walk` holding the rights) once it reaches a
+        /// right with spare capacity.
+        fn extend(
+            s: &ServeLoop,
+            x: LeftId,
+            hops: usize,
+            on_walk: &mut [bool],
+            walk: &mut Vec<RightId>,
+        ) -> bool {
+            let matched_at = s.matching.matched_at_slice();
+            let mx = s.matching.mate(x);
+            for w in s.dg.left_neighbors_iter(x) {
+                if mx == Some(w) || on_walk[w as usize] {
+                    continue;
+                }
+                walk.push(w);
+                if (matched_at[w as usize].len() as u64) < s.dg.capacity(w) {
+                    return true;
+                }
+                if hops > 0 {
+                    on_walk[w as usize] = true;
+                    for &x2 in &matched_at[w as usize] {
+                        if extend(s, x2, hops - 1, on_walk, walk) {
+                            return true;
+                        }
+                    }
+                    on_walk[w as usize] = false;
+                }
+                walk.pop();
+            }
+            false
+        }
+        let k = self.cfg.walk_budget;
+        let mut on_walk = vec![false; self.dg.n_right()];
+        let mut walk = Vec::new();
+        for u in 0..self.dg.n_left() as LeftId {
+            if self.matching.mate(u).is_none() && extend(self, u, k - 1, &mut on_walk, &mut walk) {
+                return Err(format!(
+                    "free left {u} has an augmenting walk of length {} through rights {walk:?} \
+                     (budget 2k−1 = {})",
+                    2 * walk.len() - 1,
+                    2 * k - 1
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sparse_alloc_flow::opt::opt_value;
     use sparse_alloc_graph::generators::{star, union_of_spanning_trees};
     use sparse_alloc_graph::BipartiteBuilder;
 
     fn serve(g: Bipartite, eps: f64) -> ServeLoop {
         ServeLoop::new(g, DynamicConfig::for_eps(eps))
+    }
+
+    /// Close an epoch and check the result against the independent
+    /// certificate oracle, as well as for feasibility.
+    fn close(s: &mut ServeLoop) -> EpochReport {
+        let r = s.end_epoch();
+        s.validate().unwrap();
+        s.validate_certificate().unwrap();
+        r
     }
 
     #[test]
@@ -1357,7 +1502,7 @@ mod tests {
         assert_eq!(u, 3);
         assert_eq!(s.query(u), Some(0));
         assert_eq!(s.match_size(), 4);
-        s.end_epoch();
+        close(&mut s);
         s.validate().unwrap();
     }
 
@@ -1372,7 +1517,7 @@ mod tests {
         s.apply(&Update::Depart { u: matched[0] });
         assert_eq!(s.match_size(), 2, "reclaim refills the freed slot");
         assert_eq!(s.query(matched[0]), None);
-        s.end_epoch();
+        close(&mut s);
         s.validate().unwrap();
     }
 
@@ -1388,7 +1533,7 @@ mod tests {
         let mut s = serve(g, 0.25);
         assert_eq!(s.match_size(), 4);
         s.apply(&Update::SetCapacity { v: 0, cap: 1 });
-        s.end_epoch();
+        close(&mut s);
         s.validate().unwrap();
         assert_eq!(s.match_size(), 4, "evictees re-place on the other center");
         let loads = s.assignment().right_loads(2);
@@ -1402,7 +1547,7 @@ mod tests {
         assert_eq!(s.match_size(), 2);
         s.apply(&Update::SetCapacity { v: 0, cap: 6 });
         assert_eq!(s.match_size(), 6);
-        s.end_epoch();
+        close(&mut s);
         s.validate().unwrap();
     }
 
@@ -1419,7 +1564,7 @@ mod tests {
         for &(u, v) in edges.iter().step_by(14) {
             s.apply(&Update::InsertEdge { u, v });
         }
-        s.end_epoch();
+        close(&mut s);
         s.validate().unwrap();
         let live = s.snapshot();
         let opt = opt_value(&live);
@@ -1442,7 +1587,7 @@ mod tests {
         for &(u, v) in edges.iter().take(10) {
             s.apply(&Update::DeleteEdge { u, v });
         }
-        let report = s.end_epoch();
+        let report = close(&mut s);
         assert!(report.rebuilt);
         assert_eq!(s.stats().rebuilds, 1);
         assert_eq!(s.graph().overlay_edges(), 0, "rebuild folds the overlay");
@@ -1465,7 +1610,7 @@ mod tests {
         }
         assert!(s.graph().overlay_edges() > 0);
         let m_live = s.graph().m();
-        let report = s.end_epoch();
+        let report = close(&mut s);
         assert!(report.compacted);
         assert_eq!(s.graph().overlay_edges(), 0);
         assert_eq!(s.graph().m(), m_live);
@@ -1494,10 +1639,10 @@ mod tests {
         assert_eq!(s.query(1), Some(0));
         s.apply(&Update::InsertEdge { u: 0, v: 0 });
         s.apply(&Update::InsertEdge { u: 1, v: 2 });
-        s.end_epoch();
+        close(&mut s);
         assert_eq!(s.query(0), Some(1), "matched lefts are left alone");
         s.apply(&Update::DeleteEdge { u: 0, v: 1 });
-        let r = s.end_epoch();
+        let r = close(&mut s);
         s.validate().unwrap();
         assert!(!r.rebuilt, "the sweep itself must do the repair");
         assert_eq!(
@@ -1515,7 +1660,7 @@ mod tests {
         let mut s = serve(g, 0.25);
         // Nothing changed since construction: the boosted certificate
         // stands, so the sweep must not search at all.
-        let r = s.end_epoch();
+        let r = close(&mut s);
         assert_eq!(r.sweep_expansions, 0, "no-op epoch searched");
         assert_eq!(r.sweep_starts, 0);
         assert_eq!(r.sweep_augmentations, 0);
@@ -1525,8 +1670,8 @@ mod tests {
         for &(u, v) in edges.iter().step_by(9) {
             s.apply(&Update::DeleteEdge { u, v });
         }
-        s.end_epoch();
-        let r = s.end_epoch();
+        close(&mut s);
+        let r = close(&mut s);
         assert_eq!(r.sweep_expansions, 0);
         assert_eq!(r.sweep_starts, 0);
         s.validate().unwrap();
@@ -1553,7 +1698,7 @@ mod tests {
 
         // A capacity-only epoch refreshes the ball instead of recomputing.
         s.apply(&Update::SetCapacity { v: 3, cap: 5 });
-        s.end_epoch();
+        close(&mut s);
         let f3 = s.fractional();
         assert_eq!(s.fractional_cache_counters(), (1, 1, 1));
         check(&s, &f3);
@@ -1563,7 +1708,7 @@ mod tests {
             neighbors: vec![0, 1],
         });
         s.apply(&Update::DeleteEdge { u: 2, v: 1 });
-        s.end_epoch();
+        close(&mut s);
         let f4 = s.fractional();
         assert_eq!(s.fractional_cache_counters().0, 2);
         check(&s, &f4);
@@ -1581,7 +1726,7 @@ mod tests {
                 neighbors: vec![1, 2, 3],
             });
             s.apply(&Update::SetCapacity { v: 9, cap: 5 });
-            s.end_epoch();
+            close(&mut s);
             (s.assignment().mate, s.levels().to_vec())
         };
         assert_eq!(run(), run());
@@ -1592,8 +1737,192 @@ mod tests {
         let g = BipartiteBuilder::new(0, 0).build(vec![]).unwrap();
         let mut s = serve(g, 0.5);
         assert_eq!(s.match_size(), 0);
-        let r = s.end_epoch();
+        let r = close(&mut s);
         assert_eq!(r.match_size, 0);
         s.validate().unwrap();
+    }
+
+    /// An engine churned by `updates` with no epoch closed since its
+    /// (certified) start, so its dirty marks cover every change since the
+    /// last certificate. A tiny eager cap leaves the longer walks to the
+    /// sweep; `k` is the walk budget.
+    fn churned(g: Bipartite, updates: &[Update], k: usize, eager_cap: usize) -> ServeLoop {
+        let mut cfg = DynamicConfig::for_eps(0.25);
+        cfg.walk_budget = k;
+        cfg.eager_walk_budget = k;
+        cfg.eager_search_cap = eager_cap;
+        cfg.drift_threshold = 100.0; // the sweep, never a rebuild
+        let mut s = ServeLoop::new(g, cfg);
+        for up in updates {
+            s.apply(up);
+        }
+        s
+    }
+
+    /// What one sweep from a given candidate derivation did: the derived
+    /// candidates (sorted: the sweep searches in ascending id order),
+    /// `(augmentations, searches started)`, and the final mates.
+    type SweepRun = (Vec<u32>, (usize, usize), Vec<Option<RightId>>);
+
+    fn sweep_forward(s: &mut ServeLoop) -> SweepRun {
+        s.matching.ensure_left(s.dg.n_left());
+        let mut scr = SweepScratch::default();
+        let k = s.cfg.walk_budget;
+        forward_candidates(&s.dg, &s.matching, &s.sweep_dirty, k, &mut scr);
+        finish_sweep(s, scr)
+    }
+
+    fn sweep_inverted(s: &mut ServeLoop) -> SweepRun {
+        s.matching.ensure_left(s.dg.n_left());
+        let mut scr = SweepScratch::default();
+        let k = s.cfg.walk_budget;
+        let decided = probe_candidates(&s.dg, &s.matching, &s.sweep_dirty, k, usize::MAX, &mut scr);
+        assert!(decided, "an unbounded probe always decides");
+        finish_sweep(s, scr)
+    }
+
+    fn finish_sweep(s: &mut ServeLoop, mut scr: SweepScratch) -> SweepRun {
+        let mut derived = scr.candidates.clone();
+        derived.sort_unstable();
+        let out = s.search_candidates(&mut scr);
+        (derived, out, s.assignment().mate)
+    }
+
+    /// Both derivations against each other and against `end_epoch` (which
+    /// picks one by the crossover rule, budget fallback included); every
+    /// result must pass the certificate oracle. Returns the forward run
+    /// and `(free lefts, dirty marks)` before the sweep.
+    fn derivations_agree(
+        g: &Bipartite,
+        updates: &[Update],
+        k: usize,
+        eager_cap: usize,
+    ) -> (SweepRun, (usize, usize)) {
+        let mut fwd = churned(g.clone(), updates, k, eager_cap);
+        let mut inv = churned(g.clone(), updates, k, eager_cap);
+        let mut live = churned(g.clone(), updates, k, eager_cap);
+        let sides = (live.dg.n_left() - live.match_size(), live.sweep_dirty.len());
+        let f = sweep_forward(&mut fwd);
+        let i = sweep_inverted(&mut inv);
+        assert_eq!(f, i, "forward and inverted sweeps diverged");
+        let r = close(&mut live);
+        assert_eq!(
+            (r.sweep_augmentations, r.sweep_starts),
+            f.1,
+            "end_epoch's sweep diverged"
+        );
+        assert_eq!(live.assignment().mate, f.2);
+        for s in [&fwd, &inv] {
+            s.validate().unwrap();
+            s.validate_certificate().unwrap();
+        }
+        (f, sides)
+    }
+
+    #[test]
+    fn inverted_derivation_matches_forward_when_free_lefts_are_scarce() {
+        // Plentiful capacity (few free lefts) under heavy churn, eager
+        // searches capped at 0: the crossover picks the inverted side and
+        // the sweep augments mid-pass. Pin both on a spread of seeds, on
+        // sparse graphs (one or two spanning trees) whose distances
+        // exceed the walk budgets, so a probe one hop short would miss.
+        use crate::adapter::{churn_stream, ChurnMix};
+        let (mut scarce, mut mid_pass) = (0, 0);
+        for seed in 0..24u64 {
+            let trees = 1 + seed as u32 % 2;
+            let g = union_of_spanning_trees(60, 40, trees, 2, seed).graph;
+            let updates = churn_stream(&g, 40, &ChurnMix::default(), seed + 100);
+            for (k, eager_cap) in [(1, 0), (2, 0), (4, 0), (4, 64)] {
+                let ((_, (aug, _), _), (free, dirty)) =
+                    derivations_agree(&g, &updates, k, eager_cap);
+                if free < dirty {
+                    scarce += 1;
+                    if aug > 0 {
+                        mid_pass += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            scarce > 0,
+            "no instance had fewer free lefts than dirty marks"
+        );
+        assert!(
+            mid_pass > 0,
+            "no free < dirty instance augmented in the sweep"
+        );
+    }
+
+    #[test]
+    fn an_exhausted_probe_budget_leaves_the_derivation_undecided() {
+        // 40 lefts on 30 unit slots: free lefts with neighbours exist, so
+        // a budget of 0 rights cannot decide, and `certificate_sweep`
+        // falls back to the forward derivation; a full budget decides.
+        let g = union_of_spanning_trees(40, 30, 2, 1, 3).graph;
+        let updates = [Update::DeleteEdge { u: 0, v: 0 }];
+        let k = 4;
+        let s = churned(g.clone(), &updates, k, 0);
+        let mut scr = SweepScratch::default();
+        assert!(!probe_candidates(
+            &s.dg,
+            &s.matching,
+            &s.sweep_dirty,
+            k,
+            0,
+            &mut scr
+        ));
+        assert!(probe_candidates(
+            &s.dg,
+            &s.matching,
+            &s.sweep_dirty,
+            k,
+            usize::MAX,
+            &mut scr
+        ));
+        derivations_agree(&g, &updates, k, 0);
+    }
+
+    /// A small instance: up to 20 lefts, 14 rights, capacities 1–3.
+    fn small_instance() -> impl Strategy<Value = Bipartite> {
+        (2usize..20, 2usize..14).prop_flat_map(|(nl, nr)| {
+            let edges = proptest::collection::vec((0..nl as u32, 0..nr as u32), 0..40);
+            let caps = proptest::collection::vec(1u64..=3, nr);
+            (Just(nl), Just(nr), edges, caps).prop_map(|(nl, nr, edges, caps)| {
+                let mut b = BipartiteBuilder::new(nl, nr);
+                b.extend_edges(edges);
+                b.build(caps).expect("in-range instance")
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random small instances and update streams, the forward and
+        /// inverted candidate derivations return the same candidates, and
+        /// sweeps from them (and `end_epoch`'s own) end in the same mates.
+        #[test]
+        fn candidate_derivations_agree(
+            g in small_instance(),
+            ops in proptest::collection::vec((0u8..5, 0u32..1_000_000, 0u32..1_000_000, 1u64..=3), 0..30),
+            k in 1usize..5,
+            eager_cap in 0usize..3,
+        ) {
+            let (mut nl, nr) = (g.n_left() as u32, g.n_right() as u32);
+            let mut updates = Vec::with_capacity(ops.len());
+            for &(kind, a, b, cap) in &ops {
+                updates.push(match kind {
+                    0 => {
+                        nl += 1;
+                        Update::Arrive { neighbors: vec![a % nr, b % nr] }
+                    }
+                    1 => Update::Depart { u: a % nl },
+                    2 => Update::InsertEdge { u: a % nl, v: b % nr },
+                    3 => Update::DeleteEdge { u: a % nl, v: b % nr },
+                    _ => Update::SetCapacity { v: a % nr, cap },
+                });
+            }
+            derivations_agree(&g, &updates, k, eager_cap);
+        }
     }
 }

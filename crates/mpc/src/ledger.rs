@@ -352,7 +352,7 @@ mod tests {
         // ledger and one rolling up after 4 records; every total and
         // labeled count must agree while the rolled ledger's accounting
         // state stays bounded.
-        let labels = ["route_updates", "repair_wave", "sweep_commit"];
+        let labels = ["route_updates", "repair_wave", "migration_commit"];
         let mut full = Ledger::default();
         let mut rolled = Ledger::default();
         rolled.rollup_after(4);
@@ -442,7 +442,10 @@ mod tests {
             (Phase::BatchSchedule, labels::BATCH_SCHEDULE),
             (Phase::RouteUpdates, labels::ROUTE_UPDATES),
             (Phase::RepairWave, labels::REPAIR_WAVE),
-            (Phase::SweepCommit, labels::SWEEP_COMMIT),
+            (Phase::CertSweep, labels::CERT_SWEEP),
+            (Phase::LevelRepair, labels::LEVEL_REPAIR),
+            (Phase::Compaction, labels::COMPACTION),
+            (Phase::MigrationCommit, labels::MIGRATION_COMMIT),
             (Phase::ShardState, labels::SHARD_STATE),
             (Phase::Checkpoint, labels::CHECKPOINT),
             (Phase::Restore, labels::RESTORE),

@@ -119,9 +119,18 @@ pub mod labels {
     /// One wave of conflict-free parallel ball repairs (cross-shard walk
     /// handoffs are the payload).
     pub const REPAIR_WAVE: &str = "repair_wave";
-    /// Committing the certificate sweep's matching migrations to the
-    /// shards owning the receiving right vertices.
-    pub const SWEEP_COMMIT: &str = "sweep_commit";
+    /// The serial core's certificate sweep at epoch close (local
+    /// computation: round-free, spanned for its wall time).
+    pub const CERT_SWEEP: &str = "cert_sweep";
+    /// The serial core's β-level repair at epoch close (local
+    /// computation: round-free, spanned for its wall time).
+    pub const LEVEL_REPAIR: &str = "level_repair";
+    /// The serial core's overlay compaction or drift rebuild at epoch
+    /// close (local computation: round-free, spanned for its wall time).
+    pub const COMPACTION: &str = "compaction";
+    /// Committing the epoch's matching migrations to the shards owning
+    /// the receiving right vertices.
+    pub const MIGRATION_COMMIT: &str = "migration_commit";
     /// Per-shard resident overlay/level/matching state observation
     /// (round-free; storage accounting only).
     pub const SHARD_STATE: &str = "shard_state";

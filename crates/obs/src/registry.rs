@@ -142,8 +142,17 @@ pub enum Phase {
     RouteUpdates,
     /// One conflict-free parallel repair wave.
     RepairWave,
-    /// Certificate sweep + cross-shard migration commit.
-    SweepCommit,
+    /// The serial core's `k/(k+1)` certificate sweep: deriving the
+    /// candidate free lefts and searching from them.
+    CertSweep,
+    /// The serial core's β-level repair on the dirty ball.
+    LevelRepair,
+    /// Folding the live graph's overlay into a fresh snapshot: an overlay
+    /// compaction, or the drift-budget rebuild that re-solves it.
+    Compaction,
+    /// Committing the epoch's matching migrations to the shards owning
+    /// the receiving right vertices.
+    MigrationCommit,
     /// Per-shard resident state observation (census).
     ShardState,
     /// Writing a warm-restart snapshot.
@@ -169,11 +178,14 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in export order.
-    pub const ALL: [Phase; 14] = [
+    pub const ALL: [Phase; 17] = [
         Phase::BatchSchedule,
         Phase::RouteUpdates,
         Phase::RepairWave,
-        Phase::SweepCommit,
+        Phase::CertSweep,
+        Phase::LevelRepair,
+        Phase::Compaction,
+        Phase::MigrationCommit,
         Phase::ShardState,
         Phase::Checkpoint,
         Phase::Restore,
@@ -192,7 +204,10 @@ impl Phase {
             Phase::BatchSchedule => "batch_schedule",
             Phase::RouteUpdates => "route_updates",
             Phase::RepairWave => "repair_wave",
-            Phase::SweepCommit => "sweep_commit",
+            Phase::CertSweep => "cert_sweep",
+            Phase::LevelRepair => "level_repair",
+            Phase::Compaction => "compaction",
+            Phase::MigrationCommit => "migration_commit",
             Phase::ShardState => "shard_state",
             Phase::Checkpoint => "checkpoint",
             Phase::Restore => "restore",
@@ -391,10 +406,10 @@ mod tests {
         let mut r = Registry::disabled();
         r.inc(Counter::WalkExpansions, 10);
         r.observe(Dist::BallSize, 10);
-        r.phase_ns(Phase::SweepCommit, 10);
+        r.phase_ns(Phase::CertSweep, 10);
         assert_eq!(r.counter(Counter::WalkExpansions), 0);
         assert!(r.dist(Dist::BallSize).is_empty());
-        assert!(r.phase(Phase::SweepCommit).is_empty());
+        assert!(r.phase(Phase::CertSweep).is_empty());
     }
 
     #[test]

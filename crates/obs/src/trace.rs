@@ -505,7 +505,7 @@ mod tests {
         let inner_ns = inner.close();
         let outer_ns = outer.close();
         assert!(outer_ns >= inner_ns);
-        let after = t.span(Phase::SweepCommit, 1);
+        let after = t.span(Phase::CertSweep, 1);
         drop(after); // drop without close still emits
         t.flush();
 
@@ -529,7 +529,7 @@ mod tests {
         // Emission order = close order: inner, outer, after.
         assert_eq!(spans[0].0, "repair_wave");
         assert_eq!(spans[1].0, "route_updates");
-        assert_eq!(spans[2].0, "sweep_commit");
+        assert_eq!(spans[2].0, "cert_sweep");
         // Nesting: inner opened one level below outer and within its window.
         assert_eq!(spans[1].1, 0);
         assert_eq!(spans[0].1, 1);

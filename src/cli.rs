@@ -1478,7 +1478,7 @@ mod tests {
         assert!(summary.contains("net_route"), "{summary}");
         assert!(summary.contains("wire bytes per peer"), "{summary}");
 
-        // Serial: the sweep/commit phase is spanned by the inner engine.
+        // Serial: the epoch-close phases are spanned by the inner engine.
         let serial_trace = temp("dyntr-serial.jsonl");
         run(&args(&format!(
             "dynamic {file} --epochs 1 --events 40 --eps 0.25 --seed 5 --no-full \
@@ -1486,7 +1486,9 @@ mod tests {
         )))
         .unwrap();
         let summary = run(&args(&format!("report {serial_trace}"))).unwrap();
-        assert!(summary.contains("sweep_commit"), "{summary}");
+        for phase in ["cert_sweep", "level_repair"] {
+            assert!(summary.contains(phase), "{summary}");
+        }
 
         // Any flipped byte fails the checksum verification, loudly.
         let mut bytes = std::fs::read(&trace).unwrap();

@@ -213,10 +213,12 @@ proptest! {
             serve.apply(&up);
             if i % epoch_every == epoch_every - 1 {
                 serve.end_epoch();
+                serve.validate_certificate().unwrap();
             }
         }
         serve.end_epoch();
         serve.validate().unwrap();
+        serve.validate_certificate().unwrap();
 
         let live = serve.snapshot();
         let maintained = serve.assignment();
