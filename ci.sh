@@ -314,6 +314,10 @@ if [ "${1:-}" != "fast" ]; then
     cargo test --release -q --test properties \
         p2p_epochs_with_cross_shard_walks_stay_serial_identical
 
+    step "compact ≡ builder and fractional ≡ scratch proptests under --release"
+    cargo test --release -q -p sparse-alloc-graph --lib delta::tests::compact_matches_builder
+    cargo test --release -q --test properties fractional_equals_scratch_under_updates
+
     step "transport fault-injection harness under --release (star spokes + p2p peer links)"
     cargo test --release -q --test transport
     # Worker inboxes (tagging, deadlines, closed/truncated links, reader

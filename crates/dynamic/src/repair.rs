@@ -68,9 +68,8 @@ pub struct LevelRepairConfig {
 pub struct LevelRepairReport {
     /// Right vertices in the repaired ball.
     pub ball_rights: usize,
-    /// The repaired ball itself (sorted). Callers that maintain derived
-    /// state — e.g. the serve loop's memoized fractional allocation —
-    /// invalidate exactly this set.
+    /// The repaired ball itself (sorted): the rights whose levels may
+    /// have moved.
     pub ball: Vec<RightId>,
     /// Left vertices adjacent to the ball (their aggregates were read).
     pub frontier_lefts: usize,

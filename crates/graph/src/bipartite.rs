@@ -48,6 +48,53 @@ pub struct Bipartite {
 }
 
 impl Bipartite {
+    /// Freeze a left CSR into a [`Bipartite`], deriving the right CSR by
+    /// counting sort in edge-id order. `O(n + m)`.
+    ///
+    /// The one right-CSR implementation of the crate: the builder and the
+    /// overlay compactions all end here. Callers guarantee in-range ids,
+    /// nonzero capacities (`capacities.len()` is `n_right`) and rows that
+    /// are sorted and duplicate-free — the invariants every reader of a
+    /// frozen graph relies on (`has_edge` binary-searches base rows).
+    pub(crate) fn from_left_csr(
+        left_offsets: Vec<usize>,
+        left_adj: Vec<RightId>,
+        capacities: Vec<u64>,
+    ) -> Bipartite {
+        debug_assert!(left_offsets
+            .windows(2)
+            .all(|w| left_adj[w[0]..w[1]].windows(2).all(|p| p[0] < p[1])));
+        let n_right = capacities.len();
+        let m = left_adj.len();
+        let mut right_offsets = vec![0usize; n_right + 1];
+        for &v in &left_adj {
+            right_offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n_right {
+            right_offsets[i + 1] += right_offsets[i];
+        }
+        let mut cursor = right_offsets.clone();
+        let mut right_adj = vec![0 as LeftId; m];
+        let mut right_edge_ids = vec![0 as EdgeId; m];
+        for (u, row) in left_offsets.windows(2).enumerate() {
+            for (e, &v) in (row[0]..row[1]).zip(&left_adj[row[0]..row[1]]) {
+                let v = v as usize;
+                let slot = cursor[v];
+                right_adj[slot] = u as LeftId;
+                right_edge_ids[slot] = e as EdgeId;
+                cursor[v] += 1;
+            }
+        }
+        Bipartite {
+            left_offsets,
+            left_adj,
+            right_offsets,
+            right_adj,
+            right_edge_ids,
+            capacities,
+        }
+    }
+
     /// Number of vertices on the left side.
     #[inline]
     pub fn n_left(&self) -> usize {

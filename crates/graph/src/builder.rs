@@ -129,9 +129,8 @@ impl BipartiteBuilder {
 
         self.edges.sort_unstable();
         self.edges.dedup();
-        let m = self.edges.len();
 
-        // Left CSR (edges already sorted by (u, v)).
+        // Left CSR (edges already sorted by (u, v)); the right CSR follows.
         let mut left_offsets = vec![0usize; self.n_left + 1];
         for &(u, _) in &self.edges {
             left_offsets[u as usize + 1] += 1;
@@ -140,33 +139,7 @@ impl BipartiteBuilder {
             left_offsets[i + 1] += left_offsets[i];
         }
         let left_adj: Vec<RightId> = self.edges.iter().map(|&(_, v)| v).collect();
-
-        // Right CSR by counting sort on v; record the originating edge id.
-        let mut right_offsets = vec![0usize; self.n_right + 1];
-        for &(_, v) in &self.edges {
-            right_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..self.n_right {
-            right_offsets[i + 1] += right_offsets[i];
-        }
-        let mut cursor = right_offsets.clone();
-        let mut right_adj = vec![0 as LeftId; m];
-        let mut right_edge_ids = vec![0u32; m];
-        for (e, &(u, v)) in self.edges.iter().enumerate() {
-            let slot = cursor[v as usize];
-            right_adj[slot] = u;
-            right_edge_ids[slot] = e as u32;
-            cursor[v as usize] += 1;
-        }
-
-        Ok(Bipartite {
-            left_offsets,
-            left_adj,
-            right_offsets,
-            right_adj,
-            right_edge_ids,
-            capacities,
-        })
+        Ok(Bipartite::from_left_csr(left_offsets, left_adj, capacities))
     }
 
     /// Freeze with every right vertex given capacity `c`.

@@ -20,7 +20,6 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::bipartite::{Bipartite, LeftId, RightId};
-use crate::builder::BipartiteBuilder;
 use crate::io::{self, ByteReader, ByteWriter, IoError};
 
 /// A live bipartite graph: an immutable base snapshot plus a mutation
@@ -408,12 +407,14 @@ impl DeltaGraph {
     /// endpoint `v` has `owner(v) == s`. Every shard keeps the full vertex
     /// id space (ids are stable across shards and across compactions) and
     /// the full live capacity vector, so per-shard solvers index the same
-    /// arrays the global engine does. `O(n·shards + m)`.
+    /// arrays the global engine does. `O(n·shards + m)`, plus the sort of
+    /// each row that carries overlay edges.
     ///
     /// This is the distributed serve loop's "per-shard compaction": each
     /// machine folds only its owned slice of the overlay, and the union of
     /// the shards' edge sets is the live edge set, each edge appearing on
-    /// exactly one shard.
+    /// exactly one shard. Each shard is [`compact`](DeltaGraph::compact)'s
+    /// row filter: the sorted live rows restricted to its rights.
     ///
     /// # Panics
     /// Panics if `shards == 0` or `owner` returns an id `≥ shards`.
@@ -422,23 +423,45 @@ impl DeltaGraph {
         F: Fn(RightId) -> usize,
     {
         assert!(shards >= 1, "partition needs at least one shard");
-        let mut builders: Vec<BipartiteBuilder> = (0..shards)
-            .map(|_| BipartiteBuilder::new(self.n_left(), self.n_right()))
+        let mut csrs: Vec<(Vec<usize>, Vec<RightId>)> = (0..shards)
+            .map(|_| {
+                let mut offsets = Vec::with_capacity(self.n_left() + 1);
+                offsets.push(0);
+                (offsets, Vec::new())
+            })
             .collect();
+        let mut row: Vec<RightId> = Vec::new();
         for u in 0..self.n_left() as u32 {
-            for v in self.left_neighbors_iter(u) {
+            row.clear();
+            self.push_live_row(u, &mut row);
+            for &v in &row {
                 let s = owner(v);
                 assert!(s < shards, "owner({v}) = {s} out of range");
-                builders[s].add_edge(u, v);
+                csrs[s].1.push(v);
+            }
+            for (offsets, adj) in &mut csrs {
+                offsets.push(adj.len());
             }
         }
-        builders
-            .into_iter()
-            .map(|b| {
-                b.build(self.caps.clone())
-                    .expect("overlay edges are range-checked on insertion")
-            })
+        csrs.into_iter()
+            .map(|(offsets, adj)| Bipartite::from_left_csr(offsets, adj, self.caps.clone()))
             .collect()
+    }
+
+    /// Append the live neighbours of `u` to `out`, sorted. Base rows are
+    /// sorted already and lose only deleted edges; a row that carries
+    /// overlay edges (staged inserts, or any arrival — inserts onto an
+    /// arrival append unsorted) is sorted in place. Live rows are
+    /// duplicate-free ([`insert_edge`](DeltaGraph::insert_edge) refuses
+    /// live edges and revives deleted base edges in place, and
+    /// [`arrive_at`](DeltaGraph::arrive_at) dedups), so no dedup pass.
+    fn push_live_row(&self, u: LeftId, out: &mut Vec<RightId>) {
+        let start = out.len();
+        self.for_each_left_neighbor(u, |v| out.push(v));
+        let base = (u as usize) < self.base.n_left();
+        if !base || self.added_left_n[u as usize] != 0 {
+            out[start..].sort_unstable();
+        }
     }
 
     /// Start a thin insert-only overlay view over the live graph — the
@@ -644,16 +667,22 @@ impl DeltaGraph {
     }
 
     /// Fold the overlay into a fresh frozen snapshot with identical vertex
-    /// ids (departed left slots persist with degree 0). `O(n + m)`.
+    /// ids (departed left slots persist with degree 0). Equal, array for
+    /// array and edge id for edge id, to a [`crate::BipartiteBuilder`]
+    /// build of the live edges, without its global sort: the live rows
+    /// are copied in left order (base rows are sorted already and live
+    /// rows duplicate-free, so only rows with overlay edges are sorted)
+    /// and the right CSR follows by counting sort. `O(n + m)` plus
+    /// `O(d log d)` per overlay row of degree `d`.
     pub fn compact(&self) -> Bipartite {
-        let mut b = BipartiteBuilder::with_edge_capacity(self.n_left(), self.n_right(), self.m());
+        let mut left_offsets = Vec::with_capacity(self.n_left() + 1);
+        left_offsets.push(0);
+        let mut left_adj: Vec<RightId> = Vec::with_capacity(self.m());
         for u in 0..self.n_left() as u32 {
-            for v in self.left_neighbors_iter(u) {
-                b.add_edge(u, v);
-            }
+            self.push_live_row(u, &mut left_adj);
+            left_offsets.push(left_adj.len());
         }
-        b.build(self.caps.clone())
-            .expect("overlay edges are range-checked on insertion")
+        Bipartite::from_left_csr(left_offsets, left_adj, self.caps.clone())
     }
 }
 
@@ -899,6 +928,8 @@ impl Iterator for LinkIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BipartiteBuilder;
+    use proptest::prelude::*;
 
     fn base() -> Bipartite {
         // L = {0,1,2}, R = {0,1}; edges (0,0) (0,1) (1,0) (2,1), caps [2, 3].
@@ -1362,6 +1393,109 @@ mod tests {
                 ov.right_neighbors_iter(v).collect::<Vec<_>>(),
                 "overlay right {v}"
             );
+        }
+    }
+
+    /// Every CSR array, every edge id and the capacities of `got` equal
+    /// those of `want`, and `got` passes `validate()`.
+    fn assert_same_graph(got: &Bipartite, want: &Bipartite, what: &str) {
+        got.validate()
+            .unwrap_or_else(|e| panic!("{what}: invalid graph: {e}"));
+        assert_eq!(got.left_offsets, want.left_offsets, "{what}: left offsets");
+        assert_eq!(got.left_adj, want.left_adj, "{what}: left adjacency");
+        assert_eq!(
+            got.right_offsets, want.right_offsets,
+            "{what}: right offsets"
+        );
+        assert_eq!(got.right_adj, want.right_adj, "{what}: right adjacency");
+        assert_eq!(got.right_edge_ids, want.right_edge_ids, "{what}: edge ids");
+        assert_eq!(got.capacities, want.capacities, "{what}: capacities");
+    }
+
+    /// The builder path over the live edges whose right endpoint passes
+    /// `keep`: the reference `compact` and each shard of
+    /// `partition_by_right` must reproduce exactly.
+    fn builder_snapshot(d: &DeltaGraph, keep: impl Fn(RightId) -> bool) -> Bipartite {
+        let mut b = BipartiteBuilder::new(d.n_left(), d.n_right());
+        for u in 0..d.n_left() as LeftId {
+            b.extend_edges(
+                d.left_neighbors_iter(u)
+                    .filter(|&v| keep(v))
+                    .map(|v| (u, v)),
+            );
+        }
+        b.build(d.capacities().to_vec()).unwrap()
+    }
+
+    fn small_base() -> impl Strategy<Value = Bipartite> {
+        (0usize..8, 1usize..6).prop_flat_map(|(nl, nr)| {
+            let edges = proptest::collection::vec((0..nl.max(1) as u32, 0..nr as u32), 0..24);
+            let caps = proptest::collection::vec(1u64..=3, nr);
+            (Just(nl), Just(nr), edges, caps).prop_map(|(nl, nr, edges, caps)| {
+                let mut b = BipartiteBuilder::new(nl, nr);
+                b.extend_edges(edges.into_iter().filter(|&(u, _)| (u as usize) < nl));
+                b.build(caps).unwrap()
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn compact_matches_builder(
+            g in small_base(),
+            ops in proptest::collection::vec((0u8..7, 0u32..1_000, 0u32..1_000, 1u64..=4), 0..40),
+            shards in 1usize..4,
+        ) {
+            let owner = |v: RightId| (v as usize * 7 + 3) % shards;
+            let mut d = DeltaGraph::new(g);
+            let mut deleted: Vec<(LeftId, RightId)> = Vec::new();
+            for (step, &(kind, a, b, cap)) in ops.iter().enumerate() {
+                let (nl, nr) = (d.n_left() as u32, d.n_right() as u32);
+                match kind {
+                    // An arrival whose neighbour list repeats a right.
+                    0 => {
+                        d.arrive(&[a % nr, b % nr, a % nr]);
+                    }
+                    1 if nl > 0 => {
+                        for v in d.depart(a % nl) {
+                            deleted.push((a % nl, v));
+                        }
+                    }
+                    // Inserts land on base lefts and arrivals alike; on an
+                    // arrival they append out of order.
+                    2 if nl > 0 => {
+                        d.insert_edge(a % nl, b % nr);
+                    }
+                    // Delete a live edge of `u` — a base or an overlay edge.
+                    3 if nl > 0 => {
+                        let u = a % nl;
+                        let row: Vec<RightId> = d.left_neighbors_iter(u).collect();
+                        if !row.is_empty() {
+                            let v = row[b as usize % row.len()];
+                            prop_assert!(d.delete_edge(u, v));
+                            deleted.push((u, v));
+                        }
+                    }
+                    // Re-insert a deleted edge (revives deleted base edges).
+                    4 if !deleted.is_empty() => {
+                        let (u, v) = deleted.swap_remove(a as usize % deleted.len());
+                        d.insert_edge(u, v);
+                    }
+                    5 => d.set_capacity(a % nr, cap),
+                    6 => d = DeltaGraph::new(d.compact()),
+                    _ => {}
+                }
+                let what = format!("step {step} (op {kind})");
+                assert_same_graph(&d.compact(), &builder_snapshot(&d, |_| true), &what);
+                let parts = d.partition_by_right(shards, owner);
+                prop_assert_eq!(parts.len(), shards);
+                for (s, part) in parts.iter().enumerate() {
+                    let want = builder_snapshot(&d, |v| owner(v) == s);
+                    assert_same_graph(part, &want, &format!("{what}, shard {s}"));
+                }
+            }
         }
     }
 }

@@ -239,17 +239,29 @@ proptest! {
     }
 
     #[test]
-    fn memoized_fractional_agrees_with_recompute_under_updates(
+    fn fractional_equals_scratch_under_updates(
         g in instance(),
         ops in proptest::collection::vec((0u8..5, 0u32..1_000_000, 0u32..1_000_000, 1u64..=4), 0..30),
         epoch_every in 2usize..7,
+        caps in proptest::collection::vec((0u32..1_000_000, 1u64..=4), 1..4),
     ) {
-        // ServeLoop::fractional() memoizes per ball; after ANY update
-        // sequence its answer must agree with a from-scratch
-        // finalize_from_levels on the live snapshot.
+        // After any update sequence, ServeLoop::fractional() must equal —
+        // bit for bit — finalize_from_levels on a builder-built snapshot
+        // of the live edges, after structural and capacity-only epochs.
         use sparse_alloc::core::fractional::finalize_from_levels;
         let eps = 0.25;
         let mut serve = ServeLoop::new(g, DynamicConfig::for_eps(eps));
+        let check = |serve: &ServeLoop| {
+            let dg = serve.graph();
+            let mut b = BipartiteBuilder::new(dg.n_left(), dg.n_right());
+            for u in 0..dg.n_left() as u32 {
+                b.extend_edges(dg.left_neighbors_iter(u).map(|v| (u, v)));
+            }
+            let live = b.build(dg.capacities().to_vec()).unwrap();
+            let (got, want) = (serve.fractional(), finalize_from_levels(&live, serve.levels(), eps));
+            prop_assert!(got.x == want.x, "x differs from the scratch recompute");
+            prop_assert!(got.weight == want.weight, "weight {} vs {}", got.weight, want.weight);
+        };
         for (i, &(kind, a, b, cap)) in ops.iter().enumerate() {
             let nl = serve.graph().n_left() as u32;
             let nr = serve.graph().n_right() as u32;
@@ -263,25 +275,18 @@ proptest! {
             serve.apply(&up);
             if i % epoch_every == epoch_every - 1 {
                 serve.end_epoch();
-                let memo = serve.fractional();
-                let scratch = finalize_from_levels(&serve.snapshot(), serve.levels(), eps);
-                prop_assert_eq!(memo.x.len(), scratch.x.len());
-                for (e, (xm, xs)) in memo.x.iter().zip(&scratch.x).enumerate() {
-                    prop_assert!((xm - xs).abs() < 1e-9, "x[{}]: {} vs {}", e, xm, xs);
-                }
-                prop_assert!(
-                    (memo.weight - scratch.weight).abs() < 1e-6 * scratch.weight.max(1.0),
-                    "weight {} vs {}", memo.weight, scratch.weight
-                );
+                check(&serve);
             }
         }
-        // Consecutive queries with no intervening change hit the memo.
         serve.end_epoch();
-        let a1 = serve.fractional();
-        let a2 = serve.fractional();
-        prop_assert_eq!(a1.x, a2.x);
-        let (_, _, hits) = serve.fractional_cache_counters();
-        prop_assert!(hits >= 1);
+        check(&serve);
+        // A capacity-only epoch: levels and capacities move, edges do not.
+        let nr = serve.graph().n_right() as u32;
+        for &(v, cap) in &caps {
+            serve.apply(&Update::SetCapacity { v: v % nr, cap });
+        }
+        serve.end_epoch();
+        check(&serve);
     }
 
     #[test]
