@@ -182,10 +182,9 @@ if [ "${1:-}" != "fast" ]; then
     # One-box gate: sharding should beat the serial engine same-config
     # on the same machine (the JSON records one_box_win honestly). The
     # serial engine's eager repairs cost a few ms per run, while the
-    # scheduler's footprint+wave passes (~7 ms/batch) and the wave
-    # executor's per-wave thread spawns (nproc > 1) are surplus the
+    # scheduler's footprint+wave passes (~6 ms/batch) are surplus the
     # sharded path pays on top of the shared epoch close, so wall-clock
-    # parity is out of reach on a 2-vCPU host; the gate then falls
+    # parity is out of reach; the gate then falls
     # back to an absolute overhead cap: sharded wall-clock
     # within 1.6× of serial. The cap is wide because box noise alone
     # swings the measured ratio between runs; the relative ratchet below
@@ -296,7 +295,7 @@ if [ "${1:-}" != "fast" ]; then
         printf "e23 wave-bytes gate: %d (limit %d) — OK\n", b, limit
     }' || exit 1
 
-    step "sharded ≡ serial proptest under --release (threaded wave execution)"
+    step "sharded ≡ serial proptest under --release (conflict-free waves)"
     cargo test --release -q --test properties \
         sharded_serving_equals_serial_for_any_shard_count
 

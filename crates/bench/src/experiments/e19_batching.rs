@@ -9,7 +9,7 @@
 //! hash probe per footprint edge. This experiment drives the identical
 //! workload (same generator, seeds, churn) through the hardened path —
 //! incremental `G⁺` overlay, stamped touch maps, eager-radius
-//! footprints, threaded wave execution — and records wall time *and*
+//! footprints, width-balanced waves — and records wall time *and*
 //! wave occupancy (waves, max/mean width, escalations) next to that
 //! baseline. `BENCH_batching.json` is the record `ci.sh` gates
 //! regressions against.
@@ -22,19 +22,18 @@
 //! verbatim. Since the certificate sweep derives its candidates from the
 //! few free lefts (64,996 of 65,000 lefts are matched here) instead of
 //! growing a radius-`k` region over the whole graph, that work is β-level
-//! repair: `level_repair` takes ~13 ms per epoch (its ball saturates the
-//! 4,096-right cap) against ~0.2 ms for `cert_sweep`. The sharded path
+//! repair: `level_repair` takes ~8 ms per epoch (its ball saturates the
+//! 4,096-right cap) against ~0.1 ms for `cert_sweep`. The sharded path
 //! pays the same epoch close *plus* its scheduling surplus: footprint
-//! growth + three wave passes (`batch_schedule`, ~7 ms per batch),
-//! routing, shard-state aggregation, and the wave executor. Wave threads
-//! are auto-sized to the host's parallelism, so on a multi-core host
-//! every wide wave spawns scoped worker threads: on a 2-vCPU host
-//! (nproc = 2) `repair_wave` has a p50 of ~90 µs over the 951 waves of a
-//! drive, against ~3 µs for waves run inline on one core. At this wave
-//! width the threads do not buy the spawns back, and sharded wall time
-//! is ~3.5–4× serial on that host. The record says so (`one_box_win:
-//! false`), and `overhead_ratio` is the ratcheted quantity (`ci.sh` caps
-//! it at 1.6× serial absolute and 1.25× the recorded value relative).
+//! growth + three wave passes (`batch_schedule`, ~4–6 ms per batch),
+//! routing (~0.2 ms), and shard-state aggregation (~0.8 ms per epoch).
+//! The wave executor itself is cheap: the simulator runs a wave's
+//! repairs inline, one after another, so `repair_wave` has a p50 of
+//! ~3 µs over the 951 waves of a drive. On a 2-vCPU host (nproc = 2)
+//! sharded wall time is ~1.4–1.9× serial, almost all of the gap being
+//! `batch_schedule`. The record says so (`one_box_win: false`), and
+//! `overhead_ratio` is the ratcheted quantity (`ci.sh` caps it at 1.6×
+//! serial absolute and 1.25× the recorded value relative).
 //! Every record carries its provenance (`nproc`, `profile`, `git_rev`).
 
 use std::time::Instant;
@@ -213,10 +212,9 @@ pub fn run() {
     let worst_ms = sharded_ms.iter().copied().fold(0.0f64, f64::max);
     // The one-box-win criterion: sharding pays for itself on a single
     // machine — the slowest sharded config still beats the serial engine
-    // on the identical workload. Recorded honestly: where the wave
-    // executor's surplus outweighs what its threads buy back (see the
-    // module docs) it is unreachable, and ci.sh falls back to the
-    // overhead-ratio cap. Scalar wave-shape fields
+    // on the identical workload. Recorded honestly: the scheduling
+    // surplus (see the module docs) makes it unreachable here, and
+    // ci.sh falls back to the overhead-ratio cap. Scalar wave-shape fields
     // (worst case over the shard counts) ride along so ci.sh can
     // regression-gate the schedule's shape, not just its wall time.
     let one_box_win = all_equal && worst_ms <= serial_ms;

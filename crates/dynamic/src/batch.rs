@@ -141,7 +141,6 @@
 //!     &DynamicConfig::for_eps(0.25),
 //!     &ShardMap::new(2),
 //!     FOOTPRINT_CAP,
-//!     1, // footprint worker threads; the schedule is thread-count-invariant
 //! )
 //! .unwrap();
 //! assert_eq!(s.waves, 2, "wave count = conflict chain length");
@@ -412,9 +411,9 @@ pub fn owner_of(
     }
 }
 
-/// One worker's share of phase A: footprints for a contiguous run of
-/// updates, in a chunk-local arena (stitched by offset afterwards).
-struct FootprintChunk {
+/// Phase A's output: every update's footprint, back to back in one
+/// arena.
+struct Footprints {
     arena: Vec<RightId>,
     /// Per-update footprint length (starts are prefix sums).
     lens: Vec<u32>,
@@ -423,24 +422,22 @@ struct FootprintChunk {
     referenced: Vec<Option<u32>>,
 }
 
-/// Grow, sort, and dedup the footprints of `updates` (a contiguous slice
-/// of the batch) on the shared union-graph view. Pure function of the
-/// slice: chunk boundaries cannot change any footprint, so the parallel
-/// split is exact, not approximate.
-fn footprint_chunk(
+/// Grow, sort, and dedup the footprints of `updates` on the union-graph
+/// view.
+fn grow_footprints(
     gplus: &InsertOverlay<'_>,
     updates: &[Update],
     base_n_left: u32,
     radius: usize,
     cap: usize,
-) -> FootprintChunk {
+) -> Footprints {
     let mut in_ball = StampSet::new(gplus.n_right());
     let mut seen_left = StampSet::new(gplus.n_left());
     let mut deep: Vec<RightId> = Vec::new();
     let mut shallow: Vec<RightId> = Vec::new();
     let mut frontier: Vec<RightId> = Vec::new();
     let mut next: Vec<RightId> = Vec::new();
-    let mut out = FootprintChunk {
+    let mut out = Footprints {
         arena: Vec::new(),
         lens: Vec::with_capacity(updates.len()),
         depths: Vec::with_capacity(updates.len()),
@@ -517,11 +514,6 @@ fn footprint_chunk(
     out
 }
 
-/// Batches below this size compute footprints on the calling thread:
-/// chunk scratch (four stamped arrays over the graph) costs more to set
-/// up than the parallelism recovers.
-const PARALLEL_FOOTPRINT_MIN: usize = 256;
-
 /// How many waves past the conflict floor the balancing pass inspects
 /// when picking the least-loaded wave in an update's slack window.
 const BALANCE_WINDOW: usize = 32;
@@ -531,12 +523,7 @@ const BALANCE_WINDOW: usize = 32;
 ///
 /// `cfg` supplies the eager repair bounds (the footprint radius,
 /// [`DynamicConfig::eager_radius`]); `footprint_cap` is the global
-/// escalation threshold (see [`FOOTPRINT_CAP`]). `threads` bounds the
-/// worker threads footprint growth fans out over (0 and 1 both mean
-/// "stay on the calling thread") — footprints are independent per
-/// update, so the schedule is **identical for every thread count**; only
-/// the wave-assignment passes are inherently sequential, and they touch
-/// precomputed footprints only.
+/// escalation threshold (see [`FOOTPRINT_CAP`]).
 ///
 /// # Errors
 ///
@@ -551,7 +538,6 @@ pub fn schedule(
     cfg: &DynamicConfig,
     map: &ShardMap,
     footprint_cap: usize,
-    threads: usize,
 ) -> Result<BatchSchedule, MpcError> {
     let base_n_left = dg.n_left() as u32;
     let (gplus, arrive_ids) = stage_gplus(dg, updates);
@@ -568,43 +554,21 @@ pub fn schedule(
 
     let n = updates.len();
 
-    // ---- Phase A: footprints, fanned out over worker threads. This is
-    // the scheduler's dominant cost (ball growth on the overlay), and it
-    // is embarrassingly parallel; the sequential wave passes below only
-    // walk the precomputed arena.
-    let t = threads.max(1).min(n / PARALLEL_FOOTPRINT_MIN.max(1)).max(1);
-    let chunks: Vec<FootprintChunk> = if t <= 1 {
-        vec![footprint_chunk(&gplus, updates, base_n_left, radius, cap)]
-    } else {
-        let chunk_size = n.div_ceil(t);
-        std::thread::scope(|s| {
-            let gp = &gplus;
-            let handles: Vec<_> = updates
-                .chunks(chunk_size)
-                .map(|c| s.spawn(move || footprint_chunk(gp, c, base_n_left, radius, cap)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("footprint worker panicked"))
-                .collect()
-        })
-    };
-    let mut footprints: Vec<RightId> =
-        Vec::with_capacity(chunks.iter().map(|c| c.arena.len()).sum());
+    // ---- Phase A: footprints. This is the scheduler's dominant cost
+    // (ball growth on the overlay); the wave passes below only walk the
+    // precomputed arena.
+    let Footprints {
+        arena: footprints,
+        lens,
+        depths,
+        capped,
+        referenced: referenced_of,
+    } = grow_footprints(&gplus, updates, base_n_left, radius, cap);
     let mut seg: Vec<(u32, u32)> = Vec::with_capacity(n);
-    let mut depths: Vec<usize> = Vec::with_capacity(n);
-    let mut capped: Vec<bool> = Vec::with_capacity(n);
-    let mut referenced_of: Vec<Option<u32>> = Vec::with_capacity(n);
-    for mut c in chunks {
-        let mut off = footprints.len() as u32;
-        for &len in &c.lens {
-            seg.push((off, len));
-            off += len;
-        }
-        footprints.append(&mut c.arena);
-        depths.append(&mut c.depths);
-        capped.append(&mut c.capped);
-        referenced_of.append(&mut c.referenced);
+    let mut off = 0u32;
+    for &len in &lens {
+        seg.push((off, len));
+        off += len;
     }
     let escalations = capped.iter().filter(|&&c| c).count();
 
@@ -994,7 +958,7 @@ mod tests {
             Update::SetCapacity { v: 0, cap: 2 },
             Update::SetCapacity { v: 40, cap: 2 },
         ];
-        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP, 1).unwrap();
+        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP).unwrap();
         assert_eq!(s.waves, 1, "disjoint balls repair in parallel");
         assert_eq!(s.delayed, 0);
         assert_eq!(s.widths, vec![2]);
@@ -1012,7 +976,7 @@ mod tests {
             Update::SetCapacity { v: 11, cap: 3 },
             Update::SetCapacity { v: 12, cap: 1 },
         ];
-        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP, 1).unwrap();
+        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP).unwrap();
         assert_eq!(s.plans[0].wave, 0);
         assert_eq!(s.plans[1].wave, 1);
         assert_eq!(s.plans[2].wave, 2);
@@ -1035,7 +999,7 @@ mod tests {
                 neighbors: vec![30],
             },
         ];
-        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP, 1).unwrap();
+        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP).unwrap();
         assert_eq!(s.plans[0].wave, 0);
         assert_eq!(s.plans[1].wave, 0, "commuting arrivals share a wave");
         assert_eq!(s.plans[0].arrive_id, Some(40));
@@ -1051,7 +1015,7 @@ mod tests {
             Update::Arrive { neighbors: vec![5] },
             Update::Arrive { neighbors: vec![5] },
         ];
-        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP, 1).unwrap();
+        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP).unwrap();
         assert!(
             s.plans[1].wave > s.plans[0].wave,
             "shared right v5 serializes the pair in batch order"
@@ -1071,7 +1035,7 @@ mod tests {
             // is far from v9 — ordering must still hold.
             Update::InsertEdge { u: 10, v: 0 },
         ];
-        let s = schedule(&dg, &updates, &cfg_k(1), &map, FOOTPRINT_CAP, 1).unwrap();
+        let s = schedule(&dg, &updates, &cfg_k(1), &map, FOOTPRINT_CAP).unwrap();
         assert!(s.plans[1].wave > s.plans[0].wave);
         check_schedule_sound(&dg, &updates, &cfg_k(1), FOOTPRINT_CAP, &s);
     }
@@ -1088,7 +1052,7 @@ mod tests {
             Update::InsertEdge { u: 10, v: 0 },
             Update::Arrive { neighbors: vec![9] },
         ];
-        let s = schedule(&dg, &updates, &cfg_k(1), &map, FOOTPRINT_CAP, 1).unwrap();
+        let s = schedule(&dg, &updates, &cfg_k(1), &map, FOOTPRINT_CAP).unwrap();
         assert!(s.plans[0].global, "forward reference is global");
         assert_eq!(s.escalations, 0, "not a cap escalation");
         assert!(s.plans[1].wave > s.plans[0].wave);
@@ -1110,7 +1074,7 @@ mod tests {
             Update::SetCapacity { v: 40, cap: 2 },
             Update::SetCapacity { v: 50, cap: 2 },
         ];
-        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP, 1).unwrap();
+        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP).unwrap();
         assert_eq!(s.waves, 3, "waves equal the conflict chain length");
         assert_eq!(s.widths, vec![2, 2, 2], "commuting updates balance");
         check_schedule_sound(&dg, &updates, &cfg_k(2), FOOTPRINT_CAP, &s);
@@ -1127,7 +1091,7 @@ mod tests {
             Update::InsertEdge { u: 5, v: 20 },
             Update::SetCapacity { v: 20, cap: 3 },
         ];
-        let s = schedule(&dg, &updates, &cfg_k(1), &map, FOOTPRINT_CAP, 1).unwrap();
+        let s = schedule(&dg, &updates, &cfg_k(1), &map, FOOTPRINT_CAP).unwrap();
         assert!(
             s.footprint(0).contains(&20),
             "insert's footprint spans the shortcut"
@@ -1144,7 +1108,7 @@ mod tests {
             Update::SetCapacity { v: 20, cap: 2 },
             Update::Arrive { neighbors: vec![5] },
         ];
-        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP, 1).unwrap();
+        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP).unwrap();
         assert_eq!(s.plans[0].depth, 2, "deep seeds expand the full radius");
         assert_eq!(s.plans[1].depth, 1, "shallow seeds expand one hop less");
         for p in &s.plans {
@@ -1155,7 +1119,7 @@ mod tests {
     #[test]
     fn empty_batch_schedules_nothing() {
         let dg = path_graph(4);
-        let s = schedule(&dg, &[], &cfg_k(2), &ShardMap::new(2), FOOTPRINT_CAP, 4).unwrap();
+        let s = schedule(&dg, &[], &cfg_k(2), &ShardMap::new(2), FOOTPRINT_CAP).unwrap();
         assert_eq!(s.waves, 0);
         assert!(s.plans.is_empty());
         assert!(s.widths.is_empty());
@@ -1171,14 +1135,14 @@ mod tests {
             Update::SetCapacity { v: 20, cap: 2 },
         ];
         // Radius-3 balls on the path have ~7 rights; cap 3 truncates.
-        let s = schedule(&dg, &updates, &cfg_k(2), &map, 3, 1).unwrap();
+        let s = schedule(&dg, &updates, &cfg_k(2), &map, 3).unwrap();
         assert_eq!(s.escalations, 3, "all balls hit the cap");
         assert!(s.plans.iter().all(|p| p.global));
         assert_eq!(s.waves, 3, "global updates get singleton waves");
         assert_eq!(s.widths, vec![1, 1, 1]);
         check_schedule_sound(&dg, &updates, &cfg_k(2), 3, &s);
         // The same batch under the default cap shares one wave.
-        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP, 1).unwrap();
+        let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP).unwrap();
         assert_eq!(s.escalations, 0);
         assert_eq!(s.waves, 1);
     }
@@ -1192,13 +1156,13 @@ mod tests {
             Update::SetCapacity { v: 15, cap: 2 },
         ];
         // Full radius (k = 4 ⇒ 5 hops): the two balls overlap.
-        let wide = schedule(&dg, &updates, &cfg_k(4), &map, FOOTPRINT_CAP, 1).unwrap();
+        let wide = schedule(&dg, &updates, &cfg_k(4), &map, FOOTPRINT_CAP).unwrap();
         assert_eq!(wide.waves, 2, "radius-5 balls at distance 5 collide");
         // Eager budget 1 (radius 2): they are disjoint and share a wave.
         let mut cfg = cfg_k(4);
         cfg.eager_walk_budget = 1;
         assert_eq!(cfg.eager_radius(), 1);
-        let tight = schedule(&dg, &updates, &cfg, &map, FOOTPRINT_CAP, 1).unwrap();
+        let tight = schedule(&dg, &updates, &cfg, &map, FOOTPRINT_CAP).unwrap();
         assert_eq!(tight.waves, 1, "eager-radius footprints are disjoint");
     }
 
@@ -1294,7 +1258,7 @@ mod oracle_proptests {
             for &shards in &[1usize, 2, 4, 7] {
                 let map = ShardMap::new(shards);
                 for &cap in &[cap_small, FOOTPRINT_CAP] {
-                    let got = schedule(&dg, &updates, &cfg, &map, cap, 1 + (shards % 3)).unwrap();
+                    let got = schedule(&dg, &updates, &cfg, &map, cap).unwrap();
                     check_schedule_sound(&dg, &updates, &cfg, cap, &got);
                     for (i, (up, plan)) in updates.iter().zip(&got.plans).enumerate() {
                         prop_assert_eq!(

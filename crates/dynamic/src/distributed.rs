@@ -16,9 +16,10 @@
 //!    than half its space budget in one round.
 //! 2. **Repair waves** ([`labels::REPAIR_WAVE`]) — the
 //!    [`batch`](crate::batch) scheduler groups updates whose conservative
-//!    balls are vertex-disjoint; each wave repairs its balls in parallel
-//!    (disjointness makes the repairs commute, so the result equals
-//!    serial application — the property `tests/properties.rs` proves).
+//!    balls are vertex-disjoint; each wave repairs its balls in one
+//!    simulated round (disjointness makes the repairs commute, so the
+//!    result equals serial application — the property
+//!    `tests/properties.rs` proves).
 //!    Augmenting walks that cross shard boundaries pay for every foreign
 //!    right they flip: the wave's round carries those handoff words.
 //! 3. **Sweep** — the `k/(k+1)` certificate sweep: the free-left census
@@ -47,7 +48,7 @@ use sparse_alloc_mpc::shard::labels;
 use sparse_alloc_mpc::{Cluster, Ledger, MpcConfig, MpcError, ShardMap, Words};
 use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Tracer};
 
-use crate::batch::{schedule, BatchSchedule, UpdatePlan};
+use crate::batch::{schedule, BatchSchedule};
 use crate::serve::{
     DynamicConfig, EpochReport, ServeLoop, ServeParts, ServePartsRef, ServeStats, WaveUpdateResult,
 };
@@ -65,7 +66,6 @@ pub(crate) struct ShardedParts {
     pub(crate) shards: usize,
     pub(crate) slack: usize,
     pub(crate) footprint_cap: usize,
-    pub(crate) wave_threads: usize,
     pub(crate) stats: ShardedStats,
 }
 
@@ -78,7 +78,6 @@ pub(crate) struct ShardedPartsRef<'a> {
     pub(crate) shards: usize,
     pub(crate) slack: usize,
     pub(crate) footprint_cap: usize,
-    pub(crate) wave_threads: usize,
     pub(crate) stats: &'a ShardedStats,
 }
 
@@ -99,19 +98,14 @@ pub struct ShardedConfig {
     /// balls. See [`batch::FOOTPRINT_CAP`](crate::batch::FOOTPRINT_CAP)
     /// (the default) for the full trade-off discussion.
     pub footprint_cap: usize,
-    /// Worker threads for wave execution (`0` = one per available CPU).
-    /// Disjoint-footprint repairs of one wave run concurrently on real
-    /// threads; any value yields the identical engine state (commuting
-    /// repairs), so this knob trades wall time only.
-    pub wave_threads: usize,
     /// The serial engine's configuration.
     pub dynamic: DynamicConfig,
 }
 
 impl ShardedConfig {
     /// The standard configuration: [`DynamicConfig::for_eps`] sharded
-    /// `shards` ways with 8× space slack, the default footprint cap, and
-    /// auto-sized wave threads — with the eager walk budget lowered to 1
+    /// `shards` ways with 8× space slack and the default footprint cap —
+    /// with the eager walk budget lowered to 1
     /// (footprint radius 1). Tight footprints are what give batches wide
     /// conflict-free waves on degree-heavy instances; the price is that
     /// re-routing moves from the eager per-update repairs into the epoch
@@ -126,7 +120,6 @@ impl ShardedConfig {
             shards,
             space_slack: 8,
             footprint_cap: crate::batch::FOOTPRINT_CAP,
-            wave_threads: 0,
             dynamic,
         }
     }
@@ -244,8 +237,8 @@ impl UpdateMsg {
 
 /// One update batch after scheduling + routing but before any wave ran:
 /// the state [`ShardedServeLoop::stage_batch`] hands whichever executor
-/// drives the waves (the in-process threaded one, or the p2p engine
-/// shipping each wave to its owning shard worker).
+/// drives the waves (the in-process one, or the p2p engine shipping
+/// each wave to its owning shard worker).
 #[derive(Debug)]
 pub(crate) struct StagedBatch {
     /// The conflict-wave schedule.
@@ -287,7 +280,6 @@ pub struct ShardedServeLoop {
     map: ShardMap,
     slack: usize,
     footprint_cap: usize,
-    wave_threads: usize,
     ledger: Ledger,
     stats: ShardedStats,
     /// Phase tracer: the sharded loop spans its MPC phases
@@ -309,17 +301,11 @@ impl ShardedServeLoop {
         assert!(cfg.space_slack >= 1, "space slack ≥ 1");
         let inner = ServeLoop::new(base, cfg.dynamic);
         let map = ShardMap::new(cfg.shards);
-        let wave_threads = if cfg.wave_threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            cfg.wave_threads
-        };
         let mut this = ShardedServeLoop {
             inner,
             map,
             slack: cfg.space_slack,
             footprint_cap: cfg.footprint_cap.max(1),
-            wave_threads,
             ledger: Ledger::default(),
             stats: ShardedStats::default(),
             tracer: Tracer::default(),
@@ -373,7 +359,6 @@ impl ShardedServeLoop {
             shards: self.map.shards(),
             slack: self.slack,
             footprint_cap: self.footprint_cap,
-            wave_threads: self.wave_threads,
             stats: &self.stats,
         }
     }
@@ -402,16 +387,12 @@ impl ShardedServeLoop {
         if p.footprint_cap == 0 {
             return Err("footprint cap ≥ 1".into());
         }
-        if p.wave_threads == 0 {
-            return Err("wave threads ≥ 1".into());
-        }
         let inner = ServeLoop::from_parts(p.inner)?;
         let mut this = ShardedServeLoop {
             inner,
             map: ShardMap::new(shards),
             slack: p.slack,
             footprint_cap: p.footprint_cap,
-            wave_threads: p.wave_threads,
             ledger: Ledger::default(),
             stats: p.stats,
             tracer: Tracer::default(),
@@ -526,7 +507,7 @@ impl ShardedServeLoop {
 
     /// Schedule + route one epoch's update batch without running any
     /// wave: everything the coordinator does before repairs execute,
-    /// shared by the threaded wave executor ([`Self::apply_batch`]) and
+    /// shared by the in-process wave executor ([`Self::apply_batch`]) and
     /// the p2p engine (which ships each wave to the shard workers and
     /// drives [`Self::finish_wave`] / [`Self::finish_batch`] itself).
     /// Returns `None` for an empty batch.
@@ -547,7 +528,6 @@ impl ShardedServeLoop {
             self.inner.config(),
             &self.map,
             self.footprint_cap,
-            self.wave_threads,
         )?;
         let mut epoch = Ledger::default();
 
@@ -630,59 +610,40 @@ impl ShardedServeLoop {
         }))
     }
 
-    /// Tally one executed wave's simulated cross-shard repair traffic
-    /// (rights touched outside the owning shard) into `sent`/`recv`.
-    /// Returns the moved words. Shared by both executors so the
-    /// simulated cost model cannot drift between them.
-    fn tally_wave(
-        map: &ShardMap,
-        plans: &[UpdatePlan],
-        idxs: &[usize],
+    /// Absorb one executed wave into the staged batch's accounting: the
+    /// simulated `repair_wave` round carrying the wave's cross-shard
+    /// repair traffic (rights touched outside the owning shard), the wave
+    /// counters, and the width observation. Both executors call this
+    /// after running wave `wave`, so the simulated cost model cannot drift
+    /// between them. `close` gets the moved words and returns the wave's
+    /// measured wall time in ns.
+    pub(crate) fn finish_wave(
+        &mut self,
+        staged: &mut StagedBatch,
+        wave: usize,
         results: &[WaveUpdateResult],
-        sent: &mut [u64],
-        recv: &mut [u64],
-    ) -> u64 {
-        sent.fill(0);
-        recv.fill(0);
+        close: impl FnOnce(u64) -> u64,
+    ) {
+        let p = self.map.shards();
+        let mut sent = vec![0u64; p];
+        let mut recv = vec![0u64; p];
+        let idxs = staged.wave_idxs(wave);
+        let width = idxs.len() as u64;
         for (&i, result) in idxs.iter().zip(results) {
+            let plan = &staged.sched.plans[i];
             debug_assert_eq!(
-                result.arrived, plans[i].arrive_id,
+                result.arrived, plan.arrive_id,
                 "scheduler and engine agree on arrival ids"
             );
-            let owner = plans[i].owner;
             for &r in &result.touched {
-                let o = map.owner_of_right(r);
-                if o != owner {
-                    sent[owner] += 1;
+                let o = self.map.owner_of_right(r);
+                if o != plan.owner {
+                    sent[plan.owner] += 1;
                     recv[o] += 1;
                 }
             }
         }
-        recv.iter().sum()
-    }
-
-    /// Absorb one executed wave into the staged batch's accounting: the
-    /// simulated `repair_wave` round, the wave counters, and the width
-    /// observation. The p2p engine calls this after replaying a remote
-    /// wave's outcomes; `ns` is the wave's measured wall time.
-    pub(crate) fn finish_wave(
-        &mut self,
-        staged: &mut StagedBatch,
-        idxs: &[usize],
-        results: &[WaveUpdateResult],
-        ns: u64,
-    ) -> u64 {
-        let p = self.map.shards();
-        let mut sent = vec![0u64; p];
-        let mut recv = vec![0u64; p];
-        let words = Self::tally_wave(
-            &self.map,
-            &staged.sched.plans,
-            idxs,
-            results,
-            &mut sent,
-            &mut recv,
-        );
+        let words = recv.iter().sum();
         staged.epoch.record(RoundRecord {
             words_moved: words,
             max_sent: sent.iter().copied().max().unwrap_or(0) as usize,
@@ -693,10 +654,10 @@ impl ShardedServeLoop {
         });
         staged.handoff_total += words;
         self.stats.waves += 1;
+        let ns = close(words);
         let obs = self.inner.obs_mut();
         obs.phase_ns(Phase::RepairWave, ns);
-        obs.observe(Dist::WaveWidth, idxs.len() as u64);
-        words
+        obs.observe(Dist::WaveWidth, width);
     }
 
     /// Close out a staged batch after every wave ran: fold the schedule
@@ -725,76 +686,37 @@ impl ShardedServeLoop {
 
     /// Apply one epoch's update batch: schedule conflict-free waves,
     /// route every update to the shard owning its ball, and repair wave
-    /// by wave — the disjoint-footprint repairs of a wave on real worker
-    /// threads ([`ServeLoop`]'s wave executor; disjoint balls commute, so
-    /// the engine state equals serial application of the batch in arrival
-    /// order for every thread count).
+    /// by wave through [`ServeLoop`]'s wave executor. Disjoint balls
+    /// commute, so the engine state equals serial application of the
+    /// batch in arrival order.
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, MpcError> {
         let Some(mut staged) = self.stage_batch(updates)? else {
             return Ok(BatchReport::default());
         };
 
-        // Repair waves run in order; inside a wave, non-global
-        // nonempty-footprint repairs fan out over worker threads (any
-        // order would do: the balls are disjoint), while globals and
-        // pure no-ops stay on this thread. Per-wave scratch is reused
-        // across the hundreds of waves a batch typically runs — the
-        // per-wave fixed cost is what the one-box gate measures against
-        // serial. The wave tally writes only disjoint `staged` fields
-        // (`epoch`, `handoff_total`), so the borrow of `routed` held by
-        // `wave_updates` can persist across it.
-        let mut wave_updates: Vec<&Update> = Vec::new();
-        let mut parallel_ok: Vec<bool> = Vec::new();
-        let mut arrive_ids: Vec<Option<u32>> = Vec::new();
-        let mut sent = vec![0u64; self.map.shards()];
-        let mut recv = vec![0u64; self.map.shards()];
-        for &(begin, end) in &staged.bounds {
-            let idxs = &staged.order[begin..end];
+        for w in 0..staged.waves() {
             let mut spw = self.tracer.span(Phase::RepairWave, staged.batch_no);
-            wave_updates.clear();
-            parallel_ok.clear();
-            arrive_ids.clear();
-            for &i in idxs {
-                wave_updates.push(
+            let idxs = staged.wave_idxs(w);
+            let wave_updates: Vec<&Update> = idxs
+                .iter()
+                .map(|&i| {
                     staged.routed[i]
                         .as_ref()
-                        .expect("every update was delivered"),
-                );
-                parallel_ok
-                    .push(!staged.sched.plans[i].global && staged.sched.plans[i].footprint_len > 0);
-                // The wave may run arrivals out of batch order (that is
-                // the point of width balancing): hand the engine the ids
-                // staging precomputed so each arrival lands in its serial
-                // slot.
-                arrive_ids.push(staged.sched.plans[i].arrive_id);
-            }
-            let results =
-                self.inner
-                    .apply_wave(&wave_updates, &parallel_ok, &arrive_ids, self.wave_threads);
-
-            let words = Self::tally_wave(
-                &self.map,
-                &staged.sched.plans,
-                idxs,
-                &results,
-                &mut sent,
-                &mut recv,
-            );
-            staged.epoch.record(RoundRecord {
-                words_moved: words,
-                max_sent: sent.iter().copied().max().unwrap_or(0) as usize,
-                max_received: recv.iter().copied().max().unwrap_or(0) as usize,
-                max_storage: 0,
-                total_storage: 0,
-                label: labels::REPAIR_WAVE,
+                        .expect("every update was delivered")
+                })
+                .collect();
+            // The wave may run arrivals out of batch order (that is the
+            // point of width balancing): hand the engine the ids staging
+            // precomputed so each arrival lands in its serial slot.
+            let arrive_ids: Vec<Option<u32>> = idxs
+                .iter()
+                .map(|&i| staged.sched.plans[i].arrive_id)
+                .collect();
+            let results = self.inner.apply_wave(&wave_updates, &arrive_ids);
+            self.finish_wave(&mut staged, w, &results, |words| {
+                spw.set_words(words);
+                spw.close()
             });
-            staged.handoff_total += words;
-            self.stats.waves += 1;
-            spw.set_words(words);
-            let nsw = spw.close();
-            let obs = self.inner.obs_mut();
-            obs.phase_ns(Phase::RepairWave, nsw);
-            obs.observe(Dist::WaveWidth, idxs.len() as u64);
         }
         self.finish_batch(staged)
     }
@@ -1024,22 +946,17 @@ mod tests {
 
     #[test]
     fn threaded_waves_equal_serial_state() {
-        // Same churn, forced multi-threaded wave execution: the commuting
-        // disjoint-footprint repairs must land on the identical state for
-        // every thread count (and for a shrunken footprint cap, which
-        // only re-shapes the waves).
-        for threads in [2usize, 3, 5] {
-            let (sharded, serial) = drive_with(4, 23, |cfg| {
-                cfg.wave_threads = threads;
-                cfg.footprint_cap = 24;
-            });
-            sharded.validate().unwrap();
-            assert_eq!(
-                sharded.assignment().mate,
-                serial.assignment().mate,
-                "{threads} wave threads diverged from serial"
-            );
-        }
+        // The name predates the one-thread wave executor; what remains to
+        // check is that a shrunken footprint cap, which only re-shapes
+        // the waves, still lands on the serial state.
+        let (sharded, serial) = drive_with(4, 23, |cfg| cfg.footprint_cap = 24);
+        sharded.validate().unwrap();
+        assert_eq!(
+            sharded.assignment().mate,
+            serial.assignment().mate,
+            "footprint cap 24 diverged from serial"
+        );
+        assert_eq!(sharded.match_size(), serial.match_size());
     }
 
     #[test]

@@ -98,6 +98,7 @@
 //! serve.validate().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adapter;

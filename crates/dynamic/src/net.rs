@@ -1503,8 +1503,8 @@ fn run_wave(
             .collect();
         scratch.ensure(ws.mate.len(), ws.matched.len());
         let out = {
-            let slots = MatchSlots::over(&mut ws.mate, &mut ws.matched);
-            run_repair(&sp.plan, &topo, &slots, &mut scratch, eager_k, ecap)
+            let mut slots = MatchSlots::over(&mut ws.mate, &mut ws.matched);
+            run_repair(&sp.plan, &topo, &mut slots, &mut scratch, eager_k, ecap)
         };
         let mut dl: Vec<(u32, u32)> = Vec::new();
         for (u, before) in pre_l {
@@ -2895,8 +2895,9 @@ impl NetServeLoop {
                 .serial_mut()
                 .absorb_search_counters(exp_remote, cap_remote);
             self.inner.serial_mut().wave_observe(exp0, cap0);
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.inner.finish_wave(&mut staged, &idxs, &results, ns);
+            self.inner.finish_wave(&mut staged, wave, &results, |_| {
+                t0.elapsed().as_nanos() as u64
+            });
         }
         Ok(self.inner.finish_batch(staged)?)
     }

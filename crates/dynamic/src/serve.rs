@@ -178,7 +178,7 @@ pub struct EpochReport {
 }
 
 /// Everything a warm restart persists of a [`ServeLoop`] — the engine
-/// state with the rebuildable caches (sweep and wave scratch) stripped.
+/// state with the rebuildable sweep scratch stripped.
 /// This is the *owned* decode-side form, consumed by
 /// [`ServeLoop::from_parts`]; the encode side borrows the live state via
 /// [`ServeLoop::parts_ref`] instead of copying it. The wire form lives
@@ -250,10 +250,6 @@ pub struct ServeLoop {
     /// [`ServeLoop::fractional`] calls, each a full recompute (see
     /// [`ServeLoop::fractional_cache_counters`]).
     frac_reads: Cell<u64>,
-    /// Per-worker search scratch for threaded wave execution (lazily
-    /// sized; workers reuse these across waves so repairs allocate
-    /// nothing per update).
-    wave_scratch: Vec<SearchScratch>,
     /// Persistent scratch for the per-epoch certificate sweep (stamped
     /// membership + reusable vectors), so an epoch close performs no
     /// `O(n)` dense allocations.
@@ -272,8 +268,7 @@ pub struct ServeLoop {
 /// absorbed so far and candidate membership (stamped, `O(1)` clear), the
 /// dirty-right marks the inverted derivation probes for, the candidate
 /// worklist, and the ball-growth scratch + output. Rebuilt empty on
-/// restore — like `wave_scratch`, it is ephemeral state no snapshot
-/// carries.
+/// restore — it is ephemeral state no snapshot carries.
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
     region: StampSet,
@@ -370,9 +365,9 @@ pub(crate) fn probe_candidates(
 
 /// The deferred (repair) half of one update: everything
 /// [`ServeLoop::apply_structural`] could not do because it touches
-/// matching state. Footprint-covered, so disjoint-footprint plans can run
-/// concurrently — on threads of this process or, in the p2p engine, on
-/// the shard worker owning the footprint.
+/// matching state. Footprint-covered, so disjoint-footprint plans commute
+/// — which is what lets the p2p engine run each on the shard worker
+/// owning its footprint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum RepairPlan {
     /// Structural phase was a no-op (duplicate insert, dead delete).
@@ -391,8 +386,8 @@ pub(crate) enum RepairPlan {
 }
 
 /// What one repair did, recorded relative to the engine state so the
-/// effects can be folded in deterministically after a threaded wave (or
-/// shipped back over the wire after a p2p one).
+/// effects can be folded in deterministically in arrival order (and
+/// shipped back over the wire after a p2p wave).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub(crate) struct RepairOutcome {
     /// Net matching growth (augmentations minus releases).
@@ -406,22 +401,21 @@ pub(crate) struct RepairOutcome {
     pub(crate) dirty: Vec<RightId>,
 }
 
-/// Run one update's repair against the match cells. Callers uphold the
-/// [`MatchSlots`] disjointness contract; `k`/`cap` are the eager walk
-/// budget and visit cap. Generic over the walked topology: the serial
-/// and threaded paths pass the live [`DeltaGraph`], a p2p shard worker
-/// passes its shipped footprint slice.
+/// Run one update's repair against the match cells; `k`/`cap` are the
+/// eager walk budget and visit cap. Generic over the walked topology:
+/// the serial and wave paths pass the live [`DeltaGraph`], a p2p shard
+/// worker passes its shipped footprint slice.
 pub(crate) fn run_repair<T: WalkTopology + ?Sized>(
     plan: &RepairPlan,
     dg: &T,
-    slots: &MatchSlots<'_>,
+    slots: &mut MatchSlots<'_>,
     scratch: &mut SearchScratch,
     k: usize,
     cap: usize,
 ) -> RepairOutcome {
     fn forward<T: WalkTopology + ?Sized>(
         dg: &T,
-        slots: &MatchSlots<'_>,
+        slots: &mut MatchSlots<'_>,
         scratch: &mut SearchScratch,
         out: &mut RepairOutcome,
         u: LeftId,
@@ -439,7 +433,7 @@ pub(crate) fn run_repair<T: WalkTopology + ?Sized>(
     }
     fn backward<T: WalkTopology + ?Sized>(
         dg: &T,
-        slots: &MatchSlots<'_>,
+        slots: &mut MatchSlots<'_>,
         scratch: &mut SearchScratch,
         out: &mut RepairOutcome,
         v: RightId,
@@ -532,7 +526,6 @@ impl ServeLoop {
             compaction,
             stats: ServeStats::default(),
             frac_reads: Cell::new(0),
-            wave_scratch: Vec::new(),
             sweep_scratch: SweepScratch::default(),
             obs: Registry::new(),
             tracer: Tracer::default(),
@@ -552,27 +545,11 @@ impl ServeLoop {
     /// Apply one update with its local repairs. Returns the id assigned
     /// to an [`Update::Arrive`], `None` otherwise.
     pub fn apply(&mut self, update: &Update) -> Option<LeftId> {
-        let (exp0, cap0) = (self.matching.expansions(), self.matching.cap_hits());
+        let (exp0, cap0) = self.wave_counters();
         let (plan, arrived) = self.apply_structural(update, None);
-        let out = {
-            let ServeLoop {
-                dg, matching, cfg, ..
-            } = self;
-            let (slots, scratch) = matching.split();
-            run_repair(
-                &plan,
-                dg,
-                &slots,
-                scratch,
-                cfg.eager_budget(),
-                cfg.eager_search_cap,
-            )
-        };
+        let out = self.run_plan_local(&plan);
         self.absorb_outcome(out);
-        self.obs
-            .inc(Counter::WalkExpansions, self.matching.expansions() - exp0);
-        self.obs
-            .inc(Counter::SearchCapHits, self.matching.cap_hits() - cap0);
+        self.wave_observe(exp0, cap0);
         arrived
     }
 
@@ -660,134 +637,36 @@ impl ServeLoop {
     }
 
     /// Apply one conflict-free wave of updates: structural mutations run
-    /// serially in arrival order, then the repairs of the updates flagged
-    /// in `parallel_ok` execute on up to `threads` worker threads sharing
-    /// the match cells (remaining repairs run on the caller's thread, in
-    /// arrival order).
+    /// first, in wave order, then every repair runs in arrival order and
+    /// its deferred effects (sizes, stats, dirty marks) are folded in —
+    /// the same order the p2p coordinator folds a remote wave in.
     ///
-    /// # Correctness of the threaded phase
-    ///
-    /// The caller (the sharded serve loop) guarantees that the flagged
-    /// updates have pairwise vertex-disjoint footprints on the batch's
-    /// union graph `G⁺`, with the scheduler's radius covering every match
-    /// cell a repair reads or writes — that is the [`MatchSlots`]
-    /// aliasing contract, so the unsynchronized shared access never
-    /// races. It also makes the repairs *commute*: a repair never
-    /// observes another same-wave repair's writes (they are confined to
-    /// the other footprint), and it never observes another same-wave
-    /// update's structural edits either — reading an edited adjacency
-    /// list would place the edited edge's right endpoint in both
-    /// footprints. Hence any interleaving — including the serial one —
-    /// produces the identical engine state, which keeps the workspace's
-    /// determinism contract (results independent of thread count) and is
-    /// exactly why `ShardedServeLoop ≡ ServeLoop` survives threading.
-    /// Deferred effects (sizes, stats, dirty marks) are folded in by
-    /// arrival index, so even the bookkeeping order is deterministic.
+    /// The caller (the sharded serve loop) guarantees that the wave's
+    /// non-global updates have pairwise vertex-disjoint footprints on the
+    /// batch's union graph `G⁺`, with the scheduler's radius covering
+    /// every match cell a repair reads or writes. That makes the repairs
+    /// *commute*: a repair never observes another same-wave repair's
+    /// writes (they are confined to the other footprint), and it never
+    /// observes another same-wave update's structural edits either —
+    /// reading an edited adjacency list would place the edited edge's
+    /// right endpoint in both footprints. Hence running the structural
+    /// half of the whole wave ahead of its repairs lands on the state
+    /// serial application reaches, which is why
+    /// `ShardedServeLoop ≡ ServeLoop`.
     pub(crate) fn apply_wave(
         &mut self,
         updates: &[&Update],
-        parallel_ok: &[bool],
         arrive_ids: &[Option<u32>],
-        threads: usize,
     ) -> Vec<WaveUpdateResult> {
-        debug_assert_eq!(updates.len(), parallel_ok.len());
         debug_assert_eq!(updates.len(), arrive_ids.len());
-        let (exp0, cap0) = (self.matching.expansions(), self.matching.cap_hits());
-        let eager_k = self.cfg.eager_budget();
-        let ecap = self.cfg.eager_search_cap;
-
+        let (exp0, cap0) = self.wave_counters();
         let (plans, mut results) = self.wave_structural(updates, arrive_ids);
-
-        // Phase B — repairs. Disjoint-footprint plans fan out over real
-        // threads once the wave is wide enough to pay for the spawns.
-        let par_tasks: Vec<usize> = (0..plans.len())
-            .filter(|&i| parallel_ok[i] && !matches!(plans[i], RepairPlan::Noop))
-            .collect();
-        let mut outcomes: Vec<Option<RepairOutcome>> = (0..plans.len()).map(|_| None).collect();
-        let workers = threads.min(par_tasks.len());
-        if workers > 1 {
-            let n_left = self.dg.n_left();
-            let n_right = self.dg.n_right();
-            self.matching.ensure_left(n_left);
-            if self.wave_scratch.len() < workers {
-                self.wave_scratch
-                    .resize_with(workers, SearchScratch::default);
-            }
-            let ServeLoop {
-                dg,
-                matching,
-                wave_scratch,
-                ..
-            } = self;
-            let dg: &DeltaGraph = dg;
-            for s in wave_scratch[..workers].iter_mut() {
-                s.ensure(n_left, n_right);
-            }
-            // SAFETY OF THE SHARING: `slots` is handed to every worker;
-            // the footprint-disjointness contract above is what makes
-            // the concurrent cell access sound.
-            let slots = matching.slots();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let done: Vec<Vec<(usize, RepairOutcome)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = wave_scratch[..workers]
-                    .iter_mut()
-                    .map(|scratch| {
-                        let slots = &slots;
-                        let next = &next;
-                        let plans = &plans;
-                        let par_tasks = &par_tasks;
-                        scope.spawn(move || {
-                            let mut mine = Vec::new();
-                            loop {
-                                let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(&i) = par_tasks.get(t) else { break };
-                                mine.push((
-                                    i,
-                                    run_repair(&plans[i], dg, slots, scratch, eager_k, ecap),
-                                ));
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("wave worker panicked"))
-                    .collect()
-            });
-            for (i, out) in done.into_iter().flatten() {
-                outcomes[i] = Some(out);
-            }
-            // Workers counted search work on their own scratch; fold the
-            // totals back into the serial counters.
-            let (mut expansions, mut cap_hits) = (0u64, 0u64);
-            for s in &mut self.wave_scratch[..workers] {
-                expansions += std::mem::take(&mut s.expansions);
-                cap_hits += std::mem::take(&mut s.cap_hits);
-            }
-            self.matching.absorb_wave(0, expansions, cap_hits);
+        for (plan, result) in plans.iter().zip(&mut results) {
+            let out = self.run_plan_local(plan);
+            result.touched.extend_from_slice(&out.dirty);
+            self.absorb_outcome(out);
         }
-        // Narrow waves, global escalations, and no-op plans run here, in
-        // arrival order (they commute with the threaded repairs).
-        for (i, plan) in plans.iter().enumerate() {
-            if outcomes[i].is_none() && !matches!(plan, RepairPlan::Noop) {
-                let ServeLoop { dg, matching, .. } = &mut *self;
-                let (slots, scratch) = matching.split();
-                outcomes[i] = Some(run_repair(plan, dg, &slots, scratch, eager_k, ecap));
-            }
-        }
-
-        // Fold deferred effects in arrival order.
-        for (i, out) in outcomes.into_iter().enumerate() {
-            if let Some(out) = out {
-                results[i].touched.extend_from_slice(&out.dirty);
-                self.absorb_outcome(out);
-            }
-        }
-        self.obs
-            .inc(Counter::WalkExpansions, self.matching.expansions() - exp0);
-        self.obs
-            .inc(Counter::SearchCapHits, self.matching.cap_hits() - cap0);
+        self.wave_observe(exp0, cap0);
         results
     }
 
@@ -831,8 +710,8 @@ impl ServeLoop {
         let eager_k = self.cfg.eager_budget();
         let ecap = self.cfg.eager_search_cap;
         let ServeLoop { dg, matching, .. } = self;
-        let (slots, scratch) = matching.split();
-        run_repair(plan, dg, &slots, scratch, eager_k, ecap)
+        let (mut slots, scratch) = matching.split();
+        run_repair(plan, dg, &mut slots, scratch, eager_k, ecap)
     }
 
     /// The matching's monotone search counters `(expansions, cap_hits)`:
@@ -851,8 +730,8 @@ impl ServeLoop {
             .inc(Counter::SearchCapHits, self.matching.cap_hits() - cap0);
     }
 
-    /// Fold a remote wave's search counters into the matching's, exactly
-    /// like the threaded executor folds its workers' scratch counters.
+    /// Fold a remote wave's search counters (counted on the shard
+    /// workers' scratch) into the matching's.
     pub(crate) fn absorb_search_counters(&mut self, expansions: u64, cap_hits: u64) {
         self.matching.absorb_wave(0, expansions, cap_hits);
     }
@@ -1229,7 +1108,6 @@ impl ServeLoop {
             compaction,
             stats: p.stats,
             frac_reads: Cell::new(0),
-            wave_scratch: Vec::new(),
             sweep_scratch: SweepScratch::default(),
             obs: Registry::new(),
             tracer: Tracer::default(),

@@ -37,8 +37,8 @@
 //! payload is external input; the checksum detects accidents, not
 //! adversaries).
 //!
-//! What is deliberately **not** persisted: the fractional memo and the
-//! per-worker wave scratch (rebuildable caches), and the MPC ledger's
+//! What is deliberately **not** persisted: the search and sweep scratch
+//! (rebuilt empty on restore), and the MPC ledger's
 //! round history (a restore starts a fresh accounting epoch with a
 //! [`labels::RESTORE`](sparse_alloc_mpc::shard::labels::RESTORE) phase,
 //! like a real redeployment). The serving counters do carry over, so
@@ -421,12 +421,17 @@ fn manifests_of(p: &ServePartsRef<'_>, map: &ShardMap) -> Vec<ShardManifest> {
     out
 }
 
+/// The sharded payload's 4th word. It once held the wave thread count,
+/// so snapshots written before carry any value ≥ 1 there and restore
+/// unchanged; the encoder writes 1, and 0 stays corrupt.
+const RESERVED_SLOT: u64 = 1;
+
 fn encode_sharded_payload(p: &ShardedPartsRef<'_>, manifests: &[ShardManifest]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(ShardMap::new(p.shards).to_word());
     w.put_u64(p.slack as u64);
     w.put_u64(p.footprint_cap as u64);
-    w.put_u64(p.wave_threads as u64);
+    w.put_u64(RESERVED_SLOT);
     for c in [
         p.stats.batches,
         p.stats.waves,
@@ -457,7 +462,9 @@ fn decode_sharded_payload(
     let map = ShardMap::from_word(r.take_u64()?).map_err(invalid)?;
     let slack = r.take_u64()? as usize;
     let footprint_cap = r.take_u64()? as usize;
-    let wave_threads = r.take_u64()? as usize;
+    if r.take_u64()? == 0 {
+        return Err(invalid("reserved sharded slot is 0 (must be ≥ 1)"));
+    }
     let mut counters = [0usize; 7];
     for c in &mut counters {
         *c = r.take_u64()? as usize;
@@ -493,7 +500,6 @@ fn decode_sharded_payload(
         shards: map.shards(),
         slack,
         footprint_cap,
-        wave_threads,
         stats: ShardedStats {
             batches: counters[0],
             waves: counters[1],
@@ -1134,6 +1140,43 @@ mod tests {
             assert_eq!(re.assignment().mate, sh.assignment().mate);
             re.validate().unwrap();
         }
+    }
+
+    #[test]
+    fn reserved_sharded_slot_restores_old_values_and_rejects_zero() {
+        let g = union_of_spanning_trees(60, 45, 2, 2, 8).graph;
+        let updates = churn_stream(&g, 60, &ChurnMix::default(), 3);
+        let mut sh = ShardedServeLoop::new(g, ShardedConfig::for_eps(0.25, 2)).unwrap();
+        for chunk in updates.chunks(20) {
+            sh.apply_batch(chunk).unwrap();
+            sh.end_epoch().unwrap();
+        }
+        let mut bytes = Vec::new();
+        write_sharded(&mut sh, &mut bytes).unwrap();
+        // The payload's 4th u64 is the reserved slot; re-seal the
+        // checksum so only that slot differs.
+        let at = HEADER + 3 * 8;
+        assert_eq!(bytes[at..at + 8], RESERVED_SLOT.to_le_bytes());
+        let patched = |value: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let body = b.len() - 8;
+            let crc = fnv1a64(&b[..body]).to_le_bytes();
+            b[body..].copy_from_slice(&crc);
+            b
+        };
+        // A snapshot written with 4 wave threads restores unchanged.
+        let old = patched(4);
+        let restored = read_sharded(&mut &old[..], None).unwrap();
+        restored.validate().unwrap();
+        assert_eq!(restored.assignment().mate, sh.assignment().mate);
+        assert_eq!(restored.serial().levels(), sh.serial().levels());
+        assert_eq!(restored.stats(), sh.stats());
+        assert_eq!(restored.serve_stats(), sh.serve_stats());
+        // Live configs never wrote 0: it stays corrupt.
+        let zero = patched(0);
+        let err = read_sharded(&mut &zero[..], None).unwrap_err();
+        assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
     }
 
     #[test]

@@ -20,29 +20,28 @@
 //! materialization — and reuse stamped visit buffers so repeated calls
 //! allocate nothing.
 //!
-//! # Disjoint parallel repairs
+//! # Footprint-confined repairs
 //!
 //! The searches are written against two separable pieces of state: the
 //! per-vertex match cells (`MatchSlots`) and a per-caller scratch space
 //! (`SearchScratch`). The serial [`Matching`] methods borrow both from
-//! `&mut self`; the sharded serve loop's threaded wave executor instead
-//! shares one `MatchSlots` across worker threads (each with its own
-//! scratch) to repair *footprint-disjoint* updates concurrently. The
-//! aliasing proof is exactly the conflict scheduler's footprint argument:
-//! a bounded search from an update site reads and writes match cells only
+//! `&mut self`; a p2p shard worker instead runs the same searches over
+//! its local mirror of a wave's shipped footprint slice. What makes that
+//! slice sufficient is the conflict scheduler's footprint argument: a
+//! bounded search from an update site reads and writes match cells only
 //! of rights inside its footprint and of lefts whose entire neighborhood
 //! lies inside it, so vertex-disjoint footprints touch disjoint cells.
 //! Spelled out: a forward search expands rights hop by hop from the
 //! update's seeds and flips edges only along the discovered walk; the
 //! only *foreign* cell it ever reads is the mate of a left adjacent to an
 //! expanded right — and that expanded right witnesses the read from
-//! *inside* the footprint, so any concurrent writer of that left's cell
-//! would have to own the same right, contradicting disjointness. Hence
-//! the unsynchronized shared access in `MatchSlots` never races, and
+//! *inside* the footprint, so any other writer of that left's cell would
+//! have to own the same right, contradicting disjointness. Hence
 //! same-wave repairs commute: no repair can observe another's writes, so
-//! every interleaving — including the serial one — produces the identical
-//! engine state. That commutation is what the sharded ≡ serial property
-//! (`tests/properties.rs`) and the thread-count-independence tests pin.
+//! every execution order — the serial one, or shard workers repairing
+//! their slices side by side — produces the identical engine state. That
+//! commutation is what the sharded and networked ≡ serial properties
+//! (`tests/properties.rs`) pin.
 //!
 //! # Example
 //!
@@ -67,7 +66,6 @@
 //! m.validate(&dg).unwrap();
 //! ```
 
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 
 use sparse_alloc_graph::{Assignment, DeltaGraph, LeftId, RightId};
@@ -109,7 +107,7 @@ impl WalkTopology for DeltaGraph {
 
 /// Reusable per-caller search state: stamped visit buffers, BFS queues,
 /// and the observable outputs of the most recent search (walk, expansion
-/// counter). One instance per concurrent searcher; buffers grow once per
+/// counter). One instance per searcher; buffers grow once per
 /// vertex-set extension and a fresh stamp invalidates them in `O(1)`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SearchScratch {
@@ -147,66 +145,36 @@ impl SearchScratch {
     }
 }
 
-/// A shared-mutable view of the matching's per-vertex cells (`mate` and
-/// the reverse index `matched_at`), allowing concurrent access to
-/// *vertex-disjoint* regions from multiple threads.
-///
-/// # Safety contract
-///
-/// All methods read or write individual cells without synchronization.
-/// This is sound only under the wave executor's footprint discipline:
-/// while the view is shared across threads, every concurrent user must
-/// confine its reads and writes to the match cells of rights inside its
-/// own (pairwise vertex-disjoint) footprint and of lefts adjacent to its
-/// footprint's interior — which the radius slack of
-/// [`crate::batch::schedule`] guarantees covers every cell a bounded
-/// repair can touch. The serial [`Matching`] methods uphold the contract
-/// trivially: they build the view from `&mut self`, so there is exactly
-/// one user.
+/// The matching's per-vertex cells — `mate` and the reverse index
+/// `matched_at` — borrowed apart from their owner, so the searches run
+/// the same against a [`Matching`] and against a p2p shard worker's
+/// local mirror of a wave's slice.
 pub(crate) struct MatchSlots<'a> {
-    mate: &'a [UnsafeCell<Option<RightId>>],
-    matched_at: &'a [UnsafeCell<Vec<LeftId>>],
-}
-
-// SAFETY: see the type-level contract — concurrent users touch disjoint
-// cells, so unsynchronized access never races.
-unsafe impl Sync for MatchSlots<'_> {}
-
-/// Reinterpret a uniquely borrowed slice as shared cells (`UnsafeCell<T>`
-/// has the same layout as `T`).
-fn cells<T>(s: &mut [T]) -> &[UnsafeCell<T>] {
-    // SAFETY: we hold the unique borrow, and the transparent wrapper
-    // preserves layout.
-    unsafe { &*(s as *mut [T] as *const [UnsafeCell<T>]) }
+    mate: &'a mut [Option<RightId>],
+    matched_at: &'a mut [Vec<LeftId>],
 }
 
 impl<'a> MatchSlots<'a> {
     /// A view over caller-owned match arrays — how a p2p shard worker
     /// runs the searches against its *local* dense mirror of the wave's
-    /// slice instead of a [`Matching`]. The unique borrows make the
-    /// single-user case of the contract hold by construction.
+    /// slice instead of a [`Matching`].
     pub(crate) fn over(
         mate: &'a mut [Option<RightId>],
         matched_at: &'a mut [Vec<LeftId>],
     ) -> MatchSlots<'a> {
-        MatchSlots {
-            mate: cells(mate),
-            matched_at: cells(matched_at),
-        }
+        MatchSlots { mate, matched_at }
     }
 
     /// The match of left vertex `u` (`None` for unmatched or out-of-range).
     #[inline]
     pub(crate) fn mate(&self, u: LeftId) -> Option<RightId> {
-        // SAFETY: cell access per the type contract.
-        self.mate.get(u as usize).and_then(|c| unsafe { *c.get() })
+        self.mate.get(u as usize).copied().flatten()
     }
 
     /// Number of matched partners of right vertex `v`.
     #[inline]
     pub(crate) fn load(&self, v: RightId) -> u64 {
-        // SAFETY: cell access per the type contract.
-        unsafe { (*self.matched_at[v as usize].get()).len() as u64 }
+        self.matched_at[v as usize].len() as u64
     }
 
     /// Residual capacity of `v` on the walked topology (0 if overfilled).
@@ -215,47 +183,28 @@ impl<'a> MatchSlots<'a> {
         dg.capacity(v).saturating_sub(self.load(v))
     }
 
-    #[inline]
-    fn matched_count(&self, v: RightId) -> usize {
-        // SAFETY: cell access per the type contract.
-        unsafe { (*self.matched_at[v as usize].get()).len() }
-    }
-
-    #[inline]
-    fn matched_nth(&self, v: RightId, i: usize) -> LeftId {
-        // SAFETY: cell access per the type contract.
-        unsafe { (&*self.matched_at[v as usize].get())[i] }
-    }
-
     /// Match `u` to `v`, releasing any previous match of `u` first.
     /// Returns `true` iff `u` was free (i.e. the matching grew).
-    pub(crate) fn set_mate(&self, u: LeftId, v: RightId) -> bool {
+    pub(crate) fn set_mate(&mut self, u: LeftId, v: RightId) -> bool {
         let was_free = self.unmatch(u).is_none();
-        // SAFETY: cell access per the type contract.
-        unsafe {
-            *self.mate[u as usize].get() = Some(v);
-            (*self.matched_at[v as usize].get()).push(u);
-        }
+        self.mate[u as usize] = Some(v);
+        self.matched_at[v as usize].push(u);
         was_free
     }
 
     /// Unmatch `u`, returning its former partner.
-    pub(crate) fn unmatch(&self, u: LeftId) -> Option<RightId> {
-        // SAFETY: cell access per the type contract.
-        unsafe {
-            let old = (*self.mate[u as usize].get()).take()?;
-            let at = &mut *self.matched_at[old as usize].get();
-            let pos = at.iter().position(|&x| x == u).expect("u was matched at v");
-            at.swap_remove(pos);
-            Some(old)
-        }
+    pub(crate) fn unmatch(&mut self, u: LeftId) -> Option<RightId> {
+        let old = self.mate[u as usize].take()?;
+        let at = &mut self.matched_at[old as usize];
+        let pos = at.iter().position(|&x| x == u).expect("u was matched at v");
+        at.swap_remove(pos);
+        Some(old)
     }
 
     /// Evict one matched partner of `v` (most recently matched first),
     /// returning it.
-    pub(crate) fn evict_one(&self, v: RightId) -> Option<LeftId> {
-        // SAFETY: cell access per the type contract.
-        let u = unsafe { (*self.matched_at[v as usize].get()).last().copied() }?;
+    pub(crate) fn evict_one(&mut self, v: RightId) -> Option<LeftId> {
+        let u = self.matched_at[v as usize].last().copied()?;
         self.unmatch(u);
         Some(u)
     }
@@ -271,7 +220,7 @@ impl<'a> MatchSlots<'a> {
 /// [`Matching::sweep`] passes `usize::MAX` because the certificate needs
 /// exact searches.
 pub(crate) fn augment_from_left<T: WalkTopology + ?Sized>(
-    slots: &MatchSlots<'_>,
+    slots: &mut MatchSlots<'_>,
     scratch: &mut SearchScratch,
     dg: &T,
     u: LeftId,
@@ -327,8 +276,7 @@ pub(crate) fn augment_from_left<T: WalkTopology + ?Sized>(
                     scratch.cap_hits += 1;
                     return false;
                 }
-                for i in 0..slots.matched_count(w) {
-                    let x2 = slots.matched_nth(w, i);
+                for &x2 in &slots.matched_at[w as usize] {
                     if scratch.seen_left[x2 as usize] != stamp {
                         scratch.seen_left[x2 as usize] = stamp;
                         scratch.depth_left[x2 as usize] = d + 1;
@@ -349,7 +297,7 @@ pub(crate) fn augment_from_left<T: WalkTopology + ?Sized>(
 /// `visit_cap` bounds the expanded right vertices, as in
 /// [`augment_from_left`].
 pub(crate) fn reclaim_into<T: WalkTopology + ?Sized>(
-    slots: &MatchSlots<'_>,
+    slots: &mut MatchSlots<'_>,
     scratch: &mut SearchScratch,
     dg: &T,
     v: RightId,
@@ -511,27 +459,12 @@ impl Matching {
         Ok(m)
     }
 
-    /// Split into the shared match cells and the owned scratch space. The
-    /// exclusive borrow of `self` makes the single-user case of the
-    /// [`MatchSlots`] contract hold by construction.
+    /// Split into the match cells and the owned scratch space.
     pub(crate) fn split(&mut self) -> (MatchSlots<'_>, &mut SearchScratch) {
         (
-            MatchSlots {
-                mate: cells(&mut self.mate),
-                matched_at: cells(&mut self.matched_at),
-            },
+            MatchSlots::over(&mut self.mate, &mut self.matched_at),
             &mut self.scratch,
         )
-    }
-
-    /// The shared match cells alone (threaded wave execution: workers
-    /// bring their own [`SearchScratch`]). The caller takes over the
-    /// [`MatchSlots`] disjointness contract.
-    pub(crate) fn slots(&mut self) -> MatchSlots<'_> {
-        MatchSlots {
-            mate: cells(&mut self.mate),
-            matched_at: cells(&mut self.matched_at),
-        }
     }
 
     /// Grow the per-left arrays to cover `n_left` vertices.
@@ -592,8 +525,8 @@ impl Matching {
         self.scratch.cap_hits
     }
 
-    /// Fold a threaded wave's deferred effects into the serial state: the
-    /// net matching growth and the workers' search counters.
+    /// Fold a repair's deferred effects into the matching: its net
+    /// growth, and the search counters of a wave run on shard workers.
     pub(crate) fn absorb_wave(&mut self, size_delta: i64, expansions: u64, cap_hits: u64) {
         self.size = (self.size as i64 + size_delta) as usize;
         self.scratch.expansions += expansions;
@@ -602,8 +535,7 @@ impl Matching {
 
     /// Overwrite left `u`'s match cell with a remotely computed value.
     /// Raw replay: `size` is *not* adjusted — the caller absorbs the
-    /// wave's net `size_delta` separately ([`Matching::absorb_wave`]),
-    /// exactly like the threaded wave executor.
+    /// wave's net `size_delta` separately ([`Matching::absorb_wave`]).
     pub(crate) fn replay_left(&mut self, u: LeftId, mate: Option<RightId>) {
         self.ensure_left(u as usize + 1);
         self.mate[u as usize] = mate;
@@ -626,7 +558,7 @@ impl Matching {
 
     /// Unmatch `u`, returning its former partner.
     pub fn unmatch(&mut self, u: LeftId) -> Option<RightId> {
-        let old = self.slots().unmatch(u)?;
+        let old = self.split().0.unmatch(u)?;
         self.size -= 1;
         Some(old)
     }
@@ -634,13 +566,13 @@ impl Matching {
     /// Evict one matched partner of `v` (most recently matched first),
     /// returning it. Used when a capacity decrease overfills `v`.
     pub fn evict_one(&mut self, v: RightId) -> Option<LeftId> {
-        let u = self.slots().evict_one(v)?;
+        let u = self.split().0.evict_one(v)?;
         self.size -= 1;
         Some(u)
     }
 
     fn set_mate(&mut self, u: LeftId, v: RightId) {
-        if self.slots().set_mate(u, v) {
+        if self.split().0.set_mate(u, v) {
             self.size += 1;
         }
     }
@@ -656,8 +588,8 @@ impl Matching {
         visit_cap: usize,
     ) -> bool {
         self.ensure_left(dg.n_left());
-        let (slots, scratch) = self.split();
-        let grew = augment_from_left(&slots, scratch, dg, u, k, visit_cap);
+        let (mut slots, scratch) = self.split();
+        let grew = augment_from_left(&mut slots, scratch, dg, u, k, visit_cap);
         if grew {
             self.size += 1;
         }
@@ -676,8 +608,8 @@ impl Matching {
         visit_cap: usize,
     ) -> bool {
         self.ensure_left(dg.n_left());
-        let (slots, scratch) = self.split();
-        let grew = reclaim_into(&slots, scratch, dg, v, k, visit_cap);
+        let (mut slots, scratch) = self.split();
+        let grew = reclaim_into(&mut slots, scratch, dg, v, k, visit_cap);
         if grew {
             self.size += 1;
         }

@@ -373,14 +373,9 @@ impl Reference {
     }
 }
 
-/// The sharded engine on `shards` machines, forced onto real wave
-/// threads (2–3) regardless of the host's core count: the threaded wave
-/// executor must produce the identical state — that is the
-/// commuting-repairs contract.
+/// The sharded engine on `shards` machines.
 fn sharded_engine(g: &Bipartite, shards: usize) -> ShardedServeLoop {
-    let mut cfg = ShardedConfig::for_eps(EPS, shards);
-    cfg.wave_threads = 2 + shards % 2;
-    ShardedServeLoop::new(g.clone(), cfg)
+    ShardedServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, shards))
         .unwrap_or_else(|e| panic!("{shards} shards: initial state over budget: {e}"))
 }
 
@@ -569,7 +564,7 @@ proptest! {
             let cfg = ShardedConfig::for_eps(EPS, shards);
             let dg = DeltaGraph::new(g.clone());
             let map = ShardMap::new(shards);
-            let sched = schedule(&dg, &updates, &cfg.dynamic, &map, FOOTPRINT_CAP, shards).unwrap();
+            let sched = schedule(&dg, &updates, &cfg.dynamic, &map, FOOTPRINT_CAP).unwrap();
             prop_assert_eq!(sched.plans.len(), updates.len());
             prop_assert_eq!(sched.widths.iter().sum::<usize>(), sched.plans.len(),
                 "{} shards: widths must sum to the plan count", shards);
