@@ -129,7 +129,7 @@ if [ "${1:-}" != "fast" ]; then
 
     step "CLI chaos smoke (mid-stream fault recovered, WAL'd run ≡ serial)"
     # A fault is injected into a live 2-shard mesh before epoch 2; the
-    # supervisor must respawn the worker and the run must finish with
+    # supervisor must rebuild the mesh and the run must finish with
     # the exact serial assignment, while logging every batch to a WAL.
     tmp="$(mktemp -d)"
     cargo run --release -q --bin salloc -- \
@@ -148,6 +148,15 @@ if [ "${1:-}" != "fast" ]; then
     cmp "$tmp/serial.txt" "$tmp/chaos.txt" \
         || { echo "faulted run diverged from the serial engine"; exit 1; }
     [ -s "$tmp/wal.log" ] || { echo "--wal wrote no log"; exit 1; }
+    # The same fault on a p2p mesh: the same mesh-rebuild recovery.
+    cargo run --release -q --bin salloc -- \
+        dynamic "$tmp/g.txt" --epochs 3 --events 150 --eps 0.25 --seed 1 --shards 2 --net \
+        --p2p --eager-budget 1 --wal "$tmp/p2p-wal.log" --max-respawns 3 --retry-budget 1 \
+        --chaos flip@2 --assign "$tmp/p2p-chaos.txt" > "$tmp/p2p-out.txt"
+    grep -q 'respawns' "$tmp/p2p-out.txt" \
+        || { echo "the p2p supervisor did not report its recovery"; exit 1; }
+    cmp "$tmp/serial.txt" "$tmp/p2p-chaos.txt" \
+        || { echo "faulted p2p run diverged from the serial engine"; exit 1; }
     rm -rf "$tmp"
 
     step "e17 dynamic maintenance (incremental ≥ 4× full recompute, gated)"

@@ -7,8 +7,9 @@
 //! 1. **Supervised recovery.** The E21 instance is served over loopback
 //!    with a write-ahead log attached and a supervisor armed. A bit-flip
 //!    fault is injected mid-stream; the supervisor must absorb it
-//!    (respawn the worker on a fresh channel, re-scatter state, retry
-//!    the exchange) and the run must end in exactly the serial state.
+//!    (rebuild the mesh on fresh channels and worker threads, re-scatter
+//!    state, retry the exchange) and the run must end in exactly the
+//!    serial state.
 //!    Reported: respawn count, transient retries, bytes re-scattered,
 //!    and the mean in-band recovery latency.
 //!

@@ -11,7 +11,10 @@
 //! between real threads ([`TransportKind`]).
 //!
 //! The protocol is a lockstep star: per phase the coordinator sends one
-//! frame to every worker and collects one reply from every worker.
+//! frame to every worker and collects one reply from every worker. Each
+//! worker runs one loop (`worker_main`), blocked on the one inbox its
+//! links feed ([`WorkerLinks::recv`]) — with no deadline, so an idle
+//! worker waits out any pause between batches.
 //!
 //! | phase | direction | payload |
 //! |---|---|---|
@@ -43,16 +46,18 @@
 //! of failing: transient faults (receive timeouts) are retried in place
 //! with bounded exponential backoff and jitter; everything else — a dead
 //! channel, a corrupted frame, a worker whose slice diverged — burns one
-//! respawn from the budget. A respawn replaces the poisoned channel
-//! ([`Mesh::respawn`]) and thread, then re-scatters the coordinator's
-//! full state to **every** worker (`INIT` resets a worker's slice), so
-//! the retried phase lands on a mesh that is state-identical to one that
-//! never faulted; a fault mid-batch therefore makes
-//! [`NetServeLoop::apply_batch`] at-least-once on the wire with
-//! exactly-once effects. The wire cost of recovery is metered under
-//! [`labels::NET_RECOVER`]. When the respawn budget is exhausted the
-//! engine **quarantines**: queries keep answering from the coordinator
-//! mirror, every further wire operation fails as
+//! respawn from the budget. A respawn rebuilds the whole mesh
+//! ([`Mesh::rebuild`]) — every channel and every worker thread, so
+//! replies still in flight from the exchange that died go with the old
+//! channels and no culprit needs naming — then re-scatters the
+//! coordinator's full state to **every** worker (`INIT` resets a
+//! worker's slice), so the retried phase lands on a mesh that is
+//! state-identical to one that never faulted; a fault mid-batch
+//! therefore makes [`NetServeLoop::apply_batch`] at-least-once on the
+//! wire with exactly-once effects. The wire cost of recovery is metered
+//! under [`labels::NET_RECOVER`]. When the respawn budget is exhausted
+//! the engine **quarantines**: queries keep answering from the
+//! coordinator mirror, every further wire operation fails as
 //! [`NetError::Quarantined`], and the fault that exhausted the budget is
 //! surfaced verbatim. With the default config (zero budget) the first
 //! fault quarantines immediately — exactly the fail-fast behavior the
@@ -92,11 +97,11 @@
 //! whether the owner is idle or mid-wave. Spoke traffic of the dispatch
 //! is metered under [`labels::NET_WAVE`]; the worker↔worker bytes —
 //! which never touch the coordinator — are reported back on the acks
-//! and metered under [`labels::NET_HANDOFF`]. A wire fault mid-wave tears down and
-//! rebuilds the whole mesh ([`Mesh::rebuild_p2p`]), re-scatters the
-//! coordinator's engine state, and re-dispatches the interrupted wave;
-//! outcomes fold only after a full ack barrier, so a retried wave lands
-//! exactly once.
+//! and metered under [`labels::NET_HANDOFF`]. A wire fault mid-wave
+//! recovers like any other — the whole mesh is rebuilt and the
+//! coordinator's engine state re-scattered — and the interrupted wave is
+//! re-dispatched; outcomes fold only after a full ack barrier, so a
+//! retried wave lands exactly once.
 //!
 //! Footprint topology is worker-resident. Each worker caches every row a
 //! `WAVE` frame shipped it, and the coordinator keeps a per-worker record
@@ -120,9 +125,7 @@ use sparse_alloc_graph::io::{fnv1a64, ByteReader, ByteWriter, IoError};
 use sparse_alloc_graph::{Assignment, Bipartite, LeftId, RightId};
 use sparse_alloc_mpc::ledger::RoundRecord;
 use sparse_alloc_mpc::shard::labels;
-use sparse_alloc_mpc::transport::{
-    Fault, Frame, Mesh, Peer, TransportError, WorkerLinks, COORDINATOR,
-};
+use sparse_alloc_mpc::transport::{Fault, Frame, Mesh, TransportError, WorkerLinks, COORDINATOR};
 use sparse_alloc_mpc::{Ledger, MpcError, ShardMap};
 use sparse_alloc_obs::{Counter, MetricsSnapshot, Phase, Registry, Tracer};
 
@@ -405,10 +408,11 @@ pub struct NetEpochReport {
 struct WorkerState {
     lefts: BTreeMap<u32, u32>,
     rights: BTreeMap<u32, (i64, u64)>,
-    /// Peer-to-peer mode: this worker also holds the full matched list
-    /// of each owned right — the walk state its peers fetch over
-    /// `HANDOFF` links — and the `INIT`/`COMMIT`/`CENSUS` payloads grow
-    /// a matched-list section.
+    /// Peer-to-peer mode, fixed at spawn: this worker also holds the
+    /// full matched list of each owned right — the walk state its peers
+    /// fetch over `HANDOFF` links — and the `INIT`/`COMMIT`/`CENSUS`
+    /// payloads grow a matched-list section. Off, the payloads are the
+    /// star's.
     p2p: bool,
     matched: BTreeMap<u32, Vec<u32>>,
     /// Spoke frames that arrived while a p2p wave awaited peer acks,
@@ -645,45 +649,6 @@ impl WorkerState {
                 Ok((PH_SHUTDOWN_ACK, Vec::new()))
             }
             other => Err(format!("unknown phase {other}")),
-        }
-    }
-}
-
-/// The worker thread: serve frames until shutdown, channel death, or a
-/// protocol violation. Failures are relayed to the coordinator as a
-/// NACK frame carrying the typed error, then the worker exits — a
-/// worker never panics on bad input, and never answers with made-up
-/// state.
-fn worker_main(mut peer: Peer) {
-    let mut st = WorkerState::default();
-    loop {
-        let frame = match peer.recv() {
-            Ok(f) => f,
-            Err(err) => {
-                let mut w = ByteWriter::new();
-                w.put_u32(NACK_TRANSPORT);
-                w.put_bytes(&err.encode());
-                let _ = peer.send(PH_NACK, 0, &w.into_bytes());
-                return;
-            }
-        };
-        match st.handle(frame.phase, &frame.payload) {
-            Ok((phase, reply)) => {
-                let done = phase == PH_SHUTDOWN_ACK;
-                if peer.send(phase, frame.epoch, &reply).is_err() {
-                    return;
-                }
-                if done {
-                    return;
-                }
-            }
-            Err(detail) => {
-                let mut w = ByteWriter::new();
-                w.put_u32(NACK_PROTOCOL);
-                w.put_bytes(detail.as_bytes());
-                let _ = peer.send(PH_NACK, frame.epoch, &w.into_bytes());
-                return;
-            }
         }
     }
 }
@@ -1648,16 +1613,19 @@ fn arm_link(
     }
 }
 
-/// The p2p worker thread: block on the worker's one inbox and serve
-/// whichever link speaks — the coordinator spoke (`WAVE`/`ARM` plus
-/// every star phase) or a worker↔worker link (`HANDOFF_REQ`/`FLIP` from
-/// peers executing their own plans). Spoke frames held back during a
-/// wave go first. Failures NACK the coordinator with a detail naming
-/// the peer pair and protocol phase, then the worker exits — recovery
-/// rebuilds the whole mesh.
-fn worker_main_p2p(mut links: WorkerLinks, map: ShardMap) {
+/// The worker thread, for both protocols: block on the worker's one
+/// inbox and serve whichever link speaks — the coordinator spoke (every
+/// star phase, plus `WAVE`/`ARM` on a p2p mesh) or a worker↔worker link
+/// (`HANDOFF_REQ`/`FLIP` from peers executing their own plans; a star
+/// worker has none). Spoke frames held back during a wave go first.
+/// `p2p` selects the matched-list payload sections
+/// ([`WorkerState::p2p`]). Failures NACK the coordinator with the typed
+/// error, or a detail naming the peer pair and protocol phase, then the
+/// worker exits — a worker never panics on bad input, never answers
+/// with made-up state, and recovery rebuilds the whole mesh.
+fn worker_main(mut links: WorkerLinks, map: ShardMap, p2p: bool) {
     let mut st = WorkerState {
-        p2p: true,
+        p2p,
         ..WorkerState::default()
     };
     let mut handoff_timeout = DEFAULT_HANDOFF_TIMEOUT;
@@ -1727,6 +1695,14 @@ fn worker_main_p2p(mut links: WorkerLinks, map: ShardMap) {
             }
         }
     }
+}
+
+/// Spawn one [`worker_main`] thread per bundle.
+fn spawn_workers(links: Vec<WorkerLinks>, map: ShardMap, p2p: bool) -> Vec<JoinHandle<()>> {
+    links
+        .into_iter()
+        .map(|l| std::thread::spawn(move || worker_main(l, map, p2p)))
+        .collect()
 }
 
 // ---------------------------------------------------- coordinator side
@@ -1877,9 +1853,6 @@ pub struct NetServeLoop {
     respawns_left: u64,
     /// `Some(reason)` once the respawn budget is exhausted: read-only.
     quarantined: Option<String>,
-    /// The worker of the most recent flight-recorded failure — which
-    /// channel a recovery respawns when the error itself names no shard.
-    last_failed: Option<usize>,
     /// Write-ahead log, if attached.
     wal: Option<WalWriter<std::fs::File>>,
     /// Reference captured at the last full checkpoint; what
@@ -1995,29 +1968,13 @@ impl NetServeLoop {
     ) -> Result<Self, NetError> {
         let p = inner.shards();
         let tracer = inner.tracer().clone();
-        let (mesh, workers): (Mesh, Vec<JoinHandle<()>>) = if p2p {
-            let map = *inner.shard_map();
-            let pairs = Mesh::all_pairs(p);
-            let (mesh, links) = match kind {
-                TransportKind::Loopback => Mesh::loopback_mesh(p, &pairs),
-                TransportKind::Tcp => Mesh::tcp_mesh(p, &pairs)?,
-            };
-            let workers = links
-                .into_iter()
-                .map(|l| std::thread::spawn(move || worker_main_p2p(l, map)))
-                .collect();
-            (mesh, workers)
-        } else {
-            let (mesh, ends) = match kind {
-                TransportKind::Loopback => Mesh::loopback(p),
-                TransportKind::Tcp => Mesh::tcp(p)?,
-            };
-            let workers = ends
-                .into_iter()
-                .map(|peer| std::thread::spawn(move || worker_main(peer)))
-                .collect();
-            (mesh, workers)
+        // The star's workers talk to the coordinator only.
+        let edges = if p2p { Mesh::all_pairs(p) } else { Vec::new() };
+        let (mesh, links) = match kind {
+            TransportKind::Loopback => Mesh::loopback_mesh(p, &edges),
+            TransportKind::Tcp => Mesh::tcp_mesh(p, &edges)?,
         };
+        let workers = spawn_workers(links, *inner.shard_map(), p2p);
         let mut this = NetServeLoop {
             inner,
             mesh,
@@ -2033,7 +1990,6 @@ impl NetServeLoop {
             sup: SupervisorConfig::default(),
             respawns_left: 0,
             quarantined: None,
-            last_failed: None,
             wal: None,
             base: None,
             jitter: 0x9e37_79b9_7f4a_7c15,
@@ -2208,7 +2164,6 @@ impl NetServeLoop {
         );
         eprintln!("{dump}");
         self.last_flight_dump = Some(dump);
-        self.last_failed = Some(w);
     }
 
     /// Send `payload` to worker `w`, dumping the flight recorders if the
@@ -2599,20 +2554,10 @@ impl NetServeLoop {
         }
     }
 
-    /// Which worker a wire failure implicates: the error's shard when it
-    /// names a real one, else the last flight-recorded peer.
-    fn failed_worker(&self, err: &NetError) -> usize {
-        let p = self.mesh.workers();
-        match err {
-            NetError::Protocol { shard, .. } if (*shard as usize) < p => *shard as usize,
-            _ => self.last_failed.unwrap_or(0).min(p.saturating_sub(1)),
-        }
-    }
-
     /// The supervisor's decision point after a failed wire operation:
-    /// spend one respawn recovering the implicated worker, or — if the
-    /// fault isn't a wire fault, or the budget is exhausted — quarantine
-    /// the engine and surface the **original** error. `Ok(())` means the
+    /// spend one respawn rebuilding the mesh, or — if the fault isn't a
+    /// wire fault, or the budget is exhausted — quarantine the engine and
+    /// surface the **original** error. `Ok(())` means the
     /// caller should retry the operation that failed; a recovery that
     /// itself fails loops back here until the budget runs out.
     fn recover_or_quarantine(&mut self, err: NetError) -> Result<(), NetError> {
@@ -2626,9 +2571,8 @@ impl NetServeLoop {
             self.respawns_left -= 1;
             self.stats.respawns += 1;
             self.inner.obs_mut().inc(Counter::NetRespawns, 1);
-            let failed = self.failed_worker(&cause);
             let t0 = Instant::now();
-            let outcome = self.respawn_and_reinit(failed);
+            let outcome = self.rebuild_mesh_and_reinit();
             self.stats.recovery_ns += t0.elapsed().as_nanos() as u64;
             match outcome {
                 Ok(()) => return Ok(()),
@@ -2637,61 +2581,24 @@ impl NetServeLoop {
         }
     }
 
-    /// Replace worker `failed` with a fresh thread on a fresh channel —
-    /// a corrupted frame burns a sequence number on the old channel, so
-    /// recovery **must** re-channel, never just retry — then re-INIT
-    /// *every* worker from the coordinator's authoritative state (the
-    /// respawned worker lost its slice; its peers' slices are cheap to
-    /// refresh and re-INIT is idempotent). Metered as
-    /// [`Phase::NetRecover`] / [`labels::NET_RECOVER`].
-    fn respawn_and_reinit(&mut self, failed: usize) -> Result<(), NetError> {
-        if self.p2p {
-            return self.rebuild_mesh_and_reinit();
-        }
-        let endpoint = self.mesh.respawn(failed, self.kind == TransportKind::Tcp)?;
-        let old = std::mem::replace(
-            &mut self.workers[failed],
-            std::thread::spawn(move || worker_main(endpoint)),
-        );
-        // The old worker sees its channel close and exits; its NACK (if
-        // any) died with the old channel.
-        let _ = old.join();
-        // Surviving workers may have uncollected replies in flight from
-        // the exchange that died: drain them now, or the re-INIT below
-        // would read them as off-script frames and escalate against
-        // perfectly healthy workers.
-        for w in 0..self.mesh.workers() {
-            if w != failed {
-                self.last_failed = Some(w);
-                self.mesh.drain(w, Duration::from_millis(50))?;
-            }
-        }
-        self.last_failed = Some(failed);
-        // The fresh channel's wire counters start at zero, so the mesh
-        // totals just moved backwards: re-baseline the epoch mark or the
-        // next epoch report's subtraction would underflow.
-        let (bytes_now, frames_now) = self.wire_totals();
-        self.epoch_mark.0 = self.epoch_mark.0.min(bytes_now);
-        self.epoch_mark.1 = self.epoch_mark.1.min(frames_now);
-        self.scatter_init(labels::NET_RECOVER)
-    }
-
-    /// The p2p recovery primitive. A fault mid-wave leaves partial walk
-    /// state in flight on worker↔worker channels the coordinator cannot
-    /// see, let alone drain — so the only sound cut is wholesale: tear
-    /// down and rebuild the *entire* mesh ([`Mesh::rebuild_p2p`]),
+    /// The recovery primitive, for both protocols. A corrupted frame
+    /// burns a sequence number, so recovery **must** re-channel, never
+    /// just retry; and replies of the exchange that died (star) or walk
+    /// state on worker↔worker channels (p2p) may still be in flight
+    /// where the coordinator cannot drain them. So the cut is wholesale:
+    /// tear down and rebuild the *entire* mesh ([`Mesh::rebuild`]),
     /// respawn every worker thread on the fresh links, and re-scatter
-    /// the coordinator's authoritative engine state. The interrupted
-    /// wave is then re-dispatched by the caller; outcomes fold only
-    /// after a full ack barrier, so the retried wave lands exactly once.
+    /// the coordinator's authoritative engine state (`INIT` resets a
+    /// worker's slice). The caller then retries the interrupted
+    /// exchange; p2p outcomes fold only after a full ack barrier, so a
+    /// retried wave lands exactly once. Metered as
+    /// [`Phase::NetRecover`] / [`labels::NET_RECOVER`].
     fn rebuild_mesh_and_reinit(&mut self) -> Result<(), NetError> {
-        let links = self.mesh.rebuild_p2p(self.kind == TransportKind::Tcp)?;
-        let map = *self.inner.shard_map();
-        let old = std::mem::take(&mut self.workers);
-        self.workers = links
-            .into_iter()
-            .map(|l| std::thread::spawn(move || worker_main_p2p(l, map)))
-            .collect();
+        let links = self.mesh.rebuild(self.kind == TransportKind::Tcp)?;
+        let old = std::mem::replace(
+            &mut self.workers,
+            spawn_workers(links, *self.inner.shard_map(), self.p2p),
+        );
         // The rebuild closed every old spoke: each old worker reads that
         // `Closed` from its inbox wherever it blocks, and exits.
         for h in old {
@@ -4192,7 +4099,7 @@ mod tests {
         let (mut mesh, links) = Mesh::loopback_mesh(2, &Mesh::all_pairs(2));
         let workers: Vec<_> = links
             .into_iter()
-            .map(|l| std::thread::spawn(move || worker_main_p2p(l, map)))
+            .map(|l| std::thread::spawn(move || worker_main(l, map, true)))
             .collect();
         mesh.send_to(
             0,
@@ -4278,7 +4185,7 @@ mod tests {
         let (mut mesh, links) = Mesh::loopback_mesh(2, &Mesh::all_pairs(2));
         let workers: Vec<_> = links
             .into_iter()
-            .map(|l| std::thread::spawn(move || worker_main_p2p(l, map)))
+            .map(|l| std::thread::spawn(move || worker_main(l, map, true)))
             .collect();
         let w1_lefts: Vec<(u32, u32)> = xs.iter().zip(&vs).map(|(&x, &v)| (x, v)).collect();
         let mut w1_rights: Vec<(u32, Vec<u32>)> =
@@ -4355,7 +4262,7 @@ mod tests {
         // Spawn only worker 1; the test plays worker 0 on its links.
         let l1 = links.pop().unwrap();
         let mut l0 = links.pop().unwrap();
-        let worker = std::thread::spawn(move || worker_main_p2p(l1, map));
+        let worker = std::thread::spawn(move || worker_main(l1, map, true));
         mesh.send_to(1, PH_INIT, 0, &p2p_init_frame(&[], &[]))
             .unwrap();
         assert_eq!(mesh.recv_from(1).unwrap().phase, PH_INIT_ACK);
@@ -4390,7 +4297,7 @@ mod tests {
         // Spawn only worker 1; the test plays worker 0 on its links.
         let l1 = links.pop().unwrap();
         let mut l0 = links.pop().unwrap();
-        let worker = std::thread::spawn(move || worker_main_p2p(l1, map));
+        let worker = std::thread::spawn(move || worker_main(l1, map, true));
         mesh.send_to(1, PH_INIT, 0, &p2p_init_frame(&[(x, v)], &[(v, vec![x])]))
             .unwrap();
         assert_eq!(mesh.recv_from(1).unwrap().phase, PH_INIT_ACK);
@@ -4438,7 +4345,7 @@ mod tests {
         // Spawn only worker 1; the test plays worker 0 on its links.
         let l1 = links.pop().unwrap();
         let mut l0 = links.pop().unwrap();
-        let worker = std::thread::spawn(move || worker_main_p2p(l1, map));
+        let worker = std::thread::spawn(move || worker_main(l1, map, true));
         mesh.send_to(1, PH_INIT, 0, &p2p_init_frame(&[(u, UNMATCHED)], &[]))
             .unwrap();
         assert_eq!(mesh.recv_from(1).unwrap().phase, PH_INIT_ACK);
@@ -4494,7 +4401,7 @@ mod tests {
         // Spawn only worker 0; its peer link stays idle.
         let l1 = links.pop().unwrap();
         let l0 = links.pop().unwrap();
-        let worker = std::thread::spawn(move || worker_main_p2p(l0, map));
+        let worker = std::thread::spawn(move || worker_main(l0, map, true));
         mesh.send_to(
             0,
             PH_INIT,
@@ -4549,7 +4456,7 @@ mod tests {
         let (mut mesh, mut links) = Mesh::loopback_mesh(2, &Mesh::all_pairs(2));
         let l1 = links.pop().unwrap();
         let mut l0 = links.pop().unwrap();
-        let worker = std::thread::spawn(move || worker_main_p2p(l1, map));
+        let worker = std::thread::spawn(move || worker_main(l1, map, true));
         mesh.send_to(1, PH_INIT, 0, &p2p_init_frame(&[], &[]))
             .unwrap();
         assert_eq!(mesh.recv_from(1).unwrap().phase, PH_INIT_ACK);

@@ -4,7 +4,8 @@
 //! The [`Cluster`](crate::Cluster) simulator *accounts* communication in
 //! words; this module *moves* it in bytes. A [`Mesh`] is the
 //! coordinator's side of a star topology — one bidirectional channel per
-//! worker — and a [`Peer`] is one endpoint of one channel. Every message
+//! worker, plus whatever worker↔worker channels its edge list names —
+//! and a [`Peer`] is one endpoint of one channel. Every message
 //! travels as one checksummed frame
 //! ([`graph::io`](sparse_alloc_graph::io)'s frame codec: magic, version,
 //! source, phase, epoch, per-channel sequence number, length-prefixed
@@ -24,7 +25,7 @@
 //!   between threads (Nagle disabled, bounded read timeouts so a dead
 //!   peer is a typed error, not a hang).
 //!
-//! A p2p worker's links ([`WorkerLinks`]) share **one inbox**: every
+//! A worker's links ([`WorkerLinks`]) share **one inbox**: every
 //! incoming link — the coordinator spoke and each worker↔worker channel —
 //! delivers into one blocking queue of `(sender, frame bytes)` entries,
 //! so a worker waits on exactly one receive ([`WorkerLinks::recv`])
@@ -51,9 +52,9 @@
 //! `Checksum`), and out-of-order delivery ([`Fault::Reorder`] ⇒
 //! [`TransportError::OutOfOrder`]). [`Fault::Every`] schedules any of
 //! them persistently (every `n`-th frame, never consumed), and
-//! [`Mesh::respawn`] + [`Mesh::arm_on_respawn`] let a supervisor replace
-//! a dead worker's channel — with faults re-armed on the replacement, so
-//! recovery itself is tested under fire.
+//! [`Mesh::rebuild`] + [`Mesh::arm_on_respawn`] let a supervisor replace
+//! every channel of a faulted mesh — with faults re-armed on the
+//! replacement spokes, so recovery itself is tested under fire.
 //!
 //! # Example
 //!
@@ -1000,47 +1001,21 @@ impl Drop for Peer {
 
 // ----------------------------------------------------------------- mesh
 
-/// The coordinator's side of a star mesh: one [`Peer`] per worker,
-/// indexed by shard. Workers get the matching endpoints.
+/// The coordinator's side of a mesh: one [`Peer`] per worker, indexed
+/// by shard, plus the edge list of the worker↔worker channels it was
+/// built with. Workers get the matching [`WorkerLinks`].
 #[derive(Debug)]
 pub struct Mesh {
     peers: Vec<Peer>,
-    /// Faults to arm on the *replacement* channel when a worker is
-    /// respawned ([`Mesh::arm_on_respawn`]) — how the harness tests
-    /// recovery itself under fire.
+    /// Worker↔worker channels, rebuilt as listed by [`Mesh::rebuild`].
+    edges: Vec<(usize, usize)>,
+    /// Faults to arm on a worker's *replacement* spoke on every
+    /// [`Mesh::rebuild`] ([`Mesh::arm_on_respawn`]) — how the harness
+    /// tests recovery itself under fire.
     on_respawn: Vec<Vec<Fault>>,
 }
 
 impl Mesh {
-    /// A loopback mesh over `workers` shards. Returns the coordinator's
-    /// mesh and the per-worker endpoints (index = shard id).
-    pub fn loopback(workers: usize) -> (Mesh, Vec<Peer>) {
-        Mesh::star(workers, false, None).expect("loopback links cannot fail")
-    }
-
-    /// A TCP mesh over `workers` shards (one `127.0.0.1` socket each).
-    pub fn tcp(workers: usize) -> Result<(Mesh, Vec<Peer>), TransportError> {
-        Mesh::star(workers, true, None)
-    }
-
-    /// A star over `workers` shards; with `inboxes`, worker `w`'s spoke
-    /// delivers into `inboxes[w]`.
-    fn star(
-        workers: usize,
-        tcp: bool,
-        inboxes: Option<&[Arc<Queue>]>,
-    ) -> Result<(Mesh, Vec<Peer>), TransportError> {
-        let mut peers = Vec::with_capacity(workers);
-        let mut ends = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (c, e) = connect(COORDINATOR, w as u32, tcp, None, inboxes.map(|q| &q[w]))?;
-            peers.push(c);
-            ends.push(e);
-        }
-        let on_respawn = (0..workers).map(|_| Vec::new()).collect();
-        Ok((Mesh { peers, on_respawn }, ends))
-    }
-
     /// Every unordered worker pair — the edge list of a *full* p2p mesh,
     /// for [`Mesh::loopback_mesh`] / [`Mesh::tcp_mesh`].
     pub fn all_pairs(workers: usize) -> Vec<(usize, usize)> {
@@ -1055,10 +1030,10 @@ impl Mesh {
 
     /// A loopback star plus direct worker↔worker channels along `edges`
     /// (a full mesh when `edges` is [`Mesh::all_pairs`], a partial one
-    /// otherwise). Returns the coordinator's mesh and one
-    /// [`WorkerLinks`] bundle per worker.
+    /// otherwise, spokes only when empty). Returns the coordinator's
+    /// mesh and one [`WorkerLinks`] bundle per worker.
     pub fn loopback_mesh(workers: usize, edges: &[(usize, usize)]) -> (Mesh, Vec<WorkerLinks>) {
-        Mesh::p2p(workers, edges, false).expect("loopback links cannot fail")
+        Mesh::build(workers, edges, false).expect("loopback links cannot fail")
     }
 
     /// The TCP twin of [`Mesh::loopback_mesh`]: every spoke and every
@@ -1067,68 +1042,67 @@ impl Mesh {
         workers: usize,
         edges: &[(usize, usize)],
     ) -> Result<(Mesh, Vec<WorkerLinks>), TransportError> {
-        Mesh::p2p(workers, edges, true)
+        Mesh::build(workers, edges, true)
     }
 
-    fn p2p(
+    fn build(
         workers: usize,
         edges: &[(usize, usize)],
         tcp: bool,
     ) -> Result<(Mesh, Vec<WorkerLinks>), TransportError> {
         let inboxes = new_inboxes(workers);
-        let (mesh, spokes) = Mesh::star(workers, tcp, Some(&inboxes))?;
         let links = link_matrix(workers, edges, tcp, &inboxes)?;
+        let mut spokes = Vec::with_capacity(workers);
+        let mut mesh = Mesh {
+            peers: Vec::with_capacity(workers),
+            edges: edges.to_vec(),
+            on_respawn: vec![Vec::new(); workers],
+        };
+        for (w, inbox) in inboxes.iter().enumerate() {
+            let (c, e) = connect(COORDINATOR, w as u32, tcp, None, Some(inbox))?;
+            mesh.peers.push(c);
+            spokes.push(e);
+        }
         Ok((mesh, bundle(spokes, links, inboxes)))
     }
 
     /// Tear down and rebuild the *entire* mesh — every spoke and every
-    /// worker↔worker channel of a full p2p mesh — returning fresh
-    /// [`WorkerLinks`] bundles for a full respawn of the worker pool.
+    /// worker↔worker channel of the edge list it was built with —
+    /// returning fresh [`WorkerLinks`] bundles for a full respawn of the
+    /// worker pool.
     ///
-    /// This is the p2p engine's recovery primitive. A star recovers one
-    /// spoke at a time ([`Mesh::respawn`]), but a wave in the p2p
-    /// protocol has state in flight on worker↔worker channels too;
-    /// after a mid-wave fault the only sound cut is to close everything
+    /// This is the serving layer's one recovery primitive. After a
+    /// fault, frames of the exchange that died may still be in flight on
+    /// any channel, so the only sound cut is to close everything
     /// (workers blocked anywhere see typed `Closed` and exit) and
-    /// re-INIT on virgin channels. Each new spoke inherits the old
-    /// spoke's receive timeout and [`Mesh::arm_on_respawn`] faults,
-    /// exactly like a single-spoke respawn.
-    pub fn rebuild_p2p(&mut self, tcp: bool) -> Result<Vec<WorkerLinks>, TransportError> {
+    /// re-INIT on virgin channels. Each new spoke's coordinator end
+    /// inherits the old one's receive timeout and carries the faults
+    /// [`Mesh::arm_on_respawn`] armed for its worker.
+    pub fn rebuild(&mut self, tcp: bool) -> Result<Vec<WorkerLinks>, TransportError> {
         let n = self.peers.len();
         let inboxes = new_inboxes(n);
-        let links = link_matrix(n, &Mesh::all_pairs(n), tcp, &inboxes)?;
+        let links = link_matrix(n, &self.edges, tcp, &inboxes)?;
         let spokes = (0..n)
-            .map(|w| self.respawn_into(w, tcp, Some(&inboxes[w])))
+            .map(|w| self.respawn_into(w, tcp, &inboxes[w]))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(bundle(spokes, links, inboxes))
     }
 
-    /// Replace the channel to worker `w` with a fresh one (loopback or
-    /// TCP to match the mesh) and return the new worker-side endpoint
-    /// for the respawned worker to run on. The old coordinator-side
-    /// peer is dropped, which closes the old link — a worker still
-    /// blocked on it sees a typed `Closed` and exits. Faults armed via
-    /// [`Mesh::arm_on_respawn`] are injected into the new channel; the
-    /// old channel's receive timeout carries over to the coordinator
-    /// side only (the worker end keeps the spawn-time default).
-    pub fn respawn(&mut self, w: usize, tcp: bool) -> Result<Peer, TransportError> {
-        self.respawn_into(w, tcp, None)
-    }
-
-    /// [`Mesh::respawn`], with the new worker end delivering into
-    /// `inbox` when one is given.
+    /// Replace the spoke to worker `w` with a fresh one delivering into
+    /// `inbox`, and return the new worker end. Dropping the old
+    /// coordinator end closes the old spoke.
     fn respawn_into(
         &mut self,
         w: usize,
         tcp: bool,
-        inbox: Option<&Arc<Queue>>,
+        inbox: &Arc<Queue>,
     ) -> Result<Peer, TransportError> {
-        let (mut c, e) = connect(COORDINATOR, w as u32, tcp, None, inbox)?;
+        let (mut c, e) = connect(COORDINATOR, w as u32, tcp, None, Some(inbox))?;
         // Only the coordinator side inherits the configured timeout: the
-        // replacement worker endpoint keeps the long default, exactly
-        // like an originally-spawned worker — a coordinator running with
-        // an aggressively short timeout must not hand its respawned
-        // workers a clock that expires during its own recovery pauses.
+        // replacement worker blocks on its inbox with no deadline, like
+        // an originally spawned one — a coordinator running with an
+        // aggressively short timeout must not hand its respawned workers
+        // a clock that expires during its own recovery pauses.
         c.set_recv_timeout(self.peers[w].recv_timeout)?;
         for f in &self.on_respawn[w] {
             c.inject(f.clone());
@@ -1138,9 +1112,9 @@ impl Mesh {
     }
 
     /// Arm `fault` to be injected into worker `w`'s **replacement**
-    /// channel on *every* [`Mesh::respawn`] — a persistently faulty
-    /// slot, so the harness can prove recovery survives faults during
-    /// recovery itself and that a respawn budget really exhausts.
+    /// spoke on *every* [`Mesh::rebuild`] — a persistently faulty slot,
+    /// so the harness can prove recovery survives faults during recovery
+    /// itself and that a respawn budget really exhausts.
     pub fn arm_on_respawn(&mut self, w: usize, fault: Fault) {
         self.on_respawn[w].push(fault);
     }
@@ -1164,33 +1138,6 @@ impl Mesh {
     /// Receive one frame from worker `w`.
     pub fn recv_from(&mut self, w: usize) -> Result<Frame, TransportError> {
         self.peers[w].recv()
-    }
-
-    /// Discard every frame already queued (or arriving within `timeout`)
-    /// on the channel to worker `w`, returning how many were thrown
-    /// away.
-    ///
-    /// This is the coordinator's post-fault cleanup: when a lockstep
-    /// exchange dies partway through its collection sweep, the surviving
-    /// workers' uncollected replies are already in flight and would read
-    /// as off-script frames once the protocol restarts. Sequence
-    /// tracking advances normally, so the channel stays usable, and the
-    /// configured receive timeout is restored before returning. Any
-    /// failure other than the terminating timeout is the channel's own
-    /// typed error.
-    pub fn drain(&mut self, w: usize, timeout: Duration) -> Result<u64, TransportError> {
-        let prev = self.peers[w].recv_timeout;
-        self.peers[w].set_recv_timeout(timeout)?;
-        let mut n = 0u64;
-        let out = loop {
-            match self.peers[w].recv() {
-                Ok(_) => n += 1,
-                Err(e) if e.is_transient() => break Ok(n),
-                Err(e) => break Err(e),
-            }
-        };
-        self.peers[w].set_recv_timeout(prev)?;
-        out
     }
 
     /// Direct access to the channel of worker `w` (fault injection,
@@ -1275,11 +1222,11 @@ impl Mesh {
     }
 }
 
-// ------------------------------------------------------------ p2p links
+// --------------------------------------------------------- worker links
 
-/// One worker's endpoints in a p2p mesh: its coordinator spoke plus a
+/// One worker's endpoints in a mesh: its coordinator spoke plus a
 /// direct channel to each mesh neighbor (`None` at its own slot and at
-/// workers a partial mesh leaves unconnected). Worker↔worker channels
+/// workers the edge list leaves unconnected). Worker↔worker channels
 /// are full [`Peer`]s — same frame codec, sequence numbers, byte/frame
 /// counters, flight ring, and fault arming as a spoke.
 ///
@@ -1649,12 +1596,12 @@ mod tests {
 
     #[test]
     fn mesh_snapshot_reads_the_same_counters_as_the_peers() {
-        let (mut mesh, mut ends) = Mesh::loopback(2);
+        let (mut mesh, mut links) = Mesh::loopback_mesh(2, &[]);
         mesh.send_to(0, 1, 0, b"to worker zero").unwrap();
         mesh.send_to(1, 1, 0, b"to worker one, longer").unwrap();
-        ends[0].recv().unwrap();
-        ends[1].recv().unwrap();
-        ends[1].send(2, 0, b"reply").unwrap();
+        links[0].recv(soon()).unwrap();
+        links[1].recv(soon()).unwrap();
+        links[1].coordinator().send(2, 0, b"reply").unwrap();
         mesh.recv_from(1).unwrap();
         let snap = mesh.metrics_snapshot();
         assert_eq!(snap.peers.len(), 2);
@@ -1746,50 +1693,17 @@ mod tests {
     }
 
     #[test]
-    fn mesh_respawn_replaces_a_dead_channel_and_rearms_faults() {
-        let (mut mesh, mut ends) = Mesh::loopback(2);
-        mesh.send_to(0, 1, 0, b"healthy").unwrap();
-        ends[0].recv().unwrap();
-
-        // Kill the channel to worker 0.
-        mesh.peer_mut(0).inject(Fault::Drop);
-        mesh.send_to(0, 1, 0, b"lost").unwrap();
-        assert!(matches!(ends[0].recv(), Err(TransportError::Closed { .. })));
-
-        // Respawn: the old worker end sees Closed, the new pair works
-        // with fresh sequence numbers.
-        let mut new_end = mesh.respawn(0, false).unwrap();
-        assert!(matches!(ends[0].recv(), Err(TransportError::Closed { .. })));
-        mesh.send_to(0, 2, 1, b"reborn").unwrap();
-        let f = new_end.recv().unwrap();
-        assert_eq!((f.seq, &f.payload[..]), (0, &b"reborn"[..]));
-        new_end.send(2, 1, b"ack").unwrap();
-        assert_eq!(mesh.recv_from(0).unwrap().payload, b"ack");
-        // Worker 1's channel was untouched.
-        mesh.send_to(1, 1, 0, b"still here").unwrap();
-        assert_eq!(ends[1].recv().unwrap().payload, b"still here");
-
-        // Fault-on-respawn: the queued fault corrupts the replacement
-        // channel's first frame.
-        mesh.arm_on_respawn(0, Fault::Drop);
-        let mut third_end = mesh.respawn(0, false).unwrap();
-        mesh.send_to(0, 3, 2, b"doomed").unwrap();
-        assert!(matches!(
-            third_end.recv(),
-            Err(TransportError::Closed { .. })
-        ));
-    }
-
-    #[test]
     fn mesh_star_reaches_every_worker() {
-        let (mut mesh, ends) = Mesh::loopback(4);
-        let handles: Vec<_> = ends
+        let (mut mesh, links) = Mesh::loopback_mesh(4, &[]);
+        let handles: Vec<_> = links
             .into_iter()
             .enumerate()
-            .map(|(w, mut p)| {
+            .map(|(w, mut l)| {
                 std::thread::spawn(move || {
-                    let f = p.recv().unwrap();
-                    p.send(f.phase, f.epoch, &[f.payload[0] + w as u8]).unwrap();
+                    let (_, f) = l.recv(None).unwrap();
+                    l.coordinator()
+                        .send(f.phase, f.epoch, &[f.payload[0] + w as u8])
+                        .unwrap();
                 })
             })
             .collect();
@@ -2042,10 +1956,54 @@ mod tests {
     }
 
     #[test]
+    fn mesh_respawn_replaces_a_dead_channel_and_rearms_faults() {
+        let (mut mesh, mut links) = Mesh::loopback_mesh(2, &[]);
+        mesh.send_to(0, 1, 0, b"healthy").unwrap();
+        links[0].recv(soon()).unwrap();
+
+        // Kill the channel to worker 0.
+        mesh.peer_mut(0).inject(Fault::Drop);
+        mesh.send_to(0, 1, 0, b"lost").unwrap();
+        assert!(matches!(
+            links[0].recv(soon()),
+            Err(TransportError::Closed { .. })
+        ));
+
+        // Respawn: the surviving old worker end sees Closed, the new
+        // spokes work with fresh sequence numbers.
+        let mut fresh = mesh.rebuild(false).unwrap();
+        assert!(matches!(
+            links[1].recv(soon()),
+            Err(TransportError::Closed { peer: COORDINATOR })
+        ));
+        mesh.send_to(0, 2, 1, b"reborn").unwrap();
+        let (_, f) = fresh[0].recv(soon()).unwrap();
+        assert_eq!((f.seq, &f.payload[..]), (0, &b"reborn"[..]));
+        fresh[0].coordinator().send(2, 1, b"ack").unwrap();
+        assert_eq!(mesh.recv_from(0).unwrap().payload, b"ack");
+        mesh.send_to(1, 1, 0, b"still here").unwrap();
+        assert_eq!(fresh[1].recv(soon()).unwrap().1.payload, b"still here");
+
+        // Fault-on-respawn: the queued fault kills worker 0's rebuilt
+        // spoke only, and every rebuild re-arms it.
+        mesh.arm_on_respawn(0, Fault::Drop);
+        for round in 0..2u64 {
+            let mut again = mesh.rebuild(false).unwrap();
+            mesh.send_to(0, 3, round, b"doomed").unwrap();
+            assert!(matches!(
+                again[0].recv(soon()),
+                Err(TransportError::Closed { peer: COORDINATOR })
+            ));
+            mesh.send_to(1, 3, round, b"healthy").unwrap();
+            assert_eq!(again[1].recv(soon()).unwrap().1.payload, b"healthy");
+        }
+    }
+
+    #[test]
     fn rebuild_p2p_replaces_every_channel() {
         let (mut mesh, links) = Mesh::loopback_mesh(2, &Mesh::all_pairs(2));
         mesh.set_recv_timeout(Duration::from_millis(250)).unwrap();
-        let mut fresh = mesh.rebuild_p2p(false).unwrap();
+        let mut fresh = mesh.rebuild(false).unwrap();
         // Old spokes read as closed — that is what makes the old workers
         // exit and drop their bundles...
         let mut it = links.into_iter();
@@ -2073,5 +2031,23 @@ mod tests {
         f0.peer_to(1).unwrap().send(18, 5, b"fresh link").unwrap();
         let (from, f) = f1.recv(soon()).unwrap();
         assert_eq!((from, f.seq), (0, 0));
+    }
+
+    #[test]
+    fn rebuilding_a_spoke_only_mesh_links_no_workers() {
+        for tcp in [false, true] {
+            let (mut mesh, links) = if tcp {
+                Mesh::tcp_mesh(3, &[]).unwrap()
+            } else {
+                Mesh::loopback_mesh(3, &[])
+            };
+            drop(links);
+            let mut fresh = mesh.rebuild(tcp).unwrap();
+            for (w, l) in fresh.iter_mut().enumerate() {
+                assert_eq!(l.connected(), Vec::<u32>::new(), "tcp {tcp}: worker {w}");
+                mesh.send_to(w, 1, 0, b"spoke").unwrap();
+                assert_eq!(l.recv(soon()).unwrap().0, COORDINATOR, "tcp {tcp}");
+            }
+        }
     }
 }

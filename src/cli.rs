@@ -202,7 +202,7 @@ const USAGE: &str = "usage: salloc <command>
                                           last base + log tail. With --net,
                                           --max-respawns N / --retry-budget N
                                           let the coordinator retry transient
-                                          faults and respawn dead workers
+                                          faults and rebuild a faulted mesh
                                           (re-initialized over the wire)
                                           before quarantining read-only, and
                                           periodic --checkpoint-every writes
@@ -485,8 +485,8 @@ struct Run {
     /// write-ahead log before acting on it; with `--restore`, replay the
     /// log tail past the snapshot first.
     wal: Option<String>,
-    /// `--max-respawns N` (`--net` only): workers the coordinator may
-    /// respawn before quarantining.
+    /// `--max-respawns N` (`--net` only): mesh rebuilds (each respawns
+    /// every worker) the coordinator may spend before quarantining.
     max_respawns: u64,
     /// `--retry-budget N` (`--net` only): transient-fault receive
     /// retries per exchange.

@@ -255,10 +255,10 @@ fn any_fault_leaves_a_flight_dump_naming_peer_and_phase() {
 
 /// Drive the same churn stream through a *supervised* net engine with
 /// `fault` injected mid-stream, and through an uninterrupted serial
-/// engine. The supervisor must absorb the fault (respawn the worker on a
-/// fresh channel, re-INIT, retry), the run must complete, and the final
-/// wire-gathered matching must equal the uninterrupted serial run
-/// **verbatim**.
+/// engine. The supervisor must absorb the fault (rebuild the whole mesh
+/// on fresh channels and worker threads, re-INIT, retry), the run must
+/// complete, and the final wire-gathered matching must equal the
+/// uninterrupted serial run **verbatim**.
 fn chaos_recovers_to_serial(kind: TransportKind, shards: usize, fault: Fault) {
     use sparse_alloc::dynamic::SupervisorConfig;
     let label = format!("{kind:?}/{shards} shards/{fault:?}");
@@ -594,5 +594,52 @@ fn the_same_drive_without_faults_serves_cleanly() {
         }
         let gathered = net.gather_assignment().expect("healthy gather");
         assert_eq!(gathered.mate, net.inner().assignment().mate, "{kind:?}");
+    }
+}
+
+/// An idle star engine is not a faulted one: its workers block on their
+/// inboxes with no deadline, so a pause longer than the receive timeout
+/// between two batches costs nothing — the next batch serves, the epoch
+/// ends, nothing quarantines, and the wire-gathered matching is serial's.
+#[test]
+fn a_star_engine_serves_after_idling_past_the_recv_timeout() {
+    use sparse_alloc::mpc::transport::DEFAULT_RECV_TIMEOUT;
+    let g = union_of_spanning_trees(40, 30, 2, 2, 9).graph;
+    let updates = sparse_alloc::dynamic::adapter::churn_stream(
+        &g,
+        24,
+        &sparse_alloc::dynamic::adapter::ChurnMix::default(),
+        9,
+    );
+    let cfg = ShardedConfig::for_eps(0.25, 3);
+    let mut serial = ServeLoop::new(g.clone(), cfg.dynamic.clone());
+    let mut engines = [TransportKind::Loopback, TransportKind::Tcp]
+        .map(|kind| NetServeLoop::new(g.clone(), cfg.clone(), kind).expect("engine starts"));
+    let (first, next) = updates.split_at(12);
+    for (i, chunk) in [first, next].into_iter().enumerate() {
+        if i == 1 {
+            // Both engines idle through one shared pause.
+            std::thread::sleep(DEFAULT_RECV_TIMEOUT + std::time::Duration::from_secs(1));
+        }
+        for net in &mut engines {
+            let kind = net.transport();
+            net.apply_batch(chunk)
+                .unwrap_or_else(|e| panic!("{kind:?}: batch {}: {e}", i + 1));
+            net.end_epoch()
+                .unwrap_or_else(|e| panic!("{kind:?}: epoch {} end: {e}", i + 1));
+        }
+        for up in chunk {
+            serial.apply(up);
+        }
+        serial.end_epoch();
+    }
+    for mut net in engines {
+        let kind = net.transport();
+        assert!(
+            net.quarantine_reason().is_none(),
+            "{kind:?}: an idle pause quarantined the engine"
+        );
+        let gathered = net.gather_assignment().expect("gather after the pause");
+        assert_eq!(gathered.mate, serial.assignment().mate, "{kind:?}");
     }
 }
