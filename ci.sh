@@ -329,10 +329,10 @@ if [ "${1:-}" != "fast" ]; then
     step "transport fault-injection harness under --release (star spokes + p2p peer links)"
     cargo test --release -q --test transport
     # Worker inboxes (tagging, deadlines, closed/truncated links, reader
-    # exit) and an idle worker's handoff round-trip latency.
+    # exit), then the whole networked-engine module: worker slice format,
+    # idle-worker handoff latency, star/p2p comparisons.
     cargo test --release -q -p sparse-alloc-mpc --lib transport::tests
-    cargo test --release -q -p sparse-alloc-dynamic --lib \
-        net::tests::an_idle_worker_answers_handoffs_without_waiting_on_its_spoke
+    cargo test --release -q -p sparse-alloc-dynamic --lib net::tests
 
     step "examples (release) — none may bit-rot"
     for ex in examples/*.rs; do

@@ -14,8 +14,9 @@
 //! headline check is end-to-end correctness on the wire: the final
 //! allocation is *gathered from the worker slices over the transport*
 //! and must equal the serial engine's mate vector verbatim, on both
-//! transports. A `BENCH_network.json` record is emitted; `ci.sh` gates
-//! on the equivalence line.
+//! transports. A `BENCH_network.json` record is emitted, carrying its
+//! provenance (`nproc`, `profile`, `git_rev`); `ci.sh` gates on the
+//! equivalence line.
 
 use std::time::Instant;
 
@@ -26,7 +27,7 @@ use sparse_alloc_graph::generators::union_of_spanning_trees;
 use sparse_alloc_obs::Registry;
 
 use super::phase_latency_json;
-use crate::table::{f1, f3, json_object, json_str, Table};
+use crate::table::{f1, f3, json_object, json_str, provenance, Table};
 
 const EPS: f64 = 0.25;
 const EPOCHS: usize = 3;
@@ -179,8 +180,9 @@ pub fn run() {
     );
 
     let join = |xs: &[String]| format!("[{}]", xs.join(", "));
-    let record = json_object(&[
-        ("experiment", json_str("e21_network")),
+    let mut fields = vec![("experiment", json_str("e21_network"))];
+    fields.extend(provenance());
+    fields.extend([
         ("n", n.to_string()),
         ("m", m.to_string()),
         ("eps", EPS.to_string()),
@@ -208,6 +210,7 @@ pub fn run() {
         ("matched", serial_size.to_string()),
         ("gathered_equal_serial", all_equal.to_string()),
     ]);
+    let record = json_object(&fields);
     match std::fs::write("BENCH_network.json", format!("{record}\n")) {
         Ok(()) => println!("  wrote BENCH_network.json"),
         Err(e) => println!("  could not write BENCH_network.json: {e}"),

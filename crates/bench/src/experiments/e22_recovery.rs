@@ -22,8 +22,9 @@
 //!    update and the size of a delta checkpoint relative to its full
 //!    base — the two knobs that make the periodic durability path cheap.
 //!
-//! A `BENCH_recovery.json` record is emitted; `ci.sh` gates on the
-//! recovery verdict, the WAL amortized cost, and the delta ratio.
+//! A `BENCH_recovery.json` record is emitted, carrying its provenance
+//! (`nproc`, `profile`, `git_rev`); `ci.sh` gates on the recovery
+//! verdict, the WAL amortized cost, and the delta ratio.
 
 use std::time::Instant;
 
@@ -37,7 +38,7 @@ use sparse_alloc_graph::generators::union_of_spanning_trees;
 use sparse_alloc_mpc::transport::Fault;
 
 use super::phase_latency_json;
-use crate::table::{f1, f3, json_object, json_str, Table};
+use crate::table::{f1, f3, json_object, json_str, provenance, Table};
 
 const EPS: f64 = 0.25;
 const EPOCHS: usize = 4;
@@ -179,8 +180,9 @@ pub fn run() {
         delta_ratio
     );
 
-    let record = json_object(&[
-        ("experiment", json_str("e22_recovery")),
+    let mut fields = vec![("experiment", json_str("e22_recovery"))];
+    fields.extend(provenance());
+    fields.extend([
         ("n", n.to_string()),
         ("m", m.to_string()),
         ("eps", EPS.to_string()),
@@ -205,6 +207,7 @@ pub fn run() {
         ("survived_equal_serial", survived_equal.to_string()),
         ("replay_equal_serial", replay_equal.to_string()),
     ]);
+    let record = json_object(&fields);
     match std::fs::write("BENCH_recovery.json", format!("{record}\n")) {
         Ok(()) => println!("  wrote BENCH_recovery.json"),
         Err(e) => println!("  could not write BENCH_recovery.json: {e}"),

@@ -179,66 +179,10 @@ pub struct ShardedEpochReport {
     pub budget: usize,
 }
 
-/// An [`Update`] in wire form (what the routing exchange ships).
-#[derive(Debug, Clone)]
-struct UpdateMsg {
-    kind: u32,
-    a: u32,
-    b: u32,
-    cap: u64,
-    neighbors: Vec<u32>,
-}
-
-impl Words for UpdateMsg {
-    fn words(&self) -> usize {
-        4 + self.neighbors.words()
-    }
-}
-
-fn encode(up: &Update) -> UpdateMsg {
-    let (kind, a, b, cap, neighbors) = match up {
-        Update::Arrive { neighbors } => (0, 0, 0, 0, neighbors.clone()),
-        Update::Depart { u } => (1, *u, 0, 0, Vec::new()),
-        Update::InsertEdge { u, v } => (2, *u, *v, 0, Vec::new()),
-        Update::DeleteEdge { u, v } => (3, *u, *v, 0, Vec::new()),
-        Update::SetCapacity { v, cap } => (4, *v, 0, *cap, Vec::new()),
-    };
-    UpdateMsg {
-        kind,
-        a,
-        b,
-        cap,
-        neighbors,
-    }
-}
-
-impl UpdateMsg {
-    fn decode(&self) -> Update {
-        match self.kind {
-            0 => Update::Arrive {
-                neighbors: self.neighbors.clone(),
-            },
-            1 => Update::Depart { u: self.a },
-            2 => Update::InsertEdge {
-                u: self.a,
-                v: self.b,
-            },
-            3 => Update::DeleteEdge {
-                u: self.a,
-                v: self.b,
-            },
-            _ => Update::SetCapacity {
-                v: self.a,
-                cap: self.cap,
-            },
-        }
-    }
-}
-
 /// One update batch after scheduling + routing but before any wave ran:
 /// the state [`ShardedServeLoop::stage_batch`] hands whichever executor
-/// drives the waves (the in-process one, or the p2p engine shipping
-/// each wave to its owning shard worker).
+/// drives the waves (the in-process one, or the networked engine, which
+/// on a p2p mesh ships each wave to its owning shard workers).
 #[derive(Debug)]
 pub(crate) struct StagedBatch {
     /// The conflict-wave schedule.
@@ -508,8 +452,8 @@ impl ShardedServeLoop {
     /// Schedule + route one epoch's update batch without running any
     /// wave: everything the coordinator does before repairs execute,
     /// shared by the in-process wave executor ([`Self::apply_batch`]) and
-    /// the p2p engine (which ships each wave to the shard workers and
-    /// drives [`Self::finish_wave`] / [`Self::finish_batch`] itself).
+    /// the networked engine (which drives [`Self::finish_wave`] /
+    /// [`Self::finish_batch`] itself).
     /// Returns `None` for an empty batch.
     pub(crate) fn stage_batch(
         &mut self,
@@ -560,11 +504,11 @@ impl ShardedServeLoop {
         // consumes the *delivered* copies, not the caller's slice: a
         // routing bug would surface as divergence from serial, not vanish.
         let mut sp = self.tracer.span(Phase::RouteUpdates, batch_no);
-        let msgs: Vec<(u32, u32, UpdateMsg)> = updates
+        let msgs: Vec<(u32, u32, Update)> = updates
             .iter()
             .zip(&sched.plans)
             .enumerate()
-            .map(|(i, (up, plan))| (plan.owner as u32, i as u32, encode(up)))
+            .map(|(i, (up, plan))| (plan.owner as u32, i as u32, up.clone()))
             .collect();
         let delivered = self.route_chunked(
             &mut epoch,
@@ -574,8 +518,8 @@ impl ShardedServeLoop {
             budget,
         )?;
         let mut routed: Vec<Option<Update>> = vec![None; updates.len()];
-        for (_, i, msg) in &delivered {
-            routed[*i as usize] = Some(msg.decode());
+        for (_, i, up) in delivered {
+            routed[i as usize] = Some(up);
         }
         self.stats.routed_updates += updates.len();
         sp.set_words(epoch.words_labeled(labels::ROUTE_UPDATES));
@@ -841,9 +785,9 @@ impl ShardedServeLoop {
         &self.inner
     }
 
-    /// Mutable access to the serial engine — the p2p executor drives the
-    /// wave primitives (`wave_structural`, outcome absorption, row
-    /// replay) on it directly.
+    /// Mutable access to the serial engine — the networked executor
+    /// drives the wave primitives (`wave_structural`, outcome absorption,
+    /// row replay) on it directly.
     pub(crate) fn serial_mut(&mut self) -> &mut ServeLoop {
         &mut self.inner
     }

@@ -18,10 +18,10 @@
 //!
 //! | phase | direction | payload |
 //! |---|---|---|
-//! | `INIT` | down / up | each worker's initial `(u, mate)` and `(v, level, load)` slice; ack echoes the counts |
+//! | `INIT` | down / up | each worker's initial `(u, mate)` and `(v, level, load)` slice, then the matched list of every right it owns, in slot order; ack echoes the counts |
 //! | `ROUTE` | down / up | the epoch's update batch, each update shipped to the worker owning its anchor vertex and **echoed back**; the engine consumes the echoed, wire-decoded copies, so a codec bug surfaces as divergence, not silence |
-//! | `COMMIT` | down / up | mate/level/load deltas to the owning workers (the worker slices are what `GATHER` and the census checksum); ack echoes the delta count |
-//! | `CENSUS` | down / up | each worker reports its slice sizes, resident words, and an FNV checksum of its slice; the coordinator recomputes all three and fails loudly on any disagreement |
+//! | `COMMIT` | down / up | mate and level deltas plus matched-list ops (`LIST_PUSH`, `LIST_SWAP_REMOVE`, `LIST_SET`) to the owning workers (the worker slices are what `GATHER` and the census checksum); ack echoes the delta count |
+//! | `CENSUS` | down / up | each worker reports its slice sizes, resident words, an FNV checksum of its slice, an order-sensitive checksum of its matched lists, and its topology-cache words; the coordinator recomputes all but the last and fails loudly on any disagreement |
 //! | `SUMMARY` | down / up | epoch summary broadcast (match size, migrations); ack echoes the match size |
 //! | `GATHER` | down / up | each worker dumps its sorted mate slice; [`NetServeLoop::gather_assignment`] reassembles the full allocation **from the wire** |
 //! | `NACK` | up | a worker's typed failure, relayed so the coordinator re-surfaces the *original* [`TransportError`] variant |
@@ -71,12 +71,17 @@
 //!
 //! # Peer-to-peer repair waves
 //!
-//! The star protocol runs every repair on the coordinator and ships only
-//! the resulting deltas, so the coordinator's wire traffic grows with
-//! the repair volume. [`NetServeLoop::new_p2p`] keeps the star for
-//! scheduling, routing, and epoch barriers, but moves the repair work
-//! itself onto the workers, connected pairwise by the same framed
-//! channels ([`Mesh::loopback_mesh`] / [`Mesh::tcp_mesh`]):
+//! Both protocols hold the same worker slice and run one wave executor
+//! ([`NetServeLoop::apply_batch`]): per wave, the structural half runs on
+//! the coordinator's engine, then the repairs fold in arrival order. A
+//! star mesh has no worker↔worker links, so it ships no plan: every
+//! repair runs on the coordinator, and its deltas reach the workers on
+//! the next `COMMIT` — coordinator traffic that grows with the repair
+//! volume. [`NetServeLoop::new_p2p`] keeps the star for scheduling,
+//! routing, and epoch barriers, but links the workers pairwise by the
+//! same framed channels ([`Mesh::loopback_mesh`] / [`Mesh::tcp_mesh`])
+//! and ships each disjoint-footprint repair to the worker owning its
+//! ball:
 //!
 //! | phase | direction | payload |
 //! |---|---|---|
@@ -151,11 +156,10 @@ const UNMATCHED: u32 = u32::MAX;
 /// [`UNMATCHED`].
 const NEVER_SYNCED: u32 = u32::MAX - 1;
 
-/// Matched-list delta ops on the p2p commit wire. The engine only ever
+/// Matched-list delta ops on the commit wire. The engine only ever
 /// mutates a list by `push` and `swap_remove`, so a single-flip change
-/// replays from a 12-byte op — the same price the star wire pays for a
-/// bare load row. `LIST_SET` (full replacement) is the fallback when a
-/// batch's net effect on one list is not a single op.
+/// replays from a 12-byte op. `LIST_SET` (full replacement) is the
+/// fallback when a batch's net effect on one list is not a single op.
 const LIST_PUSH: u32 = 0;
 const LIST_SWAP_REMOVE: u32 = 1;
 const LIST_SET: u32 = 2;
@@ -408,12 +412,9 @@ pub struct NetEpochReport {
 struct WorkerState {
     lefts: BTreeMap<u32, u32>,
     rights: BTreeMap<u32, (i64, u64)>,
-    /// Peer-to-peer mode, fixed at spawn: this worker also holds the
-    /// full matched list of each owned right — the walk state its peers
-    /// fetch over `HANDOFF` links — and the `INIT`/`COMMIT`/`CENSUS`
-    /// payloads grow a matched-list section. Off, the payloads are the
-    /// star's.
-    p2p: bool,
+    /// The full matched list of each owned right, in slot order — the
+    /// walk state its peers fetch over `HANDOFF` links. Each right's load
+    /// is its list's length.
     matched: BTreeMap<u32, Vec<u32>>,
     /// Spoke frames that arrived while a p2p wave awaited peer acks,
     /// handled next in arrival order.
@@ -426,37 +427,39 @@ struct WorkerState {
     topo: TopoCache,
 }
 
+/// FNV checksum of a slice's `(u, mate)` and `(v, level, load)` rows in
+/// id order: what a worker reports on `CENSUS`, and what the coordinator
+/// recomputes from its mirror.
+fn slice_checksum(
+    lefts: impl Iterator<Item = (u32, u32)>,
+    rights: impl Iterator<Item = (u32, i64, u64)>,
+) -> u64 {
+    let mut w = ByteWriter::new();
+    for (u, m) in lefts {
+        w.put_u32(u);
+        w.put_u32(m);
+    }
+    for (v, level, load) in rights {
+        w.put_u32(v);
+        w.put_i64(level);
+        w.put_u64(load);
+    }
+    fnv1a64(&w.into_bytes())
+}
+
+/// Order-sensitive FNV checksum of `(v, matched list)` rows in id order
+/// (census): the list order is behaviorally observable (evictions pop
+/// the last member), so a worker whose lists hold the right *sets* in
+/// the wrong *order* must still fail the census.
+fn matched_checksum<'a>(lists: impl Iterator<Item = (u32, &'a [u32])>) -> u64 {
+    let mut w = ByteWriter::new();
+    for (v, list) in lists {
+        put_right_row(&mut w, v, list);
+    }
+    fnv1a64(&w.into_bytes())
+}
+
 impl WorkerState {
-    fn checksum(&self) -> u64 {
-        let mut w = ByteWriter::new();
-        for (&u, &m) in &self.lefts {
-            w.put_u32(u);
-            w.put_u32(m);
-        }
-        for (&v, &(level, load)) in &self.rights {
-            w.put_u32(v);
-            w.put_i64(level);
-            w.put_u64(load);
-        }
-        fnv1a64(&w.into_bytes())
-    }
-
-    /// Order-sensitive checksum over the matched lists (p2p census): the
-    /// list order is behaviorally observable (evictions pop the last
-    /// member), so a worker whose lists hold the right *sets* in the
-    /// wrong *order* must still fail the census.
-    fn matched_checksum(&self) -> u64 {
-        let mut w = ByteWriter::new();
-        for (&v, list) in &self.matched {
-            w.put_u32(v);
-            w.put_u64(list.len() as u64);
-            for &u in list {
-                w.put_u32(u);
-            }
-        }
-        fnv1a64(&w.into_bytes())
-    }
-
     fn resident_words(&self) -> u64 {
         2 * self.lefts.len() as u64 + 3 * self.rights.len() as u64
     }
@@ -488,29 +491,26 @@ impl WorkerState {
                     let load = r.take_u64().map_err(parse)?;
                     self.rights.insert(v, (level, load));
                 }
-                if self.p2p {
-                    let rows = take_right_rows(&mut r).map_err(parse)?;
-                    for (v, list) in rows {
-                        let entry = self
-                            .rights
-                            .get(&v)
-                            .ok_or_else(|| format!("matched list for unowned right {v}"))?;
-                        if entry.1 != list.len() as u64 {
-                            return Err(format!(
-                                "matched list for right {v} has {} members, load says {}",
-                                list.len(),
-                                entry.1
-                            ));
-                        }
-                        self.matched.insert(v, list);
-                    }
-                    if self.matched.len() != self.rights.len() {
+                for (v, list) in take_right_rows(&mut r).map_err(parse)? {
+                    let entry = self
+                        .rights
+                        .get(&v)
+                        .ok_or_else(|| format!("matched list for unowned right {v}"))?;
+                    if entry.1 != list.len() as u64 {
                         return Err(format!(
-                            "INIT shipped {} matched lists for {} owned rights",
-                            self.matched.len(),
-                            self.rights.len()
+                            "matched list for right {v} has {} members, load says {}",
+                            list.len(),
+                            entry.1
                         ));
                     }
+                    self.matched.insert(v, list);
+                }
+                if self.matched.len() != self.rights.len() {
+                    return Err(format!(
+                        "INIT shipped {} matched lists for {} owned rights",
+                        self.matched.len(),
+                        self.rights.len()
+                    ));
                 }
                 r.expect_end().map_err(parse)?;
                 let mut w = ByteWriter::new();
@@ -541,22 +541,6 @@ impl WorkerState {
                     self.lefts.insert(u, m);
                     applied += 1;
                 }
-                // p2p commits carry no loads section: load is the
-                // matched-list length by invariant, so the list ops
-                // below already determine it.
-                if !self.p2p {
-                    let nload = r.take_len(12).map_err(parse)?;
-                    for _ in 0..nload {
-                        let v = r.take_u32().map_err(parse)?;
-                        let load = r.take_u64().map_err(parse)?;
-                        let entry = self
-                            .rights
-                            .get_mut(&v)
-                            .ok_or_else(|| format!("load delta for unowned right {v}"))?;
-                        entry.1 = load;
-                        applied += 1;
-                    }
-                }
                 let nlvl = r.take_len(12).map_err(parse)?;
                 for _ in 0..nlvl {
                     let v = r.take_u32().map_err(parse)?;
@@ -568,45 +552,43 @@ impl WorkerState {
                     entry.0 = level;
                     applied += 1;
                 }
-                if self.p2p {
-                    let nops = r.take_len(8).map_err(parse)?;
-                    for _ in 0..nops {
-                        let v = r.take_u32().map_err(parse)?;
-                        let tag = r.take_u32().map_err(parse)?;
-                        let list = self
-                            .matched
-                            .get_mut(&v)
-                            .ok_or_else(|| format!("list op for unowned right {v}"))?;
-                        match tag {
-                            LIST_PUSH => {
-                                let u = r.take_u32().map_err(parse)?;
-                                list.push(u);
-                            }
-                            LIST_SWAP_REMOVE => {
-                                let u = r.take_u32().map_err(parse)?;
-                                let pos = list.iter().position(|&x| x == u).ok_or_else(|| {
-                                    format!("list op removes absent left {u} from right {v}")
-                                })?;
-                                list.swap_remove(pos);
-                            }
-                            LIST_SET => {
-                                let n = r.take_len(4).map_err(parse)?;
-                                let mut fresh = Vec::with_capacity(n);
-                                for _ in 0..n {
-                                    fresh.push(r.take_u32().map_err(parse)?);
-                                }
-                                *list = fresh;
-                            }
-                            other => return Err(format!("unknown list op tag {other}")),
+                let nops = r.take_len(8).map_err(parse)?;
+                for _ in 0..nops {
+                    let v = r.take_u32().map_err(parse)?;
+                    let tag = r.take_u32().map_err(parse)?;
+                    let list = self
+                        .matched
+                        .get_mut(&v)
+                        .ok_or_else(|| format!("list op for unowned right {v}"))?;
+                    match tag {
+                        LIST_PUSH => {
+                            let u = r.take_u32().map_err(parse)?;
+                            list.push(u);
                         }
-                        let len = list.len() as u64;
-                        let entry = self
-                            .rights
-                            .get_mut(&v)
-                            .ok_or_else(|| format!("list op for unowned right {v}"))?;
-                        entry.1 = len;
-                        applied += 1;
+                        LIST_SWAP_REMOVE => {
+                            let u = r.take_u32().map_err(parse)?;
+                            let pos = list.iter().position(|&x| x == u).ok_or_else(|| {
+                                format!("list op removes absent left {u} from right {v}")
+                            })?;
+                            list.swap_remove(pos);
+                        }
+                        LIST_SET => {
+                            let n = r.take_len(4).map_err(parse)?;
+                            let mut fresh = Vec::with_capacity(n);
+                            for _ in 0..n {
+                                fresh.push(r.take_u32().map_err(parse)?);
+                            }
+                            *list = fresh;
+                        }
+                        other => return Err(format!("unknown list op tag {other}")),
                     }
+                    let len = list.len() as u64;
+                    let entry = self
+                        .rights
+                        .get_mut(&v)
+                        .ok_or_else(|| format!("list op for unowned right {v}"))?;
+                    entry.1 = len;
+                    applied += 1;
                 }
                 r.expect_end().map_err(parse)?;
                 let mut w = ByteWriter::new();
@@ -619,11 +601,16 @@ impl WorkerState {
                 w.put_u64(self.lefts.len() as u64);
                 w.put_u64(self.rights.len() as u64);
                 w.put_u64(self.resident_words());
-                w.put_u64(self.checksum());
-                if self.p2p {
-                    w.put_u64(self.matched_checksum());
-                    w.put_u64(self.topo.words);
-                }
+                w.put_u64(slice_checksum(
+                    self.lefts.iter().map(|(&u, &m)| (u, m)),
+                    self.rights
+                        .iter()
+                        .map(|(&v, &(level, load))| (v, level, load)),
+                ));
+                w.put_u64(matched_checksum(
+                    self.matched.iter().map(|(&v, list)| (v, list.as_slice())),
+                ));
+                w.put_u64(self.topo.words);
                 Ok((PH_CENSUS_ACK, w.into_bytes()))
             }
             PH_SUMMARY => {
@@ -675,15 +662,21 @@ fn take_left_rows(r: &mut ByteReader) -> Result<Vec<(u32, u32)>, IoError> {
     Ok(rows)
 }
 
-/// Right rows on the wire: `(v, full matched list in slot order)`.
+/// One right row on the wire: `v`, then its full matched list in slot
+/// order.
+fn put_right_row(w: &mut ByteWriter, v: u32, list: &[u32]) {
+    w.put_u32(v);
+    w.put_u64(list.len() as u64);
+    for &u in list {
+        w.put_u32(u);
+    }
+}
+
+/// Right rows on the wire: a count, then each [`put_right_row`].
 fn put_right_rows(w: &mut ByteWriter, rows: &[(u32, Vec<u32>)]) {
     w.put_u64(rows.len() as u64);
     for (v, list) in rows {
-        w.put_u32(*v);
-        w.put_u64(list.len() as u64);
-        for &u in list {
-            w.put_u32(u);
-        }
+        put_right_row(w, *v, list);
     }
 }
 
@@ -1014,11 +1007,7 @@ fn answer_handoff(
             .matched
             .get(&v)
             .ok_or_else(|| format!("asked for unknown owned right {v}"))?;
-        w.put_u32(v);
-        w.put_u64(list.len() as u64);
-        for &x in list {
-            w.put_u32(x);
-        }
+        put_right_row(&mut w, v, list);
     }
     r.expect_end().map_err(parse)?;
     Ok(w.into_bytes())
@@ -1618,16 +1607,14 @@ fn arm_link(
 /// star phase, plus `WAVE`/`ARM` on a p2p mesh) or a worker↔worker link
 /// (`HANDOFF_REQ`/`FLIP` from peers executing their own plans; a star
 /// worker has none). Spoke frames held back during a wave go first.
-/// `p2p` selects the matched-list payload sections
-/// ([`WorkerState::p2p`]). Failures NACK the coordinator with the typed
-/// error, or a detail naming the peer pair and protocol phase, then the
-/// worker exits — a worker never panics on bad input, never answers
-/// with made-up state, and recovery rebuilds the whole mesh.
-fn worker_main(mut links: WorkerLinks, map: ShardMap, p2p: bool) {
-    let mut st = WorkerState {
-        p2p,
-        ..WorkerState::default()
-    };
+/// Both protocols ship the same slice, matched lists included, so the
+/// loop needs no notion of which one it serves. Failures NACK the
+/// coordinator with the typed error, or a detail naming the peer pair
+/// and protocol phase, then the worker exits — a worker never panics on
+/// bad input, never answers with made-up state, and recovery rebuilds
+/// the whole mesh.
+fn worker_main(mut links: WorkerLinks, map: ShardMap) {
+    let mut st = WorkerState::default();
     let mut handoff_timeout = DEFAULT_HANDOFF_TIMEOUT;
     let me = links.shard();
     let nack = |links: &mut WorkerLinks, epoch: u64, kind: u32, body: &[u8]| {
@@ -1698,10 +1685,10 @@ fn worker_main(mut links: WorkerLinks, map: ShardMap, p2p: bool) {
 }
 
 /// Spawn one [`worker_main`] thread per bundle.
-fn spawn_workers(links: Vec<WorkerLinks>, map: ShardMap, p2p: bool) -> Vec<JoinHandle<()>> {
+fn spawn_workers(links: Vec<WorkerLinks>, map: ShardMap) -> Vec<JoinHandle<()>> {
     links
         .into_iter()
-        .map(|l| std::thread::spawn(move || worker_main(l, map, p2p)))
+        .map(|l| std::thread::spawn(move || worker_main(l, map)))
         .collect()
 }
 
@@ -1840,7 +1827,6 @@ pub struct NetServeLoop {
     kind: TransportKind,
     synced_mate: Vec<u32>,
     synced_level: Vec<i64>,
-    synced_load: Vec<u64>,
     stats: NetStats,
     epoch_mark: (u64, u64),
     /// Phase tracer for the `net_*` wire phases (shares the stack's sink).
@@ -1860,11 +1846,12 @@ pub struct NetServeLoop {
     base: Option<DeltaBase>,
     /// xorshift state for backoff jitter (no RNG dependency).
     jitter: u64,
-    /// Peer-to-peer mode: repair waves run on the workers (see the
-    /// [module docs](self)), and the mesh carries worker↔worker links.
+    /// Peer-to-peer mode: the mesh carries worker↔worker links, so
+    /// repair waves ship to the workers (see the [module docs](self)).
     p2p: bool,
-    /// p2p mirror of every right's matched list — the slot-order walk
-    /// state the workers hold, verified by the census matched checksum.
+    /// Mirror of every right's matched list — the slot-order walk state
+    /// the workers hold, verified by the census matched checksum. Each
+    /// right's load is its list's length.
     synced_matched: Vec<Vec<u32>>,
     /// Handoff-deadline override to (re-)broadcast to the workers —
     /// remembered so a mesh rebuild re-arms it.
@@ -1974,7 +1961,7 @@ impl NetServeLoop {
             TransportKind::Loopback => Mesh::loopback_mesh(p, &edges),
             TransportKind::Tcp => Mesh::tcp_mesh(p, &edges)?,
         };
-        let workers = spawn_workers(links, *inner.shard_map(), p2p);
+        let workers = spawn_workers(links, *inner.shard_map());
         let mut this = NetServeLoop {
             inner,
             mesh,
@@ -1982,7 +1969,6 @@ impl NetServeLoop {
             kind,
             synced_mate: Vec::new(),
             synced_level: Vec::new(),
-            synced_load: Vec::new(),
             stats: NetStats::default(),
             epoch_mark: (0, 0),
             tracer,
@@ -2218,11 +2204,9 @@ impl NetServeLoop {
         Ok(f.payload)
     }
 
-    /// The engine's current full state in wire form: per-left mates
-    /// (`UNMATCHED` for free), per-right levels and *derived* loads
-    /// (loads recomputed from the mate vector, so worker slices and
-    /// coordinator mirrors are definitionally consistent).
-    fn engine_state(&self) -> (Vec<u32>, Vec<i64>, Vec<u64>) {
+    /// The engine's per-left mates (`UNMATCHED` for free) and per-right
+    /// levels in wire form.
+    fn engine_state(&self) -> (Vec<u32>, Vec<i64>) {
         let mate: Vec<u32> = self
             .inner
             .assignment()
@@ -2230,14 +2214,7 @@ impl NetServeLoop {
             .iter()
             .map(|m| m.map_or(UNMATCHED, |v| v))
             .collect();
-        let levels = self.inner.serial().levels().to_vec();
-        let mut load = vec![0u64; levels.len()];
-        for &m in &mate {
-            if m != UNMATCHED {
-                load[m as usize] += 1;
-            }
-        }
-        (mate, levels, load)
+        (mate, self.inner.serial().levels().to_vec())
     }
 
     /// Scatter the engine's full state to every worker. Called once at
@@ -2254,46 +2231,35 @@ impl NetServeLoop {
         let epoch = self.epoch();
         let mut sp = self.tracer.span(phase, epoch);
         let mark = self.mark();
-        let (mate, levels, load) = self.engine_state();
+        let (mate, levels) = self.engine_state();
+        let matched = self.inner.serial().matching().matched_at_slice().to_vec();
         let p = self.mesh.workers();
         let map = *self.inner.shard_map();
         let mut writers: Vec<SliceRows> = vec![Default::default(); p];
         for (u, &m) in mate.iter().enumerate() {
             writers[map.owner_of_left(u as u32)].0.push((u as u32, m));
         }
-        for (v, (&level, &ld)) in levels.iter().zip(&load).enumerate() {
+        for (v, (&level, list)) in levels.iter().zip(&matched).enumerate() {
             writers[map.owner_of_right(v as u32)]
                 .1
-                .push((v as u32, level, ld));
+                .push((v as u32, level, list.len() as u64));
         }
-        let matched: Vec<Vec<u32>> = if self.p2p {
-            self.inner.serial().matching().matched_at_slice().to_vec()
-        } else {
-            Vec::new()
-        };
         // INIT empties the workers' topology caches.
         self.topo.reset(p);
         for (w, (lefts, rights)) in writers.iter().enumerate() {
             let mut wtr = ByteWriter::new();
-            wtr.put_u64(lefts.len() as u64);
-            for &(u, m) in lefts {
-                wtr.put_u32(u);
-                wtr.put_u32(m);
-            }
+            put_left_rows(&mut wtr, lefts);
             wtr.put_u64(rights.len() as u64);
             for &(v, level, ld) in rights {
                 wtr.put_u32(v);
                 wtr.put_i64(level);
                 wtr.put_u64(ld);
             }
-            if self.p2p {
-                // The worker's walk state: every owned right's full
-                // matched list in slot order.
-                let rows: Vec<(u32, Vec<u32>)> = rights
-                    .iter()
-                    .map(|&(v, _, _)| (v, matched[v as usize].clone()))
-                    .collect();
-                put_right_rows(&mut wtr, &rows);
+            // The worker's walk state: every owned right's full matched
+            // list in slot order.
+            wtr.put_u64(rights.len() as u64);
+            for &(v, _, _) in rights {
+                put_right_row(&mut wtr, v, &matched[v as usize]);
             }
             self.send(w, PH_INIT, epoch, &wtr.into_bytes())?;
         }
@@ -2318,7 +2284,6 @@ impl NetServeLoop {
         }
         self.synced_mate = mate;
         self.synced_level = levels;
-        self.synced_load = load;
         self.synced_matched = matched;
         let words = self.note_wire(label, &mark);
         sp.set_words(words);
@@ -2352,21 +2317,20 @@ impl NetServeLoop {
     }
 
     /// Ship the engine's state changes since the last commit to the
-    /// owning workers, and advance the coordinator's mirror.
-    ///
-    /// On a p2p mesh the frame carries no loads section (loads are list
-    /// lengths, and the lists travel as [`LIST_PUSH`]-family ops), and
-    /// rows a wave fold already advanced the mirror past are skipped —
-    /// the worker applied them itself, directly or via a peer `FLIP`.
+    /// owning workers, and advance the coordinator's mirror: mate and
+    /// level rows, and each changed matched list as a [`LIST_PUSH`]-family
+    /// op (a load is its list's length, so no load row ships). Rows a p2p
+    /// wave fold already advanced the mirror past are skipped — the
+    /// worker applied them itself, directly or via a peer `FLIP`.
     fn commit_deltas(&mut self, epoch: u64) -> Result<(), NetError> {
         let mut sp = self.tracer.span(Phase::NetCommit, epoch);
         let mark = self.mark();
-        let (mate, levels, load) = self.engine_state();
+        let (mate, levels) = self.engine_state();
         let p = self.mesh.workers();
         let map = *self.inner.shard_map();
         let mut mates: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p];
-        let mut loads: Vec<Vec<(u32, u64)>> = vec![Vec::new(); p];
         let mut lvls: Vec<Vec<(u32, i64)>> = vec![Vec::new(); p];
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); p];
         for (u, &m) in mate.iter().enumerate() {
             // A left past the synced horizon arrived this batch: its
             // owner must learn it even if it is (still) unmatched.
@@ -2377,59 +2341,27 @@ impl NetServeLoop {
                 mates[map.owner_of_left(u as u32)].push((u as u32, m));
             }
         }
-        // p2p workers derive loads from their matched lists (`load` is
-        // the list length, and every load change is a membership change,
-        // so the list row below already carries it) — the loads section
-        // would be pure redundancy on that wire.
-        if !self.p2p {
-            for (v, &ld) in load.iter().enumerate() {
-                if self.synced_load[v] != ld {
-                    loads[map.owner_of_right(v as u32)].push((v as u32, ld));
-                }
-            }
-        }
         for (v, &level) in levels.iter().enumerate() {
             if self.synced_level[v] != level {
                 lvls[map.owner_of_right(v as u32)].push((v as u32, level));
             }
         }
-        // p2p: the workers also hold matched lists; ship every list the
-        // engine changed since the last sync (waves folded remotely have
-        // already advanced the mirror, so this is only the structural /
-        // locally-run remainder).
-        let matched: Vec<Vec<u32>> = if self.p2p {
-            self.inner.serial().matching().matched_at_slice().to_vec()
-        } else {
-            Vec::new()
-        };
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); p];
-        if self.p2p {
-            for (v, list) in matched.iter().enumerate() {
-                if self.synced_matched.get(v) != Some(list) {
-                    lists[map.owner_of_right(v as u32)].push(v as u32);
-                }
+        // Only changed lists are encoded and re-mirrored.
+        let matched = self.inner.serial().matching().matched_at_slice();
+        for (v, list) in matched.iter().enumerate() {
+            if self.synced_matched.get(v) != Some(list) {
+                lists[map.owner_of_right(v as u32)].push(v as u32);
             }
         }
-        for w in 0..p {
-            let mut wtr = ByteWriter::new();
-            wtr.put_u64(mates[w].len() as u64);
-            for &(u, m) in &mates[w] {
-                wtr.put_u32(u);
-                wtr.put_u32(m);
-            }
-            if !self.p2p {
-                wtr.put_u64(loads[w].len() as u64);
-                for &(v, ld) in &loads[w] {
+        let frames: Vec<Vec<u8>> = (0..p)
+            .map(|w| {
+                let mut wtr = ByteWriter::new();
+                put_left_rows(&mut wtr, &mates[w]);
+                wtr.put_u64(lvls[w].len() as u64);
+                for &(v, level) in &lvls[w] {
                     wtr.put_u32(v);
-                    wtr.put_u64(ld);
+                    wtr.put_i64(level);
                 }
-            }
-            wtr.put_u64(lvls[w].len() as u64);
-            for &(v, level) in &lvls[w] {
-                wtr.put_u32(v);
-                wtr.put_i64(level);
-            }
-            if self.p2p {
                 wtr.put_u64(lists[w].len() as u64);
                 for &v in &lists[w] {
                     wtr.put_u32(v);
@@ -2449,14 +2381,17 @@ impl NetServeLoop {
                         }
                     }
                 }
-            }
-            self.send(w, PH_COMMIT, epoch, &wtr.into_bytes())?;
+                wtr.into_bytes()
+            })
+            .collect();
+        for (w, frame) in frames.iter().enumerate() {
+            self.send(w, PH_COMMIT, epoch, frame)?;
         }
         for w in 0..p {
             let payload = self.expect(w, PH_COMMIT_ACK, epoch)?;
             let mut r = ByteReader::new(&payload);
             let applied = r.take_u64().map_err(|e| self.payload_err(w, e))?;
-            let sent = (mates[w].len() + loads[w].len() + lvls[w].len() + lists[w].len()) as u64;
+            let sent = (mates[w].len() + lvls[w].len() + lists[w].len()) as u64;
             if applied != sent {
                 return Err(NetError::Protocol {
                     shard: w as u32,
@@ -2466,9 +2401,9 @@ impl NetServeLoop {
         }
         self.synced_mate = mate;
         self.synced_level = levels;
-        self.synced_load = load;
-        if self.p2p {
-            self.synced_matched = matched;
+        let matched = self.inner.serial().matching().matched_at_slice();
+        for &v in lists.iter().flatten() {
+            self.synced_matched[v as usize].clone_from(&matched[v as usize]);
         }
         let words = self.note_wire(labels::NET_COMMIT, &mark);
         sp.set_words(words);
@@ -2477,44 +2412,35 @@ impl NetServeLoop {
         Ok(())
     }
 
-    /// The coordinator's expectation of worker `w`'s slice checksum,
-    /// computed from its own mirror in the same id order the worker's
-    /// sorted maps use.
-    fn slice_checksum(&self, w: usize) -> u64 {
+    /// The coordinator's expectation of each worker's two census
+    /// checksums — its slice ([`slice_checksum`], each load its mirrored
+    /// list's length) and its matched lists ([`matched_checksum`]) —
+    /// from the mirror, in the id order the worker's sorted maps use.
+    /// One pass over the mirror deals the rows to their owners.
+    fn expected_checksums(&self) -> Vec<(u64, u64)> {
         let map = self.inner.shard_map();
-        let mut wtr = ByteWriter::new();
-        for (u, &m) in self.synced_mate.iter().enumerate() {
-            if map.owner_of_left(u as u32) == w {
-                wtr.put_u32(u as u32);
-                wtr.put_u32(m);
-            }
+        let mut lefts: Vec<Vec<(u32, u32)>> = vec![Vec::new(); map.shards()];
+        let mut rights: Vec<Vec<u32>> = vec![Vec::new(); map.shards()];
+        for (u, &m) in (0u32..).zip(&self.synced_mate) {
+            lefts[map.owner_of_left(u)].push((u, m));
         }
-        for (v, (&level, &ld)) in self.synced_level.iter().zip(&self.synced_load).enumerate() {
-            if map.owner_of_right(v as u32) == w {
-                wtr.put_u32(v as u32);
-                wtr.put_i64(level);
-                wtr.put_u64(ld);
-            }
+        for v in 0..self.synced_level.len() as u32 {
+            rights[map.owner_of_right(v)].push(v);
         }
-        fnv1a64(&wtr.into_bytes())
-    }
-
-    /// The coordinator's expectation of a p2p worker's matched-list
-    /// checksum ([`WorkerState::matched_checksum`]), from the
-    /// [`Self::synced_matched`] mirror in the same sorted id order.
-    fn matched_checksum_of(&self, w: usize) -> u64 {
-        let map = self.inner.shard_map();
-        let mut wtr = ByteWriter::new();
-        for (v, list) in self.synced_matched.iter().enumerate() {
-            if map.owner_of_right(v as u32) == w {
-                wtr.put_u32(v as u32);
-                wtr.put_u64(list.len() as u64);
-                for &u in list {
-                    wtr.put_u32(u);
-                }
-            }
-        }
-        fnv1a64(&wtr.into_bytes())
+        let list = |v: u32| self.synced_matched[v as usize].as_slice();
+        lefts
+            .iter()
+            .zip(&rights)
+            .map(|(ls, rs)| {
+                let rows = rs
+                    .iter()
+                    .map(|&v| (v, self.synced_level[v as usize], list(v).len() as u64));
+                (
+                    slice_checksum(ls.iter().copied(), rows),
+                    matched_checksum(rs.iter().map(|&v| (v, list(v)))),
+                )
+            })
+            .collect()
     }
 
     // --------------------------------------------------- supervision
@@ -2597,7 +2523,7 @@ impl NetServeLoop {
         let links = self.mesh.rebuild(self.kind == TransportKind::Tcp)?;
         let old = std::mem::replace(
             &mut self.workers,
-            spawn_workers(links, *self.inner.shard_map(), self.p2p),
+            spawn_workers(links, *self.inner.shard_map()),
         );
         // The rebuild closed every old spoke: each old worker reads that
         // `Closed` from its inbox wherever it blocks, and exits.
@@ -2620,8 +2546,10 @@ impl NetServeLoop {
     /// Apply one epoch's update batch. The batch is appended to the WAL
     /// (if attached), scattered to the workers owning each update's
     /// anchor, echoed back, and the engine consumes the echoed wire
-    /// copies ([`labels::NET_ROUTE`]); the resulting state deltas are
-    /// committed to the owning workers ([`labels::NET_COMMIT`]).
+    /// copies ([`labels::NET_ROUTE`]) wave by wave, through one wave
+    /// executor for both protocols (see the [module docs](self)); the
+    /// resulting state deltas are committed to the owning workers
+    /// ([`labels::NET_COMMIT`]).
     ///
     /// Under a [`SupervisorConfig`] with a respawn budget, a wire fault
     /// in either exchange triggers respawn + re-INIT and the exchange is
@@ -2632,7 +2560,7 @@ impl NetServeLoop {
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, NetError> {
         self.check_quarantine()?;
         if updates.is_empty() {
-            return Ok(self.inner.apply_batch(updates)?);
+            return Ok(BatchReport::default());
         }
         let epoch = self.epoch();
         let appended = match self.wal.as_mut() {
@@ -2650,11 +2578,7 @@ impl NetServeLoop {
         };
         // The engine consumes what the wire delivered — a codec bug
         // surfaces as divergence from serial, not silence.
-        let report = if self.p2p {
-            self.apply_batch_p2p(&wire)?
-        } else {
-            self.inner.apply_batch(&wire)?
-        };
+        let report = self.run_waves(&wire)?;
         loop {
             match self.commit_deltas(self.epoch()) {
                 Ok(()) => break,
@@ -2664,23 +2588,24 @@ impl NetServeLoop {
         Ok(report)
     }
 
-    /// The p2p wave executor behind [`Self::apply_batch`]: stage the
-    /// batch once, then per wave run the structural half serially on the
-    /// coordinator, ship every disjoint-footprint repair plan to the
-    /// shard worker owning its ball (one `WAVE` frame per worker,
-    /// [`labels::NET_WAVE`]), and fold the acked outcomes back in
-    /// arrival order — byte-for-byte the order the simulated engine
-    /// folds its own waves, which is what the `p2p ≡ serial` property
-    /// tests pin down. Plans the scheduler kept serial (global
-    /// footprints, empty footprints, structural no-ops) run locally in
-    /// the same fold slot.
+    /// The wave executor behind [`Self::apply_batch`], for both
+    /// protocols: stage the batch once, then per wave run the structural
+    /// half serially on the coordinator, ship every disjoint-footprint
+    /// repair plan to the shard worker owning its ball (one `WAVE` frame
+    /// per worker, [`labels::NET_WAVE`]), and fold the acked outcomes
+    /// back in arrival order — the fold `ServeLoop::apply_wave` runs,
+    /// which is what the `≡ serial` property tests pin down. Plans ship
+    /// only on a p2p mesh; every other plan — on a star, every plan —
+    /// runs on the coordinator's engine in the same fold slot, as do
+    /// the plans the scheduler kept serial there (global footprints,
+    /// empty footprints, structural no-ops).
     ///
     /// A wire fault mid-wave rebuilds the whole mesh
     /// ([`Self::rebuild_mesh_and_reinit`]) — the re-INIT scatters the
     /// engine state that already includes this wave's structural half —
     /// and re-dispatches the same wave. Outcomes fold only after *all*
     /// acks arrive, so a retried wave lands exactly once.
-    fn apply_batch_p2p(&mut self, wire: &[Update]) -> Result<BatchReport, NetError> {
+    fn run_waves(&mut self, wire: &[Update]) -> Result<BatchReport, NetError> {
         let Some(mut staged) = self.inner.stage_batch(wire)? else {
             return Ok(BatchReport::default());
         };
@@ -2703,7 +2628,7 @@ impl NetServeLoop {
         };
         for wave in 0..staged.waves() {
             let idxs: Vec<usize> = staged.wave_idxs(wave).to_vec();
-            let t0 = Instant::now();
+            let mut spw = self.tracer.span(Phase::RepairWave, staged.batch_no);
             let (exp0, cap0) = self.inner.serial().wave_counters();
             let (plans, mut results) = {
                 let ups: Vec<&Update> = idxs
@@ -2740,15 +2665,19 @@ impl NetServeLoop {
                     TopoRecord::forget(&mut self.topo.lefts, u);
                 }
             }
-            // Which plans ship: disjoint footprint, non-empty, and a
-            // real repair to run. Everything else stays local.
+            // Which plans ship: on a p2p mesh, disjoint footprint,
+            // non-empty, and a real repair to run. Everything else stays
+            // local.
             let shipped: Vec<Option<usize>> = idxs
                 .iter()
                 .enumerate()
                 .map(|(j, &i)| {
                     let pl = &staged.sched.plans[i];
-                    (!pl.global && pl.footprint_len > 0 && !matches!(plans[j], RepairPlan::Noop))
-                        .then_some(pl.owner)
+                    (self.p2p
+                        && !pl.global
+                        && pl.footprint_len > 0
+                        && !matches!(plans[j], RepairPlan::Noop))
+                    .then_some(pl.owner)
                 })
                 .collect();
             let (mut remote, exp_remote, cap_remote) = if shipped.iter().any(Option::is_some) {
@@ -2782,7 +2711,6 @@ impl NetServeLoop {
                             self.synced_mate[ui] = m;
                         }
                         for (v, list) in &r.rights {
-                            self.synced_load[*v as usize] = list.len() as u64;
                             self.synced_matched[*v as usize] = list.clone();
                         }
                         self.inner.serial_mut().replay_rows(&lefts, r.rights);
@@ -2802,9 +2730,11 @@ impl NetServeLoop {
                 .serial_mut()
                 .absorb_search_counters(exp_remote, cap_remote);
             self.inner.serial_mut().wave_observe(exp0, cap0);
-            self.inner.finish_wave(&mut staged, wave, &results, |_| {
-                t0.elapsed().as_nanos() as u64
-            });
+            self.inner
+                .finish_wave(&mut staged, wave, &results, |words| {
+                    spw.set_words(words);
+                    spw.close()
+                });
         }
         Ok(self.inner.finish_batch(staged)?)
     }
@@ -3196,9 +3126,10 @@ impl NetServeLoop {
         for w in 0..p {
             self.send(w, PH_CENSUS, epoch, &[])?;
         }
+        let expected = self.expected_checksums();
         let (mut total_lefts, mut total_rights) = (0u64, 0u64);
         let mut cache_words = 0u64;
-        for w in 0..p {
+        for (w, &(expect_sum, expect_msum)) in expected.iter().enumerate() {
             let payload = self.expect(w, PH_CENSUS_ACK, epoch)?;
             let mut r = ByteReader::new(&payload);
             let lefts = r.take_u64().map_err(|e| self.payload_err(w, e))?;
@@ -3212,7 +3143,6 @@ impl NetServeLoop {
                     detail: format!("census resident words {words}, expected {expect_words}"),
                 });
             }
-            let expect_sum = self.slice_checksum(w);
             if sum != expect_sum {
                 return Err(NetError::Protocol {
                     shard: w as u32,
@@ -3222,24 +3152,20 @@ impl NetServeLoop {
                     ),
                 });
             }
-            if self.p2p {
-                // p2p workers also hold matched lists: an order-sensitive
-                // checksum over them must match the coordinator's mirror
-                // (list *order* is behaviorally observable — evictions
-                // pop the last member).
-                let msum = r.take_u64().map_err(|e| self.payload_err(w, e))?;
-                let expect_msum = self.matched_checksum_of(w);
-                if msum != expect_msum {
-                    return Err(NetError::Protocol {
-                        shard: w as u32,
-                        detail: format!(
-                            "matched-list checksum diverged: worker {msum:#018x}, coordinator \
-                             {expect_msum:#018x}"
-                        ),
-                    });
-                }
-                cache_words += r.take_u64().map_err(|e| self.payload_err(w, e))?;
+            // An order-sensitive checksum over the matched lists must
+            // match the coordinator's mirror (list *order* is
+            // behaviorally observable — evictions pop the last member).
+            let msum = r.take_u64().map_err(|e| self.payload_err(w, e))?;
+            if msum != expect_msum {
+                return Err(NetError::Protocol {
+                    shard: w as u32,
+                    detail: format!(
+                        "matched-list checksum diverged: worker {msum:#018x}, coordinator \
+                         {expect_msum:#018x}"
+                    ),
+                });
             }
+            cache_words += r.take_u64().map_err(|e| self.payload_err(w, e))?;
             r.expect_end().map_err(|e| self.payload_err(w, e))?;
             total_lefts += lefts;
             total_rights += rights;
@@ -4015,8 +3941,8 @@ mod tests {
             .unwrap()
     }
 
-    /// Hand-rolled p2p INIT frame: `(u, mate)` rows, `(v, 0, load)` rows
-    /// with load = matched-list length, and the matched-list section.
+    /// Hand-rolled INIT frame: `(u, mate)` rows, `(v, 0, load)` rows with
+    /// load = matched-list length, and the matched-list section.
     fn p2p_init_frame(lefts: &[(u32, u32)], rights: &[(u32, Vec<u32>)]) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(lefts.len() as u64);
@@ -4032,6 +3958,67 @@ mod tests {
         }
         put_right_rows(&mut w, rights);
         w.into_bytes()
+    }
+
+    /// A star worker — no peer links — holds the same slice a p2p worker
+    /// does: it takes an INIT with matched lists, applies a COMMIT's list
+    /// op, and its CENSUS reports the matched-list checksum the
+    /// coordinator recomputes from its mirror.
+    #[test]
+    fn a_star_worker_holds_matched_lists_and_applies_list_ops() {
+        let map = ShardMap::new(2);
+        let (mut tl, mut tr) = Default::default();
+        let x = pick_left(&map, 0, &mut tl);
+        let y = pick_left(&map, 0, &mut tl);
+        let v = pick_right(&map, 0, &mut tr);
+        let (mut mesh, mut links) = Mesh::loopback_mesh(2, &[]);
+        // Spawn only worker 0; a star worker has no link to worker 1.
+        let l1 = links.pop().unwrap();
+        let l0 = links.pop().unwrap();
+        let worker = std::thread::spawn(move || worker_main(l0, map));
+        let init = p2p_init_frame(&[(x, v), (y, UNMATCHED)], &[(v, vec![x])]);
+        mesh.send_to(0, PH_INIT, 0, &init).unwrap();
+        assert_eq!(mesh.recv_from(0).unwrap().phase, PH_INIT_ACK);
+        // `y` joins `v`: one mate row, no level rows, one list push.
+        let mut w = ByteWriter::new();
+        put_left_rows(&mut w, &[(y, v)]);
+        w.put_u64(0);
+        w.put_u64(1);
+        w.put_u32(v);
+        w.put_u32(LIST_PUSH);
+        w.put_u32(y);
+        mesh.send_to(0, PH_COMMIT, 0, &w.into_bytes()).unwrap();
+        let ack = mesh.recv_from(0).unwrap();
+        assert_eq!(ack.phase, PH_COMMIT_ACK, "the list op is accepted");
+        let mut r = ByteReader::new(&ack.payload);
+        assert_eq!(r.take_u64().unwrap(), 2, "the mate row and the list op");
+        mesh.send_to(0, PH_CENSUS, 0, &[]).unwrap();
+        let census = mesh.recv_from(0).unwrap();
+        assert_eq!(census.phase, PH_CENSUS_ACK);
+        let mut r = ByteReader::new(&census.payload);
+        assert_eq!(r.take_u64().unwrap(), 2, "owned lefts");
+        assert_eq!(r.take_u64().unwrap(), 1, "owned rights");
+        assert_eq!(r.take_u64().unwrap(), 2 * 2 + 3);
+        assert_eq!(
+            r.take_u64().unwrap(),
+            slice_checksum([(x, v), (y, v)].into_iter(), [(v, 0, 2)].into_iter()),
+            "the load followed the list"
+        );
+        assert_eq!(
+            r.take_u64().unwrap(),
+            matched_checksum([(v, &[x, y][..])].into_iter()),
+            "the push landed at the list's end"
+        );
+        assert_eq!(
+            r.take_u64().unwrap(),
+            0,
+            "no wave ran, so nothing is cached"
+        );
+        r.expect_end().unwrap();
+        mesh.send_to(0, PH_SHUTDOWN, 0, &[]).unwrap();
+        assert_eq!(mesh.recv_from(0).unwrap().phase, PH_SHUTDOWN_ACK);
+        worker.join().unwrap();
+        drop(l1);
     }
 
     /// Hand-rolled WAVE frame holding exactly one plan, shipping the full
@@ -4099,7 +4086,7 @@ mod tests {
         let (mut mesh, links) = Mesh::loopback_mesh(2, &Mesh::all_pairs(2));
         let workers: Vec<_> = links
             .into_iter()
-            .map(|l| std::thread::spawn(move || worker_main(l, map, true)))
+            .map(|l| std::thread::spawn(move || worker_main(l, map)))
             .collect();
         mesh.send_to(
             0,
@@ -4185,7 +4172,7 @@ mod tests {
         let (mut mesh, links) = Mesh::loopback_mesh(2, &Mesh::all_pairs(2));
         let workers: Vec<_> = links
             .into_iter()
-            .map(|l| std::thread::spawn(move || worker_main(l, map, true)))
+            .map(|l| std::thread::spawn(move || worker_main(l, map)))
             .collect();
         let w1_lefts: Vec<(u32, u32)> = xs.iter().zip(&vs).map(|(&x, &v)| (x, v)).collect();
         let mut w1_rights: Vec<(u32, Vec<u32>)> =
@@ -4262,7 +4249,7 @@ mod tests {
         // Spawn only worker 1; the test plays worker 0 on its links.
         let l1 = links.pop().unwrap();
         let mut l0 = links.pop().unwrap();
-        let worker = std::thread::spawn(move || worker_main(l1, map, true));
+        let worker = std::thread::spawn(move || worker_main(l1, map));
         mesh.send_to(1, PH_INIT, 0, &p2p_init_frame(&[], &[]))
             .unwrap();
         assert_eq!(mesh.recv_from(1).unwrap().phase, PH_INIT_ACK);
@@ -4297,7 +4284,7 @@ mod tests {
         // Spawn only worker 1; the test plays worker 0 on its links.
         let l1 = links.pop().unwrap();
         let mut l0 = links.pop().unwrap();
-        let worker = std::thread::spawn(move || worker_main(l1, map, true));
+        let worker = std::thread::spawn(move || worker_main(l1, map));
         mesh.send_to(1, PH_INIT, 0, &p2p_init_frame(&[(x, v)], &[(v, vec![x])]))
             .unwrap();
         assert_eq!(mesh.recv_from(1).unwrap().phase, PH_INIT_ACK);
@@ -4345,7 +4332,7 @@ mod tests {
         // Spawn only worker 1; the test plays worker 0 on its links.
         let l1 = links.pop().unwrap();
         let mut l0 = links.pop().unwrap();
-        let worker = std::thread::spawn(move || worker_main(l1, map, true));
+        let worker = std::thread::spawn(move || worker_main(l1, map));
         mesh.send_to(1, PH_INIT, 0, &p2p_init_frame(&[(u, UNMATCHED)], &[]))
             .unwrap();
         assert_eq!(mesh.recv_from(1).unwrap().phase, PH_INIT_ACK);
@@ -4401,7 +4388,7 @@ mod tests {
         // Spawn only worker 0; its peer link stays idle.
         let l1 = links.pop().unwrap();
         let l0 = links.pop().unwrap();
-        let worker = std::thread::spawn(move || worker_main(l0, map, true));
+        let worker = std::thread::spawn(move || worker_main(l0, map));
         mesh.send_to(
             0,
             PH_INIT,
@@ -4456,7 +4443,7 @@ mod tests {
         let (mut mesh, mut links) = Mesh::loopback_mesh(2, &Mesh::all_pairs(2));
         let l1 = links.pop().unwrap();
         let mut l0 = links.pop().unwrap();
-        let worker = std::thread::spawn(move || worker_main(l1, map, true));
+        let worker = std::thread::spawn(move || worker_main(l1, map));
         mesh.send_to(1, PH_INIT, 0, &p2p_init_frame(&[], &[]))
             .unwrap();
         assert_eq!(mesh.recv_from(1).unwrap().phase, PH_INIT_ACK);

@@ -639,7 +639,7 @@ impl ServeLoop {
     /// Apply one conflict-free wave of updates: structural mutations run
     /// first, in wave order, then every repair runs in arrival order and
     /// its deferred effects (sizes, stats, dirty marks) are folded in —
-    /// the same order the p2p coordinator folds a remote wave in.
+    /// the same order the networked coordinator folds its waves in.
     ///
     /// The caller (the sharded serve loop) guarantees that the wave's
     /// non-global updates have pairwise vertex-disjoint footprints on the
@@ -704,8 +704,9 @@ impl ServeLoop {
     }
 
     /// Run one deferred repair on this engine's own match cells, in the
-    /// caller's (arrival) order — how the p2p coordinator executes the
-    /// plans it does *not* ship (globals, no-ops, singleton waves).
+    /// caller's (arrival) order — how the networked coordinator executes
+    /// the plans it does *not* ship (every plan on a star mesh; globals,
+    /// no-ops and empty footprints on a p2p mesh).
     pub(crate) fn run_plan_local(&mut self, plan: &RepairPlan) -> RepairOutcome {
         let eager_k = self.cfg.eager_budget();
         let ecap = self.cfg.eager_search_cap;
@@ -752,7 +753,7 @@ impl ServeLoop {
         }
     }
 
-    /// Read access to the maintained matching (p2p slice extraction).
+    /// Read access to the maintained matching (worker slice extraction).
     pub(crate) fn matching(&self) -> &Matching {
         &self.matching
     }

@@ -2,6 +2,7 @@
 
 use sparse_alloc_graph::io::{ByteReader, ByteWriter, IoError};
 use sparse_alloc_graph::{LeftId, RightId};
+use sparse_alloc_mpc::Words;
 
 /// One mutation of the live allocation instance.
 ///
@@ -47,6 +48,18 @@ pub enum Update {
         /// The new capacity.
         cap: u64,
     },
+}
+
+/// An update's size in the simulated cluster's routing exchange: a kind
+/// word, three operand words, and a neighbor list — a length word plus
+/// its entries, empty for every variant but an arrival.
+impl Words for Update {
+    fn words(&self) -> usize {
+        match self {
+            Update::Arrive { neighbors } => 4 + neighbors.words(),
+            _ => 5,
+        }
+    }
 }
 
 // The one wire form of an update, shared by the networked route phase
