@@ -99,13 +99,15 @@ if [ "${1:-}" != "fast" ]; then
     # Sharded: checkpoint on 2 machines (periodically), restore onto 4.
     # Eager budget 1 keeps the staged footprints inside the 2-shard space
     # budget (the sharded default; the restore inherits it from the
-    # snapshot, so only the fresh engines pass the flag).
+    # snapshot, so only the fresh engines pass the flag). With a WAL open,
+    # the periodic write after the first base is a delta.
     cargo run --release -q --bin salloc -- \
         dynamic "$tmp/g.txt" --epochs 3 --events 120 --eps 0.25 --seed 1 --shards 2 \
         --eager-budget 1 --assign "$tmp/sh-full.txt"
     cargo run --release -q --bin salloc -- \
         dynamic "$tmp/g.txt" --epochs 2 --events 120 --eps 0.25 --seed 1 --shards 2 \
-        --eager-budget 1 --checkpoint "$tmp/sh.snap" --checkpoint-every 1
+        --eager-budget 1 --checkpoint "$tmp/sh.snap" --checkpoint-every 1 --wal "$tmp/sh.wal"
+    [ -s "$tmp/sh.snap.delta" ] || { echo "a WAL'd periodic checkpoint wrote no delta"; exit 1; }
     cargo run --release -q --bin salloc -- \
         dynamic "$tmp/g.txt" --epochs 3 --events 120 --seed 1 --shards 4 \
         --restore "$tmp/sh.snap" --assign "$tmp/sh-resumed.txt"

@@ -31,8 +31,8 @@ use std::time::Instant;
 use sparse_alloc_dynamic::adapter::{churn_stream, ChurnMix};
 use sparse_alloc_dynamic::engine::drive;
 use sparse_alloc_dynamic::{
-    snapshot, wal, NetServeLoop, ServeLoop, ShardedConfig, SupervisorConfig, TransportKind,
-    WalWriter,
+    snapshot, wal, DeltaCheckpoint, Engine, NetServeLoop, ServeLoop, ShardedConfig,
+    SupervisorConfig, TransportKind, WalWriter,
 };
 use sparse_alloc_graph::generators::union_of_spanning_trees;
 use sparse_alloc_mpc::transport::Fault;
@@ -92,30 +92,30 @@ pub fn run() {
         retry_budget: 1,
         ..SupervisorConfig::default()
     });
-    serve.attach_wal(WalWriter::create(&wal_path).expect("fresh log"));
+    let mut writer = WalWriter::create(&wal_path).expect("fresh log");
 
     let mut t = Table::new(&["epoch", "epoch-ms", "wal-bytes", "delta-bytes", "note"]);
     let mut delta_bytes = 0u64;
     let mut full_bytes = 0u64;
+    let mut base = None;
     for (e, chunk) in updates.chunks(events_per_epoch).take(EPOCHS).enumerate() {
         if e + 1 == FAULT_EPOCH {
             serve.inject_fault(1, Fault::FlipBit { bit: 170 });
         }
         let t0 = Instant::now();
         serve
-            .apply_batch(chunk)
-            .expect("supervisor absorbs the fault");
-        serve.end_epoch().expect("epoch closes after recovery");
+            .run_epoch(chunk, Some(&mut writer))
+            .expect("supervisor absorbs the fault and the epoch closes");
         let (d, mut note) = if e + 1 == BASE_EPOCH {
-            serve.checkpoint(&base_path).expect("base checkpoint");
+            let cut = serve.checkpoint(&base_path, Some(&mut writer));
+            base = Some(cut.expect("base checkpoint"));
             full_bytes = std::fs::metadata(&base_path)
                 .map(|md| md.len())
                 .unwrap_or(0);
             (0u64, format!("base snapshot ({full_bytes} B)"))
         } else {
-            let d = serve
-                .checkpoint_delta(&delta_path)
-                .expect("delta checkpoint");
+            let delta = DeltaCheckpoint::of(serve.serial(), base.as_ref().expect("base cut"));
+            let d = snapshot::save_delta(&delta, &delta_path).expect("delta checkpoint");
             delta_bytes = d;
             (d, "delta checkpoint".to_string())
         };
@@ -125,7 +125,7 @@ pub fn run() {
         t.row(vec![
             (e + 1).to_string(),
             f1(t0.elapsed().as_secs_f64() * 1e3),
-            serve.wal_bytes().to_string(),
+            writer.bytes_appended().to_string(),
             d.to_string(),
             note,
         ]);
@@ -141,7 +141,7 @@ pub fn run() {
     let gathered = serve.gather_assignment().expect("gather after recovery");
     let survived_equal = gathered.mate == serial_mate;
     assert!(survived_equal, "recovered run diverged from serial");
-    let wal_total = serve.wal_bytes();
+    let wal_total = writer.bytes_appended();
     let respawn_ms = stats.recovery_ns as f64 / 1e6;
     let mut phase_reg = sparse_alloc_obs::Registry::new();
     phase_reg.merge(serve.obs());

@@ -12,19 +12,21 @@
 //! | [`Engine::apply_batch`] | `apply` per update | routed repair waves | wire route + waves |
 //! | [`Engine::end_epoch`] | certificate sweep | + migration commit, census | + wire commit, census |
 //! | [`Engine::served`] | the maintained matching | the maintained matching | gathered from the workers over the wire |
-//! | [`Engine::checkpoint`] | serial snapshot | sharded snapshot | sharded snapshot + WAL base marker |
+//! | [`Engine::checkpoint_bytes`] | serial snapshot | sharded snapshot | sharded snapshot |
 //!
 //! The engines keep their own inherent methods and typed errors; the
 //! trait wraps them and boxes the error ([`EngineError`]).
 //!
 //! # Who owns the write-ahead log
 //!
-//! The networked engine logs from inside its verbs: a batch and an epoch
-//! close are appended before the wire exchange that acts on them, and a
-//! checkpoint appends a base marker. [`Engine::adopt_wal`] hands it the
-//! log. The other two engines hand the log back, and
-//! [`Engine::run_epoch`] appends around their verbs: the same records,
-//! in the same order.
+//! The driver does. Engines only apply batches, close epochs and encode
+//! their snapshot; the provided methods do the logging, the same way
+//! for all three. [`Engine::run_epoch`] appends a batch before the
+//! engine acts on it and the epoch close after, with the resulting
+//! match size. [`Engine::checkpoint`] writes the snapshot atomically,
+//! appends a base marker and yields the [`DeltaBase`] that later delta
+//! checkpoints diff against. Every append is metered as
+//! [`Counter::WalBytes`].
 //!
 //! # One epoch source
 //!
@@ -34,17 +36,19 @@
 //! point of a restored engine all read that one counter.
 
 use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 
+use sparse_alloc_graph::io::fnv1a64;
 use sparse_alloc_graph::Assignment;
-use sparse_alloc_obs::{Registry, Tracer};
+use sparse_alloc_obs::{Counter, Registry, Tracer};
 
 use crate::distributed::{BatchReport, ShardedEpochReport, ShardedServeLoop};
 use crate::net::{NetEpochReport, NetServeLoop};
 use crate::serve::{EpochReport, ServeLoop};
-use crate::snapshot;
+use crate::snapshot::{self, DeltaBase};
 use crate::update::Update;
-use crate::wal::WalWriter;
+use crate::wal::{WalError, WalWriter};
 
 /// Why an engine verb failed: the engine's own typed error, boxed.
 pub type EngineError = Box<dyn std::error::Error + Send + Sync>;
@@ -74,41 +78,62 @@ pub trait Engine {
     /// The stack's metrics registry.
     fn obs(&self) -> &Registry;
 
+    /// Mutable access to the stack's metrics registry.
+    fn obs_mut(&mut self) -> &mut Registry;
+
     /// Install a phase tracer on the whole stack.
     fn set_tracer(&mut self, tracer: Tracer);
 
     /// Full consistency check of the engine state.
     fn validate(&self) -> Result<(), String>;
 
-    /// Atomically write a full snapshot to `path`.
-    fn checkpoint(&mut self, path: &Path) -> Result<(), EngineError>;
+    /// Encode a full snapshot of the engine.
+    fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError>;
 
-    /// Offer the engine the write-ahead log. An engine that logs from
-    /// inside its own verbs keeps it and returns `None`; the default
-    /// hands it back for [`Engine::run_epoch`] to append to.
-    fn adopt_wal(&mut self, wal: WalWriter<File>) -> Option<WalWriter<File>> {
-        Some(wal)
+    /// Atomically write a full snapshot to `path`, append a base marker
+    /// (the snapshot's checksum) to `wal`, and return the reference
+    /// later delta checkpoints diff against.
+    fn checkpoint(
+        &mut self,
+        path: &Path,
+        wal: Option<&mut WalWriter<File>>,
+    ) -> Result<DeltaBase, EngineError> {
+        let bytes = self.checkpoint_bytes()?;
+        let checksum = fnv1a64(&bytes);
+        snapshot::save_atomic(path, |f| Ok(f.write_all(&bytes)?))?;
+        let epoch = self.serial().stats().epochs as u64;
+        log(self, wal, |w| w.append_base(epoch, checksum))?;
+        Ok(DeltaBase::of(self.serial(), checksum))
     }
 
     /// One whole epoch: append `updates` to `wal`, apply them, close the
-    /// epoch, then append the close with the resulting match size. Pass
-    /// only a log the engine handed back from [`Engine::adopt_wal`].
+    /// epoch, then append the close with the resulting match size.
     fn run_epoch(
         &mut self,
         updates: &[Update],
         mut wal: Option<&mut WalWriter<File>>,
     ) -> Result<(Self::Batch, Self::Report), EngineError> {
         let epoch = self.serial().stats().epochs as u64;
-        if let Some(w) = wal.as_deref_mut() {
-            w.append_batch(epoch, updates)?;
-        }
+        log(self, wal.as_deref_mut(), |w| w.append_batch(epoch, updates))?;
         let batch = self.apply_batch(updates)?;
         let report = self.end_epoch()?;
-        if let Some(w) = wal {
-            w.append_epoch_end(epoch, self.serial().match_size() as u64)?;
-        }
+        let size = self.serial().match_size() as u64;
+        log(self, wal, |w| w.append_epoch_end(epoch, size))?;
         Ok((batch, report))
     }
+}
+
+/// Append one record to `wal`, if a log is open, and meter its bytes.
+fn log<E: Engine + ?Sized>(
+    engine: &mut E,
+    wal: Option<&mut WalWriter<File>>,
+    append: impl FnOnce(&mut WalWriter<File>) -> Result<u64, WalError>,
+) -> Result<(), EngineError> {
+    if let Some(w) = wal {
+        let n = append(w)?;
+        engine.obs_mut().inc(Counter::WalBytes, n);
+    }
+    Ok(())
 }
 
 /// Run `engine` one epoch per batch, without a log, and return the
@@ -150,6 +175,10 @@ impl Engine for ServeLoop {
         ServeLoop::obs(self)
     }
 
+    fn obs_mut(&mut self) -> &mut Registry {
+        ServeLoop::obs_mut(self)
+    }
+
     fn set_tracer(&mut self, tracer: Tracer) {
         ServeLoop::set_tracer(self, tracer);
     }
@@ -158,8 +187,10 @@ impl Engine for ServeLoop {
         ServeLoop::validate(self)
     }
 
-    fn checkpoint(&mut self, path: &Path) -> Result<(), EngineError> {
-        Ok(snapshot::save_serial(self, path)?)
+    fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError> {
+        let mut bytes = Vec::new();
+        snapshot::write_serial(self, &mut bytes)?;
+        Ok(bytes)
     }
 }
 
@@ -187,6 +218,10 @@ impl Engine for ShardedServeLoop {
         ShardedServeLoop::obs(self)
     }
 
+    fn obs_mut(&mut self) -> &mut Registry {
+        ShardedServeLoop::obs_mut(self)
+    }
+
     fn set_tracer(&mut self, tracer: Tracer) {
         ShardedServeLoop::set_tracer(self, tracer);
     }
@@ -195,8 +230,10 @@ impl Engine for ShardedServeLoop {
         ShardedServeLoop::validate(self)
     }
 
-    fn checkpoint(&mut self, path: &Path) -> Result<(), EngineError> {
-        Ok(snapshot::save_sharded(self, path)?)
+    fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError> {
+        let mut bytes = Vec::new();
+        snapshot::write_sharded(self, &mut bytes)?;
+        Ok(bytes)
     }
 }
 
@@ -224,6 +261,10 @@ impl Engine for NetServeLoop {
         NetServeLoop::obs(self)
     }
 
+    fn obs_mut(&mut self) -> &mut Registry {
+        NetServeLoop::obs_mut(self)
+    }
+
     fn set_tracer(&mut self, tracer: Tracer) {
         NetServeLoop::set_tracer(self, tracer);
     }
@@ -232,12 +273,7 @@ impl Engine for NetServeLoop {
         NetServeLoop::validate(self)
     }
 
-    fn checkpoint(&mut self, path: &Path) -> Result<(), EngineError> {
-        Ok(NetServeLoop::checkpoint(self, path)?)
-    }
-
-    fn adopt_wal(&mut self, wal: WalWriter<File>) -> Option<WalWriter<File>> {
-        self.attach_wal(wal);
-        None
+    fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError> {
+        Ok(NetServeLoop::checkpoint_bytes(self)?)
     }
 }

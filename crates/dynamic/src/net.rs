@@ -63,11 +63,13 @@
 //! fault quarantines immediately — exactly the fail-fast behavior the
 //! fault-taxonomy tests pin down.
 //!
-//! Durability rides the same layer: [`NetServeLoop::attach_wal`] logs
-//! every batch and epoch boundary write-ahead ([`crate::wal`]), and
-//! [`NetServeLoop::checkpoint_delta`] persists the diff against the last
-//! full checkpoint, so a crashed coordinator recovers as
-//! `base + log tail` and verifies the replay against the last delta.
+//! Durability is the driver's, as for every engine:
+//! [`Engine::run_epoch`](crate::Engine::run_epoch) logs each batch
+//! write-ahead ([`crate::wal`]) before the route exchange acts on it,
+//! and [`Engine::checkpoint`](crate::Engine::checkpoint) writes
+//! [`NetServeLoop::checkpoint_bytes`] as the base that delta checkpoints
+//! diff against, so a crashed coordinator recovers as `base + log tail`
+//! and verifies the replay against the last delta.
 //!
 //! # Peer-to-peer repair waves
 //!
@@ -138,10 +140,9 @@ use crate::distributed::{
     BatchReport, ShardedConfig, ShardedEpochReport, ShardedServeLoop, StagedBatch,
 };
 use crate::serve::{run_repair, RepairOutcome, RepairPlan, ServeLoop};
-use crate::snapshot::{self, DeltaBase, DeltaCheckpoint, SnapshotError};
+use crate::snapshot::{self, SnapshotError};
 use crate::stamp::StampSet;
 use crate::update::{put_update, take_update, Update};
-use crate::wal::{WalError, WalWriter};
 use crate::walks::{MatchSlots, SearchScratch, WalkTopology};
 
 /// `mate` wire value for an unmatched left vertex.
@@ -247,8 +248,6 @@ pub enum NetError {
         /// What went wrong.
         detail: String,
     },
-    /// The write-ahead log failed.
-    Wal(WalError),
     /// The engine is in read-only quarantine: a previous fault exhausted
     /// the respawn budget. Queries keep answering from the coordinator
     /// mirror; every wire operation fails with this variant.
@@ -265,7 +264,6 @@ impl std::fmt::Display for NetError {
             NetError::Space(e) => write!(f, "space: {e}"),
             NetError::Snapshot(e) => write!(f, "snapshot: {e}"),
             NetError::Protocol { shard, detail } => write!(f, "shard {shard}: {detail}"),
-            NetError::Wal(e) => write!(f, "wal: {e}"),
             NetError::Quarantined { reason } => {
                 write!(f, "engine quarantined (read-only) after: {reason}")
             }
@@ -279,15 +277,8 @@ impl std::error::Error for NetError {
             NetError::Transport(e) => Some(e),
             NetError::Space(e) => Some(e),
             NetError::Snapshot(e) => Some(e),
-            NetError::Wal(e) => Some(e),
             NetError::Protocol { .. } | NetError::Quarantined { .. } => None,
         }
-    }
-}
-
-impl From<WalError> for NetError {
-    fn from(e: WalError) -> Self {
-        NetError::Wal(e)
     }
 }
 
@@ -1839,11 +1830,6 @@ pub struct NetServeLoop {
     respawns_left: u64,
     /// `Some(reason)` once the respawn budget is exhausted: read-only.
     quarantined: Option<String>,
-    /// Write-ahead log, if attached.
-    wal: Option<WalWriter<std::fs::File>>,
-    /// Reference captured at the last full checkpoint; what
-    /// [`NetServeLoop::checkpoint_delta`] diffs against.
-    base: Option<DeltaBase>,
     /// xorshift state for backoff jitter (no RNG dependency).
     jitter: u64,
     /// Peer-to-peer mode: the mesh carries worker↔worker links, so
@@ -1890,19 +1876,6 @@ fn phase_name(phase: u32) -> &'static str {
         PH_ARM_ACK => "ARM_ACK",
         _ => "UNKNOWN",
     }
-}
-
-/// Write `bytes` to `path` atomically (temp file, fsync, rename), so a
-/// crash mid-checkpoint can never leave a half-written snapshot behind.
-fn write_file_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 /// Wire counters at the start of a phase ([`NetServeLoop::mark`]): the
@@ -1976,8 +1949,6 @@ impl NetServeLoop {
             sup: SupervisorConfig::default(),
             respawns_left: 0,
             quarantined: None,
-            wal: None,
-            base: None,
             jitter: 0x9e37_79b9_7f4a_7c15,
             p2p,
             synced_matched: Vec::new(),
@@ -1990,8 +1961,8 @@ impl NetServeLoop {
         Ok(this)
     }
 
-    /// Restore a snapshot ([`NetServeLoop::checkpoint`] or any sharded
-    /// snapshot) onto a fresh mesh, optionally re-sharding.
+    /// Restore a snapshot ([`NetServeLoop::checkpoint_bytes`] or any
+    /// sharded snapshot) onto a fresh mesh, optionally re-sharding.
     pub fn restore(
         path: impl AsRef<Path>,
         shards_override: Option<usize>,
@@ -2001,69 +1972,10 @@ impl NetServeLoop {
         Self::from_inner(inner, kind)
     }
 
-    /// Atomically checkpoint the engine to `path` (the sharded snapshot
-    /// format; restorable by [`NetServeLoop::restore`] or
-    /// [`snapshot::load_sharded`]). Also captures the written state as
-    /// the **base** that [`NetServeLoop::checkpoint_delta`] diffs
-    /// against, and logs a base marker (snapshot checksum) to the WAL if
-    /// one is attached — replay then knows which records the base
-    /// already covers.
-    pub fn checkpoint(&mut self, path: impl AsRef<Path>) -> Result<(), NetError> {
-        let bytes = self.checkpoint_bytes()?;
-        let checksum = fnv1a64(&bytes);
-        write_file_atomic(path.as_ref(), &bytes).map_err(SnapshotError::Io)?;
-        self.base = Some(DeltaBase::of_sharded(&self.inner, checksum));
-        let epoch = self.epoch();
-        let appended = match self.wal.as_mut() {
-            Some(w) => Some(w.append_base(epoch, checksum)?),
-            None => None,
-        };
-        if let Some(n) = appended {
-            self.inner.obs_mut().inc(Counter::WalBytes, n);
-        }
-        Ok(())
-    }
-
-    /// Write a **delta checkpoint** — the diff of the current state
-    /// against the last full [`NetServeLoop::checkpoint`] — to `path`,
-    /// returning the bytes written. Deltas replace full-state writes on
-    /// the periodic path: recovery itself is `base + WAL tail`
-    /// ([`crate::wal`]), and the delta is the verification artifact that
-    /// proves the replayed engine landed where the live one was
-    /// ([`DeltaCheckpoint::verify_sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Snapshot`] if no base checkpoint was taken yet.
-    pub fn checkpoint_delta(&mut self, path: impl AsRef<Path>) -> Result<u64, NetError> {
-        let base = self.base.as_ref().ok_or_else(|| {
-            SnapshotError::Invalid(
-                "no base checkpoint: call checkpoint() before checkpoint_delta()".into(),
-            )
-        })?;
-        let delta = DeltaCheckpoint::of_sharded(&self.inner, base);
-        let mut bytes = Vec::new();
-        snapshot::write_delta(&delta, &mut bytes)?;
-        write_file_atomic(path.as_ref(), &bytes).map_err(SnapshotError::Io)?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Attach a write-ahead log: every subsequent update batch, epoch
-    /// boundary, and base checkpoint is appended (and fsynced) *before*
-    /// the engine acts on it, so crash recovery is `last base + log
-    /// tail` ([`crate::wal`]).
-    pub fn attach_wal(&mut self, wal: WalWriter<std::fs::File>) {
-        self.wal = Some(wal);
-    }
-
-    /// Total bytes appended to the attached WAL (0 when none is
-    /// attached).
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal.as_ref().map_or(0, |w| w.bytes_appended())
-    }
-
-    /// Serialize a checkpoint to bytes (tests: byte-identical
-    /// re-snapshot proofs).
+    /// Serialize a checkpoint to bytes: the sharded snapshot format,
+    /// restorable by [`NetServeLoop::restore`] or
+    /// [`snapshot::load_sharded`].
+    /// [`Engine::checkpoint`](crate::Engine::checkpoint) writes these.
     pub fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, NetError> {
         let mut bytes = Vec::new();
         snapshot::write_sharded(&mut self.inner, &mut bytes)?;
@@ -2072,8 +1984,8 @@ impl NetServeLoop {
 
     // ------------------------------------------------------- plumbing
 
-    /// Completed epochs — the stamp every frame, WAL record and span of
-    /// the current epoch carries. Read from the engine's own counter, so
+    /// Completed epochs — the stamp every frame and span of the current
+    /// epoch carries. Read from the engine's own counter, so
     /// a restored engine resumes the stamps where its snapshot left off.
     fn epoch(&self) -> u64 {
         self.inner.serve_stats().epochs as u64
@@ -2543,13 +2455,12 @@ impl NetServeLoop {
 
     // ------------------------------------------------------- serving
 
-    /// Apply one epoch's update batch. The batch is appended to the WAL
-    /// (if attached), scattered to the workers owning each update's
-    /// anchor, echoed back, and the engine consumes the echoed wire
-    /// copies ([`labels::NET_ROUTE`]) wave by wave, through one wave
-    /// executor for both protocols (see the [module docs](self)); the
-    /// resulting state deltas are committed to the owning workers
-    /// ([`labels::NET_COMMIT`]).
+    /// Apply one epoch's update batch. The batch is scattered to the
+    /// workers owning each update's anchor, echoed back, and the engine
+    /// consumes the echoed wire copies ([`labels::NET_ROUTE`]) wave by
+    /// wave, through one wave executor for both protocols (see the
+    /// [module docs](self)); the resulting state deltas are committed to
+    /// the owning workers ([`labels::NET_COMMIT`]).
     ///
     /// Under a [`SupervisorConfig`] with a respawn budget, a wire fault
     /// in either exchange triggers respawn + re-INIT and the exchange is
@@ -2561,14 +2472,6 @@ impl NetServeLoop {
         self.check_quarantine()?;
         if updates.is_empty() {
             return Ok(BatchReport::default());
-        }
-        let epoch = self.epoch();
-        let appended = match self.wal.as_mut() {
-            Some(w) => Some(w.append_batch(epoch, updates)?),
-            None => None,
-        };
-        if let Some(n) = appended {
-            self.inner.obs_mut().inc(Counter::WalBytes, n);
         }
         let wire = loop {
             match self.route_batch(updates) {
@@ -3079,11 +2982,10 @@ impl NetServeLoop {
         Ok(wire)
     }
 
-    /// Close the epoch: run the simulated engine's sweep phases, log the
-    /// epoch boundary to the WAL (if attached), commit the state deltas,
-    /// cross-check every worker's census (slice sizes, resident words,
-    /// FNV slice checksum) against the coordinator's mirror, and
-    /// broadcast the epoch summary. Wire faults recover like
+    /// Close the epoch: run the simulated engine's sweep phases, commit
+    /// the state deltas, cross-check every worker's census (slice sizes,
+    /// resident words, FNV slice checksum) against the coordinator's
+    /// mirror, and broadcast the epoch summary. Wire faults recover like
     /// [`Self::apply_batch`]: the engine's own sweep runs exactly once
     /// (locally, first), and the wire tail is retried after respawn +
     /// re-INIT.
@@ -3093,13 +2995,6 @@ impl NetServeLoop {
         // advances the epoch counter.
         let epoch = self.epoch();
         let report = self.inner.end_epoch()?;
-        let appended = match self.wal.as_mut() {
-            Some(w) => Some(w.append_epoch_end(epoch, report.serial.match_size as u64)?),
-            None => None,
-        };
-        if let Some(n) = appended {
-            self.inner.obs_mut().inc(Counter::WalBytes, n);
-        }
         let rep = loop {
             match self.close_epoch_wire(&report, epoch) {
                 Ok(rep) => break rep,
@@ -3504,6 +3399,9 @@ mod tests {
     use super::*;
     use crate::adapter::{churn_stream, ChurnMix};
     use crate::serve::ServeLoop;
+    use crate::snapshot::{DeltaBase, DeltaCheckpoint};
+    use crate::wal::WalWriter;
+    use crate::Engine;
     use sparse_alloc_graph::generators::union_of_spanning_trees;
 
     fn drive(kind: TransportKind, shards: usize, seed: u64) -> (NetServeLoop, ServeLoop) {
@@ -3687,14 +3585,13 @@ mod tests {
             net.apply_batch(chunk).unwrap();
             net.end_epoch().unwrap();
         }
-        net.checkpoint(&base_path).unwrap();
+        net.checkpoint(&base_path, None).unwrap();
         drop(net);
 
         let mut net = NetServeLoop::restore(&base_path, None, TransportKind::Loopback).unwrap();
-        net.attach_wal(WalWriter::create(&wal_path).unwrap());
+        let mut wal = WalWriter::create(&wal_path).unwrap();
         for chunk in &chunks[2..4] {
-            net.apply_batch(chunk).unwrap();
-            net.end_epoch().unwrap();
+            net.run_epoch(chunk, Some(&mut wal)).unwrap();
         }
         let live = net.gather_assignment().unwrap();
         drop(net);
@@ -3715,52 +3612,71 @@ mod tests {
         }
     }
 
+    /// Crash recovery on every engine: a WAL through `run_epoch`, a
+    /// base, a delta, the crash, then base + log tail — and the delta
+    /// verifies the replayed engine.
     #[test]
     fn wal_plus_base_checkpoint_recovers_the_engine_verbatim() {
+        let g = union_of_spanning_trees(50, 40, 2, 2, 27).graph;
+        let cfg = ShardedConfig::for_eps(0.25, 2);
+        let sharded = || ShardedServeLoop::new(g.clone(), cfg.clone()).unwrap();
+        let load = |p: &Path| crate::snapshot::load_sharded(p, None).unwrap();
+        recovers_from_base_and_tail(
+            "serial",
+            ServeLoop::new(g.clone(), cfg.dynamic.clone()),
+            |p| crate::snapshot::load_serial(p).unwrap(),
+        );
+        recovers_from_base_and_tail("sharded", sharded(), load);
+        let p2p = NetServeLoop::from_inner_p2p(sharded(), TransportKind::Loopback).unwrap();
+        recovers_from_base_and_tail("p2p", p2p, load);
+    }
+
+    fn recovers_from_base_and_tail<E: Engine, R: Engine>(
+        leg: &str,
+        mut live: E,
+        restore: impl FnOnce(&Path) -> R,
+    ) {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
-        let wal_path = dir.join(format!("salloc-net-wal-{pid}.log"));
-        let base_path = dir.join(format!("salloc-net-base-{pid}.bin"));
-        let delta_path = dir.join(format!("salloc-net-delta-{pid}.bin"));
-        let _ = std::fs::remove_file(&wal_path);
+        let [wal_path, base_path, delta_path] = ["wal.log", "base.bin", "delta.bin"]
+            .map(|f| dir.join(format!("salloc-{leg}-{pid}-{f}")));
 
-        let g = union_of_spanning_trees(50, 40, 2, 2, 27).graph;
+        let g = live.serial().snapshot();
         let updates = churn_stream(&g, 60, &ChurnMix::default(), 27);
-        let mut net =
-            NetServeLoop::new(g, ShardedConfig::for_eps(0.25, 2), TransportKind::Loopback).unwrap();
-        net.attach_wal(WalWriter::create(&wal_path).unwrap());
-
+        let mut wal = WalWriter::create(&wal_path).unwrap();
         let chunks: Vec<_> = updates.chunks(15).collect();
         for chunk in &chunks[..2] {
-            net.apply_batch(chunk).unwrap();
-            net.end_epoch().unwrap();
+            live.run_epoch(chunk, Some(&mut wal)).unwrap();
         }
-        net.checkpoint(&base_path).unwrap();
+        let base = live.checkpoint(&base_path, Some(&mut wal)).unwrap();
         for chunk in &chunks[2..] {
-            net.apply_batch(chunk).unwrap();
-            net.end_epoch().unwrap();
+            live.run_epoch(chunk, Some(&mut wal)).unwrap();
         }
-        assert!(net.checkpoint_delta(&delta_path).unwrap() > 0);
-        assert!(net.wal_bytes() > 0);
-        let live = net.gather_assignment().unwrap();
+        let delta = DeltaCheckpoint::of(live.serial(), &base);
+        assert!(crate::snapshot::save_delta(&delta, &delta_path).unwrap() > 0);
+        assert!(wal.bytes_appended() > 0);
+        assert_eq!(live.obs().counter(Counter::WalBytes), wal.bytes_appended());
+        let live = live.served().unwrap();
 
         // Crash. Recovery = last base snapshot + WAL tail replay.
-        drop(net);
-        let mut rec = crate::snapshot::load_sharded(&base_path, None).unwrap();
+        let mut rec = restore(&base_path);
         let base_bytes = std::fs::read(&base_path).unwrap();
-        let base = DeltaBase::of_sharded(&rec, fnv1a64(&base_bytes));
+        let base = DeltaBase::of(rec.serial(), fnv1a64(&base_bytes));
         let replay = crate::wal::read_wal_file(&wal_path).unwrap();
-        assert!(!replay.torn, "a clean shutdown leaves no torn tail");
+        assert!(!replay.torn, "{leg}: a clean shutdown leaves no torn tail");
         let stats = crate::wal::replay(&mut rec, &replay.records[replay.tail_start()..]).unwrap();
-        assert!(stats.batches >= 2, "the tail holds the post-base epochs");
+        assert!(
+            stats.batches >= 2,
+            "{leg}: the tail holds the post-base epochs"
+        );
         assert_eq!(
-            rec.assignment().mate,
+            rec.served().unwrap().mate,
             live.mate,
-            "base + tail replay must reconstruct the crashed engine"
+            "{leg}: base + tail replay must reconstruct the crashed engine"
         );
         // The delta checkpoint is the recovery's verification artifact.
         let delta = crate::snapshot::load_delta(&delta_path).unwrap();
-        delta.verify_sharded(&rec, &base).unwrap();
+        delta.verify(rec.serial(), &base).unwrap();
 
         for p in [&wal_path, &base_path, &delta_path] {
             let _ = std::fs::remove_file(p);

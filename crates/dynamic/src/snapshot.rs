@@ -520,12 +520,11 @@ fn decode_sharded_payload(
 /// full base snapshot (its byte checksum and epoch) plus the mate and
 /// level vectors the engine had when that base was cut.
 ///
-/// The serving process captures this right after writing a full
-/// snapshot; every periodic checkpoint until the next base then writes
-/// only what moved. On recovery the same capture is taken from the
-/// *restored* base, and [`DeltaCheckpoint::verify_serial`] /
-/// [`DeltaCheckpoint::verify_sharded`] checks the replayed engine
-/// against the last delta on disk.
+/// [`Engine::checkpoint`](crate::Engine::checkpoint) yields one with
+/// every full snapshot it writes; every periodic checkpoint until the
+/// next base then writes only what moved. On recovery the same capture
+/// is taken from the *restored* base, and [`DeltaCheckpoint::verify`]
+/// checks the replayed engine against the last delta on disk.
 #[derive(Debug, Clone)]
 pub struct DeltaBase {
     /// FNV-1a-64 over the full base snapshot's bytes — pairs every
@@ -538,25 +537,18 @@ pub struct DeltaBase {
 }
 
 impl DeltaBase {
-    fn of_parts(p: &ServePartsRef<'_>, checksum: u64) -> DeltaBase {
+    /// Capture the base reference from the serial core of an engine
+    /// whose snapshot bytes hash to `checksum` (take it right after the
+    /// snapshot is written). Every engine shares the core's mates and
+    /// levels, so one capture serves them all.
+    pub fn of(serve: &ServeLoop, checksum: u64) -> DeltaBase {
+        let p = serve.parts_ref();
         DeltaBase {
             checksum,
             epoch: p.stats.epochs as u64,
             mate: p.mate.iter().map(|m| m.unwrap_or(NO_MATE)).collect(),
             levels: p.levels.to_vec(),
         }
-    }
-
-    /// Capture the base reference from a serial engine whose snapshot
-    /// bytes hash to `checksum` (take it right after [`write_serial`]).
-    pub fn of_serial(serve: &ServeLoop, checksum: u64) -> DeltaBase {
-        DeltaBase::of_parts(&serve.parts_ref(), checksum)
-    }
-
-    /// Capture the base reference from a sharded engine whose snapshot
-    /// bytes hash to `checksum` (take it right after [`write_sharded`]).
-    pub fn of_sharded(serve: &ShardedServeLoop, checksum: u64) -> DeltaBase {
-        DeltaBase::of_parts(&serve.serial().parts_ref(), checksum)
     }
 }
 
@@ -594,7 +586,9 @@ pub struct DeltaCheckpoint {
 }
 
 impl DeltaCheckpoint {
-    fn of_parts(p: &ServePartsRef<'_>, match_size: u64, base: &DeltaBase) -> DeltaCheckpoint {
+    /// Diff an engine's serial core against `base`.
+    pub fn of(serve: &ServeLoop, base: &DeltaBase) -> DeltaCheckpoint {
+        let p = serve.parts_ref();
         let mate_diff = p
             .mate
             .iter()
@@ -613,7 +607,7 @@ impl DeltaCheckpoint {
             base_checksum: base.checksum,
             base_epoch: base.epoch,
             epoch: p.stats.epochs as u64,
-            match_size,
+            match_size: serve.match_size() as u64,
             n_left: p.mate.len() as u64,
             n_right: p.levels.len() as u64,
             mate_diff,
@@ -621,18 +615,14 @@ impl DeltaCheckpoint {
         }
     }
 
-    /// Diff a serial engine against `base`.
-    pub fn of_serial(serve: &ServeLoop, base: &DeltaBase) -> DeltaCheckpoint {
-        DeltaCheckpoint::of_parts(&serve.parts_ref(), serve.match_size() as u64, base)
-    }
-
-    /// Diff a sharded engine against `base`.
-    pub fn of_sharded(serve: &ShardedServeLoop, base: &DeltaBase) -> DeltaCheckpoint {
-        DeltaCheckpoint::of_parts(&serve.serial().parts_ref(), serve.match_size() as u64, base)
-    }
-
-    fn verify(&self, recomputed: &DeltaCheckpoint) -> Result<(), SnapshotError> {
-        if self == recomputed {
+    /// Check a recovered engine's serial core against this delta:
+    /// `base` must be captured from the freshly restored base snapshot,
+    /// and the engine must have replayed the log tail. Any divergence —
+    /// wrong base, missing epochs, a different matching — is typed
+    /// [`SnapshotError::Invalid`].
+    pub fn verify(&self, serve: &ServeLoop, base: &DeltaBase) -> Result<(), SnapshotError> {
+        let recomputed = DeltaCheckpoint::of(serve, base);
+        if *self == recomputed {
             return Ok(());
         }
         let what = if self.base_checksum != recomputed.base_checksum {
@@ -661,25 +651,6 @@ impl DeltaCheckpoint {
             )
         };
         Err(invalid(what))
-    }
-
-    /// Check a recovered serial engine against this delta: `base` must
-    /// be captured from the freshly restored base snapshot, and the
-    /// engine must have replayed the log tail. Any divergence — wrong
-    /// base, missing epochs, a different matching — is typed
-    /// [`SnapshotError::Invalid`].
-    pub fn verify_serial(&self, serve: &ServeLoop, base: &DeltaBase) -> Result<(), SnapshotError> {
-        self.verify(&DeltaCheckpoint::of_serial(serve, base))
-    }
-
-    /// Check a recovered sharded engine against this delta (see
-    /// [`DeltaCheckpoint::verify_serial`]).
-    pub fn verify_sharded(
-        &self,
-        serve: &ShardedServeLoop,
-        base: &DeltaBase,
-    ) -> Result<(), SnapshotError> {
-        self.verify(&DeltaCheckpoint::of_sharded(serve, base))
     }
 }
 
@@ -867,8 +838,11 @@ pub fn read_delta(r: &mut impl Read) -> Result<DeltaCheckpoint, SnapshotError> {
 }
 
 /// Atomically write a delta checkpoint to `path` (see [`save_serial`]).
-pub fn save_delta(delta: &DeltaCheckpoint, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-    save_atomic(path.as_ref(), |w| write_delta(delta, w))
+/// Returns the bytes written.
+pub fn save_delta(delta: &DeltaCheckpoint, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
+    let bytes = frame(KIND_DELTA, &encode_delta_payload(delta));
+    save_atomic(path.as_ref(), |w| Ok(w.write_all(&bytes)?))?;
+    Ok(bytes.len() as u64)
 }
 
 /// Read a delta checkpoint from the file at `path`.
@@ -887,14 +861,6 @@ pub fn load_serial(path: impl AsRef<Path>) -> Result<ServeLoop, SnapshotError> {
     read_serial(&mut std::fs::File::open(path)?)
 }
 
-/// Atomically write a sharded snapshot to `path` (see [`save_serial`]).
-pub fn save_sharded(
-    serve: &mut ShardedServeLoop,
-    path: impl AsRef<Path>,
-) -> Result<(), SnapshotError> {
-    save_atomic(path.as_ref(), |w| write_sharded(serve, w))
-}
-
 /// Restore a [`ShardedServeLoop`] from the file at `path`, optionally
 /// re-sharding (see [`read_sharded`]).
 pub fn load_sharded(
@@ -904,7 +870,10 @@ pub fn load_sharded(
     read_sharded(&mut std::fs::File::open(path)?, shards)
 }
 
-fn save_atomic(
+/// Write `path` through a temp file beside it (`path` + `.tmp`): fsync,
+/// then rename over `path`. A failed write removes the temp file and
+/// leaves `path` as it was.
+pub(crate) fn save_atomic(
     path: &Path,
     write: impl FnOnce(&mut std::fs::File) -> Result<(), SnapshotError>,
 ) -> Result<(), SnapshotError> {
@@ -1215,7 +1184,7 @@ mod tests {
         }
         s.end_epoch();
         let bytes = serial_bytes(&s);
-        let base = DeltaBase::of_serial(&s, fnv1a64(&bytes));
+        let base = DeltaBase::of(&s, fnv1a64(&bytes));
         (s, bytes, base, updates[60..].to_vec())
     }
 
@@ -1226,7 +1195,7 @@ mod tests {
             s.apply(up);
         }
         s.end_epoch();
-        let d = DeltaCheckpoint::of_serial(&s, &base);
+        let d = DeltaCheckpoint::of(&s, &base);
         assert_eq!(d.base_checksum, base.checksum);
         assert_eq!(d.epoch, base.epoch + 1);
         let mut buf = Vec::new();
@@ -1252,29 +1221,29 @@ mod tests {
             live.apply(up);
         }
         live.end_epoch();
-        let d = DeltaCheckpoint::of_serial(&live, &base);
+        let d = DeltaCheckpoint::of(&live, &base);
 
         // Recovery: restore the base, re-capture the reference from the
         // *restored* engine, replay the tail — the delta must agree.
         let mut recovered = read_serial(&mut &bytes[..]).unwrap();
-        let rebase = DeltaBase::of_serial(&recovered, fnv1a64(&bytes));
+        let rebase = DeltaBase::of(&recovered, fnv1a64(&bytes));
         for up in &tail {
             recovered.apply(up);
         }
         recovered.end_epoch();
-        d.verify_serial(&recovered, &rebase).unwrap();
+        d.verify(&recovered, &rebase).unwrap();
 
         // A replay that stopped short must be rejected.
         let short = read_serial(&mut &bytes[..]).unwrap();
-        match d.verify_serial(&short, &rebase) {
+        match d.verify(&short, &rebase) {
             Err(SnapshotError::Invalid(msg)) => {
                 assert!(msg.contains("epoch"), "msg: {msg}")
             }
             other => panic!("expected Invalid, got {other:?}"),
         }
         // So must a replay onto the wrong base.
-        let wrong_base = DeltaBase::of_serial(&recovered, 0xbad);
-        match d.verify_serial(&recovered, &wrong_base) {
+        let wrong_base = DeltaBase::of(&recovered, 0xbad);
+        match d.verify(&recovered, &wrong_base) {
             Err(SnapshotError::Invalid(msg)) => {
                 assert!(msg.contains("base"), "msg: {msg}")
             }
@@ -1289,7 +1258,7 @@ mod tests {
             s.apply(up);
         }
         s.end_epoch();
-        let d = DeltaCheckpoint::of_serial(&s, &base);
+        let d = DeltaCheckpoint::of(&s, &base);
         let mut buf = Vec::new();
         write_delta(&d, &mut buf).unwrap();
         let full = serial_bytes(&s);
@@ -1306,7 +1275,7 @@ mod tests {
     #[test]
     fn delta_corruption_is_typed() {
         let (s, _bytes, base, _tail) = delta_fixture();
-        let d = DeltaCheckpoint::of_serial(&s, &base);
+        let d = DeltaCheckpoint::of(&s, &base);
         let mut buf = Vec::new();
         write_delta(&d, &mut buf).unwrap();
         // Flip a payload bit: checksum damage.

@@ -32,11 +32,14 @@
 //!
 //! # Torn tails vs corruption
 //!
-//! A crash can end the file mid-append. [`read_wal`] treats a record
-//! that the stream ends *inside* as a torn tail: the clean prefix is
-//! returned, [`WalReplay::torn`] is set, and
-//! [`WalWriter::open`] truncates the file back to the clean prefix
-//! before appending (standard WAL tail repair). Anything else — a
+//! An epoch is the log's commit unit: a batch counts only once its
+//! epoch close follows it. A crash can end the file mid-append, or
+//! after a batch whose epoch never closed. [`read_wal`] treats both as
+//! a torn tail: the records up to the last epoch close (or base marker)
+//! are returned, [`WalReplay::torn`] is set, and [`WalWriter::open`]
+//! truncates the file back to that commit point before appending
+//! (standard WAL tail repair), so a driver that resumes at the unclosed
+//! epoch applies and logs its batch exactly once. Anything else — a
 //! flipped bit, a bad magic word, a sequence gap — is a typed
 //! [`WalError::Corrupt`], never a panic and never a silent divergence.
 
@@ -271,8 +274,8 @@ impl WalWriter<std::fs::File> {
     }
 
     /// Open the log at `path` (creating it empty if absent), repair any
-    /// torn tail by truncating back to the clean prefix, and return the
-    /// surviving records plus a writer that continues the sequence.
+    /// torn tail by truncating back to the last commit point, and return
+    /// the surviving records plus a writer that continues the sequence.
     ///
     /// Mid-log corruption (as opposed to a torn tail) is a typed
     /// [`WalError::Corrupt`]: a damaged history must not be silently
@@ -300,16 +303,17 @@ impl WalWriter<std::fs::File> {
     }
 }
 
-/// What a read of the log yielded: the records of the clean prefix and
-/// whether a torn tail (crash mid-append) was cut off after them.
+/// What a read of the log yielded: the committed records and whether a
+/// torn tail was cut off after them.
 #[derive(Debug)]
 pub struct WalReplay {
-    /// The decoded records, in append order.
+    /// The decoded records up to the last commit point, in append order.
     pub records: Vec<WalRecord>,
     /// Byte length of the clean prefix holding exactly `records`.
     pub clean_len: u64,
-    /// The stream ended *inside* a record — the torn half-record after
-    /// `clean_len` carries no acknowledged data and is discarded.
+    /// The stream went on past the last commit point: it ended *inside*
+    /// a record, or after a batch whose epoch never closed. The bytes
+    /// after `clean_len` carry no committed epoch and are discarded.
     pub torn: bool,
 }
 
@@ -364,15 +368,18 @@ fn io_detail(e: IoError) -> String {
     format!("payload: {e}")
 }
 
-/// Read every record of a log stream.
+/// Read the committed records of a log stream.
 ///
-/// A stream that ends *inside* a record is a torn tail: the clean
-/// prefix is returned with [`WalReplay::torn`] set. Every other damage
+/// A stream that ends *inside* a record, or after a batch whose epoch
+/// never closed, has a torn tail: the records up to the last commit
+/// point are returned with [`WalReplay::torn`] set. Every other damage
 /// mode — flipped bits, foreign frames, sequence gaps, undecodable
 /// payloads — is a typed [`WalError::Corrupt`] naming the byte offset.
 pub fn read_wal(r: &mut impl Read) -> Result<WalReplay, WalError> {
     let mut records = Vec::new();
     let mut clean_len = 0u64;
+    // Records and bytes up to the last non-batch record.
+    let mut committed = (0, 0u64);
     let mut torn = false;
     loop {
         match read_frame(r) {
@@ -397,6 +404,9 @@ pub fn read_wal(r: &mut impl Read) -> Result<WalReplay, WalError> {
                 }
                 let rec = decode_payload(header.phase, header.epoch, &payload).map_err(corrupt)?;
                 clean_len += (FRAME_HEADER_LEN + payload.len() + 8) as u64;
+                if !matches!(rec, WalRecord::Batch { .. }) {
+                    committed = (records.len() + 1, clean_len);
+                }
                 records.push(rec);
             }
             Err(FrameError::Truncated { .. }) => {
@@ -412,6 +422,9 @@ pub fn read_wal(r: &mut impl Read) -> Result<WalReplay, WalError> {
             }
         }
     }
+    let (count, clean_len) = committed;
+    torn |= count < records.len();
+    records.truncate(count);
     Ok(WalReplay {
         records,
         clean_len,
@@ -451,8 +464,8 @@ pub struct ReplayStats {
 /// [`WalRecord::EpochEnd`] that *is* replayed verifies the resulting
 /// matching size against the logged one — a mismatch means the tail
 /// does not belong to this base and is a typed [`WalError::Replay`].
-/// Replay onto an engine that holds no log: a logging engine would
-/// append the replayed records a second time.
+/// Replay drives the bare verbs, never [`Engine::run_epoch`], so the
+/// replayed records are not logged a second time.
 pub fn replay<E: Engine>(engine: &mut E, records: &[WalRecord]) -> Result<ReplayStats, WalError> {
     let mut stats = ReplayStats::default();
     for rec in records {
@@ -600,6 +613,10 @@ mod tests {
                 "cut at {cut}"
             );
             assert!(replay.clean_len <= cut as u64);
+            assert!(
+                !matches!(replay.records.last(), Some(WalRecord::Batch { .. })),
+                "cut at {cut}: a batch counts only once its epoch closes"
+            );
             if replay.torn {
                 assert!(replay.records.len() < expect.len());
             } else {
@@ -607,8 +624,10 @@ mod tests {
                 assert_eq!(replay.clean_len, cut as u64, "cut at {cut}");
             }
         }
-        // Exactly the 6 record boundaries (including 0 and EOF) read clean.
-        assert_eq!(boundaries, 6);
+        // Exactly the 4 commit boundaries (0, each epoch close, the base
+        // marker, and EOF) read clean; a cut right after a batch is a
+        // torn tail.
+        assert_eq!(boundaries, 4);
     }
 
     #[test]
@@ -771,6 +790,53 @@ mod tests {
         let stats = replay(&mut recovered, &log.records).unwrap();
         assert_eq!(stats.epochs, 2);
         assert_eq!(recovered.match_size(), live.match_size());
+    }
+
+    /// An epoch is the log's commit unit: a batch whose epoch never
+    /// closed is dropped on recovery and cut from the file, so the
+    /// driver that resumes at that epoch applies and logs it once.
+    #[test]
+    fn an_unclosed_epoch_is_applied_once_after_recovery() {
+        let path = std::env::temp_dir().join(format!("salloc-unclosed-{}.wal", std::process::id()));
+        let g = union_of_spanning_trees(40, 30, 2, 2, 5).graph;
+        let cfg = DynamicConfig::for_eps(0.25);
+        let mut batches: Vec<Vec<Update>> = vec![sample_updates(4), sample_updates(17)];
+        batches.push(vec![Update::Arrive {
+            neighbors: vec![1, 2],
+        }]);
+        let mut uninterrupted = ServeLoop::new(g.clone(), cfg.clone());
+        crate::engine::drive(&mut uninterrupted, batches.iter().map(Vec::as_slice)).unwrap();
+
+        let mut live = ServeLoop::new(g.clone(), cfg.clone());
+        let mut w = WalWriter::create(&path).unwrap();
+        for batch in &batches[..2] {
+            live.run_epoch(batch, Some(&mut w)).unwrap();
+        }
+        // The crash: the third batch is logged, its epoch never closes.
+        w.append_batch(2, &batches[2]).unwrap();
+        drop(w);
+
+        let (log, mut w) = WalWriter::open(&path).unwrap();
+        let mut recovered = ServeLoop::new(g, cfg);
+        replay(&mut recovered, &log.records).unwrap();
+        let done = recovered.stats().epochs;
+        assert_eq!(done, 2, "recovery resumes at the unclosed epoch");
+        for batch in &batches[done..] {
+            recovered.run_epoch(batch, Some(&mut w)).unwrap();
+        }
+        drop(w);
+
+        assert_eq!(recovered.assignment().mate, uninterrupted.assignment().mate);
+        assert_eq!(recovered.graph().n_left(), uninterrupted.graph().n_left());
+        assert_eq!(recovered.stats().updates, uninterrupted.stats().updates);
+        assert!(log.torn, "an unclosed epoch is a torn tail");
+        let reread = read_wal_file(&path).unwrap();
+        assert!(!reread.torn);
+        let logged = (reread.records.iter())
+            .filter(|r| matches!(r, WalRecord::Batch { epoch: 2, .. }))
+            .count();
+        assert_eq!(logged, 1, "the re-run epoch is logged once");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

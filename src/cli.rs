@@ -25,8 +25,9 @@ use sparse_alloc_core::pipeline::{solve, Booster, PipelineConfig, Rounder};
 use sparse_alloc_dynamic::adapter::{churn_stream, ChurnMix};
 use sparse_alloc_dynamic::distributed::{BatchReport, ShardedEpochReport};
 use sparse_alloc_dynamic::{
-    snapshot, wal, DynamicConfig, Engine, EpochReport, NetEpochReport, NetServeLoop, ServeLoop,
-    ShardedConfig, ShardedServeLoop, SupervisorConfig, TransportKind, Update, WalWriter,
+    snapshot, wal, DeltaBase, DeltaCheckpoint, DynamicConfig, Engine, EpochReport, NetEpochReport,
+    NetServeLoop, ServeLoop, ShardedConfig, ShardedServeLoop, SupervisorConfig, TransportKind,
+    Update, WalWriter,
 };
 use sparse_alloc_flow::opt::opt_value;
 use sparse_alloc_graph::generators::{
@@ -199,15 +200,16 @@ const USAGE: &str = "usage: salloc <command>
                                           acting on it; with --restore, the
                                           log tail past the snapshot is
                                           replayed first — crash recovery is
-                                          last base + log tail. With --net,
+                                          last base + log tail — and, on any
+                                          engine, periodic --checkpoint-every
+                                          writes after the first full base
+                                          become cheap deltas against it
+                                          (SNAP.delta). With --net,
                                           --max-respawns N / --retry-budget N
                                           let the coordinator retry transient
                                           faults and rebuild a faulted mesh
                                           (re-initialized over the wire)
-                                          before quarantining read-only, and
-                                          periodic --checkpoint-every writes
-                                          become cheap deltas against the
-                                          first full base snapshot. --trace
+                                          before quarantining read-only. --trace
                                           writes every engine phase as a
                                           checksummed JSONL span (measured
                                           nanoseconds + simulated words) plus
@@ -684,13 +686,6 @@ trait Report<E: Engine> {
     /// Runs before 1-based epoch `epoch`.
     fn before_epoch(&mut self, _serve: &mut E, _run: &Run, _epoch: usize) {}
 
-    /// A periodic checkpoint after the first full base, taken at epoch
-    /// `base_at`: write a delta against it and return `true`, or return
-    /// `false` for another full snapshot.
-    fn delta(&mut self, _serve: &mut E, _path: &str, _base_at: usize) -> Result<bool, CliError> {
-        Ok(false)
-    }
-
     /// One epoch's cells under [`Report::COLUMNS`]; `ms` is the epoch's
     /// apply + close wall time.
     fn cells(&mut self, serve: &E, batch: &E::Batch, report: &E::Report, ms: f64) -> Vec<String>;
@@ -718,13 +713,22 @@ fn row(out: &mut String, columns: &[(&str, usize)], cells: impl Iterator<Item = 
 /// The one `salloc dynamic` loop, generic over the engine: WAL open and
 /// replay, the epoch loop with its periodic checkpoints, validation, the
 /// OPT ratio line, the trace and the `--assign` dump.
+///
+/// A periodic checkpoint after the first full base is a delta against
+/// it when a WAL is open (recovery is base + log tail; the delta
+/// verifies it), and another full snapshot otherwise.
 fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result<String, CliError> {
     serve.set_tracer(run.tracer.clone());
     let restored_at = serve.serial().stats().epochs;
     // Crash recovery: a restored engine first replays the WAL tail past
     // its snapshot, then resumes the (identically regenerated) stream
     // from wherever base + tail left off.
-    let (mut walw, wal_note) = open_wal(&mut serve, run)?;
+    let (mut walw, wal_note) = open_wal(&mut serve, run)?.unzip();
+    let checkpoint = |serve: &mut E, cp: &str, wal: Option<&mut WalWriter<std::fs::File>>| {
+        serve
+            .checkpoint(cp.as_ref(), wal)
+            .map_err(|me| err(format!("{cp}: {me}")))
+    };
     // A restored engine resumes where the snapshot (plus any replayed
     // log tail) left off: its epoch counter says how much of the stream
     // was already consumed.
@@ -744,7 +748,10 @@ fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result
     let head = [("epoch", 5), ("events", 7), ("matched", 7)];
     let columns: Vec<(&str, usize)> = head.iter().chain(R::COLUMNS).copied().collect();
     row(&mut out, &columns, columns.iter().map(|c| c.0.to_string()));
-    let mut saved_at: Option<usize> = None;
+    // The last full snapshot written, which deltas diff against.
+    let mut base: Option<DeltaBase> = None;
+    // Delta checkpoints written and their total bytes.
+    let mut deltas = (0usize, 0u64);
     let batches = run.updates.chunks(run.events.max(1)).take(run.epochs);
     for (e, chunk) in batches.enumerate().skip(done) {
         rep.before_epoch(&mut serve, run, e + 1);
@@ -755,15 +762,17 @@ fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         if let Some(cp) = &run.checkpoint {
             if run.every > 0 && (e + 1) % run.every == 0 {
-                let delta = match saved_at {
-                    Some(base_at) => rep.delta(&mut serve, cp, base_at)?,
-                    None => false,
-                };
-                if !delta {
-                    serve
-                        .checkpoint(cp.as_ref())
-                        .map_err(|me| err(format!("{cp}: {me}")))?;
-                    saved_at = Some(e + 1);
+                match (&base, walw.as_mut()) {
+                    (Some(b), Some(_)) => {
+                        let dp = format!("{cp}.delta");
+                        let delta = DeltaCheckpoint::of(serve.serial(), b);
+                        let bytes = snapshot::save_delta(&delta, &dp)
+                            .map_err(|me| err(format!("{dp}: {me}")))?;
+                        deltas = (deltas.0 + 1, deltas.1 + bytes);
+                    }
+                    (_, wal) => {
+                        base = Some(checkpoint(&mut serve, cp, wal)?);
+                    }
                 }
             }
         }
@@ -796,10 +805,8 @@ fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result
         // already produced these exact bytes (a repeat would also charge
         // a sharded engine a second CHECKPOINT ledger phase).
         let epochs = serve.serial().stats().epochs;
-        if saved_at != Some(epochs) {
-            serve
-                .checkpoint(cp.as_ref())
-                .map_err(|me| err(format!("{cp}: {me}")))?;
+        if base.as_ref().map(|b| b.epoch) != Some(epochs as u64) {
+            checkpoint(&mut serve, cp, walw.as_mut())?;
         }
         field(
             &mut out,
@@ -814,6 +821,13 @@ fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result
             "wal",
             format!("{bytes} bytes appended ({records} records)"),
         );
+    }
+    if let (Some(b), (written @ 1.., bytes)) = (&base, deltas) {
+        let line = format!(
+            "{written} written, {bytes} bytes (full base at epoch {})",
+            b.epoch
+        );
+        field(&mut out, "delta checkpoints", line);
     }
     // Finish the `--trace` stream: the final metrics registry, then flush.
     if let Some(p) = &run.trace {
@@ -833,17 +847,16 @@ fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result
 /// opened in place (torn tail repaired) and the records past the last
 /// base marker are replayed onto `serve` — crash recovery's `base + log
 /// tail`. A fresh run truncates the log and starts over. Returns the log
-/// the engine hands back from [`Engine::adopt_wal`] (an engine that logs
-/// from inside its verbs keeps it) and a note on what was done.
+/// and a note on what was done.
 fn open_wal<E: Engine>(
     serve: &mut E,
     run: &Run,
-) -> Result<(Option<WalWriter<std::fs::File>>, Option<String>), CliError> {
+) -> Result<Option<(WalWriter<std::fs::File>, String)>, CliError> {
     let Some(wp) = &run.wal else {
-        return Ok((None, None));
+        return Ok(None);
     };
     let p = std::path::Path::new(wp);
-    let (w, note) = if run.restore.is_some() {
+    let opened = if run.restore.is_some() {
         let (log, w) = WalWriter::open(p).map_err(|e| err(format!("{wp}: {e}")))?;
         let stats = wal::replay(serve, &log.records[log.tail_start()..])
             .map_err(|e| err(format!("{wp}: replay: {e}")))?;
@@ -863,7 +876,7 @@ fn open_wal<E: Engine>(
         let w = WalWriter::create(p).map_err(|e| err(format!("{wp}: {e}")))?;
         (w, format!("logging to {wp}"))
     };
-    Ok((serve.adopt_wal(w), Some(note)))
+    Ok(Some(opened))
 }
 
 /// The serial engine's report: sweep and repair columns, timed against
@@ -1017,8 +1030,8 @@ impl Report<ShardedServeLoop> for ShardedReport {
     }
 }
 
-/// The networked engine's report: wire bytes and frames, supervision,
-/// p2p repair traffic and delta checkpoints.
+/// The networked engine's report: wire bytes and frames, supervision and
+/// p2p repair traffic.
 #[derive(Default)]
 struct NetReport {
     p2p: bool,
@@ -1026,10 +1039,6 @@ struct NetReport {
     rounds: usize,
     /// What `--chaos` injected, once it has.
     chaos: Option<String>,
-    /// Delta checkpoints written and their total bytes.
-    deltas: (usize, u64),
-    /// The epoch of the full base the deltas diff against.
-    base_at: usize,
 }
 
 impl Report<NetServeLoop> for NetReport {
@@ -1074,24 +1083,6 @@ impl Report<NetServeLoop> for NetReport {
                 ));
             }
         }
-    }
-
-    /// Every periodic write after the first full base is a delta against
-    /// it — the cheap periodic path, since recovery is base + WAL tail
-    /// anyway.
-    fn delta(
-        &mut self,
-        serve: &mut NetServeLoop,
-        path: &str,
-        base_at: usize,
-    ) -> Result<bool, CliError> {
-        let dp = format!("{path}.delta");
-        let bytes = serve
-            .checkpoint_delta(&dp)
-            .map_err(|me| err(format!("{dp}: {me}")))?;
-        self.deltas = (self.deltas.0 + 1, self.deltas.1 + bytes);
-        self.base_at = base_at;
-        Ok(true)
     }
 
     fn cells(
@@ -1148,18 +1139,6 @@ impl Report<NetServeLoop> for NetReport {
                 s.recovery_ns as f64 / 1e6,
             );
             field(out, "recovery", recovery);
-        }
-        // The engine keeps its own log (see `Engine::adopt_wal`).
-        if run.wal.is_some() {
-            field(out, "wal", format!("{} bytes appended", serve.wal_bytes()));
-        }
-        let (written, bytes) = self.deltas;
-        if written > 0 {
-            let deltas = format!(
-                "{written} written, {bytes} bytes (full base at epoch {})",
-                self.base_at
-            );
-            field(out, "delta checkpoints", deltas);
         }
         if run.tracer.enabled() {
             run.tracer.emit_snapshot(&serve.metrics_snapshot());

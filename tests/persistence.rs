@@ -14,7 +14,7 @@ mod common;
 
 use common::materialize_ops;
 use proptest::prelude::*;
-use sparse_alloc::dynamic::engine::drive;
+use sparse_alloc::dynamic::engine::{drive, Engine};
 use sparse_alloc::dynamic::{snapshot, wal};
 use sparse_alloc::flow::opt::opt_value;
 use sparse_alloc::prelude::*;
@@ -351,15 +351,14 @@ proptest! {
                 retry_budget: 1,
                 backoff_base: std::time::Duration::from_micros(100),
             });
-            net.attach_wal(wal::WalWriter::create(&wal_path).unwrap());
+            let mut writer = wal::WalWriter::create(&wal_path).unwrap();
             for (e, chunk) in chunks.iter().enumerate() {
                 if e == fault_epoch {
                     net.inject_fault(1.min(shards - 1), fault.clone());
                 }
-                net.apply_batch(chunk).unwrap();
-                net.end_epoch().unwrap();
+                net.run_epoch(chunk, Some(&mut writer)).unwrap();
                 if e + 1 == base_epoch {
-                    net.checkpoint(&base_path).unwrap();
+                    net.checkpoint(&base_path, Some(&mut writer)).unwrap();
                 }
             }
             prop_assert!(
