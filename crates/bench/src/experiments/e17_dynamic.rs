@@ -29,6 +29,13 @@
 //! ~17% cross-run margin below the weakest measured rate while still
 //! failing loudly if the O(τ)-ball repair ever regresses toward the
 //! τ·m full-recompute cost it is supposed to beat.
+//!
+//! The quality column is gated too: every per-rate
+//! `quality_vs_scratch` must be at least `k/(k+1)`, with `k` the
+//! engine's walk budget. The bound is sound whatever the level repair
+//! truncates: the maintained walk-freeness certificate gives
+//! `|M| ≥ k/(k+1)·OPT`, and the from-scratch solution is at most `OPT`.
+//! The record carries its provenance (`nproc`, `profile`, `git_rev`).
 
 use std::time::Instant;
 
@@ -39,7 +46,7 @@ use sparse_alloc_graph::generators::union_of_spanning_trees;
 use sparse_alloc_obs::Registry;
 
 use super::phase_latency_json;
-use crate::table::{f1, f3, json_object, json_str, Table};
+use crate::table::{f1, f3, json_object, json_str, provenance, Table};
 
 const EPS: f64 = 0.25;
 const EPOCHS: usize = 3;
@@ -85,13 +92,13 @@ pub fn run() {
     let mut full_totals = Vec::new();
     let mut quality = Vec::new();
     let mut phase_reg = Registry::new();
+    let cfg = DynamicConfig::for_eps(EPS);
+    let k = cfg.walk_budget;
 
     for &rate in &churn_rates {
         let events_per_epoch = ((m as f64) * rate).round().max(1.0) as usize;
         let updates = churn_stream(&g, EPOCHS * events_per_epoch, &ChurnMix::default(), 23);
-        let cfg = DynamicConfig::for_eps(EPS);
-        let k = cfg.walk_budget;
-        let mut serve = ServeLoop::new(g.clone(), cfg);
+        let mut serve = ServeLoop::new(g.clone(), cfg.clone());
         let (mut incr_total, mut full_total) = (0.0f64, 0.0f64);
         let mut last_quality = 1.0f64;
 
@@ -137,6 +144,9 @@ pub fn run() {
         .map(|(i, f)| f / i.max(1e-9))
         .collect();
     let min_speedup = speedups.iter().cloned().fold(f64::INFINITY, f64::min);
+    let min_quality = k as f64 / (k + 1) as f64;
+    let quality_ok = quality.iter().all(|&q| q >= min_quality);
+    let pass = min_speedup >= MIN_SPEEDUP && quality_ok;
     for ((&rate, &s), &q) in churn_rates.iter().zip(&speedups).zip(&quality) {
         println!(
             "  churn {:>4.1}%: incremental {:.1}× faster over {EPOCHS} epochs, \
@@ -148,20 +158,18 @@ pub fn run() {
     }
     println!(
         "  criterion: ≥ {MIN_SPEEDUP}× at ≤ 1% churn on n ≥ 10^5 (same-box rebase of the \
-         original ≥ 5×; see module docs) — {}",
-        if min_speedup >= MIN_SPEEDUP {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+         original ≥ 5×; see module docs) and maintained/scratch quality ≥ k/(k+1) = \
+         {min_quality:.3} at every rate — {}",
+        if pass { "PASS" } else { "FAIL" }
     );
     println!(
         "  shape: the incremental cost scales with the touched balls (plus one O(n) \
          certificate sweep), the full recompute with τ·m — the gap widens as churn drops."
     );
 
-    let record = json_object(&[
-        ("experiment", json_str("e17_dynamic")),
+    let mut fields = vec![("experiment", json_str("e17_dynamic"))];
+    fields.extend(provenance());
+    fields.extend([
         ("phase_latency_us", phase_latency_json(&phase_reg)),
         ("n", n.to_string()),
         ("m", m.to_string()),
@@ -224,8 +232,10 @@ pub fn run() {
         ),
         ("min_speedup", f1(min_speedup)),
         ("criterion_min_speedup", MIN_SPEEDUP.to_string()),
-        ("pass", (min_speedup >= MIN_SPEEDUP).to_string()),
+        ("criterion_min_quality", f3(min_quality)),
+        ("pass", pass.to_string()),
     ]);
+    let record = json_object(&fields);
     match std::fs::write("BENCH_dynamic.json", format!("{record}\n")) {
         Ok(()) => println!("  wrote BENCH_dynamic.json"),
         Err(e) => println!("  could not write BENCH_dynamic.json: {e}"),

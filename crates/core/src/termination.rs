@@ -40,14 +40,10 @@ pub struct TerminationCheck {
 }
 
 /// The bare §4 predicate over pre-aggregated quantities: returns
-/// `(cond_few_neighbors, cond_mass_allocated)`.
-///
-/// This is the hook reused by incremental engines that evaluate the
-/// stopping rule on a local ball (where `top_neighborhood`, `bottom_size`
-/// and `mass_off_bottom` are aggregated over the ball instead of the
-/// whole graph); [`check`] is the global instantiation.
+/// `(cond_few_neighbors, cond_mass_allocated)`. [`check`] aggregates them
+/// over the whole graph.
 #[inline]
-pub fn condition_holds(
+fn condition_holds(
     top_neighborhood: usize,
     bottom_size: usize,
     mass_off_bottom: f64,

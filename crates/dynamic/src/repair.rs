@@ -11,15 +11,17 @@
 //! levels on the next repair.
 //!
 //! Repairs are approximate by design: the ball radius truncates influence
-//! that has geometrically decayed. The [`crate::scheduler::DriftTracker`]
-//! accounts for the truncation and triggers a full
-//! rebuild once the accumulated churn exceeds the `O(ε)` budget.
-
-use std::collections::HashSet;
+//! that has geometrically decayed, and the size cap
+//! ([`LevelRepairConfig::max_ball`]) truncates the ball itself. The cap
+//! binds on churn-heavy epochs; when it does, the repaired rights are the
+//! first `max_ball` in BFS order from the dirty list, so which rights get
+//! repaired depends on the order of the seeds. The
+//! [`crate::scheduler::DriftTracker`] accounts for both truncations and
+//! triggers a full rebuild once the accumulated churn exceeds the `O(ε)`
+//! budget.
 
 use sparse_alloc_core::aggregates::{alloc_share, left_aggregate_of, LeftAggregate};
 use sparse_alloc_core::levels::{update_level, PowTable};
-use sparse_alloc_core::termination;
 use sparse_alloc_graph::{DeltaGraph, LeftId, RightId};
 
 use crate::stamp::StampSet;
@@ -27,7 +29,8 @@ use crate::stamp::StampSet;
 /// Reusable scratch for repeated ball growths — stamped membership plus
 /// the BFS frontier vectors (the certificate sweep grows a ball per
 /// augmenting flip; stamped clears keep that `O(ball)` instead of `O(n)`
-/// per call, and the frontier reuse keeps it allocation-free).
+/// per call, and the frontier reuse keeps it allocation-free). Grows on
+/// demand with the graph.
 #[derive(Debug, Clone, Default)]
 pub struct BallScratch {
     rights: StampSet,
@@ -36,16 +39,20 @@ pub struct BallScratch {
     next: Vec<RightId>,
 }
 
-impl BallScratch {
-    /// Scratch sized for `dg` (grows on demand if the graph grows).
-    pub fn for_graph(dg: &DeltaGraph) -> Self {
-        BallScratch {
-            rights: StampSet::new(dg.n_right()),
-            lefts: StampSet::new(dg.n_left()),
-            frontier: Vec::new(),
-            next: Vec::new(),
-        }
-    }
+/// Persistent scratch of [`repair_levels`]: the ball growth's scratch
+/// (whose stamped left set doubles as the frontier's seen marks), the
+/// ball, its left frontier, the per-ball-right allocations, and the
+/// per-left aggregates. The aggregates are a dense vector that grows on
+/// demand and is never cleared: every round writes each frontier entry
+/// before any ball right reads it, and a ball right reads only frontier
+/// entries. Ephemeral — no snapshot carries it.
+#[derive(Debug, Default)]
+pub struct LevelScratch {
+    ball: BallScratch,
+    ball_out: Vec<RightId>,
+    frontier: Vec<LeftId>,
+    aggs: Vec<LeftAggregate>,
+    alloc: Vec<f64>,
 }
 
 /// Configuration of one local repair.
@@ -58,8 +65,11 @@ pub struct LevelRepairConfig {
     /// Synchronous proportional rounds to run on the ball.
     pub rounds: usize,
     /// Stop growing the ball once it holds this many right vertices
-    /// (seeds are always included). Bounds repair work under bulk churn;
-    /// the truncation is what the drift budget accounts for.
+    /// (seeds are always included). Bounds repair work under bulk churn
+    /// and binds on churn-heavy epochs; the repaired rights are then the
+    /// first `max_ball` in BFS order from the seed list, so the choice
+    /// depends on seed order. The truncation is what the drift budget
+    /// accounts for.
     pub max_ball: usize,
 }
 
@@ -68,62 +78,34 @@ pub struct LevelRepairConfig {
 pub struct LevelRepairReport {
     /// Right vertices in the repaired ball.
     pub ball_rights: usize,
-    /// The repaired ball itself (sorted): the rights whose levels may
-    /// have moved.
-    pub ball: Vec<RightId>,
-    /// Left vertices adjacent to the ball (their aggregates were read).
-    pub frontier_lefts: usize,
     /// Rounds executed.
     pub rounds_run: usize,
-    /// Did the §4 predicate hold on the ball after the last round?
-    /// (Evaluated with ball-local level sets; `None` if no round ran.)
-    pub ball_terminated: Option<bool>,
-}
-
-/// The right-vertex ball of the given radius around `seeds`, sorted.
-/// Equivalent to [`ball_of_capped`] with no size cap.
-pub fn ball_of(dg: &DeltaGraph, seeds: &[RightId], radius: usize) -> Vec<RightId> {
-    ball_of_capped(dg, seeds, radius, usize::MAX)
 }
 
 /// The right-vertex ball around `seeds`, expanded hop by hop until the
 /// radius is exhausted or the ball holds `max_ball` vertices (seeds are
-/// always included). Sorted.
-///
-/// Stamped membership — the serve loop calls this on every epoch, so the
-/// hot path must not hash, and repeated calls (one per sweep flip) must
-/// not re-zero dense arrays: pass a [`BallScratch`] to
-/// [`ball_of_capped_with`] to amortize. Each left vertex's adjacency is
-/// scanned at most once across the whole growth (its rights' membership
-/// never changes once seen), so a growth that touches the whole graph
-/// costs `O(n + m)` instead of `O(m · deg)`.
+/// always included). Sorted. Allocates fresh scratch; repeated growths
+/// go through [`ball_of_capped_into`].
 pub fn ball_of_capped(
     dg: &DeltaGraph,
     seeds: &[RightId],
     radius: usize,
     max_ball: usize,
 ) -> Vec<RightId> {
-    ball_of_capped_with(dg, seeds, radius, max_ball, &mut BallScratch::for_graph(dg))
-}
-
-/// [`ball_of_capped`] with caller-owned membership scratch (`O(1)` clear
-/// between calls).
-pub fn ball_of_capped_with(
-    dg: &DeltaGraph,
-    seeds: &[RightId],
-    radius: usize,
-    max_ball: usize,
-    scratch: &mut BallScratch,
-) -> Vec<RightId> {
-    let mut ball: Vec<RightId> = Vec::with_capacity(seeds.len());
-    ball_of_capped_into(dg, seeds, radius, max_ball, scratch, &mut ball);
+    let (mut scratch, mut ball) = (BallScratch::default(), Vec::with_capacity(seeds.len()));
+    ball_of_capped_into(dg, seeds, radius, max_ball, &mut scratch, &mut ball);
     ball
 }
 
-/// [`ball_of_capped`] writing into a caller-owned output vector (cleared
-/// on entry) — with the scratch's frontier reuse this makes repeated
-/// growths fully allocation-free, which is what keeps the per-epoch
-/// certificate sweep off the allocator.
+/// [`ball_of_capped`] with caller-owned scratch, writing into a
+/// caller-owned output vector (cleared on entry) — the hot path. The
+/// serve loop grows balls every epoch, so it must not hash, and repeated
+/// calls (one per sweep flip) must not re-zero dense arrays: the stamped
+/// membership clears in `O(1)` and the frontier reuse keeps the growth
+/// allocation-free. Each left vertex's adjacency is scanned at most once
+/// across the whole growth (its rights' membership never changes once
+/// seen), so a growth that touches the whole graph costs `O(n + m)`
+/// instead of `O(m · deg)`.
 pub fn ball_of_capped_into(
     dg: &DeltaGraph,
     seeds: &[RightId],
@@ -241,6 +223,7 @@ pub(crate) fn probe_reaches(
 
 /// Re-run the proportional level dynamics on the ball around `seeds`,
 /// mutating `levels` in place. Exterior levels are read but never written.
+/// `scratch` carries nothing between calls that changes the result.
 ///
 /// # Panics
 /// Panics if `levels.len() != dg.n_right()`.
@@ -249,14 +232,21 @@ pub fn repair_levels(
     levels: &mut [i64],
     seeds: &[RightId],
     cfg: &LevelRepairConfig,
+    scratch: &mut LevelScratch,
 ) -> LevelRepairReport {
     assert_eq!(levels.len(), dg.n_right(), "levels indexed by right vertex");
-    let ball = ball_of_capped(dg, seeds, cfg.radius, cfg.max_ball);
+    let LevelScratch {
+        ball: ball_scratch,
+        ball_out: ball,
+        frontier,
+        aggs,
+        alloc,
+    } = scratch;
+    ball_of_capped_into(dg, seeds, cfg.radius, cfg.max_ball, ball_scratch, ball);
     if ball.is_empty() || cfg.rounds == 0 {
         return LevelRepairReport {
             ball_rights: ball.len(),
-            ball,
-            ..Default::default()
+            rounds_run: 0,
         };
     }
     let pows = PowTable::new(cfg.eps);
@@ -264,29 +254,25 @@ pub fn repair_levels(
     // Left frontier: every left vertex adjacent to the ball. Their
     // aggregates are recomputed each round (their other neighbors'
     // levels are frozen but still read — the computation is exact).
-    // Dense (vertex-indexed) scratch: only frontier entries are written
-    // and only frontier entries are read.
-    let frontier: Vec<u32> = {
-        let mut seen = vec![false; dg.n_left()];
-        let mut f = Vec::new();
-        for &v in &ball {
-            for u in dg.right_neighbors_iter(v) {
-                if !std::mem::replace(&mut seen[u as usize], true) {
-                    f.push(u);
-                }
+    let seen = &mut ball_scratch.lefts;
+    seen.clear();
+    frontier.clear();
+    for &v in ball.iter() {
+        for u in dg.right_neighbors_iter(v) {
+            if seen.insert(u as usize) {
+                frontier.push(u);
             }
         }
-        f.sort_unstable();
-        f
-    };
+    }
+    frontier.sort_unstable();
+    if aggs.len() < dg.n_left() {
+        aggs.resize(dg.n_left(), LeftAggregate::EMPTY);
+    }
+    alloc.clear();
+    alloc.resize(ball.len(), 0.0);
 
-    let mut aggs: Vec<LeftAggregate> = vec![LeftAggregate::EMPTY; dg.n_left()];
-    let mut alloc: Vec<f64> = vec![0.0; ball.len()];
-    let mut base_level = vec![0i64; ball.len()];
-    let mut ball_terminated = None;
-
-    for round in 1..=cfg.rounds {
-        for &u in &frontier {
+    for _ in 0..cfg.rounds {
+        for &u in frontier.iter() {
             aggs[u as usize] = left_aggregate_of(dg.left_neighbors_iter(u), levels, &pows);
         }
         for (i, &v) in ball.iter().enumerate() {
@@ -294,50 +280,16 @@ pub fn repair_levels(
                 .right_neighbors_iter(v)
                 .map(|u| alloc_share(levels[v as usize], &aggs[u as usize], &pows))
                 .sum();
-            if round == 1 {
-                base_level[i] = levels[v as usize];
-            }
         }
         // Synchronous update, exactly like a round of Algorithm 1.
         for (i, &v) in ball.iter().enumerate() {
             levels[v as usize] += update_level(alloc[i], dg.capacity(v), cfg.eps, 1.0, 1.0);
         }
-        if round == cfg.rounds {
-            // Ball-local §4 predicate: level sets relative to the repair's
-            // starting levels, neighborhoods restricted to the ball.
-            let r = round as i64;
-            let mut top_neighborhood = HashSet::new();
-            let mut bottom = 0usize;
-            let mut mass_off_bottom = 0.0;
-            for (i, &v) in ball.iter().enumerate() {
-                let moved = levels[v as usize] - base_level[i];
-                if moved == r {
-                    for u in dg.right_neighbors_iter(v) {
-                        top_neighborhood.insert(u);
-                    }
-                }
-                if moved == -r {
-                    bottom += 1;
-                } else {
-                    mass_off_bottom += alloc[i];
-                }
-            }
-            let (c1, c2) = termination::condition_holds(
-                top_neighborhood.len(),
-                bottom,
-                mass_off_bottom,
-                cfg.eps,
-            );
-            ball_terminated = Some(c1 || c2);
-        }
     }
 
     LevelRepairReport {
         ball_rights: ball.len(),
-        ball,
-        frontier_lefts: frontier.len(),
         rounds_run: cfg.rounds,
-        ball_terminated,
     }
 }
 
@@ -348,6 +300,15 @@ mod tests {
     use sparse_alloc_graph::generators::union_of_spanning_trees;
     use sparse_alloc_graph::BipartiteBuilder;
 
+    fn repair(
+        dg: &DeltaGraph,
+        levels: &mut [i64],
+        seeds: &[RightId],
+        cfg: &LevelRepairConfig,
+    ) -> LevelRepairReport {
+        repair_levels(dg, levels, seeds, cfg, &mut LevelScratch::default())
+    }
+
     #[test]
     fn ball_growth_by_radius() {
         // Path: u0 – v0, u1 – v0, u1 – v1, u2 – v1, u2 – v2.
@@ -356,10 +317,10 @@ mod tests {
             b.add_edge(u, v);
         }
         let dg = DeltaGraph::new(b.build_with_uniform_capacity(1).unwrap());
-        assert_eq!(ball_of(&dg, &[0], 0), vec![0]);
-        assert_eq!(ball_of(&dg, &[0], 1), vec![0, 1]);
-        assert_eq!(ball_of(&dg, &[0], 2), vec![0, 1, 2]);
-        assert_eq!(ball_of(&dg, &[0], 9), vec![0, 1, 2]);
+        assert_eq!(ball_of_capped(&dg, &[0], 0, usize::MAX), vec![0]);
+        assert_eq!(ball_of_capped(&dg, &[0], 1, usize::MAX), vec![0, 1]);
+        assert_eq!(ball_of_capped(&dg, &[0], 2, usize::MAX), vec![0, 1, 2]);
+        assert_eq!(ball_of_capped(&dg, &[0], 9, usize::MAX), vec![0, 1, 2]);
     }
 
     #[test]
@@ -380,7 +341,7 @@ mod tests {
         let dg = DeltaGraph::new(g.clone());
         let mut levels = vec![0i64; g.n_right()];
         let seeds: Vec<u32> = (0..g.n_right() as u32).collect();
-        let rep = repair_levels(
+        let rep = repair(
             &dg,
             &mut levels,
             &seeds,
@@ -393,7 +354,6 @@ mod tests {
         );
         assert_eq!(rep.ball_rights, g.n_right());
         assert_eq!(levels, res.levels);
-        assert!(rep.ball_terminated.is_some());
     }
 
     #[test]
@@ -410,8 +370,8 @@ mod tests {
             rounds: 3,
             max_ball: usize::MAX,
         };
-        let ball = ball_of(&dg, &seeds, cfg.radius);
-        repair_levels(&dg, &mut levels, &seeds, &cfg);
+        let ball = ball_of_capped(&dg, &seeds, cfg.radius, usize::MAX);
+        repair(&dg, &mut levels, &seeds, &cfg);
         for v in 0..g.n_right() {
             if !ball.contains(&(v as u32)) {
                 assert_eq!(levels[v], before[v], "exterior level {v} moved");
@@ -446,7 +406,7 @@ mod tests {
         let drifted = allocs_for_levels(&snapshot, &levels, eps);
         // The capacity cut makes v over-allocated relative to its new C.
         assert!(drifted[v as usize] > 1.0 * (1.0 + eps));
-        repair_levels(
+        repair(
             &DeltaGraph::new(snapshot.clone()),
             &mut levels,
             &[v],
@@ -464,5 +424,45 @@ mod tests {
             drifted[v as usize],
             after[v as usize]
         );
+    }
+
+    #[test]
+    fn reused_scratch_equals_fresh_scratch() {
+        // One scratch across repairs on a graph that grows between calls:
+        // stale aggregates from an earlier, larger frontier and the
+        // on-demand growth past the scratch's old size must not leak
+        // into the levels.
+        let g = union_of_spanning_trees(60, 50, 2, 2, 11).graph;
+        let n_right = g.n_right() as u32;
+        let mut dg = DeltaGraph::new(g);
+        let mut levels: Vec<i64> = (0..dg.n_right()).map(|v| (v % 7) as i64 - 3).collect();
+        let mut scratch = LevelScratch::default();
+        let mut capped = 0;
+        for step in 0..12u32 {
+            if step > 0 {
+                for a in 0..step % 3 + 1 {
+                    dg.arrive(&[(step * 7 + a) % n_right, (step * 13 + 5 * a + 1) % n_right]);
+                }
+            }
+            let seeds: Vec<RightId> = (0..step % 4 + 1)
+                .map(|j| (step * 11 + j * 17) % n_right)
+                .collect();
+            let cfg = LevelRepairConfig {
+                eps: 0.2,
+                radius: 1 + step as usize % 3,
+                rounds: 2 + step as usize % 4,
+                max_ball: if step % 3 == 2 { 6 } else { usize::MAX },
+            };
+            let mut fresh = levels.clone();
+            let want = repair(&dg, &mut fresh, &seeds, &cfg);
+            let got = repair_levels(&dg, &mut levels, &seeds, &cfg, &mut scratch);
+            assert_eq!(got, want, "step {step}: report");
+            assert_eq!(levels, fresh, "step {step}: levels");
+            if got.ball_rights < ball_of_capped(&dg, &seeds, cfg.radius, usize::MAX).len() {
+                capped += 1;
+            }
+        }
+        assert!(capped > 0, "no call exercised the cap");
+        assert!(dg.n_left() > 60, "the graph grew");
     }
 }

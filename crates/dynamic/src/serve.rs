@@ -21,7 +21,7 @@ use sparse_alloc_graph::{Assignment, Bipartite, DeltaGraph, LeftId, RightId};
 use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Tracer};
 
 use crate::repair::{
-    ball_of_capped_into, probe_reaches, repair_levels, BallScratch, LevelRepairConfig,
+    ball_of_capped_into, probe_reaches, repair_levels, BallScratch, LevelRepairConfig, LevelScratch,
 };
 use crate::scheduler::{CompactionPolicy, DriftTracker};
 use crate::stamp::StampSet;
@@ -72,8 +72,11 @@ pub struct DynamicConfig {
     /// lives or dies by the footprint radius.
     pub eager_walk_budget: usize,
     /// Cap on the β-repair ball size (right vertices). Bounds the repair
-    /// work per epoch under bulk churn; the truncation is covered by the
-    /// drift budget.
+    /// work per epoch under bulk churn, and binds on churn-heavy epochs
+    /// (counted by `Counter::LevelCapHits`). When it binds, the repaired
+    /// rights are the first `repair_ball_cap` in BFS order from the
+    /// epoch's dirty list, so the choice depends on the order updates
+    /// marked them. The truncation is covered by the drift budget.
     pub repair_ball_cap: usize,
 }
 
@@ -254,6 +257,9 @@ pub struct ServeLoop {
     /// membership + reusable vectors), so an epoch close performs no
     /// `O(n)` dense allocations.
     sweep_scratch: SweepScratch,
+    /// Persistent scratch for the per-epoch β-level repair, so it
+    /// performs no `O(n)` dense allocation either.
+    level_scratch: LevelScratch,
     /// Hot-path metrics (counters, distributions, per-phase latency).
     /// Always carried; a disabled registry turns every record call into
     /// one predictable branch (the e19 overhead A/B).
@@ -527,6 +533,7 @@ impl ServeLoop {
             stats: ServeStats::default(),
             frac_reads: Cell::new(0),
             sweep_scratch: SweepScratch::default(),
+            level_scratch: LevelScratch::default(),
             obs: Registry::new(),
             tracer: Tracer::default(),
         }
@@ -799,9 +806,13 @@ impl ServeLoop {
                         rounds: self.cfg.repair_rounds,
                         max_ball: self.cfg.repair_ball_cap,
                     },
+                    &mut self.level_scratch,
                 );
                 self.stats.repair_rounds += rep.rounds_run;
                 report.ball_rights = rep.ball_rights;
+                if rep.ball_rights >= self.cfg.repair_ball_cap {
+                    self.obs.inc(Counter::LevelCapHits, 1);
+                }
                 self.obs.phase_ns(Phase::LevelRepair, sp.close());
             }
             if self
@@ -1038,9 +1049,9 @@ impl ServeLoop {
 
     /// Borrow everything a warm restart persists (see
     /// [`snapshot`](crate::snapshot) for the on-disk format) — no copy:
-    /// checkpoints serialize the live state in place. The sweep and wave
-    /// scratch are deliberately absent: both are rebuildable caches whose
-    /// loss changes no observable allocation state.
+    /// checkpoints serialize the live state in place. The sweep and
+    /// level-repair scratch are deliberately absent: both are rebuildable
+    /// caches whose loss changes no observable allocation state.
     pub(crate) fn parts_ref(&self) -> ServePartsRef<'_> {
         ServePartsRef {
             cfg: &self.cfg,
@@ -1110,6 +1121,7 @@ impl ServeLoop {
             stats: p.stats,
             frac_reads: Cell::new(0),
             sweep_scratch: SweepScratch::default(),
+            level_scratch: LevelScratch::default(),
             obs: Registry::new(),
             tracer: Tracer::default(),
         })
@@ -1301,6 +1313,26 @@ mod tests {
             "size {} vs OPT {opt}",
             s.match_size()
         );
+    }
+
+    #[test]
+    fn level_cap_hits_count_epochs_whose_ball_reached_the_cap() {
+        let g = union_of_spanning_trees(120, 100, 3, 2, 7).graph;
+        for (cap, hits) in [(1, 1), (usize::MAX, 0)] {
+            let cfg = DynamicConfig {
+                repair_ball_cap: cap,
+                ..DynamicConfig::for_eps(0.25)
+            };
+            let mut s = ServeLoop::new(g.clone(), cfg);
+            for v in [0, 1] {
+                let c = s.graph().capacity(v);
+                s.apply(&Update::SetCapacity { v, cap: c + 1 });
+            }
+            let r = close(&mut s);
+            assert!(!r.rebuilt);
+            assert!(r.ball_rights >= 2, "both dirty rights are seeds");
+            assert_eq!(s.obs().counter(Counter::LevelCapHits), hits, "cap {cap}");
+        }
     }
 
     #[test]

@@ -47,11 +47,13 @@ pub enum Counter {
     ReplayedBytes,
     /// Bytes appended to the write-ahead log.
     WalBytes,
+    /// Epochs whose β-level repair ball reached the size cap.
+    LevelCapHits,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 16] = [
+    pub const ALL: [Counter; 17] = [
         Counter::WalkExpansions,
         Counter::SearchCapHits,
         Counter::SweepExpansions,
@@ -68,6 +70,7 @@ impl Counter {
         Counter::NetRespawns,
         Counter::ReplayedBytes,
         Counter::WalBytes,
+        Counter::LevelCapHits,
     ];
 
     /// Stable export name.
@@ -89,6 +92,7 @@ impl Counter {
             Counter::NetRespawns => "net_respawns",
             Counter::ReplayedBytes => "replayed_bytes",
             Counter::WalBytes => "wal_bytes",
+            Counter::LevelCapHits => "level_cap_hits",
         }
     }
 }
