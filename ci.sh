@@ -328,6 +328,10 @@ if [ "${1:-}" != "fast" ]; then
     cargo test --release -q -p sparse-alloc-graph --lib delta::tests::compact_matches_builder
     cargo test --release -q --test properties fractional_equals_scratch_under_updates
 
+    step "long soak under --release (certificate, k/(k+1)·OPT, churn budget, fractional bound, restores)"
+    cargo test --release -q --test soak -- --ignored \
+        || { echo "soak FAILED: the served allocation broke a paper guarantee over a long churn run"; exit 1; }
+
     step "transport fault-injection harness under --release (star spokes + p2p peer links)"
     cargo test --release -q --test transport
     # Worker inboxes (tagging, deadlines, closed/truncated links, reader

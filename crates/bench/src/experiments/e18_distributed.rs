@@ -25,7 +25,7 @@ use sparse_alloc_graph::generators::union_of_spanning_trees;
 use sparse_alloc_obs::Registry;
 
 use super::phase_latency_json;
-use crate::table::{f1, json_object, json_str, Table};
+use crate::table::{f1, json_object, json_str, provenance, Table};
 
 const EPS: f64 = 0.25;
 const EPOCHS: usize = 3;
@@ -123,8 +123,9 @@ pub fn run() {
     );
 
     let join = |xs: &[String]| format!("[{}]", xs.join(", "));
-    let record = json_object(&[
-        ("experiment", json_str("e18_distributed")),
+    let mut fields = vec![("experiment", json_str("e18_distributed"))];
+    fields.extend(provenance());
+    fields.extend([
         ("phase_latency_us", phase_latency_json(&phase_reg)),
         ("n", n.to_string()),
         ("m", m.to_string()),
@@ -160,6 +161,7 @@ pub fn run() {
         ("matched", serial_size.to_string()),
         ("sizes_equal_serial", all_equal.to_string()),
     ]);
+    let record = json_object(&fields);
     match std::fs::write("BENCH_distributed.json", format!("{record}\n")) {
         Ok(()) => println!("  wrote BENCH_distributed.json"),
         Err(e) => println!("  could not write BENCH_distributed.json: {e}"),

@@ -27,7 +27,7 @@ use sparse_alloc_graph::generators::union_of_spanning_trees;
 use sparse_alloc_obs::Registry;
 
 use super::phase_latency_json;
-use crate::table::{f1, f3, json_object, json_str, Table};
+use crate::table::{f1, f3, json_object, json_str, provenance, Table};
 
 const EPS: f64 = 0.25;
 const CHURN: f64 = 0.005; // events per epoch as a fraction of m
@@ -150,8 +150,9 @@ pub fn run() {
         if pass { "PASS" } else { "FAIL" }
     );
 
-    let record = json_object(&[
-        ("experiment", json_str("e20_persistence")),
+    let mut fields = vec![("experiment", json_str("e20_persistence"))];
+    fields.extend(provenance());
+    fields.extend([
         ("n", n.to_string()),
         ("m", m.to_string()),
         ("eps", EPS.to_string()),
@@ -174,6 +175,7 @@ pub fn run() {
         ("phase_latency_us", phase_latency_json(&phase_reg)),
         ("pass", pass.to_string()),
     ]);
+    let record = json_object(&fields);
     match std::fs::write("BENCH_persistence.json", format!("{record}\n")) {
         Ok(()) => println!("  wrote BENCH_persistence.json"),
         Err(e) => println!("  could not write BENCH_persistence.json: {e}"),

@@ -14,8 +14,7 @@
 //! | update vocabulary (arrive/depart/insert/delete/capacity) | [`update`] |
 //! | bounded augmenting-walk repair of the integral allocation | [`walks`] |
 //! | `O(τ)`-ball repair of the β-levels | [`repair`] |
-//! | drift budget + compaction policy | [`scheduler`] |
-//! | the serving façade | [`serve`] |
+//! | the serving façade; its churn budget folds the overlay | [`serve`] |
 //! | epoch-stamped sets/maps for the scheduling hot path | [`stamp`] |
 //! | conflict batching of update balls into parallel waves | [`batch`] |
 //! | sharded serving across the MPC simulator | [`distributed`] |
@@ -37,9 +36,10 @@
 //! graph (`k` = [`DynamicConfig::walk_budget`]), hence size
 //! `≥ k/(k+1) · OPT` — the same certificate the static pipeline's
 //! boosting stage produces, maintained incrementally. The fractional
-//! β-levels are repaired on the dirty ball only; the truncation error is
-//! metered by a drift budget, and exceeding the `O(ε)` budget triggers a
-//! full static rebuild.
+//! β-levels are repaired on the dirty ball only. Once the churn since
+//! the last fold exceeds the `O(ε)` budget, the overlay folds into a
+//! fresh snapshot; the fold keeps the matching and re-solves the levels
+//! only if their fractional weight has fallen below `(1 − ε/2)·|M|`.
 //!
 //! # Distributed serving
 //!
@@ -69,7 +69,7 @@
 //! Both engines checkpoint to a versioned, checksummed binary snapshot
 //! ([`snapshot`]) and restore **warm**: the restored engine is
 //! observably identical to one that never stopped — same mate vector,
-//! same `k/(k+1)` certificate, same drift budget and epoch counters —
+//! same `k/(k+1)` certificate, same churn budget and epoch counters —
 //! and a sharded snapshot can be restored onto a *different* shard count
 //! (`tests/persistence.rs` proves both). The CLI exposes the path as
 //! `salloc dynamic --checkpoint/--restore`.
@@ -107,7 +107,6 @@ pub mod distributed;
 pub mod engine;
 pub mod net;
 pub mod repair;
-pub mod scheduler;
 pub mod serve;
 pub mod snapshot;
 pub mod stamp;

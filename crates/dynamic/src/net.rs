@@ -114,14 +114,15 @@
 //! `WAVE` frame shipped it, and the coordinator keeps a per-worker record
 //! of which rows that worker holds current, so a frame names its
 //! footprint by id and ships only the missing or stale rows. A wave's
-//! structural updates (arrive, depart, edge insert/delete, capacity)
-//! mark the rows they rewrite stale for every worker; a compaction or
-//! drift rebuild re-sorts rows into CSR order and, like every re-`INIT`,
-//! forgets everything. A frame naming an id with neither a cached nor a
-//! shipped row is refused by a NACK naming that id. Walks read the cache
-//! through the wave's footprint membership, so they see exactly the
-//! topology a frame shipping every row would carry. The `CENSUS` ack
-//! reports each cache's words apart from the slice's resident words.
+//! structural updates (arrive, depart, edge insert/delete, capacity) mark
+//! the rows they rewrite stale for every worker; an overlay fold re-sorts
+//! rows into CSR order and, like every re-`INIT`, forgets everything (a
+//! fold that re-solves the levels moves no row). A frame naming an id
+//! with neither a cached nor a shipped row is refused by a NACK naming
+//! that id. Walks read the cache through the wave's footprint membership,
+//! so they see exactly the topology a frame shipping every row would
+//! carry. The `CENSUS` ack reports each cache's words apart from the
+//! slice's resident words.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::Path;
@@ -1735,16 +1736,15 @@ struct RemotePlanOutcome {
 /// The coordinator's record of which wave-topology rows each p2p worker
 /// holds current ([`TopoCache`]): a `WAVE` frame ships a row only to a
 /// worker whose record lacks it. A wave's structural half forgets the
-/// rows it rewrote; a compaction or drift rebuild (which re-sorts rows
-/// into CSR order) and every (re-)INIT forget everything.
+/// rows it rewrote; an overlay fold (which re-sorts rows into CSR order)
+/// and every (re-)INIT forget everything.
 #[derive(Debug, Default)]
 struct TopoRecord {
     /// `lefts[w][u]`: worker `w` holds left `u`'s current row.
     lefts: Vec<Vec<bool>>,
     /// `rights[w][v]`: worker `w` holds right `v`'s current row.
     rights: Vec<Vec<bool>>,
-    /// Compactions + drift rebuilds of the serial core when the record
-    /// was last valid.
+    /// Overlay folds of the serial core when the record was last valid.
     layout: usize,
     /// Debug builds: per worker, every row as last shipped (`(is_right,
     /// id)` → capacity-led right row or plain left row), so each cache
@@ -2512,12 +2512,9 @@ impl NetServeLoop {
         let Some(mut staged) = self.inner.stage_batch(wire)? else {
             return Ok(BatchReport::default());
         };
-        let layout = {
-            let s = self.inner.serve_stats();
-            s.compactions + s.rebuilds
-        };
+        let layout = self.inner.serve_stats().compactions;
         if layout != self.topo.layout {
-            // Compaction re-sorted every row into CSR order.
+            // A fold re-sorted every row into CSR order.
             self.topo.reset(self.mesh.workers());
             self.topo.layout = layout;
         }
@@ -3772,8 +3769,8 @@ mod tests {
     }
 
     /// One deterministic stream through every way a cached topology row
-    /// goes stale — compaction and drift rebuild (tiny thresholds),
-    /// capacity changes, a departure revived by an edge insert, and a
+    /// goes stale — an overlay fold (tiny churn budget), capacity
+    /// changes, a departure revived by an edge insert, and a
     /// supervised respawn — still gathers exactly the serial allocation,
     /// and an epoch on a warm cache ships fewer wave bytes than the cold
     /// first one.
@@ -3781,9 +3778,7 @@ mod tests {
     fn the_topology_cache_stays_coherent_through_every_invalidation() {
         let g = union_of_spanning_trees(60, 45, 2, 2, 33).graph;
         let mut cfg = ShardedConfig::for_eps(0.25, 3);
-        // Thresholds tuned so the cache runs warm for a few epochs first:
-        // the drift rebuild closes epoch 6 and a compaction epoch 8.
-        cfg.dynamic.compact_threshold = 0.2;
+        // Budget tuned so the cache runs warm for a few epochs first.
         cfg.dynamic.drift_threshold = 1.2;
         let dynamic = cfg.dynamic.clone();
         let churn = churn_stream(&g, 300, &ChurnMix::default(), 33);
@@ -3805,7 +3800,7 @@ mod tests {
             backoff_base: Duration::from_micros(100),
         });
         let mut serial = ServeLoop::new(g, dynamic);
-        let (mut compacted, mut rebuilt) = (0, 0);
+        let mut compacted = 0;
         let mut wave_bytes = Vec::new();
         let mut prev = net.net_stats();
         for (e, chunk) in chunks.iter().enumerate() {
@@ -3816,7 +3811,6 @@ mod tests {
             net.apply_batch(chunk).unwrap();
             let rep = net.end_epoch().unwrap();
             compacted += rep.inner.serial.compacted as usize;
-            rebuilt += rep.inner.serial.rebuilt as usize;
             for up in chunk {
                 serial.apply(up);
             }
@@ -3826,8 +3820,7 @@ mod tests {
             prev = s;
         }
         let s = net.net_stats();
-        assert!(compacted >= 1, "a compaction fired");
-        assert!(rebuilt >= 1, "a drift rebuild fired");
+        assert!(compacted >= 1, "a fold fired");
         assert!(s.respawns >= 1, "the fault cost a respawn");
         assert!(net.quarantine_reason().is_none());
         assert!(

@@ -15,10 +15,10 @@
 //! ([`LevelRepairConfig::max_ball`]) truncates the ball itself. The cap
 //! binds on churn-heavy epochs; when it does, the repaired rights are the
 //! first `max_ball` in BFS order from the dirty list, so which rights get
-//! repaired depends on the order of the seeds. The
-//! [`crate::scheduler::DriftTracker`] accounts for both truncations and
-//! triggers a full rebuild once the accumulated churn exceeds the `O(ε)`
-//! budget.
+//! repaired depends on the order of the seeds. The serve loop checks
+//! what both truncations cost at every overlay fold: it re-solves the
+//! levels from scratch when their fractional weight has fallen below
+//! `(1 − ε/2)·|M|`.
 
 use sparse_alloc_core::aggregates::{alloc_share, left_aggregate_of, LeftAggregate};
 use sparse_alloc_core::levels::{update_level, PowTable};
@@ -68,8 +68,8 @@ pub struct LevelRepairConfig {
     /// (seeds are always included). Bounds repair work under bulk churn
     /// and binds on churn-heavy epochs; the repaired rights are then the
     /// first `max_ball` in BFS order from the seed list, so the choice
-    /// depends on seed order. The truncation is what the drift budget
-    /// accounts for.
+    /// depends on seed order. The serve loop's fold re-solves the levels
+    /// if the truncation has cost them more than `ε/2` of `|M|`.
     pub max_ball: usize,
 }
 

@@ -4,9 +4,12 @@
 //! β-levels of the proportional dynamics, and the maintained integral
 //! allocation. Updates are applied with `O(τ)`-ball local repairs;
 //! [`ServeLoop::end_epoch`] restores the global `k/(k+1)` walk-freeness
-//! certificate, re-runs the level dynamics on the dirty ball, and falls
-//! back to a full static rebuild when the accumulated drift exceeds the
-//! `O(ε)` budget (or compacts the overlay when it outgrows its snapshot).
+//! certificate, re-runs the level dynamics on the dirty ball, and folds
+//! the overlay into a fresh CSR snapshot once the churn since the last
+//! fold exceeds the `O(ε)` budget. A fold keeps the certified matching;
+//! it re-solves the levels only when their fractional weight has fallen
+//! below `(1 − ε/2)·|M|`. Rounding and boosting run once, in
+//! [`ServeLoop::new`].
 //!
 //! Between epochs, queries ([`ServeLoop::query`],
 //! [`ServeLoop::match_size`]) are `O(1)` reads of maintained state.
@@ -23,7 +26,6 @@ use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Tracer};
 use crate::repair::{
     ball_of_capped_into, probe_reaches, repair_levels, BallScratch, LevelRepairConfig, LevelScratch,
 };
-use crate::scheduler::{CompactionPolicy, DriftTracker};
 use crate::stamp::StampSet;
 use crate::update::Update;
 use crate::walks::{
@@ -45,11 +47,10 @@ pub struct DynamicConfig {
     pub repair_radius: usize,
     /// Proportional rounds per β-repair.
     pub repair_rounds: usize,
-    /// Fraction of live edges' worth of churn that triggers a full
-    /// rebuild (the `O(ε)` drift budget).
+    /// Fraction of live edges' worth of churn that folds the overlay
+    /// (the `O(ε)` drift budget). Every overlay edge is charged to it, so
+    /// the overlay never exceeds `drift_threshold · m` at an epoch close.
     pub drift_threshold: f64,
-    /// Overlay fraction that triggers compaction.
-    pub compact_threshold: f64,
     /// Visit cap for the *eager* per-update walk searches (the epoch
     /// sweep is always exact). A failed unbounded search pays for the
     /// whole `O(deg^k)` ball, so eager repairs give up early and leave
@@ -76,7 +77,8 @@ pub struct DynamicConfig {
     /// (counted by `Counter::LevelCapHits`). When it binds, the repaired
     /// rights are the first `repair_ball_cap` in BFS order from the
     /// epoch's dirty list, so the choice depends on the order updates
-    /// marked them. The truncation is covered by the drift budget.
+    /// marked them. A fold re-solves the levels if the truncation has
+    /// cost their fractional weight more than `ε/2` of `|M|`.
     pub repair_ball_cap: usize,
 }
 
@@ -92,7 +94,6 @@ impl DynamicConfig {
             repair_radius: 2,
             repair_rounds: k.clamp(2, 8),
             drift_threshold: eps / 2.0,
-            compact_threshold: 0.25,
             eager_search_cap: 64,
             eager_walk_budget: k,
             repair_ball_cap: 4096,
@@ -146,9 +147,10 @@ pub struct ServeStats {
     pub updates: usize,
     /// Epochs closed.
     pub epochs: usize,
-    /// Full static rebuilds (drift budget exceeded).
+    /// Folds that re-solved the levels (their fractional weight had
+    /// fallen below `(1 − ε/2)·|M|`).
     pub rebuilds: usize,
-    /// Overlay compactions.
+    /// Overlay folds (churn budget exceeded).
     pub compactions: usize,
     /// Augmenting walks flipped (local repairs + sweeps).
     pub augmentations: usize,
@@ -172,9 +174,9 @@ pub struct EpochReport {
     pub sweep_expansions: u64,
     /// Right vertices in the β-repair ball (0 if no repair ran).
     pub ball_rights: usize,
-    /// Did the drift budget force a full rebuild?
+    /// Did the fold re-solve the levels?
     pub rebuilt: bool,
-    /// Was the overlay compacted?
+    /// Did the churn budget fold the overlay?
     pub compacted: bool,
     /// `|M|` after the epoch.
     pub match_size: usize,
@@ -247,8 +249,11 @@ pub struct ServeLoop {
     /// every right a successful augmenting flip touched. Drives the
     /// dirty-component sweep and the sharded loop's handoff accounting.
     sweep_dirty: Vec<RightId>,
-    drift: DriftTracker,
-    compaction: CompactionPolicy,
+    /// Churn charged since the last fold: an arrival its degree (at least
+    /// 1), a departure its freed edges, an edge insert or delete 1, a
+    /// capacity move its size. Persisted, so a restored engine folds on
+    /// the uninterrupted run's schedule.
+    drift: f64,
     stats: ServeStats,
     /// [`ServeLoop::fractional`] calls, each a full recompute (see
     /// [`ServeLoop::fractional_cache_counters`]).
@@ -518,18 +523,23 @@ impl ServeLoop {
     /// greedy rounding → walk boosting) and start serving from that
     /// state.
     pub fn new(base: Bipartite, cfg: DynamicConfig) -> Self {
-        let drift = DriftTracker::new(cfg.drift_threshold);
-        let compaction = CompactionPolicy::new(cfg.compact_threshold);
-        let (dg, levels, matching) = Self::solve_static(base, &cfg);
+        assert!(
+            cfg.drift_threshold > 0.0,
+            "drift threshold must be positive"
+        );
+        let solved = run_with_guessing(&base, cfg.eps).result;
+        let rounded = rounding::round_greedy(&base, &solved.fractional);
+        let (boosted, _) = boost_hk(&base, &rounded, cfg.walk_budget);
+        let dg = DeltaGraph::new(base);
+        let matching = Matching::from_assignment(&dg, &boosted);
         ServeLoop {
             cfg,
             dg,
-            levels,
+            levels: solved.levels,
             matching,
             dirty: Vec::new(),
             sweep_dirty: Vec::new(),
-            drift,
-            compaction,
+            drift: 0.0,
             stats: ServeStats::default(),
             frac_reads: Cell::new(0),
             sweep_scratch: SweepScratch::default(),
@@ -537,16 +547,6 @@ impl ServeLoop {
             obs: Registry::new(),
             tracer: Tracer::default(),
         }
-    }
-
-    fn solve_static(base: Bipartite, cfg: &DynamicConfig) -> (DeltaGraph, Vec<i64>, Matching) {
-        let out = run_with_guessing(&base, cfg.eps);
-        let levels = out.result.levels;
-        let rounded = rounding::round_greedy(&base, &out.result.fractional);
-        let (boosted, _) = boost_hk(&base, &rounded, cfg.walk_budget);
-        let dg = DeltaGraph::new(base);
-        let matching = Matching::from_assignment(&dg, &boosted);
-        (dg, levels, matching)
     }
 
     /// Apply one update with its local repairs. Returns the id assigned
@@ -585,7 +585,7 @@ impl ServeLoop {
                     None => self.dg.arrive(neighbors),
                 };
                 self.matching.ensure_left(self.dg.n_left());
-                self.drift.charge(neighbors.len().max(1) as f64);
+                self.drift += neighbors.len().max(1) as f64;
                 for &v in neighbors {
                     self.mark_dirty(v);
                 }
@@ -593,7 +593,7 @@ impl ServeLoop {
             }
             Update::Depart { u } => {
                 let freed = self.dg.depart(*u);
-                self.drift.charge(freed.len() as f64);
+                self.drift += freed.len() as f64;
                 for &v in &freed {
                     self.mark_dirty(v);
                 }
@@ -601,7 +601,7 @@ impl ServeLoop {
             }
             Update::InsertEdge { u, v } => {
                 if self.dg.insert_edge(*u, *v) {
-                    self.drift.charge(1.0);
+                    self.drift += 1.0;
                     self.mark_dirty(*v);
                     (RepairPlan::Place { u: *u }, None)
                 } else {
@@ -610,7 +610,7 @@ impl ServeLoop {
             }
             Update::DeleteEdge { u, v } => {
                 if self.dg.delete_edge(*u, *v) {
-                    self.drift.charge(1.0);
+                    self.drift += 1.0;
                     self.mark_dirty(*v);
                     (RepairPlan::Rematch { u: *u, v: *v }, None)
                 } else {
@@ -620,7 +620,7 @@ impl ServeLoop {
             Update::SetCapacity { v, cap } => {
                 let old = self.dg.capacity(*v);
                 self.dg.set_capacity(*v, *cap);
-                self.drift.charge(old.abs_diff(*cap) as f64);
+                self.drift += old.abs_diff(*cap) as f64;
                 self.mark_dirty(*v);
                 let plan = if *cap < old {
                     RepairPlan::Evict { v: *v }
@@ -766,10 +766,9 @@ impl ServeLoop {
     }
 
     /// Close the epoch: restore the global `k/(k+1)` certificate, repair
-    /// the β-levels on the dirty ball, and rebuild or compact if the
-    /// scheduler says so. Each step is its own phase (`cert_sweep`,
-    /// `level_repair`, `compaction` — a drift rebuild, which folds the
-    /// overlay too, records as `compaction`).
+    /// the β-levels on the dirty ball, and fold the overlay once the churn
+    /// since the last fold exceeds `drift_threshold · m`. Each step is its
+    /// own phase (`cert_sweep`, `level_repair`, `compaction`).
     pub fn end_epoch(&mut self) -> EpochReport {
         self.stats.epochs += 1;
         let epoch = self.stats.epochs as u64;
@@ -777,60 +776,71 @@ impl ServeLoop {
             .observe(Dist::SweepSize, self.sweep_dirty.len() as u64);
         let mut report = EpochReport::default();
 
-        if self.drift.should_rebuild(self.dg.m()) {
+        let sp = self.tracer.span(Phase::CertSweep, epoch);
+        let exp0 = self.matching.expansions();
+        let (aug, starts) = self.certificate_sweep();
+        self.stats.augmentations += aug;
+        self.obs.inc(Counter::Augmentations, aug as u64);
+        report.sweep_augmentations = aug;
+        report.sweep_starts = starts;
+        report.sweep_expansions = self.matching.expansions() - exp0;
+        self.obs
+            .inc(Counter::SweepExpansions, report.sweep_expansions);
+        self.obs.phase_ns(Phase::CertSweep, sp.close());
+        if !self.dirty.is_empty() {
+            let sp = self.tracer.span(Phase::LevelRepair, epoch);
+            let rep = repair_levels(
+                &self.dg,
+                &mut self.levels,
+                &self.dirty,
+                &LevelRepairConfig {
+                    eps: self.cfg.eps,
+                    radius: self.cfg.repair_radius,
+                    rounds: self.cfg.repair_rounds,
+                    max_ball: self.cfg.repair_ball_cap,
+                },
+                &mut self.level_scratch,
+            );
+            self.stats.repair_rounds += rep.rounds_run;
+            report.ball_rights = rep.ball_rights;
+            if rep.ball_rights >= self.cfg.repair_ball_cap {
+                self.obs.inc(Counter::LevelCapHits, 1);
+            }
+            self.obs.phase_ns(Phase::LevelRepair, sp.close());
+        }
+        if self.drift > self.cfg.drift_threshold * self.dg.m() as f64 {
             let sp = self.tracer.span(Phase::Compaction, epoch);
-            self.rebuild();
-            report.rebuilt = true;
+            report.rebuilt = self.fold();
+            report.compacted = true;
             self.obs.phase_ns(Phase::Compaction, sp.close());
-        } else {
-            let sp = self.tracer.span(Phase::CertSweep, epoch);
-            let exp0 = self.matching.expansions();
-            let (aug, starts) = self.certificate_sweep();
-            self.stats.augmentations += aug;
-            self.obs.inc(Counter::Augmentations, aug as u64);
-            report.sweep_augmentations = aug;
-            report.sweep_starts = starts;
-            report.sweep_expansions = self.matching.expansions() - exp0;
-            self.obs
-                .inc(Counter::SweepExpansions, report.sweep_expansions);
-            self.obs.phase_ns(Phase::CertSweep, sp.close());
-            if !self.dirty.is_empty() {
-                let sp = self.tracer.span(Phase::LevelRepair, epoch);
-                let rep = repair_levels(
-                    &self.dg,
-                    &mut self.levels,
-                    &self.dirty,
-                    &LevelRepairConfig {
-                        eps: self.cfg.eps,
-                        radius: self.cfg.repair_radius,
-                        rounds: self.cfg.repair_rounds,
-                        max_ball: self.cfg.repair_ball_cap,
-                    },
-                    &mut self.level_scratch,
-                );
-                self.stats.repair_rounds += rep.rounds_run;
-                report.ball_rights = rep.ball_rights;
-                if rep.ball_rights >= self.cfg.repair_ball_cap {
-                    self.obs.inc(Counter::LevelCapHits, 1);
-                }
-                self.obs.phase_ns(Phase::LevelRepair, sp.close());
-            }
-            if self
-                .compaction
-                .should_compact(self.dg.overlay_edges(), self.dg.m())
-            {
-                let sp = self.tracer.span(Phase::Compaction, epoch);
-                self.dg = DeltaGraph::new(self.dg.compact());
-                self.stats.compactions += 1;
-                report.compacted = true;
-                self.obs.phase_ns(Phase::Compaction, sp.close());
-            }
         }
 
         self.dirty.clear();
         self.sweep_dirty.clear();
         report.match_size = self.matching.size();
         report
+    }
+
+    /// Fold the overlay into a fresh CSR snapshot and reset the churn
+    /// budget. Vertex ids survive compaction, so the certified matching
+    /// is kept as it stands. The levels are re-solved from scratch on the
+    /// folded graph only when their fractional weight `W` has fallen below
+    /// `(1 − ε/2)·|M|`: the certified matching is a lower bound on the
+    /// optimum that comes for free. Returns whether the levels were
+    /// re-solved.
+    fn fold(&mut self) -> bool {
+        let g = self.dg.compact();
+        let eps = self.cfg.eps;
+        let w = finalize_from_levels(&g, &self.levels, eps).weight;
+        let resolve = w < (1.0 - eps / 2.0) * self.matching.size() as f64;
+        if resolve {
+            self.levels = run_with_guessing(&g, eps).result.levels;
+            self.stats.rebuilds += 1;
+        }
+        self.dg = DeltaGraph::new(g);
+        self.drift = 0.0;
+        self.stats.compactions += 1;
+        resolve
     }
 
     /// Restore the `k/(k+1)` certificate, skipping free left vertices
@@ -934,19 +944,6 @@ impl ServeLoop {
                 return (total, starts);
             }
         }
-    }
-
-    /// Force a full static rebuild from the compacted live graph.
-    pub fn rebuild(&mut self) {
-        let snapshot = self.dg.compact();
-        let (dg, levels, matching) = Self::solve_static(snapshot, &self.cfg);
-        self.dg = dg;
-        self.levels = levels;
-        self.matching = matching;
-        self.drift.reset();
-        self.stats.rebuilds += 1;
-        self.dirty.clear();
-        self.sweep_dirty.clear();
     }
 
     fn mark_dirty(&mut self, v: RightId) {
@@ -1062,7 +1059,7 @@ impl ServeLoop {
             expansions: self.matching.expansions(),
             dirty: &self.dirty,
             sweep_dirty: &self.sweep_dirty,
-            drift_accumulated: self.drift.accumulated(),
+            drift_accumulated: self.drift,
             stats: &self.stats,
         }
     }
@@ -1071,7 +1068,7 @@ impl ServeLoop {
     /// cross-structure invariants (snapshot payloads are external input):
     /// the matching must be feasible on the restored live graph, the
     /// level vector must cover the right side, dirty marks must be in
-    /// range, and the drift weight must be a usable budget charge.
+    /// range, and the drift weight and threshold must be a usable budget.
     pub(crate) fn from_parts(p: ServeParts) -> Result<ServeLoop, String> {
         if p.levels.len() != p.dg.n_right() {
             return Err(format!(
@@ -1093,22 +1090,13 @@ impl ServeLoop {
                 p.cfg.eps, p.cfg.walk_budget
             ));
         }
-        // Guard the scheduler constructors: both assert positive
-        // thresholds, and a corrupt payload must error, not panic.
-        if !(p.cfg.drift_threshold > 0.0
-            && p.cfg.drift_threshold.is_finite()
-            && p.cfg.compact_threshold > 0.0
-            && p.cfg.compact_threshold.is_finite())
-        {
+        if !(p.cfg.drift_threshold > 0.0 && p.cfg.drift_threshold.is_finite()) {
             return Err(format!(
-                "config unusable: drift threshold {}, compact threshold {}",
-                p.cfg.drift_threshold, p.cfg.compact_threshold
+                "config unusable: drift threshold {}",
+                p.cfg.drift_threshold
             ));
         }
         let matching = Matching::from_state(&p.dg, p.matching)?;
-        let mut drift = DriftTracker::new(p.cfg.drift_threshold);
-        drift.restore(p.drift_accumulated);
-        let compaction = CompactionPolicy::new(p.cfg.compact_threshold);
         Ok(ServeLoop {
             cfg: p.cfg,
             dg: p.dg,
@@ -1116,8 +1104,7 @@ impl ServeLoop {
             matching,
             dirty: p.dirty,
             sweep_dirty: p.sweep_dirty,
-            drift,
-            compaction,
+            drift: p.drift_accumulated,
             stats: p.stats,
             frac_reads: Cell::new(0),
             sweep_scratch: SweepScratch::default(),
@@ -1335,45 +1322,109 @@ mod tests {
         }
     }
 
+    /// Charge `units` of churn that moves no edge: capacity steps on `v`.
+    fn charge(s: &mut ServeLoop, v: RightId, units: u64) {
+        let cap = s.graph().capacity(v);
+        s.apply(&Update::SetCapacity {
+            v,
+            cap: cap + units,
+        });
+    }
+
     #[test]
-    fn drift_budget_triggers_rebuild() {
+    fn fold_fires_one_unit_past_the_budget() {
         let g = union_of_spanning_trees(40, 30, 2, 2, 5).graph;
         let mut cfg = DynamicConfig::for_eps(0.25);
-        cfg.drift_threshold = 0.01; // tiny budget: rebuild quickly
+        cfg.drift_threshold = 1.0; // a whole budget: m units
         let mut s = ServeLoop::new(g, cfg);
-        let snapshot = s.snapshot();
-        let edges: Vec<(u32, u32)> = snapshot.edges().map(|(_, u, v)| (u, v)).collect();
-        for &(u, v) in edges.iter().take(10) {
-            s.apply(&Update::DeleteEdge { u, v });
-        }
-        let report = close(&mut s);
-        assert!(report.rebuilt);
-        assert_eq!(s.stats().rebuilds, 1);
-        assert_eq!(s.graph().overlay_edges(), 0, "rebuild folds the overlay");
-        s.validate().unwrap();
+        let budget = s.graph().m() as u64;
+        charge(&mut s, 3, budget);
+        let r = close(&mut s);
+        assert!(!r.compacted, "exactly at budget: not yet");
+        assert_eq!(s.stats().compactions, 0);
+        charge(&mut s, 3, 1);
+        let r = close(&mut s);
+        assert!(r.compacted, "one unit past the budget folds");
+        assert_eq!(s.stats().compactions, 1);
+        // The fold reset the budget: the same unit no longer folds.
+        charge(&mut s, 3, 1);
+        assert!(!close(&mut s).compacted);
+    }
+
+    #[test]
+    fn churn_on_an_edgeless_graph_folds() {
+        let g = BipartiteBuilder::new(0, 2).build(vec![1, 1]).unwrap();
+        let mut cfg = DynamicConfig::for_eps(0.5);
+        cfg.drift_threshold = 100.0;
+        let mut s = ServeLoop::new(g, cfg);
+        assert!(!close(&mut s).compacted, "no churn, nothing to fold");
+        charge(&mut s, 1, 1);
+        assert!(close(&mut s).compacted, "any churn on no edges is total");
     }
 
     #[test]
     fn compaction_folds_the_overlay() {
+        // A fold with healthy levels re-solves nothing: at the folding
+        // epoch it leaves mates and levels equal to a twin that never
+        // folds, and only the overlay goes.
         let g = union_of_spanning_trees(40, 30, 2, 2, 6).graph;
         let mut cfg = DynamicConfig::for_eps(0.25);
-        cfg.drift_threshold = 10.0; // never rebuild
-        cfg.compact_threshold = 0.05;
-        let mut s = ServeLoop::new(g, cfg);
+        cfg.drift_threshold = 0.05;
+        let mut s = ServeLoop::new(g.clone(), cfg.clone());
+        cfg.drift_threshold = 100.0;
+        let mut twin = ServeLoop::new(g, cfg);
         // Arrivals live entirely in the overlay (base edges deleted and
         // re-inserted leave no residue, by design).
         for i in 0..10u32 {
-            s.apply(&Update::Arrive {
+            let up = Update::Arrive {
                 neighbors: vec![i % 30, (i + 7) % 30],
-            });
+            };
+            s.apply(&up);
+            twin.apply(&up);
         }
         assert!(s.graph().overlay_edges() > 0);
         let m_live = s.graph().m();
-        let report = close(&mut s);
-        assert!(report.compacted);
+        let r = close(&mut s);
+        let r_twin = close(&mut twin);
+        assert!(r.compacted && !r.rebuilt, "{r:?}");
+        assert!(!r_twin.compacted);
         assert_eq!(s.graph().overlay_edges(), 0);
+        assert!(twin.graph().overlay_edges() > 0);
         assert_eq!(s.graph().m(), m_live);
-        s.validate().unwrap();
+        assert_eq!(s.assignment().mate, twin.assignment().mate);
+        assert_eq!(s.levels(), twin.levels());
+        assert_eq!(s.stats().rebuilds, 0);
+    }
+
+    #[test]
+    fn zeroed_levels_make_the_fold_resolve_them() {
+        // Lefts 0..10 each reach a shared hub (right 0) and a private
+        // right; right 11 is isolated. All-zero levels split every left
+        // evenly, so the hub wastes half of each: W = 1 + 10/2 = 6, well
+        // below (1 − ε/2)·|M| = 8.75.
+        let n = 10u32;
+        let mut b = BipartiteBuilder::new(n as usize, n as usize + 2);
+        for u in 0..n {
+            b.add_edge(u, 0);
+            b.add_edge(u, u + 1);
+        }
+        let g = b.build(vec![1; n as usize + 2]).unwrap();
+        let mut cfg = DynamicConfig::for_eps(0.25);
+        cfg.drift_threshold = 0.01;
+        let mut s = ServeLoop::new(g, cfg);
+        assert_eq!(s.match_size(), n as usize);
+        let bar = (1.0 - 0.25 / 2.0) * n as f64;
+        s.levels.iter_mut().for_each(|l| *l = 0);
+        assert!(s.fractional().weight < bar);
+        // Churn on the isolated right: its repair ball reaches no level
+        // that matters, so only the fold can mend them.
+        charge(&mut s, n + 1, 1);
+        let r = close(&mut s);
+        assert!(r.compacted && r.rebuilt, "{r:?}");
+        assert_eq!(s.stats().rebuilds, 1);
+        assert_eq!(s.match_size(), n as usize, "the matching is kept");
+        let w = s.fractional().weight;
+        assert!(w >= bar, "re-solved W = {w} below {bar}");
     }
 
     #[test]
@@ -1392,7 +1443,7 @@ mod tests {
         let g = b.build(vec![1, 1, 1]).unwrap();
         let mut cfg = DynamicConfig::for_eps(0.25);
         cfg.eager_search_cap = 0;
-        cfg.drift_threshold = 100.0; // isolate the sweep: never rebuild
+        cfg.drift_threshold = 100.0; // isolate the sweep: never fold
         let mut s = ServeLoop::new(g, cfg);
         assert_eq!(s.query(0), Some(1));
         assert_eq!(s.query(1), Some(0));
@@ -1465,8 +1516,7 @@ mod tests {
         check(&s);
 
         // Structural churn: an arrival, an insert onto it (an unsorted
-        // overlay row) and a deleted base edge; then a drift rebuild,
-        // which folds the overlay.
+        // overlay row) and a deleted base edge; then a fold.
         let u = s
             .apply(&Update::Arrive {
                 neighbors: vec![7, 1],
@@ -1477,7 +1527,7 @@ mod tests {
         s.apply(&Update::DeleteEdge { u: 2, v });
         close(&mut s);
         check(&s);
-        s.rebuild();
+        s.fold();
         check(&s);
         assert_eq!(s.fractional_cache_counters(), (4, 0, 0));
     }
@@ -1517,7 +1567,7 @@ mod tests {
         cfg.walk_budget = k;
         cfg.eager_walk_budget = k;
         cfg.eager_search_cap = eager_cap;
-        cfg.drift_threshold = 100.0; // the sweep, never a rebuild
+        cfg.drift_threshold = 100.0; // the sweep, never a fold
         let mut s = ServeLoop::new(g, cfg);
         for up in updates {
             s.apply(up);

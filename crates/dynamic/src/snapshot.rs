@@ -2,11 +2,11 @@
 //! serving engines.
 //!
 //! The dynamic engine's state — the [`DeltaGraph`] overlay, the β-levels,
-//! the maintained [`Matching`](crate::Matching), the drift budget, and
-//! the lifetime counters — is a *compact certificate* of everything the
-//! update history did: exactly the levels + matching + overlay triple the
-//! peeling/level structures of low-memory MPC matching maintain
-//! (Brandt–Fischer–Uitto, arXiv:1807.05374; Ghaffari–Uitto,
+//! the maintained [`Matching`](crate::Matching), the churn charged to the
+//! drift budget, and the lifetime counters — is a *compact certificate*
+//! of everything the update history did: exactly the levels + matching +
+//! overlay triple the peeling/level structures of low-memory MPC matching
+//! maintain (Brandt–Fischer–Uitto, arXiv:1807.05374; Ghaffari–Uitto,
 //! arXiv:1807.06251). Persisting it lets a serving process restart
 //! **warm**: a restored [`ServeLoop`] is bit-identical, as far as any
 //! observable allocation state goes, to the engine that never stopped —
@@ -275,26 +275,42 @@ fn kind_name(kind: u32) -> &'static str {
 
 // --------------------------------------------------------- serial payload
 
+/// The config's 6th word. It once held the overlay compaction threshold,
+/// so snapshots written before carry a finite value > 0 there and restore
+/// unchanged; the encoder writes the old default, 0.25, and anything else
+/// stays corrupt.
+const RESERVED_CONFIG_SLOT: f64 = 0.25;
+
 fn encode_config(cfg: &DynamicConfig, w: &mut ByteWriter) {
     w.put_f64(cfg.eps);
     w.put_u64(cfg.walk_budget as u64);
     w.put_u64(cfg.repair_radius as u64);
     w.put_u64(cfg.repair_rounds as u64);
     w.put_f64(cfg.drift_threshold);
-    w.put_f64(cfg.compact_threshold);
+    w.put_f64(RESERVED_CONFIG_SLOT);
     w.put_u64(cfg.eager_search_cap as u64);
     w.put_u64(cfg.eager_walk_budget as u64);
     w.put_u64(cfg.repair_ball_cap as u64);
 }
 
 fn decode_config(r: &mut ByteReader) -> Result<DynamicConfig, SnapshotError> {
+    let eps = r.take_f64()?;
+    let walk_budget = r.take_u64()? as usize;
+    let repair_radius = r.take_u64()? as usize;
+    let repair_rounds = r.take_u64()? as usize;
+    let drift_threshold = r.take_f64()?;
+    let reserved = r.take_f64()?;
+    if !(reserved > 0.0 && reserved.is_finite()) {
+        return Err(invalid(format!(
+            "reserved config slot is {reserved} (must be finite and > 0)"
+        )));
+    }
     Ok(DynamicConfig {
-        eps: r.take_f64()?,
-        walk_budget: r.take_u64()? as usize,
-        repair_radius: r.take_u64()? as usize,
-        repair_rounds: r.take_u64()? as usize,
-        drift_threshold: r.take_f64()?,
-        compact_threshold: r.take_f64()?,
+        eps,
+        walk_budget,
+        repair_radius,
+        repair_rounds,
+        drift_threshold,
         eager_search_cap: r.take_u64()? as usize,
         eager_walk_budget: r.take_u64()? as usize,
         repair_ball_cap: r.take_u64()? as usize,
@@ -1146,6 +1162,39 @@ mod tests {
         let zero = patched(0);
         let err = read_sharded(&mut &zero[..], None).unwrap_err();
         assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
+    }
+
+    #[test]
+    fn reserved_config_slot_restores_old_values_and_rejects_zero_and_nan() {
+        let s = churned_serve();
+        let bytes = serial_bytes(&s);
+        // The config's 6th word is the reserved slot; re-seal the
+        // checksum so only that slot differs.
+        let at = HEADER + 5 * 8;
+        assert_eq!(bytes[at..at + 8], RESERVED_CONFIG_SLOT.to_le_bytes());
+        let patched = |value: f64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let body = b.len() - 8;
+            let crc = fnv1a64(&b[..body]).to_le_bytes();
+            b[body..].copy_from_slice(&crc);
+            b
+        };
+        // A snapshot written with another compaction threshold restores
+        // unchanged.
+        let old = patched(0.05);
+        let restored = read_serial(&mut &old[..]).unwrap();
+        restored.validate().unwrap();
+        assert_eq!(restored.assignment().mate, s.assignment().mate);
+        assert_eq!(restored.levels(), s.levels());
+        assert_eq!(restored.stats(), s.stats());
+        assert_eq!(serial_bytes(&restored), bytes);
+        // Live configs never wrote 0 or NaN: both stay corrupt.
+        for bad in [0.0, f64::NAN] {
+            let b = patched(bad);
+            let err = read_serial(&mut &b[..]).unwrap_err();
+            assert!(matches!(err, SnapshotError::Invalid(_)), "{bad}: {err}");
+        }
     }
 
     #[test]

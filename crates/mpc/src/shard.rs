@@ -125,8 +125,9 @@ pub mod labels {
     /// The serial core's β-level repair at epoch close (local
     /// computation: round-free, spanned for its wall time).
     pub const LEVEL_REPAIR: &str = "level_repair";
-    /// The serial core's overlay compaction or drift rebuild at epoch
-    /// close (local computation: round-free, spanned for its wall time).
+    /// The serial core's overlay fold at epoch close, with its level
+    /// re-solve when one runs (local computation: round-free, spanned for
+    /// its wall time).
     pub const COMPACTION: &str = "compaction";
     /// Committing the epoch's matching migrations to the shards owning
     /// the receiving right vertices.

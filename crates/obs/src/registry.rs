@@ -151,8 +151,9 @@ pub enum Phase {
     CertSweep,
     /// The serial core's β-level repair on the dirty ball.
     LevelRepair,
-    /// Folding the live graph's overlay into a fresh snapshot: an overlay
-    /// compaction, or the drift-budget rebuild that re-solves it.
+    /// Folding the live graph's overlay into a fresh snapshot once the
+    /// churn budget is spent, re-solving the levels when their fractional
+    /// weight has fallen below `(1 − ε/2)·|M|`.
     Compaction,
     /// Committing the epoch's matching migrations to the shards owning
     /// the receiving right vertices.

@@ -56,10 +56,10 @@ fn main() {
             report.match_size,
             report.sweep_augmentations,
             report.ball_rights,
-            if report.rebuilt {
-                ", drift rebuild"
-            } else {
-                ""
+            match (report.compacted, report.rebuilt) {
+                (true, true) => ", folded, levels re-solved",
+                (true, false) => ", folded",
+                _ => "",
             },
         );
     }
@@ -87,8 +87,8 @@ fn main() {
         k as f64 / (k as f64 + 1.0),
     );
     println!(
-        "lifetime: {} updates, {} augmentations, {} evictions, {} rebuilds, {} compactions",
-        s.updates, s.augmentations, s.evictions, s.rebuilds, s.compactions
+        "lifetime: {} updates, {} augmentations, {} evictions, {} folds ({} re-solved the levels)",
+        s.updates, s.augmentations, s.evictions, s.compactions, s.rebuilds
     );
     assert!(ratio >= k as f64 / (k as f64 + 1.0) - 1e-9);
 }

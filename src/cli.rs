@@ -893,7 +893,7 @@ impl Report<ServeLoop> for SerialReport {
     const COLUMNS: &'static [(&'static str, usize)] = &[
         ("swept", 5),
         ("ball", 4),
-        ("rebuilt", 7),
+        ("folded", 6),
         ("incr-ms", 8),
         ("full-ms", 8),
     ];
@@ -924,7 +924,7 @@ impl Report<ServeLoop> for SerialReport {
         vec![
             report.sweep_augmentations.to_string(),
             report.ball_rights.to_string(),
-            if report.rebuilt { "yes" } else { "no" }.into(),
+            if report.compacted { "yes" } else { "no" }.into(),
             format!("{ms:.2}"),
             full_ms,
         ]
@@ -933,8 +933,8 @@ impl Report<ServeLoop> for SerialReport {
     fn footer(&mut self, serve: &ServeLoop, _: &Run, out: &mut String) {
         let s = serve.stats();
         let repairs = format!(
-            "{} augmentations, {} evictions, {} rebuilds, {} compactions",
-            s.augmentations, s.evictions, s.rebuilds, s.compactions
+            "{} augmentations, {} evictions, {} folds ({} re-solved the levels)",
+            s.augmentations, s.evictions, s.compactions, s.rebuilds
         );
         field(out, "repairs", repairs);
         let (incr, full) = (self.incr_ms, self.full_ms);

@@ -1,0 +1,197 @@
+//! Soak: hundreds of epochs of seeded churn, checked against the paper's
+//! absolute guarantees rather than against another engine.
+//!
+//! Each scenario drives a serial [`ServeLoop`] through a `churn_stream`
+//! on a small `union_of_spanning_trees` graph, with a drift budget small
+//! enough that the overlay folds every few epochs. Every 25 epochs the
+//! engine is cut — `write_serial` → `read_serial` — and the run goes on
+//! from the restored copy. The checks:
+//!
+//! - **every epoch:** the matching is feasible (`validate`), no free
+//!   left has an augmenting walk of length `≤ 2k−1`
+//!   (`validate_certificate`), `|M| ≥ k/(k+1)·OPT` against the exact
+//!   flow oracle, and the overlay is within the churn budget
+//!   (`overlay_edges ≤ drift_threshold·m`);
+//! - **every 10 epochs:** the maintained levels' fractional weight is
+//!   `≥ (1 − ε/2)` × the weight of freshly solved `run_with_guessing`
+//!   levels on the same live graph;
+//! - **at the end:** the cut-and-restored run's mate vector equals an
+//!   uninterrupted run's, and a [`ShardedServeLoop`] driven through
+//!   [`drive`] over the same batches serves the same allocation.
+//!
+//! Plentiful capacity (cap 2) leaves few free lefts, so the sweep mostly
+//! re-certifies; scarce capacity (cap 1) is where the sweep and the
+//! fractional solution do real work. The short case runs in `cargo
+//! test`; the long one is `#[ignore]`d and run by `ci.sh` in release:
+//!
+//! ```sh
+//! cargo test --release --test soak -- --ignored
+//! ```
+
+use sparse_alloc::core::fractional::finalize_from_levels;
+use sparse_alloc::dynamic::adapter::{churn_stream, ChurnMix};
+use sparse_alloc::dynamic::engine::drive;
+use sparse_alloc::dynamic::snapshot;
+use sparse_alloc::prelude::*;
+
+/// One soak run: the instance, the stream and the budget.
+struct Scenario {
+    n_left: usize,
+    n_right: usize,
+    trees: u32,
+    cap: u64,
+    seed: u64,
+    epochs: usize,
+    events_per_epoch: usize,
+    drift_threshold: f64,
+}
+
+const EPS: f64 = 0.25;
+const CUT_EVERY: usize = 25;
+const FRACTIONAL_EVERY: usize = 10;
+
+/// The configuration every engine of a scenario runs with: the sharded
+/// defaults (so the serial runs are the sharded run's reference) with
+/// the scenario's drift budget.
+fn config(s: &Scenario, shards: usize) -> ShardedConfig {
+    let mut cfg = ShardedConfig::for_eps(EPS, shards);
+    cfg.dynamic.drift_threshold = s.drift_threshold;
+    cfg
+}
+
+fn restore(serve: &ServeLoop) -> ServeLoop {
+    let mut bytes = Vec::new();
+    snapshot::write_serial(serve, &mut bytes).expect("checkpoint");
+    snapshot::read_serial(&mut &bytes[..]).expect("restore")
+}
+
+/// The per-epoch absolute checks.
+fn check_epoch(s: &ServeLoop, sc: &Scenario, epoch: usize) {
+    let tag = format!("seed {} cap {} epoch {epoch}", sc.seed, sc.cap);
+    s.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
+    s.validate_certificate()
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    let live = s.snapshot();
+    let opt = opt_value(&live);
+    let k = s.config().walk_budget as f64;
+    assert!(
+        s.match_size() as f64 >= k / (k + 1.0) * opt as f64 - 1e-9,
+        "{tag}: |M| = {} below k/(k+1)·OPT, OPT = {opt}",
+        s.match_size()
+    );
+    let (overlay, m) = (s.graph().overlay_edges(), s.graph().m());
+    assert!(
+        overlay as f64 <= sc.drift_threshold * m as f64,
+        "{tag}: overlay {overlay} edges over the churn budget {} × m = {m}",
+        sc.drift_threshold
+    );
+    if epoch.is_multiple_of(FRACTIONAL_EVERY) {
+        let fresh = run_with_guessing(&live, EPS).result.levels;
+        let fresh_w = finalize_from_levels(&live, &fresh, EPS).weight;
+        let w = s.fractional().weight;
+        assert!(
+            w >= (1.0 - EPS / 2.0) * fresh_w - 1e-9,
+            "{tag}: maintained fractional weight {w} below (1 − ε/2) × fresh {fresh_w}"
+        );
+    }
+}
+
+/// Run one scenario; returns how many epochs folded the overlay.
+fn soak(sc: &Scenario) -> usize {
+    let g = union_of_spanning_trees(sc.n_left, sc.n_right, sc.trees, sc.cap, sc.seed).graph;
+    let updates = churn_stream(
+        &g,
+        sc.epochs * sc.events_per_epoch,
+        &ChurnMix::default(),
+        sc.seed,
+    );
+    let batches: Vec<&[Update]> = updates.chunks(sc.events_per_epoch).collect();
+    let dynamic = config(sc, 1).dynamic;
+
+    let mut uninterrupted = ServeLoop::new(g.clone(), dynamic.clone());
+    let mut cut = ServeLoop::new(g.clone(), dynamic);
+    let mut folds = 0;
+    for (i, batch) in batches.iter().enumerate() {
+        let epoch = i + 1;
+        for up in *batch {
+            uninterrupted.apply(up);
+            cut.apply(up);
+        }
+        uninterrupted.end_epoch();
+        let pending = cut.graph().overlay_edges() > 0;
+        cut.end_epoch();
+        folds += (pending && cut.graph().overlay_edges() == 0) as usize;
+        check_epoch(&cut, sc, epoch);
+        if epoch.is_multiple_of(CUT_EVERY) {
+            cut = restore(&cut);
+        }
+    }
+    assert_eq!(
+        cut.assignment().mate,
+        uninterrupted.assignment().mate,
+        "seed {}: the restored run diverged from the uninterrupted one",
+        sc.seed
+    );
+
+    let mut sharded = ShardedServeLoop::new(g, config(sc, 2)).expect("sharded engine");
+    drive(&mut sharded, batches.iter().copied()).expect("sharded drive");
+    assert_eq!(
+        sharded.assignment().mate,
+        uninterrupted.assignment().mate,
+        "seed {}: sharded ≢ serial",
+        sc.seed
+    );
+    folds
+}
+
+fn run(scenarios: &[Scenario]) {
+    for sc in scenarios {
+        let folds = soak(sc);
+        assert!(
+            folds >= sc.epochs / 20,
+            "seed {} cap {}: only {folds} folds in {} epochs — the budget is not exercised",
+            sc.seed,
+            sc.cap,
+            sc.epochs
+        );
+    }
+}
+
+/// Plentiful (cap 2) and scarce (cap 1), 200 epochs each.
+#[test]
+fn soak_short() {
+    let base = |cap, seed| Scenario {
+        n_left: 80,
+        n_right: 60,
+        trees: 2,
+        cap,
+        seed,
+        epochs: 200,
+        events_per_epoch: 8,
+        drift_threshold: 0.1,
+    };
+    run(&[base(2, 29), base(1, 31)]);
+}
+
+/// Larger graphs, three seeds per capacity, 500 epochs each. Release
+/// build: run with `cargo test --release --test soak -- --ignored`.
+#[test]
+#[ignore = "long soak: run by ci.sh in release"]
+fn soak_long() {
+    let mut scenarios = Vec::new();
+    for seed in [29u64, 101, 7] {
+        for cap in [2u64, 1] {
+            scenarios.push(Scenario {
+                n_left: 400,
+                n_right: 300,
+                trees: 2,
+                cap,
+                seed: seed + cap,
+                epochs: 500,
+                events_per_epoch: 40,
+                drift_threshold: 0.1,
+            });
+        }
+    }
+    run(&scenarios);
+}
