@@ -26,6 +26,10 @@ fi
 step "cargo test -q"
 cargo test -q
 
+step "servebench builds and its tests pass (it compiles against the engines' reports)"
+cargo test -q --manifest-path servebench/Cargo.toml \
+    || { echo "servebench FAILED to build or test against the current engine API"; exit 1; }
+
 if [ "${1:-}" != "fast" ]; then
     step "CLI smoke test (salloc dynamic, serial + sharded)"
     tmp="$(mktemp -d)"
@@ -168,8 +172,10 @@ if [ "${1:-}" != "fast" ]; then
     grep -q '"pass": true' BENCH_dynamic.json \
         || { echo "e17 FAILED its ≥4× incremental-vs-full or quality ≥ k/(k+1) criterion"; exit 1; }
 
-    step "e18 distributed serving (sharded ≡ serial at scale)"
+    step "e18 distributed serving (sharded ≡ serial at scale, mates and β-levels, gated)"
     cargo run --release -q -p sparse-alloc-bench --bin experiments -- e18
+    grep -q '"state_equal_serial": true' BENCH_distributed.json \
+        || { echo "e18 FAILED: sharded mates or β-levels diverged from serial"; exit 1; }
 
     step "e19 batching throughput (regression-gated)"
     # The gate compares the sharded/serial *overhead ratio* (recorded as
@@ -178,12 +184,10 @@ if [ "${1:-}" != "fast" ]; then
     # only a genuine bookkeeping regression trips the 25% threshold.
     prev_ratio=""
     prev_waves=""
-    prev_maxw=""
     prev_meanw=""
     if [ -f BENCH_batching.json ]; then
         prev_ratio="$(grep -o '"overhead_ratio": [0-9.]*' BENCH_batching.json | awk '{print $2}' || true)"
         prev_waves="$(grep -o '"waves": [0-9]*' BENCH_batching.json | awk '{print $2}' || true)"
-        prev_maxw="$(grep -o '"max_width": [0-9]*' BENCH_batching.json | awk '{print $2}' || true)"
         prev_meanw="$(grep -o '"mean_width": [0-9.]*' BENCH_batching.json | awk '{print $2}' || true)"
     fi
     cargo run --release -q -p sparse-alloc-bench --bin experiments -- e19
@@ -210,28 +214,25 @@ if [ "${1:-}" != "fast" ]; then
             printf "e19 one-box gate: no outright win but overhead %.3f within the 1.6 cap — OK\n", r
         }' || exit 1
     fi
-    # Wave-shape regression gates: the schedule must stay short (waves)
-    # and balanced (max width near mean), not just fast on this host.
+    # Wave-shape regression gates: the schedule must stay short (waves,
+    # the batch's simulated MPC round count) and keep its mean width, not
+    # just be fast on this host. Max width is not gated: first-fit leaves
+    # waves uneven by design, and the schedule oracle in batch.rs pins
+    # every update's wave to its conflict floor exactly.
     new_waves="$(grep -o '"waves": [0-9]*' BENCH_batching.json | awk '{print $2}')"
-    new_maxw="$(grep -o '"max_width": [0-9]*' BENCH_batching.json | awk '{print $2}')"
     new_meanw="$(grep -o '"mean_width": [0-9.]*' BENCH_batching.json | awk '{print $2}')"
-    if [ -n "$prev_waves" ] && [ -n "$prev_maxw" ] && [ -n "$prev_meanw" ]; then
+    if [ -n "$prev_waves" ] && [ -n "$prev_meanw" ]; then
         awk -v nw="$new_waves" -v pw="$prev_waves" \
-            -v nx="$new_maxw" -v px="$prev_maxw" \
             -v nm="$new_meanw" -v pm="$prev_meanw" 'BEGIN {
             if (nw > pw * 1.25) {
                 printf "e19 wave regression: %d waves > 1.25 × recorded %d\n", nw, pw
-                exit 1
-            }
-            if (nx > px * 1.5) {
-                printf "e19 width regression: max width %d > 1.5 × recorded %d\n", nx, px
                 exit 1
             }
             if (nm * 1.25 < pm) {
                 printf "e19 width regression: mean width %.1f < recorded %.1f / 1.25\n", nm, pm
                 exit 1
             }
-            printf "e19 wave-shape gate: %d waves (max width %d, mean %.1f) vs recorded %d/%d/%.1f — OK\n", nw, nx, nm, pw, px, pm
+            printf "e19 wave-shape gate: %d waves (mean width %.1f) vs recorded %d/%.1f — OK\n", nw, nm, pw, pm
         }' || exit 1
     fi
     if [ -n "$prev_ratio" ]; then

@@ -8,10 +8,11 @@
 //! scheduler paying an `O(n + m)` `DeltaGraph` clone per batch and a
 //! hash probe per footprint edge. This experiment drives the identical
 //! workload (same generator, seeds, churn) through the hardened path —
-//! incremental `G⁺` overlay, stamped touch maps, eager-radius
-//! footprints, width-balanced waves — and records wall time *and*
-//! wave occupancy (waves, max/mean width, escalations) next to that
-//! baseline. `BENCH_batching.json` is the record `ci.sh` gates
+//! incremental `G⁺` overlay, stamped footprint membership, eager-radius
+//! footprints, first-fit waves (every update on its conflict floor, so
+//! the wave count is the batch's conflict critical path) — and records
+//! wall time *and* wave occupancy (waves, max/mean width, escalations)
+//! next to that baseline. `BENCH_batching.json` is the record `ci.sh` gates
 //! regressions against.
 //!
 //! # Cost model (why `one_box_win` reads `false` here)
@@ -25,7 +26,7 @@
 //! repair: `level_repair` takes ~8 ms per epoch (its ball saturates the
 //! 4,096-right cap) against ~0.1 ms for `cert_sweep`. The sharded path
 //! pays the same epoch close *plus* its scheduling surplus: footprint
-//! growth + three wave passes (`batch_schedule`, ~4–6 ms per batch),
+//! growth + one wave pass (`batch_schedule`, ~4–6 ms per batch),
 //! routing (~0.2 ms), and shard-state aggregation (~0.8 ms per epoch).
 //! The wave executor itself is cheap: the simulator runs a wave's
 //! repairs inline, one after another, so `repair_wave` has a p50 of

@@ -17,48 +17,30 @@
 //! `G⁺` itself is an [`InsertOverlay`] — a thin view staging the batch's
 //! arrivals and inserts over the live [`DeltaGraph`] — so scheduling a
 //! batch costs `O(n)` index arrays plus the footprint work, not an
-//! `O(n + m)` graph clone. Footprint membership and the per-arrival-id
-//! resource index use epoch-stamped arrays ([`StampSet`], [`StampMap`]):
-//! no hashing on the per-edge path, `O(1)` clear between updates.
-//! Right-vertex conflicts are carried by **per-right toucher chains**:
-//! pass 1 threads `prev_of`/`next_of` links through the footprint arena
-//! (a scatter into a per-right "last toucher" array), and because wave
-//! numbers increase strictly along a chain, the later passes read each
-//! entry's floor or ceiling from its immediate chain neighbor — probing
-//! only batch-indexed arrays, never a per-right map. Footprints
-//! themselves live in one flat arena on the returned [`BatchSchedule`]
-//! (see [`BatchSchedule::footprint`]),
-//! not in a `Vec` per plan — scheduling a batch performs `O(1)` heap
+//! `O(n + m)` graph clone. Footprint membership uses an epoch-stamped
+//! set ([`StampSet`]): no hashing on the per-edge path, `O(1)` clear
+//! between updates. Footprints themselves live in one flat arena on the
+//! returned [`BatchSchedule`] (see [`BatchSchedule::footprint`]), not in
+//! a `Vec` per plan — scheduling a batch performs `O(1)` heap
 //! allocations, independent of the batch size.
 //!
-//! # Wave assignment: critical-path layering + slack balancing
+//! # Wave assignment: first-fit on the conflict floor
 //!
 //! Each update's *conflict floor* is one past the latest wave of any
 //! earlier conflicting update (footprint overlap, shared arrival-id
-//! resource, or a global below). Wave assignment runs in three passes
-//! over the batch:
+//! resource, or a global below), and 0 when nothing earlier conflicts.
+//! One forward pass places every update **at** its floor, reading it
+//! from a per-right "last wave + 1" array over the footprint and a
+//! per-arrival-id one over the resource. A global conflicts with every
+//! other update, so it takes one past every earlier wave and lifts the
+//! floor of everything after it.
 //!
-//! 1. **Forward, first-fit**: place every update *at* its floor. This is
-//!    the longest-chain layering of the conflict partial order, so the
-//!    wave count equals the batch's conflict critical path — the minimum
-//!    any order-preserving schedule can achieve. Call this wave the
-//!    update's `earliest`.
-//! 2. **Backward, slack**: compute each update's `latest` feasible wave —
-//!    one *before* the `earliest` of any later conflicting update (or the
-//!    last wave when nothing conflicts downstream). Since every update's
-//!    final wave lands at or above its `earliest`, moving an update
-//!    anywhere in `[earliest, latest]` cannot break batch order.
-//! 3. **Forward, balanced**: place each update on the **least-loaded
-//!    wave in its slack window** (earliest on ties), re-deriving the
-//!    floor from actual placements. Globals stay pinned to their
-//!    `earliest` (their window is a point).
-//!
-//! The result keeps the pass-1 wave count — balancing never opens a wave
-//! — while spreading commuting updates across the chain's waves instead
-//! of first-fit's front-loaded pile-up. (A single greedy least-loaded
-//! pass is *not* equivalent: parking a floor-0 update on a late thin wave
-//! raises every later conflicting update's floor past it, and measured
-//! batches nearly doubled their critical path that way.)
+//! This is the longest-chain layering of the conflict partial order, so
+//! the wave count equals the batch's conflict critical path — the minimum
+//! any order-preserving schedule can reach, and the batch's simulated
+//! MPC round count. Nothing downstream reads how wide a wave is, only
+//! that it is conflict-free, so commuting updates are left to pile up on
+//! the early waves rather than spread over later ones.
 //!
 //! Ordering rules beyond footprint overlap:
 //!
@@ -69,7 +51,7 @@
 //!   wave, where the old scheduler gave every arrival a singleton wave.
 //! * **The arrival id space is a per-id resource.** An `Arrive` touches
 //!   its own id; any update referencing an in-batch id touches that id.
-//!   Touches chain in batch order through a stamped last-touch map, which
+//!   Touches order in batch order through the per-id floor array, which
 //!   keeps "arrive, then edit the arrival" sequences serial-equivalent
 //!   even when their footprints miss each other (e.g. an arrival with no
 //!   neighbors).
@@ -146,9 +128,9 @@
 //! assert_eq!(s.waves, 2, "wave count = conflict chain length");
 //! assert_eq!(s.plans[0].wave, 0);
 //! assert_eq!(s.plans[2].wave, 1, "overlapping footprints serialize");
-//! // The commuting update at v40 balances onto the emptier second wave.
-//! assert_eq!(s.plans[1].wave, 1);
-//! assert_eq!(s.widths, vec![1, 2]);
+//! // The commuting update at v40 lands on its floor, wave 0.
+//! assert_eq!(s.plans[1].wave, 0);
+//! assert_eq!(s.widths, vec![2, 1]);
 //! ```
 //!
 //! [`DynamicConfig::eager_radius`]: crate::serve::DynamicConfig::eager_radius
@@ -158,7 +140,7 @@ use sparse_alloc_graph::{DeltaGraph, InsertOverlay, RightId};
 use sparse_alloc_mpc::{MpcError, ShardMap};
 
 use crate::serve::DynamicConfig;
-use crate::stamp::{StampMap, StampSet};
+use crate::stamp::StampSet;
 use crate::update::Update;
 
 /// Default footprint-size cap: larger balls are escalated to global
@@ -211,9 +193,8 @@ pub struct BatchSchedule {
     /// Number of waves (`max wave + 1`; 0 for an empty batch).
     pub waves: usize,
     /// Updates with a nonzero conflict floor — i.e. updates some earlier
-    /// conflicting update forced off wave 0. (Balancing may *also* move a
-    /// floor-0 update to an emptier later wave; that is a free choice,
-    /// not a conflict delay, and is not counted here.)
+    /// conflicting update forced off wave 0. Every update lands on its
+    /// floor, so these are exactly the plans with `wave > 0`.
     pub delayed: usize,
     /// Updates per wave (`widths.len() == waves`).
     pub widths: Vec<usize>,
@@ -411,8 +392,8 @@ pub fn owner_of(
     }
 }
 
-/// Phase A's output: every update's footprint, back to back in one
-/// arena.
+/// The footprint stage's output: every update's footprint, back to
+/// back in one arena.
 struct Footprints {
     arena: Vec<RightId>,
     /// Per-update footprint length (starts are prefix sums).
@@ -514,12 +495,8 @@ fn grow_footprints(
     out
 }
 
-/// How many waves past the conflict floor the balancing pass inspects
-/// when picking the least-loaded wave in an update's slack window.
-const BALANCE_WINDOW: usize = 32;
-
-/// Compute footprints on the union graph and assign conflict-free,
-/// width-balanced waves.
+/// Compute footprints on the union graph and place every update on its
+/// conflict floor (first-fit waves, see the module docs).
 ///
 /// `cfg` supplies the eager repair bounds (the footprint radius,
 /// [`DynamicConfig::eager_radius`]); `footprint_cap` is the global
@@ -552,11 +529,8 @@ pub fn schedule(
         .filter_map(|(i, id)| id.map(|_| i))
         .collect();
 
-    let n = updates.len();
-
-    // ---- Phase A: footprints. This is the scheduler's dominant cost
-    // (ball growth on the overlay); the wave passes below only walk the
-    // precomputed arena.
+    // Footprints are the scheduler's dominant cost (ball growth on the
+    // overlay); the wave pass below only walks the precomputed arena.
     let Footprints {
         arena: footprints,
         lens,
@@ -564,20 +538,20 @@ pub fn schedule(
         capped,
         referenced: referenced_of,
     } = grow_footprints(&gplus, updates, base_n_left, radius, cap);
-    let mut seg: Vec<(u32, u32)> = Vec::with_capacity(n);
-    let mut off = 0u32;
-    for &len in &lens {
-        seg.push((off, len));
-        off += len;
-    }
-    let escalations = capped.iter().filter(|&&c| c).count();
 
-    // Global flags and arrival-id resources, needed before the chain
-    // build below (globals stay out of the conflict chains — their wave
-    // floor already dominates anything a chain link could impose).
-    let mut globals: Vec<bool> = Vec::with_capacity(n);
-    let mut resources: Vec<Option<u32>> = Vec::with_capacity(n);
+    // One past the latest wave that touched each right / arrival id: the
+    // floor those touches impose on any later toucher.
+    let mut right_floor: Vec<u32> = vec![0; gplus.n_right()];
+    let mut id_floor: Vec<u32> = vec![0; arrival_at.len()];
+    // One past the latest global's wave (a global conflicts with all).
+    let mut floor = 0usize;
+    let mut widths: Vec<usize> = Vec::new();
+    let mut delayed = 0usize;
+    let mut plans: Vec<UpdatePlan> = Vec::with_capacity(updates.len());
+    let mut start = 0u32;
     for (i, up) in updates.iter().enumerate() {
+        let len = lens[i];
+        let fp = &footprints[start as usize..(start + len) as usize];
         let referenced = referenced_of[i];
         // A reference to an id no earlier in-batch arrival allocates is a
         // structural no-op serially; a singleton wave before every later
@@ -586,191 +560,55 @@ pub fn schedule(
             let k = (x - base_n_left) as usize;
             arrival_at.get(k).is_none_or(|&at| at > i)
         });
-        globals.push(capped[i] || forward_ref);
-        // The arrival-id resource this update allocates or references.
-        resources.push(match up {
-            Update::Arrive { .. } => arrive_ids[i],
-            _ => referenced,
-        });
-    }
-
-    // Per-right toucher chains over the footprint arena. For arena entry
-    // `p` (update `i` touching right `r`), `prev_of[p]`/`next_of[p]` name
-    // the adjacent non-global touchers of `r` in batch order. One scatter
-    // through a per-right `(last pair, last toucher)` array — fused into
-    // pass 1, which walks the arena in the same order anyway — replaces
-    // the stamped touch map the three passes below used to probe: wave
-    // numbers along one right's chain increase strictly (each toucher's
-    // floor clears its predecessor), so the immediate neighbor already
-    // carries the max (earlier side) or min (later side) the passes need,
-    // and their probes collapse to reads of batch-indexed arrays small
-    // enough to stay cache-resident.
-    const NO_LINK: u32 = u32::MAX;
-    let mut prev_of: Vec<u32> = vec![NO_LINK; footprints.len()];
-    let mut next_of: Vec<u32> = vec![NO_LINK; footprints.len()];
-    let mut last: Vec<(u32, u32)> = vec![(NO_LINK, 0); gplus.n_right()];
-
-    // Stamped index for the arrival-id resource space (a handful of ids,
-    // one per in-batch arrival — cache-resident, chains buy nothing).
-    let mut left_touch: StampMap<u32> = StampMap::new(arrival_at.len());
-    let mut earliest: Vec<usize> = Vec::with_capacity(n);
-    // Wave floor imposed by the latest global update (conflicts with all).
-    let mut floor = 0usize;
-    let mut n_waves = 0usize;
-
-    // ---- Pass 1: first-fit (earliest) waves. Placing every update at
-    // its conflict floor is the longest-chain layering, so `n_waves`
-    // ends at the batch's conflict critical path — the minimum wave
-    // count any order-preserving schedule can reach.
-    for i in 0..n {
-        let (start, len) = seg[i];
-        let e = if globals[i] {
-            let w = floor.max(n_waves);
+        let global = capped[i] || forward_ref;
+        let wave = if global {
+            let w = widths.len();
             floor = w + 1;
             w
         } else {
-            // Conflict floor: one past every earlier conflicting wave.
-            // The chain predecessor — linked in the same sweep — has the
-            // latest (and, waves increasing along a chain, the largest)
-            // earliest wave among earlier touchers.
-            let mut lo = floor;
-            for p in start as usize..(start + len) as usize {
-                let r = footprints[p] as usize;
-                let (q, j) = last[r];
-                if q != NO_LINK {
-                    prev_of[p] = j;
-                    next_of[q as usize] = i as u32;
-                    lo = lo.max(earliest[j as usize] + 1);
-                }
-                last[r] = (p as u32, i as u32);
+            // The arrival-id resource this update allocates or references.
+            let resource = match up {
+                Update::Arrive { .. } => arrive_ids[i],
+                _ => referenced,
             }
-            if let Some(x) = resources[i] {
-                let k = (x - base_n_left) as usize;
-                if let Some(w) = left_touch.get(k) {
-                    lo = lo.max(w as usize + 1);
-                }
-                left_touch.set(k, lo as u32);
+            .map(|x| (x - base_n_left) as usize);
+            let mut lo = floor;
+            for &r in fp {
+                lo = lo.max(right_floor[r as usize] as usize);
+            }
+            if let Some(k) = resource {
+                lo = lo.max(id_floor[k] as usize);
+                id_floor[k] = lo as u32 + 1;
+            }
+            for &r in fp {
+                right_floor[r as usize] = lo as u32 + 1;
             }
             lo
         };
-        n_waves = n_waves.max(e + 1);
-        earliest.push(e);
-    }
-    drop(last);
-
-    // ---- Pass 2: backward slack. `hi[i]` is the latest wave `i` can
-    // take without overtaking a later conflicting update: one before the
-    // min `earliest` of later touchers of its rights/resource (the chain
-    // successor — the minimum, waves increasing along a chain), and one
-    // before the nearest later global. Every final wave lands at or above
-    // its `earliest` (pass-3 floors only ever rise above pass-1 floors),
-    // so placements within `[earliest, hi]` preserve batch order pairwise.
-    let mut hi: Vec<usize> = vec![0; n];
-    left_touch.clear();
-    let mut next_global_e = usize::MAX;
-    for i in (0..n).rev() {
-        let (start, len) = seg[i];
-        hi[i] = if globals[i] {
-            earliest[i] // pinned: a global's slack window is a point
-        } else {
-            let mut h = n_waves - 1;
-            if next_global_e != usize::MAX {
-                h = h.min(next_global_e.saturating_sub(1));
-            }
-            for p in start as usize..(start + len) as usize {
-                if next_of[p] != NO_LINK {
-                    h = h.min(earliest[next_of[p] as usize].saturating_sub(1));
-                }
-            }
-            if let Some(x) = resources[i] {
-                if let Some(w) = left_touch.get((x - base_n_left) as usize) {
-                    h = h.min((w as usize).saturating_sub(1));
-                }
-            }
-            h
-        };
-        if globals[i] {
-            // Scanning backward, the nearest later global always has the
-            // smallest earliest; plain overwrite keeps the min.
-            next_global_e = earliest[i];
-        } else if let Some(x) = resources[i] {
-            left_touch.fetch_min((x - base_n_left) as usize, earliest[i] as u32);
+        if wave == widths.len() {
+            widths.push(0);
         }
-    }
-
-    // ---- Pass 3: forward balanced placement — the least-loaded wave in
-    // `[conflict floor, hi]`, earliest on ties. Floors re-derive from the
-    // *actual* placements (the chain predecessor's assigned wave — the
-    // maximum, placements increasing along a chain), and the slack bound
-    // guarantees floor ≤ hi, so balancing can never extend a chain or
-    // open a wave beyond pass 1's.
-    left_touch.clear();
-    floor = 0;
-    let mut widths = vec![0usize; n_waves];
-    let mut wave_of: Vec<u32> = Vec::with_capacity(n);
-    let mut delayed = 0usize;
-    let mut plans: Vec<UpdatePlan> = Vec::with_capacity(n);
-    for (i, up) in updates.iter().enumerate() {
-        let (start, len) = seg[i];
-        let wave = if globals[i] {
-            let w = earliest[i];
-            debug_assert!(w >= floor, "global slipped below an earlier global");
-            floor = w + 1;
-            if w > 0 {
-                delayed += 1;
-            }
-            w
-        } else {
-            let mut lo = floor;
-            for p in start as usize..(start + len) as usize {
-                if prev_of[p] != NO_LINK {
-                    lo = lo.max(wave_of[prev_of[p] as usize] as usize + 1);
-                }
-            }
-            if let Some(x) = resources[i] {
-                if let Some(w) = left_touch.get((x - base_n_left) as usize) {
-                    lo = lo.max(w as usize + 1);
-                }
-            }
-            if lo > 0 {
-                delayed += 1;
-            }
-            debug_assert!(lo <= hi[i], "slack window inverted at update {i}");
-            // Scan a bounded window past the floor, not the whole slack
-            // range: slack spans hundreds of waves on long-chain batches,
-            // and an unbounded scan makes this pass O(n · waves). A small
-            // window already finds an emptier wave whenever one exists
-            // nearby, which is where balancing pays.
-            let mut best = lo;
-            for w in lo + 1..=hi[i].min(n_waves - 1).min(lo + BALANCE_WINDOW) {
-                if widths[w] < widths[best] {
-                    best = w;
-                }
-            }
-            if let Some(x) = resources[i] {
-                left_touch.fetch_max((x - base_n_left) as usize, best as u32);
-            }
-            best
-        };
         widths[wave] += 1;
-        wave_of.push(wave as u32);
-
+        if wave > 0 {
+            delayed += 1;
+        }
         plans.push(UpdatePlan {
             wave,
             owner: owner_of(up, arrive_ids[i], map, i)?,
             footprint_start: start,
             footprint_len: len,
-            global: globals[i],
+            global,
             arrive_id: arrive_ids[i],
             depth: depths[i],
         });
+        start += len;
     }
 
     Ok(BatchSchedule {
-        waves: n_waves,
+        waves: widths.len(),
         delayed,
         widths,
-        escalations,
+        escalations: capped.iter().filter(|&&c| c).count(),
         plans,
         footprints,
     })
@@ -789,11 +627,10 @@ pub fn schedule(
 /// * conflict-freedom: two plans may share a wave only if both are
 ///   non-global and their clone-derived footprints are disjoint;
 /// * order: every conflicting pair (footprint overlap, shared arrival-id
-///   resource, or either side global) keeps batch order across waves.
-///
-/// Plans legitimately differ from any particular greedy order — this
-/// checks the *invariants* that make wave execution serial-equivalent,
-/// not a specific placement.
+///   resource, or either side global) keeps batch order across waves;
+/// * exact floor: every plan's wave is `1 +` the latest wave of the
+///   earlier plans it conflicts with (a global conflicts with all of
+///   them), or 0 when none does — first-fit placement, pinned exactly.
 #[cfg(test)]
 pub(crate) fn check_schedule_sound(
     dg: &DeltaGraph,
@@ -906,10 +743,12 @@ pub(crate) fn check_schedule_sound(
     }
     assert_eq!(widths, sched.widths, "recounted widths");
 
-    // Conflict-freedom and batch order.
+    // Conflict-freedom, batch order and the exact conflict floor.
     for j in 0..sched.plans.len() {
+        let wj = sched.plans[j].wave;
+        let mut floor = 0usize;
         for i in 0..j {
-            let (wi, wj) = (sched.plans[i].wave, sched.plans[j].wave);
+            let wi = sched.plans[i].wave;
             let overlap = fps[i].iter().any(|r| fps[j].binary_search(r).is_ok());
             let shared_resource = resources[i].is_some() && resources[i] == resources[j];
             let conflict = globals[i] || globals[j] || overlap || shared_resource;
@@ -919,8 +758,10 @@ pub(crate) fn check_schedule_sound(
                     "conflicting updates {i} (wave {wi}) and {j} (wave {wj}) \
                      left batch order"
                 );
+                floor = floor.max(wi + 1);
             }
         }
+        assert_eq!(wj, floor, "plan {j}: wave is not its conflict floor");
     }
 }
 
@@ -1060,10 +901,10 @@ mod tests {
     }
 
     #[test]
-    fn width_balancing_spreads_commuting_updates() {
+    fn commuting_updates_land_on_their_floor() {
         // A 3-deep conflict chain at v10..=v12 plus three pairwise-distant
-        // singles: first-fit-by-arrival would pile the singles onto wave 0
-        // (widths [4, 1, 1]); least-loaded placement spreads them.
+        // singles: every single lands on its floor, wave 0, beside the
+        // chain's head.
         let dg = path_graph(60);
         let map = ShardMap::new(2);
         let updates = vec![
@@ -1076,7 +917,9 @@ mod tests {
         ];
         let s = schedule(&dg, &updates, &cfg_k(2), &map, FOOTPRINT_CAP).unwrap();
         assert_eq!(s.waves, 3, "waves equal the conflict chain length");
-        assert_eq!(s.widths, vec![2, 2, 2], "commuting updates balance");
+        assert_eq!(s.widths, vec![4, 1, 1], "commuting updates share wave 0");
+        assert!(s.plans[3..].iter().all(|p| p.wave == 0));
+        assert_eq!(s.delayed, 2);
         check_schedule_sound(&dg, &updates, &cfg_k(2), FOOTPRINT_CAP, &s);
     }
 
@@ -1227,11 +1070,12 @@ mod oracle_proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Every schedule the width-balancing scheduler emits passes the
+        /// Every schedule the first-fit scheduler emits passes the
         /// clone-based conflict-freedom oracle — footprints match the
         /// independent `O(n + m)` computation, same-wave plans never
-        /// share a right, and every conflicting pair (overlap, shared
-        /// arrival id, or a global) keeps batch order — for every update
+        /// share a right, every conflicting pair (overlap, shared
+        /// arrival id, or a global) keeps batch order, and every plan
+        /// sits exactly on its conflict floor — for every update
         /// stream, shard count in {1, 2, 4, 7}, eager budget, and
         /// footprint cap (including caps small enough to truncate).
         #[test]

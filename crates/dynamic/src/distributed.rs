@@ -143,9 +143,8 @@ pub struct ShardedStats {
     /// Widest wave scheduled so far (updates repairing in parallel).
     pub widest_wave: usize,
     /// Updates placed above wave 0 — serialized behind a conflicting
-    /// ball (or a global). The balance of a schedule shows in
-    /// `widest_wave` staying near `routed_updates / waves`; this counter
-    /// shows how much of the batch conflicts at all.
+    /// ball (or a global). Every update lands on its conflict floor, so
+    /// this counter shows how much of the batch conflicts at all.
     pub delayed: usize,
 }
 
@@ -235,11 +234,9 @@ pub struct ShardedServeLoop {
 
 impl ShardedServeLoop {
     /// Solve `base` with the static stack and start serving from that
-    /// state, sharded `cfg.shards` ways. The initial per-shard
-    /// compactions ([`DeltaGraph::partition_by_right`]) are materialized
-    /// once to account (and check) the resident state distribution.
-    ///
-    /// [`DeltaGraph::partition_by_right`]: sparse_alloc_graph::DeltaGraph::partition_by_right
+    /// state, sharded `cfg.shards` ways. The initial resident state of
+    /// each shard (its owned rights with their adjacency, and its lefts)
+    /// is charged to the ledger and checked against the space budget.
     pub fn new(base: Bipartite, cfg: ShardedConfig) -> Result<Self, MpcError> {
         assert!(cfg.shards >= 1, "at least one shard");
         assert!(cfg.space_slack >= 1, "space slack ≥ 1");
@@ -254,22 +251,6 @@ impl ShardedServeLoop {
             stats: ShardedStats::default(),
             tracer: Tracer::default(),
         };
-        // Cross-check the ownership invariant against the materialized
-        // per-shard compactions — debug builds only: release builds derive
-        // the same residency from shard_state_words without building
-        // `shards` graph copies.
-        #[cfg(debug_assertions)]
-        {
-            let parts = this
-                .inner
-                .graph()
-                .partition_by_right(cfg.shards, |v| this.map.owner_of_right(v));
-            debug_assert_eq!(
-                parts.iter().map(Bipartite::m).sum::<usize>(),
-                this.inner.graph().m(),
-                "ownership covers each live edge exactly once"
-            );
-        }
         let words = this.shard_state_words();
         let budget = this.space_budget();
         let mut epoch = Ledger::default();
@@ -649,9 +630,10 @@ impl ShardedServeLoop {
                         .expect("every update was delivered")
                 })
                 .collect();
-            // The wave may run arrivals out of batch order (that is the
-            // point of width balancing): hand the engine the ids staging
-            // precomputed so each arrival lands in its serial slot.
+            // The wave may run arrivals out of batch order (a commuting
+            // later arrival can share an earlier wave): hand the engine
+            // the ids staging precomputed so each arrival lands in its
+            // serial slot.
             let arrive_ids: Vec<Option<u32>> = idxs
                 .iter()
                 .map(|&i| staged.sched.plans[i].arrive_id)

@@ -76,9 +76,11 @@ pub struct DynamicConfig {
     /// work per epoch under bulk churn, and binds on churn-heavy epochs
     /// (counted by `Counter::LevelCapHits`). When it binds, the repaired
     /// rights are the first `repair_ball_cap` in BFS order from the
-    /// epoch's dirty list, so the choice depends on the order updates
-    /// marked them. A fold re-solves the levels if the truncation has
-    /// cost their fractional weight more than `ε/2` of `|M|`.
+    /// epoch's dirty rights, sorted and deduplicated first — so the ball
+    /// is a function of the dirty *set*, not of the order updates (or a
+    /// sharded engine's waves) marked them. A fold re-solves the levels
+    /// if the truncation has cost their fractional weight more than
+    /// `ε/2` of `|M|`.
     pub repair_ball_cap: usize,
 }
 
@@ -789,6 +791,11 @@ impl ServeLoop {
         self.obs.phase_ns(Phase::CertSweep, sp.close());
         if !self.dirty.is_empty() {
             let sp = self.tracer.span(Phase::LevelRepair, epoch);
+            // Wave executors mark rights in wave order, the serial engine
+            // in batch order; a capped ball grown from the list in either
+            // order would differ, so it grows from the sorted set.
+            self.dirty.sort_unstable();
+            self.dirty.dedup();
             let rep = repair_levels(
                 &self.dg,
                 &mut self.levels,
@@ -948,8 +955,8 @@ impl ServeLoop {
 
     fn mark_dirty(&mut self, v: RightId) {
         // The dirty list stays small per epoch; linear dedup would be
-        // quadratic under heavy churn, so duplicates are tolerated and the
-        // ball computation deduplicates.
+        // quadratic under heavy churn, so duplicates are tolerated until
+        // `end_epoch` sorts and deduplicates the list.
         self.dirty.push(v);
         self.sweep_dirty.push(v);
     }

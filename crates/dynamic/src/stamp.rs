@@ -1,9 +1,9 @@
-//! Epoch-stamped membership structures for the scheduling hot path.
+//! An epoch-stamped membership set for the scheduling hot path.
 //!
 //! The conflict scheduler touches a few hundred right vertices per update
 //! and has to forget everything between batches. A `HashSet` pays a hash
 //! per probe on the per-edge path and an `O(size)` drain per clear; a
-//! dense `Vec<bool>` clears in `O(n)`. The stamped variants here pay one
+//! dense `Vec<bool>` clears in `O(n)`. The stamped set here pays one
 //! array read per probe and clear in `O(1)`: every slot remembers the
 //! stamp of the last generation that wrote it, and bumping the generation
 //! invalidates all slots at once. Stamp wraparound (one in `2³²` clears)
@@ -12,14 +12,14 @@
 //!
 //! # The epoch-stamp invariant
 //!
-//! The structures maintain one invariant: **a slot is live iff its mark
+//! The set maintains one invariant: **a slot is live iff its mark
 //! equals the current generation stamp**. Three facts make it airtight:
 //!
 //! 1. Writes always store the current stamp, so a slot written this
 //!    generation tests live.
-//! 2. [`StampSet::clear`]/[`StampMap::clear`] bump the stamp without
-//!    touching the slots, so every previously-live slot instantly tests
-//!    dead — that is the `O(1)` clear.
+//! 2. [`StampSet::clear`] bumps the stamp without touching the slots,
+//!    so every previously-live slot instantly tests dead — that is the
+//!    `O(1)` clear.
 //! 3. The stamp never repeats within a mark array's lifetime: generations
 //!    are handed out sequentially, and the one wraparound in `2³²` clears
 //!    re-zeroes all marks and restarts at 1 (stamp 0 is reserved for
@@ -110,80 +110,6 @@ impl StampSet {
     }
 }
 
-/// A map from `0..n` to `T` with `O(1)` insert/get/clear — the stamped
-/// analogue of `HashMap<u32, T>` for dense key spaces.
-///
-/// Mark and value live in one slot, not two parallel arrays: a probe on
-/// the scheduler's conflict indexes is a random access into a few hundred
-/// kilobytes, and the interleaved layout pays one cache line for the
-/// mark-check-then-read instead of two.
-#[derive(Debug, Clone)]
-pub struct StampMap<T> {
-    stamp: u32,
-    slots: Vec<(u32, T)>,
-}
-
-impl<T: Copy + Default> StampMap<T> {
-    /// An empty map over the key space `0..n`.
-    pub fn new(n: usize) -> Self {
-        StampMap {
-            stamp: 1,
-            slots: vec![(0, T::default()); n],
-        }
-    }
-
-    /// Grow the key space to at least `n`.
-    pub fn grow(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize(n, (0, T::default()));
-        }
-    }
-
-    /// Drop every entry in `O(1)` (amortized; wraparound pays `O(n)`).
-    pub fn clear(&mut self) {
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.slots.iter_mut().for_each(|s| s.0 = 0);
-            self.stamp = 1;
-        }
-    }
-
-    /// The value at `i`, if this generation wrote one.
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<T> {
-        let (mark, v) = self.slots[i];
-        (mark == self.stamp).then_some(v)
-    }
-
-    /// Set the value at `i`.
-    #[inline]
-    pub fn set(&mut self, i: usize, v: T) {
-        self.slots[i] = (self.stamp, v);
-    }
-}
-
-impl<T: Copy + Default + Ord> StampMap<T> {
-    /// Raise the value at `i` to at least `v` (sets it if absent) — the
-    /// last-writer-wins pattern of the scheduler's conflict indexes.
-    #[inline]
-    pub fn fetch_max(&mut self, i: usize, v: T) {
-        match self.get(i) {
-            Some(old) if old >= v => {}
-            _ => self.set(i, v),
-        }
-    }
-
-    /// Lower the value at `i` to at most `v` (sets it if absent) — the
-    /// mirror of [`StampMap::fetch_max`], for backward scans.
-    #[inline]
-    pub fn fetch_min(&mut self, i: usize, v: T) {
-        match self.get(i) {
-            Some(old) if old <= v => {}
-            _ => self.set(i, v),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,43 +189,5 @@ mod tests {
         for i in 0..n {
             assert_eq!(s.contains(i), reference.contains(&i), "final state {i}");
         }
-    }
-
-    #[test]
-    fn fetch_max_raises_and_never_lowers() {
-        let mut m: StampMap<usize> = StampMap::new(4);
-        m.fetch_max(1, 5);
-        assert_eq!(m.get(1), Some(5), "absent slot takes the value");
-        m.fetch_max(1, 3);
-        assert_eq!(m.get(1), Some(5), "smaller value never lowers");
-        m.fetch_max(1, 9);
-        assert_eq!(m.get(1), Some(9), "larger value raises");
-        m.clear();
-        assert_eq!(m.get(1), None);
-        m.fetch_max(1, 2);
-        assert_eq!(m.get(1), Some(2), "cleared slot takes the value again");
-        m.fetch_min(2, 8);
-        assert_eq!(m.get(2), Some(8), "absent slot takes the value");
-        m.fetch_min(2, 11);
-        assert_eq!(m.get(2), Some(8), "larger value never raises");
-        m.fetch_min(2, 3);
-        assert_eq!(m.get(2), Some(3), "smaller value lowers");
-    }
-
-    #[test]
-    fn stamp_map_tracks_latest_values() {
-        let mut m: StampMap<usize> = StampMap::new(6);
-        assert_eq!(m.get(2), None);
-        m.set(2, 7);
-        m.set(4, 1);
-        assert_eq!(m.get(2), Some(7));
-        m.set(2, 9);
-        assert_eq!(m.get(2), Some(9), "set overwrites");
-        m.clear();
-        assert_eq!(m.get(2), None, "clear drops entries");
-        assert_eq!(m.get(4), None);
-        m.grow(10);
-        m.set(8, 3);
-        assert_eq!(m.get(8), Some(3));
     }
 }

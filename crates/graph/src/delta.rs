@@ -402,52 +402,6 @@ impl DeltaGraph {
         self.caps[v as usize] = cap;
     }
 
-    /// Split the live graph into per-shard snapshots by right-vertex
-    /// ownership: shard `s` receives exactly the live edges whose right
-    /// endpoint `v` has `owner(v) == s`. Every shard keeps the full vertex
-    /// id space (ids are stable across shards and across compactions) and
-    /// the full live capacity vector, so per-shard solvers index the same
-    /// arrays the global engine does. `O(n·shards + m)`, plus the sort of
-    /// each row that carries overlay edges.
-    ///
-    /// This is the distributed serve loop's "per-shard compaction": each
-    /// machine folds only its owned slice of the overlay, and the union of
-    /// the shards' edge sets is the live edge set, each edge appearing on
-    /// exactly one shard. Each shard is [`compact`](DeltaGraph::compact)'s
-    /// row filter: the sorted live rows restricted to its rights.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0` or `owner` returns an id `≥ shards`.
-    pub fn partition_by_right<F>(&self, shards: usize, owner: F) -> Vec<Bipartite>
-    where
-        F: Fn(RightId) -> usize,
-    {
-        assert!(shards >= 1, "partition needs at least one shard");
-        let mut csrs: Vec<(Vec<usize>, Vec<RightId>)> = (0..shards)
-            .map(|_| {
-                let mut offsets = Vec::with_capacity(self.n_left() + 1);
-                offsets.push(0);
-                (offsets, Vec::new())
-            })
-            .collect();
-        let mut row: Vec<RightId> = Vec::new();
-        for u in 0..self.n_left() as u32 {
-            row.clear();
-            self.push_live_row(u, &mut row);
-            for &v in &row {
-                let s = owner(v);
-                assert!(s < shards, "owner({v}) = {s} out of range");
-                csrs[s].1.push(v);
-            }
-            for (offsets, adj) in &mut csrs {
-                offsets.push(adj.len());
-            }
-        }
-        csrs.into_iter()
-            .map(|(offsets, adj)| Bipartite::from_left_csr(offsets, adj, self.caps.clone()))
-            .collect()
-    }
-
     /// Append the live neighbours of `u` to `out`, sorted. Base rows are
     /// sorted already and lose only deleted edges; a row that carries
     /// overlay edges (staged inserts, or any arrival — inserts onto an
@@ -1157,43 +1111,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_by_right_covers_each_live_edge_once() {
-        let mut d = DeltaGraph::new(base());
-        d.delete_edge(0, 0);
-        d.insert_edge(1, 1);
-        let u = d.arrive(&[0, 1]);
-        d.set_capacity(1, 9);
-        let parts = d.partition_by_right(3, |v| (v as usize + 1) % 3);
-        assert_eq!(parts.len(), 3);
-        let total: usize = parts.iter().map(Bipartite::m).sum();
-        assert_eq!(total, d.m(), "edges are covered exactly once");
-        for (s, p) in parts.iter().enumerate() {
-            p.validate().unwrap();
-            assert_eq!(p.n_left(), d.n_left());
-            assert_eq!(p.n_right(), d.n_right());
-            assert_eq!(p.capacities(), d.capacities(), "full caps on shard {s}");
-            for v in 0..d.n_right() as u32 {
-                let deg = p.right_degree(v);
-                if (v as usize + 1) % 3 == s {
-                    assert_eq!(deg, d.right_degree(v), "owned right {v}");
-                } else {
-                    assert_eq!(deg, 0, "foreign right {v} on shard {s}");
-                }
-            }
-        }
-        // The arrival's edges land on the shards owning its neighbors.
-        let on = |s: usize| parts[s].left_degree(u);
-        assert_eq!(on(0) + on(1) + on(2), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn partition_rejects_bad_owners() {
-        let d = DeltaGraph::new(base());
-        let _ = d.partition_by_right(2, |_| 5);
-    }
-
-    #[test]
     fn insert_overlay_stages_without_touching_the_base() {
         let mut d = DeltaGraph::new(base());
         d.delete_edge(0, 0); // removed base edge: re-staging must revive it
@@ -1412,17 +1329,12 @@ mod tests {
         assert_eq!(got.capacities, want.capacities, "{what}: capacities");
     }
 
-    /// The builder path over the live edges whose right endpoint passes
-    /// `keep`: the reference `compact` and each shard of
-    /// `partition_by_right` must reproduce exactly.
-    fn builder_snapshot(d: &DeltaGraph, keep: impl Fn(RightId) -> bool) -> Bipartite {
+    /// The builder path over the live edges: the reference `compact`
+    /// must reproduce exactly.
+    fn builder_snapshot(d: &DeltaGraph) -> Bipartite {
         let mut b = BipartiteBuilder::new(d.n_left(), d.n_right());
         for u in 0..d.n_left() as LeftId {
-            b.extend_edges(
-                d.left_neighbors_iter(u)
-                    .filter(|&v| keep(v))
-                    .map(|v| (u, v)),
-            );
+            b.extend_edges(d.left_neighbors_iter(u).map(|v| (u, v)));
         }
         b.build(d.capacities().to_vec()).unwrap()
     }
@@ -1446,9 +1358,7 @@ mod tests {
         fn compact_matches_builder(
             g in small_base(),
             ops in proptest::collection::vec((0u8..7, 0u32..1_000, 0u32..1_000, 1u64..=4), 0..40),
-            shards in 1usize..4,
         ) {
-            let owner = |v: RightId| (v as usize * 7 + 3) % shards;
             let mut d = DeltaGraph::new(g);
             let mut deleted: Vec<(LeftId, RightId)> = Vec::new();
             for (step, &(kind, a, b, cap)) in ops.iter().enumerate() {
@@ -1488,13 +1398,7 @@ mod tests {
                     _ => {}
                 }
                 let what = format!("step {step} (op {kind})");
-                assert_same_graph(&d.compact(), &builder_snapshot(&d, |_| true), &what);
-                let parts = d.partition_by_right(shards, owner);
-                prop_assert_eq!(parts.len(), shards);
-                for (s, part) in parts.iter().enumerate() {
-                    let want = builder_snapshot(&d, |v| owner(v) == s);
-                    assert_same_graph(part, &want, &format!("{what}, shard {s}"));
-                }
+                assert_same_graph(&d.compact(), &builder_snapshot(&d), &what);
             }
         }
     }

@@ -303,14 +303,28 @@ proptest! {
 /// ε of every ≡-serial property.
 const EPS: f64 = 0.25;
 
+/// The engine config of every ≡-serial property: the sharded default on
+/// `shards` machines, with a β-repair ball cap small enough to bind on
+/// these instances. A binding cap truncates the level-repair ball to its
+/// first rights in BFS order from the dirty rights, so the harness's
+/// level check sees any dependence on the order a wave executor marked
+/// them in.
+fn harness_cfg(shards: usize) -> ShardedConfig {
+    let mut cfg = ShardedConfig::for_eps(EPS, shards);
+    cfg.dynamic.repair_ball_cap = 4;
+    cfg
+}
+
 /// The serial reference the ≡-serial properties compare against: the
-/// same stream, one epoch per `epoch_every` updates, under the sharded
-/// default engine config (the equivalence contract is per-config).
+/// same stream, one epoch per `epoch_every` updates, under the harness
+/// config (the equivalence contract is per-config).
 struct Reference {
     /// Matching size after each epoch.
     sizes: Vec<usize>,
     /// The final matching.
     mate: Vec<Option<u32>>,
+    /// The final β-levels.
+    levels: Vec<i64>,
     /// The exact optimum of the final live graph.
     opt: u64,
     /// The walk budget `k` of the `k/(k+1)` certificate.
@@ -319,11 +333,12 @@ struct Reference {
 
 impl Reference {
     fn of(g: &Bipartite, updates: &[Update], epoch_every: usize) -> Reference {
-        let mut serial = ServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, 1).dynamic);
+        let mut serial = ServeLoop::new(g.clone(), harness_cfg(1).dynamic);
         let reports = drive(&mut serial, updates.chunks(epoch_every)).unwrap();
         Reference {
             sizes: reports.iter().map(|r| r.match_size).collect(),
             mate: serial.assignment().mate,
+            levels: serial.levels().to_vec(),
             opt: opt_value(&serial.snapshot()),
             k: serial.config().walk_budget as f64,
         }
@@ -331,10 +346,10 @@ impl Reference {
 
     /// The one ≡-serial harness, for any engine: drive `engine` over the
     /// same stream and assert that no machine ever leaves its space
-    /// budget, that the per-epoch matching sizes and the served
-    /// allocation equal the reference's (a networked engine gathers its
-    /// allocation from the worker slices over the wire, not from the
-    /// coordinator's copy), and that the served size keeps the
+    /// budget, that the per-epoch matching sizes, the served allocation
+    /// (a networked engine gathers it from the worker slices over the
+    /// wire, not from the coordinator's copy) and the final β-levels
+    /// equal the reference's, and that the served size keeps the
     /// `k/(k+1)·OPT` certificate. `sharded` reads the sharded half of an
     /// epoch report. Failure is a panic, which proptest reports as a
     /// failed case.
@@ -364,6 +379,11 @@ impl Reference {
             .served()
             .unwrap_or_else(|e| panic!("{what}: serving the allocation failed: {e}"));
         assert_eq!(served.mate, self.mate, "{what}: final matching diverged");
+        assert_eq!(
+            engine.serial().levels(),
+            &self.levels[..],
+            "{what}: final β-levels diverged"
+        );
         let (k, opt) = (self.k, self.opt);
         assert!(
             served.size() as f64 >= k / (k + 1.0) * opt as f64 - 1e-9,
@@ -375,7 +395,7 @@ impl Reference {
 
 /// The sharded engine on `shards` machines.
 fn sharded_engine(g: &Bipartite, shards: usize) -> ShardedServeLoop {
-    ShardedServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, shards))
+    ShardedServeLoop::new(g.clone(), harness_cfg(shards))
         .unwrap_or_else(|e| panic!("{shards} shards: initial state over budget: {e}"))
 }
 
@@ -393,7 +413,7 @@ fn assert_net_equals_serial(
     p2p: bool,
 ) -> u64 {
     let what = format!("{shards} shards over {kind:?}");
-    let cfg = ShardedConfig::for_eps(EPS, shards);
+    let cfg = harness_cfg(shards);
     let mut net = if p2p {
         NetServeLoop::new_p2p(g.clone(), cfg, kind)
     } else {
@@ -536,9 +556,9 @@ fn p2p_epochs_with_cross_shard_walks_stay_serial_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The schedule-invariant contract of the width-balancing wave
-    /// scheduler, checked on the public API (replacing the retired
-    /// plans-identical oracle): for arbitrary batches and shard counts —
+    /// The schedule-invariant contract of the first-fit wave scheduler,
+    /// checked on the public API (replacing the retired plans-identical
+    /// oracle): for arbitrary batches and shard counts —
     ///
     /// * no two same-wave non-global plans share a footprint right;
     /// * every global plan's wave exceeds all prior plans' waves (and
@@ -561,7 +581,7 @@ proptest! {
         for &shards in &[1usize, 2, 4, 7] {
             // Structural invariants of the schedule itself, on the
             // pre-batch graph (exactly what apply_batch schedules on).
-            let cfg = ShardedConfig::for_eps(EPS, shards);
+            let cfg = harness_cfg(shards);
             let dg = DeltaGraph::new(g.clone());
             let map = ShardMap::new(shards);
             let sched = schedule(&dg, &updates, &cfg.dynamic, &map, FOOTPRINT_CAP).unwrap();
