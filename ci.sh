@@ -26,12 +26,31 @@ fi
 step "cargo test -q"
 cargo test -q
 
-step "servebench builds and its tests pass (it compiles against the engines' reports)"
-cargo test -q --manifest-path servebench/Cargo.toml \
-    || { echo "servebench FAILED to build or test against the current engine API"; exit 1; }
+# Every step after `cargo test -q` is a function run by `run`: a failing
+# step is recorded and the script goes on, so one red gate does not hide
+# the steps after it. The script still exits non-zero, listing every
+# failed step.
+failed=()
+run() {
+    local title="$1"
+    shift
+    step "$title"
+    set +e
+    (
+        set -e
+        "$@"
+    )
+    local rc=$?
+    set -e
+    [ "$rc" -eq 0 ] || failed+=("$title")
+}
 
-if [ "${1:-}" != "fast" ]; then
-    step "CLI smoke test (salloc dynamic, serial + sharded)"
+servebench_tests() {
+    cargo test -q --manifest-path servebench/Cargo.toml \
+        || { echo "servebench FAILED to build or test against the current engine API"; exit 1; }
+}
+
+smoke_cli() {
     tmp="$(mktemp -d)"
     cargo run --release -q --bin salloc -- \
         gen forests --nl 300 --nr 240 --k 3 --cap 2 --seed 7 --out "$tmp/g.txt"
@@ -41,8 +60,9 @@ if [ "${1:-}" != "fast" ]; then
         dynamic "$tmp/g.txt" --epochs 2 --events 150 --eps 0.25 --seed 1 --shards 4 \
         --eager-budget 1 --waves
     rm -rf "$tmp"
+}
 
-    step "CLI networked smoke (salloc dynamic --net ≡ serial on the wire)"
+smoke_net() {
     # Eager budget 1 on BOTH sides: the equivalence contract is
     # per-config, and the tight budget keeps the staged footprints
     # inside the 4-shard space budget (as in the sharded smoke above).
@@ -66,8 +86,9 @@ if [ "${1:-}" != "fast" ]; then
     cmp "$tmp/serial.txt" "$tmp/p2p.txt" \
         || { echo "p2p wire-gathered allocation diverged from the serial engine"; exit 1; }
     rm -rf "$tmp"
+}
 
-    step "CLI trace smoke (salloc dynamic --trace + salloc report)"
+smoke_trace() {
     # Eager budget 1 for the same reason as the smokes above: keep the
     # staged footprints inside the 4-shard space budget at this size.
     tmp="$(mktemp -d)"
@@ -83,8 +104,9 @@ if [ "${1:-}" != "fast" ]; then
     grep -q 'repair_wave' "$tmp/report.txt" \
         || { echo "salloc report is missing the per-phase latency table"; exit 1; }
     rm -rf "$tmp"
+}
 
-    step "CLI checkpoint/restore smoke (warm restart ≡ uninterrupted)"
+smoke_checkpoint() {
     tmp="$(mktemp -d)"
     cargo run --release -q --bin salloc -- \
         gen forests --nl 300 --nr 240 --k 3 --cap 2 --seed 7 --out "$tmp/g.txt"
@@ -132,8 +154,9 @@ if [ "${1:-}" != "fast" ]; then
     cmp "$tmp/e1-full.txt" "$tmp/p2p-resumed.txt" \
         || { echo "p2p warm restart onto 4 workers diverged from the serial engine"; exit 1; }
     rm -rf "$tmp"
+}
 
-    step "CLI chaos smoke (mid-stream fault recovered, WAL'd run ≡ serial)"
+smoke_chaos() {
     # A fault is injected into a live 2-shard mesh before epoch 2; the
     # supervisor must rebuild the mesh and the run must finish with
     # the exact serial assignment, while logging every batch to a WAL.
@@ -164,20 +187,23 @@ if [ "${1:-}" != "fast" ]; then
     cmp "$tmp/serial.txt" "$tmp/p2p-chaos.txt" \
         || { echo "faulted p2p run diverged from the serial engine"; exit 1; }
     rm -rf "$tmp"
+}
 
-    step "e17 dynamic maintenance (incremental ≥ 4× full recompute and quality ≥ k/(k+1), gated)"
+gate_e17() {
     # The threshold is a same-box rebase of the original ≥ 5× record —
     # see the module docs of e17_dynamic.rs for the measured baseline.
     cargo run --release -q -p sparse-alloc-bench --bin experiments -- e17
     grep -q '"pass": true' BENCH_dynamic.json \
         || { echo "e17 FAILED its ≥4× incremental-vs-full or quality ≥ k/(k+1) criterion"; exit 1; }
+}
 
-    step "e18 distributed serving (sharded ≡ serial at scale, mates and β-levels, gated)"
+gate_e18() {
     cargo run --release -q -p sparse-alloc-bench --bin experiments -- e18
     grep -q '"state_equal_serial": true' BENCH_distributed.json \
         || { echo "e18 FAILED: sharded mates or β-levels diverged from serial"; exit 1; }
+}
 
-    step "e19 batching throughput (regression-gated)"
+gate_e19() {
     # The gate compares the sharded/serial *overhead ratio* (recorded as
     # overhead_ratio), not raw milliseconds: both measurements come from
     # the same run, so a slower or noisier host shifts them together and
@@ -255,18 +281,21 @@ if [ "${1:-}" != "fast" ]; then
         }
         printf "e19 metrics overhead gate: enabled/disabled ratio %.3f (limit 1.05) — OK\n", r
     }' || exit 1
+}
 
-    step "e20 persistence (warm-restart fidelity + snapshot size, gated)"
+gate_e20() {
     cargo run --release -q -p sparse-alloc-bench --bin experiments -- e20
     grep -q '"pass": true' BENCH_persistence.json \
         || { echo "e20 FAILED its fidelity/snapshot-size criterion"; exit 1; }
+}
 
-    step "e21 networked serving (wire-gathered ≡ serial over loopback + TCP, gated)"
+gate_e21() {
     cargo run --release -q -p sparse-alloc-bench --bin experiments -- e21
     grep -q '"gathered_equal_serial": true' BENCH_network.json \
         || { echo "e21 FAILED: wire-gathered allocation diverged from serial"; exit 1; }
+}
 
-    step "e22 self-healing (recovery ≡ serial, WAL + delta cost, gated)"
+gate_e22() {
     cargo run --release -q -p sparse-alloc-bench --bin experiments -- e22
     grep -q '"survived_equal_serial": true' BENCH_recovery.json \
         || { echo "e22 FAILED: the supervised run diverged from serial"; exit 1; }
@@ -285,8 +314,9 @@ if [ "${1:-}" != "fast" ]; then
         }
         printf "e22 durability gate: %.1f B/update (limit 16), delta %.3f of full (limit 0.3) — OK\n", w, d
     }' || exit 1
+}
 
-    step "e23 p2p repair waves (handoffs metered, coordinator bytes < star, ≡ serial, gated)"
+gate_e23() {
     cargo run --release -q -p sparse-alloc-bench --bin experiments -- e23
     grep -q '"p2p_equal_serial": true' BENCH_p2p.json \
         || { echo "e23 FAILED: p2p wire-gathered allocation diverged from serial"; exit 1; }
@@ -306,51 +336,91 @@ if [ "${1:-}" != "fast" ]; then
         }
         printf "e23 wave-bytes gate: %d (limit %d) — OK\n", b, limit
     }' || exit 1
+}
 
-    step "sharded ≡ serial proptest under --release (conflict-free waves)"
+proptest_sharded() {
     cargo test --release -q --test properties \
         sharded_serving_equals_serial_for_any_shard_count
+}
 
-    step "networked ≡ serial proptests under --release (loopback + TCP transports)"
+proptest_net() {
     cargo test --release -q --test properties \
         networked_serving_over_loopback_equals_serial
     cargo test --release -q --test properties \
         networked_serving_over_tcp_equals_serial
+}
 
-    step "p2p ≡ serial proptests under --release (worker↔worker walk handoffs)"
+proptest_p2p() {
     cargo test --release -q --test properties \
         p2p_serving_over_loopback_equals_serial
     cargo test --release -q --test properties \
         p2p_serving_over_tcp_equals_serial
     cargo test --release -q --test properties \
         p2p_epochs_with_cross_shard_walks_stay_serial_identical
+}
 
-    step "compact ≡ builder and fractional ≡ scratch proptests under --release"
+proptest_compact_fractional() {
     cargo test --release -q -p sparse-alloc-graph --lib delta::tests::compact_matches_builder
     cargo test --release -q --test properties fractional_equals_scratch_under_updates
+}
 
-    step "long soak under --release (certificate, k/(k+1)·OPT, churn budget, fractional bound, restores)"
+soak_long() {
     cargo test --release -q --test soak -- --ignored \
         || { echo "soak FAILED: the served allocation broke a paper guarantee over a long churn run"; exit 1; }
+}
 
-    step "transport fault-injection harness under --release (star spokes + p2p peer links)"
+transport_harness() {
     cargo test --release -q --test transport
     # Worker inboxes (tagging, deadlines, closed/truncated links, reader
     # exit), then the whole networked-engine module: worker slice format,
     # idle-worker handoff latency, star/p2p comparisons.
     cargo test --release -q -p sparse-alloc-mpc --lib transport::tests
     cargo test --release -q -p sparse-alloc-dynamic --lib net::tests
+}
 
-    step "examples (release) — none may bit-rot"
+examples_release() {
     for ex in examples/*.rs; do
         name="$(basename "${ex%.rs}")"
         printf '  -- %s\n' "$name"
         cargo run --release -q --example "$name" >/dev/null
     done
+}
+
+rustdoc() {
+    RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
+        cargo doc --workspace --no-deps --quiet
+}
+
+run "servebench builds and its tests pass (it compiles against the engines' reports)" servebench_tests
+
+if [ "${1:-}" != "fast" ]; then
+    run "CLI smoke test (salloc dynamic, serial + sharded)" smoke_cli
+    run "CLI networked smoke (salloc dynamic --net ≡ serial on the wire)" smoke_net
+    run "CLI trace smoke (salloc dynamic --trace + salloc report)" smoke_trace
+    run "CLI checkpoint/restore smoke (warm restart ≡ uninterrupted)" smoke_checkpoint
+    run "CLI chaos smoke (mid-stream fault recovered, WAL'd run ≡ serial)" smoke_chaos
+    run "e17 dynamic maintenance (incremental ≥ 4× full recompute and quality ≥ k/(k+1), gated)" gate_e17
+    run "e18 distributed serving (sharded ≡ serial at scale, mates and β-levels, gated)" gate_e18
+    run "e19 batching throughput (regression-gated)" gate_e19
+    run "e20 persistence (warm-restart fidelity + snapshot size, gated)" gate_e20
+    run "e21 networked serving (wire-gathered ≡ serial over loopback + TCP, gated)" gate_e21
+    run "e22 self-healing (recovery ≡ serial, WAL + delta cost, gated)" gate_e22
+    run "e23 p2p repair waves (handoffs metered, coordinator bytes < star, ≡ serial, gated)" gate_e23
+    run "sharded ≡ serial proptest under --release (conflict-free waves)" proptest_sharded
+    run "networked ≡ serial proptests under --release (loopback + TCP transports)" proptest_net
+    run "p2p ≡ serial proptests under --release (worker↔worker walk handoffs)" proptest_p2p
+    run "compact ≡ builder and fractional ≡ scratch proptests under --release" proptest_compact_fractional
+    run "long soak under --release (certificate, k/(k+1)·OPT, churn budget, fractional bound, restores)" soak_long
+    run "transport fault-injection harness under --release (star spokes + p2p peer links)" transport_harness
+    run "examples (release) — none may bit-rot" examples_release
 fi
 
-step "cargo doc --workspace --no-deps (warnings + broken intra-doc links are errors)"
-RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
-    cargo doc --workspace --no-deps --quiet
+run "cargo doc --workspace --no-deps (warnings + broken intra-doc links are errors)" rustdoc
+
+if [ "${#failed[@]}" -gt 0 ]; then
+    printf '\n==> FAILED: %d step(s)\n' "${#failed[@]}"
+    printf '  - %s\n' "${failed[@]}"
+    exit 1
+fi
 
 step "OK"

@@ -4,8 +4,8 @@
 //! accounts every exchange in words, but all authoritative state lives in
 //! one address space. [`NetServeLoop`] takes the same engine onto a real
 //! wire: each shard is a worker thread that owns its slice of the
-//! matching and the β-levels (keyed by the same
-//! [`ShardMap`] ownership), and every epoch phase is a
+//! matching — its lefts' mates and its rights' matched lists, keyed by
+//! the same [`ShardMap`] ownership — and every epoch phase is a
 //! message exchange over a [`Mesh`] of framed channels —
 //! deterministic in-process loopback for tests, or length-prefixed TCP
 //! between real threads ([`TransportKind`]).
@@ -14,15 +14,15 @@
 //! frame to every worker and collects one reply from every worker. Each
 //! worker runs one loop (`worker_main`), blocked on the one inbox its
 //! links feed ([`WorkerLinks::recv`]) — with no deadline, so an idle
-//! worker waits out any pause between batches.
+//! worker waits out any pause between batches. A batch is a `ROUTE`
+//! and a `COMMIT` exchange; an epoch closes with `COMMIT` → `CENSUS`.
 //!
 //! | phase | direction | payload |
 //! |---|---|---|
-//! | `INIT` | down / up | each worker's initial `(u, mate)` and `(v, level, load)` slice, then the matched list of every right it owns, in slot order; ack echoes the counts |
+//! | `INIT` | down / up | each worker's initial `(u, mate)` rows for its owned lefts, then the matched list of every right it owns, in slot order; ack echoes the counts |
 //! | `ROUTE` | down / up | the epoch's update batch, each update shipped to the worker owning its anchor vertex and **echoed back**; the engine consumes the echoed, wire-decoded copies, so a codec bug surfaces as divergence, not silence |
-//! | `COMMIT` | down / up | mate and level deltas plus matched-list ops (`LIST_PUSH`, `LIST_SWAP_REMOVE`, `LIST_SET`) to the owning workers (the worker slices are what `GATHER` and the census checksum); ack echoes the delta count |
-//! | `CENSUS` | down / up | each worker reports its slice sizes, resident words, an FNV checksum of its slice, an order-sensitive checksum of its matched lists, and its topology-cache words; the coordinator recomputes all but the last and fails loudly on any disagreement |
-//! | `SUMMARY` | down / up | epoch summary broadcast (match size, migrations); ack echoes the match size |
+//! | `COMMIT` | down / up | mate deltas plus matched-list ops (`LIST_PUSH`, `LIST_SWAP_REMOVE`, `LIST_SET`) to the owning workers (the worker slices are what `GATHER` and the census checksum); ack echoes the delta count |
+//! | `CENSUS` | down / up | each worker reports its slice sizes, resident words, an FNV checksum of its `(u, mate)` rows, an order-sensitive checksum of its matched lists, and its topology-cache words; the coordinator recomputes all but the last and fails loudly on any disagreement |
 //! | `GATHER` | down / up | each worker dumps its sorted mate slice; [`NetServeLoop::gather_assignment`] reassembles the full allocation **from the wire** |
 //! | `NACK` | up | a worker's typed failure, relayed so the coordinator re-surfaces the *original* [`TransportError`] variant |
 //! | `SHUTDOWN` | down / up | orderly exit |
@@ -68,8 +68,7 @@
 //! write-ahead ([`crate::wal`]) before the route exchange acts on it,
 //! and [`Engine::checkpoint`](crate::Engine::checkpoint) writes
 //! [`NetServeLoop::checkpoint_bytes`] as the base that delta checkpoints
-//! diff against, so a crashed coordinator recovers as `base + log tail`
-//! and verifies the replay against the last delta.
+//! diff against, so a crashed coordinator recovers as `base + log tail`.
 //!
 //! # Peer-to-peer repair waves
 //!
@@ -166,12 +165,9 @@ const LIST_PUSH: u32 = 0;
 const LIST_SWAP_REMOVE: u32 = 1;
 const LIST_SET: u32 = 2;
 
-/// One worker's scatter slice: `(u, mate)` rows for owned lefts and
-/// `(v, level, load)` rows for owned rights.
-type SliceRows = (Vec<(u32, u32)>, Vec<(u32, i64, u64)>);
-
 // Protocol phase tags (frame header `phase` field). Requests are odd,
-// replies even; NACK is the one worker-initiated tag.
+// replies even; NACK is the one worker-initiated tag. Tags 9 and 10 are
+// unused.
 const PH_INIT: u32 = 1;
 const PH_INIT_ACK: u32 = 2;
 const PH_ROUTE: u32 = 3;
@@ -180,8 +176,6 @@ const PH_COMMIT: u32 = 5;
 const PH_COMMIT_ACK: u32 = 6;
 const PH_CENSUS: u32 = 7;
 const PH_CENSUS_ACK: u32 = 8;
-const PH_SUMMARY: u32 = 9;
-const PH_SUMMARY_ACK: u32 = 10;
 const PH_GATHER: u32 = 11;
 const PH_GATHER_ACK: u32 = 12;
 const PH_SHUTDOWN: u32 = 13;
@@ -346,7 +340,7 @@ pub struct NetStats {
     pub route_bytes: u64,
     /// Both-direction bytes of the commit phases.
     pub commit_bytes: u64,
-    /// Both-direction bytes of the census + summary phases.
+    /// Both-direction bytes of the census phases.
     pub census_bytes: u64,
     /// Both-direction bytes of initial state scattering.
     pub init_bytes: u64,
@@ -398,15 +392,12 @@ pub struct NetEpochReport {
 
 // --------------------------------------------------------- worker side
 
-/// A shard worker's authoritative slice: the mates of its owned lefts
-/// and the `(level, load)` of its owned rights, in id order.
+/// A shard worker's authoritative slice, in id order: the mates of its
+/// owned lefts and the full matched list of each owned right, in slot
+/// order — the walk state its peers fetch over `HANDOFF` links.
 #[derive(Debug, Default)]
 struct WorkerState {
     lefts: BTreeMap<u32, u32>,
-    rights: BTreeMap<u32, (i64, u64)>,
-    /// The full matched list of each owned right, in slot order — the
-    /// walk state its peers fetch over `HANDOFF` links. Each right's load
-    /// is its list's length.
     matched: BTreeMap<u32, Vec<u32>>,
     /// Spoke frames that arrived while a p2p wave awaited peer acks,
     /// handled next in arrival order.
@@ -419,22 +410,14 @@ struct WorkerState {
     topo: TopoCache,
 }
 
-/// FNV checksum of a slice's `(u, mate)` and `(v, level, load)` rows in
-/// id order: what a worker reports on `CENSUS`, and what the coordinator
-/// recomputes from its mirror.
-fn slice_checksum(
-    lefts: impl Iterator<Item = (u32, u32)>,
-    rights: impl Iterator<Item = (u32, i64, u64)>,
-) -> u64 {
+/// FNV checksum of a slice's `(u, mate)` rows in id order: what a worker
+/// reports on `CENSUS`, and what the coordinator recomputes from its
+/// mirror.
+fn mate_checksum(lefts: impl Iterator<Item = (u32, u32)>) -> u64 {
     let mut w = ByteWriter::new();
     for (u, m) in lefts {
         w.put_u32(u);
         w.put_u32(m);
-    }
-    for (v, level, load) in rights {
-        w.put_u32(v);
-        w.put_i64(level);
-        w.put_u64(load);
     }
     fnv1a64(&w.into_bytes())
 }
@@ -451,11 +434,23 @@ fn matched_checksum<'a>(lists: impl Iterator<Item = (u32, &'a [u32])>) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-impl WorkerState {
-    fn resident_words(&self) -> u64 {
-        2 * self.lefts.len() as u64 + 3 * self.rights.len() as u64
-    }
+/// What a `CENSUS` ack carries before the topology-cache words, in wire
+/// order.
+const CENSUS_FIELDS: [&str; 5] = [
+    "owned lefts",
+    "owned rights",
+    "resident words",
+    "mate checksum",
+    "matched-list checksum",
+];
 
+/// Resident words of a slice: two per `(u, mate)` row, and per owned
+/// right its id plus one per matched-list member.
+fn resident_words(lefts: usize, lists: impl Iterator<Item = usize>) -> u64 {
+    (2 * lefts + lists.map(|len| 1 + len).sum::<usize>()) as u64
+}
+
+impl WorkerState {
     fn handle(&mut self, phase: u32, payload: &[u8]) -> Result<(u32, Vec<u8>), String> {
         let parse = |e: IoError| format!("phase {phase} payload: {e}");
         let mut r = ByteReader::new(payload);
@@ -465,49 +460,16 @@ impl WorkerState {
                 // wholesale: stale rows from before the fault must not
                 // survive into the healed mesh.
                 self.lefts.clear();
-                self.rights.clear();
                 self.matched.clear();
                 // The coordinator forgets what this worker caches on
                 // every (re-)INIT, so the cache starts over with it.
                 self.topo = TopoCache::default();
-                let nl = r.take_len(8).map_err(parse)?;
-                for _ in 0..nl {
-                    let u = r.take_u32().map_err(parse)?;
-                    let m = r.take_u32().map_err(parse)?;
-                    self.lefts.insert(u, m);
-                }
-                let nr = r.take_len(20).map_err(parse)?;
-                for _ in 0..nr {
-                    let v = r.take_u32().map_err(parse)?;
-                    let level = r.take_i64().map_err(parse)?;
-                    let load = r.take_u64().map_err(parse)?;
-                    self.rights.insert(v, (level, load));
-                }
-                for (v, list) in take_right_rows(&mut r).map_err(parse)? {
-                    let entry = self
-                        .rights
-                        .get(&v)
-                        .ok_or_else(|| format!("matched list for unowned right {v}"))?;
-                    if entry.1 != list.len() as u64 {
-                        return Err(format!(
-                            "matched list for right {v} has {} members, load says {}",
-                            list.len(),
-                            entry.1
-                        ));
-                    }
-                    self.matched.insert(v, list);
-                }
-                if self.matched.len() != self.rights.len() {
-                    return Err(format!(
-                        "INIT shipped {} matched lists for {} owned rights",
-                        self.matched.len(),
-                        self.rights.len()
-                    ));
-                }
+                self.lefts.extend(take_left_rows(&mut r).map_err(parse)?);
+                self.matched.extend(take_right_rows(&mut r).map_err(parse)?);
                 r.expect_end().map_err(parse)?;
                 let mut w = ByteWriter::new();
                 w.put_u64(self.lefts.len() as u64);
-                w.put_u64(self.rights.len() as u64);
+                w.put_u64(self.matched.len() as u64);
                 Ok((PH_INIT_ACK, w.into_bytes()))
             }
             PH_ROUTE => {
@@ -531,17 +493,6 @@ impl WorkerState {
                     let u = r.take_u32().map_err(parse)?;
                     let m = r.take_u32().map_err(parse)?;
                     self.lefts.insert(u, m);
-                    applied += 1;
-                }
-                let nlvl = r.take_len(12).map_err(parse)?;
-                for _ in 0..nlvl {
-                    let v = r.take_u32().map_err(parse)?;
-                    let level = r.take_i64().map_err(parse)?;
-                    let entry = self
-                        .rights
-                        .get_mut(&v)
-                        .ok_or_else(|| format!("level delta for unowned right {v}"))?;
-                    entry.0 = level;
                     applied += 1;
                 }
                 let nops = r.take_len(8).map_err(parse)?;
@@ -574,12 +525,6 @@ impl WorkerState {
                         }
                         other => return Err(format!("unknown list op tag {other}")),
                     }
-                    let len = list.len() as u64;
-                    let entry = self
-                        .rights
-                        .get_mut(&v)
-                        .ok_or_else(|| format!("list op for unowned right {v}"))?;
-                    entry.1 = len;
                     applied += 1;
                 }
                 r.expect_end().map_err(parse)?;
@@ -591,27 +536,17 @@ impl WorkerState {
                 r.expect_end().map_err(parse)?;
                 let mut w = ByteWriter::new();
                 w.put_u64(self.lefts.len() as u64);
-                w.put_u64(self.rights.len() as u64);
-                w.put_u64(self.resident_words());
-                w.put_u64(slice_checksum(
-                    self.lefts.iter().map(|(&u, &m)| (u, m)),
-                    self.rights
-                        .iter()
-                        .map(|(&v, &(level, load))| (v, level, load)),
+                w.put_u64(self.matched.len() as u64);
+                w.put_u64(resident_words(
+                    self.lefts.len(),
+                    self.matched.values().map(Vec::len),
                 ));
+                w.put_u64(mate_checksum(self.lefts.iter().map(|(&u, &m)| (u, m))));
                 w.put_u64(matched_checksum(
                     self.matched.iter().map(|(&v, list)| (v, list.as_slice())),
                 ));
                 w.put_u64(self.topo.words);
                 Ok((PH_CENSUS_ACK, w.into_bytes()))
-            }
-            PH_SUMMARY => {
-                let match_size = r.take_u64().map_err(parse)?;
-                let _migrations = r.take_u64().map_err(parse)?;
-                r.expect_end().map_err(parse)?;
-                let mut w = ByteWriter::new();
-                w.put_u64(match_size);
-                Ok((PH_SUMMARY_ACK, w.into_bytes()))
             }
             PH_GATHER => {
                 r.expect_end().map_err(parse)?;
@@ -1037,12 +972,9 @@ fn apply_flip(
                 map.owner_of_right(v)
             ));
         }
-        let entry = st
-            .rights
+        *st.matched
             .get_mut(&v)
-            .ok_or_else(|| format!("flip for unknown owned right {v}"))?;
-        entry.1 = list.len() as u64;
-        st.matched.insert(v, list);
+            .ok_or_else(|| format!("flip for unknown owned right {v}"))? = list;
         applied += 1;
     }
     let mut w = ByteWriter::new();
@@ -1502,12 +1434,9 @@ fn run_wave(
         st.lefts.insert(u, m);
     }
     for (v, list) in own_r {
-        let entry = st
-            .rights
+        *st.matched
             .get_mut(&v)
-            .ok_or_else(|| format!("own flip for unknown right {v}"))?;
-        entry.1 = list.len() as u64;
-        st.matched.insert(v, list);
+            .ok_or_else(|| format!("own flip for unknown right {v}"))? = list;
     }
 
     // Push foreign changes to their owners, then collect the acks —
@@ -1816,8 +1745,8 @@ pub struct NetServeLoop {
     mesh: Mesh,
     workers: Vec<JoinHandle<()>>,
     kind: TransportKind,
+    /// Mirror of every left's mate as the workers hold it (wire form).
     synced_mate: Vec<u32>,
-    synced_level: Vec<i64>,
     stats: NetStats,
     epoch_mark: (u64, u64),
     /// Phase tracer for the `net_*` wire phases (shares the stack's sink).
@@ -1836,8 +1765,7 @@ pub struct NetServeLoop {
     /// repair waves ship to the workers (see the [module docs](self)).
     p2p: bool,
     /// Mirror of every right's matched list — the slot-order walk state
-    /// the workers hold, verified by the census matched checksum. Each
-    /// right's load is its list's length.
+    /// the workers hold, verified by the census matched checksum.
     synced_matched: Vec<Vec<u32>>,
     /// Handoff-deadline override to (re-)broadcast to the workers —
     /// remembered so a mesh rebuild re-arms it.
@@ -1847,6 +1775,10 @@ pub struct NetServeLoop {
     /// p2p: a plan's left-set scratch while encoding `WAVE` frames.
     wave_lefts: StampSet,
 }
+
+/// The coordinator mirror dealt to the workers: per worker, its
+/// `(u, mate)` rows, then per worker, its right ids.
+type MirrorSlices = (Vec<Vec<(u32, u32)>>, Vec<Vec<u32>>);
 
 /// Human name of a protocol phase tag (frame headers and flight dumps).
 fn phase_name(phase: u32) -> &'static str {
@@ -1859,8 +1791,6 @@ fn phase_name(phase: u32) -> &'static str {
         PH_COMMIT_ACK => "COMMIT_ACK",
         PH_CENSUS => "CENSUS",
         PH_CENSUS_ACK => "CENSUS_ACK",
-        PH_SUMMARY => "SUMMARY",
-        PH_SUMMARY_ACK => "SUMMARY_ACK",
         PH_GATHER => "GATHER",
         PH_GATHER_ACK => "GATHER_ACK",
         PH_SHUTDOWN => "SHUTDOWN",
@@ -1941,7 +1871,6 @@ impl NetServeLoop {
             workers,
             kind,
             synced_mate: Vec::new(),
-            synced_level: Vec::new(),
             stats: NetStats::default(),
             epoch_mark: (0, 0),
             tracer,
@@ -2116,17 +2045,18 @@ impl NetServeLoop {
         Ok(f.payload)
     }
 
-    /// The engine's per-left mates (`UNMATCHED` for free) and per-right
-    /// levels in wire form.
-    fn engine_state(&self) -> (Vec<u32>, Vec<i64>) {
-        let mate: Vec<u32> = self
-            .inner
-            .assignment()
-            .mate
-            .iter()
-            .map(|m| m.map_or(UNMATCHED, |v| v))
-            .collect();
-        (mate, self.inner.serial().levels().to_vec())
+    /// Deal the mirror's rows to their owners, in id order.
+    fn deal_mirror(&self) -> MirrorSlices {
+        let map = self.inner.shard_map();
+        let mut lefts: Vec<Vec<(u32, u32)>> = vec![Vec::new(); map.shards()];
+        let mut rights: Vec<Vec<u32>> = vec![Vec::new(); map.shards()];
+        for (u, &m) in (0u32..).zip(&self.synced_mate) {
+            lefts[map.owner_of_left(u)].push((u, m));
+        }
+        for v in 0..self.synced_matched.len() as u32 {
+            rights[map.owner_of_right(v)].push(v);
+        }
+        (lefts, rights)
     }
 
     /// Scatter the engine's full state to every worker. Called once at
@@ -2143,60 +2073,42 @@ impl NetServeLoop {
         let epoch = self.epoch();
         let mut sp = self.tracer.span(phase, epoch);
         let mark = self.mark();
-        let (mate, levels) = self.engine_state();
-        let matched = self.inner.serial().matching().matched_at_slice().to_vec();
-        let p = self.mesh.workers();
-        let map = *self.inner.shard_map();
-        let mut writers: Vec<SliceRows> = vec![Default::default(); p];
-        for (u, &m) in mate.iter().enumerate() {
-            writers[map.owner_of_left(u as u32)].0.push((u as u32, m));
-        }
-        for (v, (&level, list)) in levels.iter().zip(&matched).enumerate() {
-            writers[map.owner_of_right(v as u32)]
-                .1
-                .push((v as u32, level, list.len() as u64));
-        }
+        let matching = self.inner.serial().matching();
+        self.synced_mate.clear();
+        self.synced_mate
+            .extend(matching.mate_slice().iter().map(|m| m.unwrap_or(UNMATCHED)));
+        self.synced_matched = matching.matched_at_slice().to_vec();
+        let (lefts, rights) = self.deal_mirror();
         // INIT empties the workers' topology caches.
-        self.topo.reset(p);
-        for (w, (lefts, rights)) in writers.iter().enumerate() {
+        self.topo.reset(lefts.len());
+        for (w, (ls, rs)) in lefts.iter().zip(&rights).enumerate() {
             let mut wtr = ByteWriter::new();
-            put_left_rows(&mut wtr, lefts);
-            wtr.put_u64(rights.len() as u64);
-            for &(v, level, ld) in rights {
-                wtr.put_u32(v);
-                wtr.put_i64(level);
-                wtr.put_u64(ld);
-            }
-            // The worker's walk state: every owned right's full matched
-            // list in slot order.
-            wtr.put_u64(rights.len() as u64);
-            for &(v, _, _) in rights {
-                put_right_row(&mut wtr, v, &matched[v as usize]);
+            put_left_rows(&mut wtr, ls);
+            wtr.put_u64(rs.len() as u64);
+            for &v in rs {
+                put_right_row(&mut wtr, v, &self.synced_matched[v as usize]);
             }
             self.send(w, PH_INIT, epoch, &wtr.into_bytes())?;
         }
-        for (w, (lefts, rights)) in writers.iter().enumerate() {
+        for (w, (ls, rs)) in lefts.iter().zip(&rights).enumerate() {
             let payload = self.expect(w, PH_INIT_ACK, epoch)?;
             let mut r = ByteReader::new(&payload);
             let (nl, nr) = (
                 r.take_u64().map_err(|e| self.payload_err(w, e))?,
                 r.take_u64().map_err(|e| self.payload_err(w, e))?,
             );
-            if nl != lefts.len() as u64 || nr != rights.len() as u64 {
+            if nl != ls.len() as u64 || nr != rs.len() as u64 {
                 return Err(NetError::Protocol {
                     shard: w as u32,
                     detail: format!(
                         "init ack counts ({nl}, {nr}) disagree with the scattered slice \
                          ({}, {})",
-                        lefts.len(),
-                        rights.len()
+                        ls.len(),
+                        rs.len()
                     ),
                 });
             }
         }
-        self.synced_mate = mate;
-        self.synced_level = levels;
-        self.synced_matched = matched;
         let words = self.note_wire(label, &mark);
         sp.set_words(words);
         let ns = sp.close();
@@ -2229,51 +2141,41 @@ impl NetServeLoop {
     }
 
     /// Ship the engine's state changes since the last commit to the
-    /// owning workers, and advance the coordinator's mirror: mate and
-    /// level rows, and each changed matched list as a [`LIST_PUSH`]-family
-    /// op (a load is its list's length, so no load row ships). Rows a p2p
-    /// wave fold already advanced the mirror past are skipped — the
+    /// owning workers, and advance the coordinator's mirror: mate rows,
+    /// and each changed matched list as a [`LIST_PUSH`]-family op. Rows a
+    /// p2p wave fold already advanced the mirror past are skipped — the
     /// worker applied them itself, directly or via a peer `FLIP`.
     fn commit_deltas(&mut self, epoch: u64) -> Result<(), NetError> {
         let mut sp = self.tracer.span(Phase::NetCommit, epoch);
         let mark = self.mark();
-        let (mate, levels) = self.engine_state();
         let p = self.mesh.workers();
         let map = *self.inner.shard_map();
+        let matching = self.inner.serial().matching();
         let mut mates: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p];
-        let mut lvls: Vec<Vec<(u32, i64)>> = vec![Vec::new(); p];
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); p];
-        for (u, &m) in mate.iter().enumerate() {
+        let n_left = matching.mate_slice().len();
+        for (u, m) in (0u32..).zip(matching.mate_slice()) {
+            let m = m.unwrap_or(UNMATCHED);
             // A left past the synced horizon arrived this batch: its
             // owner must learn it even if it is (still) unmatched.
             // (Fold-synced fresh rows sit below the horizon already;
             // the gap rows they skipped over read [`NEVER_SYNCED`] and
             // so still ship.)
-            if u >= self.synced_mate.len() || self.synced_mate[u] != m {
-                mates[map.owner_of_left(u as u32)].push((u as u32, m));
-            }
-        }
-        for (v, &level) in levels.iter().enumerate() {
-            if self.synced_level[v] != level {
-                lvls[map.owner_of_right(v as u32)].push((v as u32, level));
+            if self.synced_mate.get(u as usize) != Some(&m) {
+                mates[map.owner_of_left(u)].push((u, m));
             }
         }
         // Only changed lists are encoded and re-mirrored.
-        let matched = self.inner.serial().matching().matched_at_slice();
-        for (v, list) in matched.iter().enumerate() {
-            if self.synced_matched.get(v) != Some(list) {
-                lists[map.owner_of_right(v as u32)].push(v as u32);
+        let matched = matching.matched_at_slice();
+        for (v, list) in (0u32..).zip(matched) {
+            if self.synced_matched.get(v as usize) != Some(list) {
+                lists[map.owner_of_right(v)].push(v);
             }
         }
         let frames: Vec<Vec<u8>> = (0..p)
             .map(|w| {
                 let mut wtr = ByteWriter::new();
                 put_left_rows(&mut wtr, &mates[w]);
-                wtr.put_u64(lvls[w].len() as u64);
-                for &(v, level) in &lvls[w] {
-                    wtr.put_u32(v);
-                    wtr.put_i64(level);
-                }
                 wtr.put_u64(lists[w].len() as u64);
                 for &v in &lists[w] {
                     wtr.put_u32(v);
@@ -2303,7 +2205,7 @@ impl NetServeLoop {
             let payload = self.expect(w, PH_COMMIT_ACK, epoch)?;
             let mut r = ByteReader::new(&payload);
             let applied = r.take_u64().map_err(|e| self.payload_err(w, e))?;
-            let sent = (mates[w].len() + lvls[w].len() + lists[w].len()) as u64;
+            let sent = (mates[w].len() + lists[w].len()) as u64;
             if applied != sent {
                 return Err(NetError::Protocol {
                     shard: w as u32,
@@ -2311,8 +2213,10 @@ impl NetServeLoop {
                 });
             }
         }
-        self.synced_mate = mate;
-        self.synced_level = levels;
+        self.synced_mate.resize(n_left, NEVER_SYNCED);
+        for &(u, m) in mates.iter().flatten() {
+            self.synced_mate[u as usize] = m;
+        }
         let matched = self.inner.serial().matching().matched_at_slice();
         for &v in lists.iter().flatten() {
             self.synced_matched[v as usize].clone_from(&matched[v as usize]);
@@ -2324,33 +2228,23 @@ impl NetServeLoop {
         Ok(())
     }
 
-    /// The coordinator's expectation of each worker's two census
-    /// checksums — its slice ([`slice_checksum`], each load its mirrored
-    /// list's length) and its matched lists ([`matched_checksum`]) —
-    /// from the mirror, in the id order the worker's sorted maps use.
-    /// One pass over the mirror deals the rows to their owners.
-    fn expected_checksums(&self) -> Vec<(u64, u64)> {
-        let map = self.inner.shard_map();
-        let mut lefts: Vec<Vec<(u32, u32)>> = vec![Vec::new(); map.shards()];
-        let mut rights: Vec<Vec<u32>> = vec![Vec::new(); map.shards()];
-        for (u, &m) in (0u32..).zip(&self.synced_mate) {
-            lefts[map.owner_of_left(u)].push((u, m));
-        }
-        for v in 0..self.synced_level.len() as u32 {
-            rights[map.owner_of_right(v)].push(v);
-        }
+    /// Each worker's census as the mirror says it must read, field by
+    /// field in [`CENSUS_FIELDS`] order, hashed in the id order the
+    /// worker's sorted maps use.
+    fn expected_census(&self) -> Vec<[u64; 5]> {
+        let (lefts, rights) = self.deal_mirror();
         let list = |v: u32| self.synced_matched[v as usize].as_slice();
         lefts
             .iter()
             .zip(&rights)
             .map(|(ls, rs)| {
-                let rows = rs
-                    .iter()
-                    .map(|&v| (v, self.synced_level[v as usize], list(v).len() as u64));
-                (
-                    slice_checksum(ls.iter().copied(), rows),
+                [
+                    ls.len() as u64,
+                    rs.len() as u64,
+                    resident_words(ls.len(), rs.iter().map(|&v| list(v).len())),
+                    mate_checksum(ls.iter().copied()),
                     matched_checksum(rs.iter().map(|&v| (v, list(v)))),
-                )
+                ]
             })
             .collect()
     }
@@ -2980,12 +2874,11 @@ impl NetServeLoop {
     }
 
     /// Close the epoch: run the simulated engine's sweep phases, commit
-    /// the state deltas, cross-check every worker's census (slice sizes,
-    /// resident words, FNV slice checksum) against the coordinator's
-    /// mirror, and broadcast the epoch summary. Wire faults recover like
-    /// [`Self::apply_batch`]: the engine's own sweep runs exactly once
-    /// (locally, first), and the wire tail is retried after respawn +
-    /// re-INIT.
+    /// the state deltas, and cross-check every worker's census (slice
+    /// sizes, resident words, FNV checksums) against the coordinator's
+    /// mirror. Wire faults recover like [`Self::apply_batch`]: the
+    /// engine's own sweep runs exactly once (locally, first), and the
+    /// wire tail is retried after respawn + re-INIT.
     pub fn end_epoch(&mut self) -> Result<NetEpochReport, NetError> {
         self.check_quarantine()?;
         // The closing epoch's stamp, taken before the engine's sweep
@@ -3001,103 +2894,42 @@ impl NetServeLoop {
         Ok(rep)
     }
 
-    /// The wire tail of [`Self::end_epoch`]: delta commit, census
-    /// cross-check, summary broadcast. The commit diffs against the
-    /// synced mirror, so after a recovery's re-INIT (which syncs the
-    /// mirror to the full current state) a retry commits nothing twice.
+    /// The wire tail of [`Self::end_epoch`]: delta commit, then census
+    /// cross-check. The commit diffs against the synced mirror, so after
+    /// a recovery's re-INIT (which syncs the mirror to the full current
+    /// state) a retry commits nothing twice.
     fn close_epoch_wire(
         &mut self,
         report: &ShardedEpochReport,
         epoch: u64,
     ) -> Result<NetEpochReport, NetError> {
-        let p = self.mesh.workers();
         self.commit_deltas(epoch)?;
 
         let mut sp = self.tracer.span(Phase::NetCensus, epoch);
         let mark = self.mark();
-        for w in 0..p {
+        let expected = self.expected_census();
+        for w in 0..expected.len() {
             self.send(w, PH_CENSUS, epoch, &[])?;
         }
-        let expected = self.expected_checksums();
-        let (mut total_lefts, mut total_rights) = (0u64, 0u64);
         let mut cache_words = 0u64;
-        for (w, &(expect_sum, expect_msum)) in expected.iter().enumerate() {
+        for (w, want) in expected.iter().enumerate() {
             let payload = self.expect(w, PH_CENSUS_ACK, epoch)?;
             let mut r = ByteReader::new(&payload);
-            let lefts = r.take_u64().map_err(|e| self.payload_err(w, e))?;
-            let rights = r.take_u64().map_err(|e| self.payload_err(w, e))?;
-            let words = r.take_u64().map_err(|e| self.payload_err(w, e))?;
-            let sum = r.take_u64().map_err(|e| self.payload_err(w, e))?;
-            let expect_words = 2 * lefts + 3 * rights;
-            if words != expect_words {
-                return Err(NetError::Protocol {
-                    shard: w as u32,
-                    detail: format!("census resident words {words}, expected {expect_words}"),
-                });
-            }
-            if sum != expect_sum {
+            let mut take = || r.take_u64().map_err(|e| self.payload_err(w, e));
+            let got = [take()?, take()?, take()?, take()?, take()?];
+            if let Some(k) = (0..CENSUS_FIELDS.len()).find(|&k| got[k] != want[k]) {
                 return Err(NetError::Protocol {
                     shard: w as u32,
                     detail: format!(
-                        "slice checksum diverged: worker {sum:#018x}, coordinator \
-                         {expect_sum:#018x}"
+                        "census {} diverged: worker {}, coordinator {}",
+                        CENSUS_FIELDS[k], got[k], want[k]
                     ),
                 });
             }
-            // An order-sensitive checksum over the matched lists must
-            // match the coordinator's mirror (list *order* is
-            // behaviorally observable — evictions pop the last member).
-            let msum = r.take_u64().map_err(|e| self.payload_err(w, e))?;
-            if msum != expect_msum {
-                return Err(NetError::Protocol {
-                    shard: w as u32,
-                    detail: format!(
-                        "matched-list checksum diverged: worker {msum:#018x}, coordinator \
-                         {expect_msum:#018x}"
-                    ),
-                });
-            }
-            cache_words += r.take_u64().map_err(|e| self.payload_err(w, e))?;
+            cache_words += take()?;
             r.expect_end().map_err(|e| self.payload_err(w, e))?;
-            total_lefts += lefts;
-            total_rights += rights;
-        }
-        let (nl, nr) = (
-            self.synced_mate.len() as u64,
-            self.synced_level.len() as u64,
-        );
-        if total_lefts != nl || total_rights != nr {
-            return Err(NetError::Protocol {
-                shard: u32::MAX,
-                detail: format!(
-                    "census totals ({total_lefts}, {total_rights}) disagree with the engine \
-                     ({nl}, {nr})"
-                ),
-            });
         }
         self.stats.topology_cache_words = cache_words;
-
-        let mut wtr = ByteWriter::new();
-        wtr.put_u64(report.serial.match_size as u64);
-        wtr.put_u64(report.migrations as u64);
-        let summary = wtr.into_bytes();
-        for w in 0..p {
-            self.send(w, PH_SUMMARY, epoch, &summary)?;
-        }
-        for w in 0..p {
-            let payload = self.expect(w, PH_SUMMARY_ACK, epoch)?;
-            let mut r = ByteReader::new(&payload);
-            let echoed = r.take_u64().map_err(|e| self.payload_err(w, e))?;
-            if echoed != report.serial.match_size as u64 {
-                return Err(NetError::Protocol {
-                    shard: w as u32,
-                    detail: format!(
-                        "summary echo {echoed} disagrees with match size {}",
-                        report.serial.match_size
-                    ),
-                });
-            }
-        }
         let words = self.note_wire(labels::NET_CENSUS, &mark);
         sp.set_words(words);
         let ns = sp.close();
@@ -3358,29 +3190,21 @@ impl NetServeLoop {
         Ok(())
     }
 
-    /// Orderly shutdown with a bounded wait: best-effort SHUTDOWN to
-    /// every worker (dead channels are ignored), receives capped by a
-    /// short timeout, and joins bounded by a deadline — a wedged worker
-    /// is detached rather than allowed to hang the coordinator's exit.
-    /// Runs on [`Drop`], so even a quarantined engine tears down
-    /// promptly.
+    /// Orderly shutdown: best-effort SHUTDOWN to every worker (dead
+    /// channels are ignored) and receives capped by a short timeout. A
+    /// worker that acked returns right after sending the ack, so it is
+    /// joined; any other is detached rather than allowed to hang the
+    /// coordinator's exit. Runs on [`Drop`], so even a quarantined engine
+    /// tears down promptly.
     pub fn shutdown(&mut self) {
         let _ = self.mesh.set_recv_timeout(Duration::from_millis(250));
         for w in 0..self.mesh.workers() {
             let _ = self.mesh.send_to(w, PH_SHUTDOWN, self.epoch(), &[]);
         }
-        for w in 0..self.mesh.workers() {
-            let _ = self.mesh.recv_from(w);
-        }
-        let deadline = Instant::now() + Duration::from_secs(2);
-        for h in self.workers.drain(..) {
-            while !h.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            if h.is_finished() {
+        for (w, h) in self.workers.drain(..).enumerate() {
+            if matches!(self.mesh.recv_from(w), Ok(f) if f.phase == PH_SHUTDOWN_ACK) {
                 let _ = h.join();
             }
-            // else: drop the handle; the thread is detached, not joined.
         }
     }
 }
@@ -3465,9 +3289,9 @@ mod tests {
         net.apply_batch(&updates).unwrap();
         let rep = net.end_epoch().unwrap();
         assert!(rep.wire_bytes > 0, "an epoch moves real bytes");
-        assert!(
-            rep.wire_frames >= 8,
-            "route/commit/census/summary × 2 shards"
+        assert_eq!(
+            rep.wire_frames, 16,
+            "ROUTE, COMMIT, COMMIT and CENSUS round trips × 2 workers"
         );
     }
 
@@ -3850,28 +3674,18 @@ mod tests {
             .unwrap()
     }
 
-    /// Hand-rolled INIT frame: `(u, mate)` rows, `(v, 0, load)` rows with
-    /// load = matched-list length, and the matched-list section.
+    /// Hand-rolled INIT frame: `(u, mate)` rows, then the matched-list
+    /// section.
     fn p2p_init_frame(lefts: &[(u32, u32)], rights: &[(u32, Vec<u32>)]) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u64(lefts.len() as u64);
-        for &(u, m) in lefts {
-            w.put_u32(u);
-            w.put_u32(m);
-        }
-        w.put_u64(rights.len() as u64);
-        for (v, list) in rights {
-            w.put_u32(*v);
-            w.put_i64(0);
-            w.put_u64(list.len() as u64);
-        }
+        put_left_rows(&mut w, lefts);
         put_right_rows(&mut w, rights);
         w.into_bytes()
     }
 
     /// A star worker — no peer links — holds the same slice a p2p worker
     /// does: it takes an INIT with matched lists, applies a COMMIT's list
-    /// op, and its CENSUS reports the matched-list checksum the
+    /// op, and its CENSUS reports the resident words and checksums the
     /// coordinator recomputes from its mirror.
     #[test]
     fn a_star_worker_holds_matched_lists_and_applies_list_ops() {
@@ -3888,10 +3702,9 @@ mod tests {
         let init = p2p_init_frame(&[(x, v), (y, UNMATCHED)], &[(v, vec![x])]);
         mesh.send_to(0, PH_INIT, 0, &init).unwrap();
         assert_eq!(mesh.recv_from(0).unwrap().phase, PH_INIT_ACK);
-        // `y` joins `v`: one mate row, no level rows, one list push.
+        // `y` joins `v`: one mate row, one list push.
         let mut w = ByteWriter::new();
         put_left_rows(&mut w, &[(y, v)]);
-        w.put_u64(0);
         w.put_u64(1);
         w.put_u32(v);
         w.put_u32(LIST_PUSH);
@@ -3907,11 +3720,15 @@ mod tests {
         let mut r = ByteReader::new(&census.payload);
         assert_eq!(r.take_u64().unwrap(), 2, "owned lefts");
         assert_eq!(r.take_u64().unwrap(), 1, "owned rights");
-        assert_eq!(r.take_u64().unwrap(), 2 * 2 + 3);
         assert_eq!(
             r.take_u64().unwrap(),
-            slice_checksum([(x, v), (y, v)].into_iter(), [(v, 0, 2)].into_iter()),
-            "the load followed the list"
+            2 * 2 + (1 + 2),
+            "two mate rows, one right with two members"
+        );
+        assert_eq!(
+            r.take_u64().unwrap(),
+            mate_checksum([(x, v), (y, v)].into_iter()),
+            "the mate row landed"
         );
         assert_eq!(
             r.take_u64().unwrap(),

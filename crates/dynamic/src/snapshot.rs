@@ -538,9 +538,11 @@ fn decode_sharded_payload(
 ///
 /// [`Engine::checkpoint`](crate::Engine::checkpoint) yields one with
 /// every full snapshot it writes; every periodic checkpoint until the
-/// next base then writes only what moved. On recovery the same capture
-/// is taken from the *restored* base, and [`DeltaCheckpoint::verify`]
-/// checks the replayed engine against the last delta on disk.
+/// next base then writes only what moved. Crash recovery reads no delta:
+/// it restores the base and replays the log tail. Capturing the same
+/// reference from the *restored* base lets [`DeltaCheckpoint::verify`]
+/// check a replayed engine against a delta, which the tests and
+/// experiment e22 do.
 #[derive(Debug, Clone)]
 pub struct DeltaBase {
     /// FNV-1a-64 over the full base snapshot's bytes — pairs every
@@ -575,9 +577,9 @@ impl DeltaBase {
 /// periodic checkpoint path can run far more often for the same I/O.
 ///
 /// A delta is **not** restorable on its own: recovery is
-/// `base snapshot + WAL tail replay` ([`crate::wal`]), and the delta's
-/// job is to *verify* that the replayed engine landed exactly where the
-/// live one was last seen.
+/// `base snapshot + WAL tail replay` ([`crate::wal`]); a delta can
+/// *verify* ([`DeltaCheckpoint::verify`]) that a replayed engine landed
+/// exactly where the live one was last seen.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaCheckpoint {
     /// Checksum of the base snapshot this delta diffs against.

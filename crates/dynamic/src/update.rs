@@ -146,3 +146,70 @@ pub(crate) fn take_update(r: &mut ByteReader) -> Result<(u32, Update), IoError> 
     };
     Ok((idx, up))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The update of variant `kind` built from the drawn operands.
+    fn update_of(kind: u8, a: u32, b: u32, cap: u64, neighbors: Vec<u32>) -> Update {
+        match kind {
+            0 => Update::Arrive { neighbors },
+            1 => Update::Depart { u: a },
+            2 => Update::InsertEdge { u: a, v: b },
+            3 => Update::DeleteEdge { u: a, v: b },
+            _ => Update::SetCapacity { v: b, cap },
+        }
+    }
+
+    fn encode(idx: u32, up: &Update) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put_update(&mut w, idx, up);
+        w.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every variant decodes back to itself and its batch position,
+        /// consuming exactly its own bytes.
+        #[test]
+        fn every_update_round_trips_with_its_batch_index(
+            kind in 0u8..5,
+            idx in 0u32..MAX_BATCH,
+            a in 0u32..u32::MAX,
+            b in 0u32..u32::MAX,
+            cap in 0u64..=u64::MAX,
+            neighbors in proptest::collection::vec(0u32..u32::MAX, 0..=64),
+        ) {
+            let up = update_of(kind, a, b, cap, neighbors);
+            let bytes = encode(idx, &up);
+            let mut r = ByteReader::new(&bytes);
+            prop_assert_eq!(take_update(&mut r).unwrap(), (idx, up));
+            prop_assert_eq!(r.remaining(), 0);
+        }
+
+        /// Every proper prefix of an encoding — a frame or log record cut
+        /// short — decodes to a typed error, never a panic.
+        #[test]
+        fn every_proper_prefix_is_a_typed_error(
+            kind in 0u8..5,
+            idx in 0u32..MAX_BATCH,
+            a in 0u32..u32::MAX,
+            b in 0u32..u32::MAX,
+            cap in 0u64..=u64::MAX,
+            neighbors in proptest::collection::vec(0u32..u32::MAX, 0..=64),
+        ) {
+            let up = update_of(kind, a, b, cap, neighbors);
+            let bytes = encode(idx, &up);
+            for cut in 0..bytes.len() {
+                let mut r = ByteReader::new(&bytes[..cut]);
+                prop_assert!(
+                    matches!(take_update(&mut r), Err(IoError::Parse(_))),
+                    "a {cut}-byte prefix of {up:?} decoded"
+                );
+            }
+        }
+    }
+}

@@ -147,11 +147,11 @@ pub mod labels {
     /// scattered to worker processes and echoed back; words =
     /// ⌈bytes/8⌉ actually framed onto the transport).
     pub const NET_ROUTE: &str = "net_route";
-    /// Measured wire traffic of the networked commit phase (mate/level/
-    /// load deltas shipped to the owning workers).
+    /// Measured wire traffic of the networked commit phase (mate deltas
+    /// and matched-list ops shipped to the owning workers).
     pub const NET_COMMIT: &str = "net_commit";
-    /// Measured wire traffic of the networked census + summary phases
-    /// (per-worker slice checksums up, epoch summary down).
+    /// Measured wire traffic of the networked census phase (per-worker
+    /// slice sizes and checksums up).
     pub const NET_CENSUS: &str = "net_census";
     /// Measured wire traffic of scattering initial state slices to
     /// worker processes (construction and restore).

@@ -715,8 +715,8 @@ fn row(out: &mut String, columns: &[(&str, usize)], cells: impl Iterator<Item = 
 /// OPT ratio line, the trace and the `--assign` dump.
 ///
 /// A periodic checkpoint after the first full base is a delta against
-/// it when a WAL is open (recovery is base + log tail; the delta
-/// verifies it), and another full snapshot otherwise.
+/// it when a WAL is open (recovery is base + log tail and reads no
+/// delta), and another full snapshot otherwise.
 fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result<String, CliError> {
     serve.set_tracer(run.tracer.clone());
     let restored_at = serve.serial().stats().epochs;
