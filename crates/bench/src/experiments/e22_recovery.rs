@@ -15,24 +15,27 @@
 //!
 //! 2. **Crash replay.** After the run, the engine is dropped cold — the
 //!    crash — and a fresh engine is rebuilt from `last base snapshot +
-//!    WAL tail`. Reported: replay latency and the recovered-vs-serial
-//!    verdict (must be verbatim equal).
+//!    WAL tail`. Every checkpoint is a full base, so the tail is what
+//!    follows the last one: here one base is cut, after epoch 1, and
+//!    the replay re-runs the 3 epochs after it. Reported: replay
+//!    latency and the recovered-vs-serial verdict (must be verbatim
+//!    equal).
 //!
 //! 3. **Durability overhead.** The WAL's amortized bytes per logged
-//!    update and the size of a delta checkpoint relative to its full
-//!    base — the two knobs that make the periodic durability path cheap.
+//!    update, and the full snapshot's size (what each periodic
+//!    checkpoint writes).
 //!
 //! A `BENCH_recovery.json` record is emitted, carrying its provenance
 //! (`nproc`, `profile`, `git_rev`); `ci.sh` gates on the recovery
-//! verdict, the WAL amortized cost, and the delta ratio.
+//! verdict and the WAL amortized cost.
 
 use std::time::Instant;
 
 use sparse_alloc_dynamic::adapter::{churn_stream, ChurnMix};
 use sparse_alloc_dynamic::engine::drive;
 use sparse_alloc_dynamic::{
-    snapshot, wal, DeltaCheckpoint, Engine, NetServeLoop, ServeLoop, ShardedConfig,
-    SupervisorConfig, TransportKind, WalWriter,
+    snapshot, wal, Engine, NetServeLoop, ServeLoop, ShardedConfig, SupervisorConfig, TransportKind,
+    WalWriter,
 };
 use sparse_alloc_graph::generators::union_of_spanning_trees;
 use sparse_alloc_mpc::transport::Fault;
@@ -78,7 +81,6 @@ pub fn run() {
     let pid = std::process::id();
     let wal_path = dir.join(format!("salloc-e22-wal-{pid}.log"));
     let base_path = dir.join(format!("salloc-e22-base-{pid}.bin"));
-    let delta_path = dir.join(format!("salloc-e22-delta-{pid}.bin"));
 
     // ---- the faulted, supervised, logged run -------------------------
     let mut serve = NetServeLoop::new(
@@ -94,10 +96,8 @@ pub fn run() {
     });
     let mut writer = WalWriter::create(&wal_path).expect("fresh log");
 
-    let mut t = Table::new(&["epoch", "epoch-ms", "wal-bytes", "delta-bytes", "note"]);
-    let mut delta_bytes = 0u64;
+    let mut t = Table::new(&["epoch", "epoch-ms", "wal-bytes", "note"]);
     let mut full_bytes = 0u64;
-    let mut base = None;
     for (e, chunk) in updates.chunks(events_per_epoch).take(EPOCHS).enumerate() {
         if e + 1 == FAULT_EPOCH {
             serve.inject_fault(1, Fault::FlipBit { bit: 170 });
@@ -106,27 +106,23 @@ pub fn run() {
         serve
             .run_epoch(chunk, Some(&mut writer))
             .expect("supervisor absorbs the fault and the epoch closes");
-        let (d, mut note) = if e + 1 == BASE_EPOCH {
-            let cut = serve.checkpoint(&base_path, Some(&mut writer));
-            base = Some(cut.expect("base checkpoint"));
+        let note = if e + 1 == BASE_EPOCH {
+            serve
+                .checkpoint(&base_path, Some(&mut writer))
+                .expect("base checkpoint");
             full_bytes = std::fs::metadata(&base_path)
                 .map(|md| md.len())
                 .unwrap_or(0);
-            (0u64, format!("base snapshot ({full_bytes} B)"))
+            format!("base snapshot ({full_bytes} B)")
+        } else if e + 1 == FAULT_EPOCH {
+            "fault absorbed".to_string()
         } else {
-            let delta = DeltaCheckpoint::of(serve.serial(), base.as_ref().expect("base cut"));
-            let d = snapshot::save_delta(&delta, &delta_path).expect("delta checkpoint");
-            delta_bytes = d;
-            (d, "delta checkpoint".to_string())
+            String::new()
         };
-        if e + 1 == FAULT_EPOCH {
-            note = format!("{note}; fault absorbed");
-        }
         t.row(vec![
             (e + 1).to_string(),
             f1(t0.elapsed().as_secs_f64() * 1e3),
             writer.bytes_appended().to_string(),
-            d.to_string(),
             note,
         ]);
     }
@@ -158,7 +154,6 @@ pub fn run() {
     assert!(replay_equal, "crash replay diverged from serial");
 
     let wal_per_update = wal_total as f64 / logged_updates.max(1) as f64;
-    let delta_ratio = delta_bytes as f64 / full_bytes.max(1) as f64;
     println!(
         "  in-band recovery: {} respawn(s), {} transient retries, {} bytes re-scattered, \
          {:.2} ms total",
@@ -175,9 +170,7 @@ pub fn run() {
     );
     println!(
         "  durability cost: {wal_total} WAL bytes for {logged_updates} updates \
-         ({wal_per_update:.1} B/update amortized); delta checkpoint {delta_bytes} B vs \
-         full {full_bytes} B ({:.3}×)",
-        delta_ratio
+         ({wal_per_update:.1} B/update amortized); full snapshot {full_bytes} B"
     );
 
     let mut fields = vec![("experiment", json_str("e22_recovery"))];
@@ -200,8 +193,6 @@ pub fn run() {
         ("wal_bytes", wal_total.to_string()),
         ("wal_bytes_per_update", f3(wal_per_update)),
         ("full_snapshot_bytes", full_bytes.to_string()),
-        ("delta_bytes", delta_bytes.to_string()),
-        ("delta_ratio", f3(delta_ratio)),
         ("phase_latency_us", phase_latency_json(&phase_reg)),
         ("matched", serial_size.to_string()),
         ("survived_equal_serial", survived_equal.to_string()),
@@ -214,5 +205,4 @@ pub fn run() {
     }
     let _ = std::fs::remove_file(&wal_path);
     let _ = std::fs::remove_file(&base_path);
-    let _ = std::fs::remove_file(&delta_path);
 }

@@ -26,6 +26,11 @@
 //! `ci.sh` at a quarter of the 162,343,716 bytes waves moved before
 //! workers cached footprint topology), the topology rows shipped, and
 //! the words the workers' topology caches hold.
+//!
+//! The handoff columns (`p2p_handoff_bytes`, `p2p_handoff_frames`) vary
+//! run to run on one tree: the fetch frontier a plan builds depends on
+//! when concurrent workers' flips land. Only the wave bytes and the
+//! served allocations are exact across runs and builds.
 
 use std::time::Instant;
 

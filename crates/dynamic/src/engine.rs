@@ -23,9 +23,11 @@
 //! their snapshot; the provided methods do the logging, the same way
 //! for all three. [`Engine::run_epoch`] appends a batch before the
 //! engine acts on it and the epoch close after, with the resulting
-//! match size. [`Engine::checkpoint`] writes the snapshot atomically,
-//! appends a base marker and yields the [`DeltaBase`] that later delta
-//! checkpoints diff against. Every append is metered as
+//! match size. [`Engine::checkpoint`] writes a full snapshot atomically
+//! and appends a base marker carrying its checksum; it is the one way a
+//! snapshot file gets written, so every periodic checkpoint is a full
+//! base and crash recovery replays only the log past the last one — at
+//! most `--checkpoint-every` epochs. Every append is metered as
 //! [`Counter::WalBytes`].
 //!
 //! # One epoch source
@@ -36,7 +38,6 @@
 //! point of a restored engine all read that one counter.
 
 use std::fs::File;
-use std::io::Write;
 use std::path::Path;
 
 use sparse_alloc_graph::io::fnv1a64;
@@ -46,7 +47,7 @@ use sparse_alloc_obs::{Counter, Registry, Tracer};
 use crate::distributed::{BatchReport, ShardedEpochReport, ShardedServeLoop};
 use crate::net::{NetEpochReport, NetServeLoop};
 use crate::serve::{EpochReport, ServeLoop};
-use crate::snapshot::{self, DeltaBase};
+use crate::snapshot;
 use crate::update::Update;
 use crate::wal::{WalError, WalWriter};
 
@@ -90,20 +91,17 @@ pub trait Engine {
     /// Encode a full snapshot of the engine.
     fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError>;
 
-    /// Atomically write a full snapshot to `path`, append a base marker
-    /// (the snapshot's checksum) to `wal`, and return the reference
-    /// later delta checkpoints diff against.
+    /// Atomically write a full snapshot to `path`, then append a base
+    /// marker (the epoch and the snapshot's checksum) to `wal`.
     fn checkpoint(
         &mut self,
         path: &Path,
         wal: Option<&mut WalWriter<File>>,
-    ) -> Result<DeltaBase, EngineError> {
+    ) -> Result<(), EngineError> {
         let bytes = self.checkpoint_bytes()?;
-        let checksum = fnv1a64(&bytes);
-        snapshot::save_atomic(path, |f| Ok(f.write_all(&bytes)?))?;
+        snapshot::save_atomic(path, &bytes)?;
         let epoch = self.serial().stats().epochs as u64;
-        log(self, wal, |w| w.append_base(epoch, checksum))?;
-        Ok(DeltaBase::of(self.serial(), checksum))
+        log(self, wal, |w| w.append_base(epoch, fnv1a64(&bytes)))
     }
 
     /// One whole epoch: append `updates` to `wal`, apply them, close the

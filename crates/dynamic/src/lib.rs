@@ -21,7 +21,7 @@
 //! | shard workers on a real transport (loopback / TCP) | [`net`] |
 //! | the one interface all three engines implement | [`engine`] |
 //! | checkpoint/restore snapshots for warm restarts | [`snapshot`] |
-//! | write-ahead delta log + crash recovery by replay | [`wal`] |
+//! | write-ahead log + crash recovery by replay | [`wal`] |
 //! | adapters from `sparse-alloc-online` streams, churn generator | [`adapter`] |
 //!
 //! The graph side lives in `sparse_alloc_graph::delta`: the frozen
@@ -118,7 +118,7 @@ pub use distributed::{ShardedConfig, ShardedServeLoop};
 pub use engine::{Engine, EngineError};
 pub use net::{NetEpochReport, NetError, NetServeLoop, NetStats, SupervisorConfig, TransportKind};
 pub use serve::{DynamicConfig, EpochReport, ServeLoop, ServeStats};
-pub use snapshot::{DeltaBase, DeltaCheckpoint, SnapshotError};
+pub use snapshot::SnapshotError;
 pub use update::Update;
 pub use wal::{WalError, WalRecord, WalWriter};
 pub use walks::Matching;

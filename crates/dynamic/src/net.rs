@@ -66,9 +66,10 @@
 //! Durability is the driver's, as for every engine:
 //! [`Engine::run_epoch`](crate::Engine::run_epoch) logs each batch
 //! write-ahead ([`crate::wal`]) before the route exchange acts on it,
-//! and [`Engine::checkpoint`](crate::Engine::checkpoint) writes
-//! [`NetServeLoop::checkpoint_bytes`] as the base that delta checkpoints
-//! diff against, so a crashed coordinator recovers as `base + log tail`.
+//! and [`Engine::checkpoint`](crate::Engine::checkpoint) writes every
+//! checkpoint as a full base ([`NetServeLoop::checkpoint_bytes`] plus a
+//! log marker), so a crashed coordinator recovers as `last base + log
+//! tail`, replaying at most `--checkpoint-every` epochs.
 //!
 //! # Peer-to-peer repair waves
 //!
@@ -361,8 +362,13 @@ pub struct NetStats {
     /// Worker↔worker bytes of cross-shard walk handoffs and flips
     /// ([`labels::NET_HANDOFF`]) — traffic the coordinator never
     /// carries, as the workers themselves metered and reported it.
+    /// Varies run to run: the fetch frontier `fetch_plan_state` builds
+    /// depends on when concurrent workers' flips land, so compare it
+    /// between builds only as a spread. Wave bytes and the served
+    /// allocation are exact.
     pub handoff_bytes: u64,
-    /// Worker↔worker frames of handoffs and flips.
+    /// Worker↔worker frames of handoffs and flips; varies run to run
+    /// like [`NetStats::handoff_bytes`].
     pub handoff_frames: u64,
     /// Deepest fetch ping-pong any single plan needed (bounded by the
     /// walk radius; see [`labels::NET_HANDOFF`]).
@@ -3220,7 +3226,6 @@ mod tests {
     use super::*;
     use crate::adapter::{churn_stream, ChurnMix};
     use crate::serve::ServeLoop;
-    use crate::snapshot::{DeltaBase, DeltaCheckpoint};
     use crate::wal::WalWriter;
     use crate::Engine;
     use sparse_alloc_graph::generators::union_of_spanning_trees;
@@ -3434,8 +3439,8 @@ mod tests {
     }
 
     /// Crash recovery on every engine: a WAL through `run_epoch`, a
-    /// base, a delta, the crash, then base + log tail — and the delta
-    /// verifies the replayed engine.
+    /// base, the crash, then base + log tail — and the recovered engine
+    /// equals the crashed one in mates, levels, epochs and match size.
     #[test]
     fn wal_plus_base_checkpoint_recovers_the_engine_verbatim() {
         let g = union_of_spanning_trees(50, 40, 2, 2, 27).graph;
@@ -3459,8 +3464,8 @@ mod tests {
     ) {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
-        let [wal_path, base_path, delta_path] = ["wal.log", "base.bin", "delta.bin"]
-            .map(|f| dir.join(format!("salloc-{leg}-{pid}-{f}")));
+        let [wal_path, base_path] =
+            ["wal.log", "base.bin"].map(|f| dir.join(format!("salloc-{leg}-{pid}-{f}")));
 
         let g = live.serial().snapshot();
         let updates = churn_stream(&g, 60, &ChurnMix::default(), 27);
@@ -3469,20 +3474,22 @@ mod tests {
         for chunk in &chunks[..2] {
             live.run_epoch(chunk, Some(&mut wal)).unwrap();
         }
-        let base = live.checkpoint(&base_path, Some(&mut wal)).unwrap();
+        live.checkpoint(&base_path, Some(&mut wal)).unwrap();
         for chunk in &chunks[2..] {
             live.run_epoch(chunk, Some(&mut wal)).unwrap();
         }
-        let delta = DeltaCheckpoint::of(live.serial(), &base);
-        assert!(crate::snapshot::save_delta(&delta, &delta_path).unwrap() > 0);
         assert!(wal.bytes_appended() > 0);
         assert_eq!(live.obs().counter(Counter::WalBytes), wal.bytes_appended());
+        let crashed = live.serial();
+        let (levels, epochs, size) = (
+            crashed.levels().to_vec(),
+            crashed.stats().epochs,
+            crashed.match_size(),
+        );
         let live = live.served().unwrap();
 
         // Crash. Recovery = last base snapshot + WAL tail replay.
         let mut rec = restore(&base_path);
-        let base_bytes = std::fs::read(&base_path).unwrap();
-        let base = DeltaBase::of(rec.serial(), fnv1a64(&base_bytes));
         let replay = crate::wal::read_wal_file(&wal_path).unwrap();
         assert!(!replay.torn, "{leg}: a clean shutdown leaves no torn tail");
         let stats = crate::wal::replay(&mut rec, &replay.records[replay.tail_start()..]).unwrap();
@@ -3495,11 +3502,12 @@ mod tests {
             live.mate,
             "{leg}: base + tail replay must reconstruct the crashed engine"
         );
-        // The delta checkpoint is the recovery's verification artifact.
-        let delta = crate::snapshot::load_delta(&delta_path).unwrap();
-        delta.verify(rec.serial(), &base).unwrap();
+        let recovered = rec.serial();
+        assert_eq!(recovered.levels(), &levels[..], "{leg}: β-levels");
+        assert_eq!(recovered.stats().epochs, epochs, "{leg}: epochs");
+        assert_eq!(recovered.match_size(), size, "{leg}: match size");
 
-        for p in [&wal_path, &base_path, &delta_path] {
+        for p in [&wal_path, &base_path] {
             let _ = std::fs::remove_file(p);
         }
     }

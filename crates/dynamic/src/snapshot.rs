@@ -19,8 +19,7 @@
 //! ```text
 //! [ 0.. 8)  magic  "SALLOCSN"
 //! [ 8..12)  format version (u32 LE)       — mismatch: typed error
-//! [12..16)  kind (0 serial, 1 sharded,    — mismatch: typed error
-//!           2 delta)
+//! [12..16)  kind (0 serial, 1 sharded)   — mismatch: typed error
 //! [16..24)  payload length (u64 LE)       — short file: typed error
 //! [24.. n)  payload (see below)
 //! [ n..n+8) FNV-1a-64 over bytes [0..n)   — mismatch: typed error
@@ -87,7 +86,6 @@ pub const VERSION: u32 = 1;
 
 const KIND_SERIAL: u32 = 0;
 const KIND_SHARDED: u32 = 1;
-const KIND_DELTA: u32 = 2;
 /// Header bytes before the payload: magic + version + kind + length.
 const HEADER: usize = 8 + 4 + 4 + 8;
 
@@ -268,7 +266,6 @@ fn kind_name(kind: u32) -> &'static str {
     match kind {
         KIND_SERIAL => "serial",
         KIND_SHARDED => "sharded",
-        KIND_DELTA => "delta",
         _ => "unknown",
     }
 }
@@ -530,222 +527,6 @@ fn decode_sharded_payload(
     Ok((parts, manifests))
 }
 
-// ---------------------------------------------------------- delta payload
-
-/// The reference a [`DeltaCheckpoint`] diffs against: the identity of a
-/// full base snapshot (its byte checksum and epoch) plus the mate and
-/// level vectors the engine had when that base was cut.
-///
-/// [`Engine::checkpoint`](crate::Engine::checkpoint) yields one with
-/// every full snapshot it writes; every periodic checkpoint until the
-/// next base then writes only what moved. Crash recovery reads no delta:
-/// it restores the base and replays the log tail. Capturing the same
-/// reference from the *restored* base lets [`DeltaCheckpoint::verify`]
-/// check a replayed engine against a delta, which the tests and
-/// experiment e22 do.
-#[derive(Debug, Clone)]
-pub struct DeltaBase {
-    /// FNV-1a-64 over the full base snapshot's bytes — pairs every
-    /// delta with exactly one base file.
-    pub checksum: u64,
-    /// Completed epochs when the base was cut.
-    pub epoch: u64,
-    mate: Vec<u32>,
-    levels: Vec<i64>,
-}
-
-impl DeltaBase {
-    /// Capture the base reference from the serial core of an engine
-    /// whose snapshot bytes hash to `checksum` (take it right after the
-    /// snapshot is written). Every engine shares the core's mates and
-    /// levels, so one capture serves them all.
-    pub fn of(serve: &ServeLoop, checksum: u64) -> DeltaBase {
-        let p = serve.parts_ref();
-        DeltaBase {
-            checksum,
-            epoch: p.stats.epochs as u64,
-            mate: p.mate.iter().map(|m| m.unwrap_or(NO_MATE)).collect(),
-            levels: p.levels.to_vec(),
-        }
-    }
-}
-
-/// A delta checkpoint: the difference between the engine now and the
-/// [`DeltaBase`] it was captured against — matched-partner changes,
-/// β-level changes, and the epoch/matching counters. Orders of
-/// magnitude smaller than a full snapshot under steady churn, so the
-/// periodic checkpoint path can run far more often for the same I/O.
-///
-/// A delta is **not** restorable on its own: recovery is
-/// `base snapshot + WAL tail replay` ([`crate::wal`]); a delta can
-/// *verify* ([`DeltaCheckpoint::verify`]) that a replayed engine landed
-/// exactly where the live one was last seen.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaCheckpoint {
-    /// Checksum of the base snapshot this delta diffs against.
-    pub base_checksum: u64,
-    /// Completed epochs at the base.
-    pub base_epoch: u64,
-    /// Completed epochs at the delta.
-    pub epoch: u64,
-    /// Matching size at the delta.
-    pub match_size: u64,
-    /// Left vertices at the delta (arrivals grow this past the base).
-    pub n_left: u64,
-    /// Right vertices at the delta.
-    pub n_right: u64,
-    /// `(u, mate)` for every left vertex whose matched partner differs
-    /// from the base ([`u32::MAX`] = unmatched), in increasing `u`;
-    /// lefts the base never had are always present.
-    pub mate_diff: Vec<(u32, u32)>,
-    /// `(v, level)` for every right vertex whose β-level differs from
-    /// the base, in increasing `v`.
-    pub level_diff: Vec<(u32, i64)>,
-}
-
-impl DeltaCheckpoint {
-    /// Diff an engine's serial core against `base`.
-    pub fn of(serve: &ServeLoop, base: &DeltaBase) -> DeltaCheckpoint {
-        let p = serve.parts_ref();
-        let mate_diff = p
-            .mate
-            .iter()
-            .enumerate()
-            .map(|(u, m)| (u as u32, m.unwrap_or(NO_MATE)))
-            .filter(|&(u, m)| base.mate.get(u as usize) != Some(&m))
-            .collect();
-        let level_diff = p
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(v, &l)| (v as u32, l))
-            .filter(|&(v, l)| base.levels.get(v as usize) != Some(&l))
-            .collect();
-        DeltaCheckpoint {
-            base_checksum: base.checksum,
-            base_epoch: base.epoch,
-            epoch: p.stats.epochs as u64,
-            match_size: serve.match_size() as u64,
-            n_left: p.mate.len() as u64,
-            n_right: p.levels.len() as u64,
-            mate_diff,
-            level_diff,
-        }
-    }
-
-    /// Check a recovered engine's serial core against this delta:
-    /// `base` must be captured from the freshly restored base snapshot,
-    /// and the engine must have replayed the log tail. Any divergence —
-    /// wrong base, missing epochs, a different matching — is typed
-    /// [`SnapshotError::Invalid`].
-    pub fn verify(&self, serve: &ServeLoop, base: &DeltaBase) -> Result<(), SnapshotError> {
-        let recomputed = DeltaCheckpoint::of(serve, base);
-        if *self == recomputed {
-            return Ok(());
-        }
-        let what = if self.base_checksum != recomputed.base_checksum {
-            format!(
-                "delta diffs against base {:#018x}, engine was restored from {:#018x}",
-                self.base_checksum, recomputed.base_checksum
-            )
-        } else if self.epoch != recomputed.epoch {
-            format!(
-                "delta was cut at epoch {}, replayed engine is at {}",
-                self.epoch, recomputed.epoch
-            )
-        } else if self.match_size != recomputed.match_size {
-            format!(
-                "delta recorded a matching of {}, replayed engine has {}",
-                self.match_size, recomputed.match_size
-            )
-        } else {
-            format!(
-                "replayed engine diverges from the delta ({} vs {} mate \
-                 changes, {} vs {} level changes)",
-                recomputed.mate_diff.len(),
-                self.mate_diff.len(),
-                recomputed.level_diff.len(),
-                self.level_diff.len()
-            )
-        };
-        Err(invalid(what))
-    }
-}
-
-fn encode_delta_payload(d: &DeltaCheckpoint) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(d.base_checksum);
-    w.put_u64(d.base_epoch);
-    w.put_u64(d.epoch);
-    w.put_u64(d.match_size);
-    w.put_u64(d.n_left);
-    w.put_u64(d.n_right);
-    w.put_u64(d.mate_diff.len() as u64);
-    for &(u, m) in &d.mate_diff {
-        w.put_u32(u);
-        w.put_u32(m);
-    }
-    w.put_u64(d.level_diff.len() as u64);
-    for &(v, l) in &d.level_diff {
-        w.put_u32(v);
-        w.put_i64(l);
-    }
-    w.into_bytes()
-}
-
-fn decode_delta_payload(r: &mut ByteReader) -> Result<DeltaCheckpoint, SnapshotError> {
-    let base_checksum = r.take_u64()?;
-    let base_epoch = r.take_u64()?;
-    let epoch = r.take_u64()?;
-    let match_size = r.take_u64()?;
-    let n_left = r.take_u64()?;
-    let n_right = r.take_u64()?;
-    let n_mate = r.take_len(8)?;
-    let mut mate_diff = Vec::with_capacity(n_mate);
-    for _ in 0..n_mate {
-        mate_diff.push((r.take_u32()?, r.take_u32()?));
-    }
-    let n_level = r.take_len(12)?;
-    let mut level_diff = Vec::with_capacity(n_level);
-    for _ in 0..n_level {
-        level_diff.push((r.take_u32()?, r.take_i64()?));
-    }
-    for (what, bound, ids) in [
-        (
-            "mate",
-            n_left,
-            &mate_diff.iter().map(|&(u, _)| u).collect::<Vec<_>>(),
-        ),
-        (
-            "level",
-            n_right,
-            &level_diff.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
-        ),
-    ] {
-        if !ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err(invalid(format!(
-                "{what} diff is not in increasing id order"
-            )));
-        }
-        if ids.last().is_some_and(|&last| last as u64 >= bound) {
-            return Err(invalid(format!(
-                "{what} diff names id {} but the delta records only {bound}",
-                ids.last().unwrap()
-            )));
-        }
-    }
-    Ok(DeltaCheckpoint {
-        base_checksum,
-        base_epoch,
-        epoch,
-        match_size,
-        n_left,
-        n_right,
-        mate_diff,
-        level_diff,
-    })
-}
-
 // ------------------------------------------------------------- public API
 
 /// Serialize a serial [`ServeLoop`] into `w`. The engine is read in
@@ -830,50 +611,6 @@ pub fn read_sharded(
     ShardedServeLoop::from_parts(parts, shards).map_err(invalid)
 }
 
-/// Serialize a [`DeltaCheckpoint`] into `w`, framed and checksummed
-/// like every other snapshot kind.
-pub fn write_delta(delta: &DeltaCheckpoint, w: &mut impl Write) -> Result<(), SnapshotError> {
-    w.write_all(&frame(KIND_DELTA, &encode_delta_payload(delta)))?;
-    Ok(())
-}
-
-/// Read back the bytes [`write_delta`] wrote. Corruption surfaces as
-/// the same typed taxonomy as the full snapshot kinds.
-pub fn read_delta(r: &mut impl Read) -> Result<DeltaCheckpoint, SnapshotError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    let (kind, payload) = deframe(&bytes)?;
-    if kind != KIND_DELTA {
-        return Err(SnapshotError::Kind {
-            expected: "delta",
-            found: kind_name(kind),
-        });
-    }
-    let mut r = ByteReader::new(payload);
-    let delta = decode_delta_payload(&mut r)?;
-    r.expect_end().map_err(SnapshotError::from)?;
-    Ok(delta)
-}
-
-/// Atomically write a delta checkpoint to `path` (see [`save_serial`]).
-/// Returns the bytes written.
-pub fn save_delta(delta: &DeltaCheckpoint, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
-    let bytes = frame(KIND_DELTA, &encode_delta_payload(delta));
-    save_atomic(path.as_ref(), |w| Ok(w.write_all(&bytes)?))?;
-    Ok(bytes.len() as u64)
-}
-
-/// Read a delta checkpoint from the file at `path`.
-pub fn load_delta(path: impl AsRef<Path>) -> Result<DeltaCheckpoint, SnapshotError> {
-    read_delta(&mut std::fs::File::open(path)?)
-}
-
-/// Atomically write a serial snapshot to `path` (tempfile + rename, so a
-/// crash mid-checkpoint never leaves a torn file where a good one was).
-pub fn save_serial(serve: &ServeLoop, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-    save_atomic(path.as_ref(), |w| write_serial(serve, w))
-}
-
 /// Restore a serial [`ServeLoop`] from the file at `path`.
 pub fn load_serial(path: impl AsRef<Path>) -> Result<ServeLoop, SnapshotError> {
     read_serial(&mut std::fs::File::open(path)?)
@@ -888,29 +625,27 @@ pub fn load_sharded(
     read_sharded(&mut std::fs::File::open(path)?, shards)
 }
 
-/// Write `path` through a temp file beside it (`path` + `.tmp`): fsync,
-/// then rename over `path`. A failed write removes the temp file and
-/// leaves `path` as it was.
-pub(crate) fn save_atomic(
-    path: &Path,
-    write: impl FnOnce(&mut std::fs::File) -> Result<(), SnapshotError>,
-) -> Result<(), SnapshotError> {
+/// Write `bytes` to `path` through a temp file beside it (`path` +
+/// `.tmp`): fsync, then rename over `path`, so a crash mid-checkpoint
+/// never leaves a torn file where a good one was. A failed write removes
+/// the temp file and leaves `path` as it was.
+pub(crate) fn save_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    let mut f = std::fs::File::create(&tmp)?;
-    match write(&mut f).and_then(|()| f.sync_all().map_err(SnapshotError::from)) {
-        Ok(()) => {
-            drop(f);
-            std::fs::rename(&tmp, path)?;
-            Ok(())
-        }
-        Err(e) => {
-            drop(f);
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+    let written = std::fs::File::create(&tmp).and_then(|mut f| {
+        f.write_all(bytes)?;
+        f.sync_all()
+    });
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e.into());
     }
+    std::fs::rename(&tmp, path)?;
+    // The rename survives a crash only once the directory entry does.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1057,6 +792,28 @@ mod tests {
                 found: "serial"
             }
         ));
+    }
+
+    #[test]
+    fn the_retired_delta_kind_is_refused_typed() {
+        // Kind 2 once framed a delta checkpoint. Neither reader accepts
+        // it: a well-formed frame of that kind is a typed kind error.
+        let bytes = frame(2, &[0u8; 56]);
+        for err in [
+            read_serial(&mut &bytes[..]).map(drop).unwrap_err(),
+            read_sharded(&mut &bytes[..], None).map(drop).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::Kind {
+                        found: "unknown",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1224,129 +981,6 @@ mod tests {
         }
     }
 
-    /// A churned engine, its base snapshot bytes + reference, and the
-    /// churn stream that continues past the base.
-    fn delta_fixture() -> (ServeLoop, Vec<u8>, DeltaBase, Vec<crate::Update>) {
-        let g = union_of_spanning_trees(50, 40, 2, 2, 9).graph;
-        let updates = churn_stream(&g, 80, &ChurnMix::default(), 5);
-        let mut s = ServeLoop::new(g, DynamicConfig::for_eps(0.25));
-        for up in &updates[..60] {
-            s.apply(up);
-        }
-        s.end_epoch();
-        let bytes = serial_bytes(&s);
-        let base = DeltaBase::of(&s, fnv1a64(&bytes));
-        (s, bytes, base, updates[60..].to_vec())
-    }
-
-    #[test]
-    fn delta_roundtrips_and_is_a_distinct_kind() {
-        let (mut s, _bytes, base, tail) = delta_fixture();
-        for up in &tail {
-            s.apply(up);
-        }
-        s.end_epoch();
-        let d = DeltaCheckpoint::of(&s, &base);
-        assert_eq!(d.base_checksum, base.checksum);
-        assert_eq!(d.epoch, base.epoch + 1);
-        let mut buf = Vec::new();
-        write_delta(&d, &mut buf).unwrap();
-        assert_eq!(read_delta(&mut &buf[..]).unwrap(), d);
-        // The other readers refuse the kind with a typed error.
-        match read_serial(&mut &buf[..]) {
-            Err(SnapshotError::Kind { expected, found }) => {
-                assert_eq!((expected, found), ("serial", "delta"));
-            }
-            other => panic!("expected Kind error, got {other:?}"),
-        }
-        assert!(matches!(
-            read_sharded(&mut &buf[..], None),
-            Err(SnapshotError::Kind { .. })
-        ));
-    }
-
-    #[test]
-    fn delta_verifies_the_recovered_engine_and_catches_a_short_replay() {
-        let (mut live, bytes, base, tail) = delta_fixture();
-        for up in &tail {
-            live.apply(up);
-        }
-        live.end_epoch();
-        let d = DeltaCheckpoint::of(&live, &base);
-
-        // Recovery: restore the base, re-capture the reference from the
-        // *restored* engine, replay the tail — the delta must agree.
-        let mut recovered = read_serial(&mut &bytes[..]).unwrap();
-        let rebase = DeltaBase::of(&recovered, fnv1a64(&bytes));
-        for up in &tail {
-            recovered.apply(up);
-        }
-        recovered.end_epoch();
-        d.verify(&recovered, &rebase).unwrap();
-
-        // A replay that stopped short must be rejected.
-        let short = read_serial(&mut &bytes[..]).unwrap();
-        match d.verify(&short, &rebase) {
-            Err(SnapshotError::Invalid(msg)) => {
-                assert!(msg.contains("epoch"), "msg: {msg}")
-            }
-            other => panic!("expected Invalid, got {other:?}"),
-        }
-        // So must a replay onto the wrong base.
-        let wrong_base = DeltaBase::of(&recovered, 0xbad);
-        match d.verify(&recovered, &wrong_base) {
-            Err(SnapshotError::Invalid(msg)) => {
-                assert!(msg.contains("base"), "msg: {msg}")
-            }
-            other => panic!("expected Invalid, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn a_delta_is_a_small_fraction_of_a_full_snapshot() {
-        let (mut s, bytes, base, tail) = delta_fixture();
-        for up in &tail {
-            s.apply(up);
-        }
-        s.end_epoch();
-        let d = DeltaCheckpoint::of(&s, &base);
-        let mut buf = Vec::new();
-        write_delta(&d, &mut buf).unwrap();
-        let full = serial_bytes(&s);
-        assert!(
-            buf.len() * 10 <= full.len() * 3,
-            "delta is {} bytes, full snapshot {} — the periodic path \
-             must stay under 0.3× full",
-            buf.len(),
-            full.len()
-        );
-        let _ = bytes;
-    }
-
-    #[test]
-    fn delta_corruption_is_typed() {
-        let (s, _bytes, base, _tail) = delta_fixture();
-        let d = DeltaCheckpoint::of(&s, &base);
-        let mut buf = Vec::new();
-        write_delta(&d, &mut buf).unwrap();
-        // Flip a payload bit: checksum damage.
-        let mut bad = buf.clone();
-        bad[HEADER + 2] ^= 0x40;
-        assert!(matches!(
-            read_delta(&mut &bad[..]),
-            Err(SnapshotError::Checksum { .. })
-        ));
-        // Truncate: typed, never a panic.
-        for cut in [0, 7, HEADER, buf.len() - 3] {
-            assert!(read_delta(&mut &buf[..cut]).is_err());
-        }
-        // File helpers roundtrip atomically.
-        let path = std::env::temp_dir().join(format!("salloc-delta-{}.bin", std::process::id()));
-        save_delta(&d, &path).unwrap();
-        assert_eq!(load_delta(&path).unwrap(), d);
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[test]
     fn snapshot_errors_chain_their_io_source() {
         use std::error::Error;
@@ -1358,14 +992,16 @@ mod tests {
 
     #[test]
     fn atomic_save_replaces_and_cleans_up() {
-        let s = churned_serve();
+        use crate::Engine;
+        let mut s = churned_serve();
         let dir = std::env::temp_dir();
         let path = dir.join(format!("salloc-snap-{}.bin", std::process::id()));
-        save_serial(&s, &path).unwrap();
+        s.checkpoint(&path, None).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), serial_bytes(&s));
         let r = load_serial(&path).unwrap();
         assert_eq!(r.assignment().mate, s.assignment().mate);
         // Overwrite in place: still readable, no .tmp residue.
-        save_serial(&s, &path).unwrap();
+        s.checkpoint(&path, None).unwrap();
         assert!(load_serial(&path).is_ok());
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");

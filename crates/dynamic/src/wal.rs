@@ -1,13 +1,14 @@
-//! Write-ahead delta log: crash recovery as `last base + log tail`.
+//! Write-ahead log: crash recovery as `last base + log tail`.
 //!
-//! The periodic full-state snapshot ([`crate::snapshot`]) is the *base*;
-//! this module logs everything that happens between bases so a crashed
-//! process can reconstruct the exact engine state it died with:
+//! Every periodic checkpoint is a full snapshot ([`crate::snapshot`]),
+//! the *base*, and appends a [`WalRecord::Base`] marker; this module logs
+//! everything that happens between bases so a crashed process can
+//! reconstruct the exact engine state it died with:
 //!
 //! 1. restore the last base snapshot (or start from the initial graph),
 //! 2. [`replay`] the log tail — every update batch and epoch boundary
-//!    appended since that base — through the engine's
-//!    [`Engine`] verbs, so one replay serves the
+//!    appended since that base, so at most `--checkpoint-every` epochs —
+//!    through the engine's [`Engine`] verbs, so one replay serves the
 //!    serial, sharded and networked engines alike.
 //!
 //! # Frame layout
@@ -460,18 +461,30 @@ pub struct ReplayStats {
 /// [`Engine`] verbs.
 ///
 /// Records stamped with an epoch the engine has already completed are
-/// skipped (they are covered by the restored base); every
+/// skipped (they are covered by the restored base). A record stamped
+/// with a *later* epoch than the one the engine is at means the tail
+/// skips epochs the base does not cover, and every
 /// [`WalRecord::EpochEnd`] that *is* replayed verifies the resulting
-/// matching size against the logged one — a mismatch means the tail
-/// does not belong to this base and is a typed [`WalError::Replay`].
+/// matching size against the logged one; either way the tail does not
+/// belong to this base, a typed [`WalError::Replay`] raised before the
+/// record touches the engine.
 /// Replay drives the bare verbs, never [`Engine::run_epoch`], so the
 /// replayed records are not logged a second time.
 pub fn replay<E: Engine>(engine: &mut E, records: &[WalRecord]) -> Result<ReplayStats, WalError> {
     let mut stats = ReplayStats::default();
     for rec in records {
-        if (rec.epoch() as usize) < engine.serial().stats().epochs {
+        let at = engine.serial().stats().epochs as u64;
+        if rec.epoch() < at {
             stats.skipped += 1;
             continue;
+        }
+        if rec.epoch() > at {
+            return Err(WalError::Replay {
+                detail: format!(
+                    "log tail resumes at epoch {}, restored engine is at epoch {at}",
+                    rec.epoch()
+                ),
+            });
         }
         match rec {
             WalRecord::Batch { updates, .. } => {
@@ -770,6 +783,44 @@ mod tests {
             }
             other => panic!("expected Replay, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_tail_that_skips_epochs_is_a_typed_replay_error() {
+        let g = union_of_spanning_trees(40, 30, 2, 2, 5).graph;
+        let mut live = ServeLoop::new(g, DynamicConfig::for_eps(0.25));
+        let mut w = WalWriter::new(Vec::new());
+        let mut base = Vec::new();
+        for epoch in 0..3u64 {
+            let batch = sample_updates(epoch * 13 + 2);
+            for up in &batch {
+                live.apply(up);
+            }
+            w.append_batch(epoch, &batch).unwrap();
+            live.end_epoch();
+            w.append_epoch_end(epoch, live.match_size() as u64).unwrap();
+            if epoch == 0 {
+                crate::snapshot::write_serial(&live, &mut base).unwrap();
+            }
+        }
+        let log = read_wal(&mut &w.into_inner()[..]).unwrap();
+        // The base was cut at epoch 1; the tail handed to it starts at 2.
+        let tail = &log.records[4..];
+        assert_eq!(tail[0].epoch(), 2);
+        let mut recovered = crate::snapshot::read_serial(&mut &base[..]).unwrap();
+        let before = (recovered.assignment().mate, recovered.stats().clone());
+        match replay(&mut recovered, tail) {
+            Err(WalError::Replay { detail }) => {
+                assert!(detail.contains("epoch 2"), "detail: {detail}");
+                assert!(detail.contains("epoch 1"), "detail: {detail}");
+            }
+            other => panic!("expected Replay, got {other:?}"),
+        }
+        assert_eq!(
+            (recovered.assignment().mate, recovered.stats().clone()),
+            before,
+            "a refused tail leaves the engine untouched"
+        );
     }
 
     #[test]

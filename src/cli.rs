@@ -25,9 +25,8 @@ use sparse_alloc_core::pipeline::{solve, Booster, PipelineConfig, Rounder};
 use sparse_alloc_dynamic::adapter::{churn_stream, ChurnMix};
 use sparse_alloc_dynamic::distributed::{BatchReport, ShardedEpochReport};
 use sparse_alloc_dynamic::{
-    snapshot, wal, DeltaBase, DeltaCheckpoint, DynamicConfig, Engine, EpochReport, NetEpochReport,
-    NetServeLoop, ServeLoop, ShardedConfig, ShardedServeLoop, SupervisorConfig, TransportKind,
-    Update, WalWriter,
+    snapshot, wal, DynamicConfig, Engine, EpochReport, NetEpochReport, NetServeLoop, ServeLoop,
+    ShardedConfig, ShardedServeLoop, SupervisorConfig, TransportKind, Update, WalRecord, WalWriter,
 };
 use sparse_alloc_flow::opt::opt_value;
 use sparse_alloc_graph::generators::{
@@ -197,14 +196,14 @@ const USAGE: &str = "usage: salloc <command>
                                           appends every update batch and
                                           epoch boundary to a write-ahead
                                           log (fsynced, checksummed) before
-                                          acting on it; with --restore, the
-                                          log tail past the snapshot is
-                                          replayed first — crash recovery is
-                                          last base + log tail — and, on any
-                                          engine, periodic --checkpoint-every
-                                          writes after the first full base
-                                          become cheap deltas against it
-                                          (SNAP.delta). With --net,
+                                          acting on it, and every checkpoint
+                                          (a full snapshot) marks the log as
+                                          a base. With --restore, the snapshot
+                                          must be the log's last base and the
+                                          log tail past it is replayed first:
+                                          crash recovery is last base + log
+                                          tail, at most N epochs under
+                                          --checkpoint-every N. With --net,
                                           --max-respawns N / --retry-budget N
                                           let the coordinator retry transient
                                           faults and rebuild a faulted mesh
@@ -714,9 +713,8 @@ fn row(out: &mut String, columns: &[(&str, usize)], cells: impl Iterator<Item = 
 /// replay, the epoch loop with its periodic checkpoints, validation, the
 /// OPT ratio line, the trace and the `--assign` dump.
 ///
-/// A periodic checkpoint after the first full base is a delta against
-/// it when a WAL is open (recovery is base + log tail and reads no
-/// delta), and another full snapshot otherwise.
+/// Every checkpoint, periodic or final, is a full base with a log marker,
+/// so crash recovery replays at most `--checkpoint-every` epochs.
 fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result<String, CliError> {
     serve.set_tracer(run.tracer.clone());
     let restored_at = serve.serial().stats().epochs;
@@ -748,10 +746,8 @@ fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result
     let head = [("epoch", 5), ("events", 7), ("matched", 7)];
     let columns: Vec<(&str, usize)> = head.iter().chain(R::COLUMNS).copied().collect();
     row(&mut out, &columns, columns.iter().map(|c| c.0.to_string()));
-    // The last full snapshot written, which deltas diff against.
-    let mut base: Option<DeltaBase> = None;
-    // Delta checkpoints written and their total bytes.
-    let mut deltas = (0usize, 0u64);
+    // The epoch the last checkpoint was cut at.
+    let mut cut_at = None;
     let batches = run.updates.chunks(run.events.max(1)).take(run.epochs);
     for (e, chunk) in batches.enumerate().skip(done) {
         rep.before_epoch(&mut serve, run, e + 1);
@@ -762,18 +758,8 @@ fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         if let Some(cp) = &run.checkpoint {
             if run.every > 0 && (e + 1) % run.every == 0 {
-                match (&base, walw.as_mut()) {
-                    (Some(b), Some(_)) => {
-                        let dp = format!("{cp}.delta");
-                        let delta = DeltaCheckpoint::of(serve.serial(), b);
-                        let bytes = snapshot::save_delta(&delta, &dp)
-                            .map_err(|me| err(format!("{dp}: {me}")))?;
-                        deltas = (deltas.0 + 1, deltas.1 + bytes);
-                    }
-                    (_, wal) => {
-                        base = Some(checkpoint(&mut serve, cp, wal)?);
-                    }
-                }
+                checkpoint(&mut serve, cp, walw.as_mut())?;
+                cut_at = Some(serve.serial().stats().epochs);
             }
         }
         let head = [e + 1, chunk.len(), serve.serial().match_size()].map(|c| c.to_string());
@@ -805,7 +791,7 @@ fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result
         // already produced these exact bytes (a repeat would also charge
         // a sharded engine a second CHECKPOINT ledger phase).
         let epochs = serve.serial().stats().epochs;
-        if base.as_ref().map(|b| b.epoch) != Some(epochs as u64) {
+        if cut_at != Some(epochs) {
             checkpoint(&mut serve, cp, walw.as_mut())?;
         }
         field(
@@ -822,13 +808,6 @@ fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result
             format!("{bytes} bytes appended ({records} records)"),
         );
     }
-    if let (Some(b), (written @ 1.., bytes)) = (&base, deltas) {
-        let line = format!(
-            "{written} written, {bytes} bytes (full base at epoch {})",
-            b.epoch
-        );
-        field(&mut out, "delta checkpoints", line);
-    }
     // Finish the `--trace` stream: the final metrics registry, then flush.
     if let Some(p) = &run.trace {
         run.tracer.emit_registry(serve.obs());
@@ -844,10 +823,11 @@ fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result
 }
 
 /// Open (or create) the `--wal` log. On a `--restore` run the log is
-/// opened in place (torn tail repaired) and the records past the last
-/// base marker are replayed onto `serve` — crash recovery's `base + log
-/// tail`. A fresh run truncates the log and starts over. Returns the log
-/// and a note on what was done.
+/// opened in place (torn tail repaired), the restored snapshot is checked
+/// against the log's last base marker, and the records past that marker
+/// are replayed onto `serve` — crash recovery's `base + log tail`. A
+/// fresh run truncates the log and starts over. Returns the log and a
+/// note on what was done.
 fn open_wal<E: Engine>(
     serve: &mut E,
     run: &Run,
@@ -856,8 +836,17 @@ fn open_wal<E: Engine>(
         return Ok(None);
     };
     let p = std::path::Path::new(wp);
-    let opened = if run.restore.is_some() {
+    let opened = if let Some(snap) = &run.restore {
         let (log, w) = WalWriter::open(p).map_err(|e| err(format!("{wp}: {e}")))?;
+        if let Some(WalRecord::Base { epoch, checksum }) = log.records[..log.tail_start()].last() {
+            let bytes = std::fs::read(snap).map_err(|e| err(format!("{snap}: {e}")))?;
+            if io::fnv1a64(&bytes) != *checksum {
+                return Err(err(format!(
+                    "{snap} is not the base {wp} was last cut at (epoch {epoch}, \
+                     checksum {checksum:#018x})"
+                )));
+            }
+        }
         let stats = wal::replay(serve, &log.records[log.tail_start()..])
             .map_err(|e| err(format!("{wp}: replay: {e}")))?;
         let note = format!(
@@ -1664,6 +1653,77 @@ mod tests {
             .0
             .contains("sharded"));
         for f in [&file, &full_assign, &snap, &resumed_assign] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    /// Every periodic checkpoint is a full base with a log marker: no
+    /// delta file, and the log's last base is always the snapshot on disk.
+    #[test]
+    fn dynamic_periodic_checkpoints_are_full_bases_marked_in_the_log() {
+        let file = temp("dynbase.txt");
+        run(&args(&format!(
+            "gen forests --nl 120 --nr 90 --k 3 --cap 2 --seed 8 --out {file}"
+        )))
+        .unwrap();
+        let [snap, log] = ["ck.snap", "wal.log"].map(|f| temp(&format!("dynbase-{f}")));
+        let report = run(&args(&format!(
+            "dynamic {file} --events 40 --eps 0.25 --seed 5 --no-full --epochs 3 \
+             --checkpoint {snap} --checkpoint-every 1 --wal {log}"
+        )))
+        .unwrap();
+        assert!(report.contains("wrote"), "{report}");
+        assert!(!std::path::Path::new(&format!("{snap}.delta")).exists());
+        let records = wal::read_wal_file(log.as_ref()).unwrap().records;
+        let bases: Vec<(u64, u64)> = (records.iter())
+            .filter_map(|r| match r {
+                WalRecord::Base { epoch, checksum } => Some((*epoch, *checksum)),
+                _ => None,
+            })
+            .collect();
+        let epochs: Vec<u64> = bases.iter().map(|b| b.0).collect();
+        assert_eq!(epochs, [1, 2, 3], "one base marker per checkpoint");
+        let on_disk = io::fnv1a64(&std::fs::read(&snap).unwrap());
+        assert_eq!(bases.last().unwrap().1, on_disk);
+        for f in [&file, &snap, &log] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    /// A restore pairs its snapshot with the log's last base marker: a
+    /// snapshot from another run is refused before anything replays.
+    #[test]
+    fn dynamic_restore_refuses_a_snapshot_the_log_was_not_cut_at() {
+        let file = temp("dynpair.txt");
+        run(&args(&format!(
+            "gen forests --nl 120 --nr 90 --k 3 --cap 2 --seed 8 --out {file}"
+        )))
+        .unwrap();
+        let [mine, other, log] =
+            ["mine.snap", "other.snap", "wal.log"].map(|f| temp(&format!("dynpair-{f}")));
+        let base = format!("dynamic {file} --events 40 --no-full");
+        run(&args(&format!(
+            "{base} --eps 0.25 --seed 5 --epochs 2 --checkpoint {mine} --wal {log}"
+        )))
+        .unwrap();
+        run(&args(&format!(
+            "{base} --eps 0.25 --seed 6 --epochs 2 --checkpoint {other}"
+        )))
+        .unwrap();
+        let logged = std::fs::read(&log).unwrap();
+        let e = run(&args(&format!(
+            "{base} --seed 5 --epochs 3 --restore {other} --wal {log}"
+        )))
+        .unwrap_err();
+        assert!(e.0.contains(&other) && e.0.contains(&log), "{e}");
+        assert!(e.0.contains("not the base"), "{e}");
+        assert_eq!(std::fs::read(&log).unwrap(), logged, "log untouched");
+        // The snapshot the log was cut at restores.
+        run(&args(&format!(
+            "{base} --seed 5 --epochs 3 --restore {mine} --wal {log}"
+        )))
+        .unwrap();
+        for f in [&file, &mine, &other, &log] {
             let _ = std::fs::remove_file(f);
         }
     }
