@@ -273,7 +273,7 @@ gate_e19() {
     fi
     # Observability must be ~free on the hot path: the same e19 run A/Bs
     # the serving loop with the metrics registry disabled vs enabled
-    # (interleaved, best-of-2) and records the ratio; gate it at ≤ 5%.
+    # (interleaved, median of 5) and records the ratio; gate it at ≤ 5%.
     metrics_ratio="$(grep -o '"metrics_overhead_ratio": [0-9.]*' BENCH_batching.json | awk '{print $2}')"
     awk -v r="$metrics_ratio" 'BEGIN {
         if (r > 1.05) {

@@ -916,6 +916,7 @@ mod tests {
             Phase::RepairWave,
             Phase::CertSweep,
             Phase::LevelRepair,
+            Phase::LevelGather,
             Phase::MigrationCommit,
             Phase::ShardState,
         ] {

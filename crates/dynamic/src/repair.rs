@@ -19,6 +19,13 @@
 //! what both truncations cost at every overlay fold: it re-solves the
 //! levels from scratch when their fractional weight has fallen below
 //! `(1 − ε/2)·|M|`.
+//!
+//! A repair ([`repair_levels`]) runs in two halves. The gather grows
+//! the ball, lists its left frontier, and copies the live rows of
+//! both into flat arenas, once — the graph-exponentiation step of
+//! Ghaffari–Uitto's MPC simulation of LOCAL algorithms. The rounds then
+//! simulate the dynamics over plain slices, touching the [`DeltaGraph`]
+//! only for capacities.
 
 use sparse_alloc_core::aggregates::{alloc_share, left_aggregate_of, LeftAggregate};
 use sparse_alloc_core::levels::{update_level, PowTable};
@@ -39,20 +46,35 @@ pub struct BallScratch {
     next: Vec<RightId>,
 }
 
-/// Persistent scratch of [`repair_levels`]: the ball growth's scratch
-/// (whose stamped left set doubles as the frontier's seen marks), the
-/// ball, its left frontier, the per-ball-right allocations, and the
-/// per-left aggregates. The aggregates are a dense vector that grows on
-/// demand and is never cleared: every round writes each frontier entry
-/// before any ball right reads it, and a ball right reads only frontier
-/// entries. Ephemeral — no snapshot carries it.
+/// Persistent scratch of [`repair_levels`], holding the gathered ball
+/// between its two halves, the gather and the rounds:
+///
+/// - the ball growth's scratch (whose stamped left set doubles as the
+///   frontier's seen marks) and the ball, sorted;
+/// - the left frontier in discovery order, each left's slot in it, and
+///   one aggregate per slot;
+/// - two CSR arenas: the ball rights' live rows as frontier slots, and
+///   the frontier lefts' live rows as right ids, both in the
+///   [`DeltaGraph`]'s adjacency order;
+/// - the per-ball-right allocations and the power table of the last ε.
+///
+/// Every vector keeps its capacity, so a repair allocates nothing once
+/// the scratch has grown to the largest ball seen. `slot_of` grows with
+/// `n_left` and is never cleared: it is read only for lefts the current
+/// gather stamped. Ephemeral — no snapshot carries it.
 #[derive(Debug, Default)]
 pub struct LevelScratch {
     ball: BallScratch,
     ball_out: Vec<RightId>,
     frontier: Vec<LeftId>,
+    slot_of: Vec<u32>,
+    right_offsets: Vec<usize>,
+    right_rows: Vec<u32>,
+    left_offsets: Vec<usize>,
+    left_rows: Vec<RightId>,
     aggs: Vec<LeftAggregate>,
     alloc: Vec<f64>,
+    pows: Option<PowTable>,
 }
 
 /// Configuration of one local repair.
@@ -223,7 +245,9 @@ pub(crate) fn probe_reaches(
 
 /// Re-run the proportional level dynamics on the ball around `seeds`,
 /// mutating `levels` in place. Exterior levels are read but never written.
-/// `scratch` carries nothing between calls that changes the result.
+/// `scratch` carries nothing between calls that changes the result. The
+/// serve loop calls the two halves, the gather and the rounds, itself,
+/// to time the gather as its own phase.
 ///
 /// # Panics
 /// Panics if `levels.len() != dg.n_right()`.
@@ -234,62 +258,132 @@ pub fn repair_levels(
     cfg: &LevelRepairConfig,
     scratch: &mut LevelScratch,
 ) -> LevelRepairReport {
-    assert_eq!(levels.len(), dg.n_right(), "levels indexed by right vertex");
-    let LevelScratch {
-        ball: ball_scratch,
-        ball_out: ball,
-        frontier,
-        aggs,
-        alloc,
-    } = scratch;
-    ball_of_capped_into(dg, seeds, cfg.radius, cfg.max_ball, ball_scratch, ball);
-    if ball.is_empty() || cfg.rounds == 0 {
-        return LevelRepairReport {
-            ball_rights: ball.len(),
-            rounds_run: 0,
-        };
-    }
-    let pows = PowTable::new(cfg.eps);
+    scratch.gather(dg, seeds, cfg);
+    scratch.run_rounds(dg, levels, cfg)
+}
 
-    // Left frontier: every left vertex adjacent to the ball. Their
-    // aggregates are recomputed each round (their other neighbors'
-    // levels are frozen but still read — the computation is exact).
-    let seen = &mut ball_scratch.lefts;
-    seen.clear();
-    frontier.clear();
-    for &v in ball.iter() {
-        for u in dg.right_neighbors_iter(v) {
-            if seen.insert(u as usize) {
-                frontier.push(u);
+impl LevelScratch {
+    /// Grow the ball around `seeds` and gather it: the left frontier
+    /// (every left adjacent to the ball) and the live rows of the ball's
+    /// rights and of the frontier's lefts, copied into the arenas. The
+    /// frontier pass walks every ball right's row anyway, so it hands out
+    /// the frontier slots and writes the right arena in the same sweep.
+    /// Skips the frontier when the ball is empty or no round will run.
+    pub(crate) fn gather(&mut self, dg: &DeltaGraph, seeds: &[RightId], cfg: &LevelRepairConfig) {
+        let LevelScratch {
+            ball: ball_scratch,
+            ball_out: ball,
+            frontier,
+            slot_of,
+            right_offsets,
+            right_rows,
+            left_offsets,
+            left_rows,
+            ..
+        } = self;
+        ball_of_capped_into(dg, seeds, cfg.radius, cfg.max_ball, ball_scratch, ball);
+        frontier.clear();
+        right_offsets.clear();
+        right_rows.clear();
+        left_offsets.clear();
+        left_rows.clear();
+        if ball.is_empty() || cfg.rounds == 0 {
+            return;
+        }
+        let seen = &mut ball_scratch.lefts;
+        seen.clear();
+        if slot_of.len() < dg.n_left() {
+            slot_of.resize(dg.n_left(), 0);
+        }
+        right_offsets.push(0);
+        for &v in ball.iter() {
+            dg.for_each_right_neighbor(v, |u| {
+                if seen.insert(u as usize) {
+                    slot_of[u as usize] = frontier.len() as u32;
+                    frontier.push(u);
+                }
+                right_rows.push(slot_of[u as usize]);
+            });
+            right_offsets.push(right_rows.len());
+        }
+        left_offsets.push(0);
+        for &u in frontier.iter() {
+            dg.for_each_left_neighbor(u, |v| left_rows.push(v));
+            left_offsets.push(left_rows.len());
+        }
+    }
+
+    /// Run `cfg.rounds` synchronous rounds of the proportional dynamics
+    /// over the ball the last [`gather`](LevelScratch::gather) collected,
+    /// writing the ball's levels. That gather must have run on the same
+    /// `dg`, unchanged since, with the same `cfg`: the arenas are read as
+    /// they are. Each round recomputes the
+    /// frontier's aggregates (their exterior neighbours' levels are
+    /// frozen but still read, so the computation is exact), then the
+    /// ball's allocations, then moves every ball level at once — the
+    /// same per-vertex steps, in the same edge order, as Algorithm 1.
+    ///
+    /// # Panics
+    /// Panics if `levels.len() != dg.n_right()`.
+    pub(crate) fn run_rounds(
+        &mut self,
+        dg: &DeltaGraph,
+        levels: &mut [i64],
+        cfg: &LevelRepairConfig,
+    ) -> LevelRepairReport {
+        assert_eq!(levels.len(), dg.n_right(), "levels indexed by right vertex");
+        let LevelScratch {
+            ball_out: ball,
+            right_offsets,
+            right_rows,
+            left_offsets,
+            left_rows,
+            aggs,
+            alloc,
+            pows,
+            ..
+        } = self;
+        if ball.is_empty() || cfg.rounds == 0 {
+            return LevelRepairReport {
+                ball_rights: ball.len(),
+                rounds_run: 0,
+            };
+        }
+        if pows.as_ref().is_some_and(|p| p.eps() != cfg.eps) {
+            *pows = None;
+        }
+        let pows = &*pows.get_or_insert_with(|| PowTable::new(cfg.eps));
+        aggs.clear();
+        aggs.resize(left_offsets.len() - 1, LeftAggregate::EMPTY);
+        alloc.clear();
+        alloc.resize(ball.len(), 0.0);
+
+        for _ in 0..cfg.rounds {
+            for (agg, row) in aggs.iter_mut().zip(left_offsets.windows(2)) {
+                let row = &left_rows[row[0]..row[1]];
+                *agg = left_aggregate_of(row.iter().copied(), levels, pows);
+            }
+            for ((a, &v), row) in alloc
+                .iter_mut()
+                .zip(ball.iter())
+                .zip(right_offsets.windows(2))
+            {
+                let lv = levels[v as usize];
+                *a = right_rows[row[0]..row[1]]
+                    .iter()
+                    .map(|&s| alloc_share(lv, &aggs[s as usize], pows))
+                    .sum();
+            }
+            // Synchronous update, exactly like a round of Algorithm 1.
+            for (&a, &v) in alloc.iter().zip(ball.iter()) {
+                levels[v as usize] += update_level(a, dg.capacity(v), cfg.eps, 1.0, 1.0);
             }
         }
-    }
-    frontier.sort_unstable();
-    if aggs.len() < dg.n_left() {
-        aggs.resize(dg.n_left(), LeftAggregate::EMPTY);
-    }
-    alloc.clear();
-    alloc.resize(ball.len(), 0.0);
 
-    for _ in 0..cfg.rounds {
-        for &u in frontier.iter() {
-            aggs[u as usize] = left_aggregate_of(dg.left_neighbors_iter(u), levels, &pows);
+        LevelRepairReport {
+            ball_rights: ball.len(),
+            rounds_run: cfg.rounds,
         }
-        for (i, &v) in ball.iter().enumerate() {
-            alloc[i] = dg
-                .right_neighbors_iter(v)
-                .map(|u| alloc_share(levels[v as usize], &aggs[u as usize], &pows))
-                .sum();
-        }
-        // Synchronous update, exactly like a round of Algorithm 1.
-        for (i, &v) in ball.iter().enumerate() {
-            levels[v as usize] += update_level(alloc[i], dg.capacity(v), cfg.eps, 1.0, 1.0);
-        }
-    }
-
-    LevelRepairReport {
-        ball_rights: ball.len(),
-        rounds_run: cfg.rounds,
     }
 }
 

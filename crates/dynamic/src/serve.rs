@@ -24,7 +24,7 @@ use sparse_alloc_graph::{Assignment, Bipartite, DeltaGraph, LeftId, RightId};
 use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Tracer};
 
 use crate::repair::{
-    ball_of_capped_into, probe_reaches, repair_levels, BallScratch, LevelRepairConfig, LevelScratch,
+    ball_of_capped_into, probe_reaches, BallScratch, LevelRepairConfig, LevelScratch,
 };
 use crate::stamp::StampSet;
 use crate::update::Update;
@@ -770,7 +770,8 @@ impl ServeLoop {
     /// Close the epoch: restore the global `k/(k+1)` certificate, repair
     /// the β-levels on the dirty ball, and fold the overlay once the churn
     /// since the last fold exceeds `drift_threshold · m`. Each step is its
-    /// own phase (`cert_sweep`, `level_repair`, `compaction`).
+    /// own phase (`cert_sweep`, `level_repair` with its gather nested as
+    /// `level_gather`, `compaction`).
     pub fn end_epoch(&mut self) -> EpochReport {
         self.stats.epochs += 1;
         let epoch = self.stats.epochs as u64;
@@ -796,18 +797,18 @@ impl ServeLoop {
             // order would differ, so it grows from the sorted set.
             self.dirty.sort_unstable();
             self.dirty.dedup();
-            let rep = repair_levels(
-                &self.dg,
-                &mut self.levels,
-                &self.dirty,
-                &LevelRepairConfig {
-                    eps: self.cfg.eps,
-                    radius: self.cfg.repair_radius,
-                    rounds: self.cfg.repair_rounds,
-                    max_ball: self.cfg.repair_ball_cap,
-                },
-                &mut self.level_scratch,
-            );
+            let cfg = LevelRepairConfig {
+                eps: self.cfg.eps,
+                radius: self.cfg.repair_radius,
+                rounds: self.cfg.repair_rounds,
+                max_ball: self.cfg.repair_ball_cap,
+            };
+            let gather = self.tracer.span(Phase::LevelGather, epoch);
+            self.level_scratch.gather(&self.dg, &self.dirty, &cfg);
+            self.obs.phase_ns(Phase::LevelGather, gather.close());
+            let rep = self
+                .level_scratch
+                .run_rounds(&self.dg, &mut self.levels, &cfg);
             self.stats.repair_rounds += rep.rounds_run;
             report.ball_rights = rep.ball_rights;
             if rep.ball_rights >= self.cfg.repair_ball_cap {
@@ -997,7 +998,10 @@ impl ServeLoop {
     /// live graph: Algorithm 1's closing aggregation (lines 5–6) over a
     /// fresh [`DeltaGraph::compact`] snapshot, edge ids in its order.
     /// `O(n + m)` per call, bit-identical to `finalize_from_levels` on a
-    /// builder-built snapshot of the live edges.
+    /// builder-built snapshot of the live edges. When the live graph is
+    /// its base ([`DeltaGraph::live_equals_base`], as after a fold) the
+    /// aggregation reads the base directly: `compact` would rebuild it
+    /// array for array.
     ///
     /// Nothing is memoized: every churn epoch edits the edge set, which
     /// shifts the snapshot's edge ids, so a memo keyed on them could be
@@ -1005,7 +1009,11 @@ impl ServeLoop {
     /// Those epochs pay the same linear recompute.
     pub fn fractional(&self) -> FractionalAllocation {
         self.frac_reads.set(self.frac_reads.get() + 1);
-        finalize_from_levels(&self.dg.compact(), &self.levels, self.cfg.eps)
+        let (eps, levels) = (self.cfg.eps, &self.levels);
+        if self.dg.live_equals_base() {
+            return finalize_from_levels(self.dg.base(), levels, eps);
+        }
+        finalize_from_levels(&self.dg.compact(), levels, eps)
     }
 
     /// Counters of [`ServeLoop::fractional`], shaped
@@ -1537,6 +1545,54 @@ mod tests {
         s.fold();
         check(&s);
         assert_eq!(s.fractional_cache_counters(), (4, 0, 0));
+    }
+
+    #[test]
+    fn a_fold_epoch_reads_its_base_and_a_capacity_epoch_still_compacts() {
+        use sparse_alloc_core::algo1::allocs_for_levels;
+        use sparse_alloc_core::fractional::finalize_from_levels;
+        let g = union_of_spanning_trees(60, 50, 2, 2, 4).graph;
+        let mut cfg = DynamicConfig::for_eps(0.25);
+        cfg.drift_threshold = 0.01;
+        let mut s = ServeLoop::new(g, cfg);
+        let check = |s: &ServeLoop| {
+            let (f, want) = (s.fractional(), fractional_from_scratch(s));
+            assert!(f.x == want.x && f.weight == want.weight);
+        };
+
+        // A churn epoch whose close folds: the read is served from the
+        // folded base, and equals the builder recompute.
+        let edges: Vec<(u32, u32)> = s.snapshot().edges().map(|(_, u, v)| (u, v)).collect();
+        for &(u, v) in edges.iter().step_by(7) {
+            s.apply(&Update::DeleteEdge { u, v });
+        }
+        s.apply(&Update::Arrive {
+            neighbors: vec![3, 8],
+        });
+        assert!(close(&mut s).compacted, "the epoch folds");
+        assert!(s.graph().live_equals_base(), "a fold leaves no overlay");
+        check(&s);
+
+        // A capacity-only epoch: the edges are the base's but the
+        // capacities are not, so the read must compact — the base's
+        // capacities give a different allocation.
+        let allocs = allocs_for_levels(s.graph().base(), s.levels(), s.config().eps);
+        let v = (0..allocs.len())
+            .max_by(|&a, &b| allocs[a].total_cmp(&allocs[b]))
+            .unwrap();
+        assert!(allocs[v] > 1.0, "a cut to capacity 1 binds at {v}");
+        s.apply(&Update::SetCapacity {
+            v: v as RightId,
+            cap: 1,
+        });
+        assert!(!close(&mut s).compacted);
+        assert!(!s.graph().live_equals_base());
+        check(&s);
+        let stale = finalize_from_levels(s.graph().base(), s.levels(), s.config().eps);
+        assert!(
+            stale.x != s.fractional().x,
+            "base capacities would be stale"
+        );
     }
 
     #[test]

@@ -10,14 +10,19 @@
 //! fresh CSR snapshot.
 //!
 //! Adjacency queries see the *live* graph (base minus removed edges plus
-//! overlay edges); their cost is the base CSR scan plus an `O(1)` hash
-//! probe per base edge and an `O(deg_overlay)` tail. Left vertices keep
+//! overlay edges); their cost is the base CSR scan plus one bit test per
+//! base edge (skipped for vertices with no deletions) and an
+//! `O(deg_overlay)` tail. Deleted base edges are a bitmap over base edge
+//! ids (the left-CSR slot, [`Bipartite::left_edge_range`]), so no
+//! adjacency scan hashes a pair: left scans test bit
+//! `left_edge_range(u).start + i`, right scans the bit of
+//! [`Bipartite::right_edge_ids`]`(v)[j]`. Left vertices keep
 //! stable ids across every mutation and across compaction: departures
 //! leave a degree-0 slot behind, arrivals append at the end. The right
 //! vertex set is fixed (capacity changes are in-place), matching the
 //! paper's serving setting where servers are long-lived and clients churn.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::bipartite::{Bipartite, LeftId, RightId};
 use crate::io::{self, ByteReader, ByteWriter, IoError};
@@ -40,11 +45,14 @@ pub struct DeltaGraph {
     extra_adj: Vec<Vec<RightId>>,
     /// Overlay edges attached to *base* left vertices.
     added: HashMap<LeftId, Vec<RightId>>,
-    /// Deleted base edges (overlay edges are deleted in place instead).
-    removed: HashSet<(LeftId, RightId)>,
-    /// Per-vertex counts of removed base edges: the adjacency iterators
-    /// skip the hash probe entirely for the (at low churn, vast) majority
-    /// of vertices with no deletions.
+    /// Deleted base edges, one bit per base edge id (overlay edges are
+    /// deleted in place instead).
+    removed: Vec<u64>,
+    /// Number of set bits in `removed`.
+    n_removed: usize,
+    /// Per-vertex counts of removed base edges: the adjacency scans skip
+    /// the bit tests entirely for the (at low churn, vast) majority of
+    /// vertices with no deletions.
     removed_left: Vec<u32>,
     removed_right: Vec<u32>,
     /// Reverse index of all overlay edges, per right vertex.
@@ -71,11 +79,13 @@ impl DeltaGraph {
         let removed_right = vec![0; base.n_right()];
         let added_left_n = vec![0; base.n_left()];
         let added_right_n = vec![0; base.n_right()];
+        let removed = vec![0; base.m().div_ceil(64)];
         DeltaGraph {
             base,
             extra_adj: Vec::new(),
             added: HashMap::new(),
-            removed: HashSet::new(),
+            removed,
+            n_removed: 0,
             removed_left,
             removed_right,
             added_right: HashMap::new(),
@@ -126,14 +136,26 @@ impl DeltaGraph {
     pub fn overlay_edges(&self) -> usize {
         let added: usize = self.added.values().map(Vec::len).sum();
         let extra: usize = self.extra_adj.iter().map(Vec::len).sum();
-        self.removed.len() + added + extra
+        self.n_removed + added + extra
+    }
+
+    /// Is the live graph its base snapshot, edge for edge and capacity for
+    /// capacity? Then [`compact`](DeltaGraph::compact) would rebuild
+    /// [`base`](DeltaGraph::base) array for array, and a reader can use
+    /// the base as it stands. True right after a fold. `O(n_right)`.
+    pub fn live_equals_base(&self) -> bool {
+        // No deletions and an unchanged edge count leave no staged edge.
+        self.n_removed == 0
+            && self.m_live == self.base.m()
+            && self.extra_adj.is_empty()
+            && self.caps == self.base.capacities()
     }
 
     /// Does the live graph contain edge `(u, v)`?
     pub fn has_edge(&self, u: LeftId, v: RightId) -> bool {
         if (u as usize) < self.base.n_left() {
-            let in_base = self.base.left_neighbors(u).binary_search(&v).is_ok()
-                && (self.removed_left[u as usize] == 0 || !self.removed.contains(&(u, v)));
+            let in_base = base_edge_id(&self.base, u, v)
+                .is_some_and(|e| self.removed_left[u as usize] == 0 || !bit(&self.removed, e));
             in_base
                 || (self.added_left_n[u as usize] != 0
                     && self.added.get(&u).is_some_and(|a| a.contains(&v)))
@@ -163,10 +185,17 @@ impl DeltaGraph {
             )
         };
         let untouched = (u as usize) >= self.base.n_left() || self.removed_left[u as usize] == 0;
+        let first = if untouched {
+            0
+        } else {
+            self.base.left_edge_range(u).start
+        };
+        let removed = &self.removed;
         base_slice
             .iter()
-            .copied()
-            .filter(move |&v| untouched || !self.removed.contains(&(u, v)))
+            .enumerate()
+            .filter(move |&(i, _)| untouched || !bit(removed, first + i))
+            .map(|(_, &v)| v)
             .chain(overlay.iter().copied())
     }
 
@@ -174,11 +203,13 @@ impl DeltaGraph {
     pub fn right_neighbors_iter(&self, v: RightId) -> impl Iterator<Item = LeftId> + Clone + '_ {
         static EMPTY: [LeftId; 0] = [];
         let untouched = self.removed_right[v as usize] == 0;
+        let (removed, ids) = (&self.removed, self.base.right_edge_ids(v));
         self.base
             .right_neighbors(v)
             .iter()
-            .copied()
-            .filter(move |&u| untouched || !self.removed.contains(&(u, v)))
+            .enumerate()
+            .filter(move |&(j, _)| untouched || !bit(removed, ids[j] as usize))
+            .map(|(_, &u)| u)
             .chain(
                 if self.added_right_n[v as usize] == 0 {
                     &EMPTY[..]
@@ -194,7 +225,7 @@ impl DeltaGraph {
     /// mirror of [`DeltaGraph::left_neighbors_iter`], same edges in the
     /// same order. On hot paths (the conflict scheduler's ball growth
     /// calls this once per scanned vertex) the visitor form beats the
-    /// chained iterator: the deleted-edge branch and the overlay hash
+    /// chained iterator: the deleted-edge branch and the overlay map
     /// probe are hoisted out of the per-edge loop, which runs over plain
     /// slices.
     #[inline]
@@ -206,8 +237,9 @@ impl DeltaGraph {
                     f(v);
                 }
             } else {
-                for &v in base {
-                    if !self.removed.contains(&(u, v)) {
+                let first = self.base.left_edge_range(u).start;
+                for (i, &v) in base.iter().enumerate() {
+                    if !bit(&self.removed, first + i) {
                         f(v);
                     }
                 }
@@ -237,8 +269,8 @@ impl DeltaGraph {
                 f(u);
             }
         } else {
-            for &u in base {
-                if !self.removed.contains(&(u, v)) {
+            for (&u, &e) in base.iter().zip(self.base.right_edge_ids(v)) {
+                if !bit(&self.removed, e as usize) {
                     f(u);
                 }
             }
@@ -252,14 +284,23 @@ impl DeltaGraph {
         }
     }
 
-    /// Live degree of left vertex `u` (0 after departure).
+    /// Live degree of left vertex `u` (0 after departure). `O(1)`: the
+    /// base degree corrected by the per-vertex overlay counts.
     pub fn left_degree(&self, u: LeftId) -> usize {
-        self.left_neighbors_iter(u).count()
+        match (u as usize).checked_sub(self.base.n_left()) {
+            None => {
+                self.base.left_degree(u) - self.removed_left[u as usize] as usize
+                    + self.added_left_n[u as usize] as usize
+            }
+            Some(slot) => self.extra_adj.get(slot).map_or(0, Vec::len),
+        }
     }
 
-    /// Live degree of right vertex `v`.
+    /// Live degree of right vertex `v`. `O(1)`, like
+    /// [`left_degree`](DeltaGraph::left_degree).
     pub fn right_degree(&self, v: RightId) -> usize {
-        self.right_neighbors_iter(v).count()
+        self.base.right_degree(v) - self.removed_right[v as usize] as usize
+            + self.added_right_n[v as usize] as usize
     }
 
     /// Insert edge `(u, v)`. Returns `false` (and changes nothing) if the
@@ -278,8 +319,11 @@ impl DeltaGraph {
             return false;
         }
         // Re-inserting a deleted base edge just un-deletes it; the base CSR
-        // already stores it in both directions.
-        if (u as usize) < self.base.n_left() && self.removed.remove(&(u, v)) {
+        // already stores it in both directions. (The edge is not live, so
+        // a base edge here is a deleted one.)
+        if let Some(e) = base_edge_id(&self.base, u, v) {
+            set_bit(&mut self.removed, e, false);
+            self.n_removed -= 1;
             self.removed_left[u as usize] -= 1;
             self.removed_right[v as usize] -= 1;
             self.m_live += 1;
@@ -302,11 +346,10 @@ impl DeltaGraph {
         if !self.has_edge(u, v) {
             return false;
         }
-        let base_edge = (u as usize) < self.base.n_left()
-            && self.base.left_neighbors(u).binary_search(&v).is_ok()
-            && !self.removed.contains(&(u, v));
-        if base_edge {
-            self.removed.insert((u, v));
+        // The edge is live, so a base edge here is an undeleted one.
+        if let Some(e) = base_edge_id(&self.base, u, v) {
+            set_bit(&mut self.removed, e, true);
+            self.n_removed += 1;
             self.removed_left[u as usize] += 1;
             self.removed_right[v as usize] += 1;
         } else {
@@ -438,8 +481,9 @@ impl DeltaGraph {
     /// graph, different repairs, diverging state. Persisting the overlay
     /// verbatim (per-vertex list order included) is what makes a restored
     /// engine bit-identical to the uninterrupted one. Hash-map sections
-    /// are written in sorted key order, so identical overlays produce
-    /// identical bytes.
+    /// are written in sorted key order and deletions as `(u, v)` pairs in
+    /// edge-id order (which is sorted pair order), so identical overlays
+    /// produce identical bytes.
     pub fn encode(&self, w: &mut ByteWriter) {
         io::write_bipartite(&self.base, w);
         w.put_vec_u64(&self.caps);
@@ -455,12 +499,18 @@ impl DeltaGraph {
             w.put_u32(u);
             w.put_vec_u32(vs);
         }
-        let mut removed: Vec<(LeftId, RightId)> = self.removed.iter().copied().collect();
-        removed.sort_unstable();
-        w.put_u64(removed.len() as u64);
-        for (u, v) in removed {
-            w.put_u32(u);
-            w.put_u32(v);
+        w.put_u64(self.n_removed as u64);
+        for u in 0..self.base.n_left() as LeftId {
+            if self.removed_left[u as usize] == 0 {
+                continue;
+            }
+            let first = self.base.left_edge_range(u).start;
+            for (i, &v) in self.base.left_neighbors(u).iter().enumerate() {
+                if bit(&self.removed, first + i) {
+                    w.put_u32(u);
+                    w.put_u32(v);
+                }
+            }
         }
         let mut added_right: Vec<(RightId, &Vec<LeftId>)> =
             self.added_right.iter().map(|(&v, us)| (v, us)).collect();
@@ -540,18 +590,19 @@ impl DeltaGraph {
         }
 
         let n_removed = r.take_len(8)?;
-        let mut removed: HashSet<(LeftId, RightId)> = HashSet::with_capacity(n_removed);
+        let mut removed = vec![0u64; base.m().div_ceil(64)];
         let mut removed_left = vec![0u32; base.n_left()];
         let mut removed_right = vec![0u32; base.n_right()];
         for _ in 0..n_removed {
             let u = r.take_u32()?;
             let v = r.take_u32()?;
-            if (u as usize) >= base.n_left() || base.left_neighbors(u).binary_search(&v).is_err() {
+            let Some(e) = base_edge_id(&base, u, v) else {
                 return Err(bad(format!("deleted edge ({u}, {v}) is not a base edge")));
-            }
-            if !removed.insert((u, v)) {
+            };
+            if bit(&removed, e) {
                 return Err(bad(format!("edge ({u}, {v}) deleted twice")));
             }
+            set_bit(&mut removed, e, true);
             removed_left[u as usize] += 1;
             removed_right[v as usize] += 1;
         }
@@ -596,7 +647,7 @@ impl DeltaGraph {
 
         let staged: usize = added.values().map(Vec::len).sum::<usize>()
             + extra_adj.iter().map(Vec::len).sum::<usize>();
-        let m_live = base.m() - removed.len() + staged;
+        let m_live = base.m() - n_removed + staged;
         let mut added_left_n = vec![0u32; base.n_left()];
         for (&u, vs) in &added {
             added_left_n[u as usize] = vs.len() as u32;
@@ -610,6 +661,7 @@ impl DeltaGraph {
             extra_adj,
             added,
             removed,
+            n_removed,
             removed_left,
             removed_right,
             added_right,
@@ -637,6 +689,33 @@ impl DeltaGraph {
             left_offsets.push(left_adj.len());
         }
         Bipartite::from_left_csr(left_offsets, left_adj, self.caps.clone())
+    }
+}
+
+/// The id of edge `(u, v)` in `base` (deleted from a live graph over it
+/// or not), if `u` is one of its lefts and it holds the edge.
+fn base_edge_id(base: &Bipartite, u: LeftId, v: RightId) -> Option<usize> {
+    if (u as usize) >= base.n_left() {
+        return None;
+    }
+    let at = base.left_neighbors(u).binary_search(&v).ok()?;
+    Some(base.left_edge_range(u).start + at)
+}
+
+/// Is bit `e` of the bitmap set?
+#[inline]
+fn bit(bits: &[u64], e: usize) -> bool {
+    bits[e / 64] >> (e % 64) & 1 != 0
+}
+
+/// Set (`on`) or clear bit `e` of the bitmap.
+#[inline]
+fn set_bit(bits: &mut [u64], e: usize, on: bool) {
+    let mask = 1u64 << (e % 64);
+    if on {
+        bits[e / 64] |= mask;
+    } else {
+        bits[e / 64] &= !mask;
     }
 }
 
@@ -884,6 +963,7 @@ mod tests {
     use super::*;
     use crate::BipartiteBuilder;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn base() -> Bipartite {
         // L = {0,1,2}, R = {0,1}; edges (0,0) (0,1) (1,0) (2,1), caps [2, 3].
@@ -1248,6 +1328,36 @@ mod tests {
     }
 
     #[test]
+    fn decode_names_bad_deletions() {
+        // A deletions section naming `pairs`, every other section empty.
+        let decode = |pairs: &[(u32, u32)]| {
+            let g = base();
+            let mut w = ByteWriter::new();
+            io::write_bipartite(&g, &mut w);
+            w.put_vec_u64(g.capacities());
+            w.put_u64(0); // arrivals
+            w.put_u64(0); // staged edges
+            w.put_u64(pairs.len() as u64);
+            for &(u, v) in pairs {
+                w.put_u32(u);
+                w.put_u32(v);
+            }
+            w.put_u64(0); // reverse index
+            let bytes = w.into_bytes();
+            DeltaGraph::decode(&mut ByteReader::new(&bytes)).map(|d| d.m())
+        };
+        assert_eq!(decode(&[(0, 1), (2, 1)]).unwrap(), 2);
+        for (pairs, msg) in [
+            (&[(1u32, 1u32)][..], "(1, 1) is not a base edge"),
+            (&[(7, 0)][..], "(7, 0) is not a base edge"),
+            (&[(0, 1), (0, 1)][..], "(0, 1) deleted twice"),
+        ] {
+            let e = decode(pairs).unwrap_err().to_string();
+            assert!(e.contains(msg), "{pairs:?}: {e}");
+        }
+    }
+
+    #[test]
     fn overlay_edge_count_tracks_mutations() {
         let mut d = DeltaGraph::new(base());
         assert_eq!(d.overlay_edges(), 0);
@@ -1351,8 +1461,238 @@ mod tests {
         })
     }
 
+    /// `DeltaGraph` against a plain edge-set model: the live edges, the
+    /// base's edges (the model of what the overlay holds) and `n_left`.
+    struct Model {
+        live: BTreeSet<(LeftId, RightId)>,
+        base: BTreeSet<(LeftId, RightId)>,
+        n_left: usize,
+    }
+
+    impl Model {
+        fn of(g: &Bipartite) -> Model {
+            let base: BTreeSet<(LeftId, RightId)> = (0..g.n_left() as LeftId)
+                .flat_map(|u| g.left_neighbors(u).iter().map(move |&v| (u, v)))
+                .collect();
+            Model {
+                live: base.clone(),
+                base,
+                n_left: g.n_left(),
+            }
+        }
+
+        /// Deleted base edges plus live edges outside the base.
+        fn overlay_edges(&self) -> usize {
+            self.base.difference(&self.live).count() + self.live.difference(&self.base).count()
+        }
+    }
+
+    /// Every observable of `d` agrees with `model`, and the encoding
+    /// round-trips byte for byte.
+    fn check_against_model(d: &DeltaGraph, model: &Model, what: &str) {
+        assert_eq!(d.n_left(), model.n_left, "{what}: n_left");
+        assert_eq!(d.m(), model.live.len(), "{what}: m");
+        assert_eq!(d.overlay_edges(), model.overlay_edges(), "{what}: overlay");
+        for u in 0..d.n_left() as LeftId {
+            for v in 0..d.n_right() as RightId {
+                let want = model.live.contains(&(u, v));
+                assert_eq!(d.has_edge(u, v), want, "{what}: has_edge({u}, {v})");
+            }
+            let it: Vec<RightId> = d.left_neighbors_iter(u).collect();
+            let mut seen = Vec::new();
+            d.for_each_left_neighbor(u, |v| seen.push(v));
+            assert_eq!(seen, it, "{what}: left {u} visitor vs iterator");
+            let mut sorted = it.clone();
+            sorted.sort_unstable();
+            let want: Vec<RightId> = model
+                .live
+                .range((u, 0)..=(u, RightId::MAX))
+                .map(|&(_, v)| v)
+                .collect();
+            assert_eq!(sorted, want, "{what}: left {u} row");
+            assert_eq!(d.left_degree(u), want.len(), "{what}: left {u} degree");
+        }
+        for v in 0..d.n_right() as RightId {
+            let it: Vec<LeftId> = d.right_neighbors_iter(v).collect();
+            let mut seen = Vec::new();
+            d.for_each_right_neighbor(v, |u| seen.push(u));
+            assert_eq!(seen, it, "{what}: right {v} visitor vs iterator");
+            let mut sorted = it.clone();
+            sorted.sort_unstable();
+            let want: Vec<LeftId> = model
+                .live
+                .iter()
+                .filter(|&&(_, w)| w == v)
+                .map(|&(u, _)| u)
+                .collect();
+            assert_eq!(sorted, want, "{what}: right {v} row");
+            assert_eq!(d.right_degree(v), want.len(), "{what}: right {v} degree");
+        }
+        let mut w = ByteWriter::new();
+        d.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let back = DeltaGraph::decode(&mut r).unwrap_or_else(|e| panic!("{what}: decode: {e}"));
+        r.expect_end().unwrap();
+        let mut w2 = ByteWriter::new();
+        back.encode(&mut w2);
+        assert_eq!(bytes, w2.into_bytes(), "{what}: encode∘decode∘encode");
+        // The decoded per-vertex counts are rebuilt, not copied: the
+        // degrees read from them must still match.
+        for u in 0..d.n_left() as LeftId {
+            assert_eq!(
+                back.left_degree(u),
+                d.left_degree(u),
+                "{what}: decoded left {u}"
+            );
+        }
+        for v in 0..d.n_right() as RightId {
+            assert_eq!(
+                back.right_degree(v),
+                d.right_degree(v),
+                "{what}: decoded right {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn encode_bytes_of_a_fixed_churned_overlay_are_pinned() {
+        // A fixed mix of deletions, revivals, staged inserts, arrivals,
+        // departures and capacity moves on a generated forest union. The
+        // digest pins the snapshot bytes: snapshot and WAL files written
+        // by one build must read back in every later one.
+        let g = crate::generators::union_of_spanning_trees(60, 40, 3, 2, 7).graph;
+        let mut d = DeltaGraph::new(g);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as u32
+        };
+        let mut deleted: Vec<(LeftId, RightId)> = Vec::new();
+        for step in 0..400 {
+            let (nl, nr) = (d.n_left(), d.n_right());
+            match step % 6 {
+                0 | 3 => {
+                    let u = next(nl);
+                    let row: Vec<RightId> = d.left_neighbors_iter(u).collect();
+                    if !row.is_empty() {
+                        let v = row[next(row.len()) as usize];
+                        d.delete_edge(u, v);
+                        deleted.push((u, v));
+                    }
+                }
+                1 => {
+                    d.insert_edge(next(nl), next(nr));
+                }
+                2 if !deleted.is_empty() => {
+                    let (u, v) = deleted.swap_remove(next(deleted.len()) as usize);
+                    d.insert_edge(u, v);
+                }
+                4 if step % 24 == 4 => {
+                    d.arrive(&[next(nr), next(nr)]);
+                }
+                4 => {
+                    let u = next(nl);
+                    for v in d.depart(u) {
+                        deleted.push((u, v));
+                    }
+                }
+                5 => d.set_capacity(next(nr), 1 + next(3) as u64),
+                _ => {}
+            }
+        }
+        assert!(d.overlay_edges() > 50, "the overlay is churned");
+        let mut w = ByteWriter::new();
+        d.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            (bytes.len(), io::fnv1a64(&bytes)),
+            (4740, 0x7687_0eaf_4875_4c9e),
+            "snapshot bytes of the pinned overlay moved"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn delta_graph_agrees_with_an_edge_set_model(
+            g in small_base(),
+            ops in proptest::collection::vec((0u8..8, 0u32..1_000, 0u32..1_000, 1u64..=4), 0..40),
+        ) {
+            let mut d = DeltaGraph::new(g.clone());
+            let mut model = Model::of(&g);
+            let mut deleted: Vec<(LeftId, RightId)> = Vec::new();
+            check_against_model(&d, &model, "fresh");
+            for (step, &(kind, a, b, cap)) in ops.iter().enumerate() {
+                let (nl, nr) = (d.n_left() as u32, d.n_right() as u32);
+                match kind {
+                    // Insert an arbitrary pair: a fresh overlay edge, a
+                    // revived base edge, or a refused duplicate.
+                    0 if nl > 0 => {
+                        let (u, v) = (a % nl, b % nr);
+                        let fresh = model.live.insert((u, v));
+                        prop_assert_eq!(d.insert_edge(u, v), fresh);
+                    }
+                    // Delete a live edge of `u`.
+                    1 if nl > 0 => {
+                        let u = a % nl;
+                        let row: Vec<RightId> = d.left_neighbors_iter(u).collect();
+                        if !row.is_empty() {
+                            let v = row[b as usize % row.len()];
+                            prop_assert!(d.delete_edge(u, v));
+                            model.live.remove(&(u, v));
+                            deleted.push((u, v));
+                        }
+                    }
+                    // Delete an arbitrary pair (often not live).
+                    2 if nl > 0 => {
+                        let (u, v) = (a % nl, b % nr);
+                        prop_assert_eq!(d.delete_edge(u, v), model.live.remove(&(u, v)));
+                    }
+                    // Revive a deleted edge.
+                    3 if !deleted.is_empty() => {
+                        let (u, v) = deleted.swap_remove(a as usize % deleted.len());
+                        prop_assert_eq!(d.insert_edge(u, v), model.live.insert((u, v)));
+                    }
+                    4 => {
+                        let u = d.arrive(&[a % nr, b % nr, a % nr]);
+                        prop_assert_eq!(u as usize, model.n_left);
+                        model.n_left += 1;
+                        model.live.insert((u, a % nr));
+                        model.live.insert((u, b % nr));
+                    }
+                    5 if nl > 0 => {
+                        let u = a % nl;
+                        let mut gone = d.depart(u);
+                        gone.sort_unstable();
+                        let want: Vec<RightId> = model
+                            .live
+                            .range((u, 0)..=(u, RightId::MAX))
+                            .map(|&(_, v)| v)
+                            .collect();
+                        prop_assert_eq!(&gone, &want);
+                        for v in gone {
+                            model.live.remove(&(u, v));
+                            deleted.push((u, v));
+                        }
+                    }
+                    6 => {
+                        d.set_capacity(a % nr, cap);
+                        prop_assert_eq!(d.capacity(a % nr), cap);
+                    }
+                    // Fold: the compacted graph becomes the new base.
+                    7 => {
+                        d = DeltaGraph::new(d.compact());
+                        model.base = model.live.clone();
+                    }
+                    _ => {}
+                }
+                check_against_model(&d, &model, &format!("step {step} (op {kind})"));
+            }
+        }
 
         #[test]
         fn compact_matches_builder(

@@ -444,6 +444,7 @@ mod tests {
             (Phase::RepairWave, labels::REPAIR_WAVE),
             (Phase::CertSweep, labels::CERT_SWEEP),
             (Phase::LevelRepair, labels::LEVEL_REPAIR),
+            (Phase::LevelGather, labels::LEVEL_GATHER),
             (Phase::Compaction, labels::COMPACTION),
             (Phase::MigrationCommit, labels::MIGRATION_COMMIT),
             (Phase::ShardState, labels::SHARD_STATE),

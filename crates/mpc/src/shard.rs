@@ -125,6 +125,9 @@ pub mod labels {
     /// The serial core's β-level repair at epoch close (local
     /// computation: round-free, spanned for its wall time).
     pub const LEVEL_REPAIR: &str = "level_repair";
+    /// The gather half of the level repair, nested in its span: ball
+    /// growth and the copy of its live rows (local computation).
+    pub const LEVEL_GATHER: &str = "level_gather";
     /// The serial core's overlay fold at epoch close, with its level
     /// re-solve when one runs (local computation: round-free, spanned for
     /// its wall time).

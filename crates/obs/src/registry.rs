@@ -151,6 +151,10 @@ pub enum Phase {
     CertSweep,
     /// The serial core's β-level repair on the dirty ball.
     LevelRepair,
+    /// The gather half of `LevelRepair`, nested in its span: growing the
+    /// ball and copying its live rows into flat arenas. The rest of
+    /// `LevelRepair` is the rounds over them.
+    LevelGather,
     /// Folding the live graph's overlay into a fresh snapshot once the
     /// churn budget is spent, re-solving the levels when their fractional
     /// weight has fallen below `(1 − ε/2)·|M|`.
@@ -183,12 +187,13 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in export order.
-    pub const ALL: [Phase; 17] = [
+    pub const ALL: [Phase; 18] = [
         Phase::BatchSchedule,
         Phase::RouteUpdates,
         Phase::RepairWave,
         Phase::CertSweep,
         Phase::LevelRepair,
+        Phase::LevelGather,
         Phase::Compaction,
         Phase::MigrationCommit,
         Phase::ShardState,
@@ -211,6 +216,7 @@ impl Phase {
             Phase::RepairWave => "repair_wave",
             Phase::CertSweep => "cert_sweep",
             Phase::LevelRepair => "level_repair",
+            Phase::LevelGather => "level_gather",
             Phase::Compaction => "compaction",
             Phase::MigrationCommit => "migration_commit",
             Phase::ShardState => "shard_state",

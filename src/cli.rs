@@ -1454,7 +1454,7 @@ mod tests {
         )))
         .unwrap();
         let summary = run(&args(&format!("report {serial_trace}"))).unwrap();
-        for phase in ["cert_sweep", "level_repair"] {
+        for phase in ["cert_sweep", "level_repair", "level_gather"] {
             assert!(summary.contains(phase), "{summary}");
         }
 
