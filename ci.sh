@@ -59,6 +59,15 @@ smoke_cli() {
     cargo run --release -q --bin salloc -- \
         dynamic "$tmp/g.txt" --epochs 2 --events 150 --eps 0.25 --seed 1 --shards 4 \
         --eager-budget 1 --waves
+    # Flags a subcommand does not read are refused, not ignored: the
+    # footprint cap is a constant, not a flag, and so is a misspelling.
+    for bad in "--shards 2 --footprint-cap 8" "--epoch 2"; do
+        # shellcheck disable=SC2086
+        if cargo run --release -q --bin salloc -- \
+            dynamic "$tmp/g.txt" --epochs 1 --events 10 --no-full $bad >/dev/null 2>&1; then
+            echo "salloc dynamic accepted an unknown flag: $bad"; exit 1
+        fi
+    done
     rm -rf "$tmp"
 }
 

@@ -92,7 +92,6 @@ pub fn run() {
     serve.set_supervisor(SupervisorConfig {
         max_respawns: 3,
         retry_budget: 1,
-        ..SupervisorConfig::default()
     });
     let mut writer = WalWriter::create(&wal_path).expect("fresh log");
 

@@ -60,9 +60,9 @@
 //!   the serial order; running it in a singleton wave before any later
 //!   arrival keeps it a no-op under reordering too (a later arrival's
 //!   edge-free placeholder slots never become visible early).
-//! * A footprint that hits the cap ([`FOOTPRINT_CAP`] by default,
-//!   [`ShardedConfig::footprint_cap`] to tune) is treated as *global*:
-//!   the update conflicts with everything before and after it.
+//! * A footprint that hits the cap (the engines pass [`FOOTPRINT_CAP`])
+//!   is treated as *global*: the update conflicts with everything
+//!   before and after it.
 //!
 //! Any linearization that plays waves in order (and keeps batch order
 //! inside a wave) is equivalent to the serial order — the property
@@ -134,7 +134,6 @@
 //! ```
 //!
 //! [`DynamicConfig::eager_radius`]: crate::serve::DynamicConfig::eager_radius
-//! [`ShardedConfig::footprint_cap`]: crate::distributed::ShardedConfig::footprint_cap
 
 use sparse_alloc_graph::{DeltaGraph, InsertOverlay, RightId};
 use sparse_alloc_mpc::{MpcError, ShardMap};
@@ -143,17 +142,16 @@ use crate::serve::DynamicConfig;
 use crate::stamp::StampSet;
 use crate::update::Update;
 
-/// Default footprint-size cap: larger balls are escalated to global
-/// conflicts instead of being enumerated.
+/// The footprint-size cap every engine schedules with: larger balls are
+/// escalated to global conflicts instead of being enumerated.
 ///
 /// The cap trades scheduling cost against wave occupancy: a small cap
 /// bounds the per-update footprint work under bulk churn but serializes
 /// any update whose eager reach is genuinely wide (a global update gets a
 /// wave of its own, and stalls the pipeline before and after it); a large
 /// cap enumerates big balls — paying `O(cap)` per update — for the chance
-/// that they are still disjoint. Tune via
-/// [`ShardedConfig::footprint_cap`](crate::distributed::ShardedConfig::footprint_cap)
-/// or `salloc dynamic --footprint-cap N`.
+/// that they are still disjoint. [`schedule`] takes the cap as an
+/// argument so tests can sweep it; the engines always pass this one.
 pub const FOOTPRINT_CAP: usize = 4096;
 
 /// One update's placement in the epoch schedule.

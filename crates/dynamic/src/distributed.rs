@@ -48,14 +48,14 @@ use sparse_alloc_mpc::shard::labels;
 use sparse_alloc_mpc::{Cluster, Ledger, MpcConfig, MpcError, ShardMap, Words};
 use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Tracer};
 
-use crate::batch::{schedule, BatchSchedule};
+use crate::batch::{schedule, BatchSchedule, FOOTPRINT_CAP};
 use crate::serve::{
     DynamicConfig, EpochReport, ServeLoop, ServeParts, ServePartsRef, ServeStats, WaveUpdateResult,
 };
 use crate::update::Update;
 
 /// Everything a warm restart persists of a [`ShardedServeLoop`]: the
-/// serial engine's parts plus the sharding configuration and counters.
+/// serial engine's parts plus the shard count and counters.
 /// The ledger's round history is *not* persisted — accounting restarts
 /// with a [`labels::RESTORE`] phase, the same way a real redeployment
 /// starts a fresh accounting epoch — but the serving counters
@@ -64,8 +64,6 @@ use crate::update::Update;
 pub(crate) struct ShardedParts {
     pub(crate) inner: ServeParts,
     pub(crate) shards: usize,
-    pub(crate) slack: usize,
-    pub(crate) footprint_cap: usize,
     pub(crate) stats: ShardedStats,
 }
 
@@ -76,36 +74,27 @@ pub(crate) struct ShardedParts {
 pub(crate) struct ShardedPartsRef<'a> {
     pub(crate) inner: ServePartsRef<'a>,
     pub(crate) shards: usize,
-    pub(crate) slack: usize,
-    pub(crate) footprint_cap: usize,
     pub(crate) stats: &'a ShardedStats,
 }
 
-/// Configuration of a [`ShardedServeLoop`].
+/// Slack factor of the per-machine space budget: a machine may hold
+/// this many times its fair share of the state (hash imbalance, message
+/// staging). See [`ShardedServeLoop::space_budget`].
+const SPACE_SLACK: usize = 8;
+
+/// Configuration of a [`ShardedServeLoop`]. The space slack (8×) and
+/// the footprint cap ([`FOOTPRINT_CAP`]) are constants.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// Number of machines the state is sharded across.
     pub shards: usize,
-    /// Slack factor of the per-machine space budget: a machine may hold
-    /// `slack ×` its fair share of the state (hash imbalance, message
-    /// staging). See [`ShardedServeLoop::space_budget`].
-    pub space_slack: usize,
-    /// Footprint-size cap of the conflict scheduler: an update whose ball
-    /// reaches this many rights is escalated to a *global* conflict
-    /// (serialized against the whole batch) instead of being enumerated.
-    /// Small caps bound scheduling work under bulk churn but destroy wave
-    /// occupancy; large caps enumerate — and pairwise-compare — wide
-    /// balls. See [`batch::FOOTPRINT_CAP`](crate::batch::FOOTPRINT_CAP)
-    /// (the default) for the full trade-off discussion.
-    pub footprint_cap: usize,
     /// The serial engine's configuration.
     pub dynamic: DynamicConfig,
 }
 
 impl ShardedConfig {
     /// The standard configuration: [`DynamicConfig::for_eps`] sharded
-    /// `shards` ways with 8× space slack and the default footprint cap —
-    /// with the eager walk budget lowered to 1
+    /// `shards` ways, with the eager walk budget lowered to 1
     /// (footprint radius 1). Tight footprints are what give batches wide
     /// conflict-free waves on degree-heavy instances; the price is that
     /// re-routing moves from the eager per-update repairs into the epoch
@@ -116,12 +105,7 @@ impl ShardedConfig {
     pub fn for_eps(eps: f64, shards: usize) -> Self {
         let mut dynamic = DynamicConfig::for_eps(eps);
         dynamic.eager_walk_budget = 1;
-        ShardedConfig {
-            shards,
-            space_slack: 8,
-            footprint_cap: crate::batch::FOOTPRINT_CAP,
-            dynamic,
-        }
+        ShardedConfig { shards, dynamic }
     }
 }
 
@@ -221,8 +205,6 @@ impl StagedBatch {
 pub struct ShardedServeLoop {
     inner: ServeLoop,
     map: ShardMap,
-    slack: usize,
-    footprint_cap: usize,
     ledger: Ledger,
     stats: ShardedStats,
     /// Phase tracer: the sharded loop spans its MPC phases
@@ -239,14 +221,11 @@ impl ShardedServeLoop {
     /// is charged to the ledger and checked against the space budget.
     pub fn new(base: Bipartite, cfg: ShardedConfig) -> Result<Self, MpcError> {
         assert!(cfg.shards >= 1, "at least one shard");
-        assert!(cfg.space_slack >= 1, "space slack ≥ 1");
         let inner = ServeLoop::new(base, cfg.dynamic);
         let map = ShardMap::new(cfg.shards);
         let mut this = ShardedServeLoop {
             inner,
             map,
-            slack: cfg.space_slack,
-            footprint_cap: cfg.footprint_cap.max(1),
             ledger: Ledger::default(),
             stats: ShardedStats::default(),
             tracer: Tracer::default(),
@@ -266,14 +245,14 @@ impl ShardedServeLoop {
 
     /// The per-machine space budget, in words — the simulated analogue of
     /// the paper's `n^δ` regime: with `N = Θ(W / S)` machines for state of
-    /// `W` words, a machine's budget is `slack × ⌈W / N⌉` (floor 128 so
+    /// `W` words, a machine's budget is `8 × ⌈W / N⌉` (floor 128 so
     /// degenerate instances keep headroom for control messages). It is
     /// recomputed from the *live* graph, so the budget tracks the instance
     /// the loop actually serves.
     pub fn space_budget(&self) -> usize {
         let dg = self.inner.graph();
         let total = 2 * dg.n_left() + 2 * dg.n_right() + dg.m();
-        (self.slack * total.div_ceil(self.map.shards())).max(128)
+        (SPACE_SLACK * total.div_ceil(self.map.shards())).max(128)
     }
 
     /// Borrow everything a warm restart persists — no copy; see
@@ -282,8 +261,6 @@ impl ShardedServeLoop {
         ShardedPartsRef {
             inner: self.inner.parts_ref(),
             shards: self.map.shards(),
-            slack: self.slack,
-            footprint_cap: self.footprint_cap,
             stats: &self.stats,
         }
     }
@@ -303,21 +280,10 @@ impl ShardedServeLoop {
         if shards == 0 {
             return Err("at least one shard".into());
         }
-        if p.slack == 0 {
-            return Err("space slack ≥ 1".into());
-        }
-        // Live configs forbid these zeros, so a snapshot carrying one is
-        // corrupt — reject it like every sibling field instead of
-        // silently substituting a value the snapshot never contained.
-        if p.footprint_cap == 0 {
-            return Err("footprint cap ≥ 1".into());
-        }
         let inner = ServeLoop::from_parts(p.inner)?;
         let mut this = ShardedServeLoop {
             inner,
             map: ShardMap::new(shards),
-            slack: p.slack,
-            footprint_cap: p.footprint_cap,
             ledger: Ledger::default(),
             stats: p.stats,
             tracer: Tracer::default(),
@@ -452,7 +418,7 @@ impl ShardedServeLoop {
             updates,
             self.inner.config(),
             &self.map,
-            self.footprint_cap,
+            FOOTPRINT_CAP,
         )?;
         let mut epoch = Ledger::default();
 
@@ -828,16 +794,12 @@ mod tests {
     use super::*;
     use crate::adapter::{churn_stream, ChurnMix};
     use sparse_alloc_graph::generators::union_of_spanning_trees;
+    use sparse_alloc_graph::BipartiteBuilder;
 
-    fn drive_with(
-        shards: usize,
-        seed: u64,
-        tweak: impl FnOnce(&mut ShardedConfig),
-    ) -> (ShardedServeLoop, ServeLoop) {
+    fn drive(shards: usize, seed: u64) -> (ShardedServeLoop, ServeLoop) {
         let g = union_of_spanning_trees(60, 45, 2, 2, seed).graph;
         let updates = churn_stream(&g, 120, &ChurnMix::default(), seed);
-        let mut cfg = ShardedConfig::for_eps(0.25, shards);
-        tweak(&mut cfg);
+        let cfg = ShardedConfig::for_eps(0.25, shards);
         let dynamic = cfg.dynamic.clone();
         let mut sharded = ShardedServeLoop::new(g.clone(), cfg).unwrap();
         let mut serial = ServeLoop::new(g, dynamic);
@@ -850,10 +812,6 @@ mod tests {
             serial.end_epoch();
         }
         (sharded, serial)
-    }
-
-    fn drive(shards: usize, seed: u64) -> (ShardedServeLoop, ServeLoop) {
-        drive_with(shards, seed, |_| {})
     }
 
     #[test]
@@ -871,18 +829,40 @@ mod tests {
     }
 
     #[test]
-    fn threaded_waves_equal_serial_state() {
-        // The name predates the one-thread wave executor; what remains to
-        // check is that a shrunken footprint cap, which only re-shapes
-        // the waves, still lands on the serial state.
-        let (sharded, serial) = drive_with(4, 23, |cfg| cfg.footprint_cap = 24);
+    fn escalated_wide_balls_equal_serial_state() {
+        // Left 0 sees more rights than the footprint cap, so a capacity
+        // change at one of them grows a ball past the cap and escalates
+        // to a global conflict; the waves around it must still land on
+        // the serial state.
+        let n_right = 3 * FOOTPRINT_CAP as u32;
+        let mut b = BipartiteBuilder::new(2000, n_right as usize);
+        for v in 0..FOOTPRINT_CAP as u32 + 100 {
+            b.add_edge(0, v);
+        }
+        for u in 1..2000u32 {
+            for j in 0..3 {
+                b.add_edge(u, (u * 7919 + j * 104_729) % n_right);
+            }
+        }
+        let g = b.build_with_uniform_capacity(1).unwrap();
+        let mut updates = churn_stream(&g, 80, &ChurnMix::default(), 31);
+        updates.insert(0, Update::SetCapacity { v: 17, cap: 3 });
+        let cfg = ShardedConfig::for_eps(0.25, 3);
+        let mut serial = ServeLoop::new(g.clone(), cfg.dynamic.clone());
+        let mut sharded = ShardedServeLoop::new(g, cfg).unwrap();
+        let mut escalations = 0;
+        for chunk in updates.chunks(27) {
+            escalations += sharded.apply_batch(chunk).unwrap().escalations;
+            sharded.end_epoch().unwrap();
+            for up in chunk {
+                serial.apply(up);
+            }
+            serial.end_epoch();
+        }
+        assert!(escalations > 0, "the wide ball escalated");
         sharded.validate().unwrap();
-        assert_eq!(
-            sharded.assignment().mate,
-            serial.assignment().mate,
-            "footprint cap 24 diverged from serial"
-        );
-        assert_eq!(sharded.match_size(), serial.match_size());
+        assert_eq!(sharded.assignment().mate, serial.assignment().mate);
+        assert_eq!(sharded.serial().levels(), serial.levels());
     }
 
     #[test]

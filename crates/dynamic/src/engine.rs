@@ -23,12 +23,12 @@
 //! their snapshot; the provided methods do the logging, the same way
 //! for all three. [`Engine::run_epoch`] appends a batch before the
 //! engine acts on it and the epoch close after, with the resulting
-//! match size. [`Engine::checkpoint`] writes a full snapshot atomically
-//! and appends a base marker carrying its checksum; it is the one way a
-//! snapshot file gets written, so every periodic checkpoint is a full
-//! base and crash recovery replays only the log past the last one — at
-//! most `--checkpoint-every` epochs. Every append is metered as
-//! [`Counter::WalBytes`].
+//! match size. [`Engine::checkpoint`] appends a base marker carrying a
+//! full snapshot's checksum, then writes that snapshot atomically; it is
+//! the one way a snapshot file gets written, so every periodic
+//! checkpoint is a full base and crash recovery replays only the log
+//! past the snapshot's marker — at most `--checkpoint-every` epochs.
+//! Every append is metered as [`Counter::WalBytes`].
 //!
 //! # One epoch source
 //!
@@ -91,17 +91,20 @@ pub trait Engine {
     /// Encode a full snapshot of the engine.
     fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError>;
 
-    /// Atomically write a full snapshot to `path`, then append a base
-    /// marker (the epoch and the snapshot's checksum) to `wal`.
+    /// Append a base marker (the epoch and the snapshot's checksum) to
+    /// `wal`, then atomically write the full snapshot to `path`. The
+    /// marker goes first: a crash between the two leaves the previous
+    /// snapshot, which its own earlier marker still names, while a
+    /// snapshot no marker names cannot land.
     fn checkpoint(
         &mut self,
         path: &Path,
         wal: Option<&mut WalWriter<File>>,
     ) -> Result<(), EngineError> {
         let bytes = self.checkpoint_bytes()?;
-        snapshot::save_atomic(path, &bytes)?;
         let epoch = self.serial().stats().epochs as u64;
-        log(self, wal, |w| w.append_base(epoch, fnv1a64(&bytes)))
+        log(self, wal, |w| w.append_base(epoch, fnv1a64(&bytes)))?;
+        Ok(snapshot::save_atomic(path, &bytes)?)
     }
 
     /// One whole epoch: append `updates` to `wal`, apply them, close the

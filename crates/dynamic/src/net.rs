@@ -302,7 +302,8 @@ impl From<SnapshotError> for NetError {
 /// The default is fail-fast: zero retries, zero respawns — the first
 /// fault surfaces typed and quarantines the engine, which is what the
 /// fault-taxonomy tests pin down. Serving deployments raise both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Retry `k` waits `2^(k−1) × 10 ms`, plus jitter.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Worker respawns the engine may spend over its lifetime before it
     /// degrades to read-only quarantine.
@@ -310,20 +311,11 @@ pub struct SupervisorConfig {
     /// In-place retries of a *transient* fault (receive timeout) before
     /// it is escalated to a respawn.
     pub retry_budget: u32,
-    /// First-retry backoff; retry `k` waits `2^(k−1) ×` this, plus
-    /// deterministic jitter of up to half of it.
-    pub backoff_base: Duration,
 }
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            max_respawns: 0,
-            retry_budget: 0,
-            backoff_base: Duration::from_millis(10),
-        }
-    }
-}
+/// First-retry backoff of the supervisor; retry `k` waits `2^(k−1) ×`
+/// this, plus deterministic jitter of up to half of it.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
 
 /// Measured wire traffic of a [`NetServeLoop`] (coordinator side; both
 /// directions of every channel).
@@ -2264,7 +2256,7 @@ impl NetServeLoop {
         self.jitter ^= self.jitter << 13;
         self.jitter ^= self.jitter >> 7;
         self.jitter ^= self.jitter << 17;
-        let base = self.sup.backoff_base.as_micros() as u64;
+        let base = BACKOFF_BASE.as_micros() as u64;
         let exp = base.saturating_mul(1 << attempt.saturating_sub(1).min(6));
         Duration::from_micros(exp + self.jitter % (base / 2 + 1))
     }
@@ -3310,7 +3302,6 @@ mod tests {
         net.set_supervisor(SupervisorConfig {
             max_respawns: 4,
             retry_budget: 1,
-            backoff_base: Duration::from_micros(100),
         });
         let mut serial = ServeLoop::new(g, dynamic);
         for (i, chunk) in updates.chunks(30).enumerate() {
@@ -3349,7 +3340,6 @@ mod tests {
         net.set_supervisor(SupervisorConfig {
             max_respawns: 2,
             retry_budget: 1,
-            backoff_base: Duration::from_micros(100),
         });
         // Reorder holds the next outbound frame hostage: the worker never
         // hears the request, so the coordinator's recv times out — a
@@ -3629,7 +3619,6 @@ mod tests {
         net.set_supervisor(SupervisorConfig {
             max_respawns: 4,
             retry_budget: 0,
-            backoff_base: Duration::from_micros(100),
         });
         let mut serial = ServeLoop::new(g, dynamic);
         let mut compacted = 0;

@@ -33,6 +33,10 @@ use crate::walks::{
     WalkTopology,
 };
 
+/// β-repair ball radius in right-to-right hops. The repair runs
+/// `⌈1/ε⌉` proportional rounds on the ball, clamped to `[2, 8]`.
+const REPAIR_RADIUS: usize = 2;
+
 /// Configuration of a [`ServeLoop`].
 #[derive(Debug, Clone)]
 pub struct DynamicConfig {
@@ -43,10 +47,6 @@ pub struct DynamicConfig {
     /// maintained integral allocation is `≥ k/(k+1)·OPT` after every
     /// epoch. `⌈1/ε⌉` matches the static pipeline's guarantee.
     pub walk_budget: usize,
-    /// β-repair ball radius in right-to-right hops.
-    pub repair_radius: usize,
-    /// Proportional rounds per β-repair.
-    pub repair_rounds: usize,
     /// Fraction of live edges' worth of churn that folds the overlay
     /// (the `O(ε)` drift budget). Every overlay edge is charged to it, so
     /// the overlay never exceeds `drift_threshold · m` at an epoch close.
@@ -86,15 +86,13 @@ pub struct DynamicConfig {
 
 impl DynamicConfig {
     /// The standard configuration for a given ε: walk budget `⌈1/ε⌉`,
-    /// radius 2, `⌈1/ε⌉` repair rounds, drift budget `ε/2`.
+    /// drift budget `ε/2`.
     pub fn for_eps(eps: f64) -> Self {
         assert!(eps > 0.0 && eps <= 1.0, "ε ∈ (0, 1]");
         let k = (1.0 / eps).ceil() as usize;
         DynamicConfig {
             eps,
             walk_budget: k,
-            repair_radius: 2,
-            repair_rounds: k.clamp(2, 8),
             drift_threshold: eps / 2.0,
             eager_search_cap: 64,
             eager_walk_budget: k,
@@ -799,8 +797,8 @@ impl ServeLoop {
             self.dirty.dedup();
             let cfg = LevelRepairConfig {
                 eps: self.cfg.eps,
-                radius: self.cfg.repair_radius,
-                rounds: self.cfg.repair_rounds,
+                radius: REPAIR_RADIUS,
+                rounds: ((1.0 / self.cfg.eps).ceil() as usize).clamp(2, 8),
                 max_ball: self.cfg.repair_ball_cap,
             };
             let gather = self.tracer.span(Phase::LevelGather, epoch);

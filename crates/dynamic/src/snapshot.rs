@@ -25,10 +25,15 @@
 //! [ n..n+8) FNV-1a-64 over bytes [0..n)   — mismatch: typed error
 //! ```
 //!
-//! The payload is the [`ByteWriter`] encoding of the engine parts; the
-//! sharded kind prepends the shard configuration, lifetime counters, and
-//! one [`ShardManifest`] per machine of the recorded
-//! [`ShardMap`]. Every corruption path —
+//! The payload is the [`ByteWriter`] encoding of the engine parts. It
+//! opens with the six [`DynamicConfig`] words (ε, walk budget, drift
+//! threshold, eager search cap, eager walk budget, repair-ball cap);
+//! the repair radius and rounds, the space slack and the footprint cap
+//! are constants of the build and are not stored. The sharded kind
+//! prepends the shard-map word, lifetime counters, and one
+//! [`ShardManifest`] per machine of the recorded [`ShardMap`]. Version 1
+//! files, which stored those settings, are refused as version skew.
+//! Every corruption path —
 //! truncation, bit flips, version skew, a manifest list that disagrees
 //! with its recorded shard count — surfaces as a typed
 //! [`SnapshotError`], never a panic, and every decoded structure is
@@ -82,7 +87,7 @@ use crate::walks::MatchingState;
 /// The 8-byte magic prefix of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"SALLOCSN";
 /// The format version this build writes and the only one it reads.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 const KIND_SERIAL: u32 = 0;
 const KIND_SHARDED: u32 = 1;
@@ -272,19 +277,10 @@ fn kind_name(kind: u32) -> &'static str {
 
 // --------------------------------------------------------- serial payload
 
-/// The config's 6th word. It once held the overlay compaction threshold,
-/// so snapshots written before carry a finite value > 0 there and restore
-/// unchanged; the encoder writes the old default, 0.25, and anything else
-/// stays corrupt.
-const RESERVED_CONFIG_SLOT: f64 = 0.25;
-
 fn encode_config(cfg: &DynamicConfig, w: &mut ByteWriter) {
     w.put_f64(cfg.eps);
     w.put_u64(cfg.walk_budget as u64);
-    w.put_u64(cfg.repair_radius as u64);
-    w.put_u64(cfg.repair_rounds as u64);
     w.put_f64(cfg.drift_threshold);
-    w.put_f64(RESERVED_CONFIG_SLOT);
     w.put_u64(cfg.eager_search_cap as u64);
     w.put_u64(cfg.eager_walk_budget as u64);
     w.put_u64(cfg.repair_ball_cap as u64);
@@ -293,20 +289,10 @@ fn encode_config(cfg: &DynamicConfig, w: &mut ByteWriter) {
 fn decode_config(r: &mut ByteReader) -> Result<DynamicConfig, SnapshotError> {
     let eps = r.take_f64()?;
     let walk_budget = r.take_u64()? as usize;
-    let repair_radius = r.take_u64()? as usize;
-    let repair_rounds = r.take_u64()? as usize;
     let drift_threshold = r.take_f64()?;
-    let reserved = r.take_f64()?;
-    if !(reserved > 0.0 && reserved.is_finite()) {
-        return Err(invalid(format!(
-            "reserved config slot is {reserved} (must be finite and > 0)"
-        )));
-    }
     Ok(DynamicConfig {
         eps,
         walk_budget,
-        repair_radius,
-        repair_rounds,
         drift_threshold,
         eager_search_cap: r.take_u64()? as usize,
         eager_walk_budget: r.take_u64()? as usize,
@@ -434,17 +420,9 @@ fn manifests_of(p: &ServePartsRef<'_>, map: &ShardMap) -> Vec<ShardManifest> {
     out
 }
 
-/// The sharded payload's 4th word. It once held the wave thread count,
-/// so snapshots written before carry any value ≥ 1 there and restore
-/// unchanged; the encoder writes 1, and 0 stays corrupt.
-const RESERVED_SLOT: u64 = 1;
-
 fn encode_sharded_payload(p: &ShardedPartsRef<'_>, manifests: &[ShardManifest]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(ShardMap::new(p.shards).to_word());
-    w.put_u64(p.slack as u64);
-    w.put_u64(p.footprint_cap as u64);
-    w.put_u64(RESERVED_SLOT);
     for c in [
         p.stats.batches,
         p.stats.waves,
@@ -473,11 +451,6 @@ fn decode_sharded_payload(
     r: &mut ByteReader,
 ) -> Result<(ShardedParts, Vec<ShardManifest>), SnapshotError> {
     let map = ShardMap::from_word(r.take_u64()?).map_err(invalid)?;
-    let slack = r.take_u64()? as usize;
-    let footprint_cap = r.take_u64()? as usize;
-    if r.take_u64()? == 0 {
-        return Err(invalid("reserved sharded slot is 0 (must be ≥ 1)"));
-    }
     let mut counters = [0usize; 7];
     for c in &mut counters {
         *c = r.take_u64()? as usize;
@@ -511,8 +484,6 @@ fn decode_sharded_payload(
     let parts = ShardedParts {
         inner,
         shards: map.shards(),
-        slack,
-        footprint_cap,
         stats: ShardedStats {
             batches: counters[0],
             waves: counters[1],
@@ -749,18 +720,19 @@ mod tests {
     fn version_and_magic_mismatches_error_typed() {
         let s = churned_serve();
         let bytes = serial_bytes(&s);
-        // Bump the version and re-seal the checksum so only the version
+        // A version-1 header (the format that still carried the repair
+        // and scheduling settings), re-sealed so only the version
         // differs.
-        let mut v2 = bytes.clone();
-        v2[8] = 2;
-        let body = v2.len() - 8;
-        let crc = fnv1a64(&v2[..body]).to_le_bytes();
-        v2[body..].copy_from_slice(&crc);
+        let mut v1 = bytes.clone();
+        v1[8] = 1;
+        let body = v1.len() - 8;
+        let crc = fnv1a64(&v1[..body]).to_le_bytes();
+        v1[body..].copy_from_slice(&crc);
         assert!(matches!(
-            read_serial(&mut &v2[..]).unwrap_err(),
+            read_serial(&mut &v1[..]).unwrap_err(),
             SnapshotError::Version {
-                found: 2,
-                supported: VERSION
+                found: 1,
+                supported: 2
             }
         ));
         let mut nomagic = bytes;
@@ -883,76 +855,6 @@ mod tests {
             assert_eq!(re.shards(), target);
             assert_eq!(re.assignment().mate, sh.assignment().mate);
             re.validate().unwrap();
-        }
-    }
-
-    #[test]
-    fn reserved_sharded_slot_restores_old_values_and_rejects_zero() {
-        let g = union_of_spanning_trees(60, 45, 2, 2, 8).graph;
-        let updates = churn_stream(&g, 60, &ChurnMix::default(), 3);
-        let mut sh = ShardedServeLoop::new(g, ShardedConfig::for_eps(0.25, 2)).unwrap();
-        for chunk in updates.chunks(20) {
-            sh.apply_batch(chunk).unwrap();
-            sh.end_epoch().unwrap();
-        }
-        let mut bytes = Vec::new();
-        write_sharded(&mut sh, &mut bytes).unwrap();
-        // The payload's 4th u64 is the reserved slot; re-seal the
-        // checksum so only that slot differs.
-        let at = HEADER + 3 * 8;
-        assert_eq!(bytes[at..at + 8], RESERVED_SLOT.to_le_bytes());
-        let patched = |value: u64| {
-            let mut b = bytes.clone();
-            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
-            let body = b.len() - 8;
-            let crc = fnv1a64(&b[..body]).to_le_bytes();
-            b[body..].copy_from_slice(&crc);
-            b
-        };
-        // A snapshot written with 4 wave threads restores unchanged.
-        let old = patched(4);
-        let restored = read_sharded(&mut &old[..], None).unwrap();
-        restored.validate().unwrap();
-        assert_eq!(restored.assignment().mate, sh.assignment().mate);
-        assert_eq!(restored.serial().levels(), sh.serial().levels());
-        assert_eq!(restored.stats(), sh.stats());
-        assert_eq!(restored.serve_stats(), sh.serve_stats());
-        // Live configs never wrote 0: it stays corrupt.
-        let zero = patched(0);
-        let err = read_sharded(&mut &zero[..], None).unwrap_err();
-        assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
-    }
-
-    #[test]
-    fn reserved_config_slot_restores_old_values_and_rejects_zero_and_nan() {
-        let s = churned_serve();
-        let bytes = serial_bytes(&s);
-        // The config's 6th word is the reserved slot; re-seal the
-        // checksum so only that slot differs.
-        let at = HEADER + 5 * 8;
-        assert_eq!(bytes[at..at + 8], RESERVED_CONFIG_SLOT.to_le_bytes());
-        let patched = |value: f64| {
-            let mut b = bytes.clone();
-            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
-            let body = b.len() - 8;
-            let crc = fnv1a64(&b[..body]).to_le_bytes();
-            b[body..].copy_from_slice(&crc);
-            b
-        };
-        // A snapshot written with another compaction threshold restores
-        // unchanged.
-        let old = patched(0.05);
-        let restored = read_serial(&mut &old[..]).unwrap();
-        restored.validate().unwrap();
-        assert_eq!(restored.assignment().mate, s.assignment().mate);
-        assert_eq!(restored.levels(), s.levels());
-        assert_eq!(restored.stats(), s.stats());
-        assert_eq!(serial_bytes(&restored), bytes);
-        // Live configs never wrote 0 or NaN: both stay corrupt.
-        for bad in [0.0, f64::NAN] {
-            let b = patched(bad);
-            let err = read_serial(&mut &b[..]).unwrap_err();
-            assert!(matches!(err, SnapshotError::Invalid(_)), "{bad}: {err}");
         }
     }
 

@@ -67,7 +67,11 @@ struct Flags {
     switches: Vec<String>,
 }
 
-fn parse_flags(args: &[String], switch_names: &[&str]) -> Result<Flags, CliError> {
+/// Parse `args` against a subcommand's flags, each list space-separated:
+/// `named` ones take a value, `switches` do not, and any other `--flag`
+/// is refused.
+fn parse_flags(args: &[String], named: &str, switches: &str) -> Result<Flags, CliError> {
+    let is = |list: &str, name: &str| list.split_whitespace().any(|n| n == name);
     let mut f = Flags {
         positional: Vec::new(),
         named: HashMap::new(),
@@ -76,13 +80,15 @@ fn parse_flags(args: &[String], switch_names: &[&str]) -> Result<Flags, CliError
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
-            if switch_names.contains(&name) {
+            if is(switches, name) {
                 f.switches.push(name.to_string());
-            } else {
+            } else if is(named, name) {
                 let value = it
                     .next()
                     .ok_or_else(|| err(format!("flag --{name} needs a value")))?;
                 f.named.insert(name.to_string(), value.clone());
+            } else {
+                return Err(err(format!("unknown flag --{name}")));
             }
         } else {
             f.positional.push(a.clone());
@@ -150,8 +156,8 @@ const USAGE: &str = "usage: salloc <command>
                                           first-fit|random-fit|balance|ranking|
                                           prop-serve, O ∈ natural|reversed|random
   dynamic FILE [--epochs N] [--events K] [--eps E] [--seed S] [--no-full]
-               [--shards P] [--net] [--p2p] [--eager-budget B] [--footprint-cap N]
-               [--waves] [--checkpoint SNAP] [--checkpoint-every N]
+               [--shards P] [--net] [--p2p] [--eager-budget B] [--waves]
+               [--checkpoint SNAP] [--checkpoint-every N]
                [--restore SNAP] [--wal LOG] [--max-respawns N]
                [--retry-budget N] [--assign OUT] [--trace OUT.jsonl]
                                           serve a churn stream incrementally
@@ -162,10 +168,8 @@ const USAGE: &str = "usage: salloc <command>
                                           accounted rounds and space).
                                           --eager-budget caps the eager walk
                                           depth (both modes; small values keep
-                                          conflict footprints tight),
-                                          --footprint-cap sets the global-
-                                          escalation threshold, --waves adds a
-                                          wave-occupancy report line.
+                                          conflict footprints tight), --waves
+                                          adds a wave-occupancy report line.
                                           --checkpoint writes a warm-restart
                                           snapshot after the run (and, with
                                           --checkpoint-every N, atomically
@@ -199,11 +203,11 @@ const USAGE: &str = "usage: salloc <command>
                                           acting on it, and every checkpoint
                                           (a full snapshot) marks the log as
                                           a base. With --restore, the snapshot
-                                          must be the log's last base and the
-                                          log tail past it is replayed first:
-                                          crash recovery is last base + log
-                                          tail, at most N epochs under
-                                          --checkpoint-every N. With --net,
+                                          must match a base marker in the log
+                                          and the log past that marker is
+                                          replayed first: crash recovery is
+                                          base + log tail, at most N epochs
+                                          under --checkpoint-every N. With --net,
                                           --max-respawns N / --retry-budget N
                                           let the coordinator retry transient
                                           faults and rebuild a faulted mesh
@@ -220,7 +224,11 @@ const USAGE: &str = "usage: salloc <command>
                                           and per-peer wire bytes";
 
 fn cmd_gen(args: &[String]) -> Result<String, CliError> {
-    let f = parse_flags(args, &[])?;
+    let f = parse_flags(
+        args,
+        "nl nr k cap seed out m exponent min-degree max-degree blocks",
+        "",
+    )?;
     let family = f
         .positional
         .first()
@@ -269,7 +277,7 @@ fn cmd_gen(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
-    let f = parse_flags(args, &[])?;
+    let f = parse_flags(args, "", "")?;
     let path = f
         .positional
         .first()
@@ -298,7 +306,7 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_solve(args: &[String]) -> Result<String, CliError> {
-    let f = parse_flags(args, &["paper-stages"])?;
+    let f = parse_flags(args, "eps lambda seed assign", "paper-stages")?;
     let path = f
         .positional
         .first()
@@ -368,7 +376,7 @@ fn cmd_solve(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_opt(args: &[String]) -> Result<String, CliError> {
-    let f = parse_flags(args, &[])?;
+    let f = parse_flags(args, "", "")?;
     let path = f
         .positional
         .first()
@@ -380,7 +388,7 @@ fn cmd_opt(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_balance(args: &[String]) -> Result<String, CliError> {
-    let f = parse_flags(args, &["exact"])?;
+    let f = parse_flags(args, "eps", "exact")?;
     let path = f
         .positional
         .first()
@@ -418,7 +426,7 @@ fn cmd_balance(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_online(args: &[String]) -> Result<String, CliError> {
-    let f = parse_flags(args, &[])?;
+    let f = parse_flags(args, "seed order algo", "")?;
     let path = f
         .positional
         .first()
@@ -533,7 +541,7 @@ impl Run {
             // The engine configuration travels inside the snapshot;
             // accepting config flags here would silently misreport what
             // actually runs.
-            for flag in ["eps", "eager-budget", "footprint-cap"] {
+            for flag in ["eps", "eager-budget"] {
                 if f.named.contains_key(flag) {
                     return Err(err(format!(
                         "--{flag} conflicts with --restore (the engine \
@@ -574,7 +582,12 @@ fn parse_chaos(spec: &str) -> Result<(Fault, usize), CliError> {
 }
 
 fn cmd_dynamic(args: &[String]) -> Result<String, CliError> {
-    let f = parse_flags(args, &["no-full", "waves", "net", "p2p"])?;
+    let f = parse_flags(
+        args,
+        "epochs events eps seed shards eager-budget checkpoint checkpoint-every restore wal \
+         max-respawns retry-budget assign trace chaos",
+        "no-full waves net p2p",
+    )?;
     let path = f
         .positional
         .first()
@@ -597,7 +610,6 @@ fn cmd_dynamic(args: &[String]) -> Result<String, CliError> {
         ("chaos", named("chaos"), sharded && net, "net"),
         ("net", net, sharded, "shards"),
         ("waves", f.has("waves"), sharded, "shards"),
-        ("footprint-cap", named("footprint-cap"), sharded, "shards"),
     ];
     if let Some((flag, .., needs)) = requires.iter().find(|(_, given, ok, _)| *given && !ok) {
         return Err(err(format!("--{flag} requires --{needs}")));
@@ -625,14 +637,10 @@ fn cmd_dynamic(args: &[String]) -> Result<String, CliError> {
         };
         return drive(serve, report, &run);
     }
-    let footprint_cap: usize =
-        f.get("footprint-cap", sparse_alloc_dynamic::batch::FOOTPRINT_CAP)?;
-    if footprint_cap == 0 {
-        return Err(err("--footprint-cap must be ≥ 1"));
-    }
-    let mut scfg = ShardedConfig::for_eps(eps, shards);
-    scfg.dynamic = cfg;
-    scfg.footprint_cap = footprint_cap;
+    let scfg = ShardedConfig {
+        shards,
+        dynamic: cfg,
+    };
     let mut inner = match &run.restore {
         Some(snap) => {
             snapshot::load_sharded(snap, Some(shards)).map_err(|e| err(format!("{snap}: {e}")))?
@@ -661,7 +669,6 @@ fn cmd_dynamic(args: &[String]) -> Result<String, CliError> {
         serve.set_supervisor(SupervisorConfig {
             max_respawns: run.max_respawns,
             retry_budget: run.retry_budget,
-            ..SupervisorConfig::default()
         });
     }
     let report = NetReport {
@@ -823,11 +830,13 @@ fn drive<E: Engine, R: Report<E>>(mut serve: E, mut rep: R, run: &Run) -> Result
 }
 
 /// Open (or create) the `--wal` log. On a `--restore` run the log is
-/// opened in place (torn tail repaired), the restored snapshot is checked
-/// against the log's last base marker, and the records past that marker
-/// are replayed onto `serve` — crash recovery's `base + log tail`. A
-/// fresh run truncates the log and starts over. Returns the log and a
-/// note on what was done.
+/// opened in place (torn tail repaired), the restored snapshot is paired
+/// with the last base marker carrying its checksum, and the records past
+/// that marker are replayed onto `serve` — crash recovery's `base + log
+/// tail`. A checkpoint logs its marker before its snapshot lands, so a
+/// crash in between leaves the previous snapshot, which still matches
+/// its own, earlier marker. A fresh run truncates the log and starts
+/// over. Returns the log and a note on what was done.
 fn open_wal<E: Engine>(
     serve: &mut E,
     run: &Run,
@@ -838,16 +847,21 @@ fn open_wal<E: Engine>(
     let p = std::path::Path::new(wp);
     let opened = if let Some(snap) = &run.restore {
         let (log, w) = WalWriter::open(p).map_err(|e| err(format!("{wp}: {e}")))?;
+        let mut start = 0;
         if let Some(WalRecord::Base { epoch, checksum }) = log.records[..log.tail_start()].last() {
             let bytes = std::fs::read(snap).map_err(|e| err(format!("{snap}: {e}")))?;
-            if io::fnv1a64(&bytes) != *checksum {
+            let sum = io::fnv1a64(&bytes);
+            let names =
+                |r: &WalRecord| matches!(r, WalRecord::Base { checksum, .. } if *checksum == sum);
+            let Some(at) = log.records.iter().rposition(names) else {
                 return Err(err(format!(
                     "{snap} is not the base {wp} was last cut at (epoch {epoch}, \
-                     checksum {checksum:#018x})"
+                     checksum {checksum:#018x}) nor an earlier one"
                 )));
-            }
+            };
+            start = at + 1;
         }
-        let stats = wal::replay(serve, &log.records[log.tail_start()..])
+        let stats = wal::replay(serve, &log.records[start..])
             .map_err(|e| err(format!("{wp}: replay: {e}")))?;
         let note = format!(
             "replayed {} batches / {} updates over {} epochs from {wp}{}",
@@ -1152,7 +1166,7 @@ type WaveSummary = (u64, u64, u64, Vec<(u64, u64, u64)>);
 /// word totals, the wave-width histogram, final counters, and per-peer
 /// wire traffic.
 fn cmd_report(rest: &[String]) -> Result<String, CliError> {
-    let f = parse_flags(rest, &[])?;
+    let f = parse_flags(rest, "", "")?;
     let [path] = f.positional.as_slice() else {
         return Err(err("usage: salloc report TRACE.jsonl"));
     };
@@ -1547,20 +1561,40 @@ mod tests {
         assert!(report.contains("eager budget 1"), "{report}");
         assert!(report.contains("waves              :"), "{report}");
         assert!(report.contains("global escalations"), "{report}");
-        // A tiny footprint cap escalates everything: max wave width 1.
-        let tight = run(&args(&format!(
-            "dynamic {file} --epochs 2 --events 40 --eps 0.25 --seed 5 --shards 3 \
-             --footprint-cap 1 --waves"
-        )))
-        .unwrap();
-        assert!(tight.contains("width max 1"), "{tight}");
-        assert!(run(&args(&format!(
-            "dynamic {file} --shards 2 --footprint-cap 0"
-        )))
-        .is_err());
+        // The footprint cap is a constant, not a flag.
+        for mode in ["", "--shards 2"] {
+            let e = run(&args(&format!("dynamic {file} {mode} --footprint-cap 8"))).unwrap_err();
+            assert!(e.0.contains("unknown flag --footprint-cap"), "{e}");
+        }
         // Scheduling knobs are sharded-only: reject rather than ignore.
         assert!(run(&args(&format!("dynamic {file} --waves"))).is_err());
-        assert!(run(&args(&format!("dynamic {file} --footprint-cap 8"))).is_err());
+        let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn unknown_flags_are_refused() {
+        let file = temp("unknown.txt");
+        run(&args(&format!(
+            "gen forests --nl 60 --nr 45 --k 2 --cap 2 --seed 3 --out {file}"
+        )))
+        .unwrap();
+        let e = run(&args(&format!(
+            "dynamic {file} --epochs 1 --events 10 --no-full --epoch 5 --bogus-flag x"
+        )))
+        .unwrap_err();
+        assert!(e.0.contains("unknown flag --epoch"), "{e}");
+        for cmd in [
+            "gen forests --nl 10 --bogus 1 --out",
+            "analyze --eps 0.1",
+            "solve --epoch 3",
+            "opt --eps 0.1",
+            "balance --exactly",
+            "online --algorithm balance",
+            "report --x 1",
+        ] {
+            let e = run(&args(&format!("{cmd} {file}"))).unwrap_err();
+            assert!(e.0.contains("unknown flag --"), "{cmd}: {e}");
+        }
         let _ = std::fs::remove_file(&file);
     }
 
@@ -1726,6 +1760,82 @@ mod tests {
         for f in [&file, &mine, &other, &log] {
             let _ = std::fs::remove_file(f);
         }
+    }
+
+    /// Serve 2 epochs checkpointing every epoch, log a 3rd, let `fail`
+    /// break the 3rd epoch's checkpoint halfway, then check that
+    /// `--restore SNAP --wal LOG` replays the 3rd epoch and serves a 4th
+    /// to where an uninterrupted run ends.
+    fn recovers_from_a_failed_checkpoint(
+        name: &str,
+        fail: impl FnOnce(&mut ServeLoop, &mut WalWriter<std::fs::File>, &str, &str),
+    ) {
+        let [file, full, snap, log, resumed] =
+            ["g.txt", "full.txt", "ck.snap", "wal.log", "resumed.txt"]
+                .map(|f| temp(&format!("{name}-{f}")));
+        run(&args(&format!(
+            "gen forests --nl 120 --nr 90 --k 3 --cap 2 --seed 8 --out {file}"
+        )))
+        .unwrap();
+        let base = format!("dynamic {file} --events 40 --seed 5 --no-full");
+        run(&args(&format!(
+            "{base} --eps 0.25 --epochs 4 --assign {full}"
+        )))
+        .unwrap();
+        run(&args(&format!(
+            "{base} --eps 0.25 --epochs 2 --checkpoint {snap} --checkpoint-every 1 --wal {log}"
+        )))
+        .unwrap();
+        let updates = churn_stream(&load(&file).unwrap(), 160, &ChurnMix::default(), 5);
+        let mut serve = snapshot::load_serial(&snap).unwrap();
+        let (_, mut w) = WalWriter::open(log.as_ref()).unwrap();
+        serve.run_epoch(&updates[80..120], Some(&mut w)).unwrap();
+        let before = std::fs::read(&snap).unwrap();
+        fail(&mut serve, &mut w, &snap, &log);
+        assert_eq!(
+            std::fs::read(&snap).unwrap(),
+            before,
+            "{name}: snapshot kept"
+        );
+        let report = run(&args(&format!(
+            "{base} --epochs 4 --restore {snap} --wal {log} --assign {resumed}"
+        )))
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(report.contains("replayed 1 batches"), "{name}: {report}");
+        assert_eq!(
+            std::fs::read_to_string(&full).unwrap(),
+            std::fs::read_to_string(&resumed).unwrap(),
+            "{name}: recovery diverged from the uninterrupted run"
+        );
+        for f in [&file, &full, &snap, &log, &resumed] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    /// The marker append fails: no snapshot lands, and the one on disk
+    /// still matches the log's last marker.
+    #[test]
+    fn dynamic_recovers_when_the_base_marker_append_fails() {
+        recovers_from_a_failed_checkpoint("dynmark", |serve, _, snap, log| {
+            let read_only = std::fs::File::open(log).unwrap();
+            let mut w = WalWriter::new(read_only);
+            assert!(serve.checkpoint(snap.as_ref(), Some(&mut w)).is_err());
+        });
+    }
+
+    /// The rename fails after the marker lands: the previous snapshot
+    /// pairs with its own, earlier marker.
+    #[test]
+    fn dynamic_recovers_when_the_snapshot_rename_fails() {
+        recovers_from_a_failed_checkpoint("dynrename", |serve, w, snap, _| {
+            // A directory where the snapshot should land: the temp file
+            // is written, the rename onto the directory fails.
+            let dir = format!("{snap}.dir");
+            std::fs::create_dir_all(&dir).unwrap();
+            assert!(serve.checkpoint(dir.as_ref(), Some(w)).is_err());
+            let _ = std::fs::remove_dir(&dir);
+            let _ = std::fs::remove_file(format!("{dir}.tmp"));
+        });
     }
 
     /// Two recoveries from one snapshot share one log: the second run

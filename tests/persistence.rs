@@ -349,7 +349,6 @@ proptest! {
             net.set_supervisor(SupervisorConfig {
                 max_respawns: 3,
                 retry_budget: 1,
-                backoff_base: std::time::Duration::from_micros(100),
             });
             let mut writer = wal::WalWriter::create(&wal_path).unwrap();
             for (e, chunk) in chunks.iter().enumerate() {

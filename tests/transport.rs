@@ -277,7 +277,6 @@ fn chaos_recovers_to_serial(kind: TransportKind, shards: usize, fault: Fault) {
     net.set_supervisor(SupervisorConfig {
         max_respawns: 4,
         retry_budget: 1,
-        backoff_base: std::time::Duration::from_micros(200),
     });
     let mut serial = ServeLoop::new(g, dynamic_cfg);
     for (i, chunk) in updates.chunks(12).enumerate() {
@@ -340,7 +339,6 @@ fn exhausting_the_respawn_budget_quarantines_read_only() {
     net.set_supervisor(SupervisorConfig {
         max_respawns: 2,
         retry_budget: 0,
-        backoff_base: std::time::Duration::from_micros(100),
     });
     net.apply_batch(&updates[..8]).expect("healthy epoch");
     net.end_epoch().expect("healthy epoch end");
@@ -517,7 +515,6 @@ fn p2p_chaos_recovers_to_serial(kind: TransportKind, shards: usize, fault: Fault
     net.set_supervisor(SupervisorConfig {
         max_respawns: 3 * shards as u64,
         retry_budget: 1,
-        backoff_base: std::time::Duration::from_micros(200),
     });
     let cfg = ShardedConfig::for_eps(0.25, shards);
     let mut serial = ServeLoop::new(
