@@ -57,8 +57,7 @@ smoke_cli() {
     cargo run --release -q --bin salloc -- \
         dynamic "$tmp/g.txt" --epochs 2 --events 150 --eps 0.25 --seed 1
     cargo run --release -q --bin salloc -- \
-        dynamic "$tmp/g.txt" --epochs 2 --events 150 --eps 0.25 --seed 1 --shards 4 \
-        --eager-budget 1 --waves
+        dynamic "$tmp/g.txt" --epochs 2 --events 150 --eps 0.25 --seed 1 --shards 4 --waves
     # Flags a subcommand does not read are refused, not ignored: the
     # footprint cap is a constant, not a flag, and so is a misspelling.
     for bad in "--shards 2 --footprint-cap 8" "--epoch 2"; do
@@ -73,8 +72,8 @@ smoke_cli() {
 
 smoke_net() {
     # Eager budget 1 on BOTH sides: the equivalence contract is
-    # per-config, and the tight budget keeps the staged footprints
-    # inside the 4-shard space budget (as in the sharded smoke above).
+    # per-config, and the serial default is the full budget while the
+    # sharded default (the smoke above) is 1.
     tmp="$(mktemp -d)"
     cargo run --release -q --bin salloc -- \
         gen forests --nl 300 --nr 240 --k 3 --cap 2 --seed 7 --out "$tmp/g.txt"

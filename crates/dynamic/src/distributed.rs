@@ -10,11 +10,11 @@
 //! arXiv:1807.06251). Each epoch runs as a sequence of ledger-accounted
 //! phases:
 //!
-//! 1. **Route** ([`labels::ROUTE_UPDATES`]) — the update batch is shipped
+//! 1. **Route** ([`Phase::RouteUpdates`]) — the update batch is shipped
 //!    to the shards owning the update balls through real
 //!    [`Cluster`] exchanges, chunked so no machine ever receives more
 //!    than half its space budget in one round.
-//! 2. **Repair waves** ([`labels::REPAIR_WAVE`]) — the
+//! 2. **Repair waves** ([`Phase::RepairWave`]) — the
 //!    [`batch`](crate::batch) scheduler groups updates whose conservative
 //!    balls are vertex-disjoint; each wave repairs its balls in one
 //!    simulated round (disjointness makes the repairs commute, so the
@@ -26,7 +26,7 @@
 //!    is sorted by id (distributed sample sort — the global sweep order),
 //!    the sweep runs, and the matching migrations it produced are
 //!    committed to the shards owning the receiving rights
-//!    ([`labels::MIGRATION_COMMIT`]), followed by an aggregated state census
+//!    ([`Phase::MigrationCommit`]), followed by an aggregated state census
 //!    and a broadcast of the epoch summary.
 //!
 //! Every phase ends with [`Ledger::assert_space_within`] against the
@@ -44,9 +44,8 @@
 use sparse_alloc_graph::{Assignment, Bipartite, LeftId, RightId};
 use sparse_alloc_mpc::ledger::RoundRecord;
 use sparse_alloc_mpc::primitives::{aggregate_by_key, broadcast_value, sort_by_key};
-use sparse_alloc_mpc::shard::labels;
 use sparse_alloc_mpc::{Cluster, Ledger, MpcConfig, MpcError, ShardMap, Words};
-use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Tracer};
+use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Span, Tracer};
 
 use crate::batch::{schedule, BatchSchedule, FOOTPRINT_CAP};
 use crate::serve::{
@@ -57,7 +56,7 @@ use crate::update::Update;
 /// Everything a warm restart persists of a [`ShardedServeLoop`]: the
 /// serial engine's parts plus the shard count and counters.
 /// The ledger's round history is *not* persisted — accounting restarts
-/// with a [`labels::RESTORE`] phase, the same way a real redeployment
+/// with a [`Phase::Restore`] phase, the same way a real redeployment
 /// starts a fresh accounting epoch — but the serving counters
 /// ([`ShardedStats`]) carry over so lifetime reports stay monotone.
 #[derive(Debug, Clone)]
@@ -234,7 +233,7 @@ impl ShardedServeLoop {
         let budget = this.space_budget();
         let mut epoch = Ledger::default();
         epoch.observe_local(
-            labels::SHARD_STATE,
+            Phase::ShardState.label(),
             words.iter().copied().max().unwrap_or(0),
             words.iter().map(|&w| w as u64).sum(),
         );
@@ -268,7 +267,7 @@ impl ShardedServeLoop {
     /// Rebuild a sharded loop from exported parts, optionally re-sharding
     /// onto `shards_override` machines (ownership is a pure function of
     /// the vertex id, so re-sharding is a re-keying, not a migration).
-    /// The restore is recorded as a [`labels::RESTORE`] accounting phase
+    /// The restore is recorded as a [`Phase::Restore`] accounting phase
     /// and the resident state is re-checked against the (possibly new)
     /// per-machine budget — a restore that would not fit the claimed
     /// space regime fails here instead of on the first epoch.
@@ -292,7 +291,7 @@ impl ShardedServeLoop {
         let budget = this.space_budget();
         let mut epoch = Ledger::default();
         epoch.observe_local(
-            labels::RESTORE,
+            Phase::Restore.label(),
             words.iter().copied().max().unwrap_or(0),
             words.iter().map(|&w| w as u64).sum(),
         );
@@ -322,7 +321,7 @@ impl ShardedServeLoop {
     pub(crate) fn note_checkpoint(&mut self) {
         let words = self.shard_state_words();
         self.ledger.observe_local(
-            labels::CHECKPOINT,
+            Phase::Checkpoint.label(),
             words.iter().copied().max().unwrap_or(0),
             words.iter().map(|&w| w as u64).sum(),
         );
@@ -412,7 +411,8 @@ impl ShardedServeLoop {
         self.stats.batches += 1;
         let batch_no = self.stats.batches as u64;
         let budget = self.space_budget();
-        let mut sp = self.tracer.span(Phase::BatchSchedule, batch_no);
+        let phase = Phase::BatchSchedule;
+        let mut sp = self.tracer.span(phase, batch_no);
         let sched: BatchSchedule = schedule(
             self.inner.graph(),
             updates,
@@ -431,15 +431,14 @@ impl ShardedServeLoop {
         }
         let staged_total: u64 = staged.iter().map(|&w| w as u64).sum();
         epoch.observe_local(
-            labels::BATCH_SCHEDULE,
+            phase.label(),
             staged.iter().copied().max().unwrap_or(0),
             staged_total,
         );
         sp.set_words(staged_total);
-        let ns = sp.close();
         {
             let obs = self.inner.obs_mut();
-            obs.phase_ns(Phase::BatchSchedule, ns);
+            sp.close(obs);
             obs.observe(Dist::BatchSize, updates.len() as u64);
             for plan in &sched.plans {
                 obs.observe(Dist::BallSize, plan.footprint_len as u64);
@@ -450,29 +449,24 @@ impl ShardedServeLoop {
         // Phase 1 — route the batch to the owning shards. The engine
         // consumes the *delivered* copies, not the caller's slice: a
         // routing bug would surface as divergence from serial, not vanish.
-        let mut sp = self.tracer.span(Phase::RouteUpdates, batch_no);
+        let phase = Phase::RouteUpdates;
+        let mut sp = self.tracer.span(phase, batch_no);
         let msgs: Vec<(u32, u32, Update)> = updates
             .iter()
             .zip(&sched.plans)
             .enumerate()
             .map(|(i, (up, plan))| (plan.owner as u32, i as u32, up.clone()))
             .collect();
-        let delivered = self.route_chunked(
-            &mut epoch,
-            labels::ROUTE_UPDATES,
-            msgs,
-            |t| t.0 as usize,
-            budget,
-        )?;
+        let delivered =
+            self.route_chunked(&mut epoch, phase.label(), msgs, |t| t.0 as usize, budget)?;
         let mut routed: Vec<Option<Update>> = vec![None; updates.len()];
         for (_, i, up) in delivered {
             routed[i as usize] = Some(up);
         }
         self.stats.routed_updates += updates.len();
-        sp.set_words(epoch.words_labeled(labels::ROUTE_UPDATES));
-        let ns = sp.close();
+        sp.set_words(epoch.words_labeled(phase.label()));
         let obs = self.inner.obs_mut();
-        obs.phase_ns(Phase::RouteUpdates, ns);
+        sp.close(obs);
         obs.inc(Counter::RoutedUpdates, updates.len() as u64);
 
         // Wave order: update indices grouped by wave, waves ascending.
@@ -506,14 +500,14 @@ impl ShardedServeLoop {
     /// repair traffic (rights touched outside the owning shard), the wave
     /// counters, and the width observation. Both executors call this
     /// after running wave `wave`, so the simulated cost model cannot drift
-    /// between them. `close` gets the moved words and returns the wave's
-    /// measured wall time in ns.
+    /// between them. `span` is the wave's open [`Phase::RepairWave`]
+    /// span; it closes here carrying the moved words.
     pub(crate) fn finish_wave(
         &mut self,
         staged: &mut StagedBatch,
         wave: usize,
         results: &[WaveUpdateResult],
-        close: impl FnOnce(u64) -> u64,
+        mut span: Span,
     ) {
         let p = self.map.shards();
         let mut sent = vec![0u64; p];
@@ -541,13 +535,13 @@ impl ShardedServeLoop {
             max_received: recv.iter().copied().max().unwrap_or(0) as usize,
             max_storage: 0,
             total_storage: 0,
-            label: labels::REPAIR_WAVE,
+            label: Phase::RepairWave.label(),
         });
         staged.handoff_total += words;
         self.stats.waves += 1;
-        let ns = close(words);
+        span.set_words(words);
         let obs = self.inner.obs_mut();
-        obs.phase_ns(Phase::RepairWave, ns);
+        span.close(obs);
         obs.observe(Dist::WaveWidth, width);
     }
 
@@ -586,7 +580,7 @@ impl ShardedServeLoop {
         };
 
         for w in 0..staged.waves() {
-            let mut spw = self.tracer.span(Phase::RepairWave, staged.batch_no);
+            let spw = self.tracer.span(Phase::RepairWave, staged.batch_no);
             let idxs = staged.wave_idxs(w);
             let wave_updates: Vec<&Update> = idxs
                 .iter()
@@ -605,10 +599,7 @@ impl ShardedServeLoop {
                 .map(|&i| staged.sched.plans[i].arrive_id)
                 .collect();
             let results = self.inner.apply_wave(&wave_updates, &arrive_ids);
-            self.finish_wave(&mut staged, w, &results, |words| {
-                spw.set_words(words);
-                spw.close()
-            });
+            self.finish_wave(&mut staged, w, &results, spw);
         }
         self.finish_batch(staged)
     }
@@ -656,11 +647,12 @@ impl ShardedServeLoop {
         // The serial core spanned its own sweep, level repair and
         // compaction; this span times the distributed commit of the
         // migrations they produced.
-        let mut sp = self.tracer.span(Phase::MigrationCommit, epoch_no);
+        let phase = Phase::MigrationCommit;
+        let mut sp = self.tracer.span(phase, epoch_no);
         let map = self.map;
         let committed = self.route_chunked(
             &mut epoch,
-            labels::MIGRATION_COMMIT,
+            phase.label(),
             migrations,
             move |&(_, from, to)| {
                 if to != u32::MAX {
@@ -672,12 +664,12 @@ impl ShardedServeLoop {
             budget,
         )?;
         debug_assert_eq!(committed.len(), n_migrations);
-        sp.set_words(epoch.words_labeled(labels::MIGRATION_COMMIT));
-        let ns = sp.close();
-        self.inner.obs_mut().phase_ns(Phase::MigrationCommit, ns);
+        sp.set_words(epoch.words_labeled(phase.label()));
+        sp.close(self.inner.obs_mut());
 
         // State census (aggregate) + epoch summary (broadcast).
-        let mut spc = self.tracer.span(Phase::ShardState, epoch_no);
+        let phase = Phase::ShardState;
+        let mut spc = self.tracer.span(phase, epoch_no);
         let words = self.shard_state_words();
         let census: Vec<Vec<(u32, u64)>> = words.iter().map(|&w| vec![(0u32, w as u64)]).collect();
         let cluster = Cluster::from_partitioned(MpcConfig::strict(p, budget), census)?;
@@ -691,10 +683,9 @@ impl ShardedServeLoop {
         // Space accounting: resident per-shard state must fit the budget.
         let peak = words.iter().copied().max().unwrap_or(0);
         let resident: u64 = words.iter().map(|&w| w as u64).sum();
-        epoch.observe_local(labels::SHARD_STATE, peak, resident);
+        epoch.observe_local(phase.label(), peak, resident);
         spc.set_words(resident);
-        let nsc = spc.close();
-        self.inner.obs_mut().phase_ns(Phase::ShardState, nsc);
+        spc.close(self.inner.obs_mut());
         epoch.assert_space_within(budget)?;
         self.ledger.absorb(&epoch);
 
@@ -870,11 +861,14 @@ mod tests {
         let (sharded, _) = drive(4, 11);
         let l = sharded.ledger();
         assert!(
-            l.rounds_labeled(labels::ROUTE_UPDATES) >= 1,
+            l.rounds_labeled(Phase::RouteUpdates.label()) >= 1,
             "routing rounds"
         );
-        assert!(l.rounds_labeled(labels::REPAIR_WAVE) >= 1, "wave rounds");
-        assert!(l.local_steps_labeled(labels::SHARD_STATE) >= 1);
+        assert!(
+            l.rounds_labeled(Phase::RepairWave.label()) >= 1,
+            "wave rounds"
+        );
+        assert!(l.local_steps_labeled(Phase::ShardState.label()) >= 1);
         assert!(l.rounds > 0);
         let s = sharded.stats();
         assert!(s.batches >= 1 && s.routed_updates > 0);
@@ -961,7 +955,7 @@ mod tests {
         // Every routed word stays on machine 0 — zero words moved in
         // repair waves.
         for rec in &sharded.ledger().history {
-            if rec.label == labels::REPAIR_WAVE {
+            if rec.label == Phase::RepairWave.label() {
                 assert_eq!(rec.words_moved, 0);
             }
         }

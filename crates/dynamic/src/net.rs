@@ -31,7 +31,7 @@
 //! word accounting, same space assertions), which is exactly what makes
 //! the networked engine measurable: each phase also records its
 //! **measured wire bytes** on the same ledger
-//! ([`labels::NET_ROUTE`] and friends, in ⌈bytes/8⌉ words), so one run
+//! ([`Phase::NetRoute`] and friends, in ⌈bytes/8⌉ words), so one run
 //! yields simulated words and real bytes side by side (experiment `e21`).
 //!
 //! Every failure mode — dropped peer, truncated frame, flipped bit,
@@ -55,7 +55,7 @@
 //! state-identical to one that never faulted; a fault mid-batch
 //! therefore makes [`NetServeLoop::apply_batch`] at-least-once on the
 //! wire with exactly-once effects. The wire cost of recovery is metered
-//! under [`labels::NET_RECOVER`]. When the respawn budget is exhausted
+//! under [`Phase::NetRecover`]. When the respawn budget is exhausted
 //! the engine **quarantines**: queries keep answering from the
 //! coordinator mirror, every further wire operation fails as
 //! [`NetError::Quarantined`], and the fault that exhausted the budget is
@@ -102,9 +102,9 @@
 //! plans. Each worker blocks on one inbox that all of its links feed
 //! ([`WorkerLinks::recv`]), so a fetch is answered as soon as it lands,
 //! whether the owner is idle or mid-wave. Spoke traffic of the dispatch
-//! is metered under [`labels::NET_WAVE`]; the worker↔worker bytes —
+//! is metered under [`Phase::NetWave`]; the worker↔worker bytes —
 //! which never touch the coordinator — are reported back on the acks
-//! and metered under [`labels::NET_HANDOFF`]. A wire fault mid-wave
+//! and metered under [`Phase::NetHandoff`]. A wire fault mid-wave
 //! recovers like any other — the whole mesh is rebuilt and the
 //! coordinator's engine state re-scattered — and the interrupted wave is
 //! re-dispatched; outcomes fold only after a full ack barrier, so a
@@ -132,10 +132,9 @@ use std::time::{Duration, Instant};
 use sparse_alloc_graph::io::{fnv1a64, ByteReader, ByteWriter, IoError};
 use sparse_alloc_graph::{Assignment, Bipartite, LeftId, RightId};
 use sparse_alloc_mpc::ledger::RoundRecord;
-use sparse_alloc_mpc::shard::labels;
 use sparse_alloc_mpc::transport::{Fault, Frame, Mesh, TransportError, WorkerLinks, COORDINATOR};
 use sparse_alloc_mpc::{Ledger, MpcError, ShardMap};
-use sparse_alloc_obs::{Counter, MetricsSnapshot, Phase, Registry, Tracer};
+use sparse_alloc_obs::{Counter, MetricsSnapshot, Phase, Registry, Span, Tracer};
 
 use crate::distributed::{
     BatchReport, ShardedConfig, ShardedEpochReport, ShardedServeLoop, StagedBatch,
@@ -342,17 +341,17 @@ pub struct NetStats {
     /// Workers respawned after non-transient faults.
     pub respawns: u64,
     /// Both-direction bytes of recovery re-scatters (state replayed to
-    /// respawned meshes, [`labels::NET_RECOVER`]).
+    /// respawned meshes, [`Phase::NetRecover`]).
     pub replayed_bytes: u64,
     /// Wall-clock nanoseconds spent inside recovery (respawn + re-init),
     /// cumulative — `recovery_ns / respawns` is the mean recovery
     /// latency experiment `e22` reports.
     pub recovery_ns: u64,
     /// Both-direction spoke bytes of p2p wave dispatch/ack
-    /// ([`labels::NET_WAVE`]); zero on a star mesh.
+    /// ([`Phase::NetWave`]); zero on a star mesh.
     pub wave_bytes: u64,
     /// Worker↔worker bytes of cross-shard walk handoffs and flips
-    /// ([`labels::NET_HANDOFF`]) — traffic the coordinator never
+    /// ([`Phase::NetHandoff`]) — traffic the coordinator never
     /// carries, as the workers themselves metered and reported it.
     /// Varies run to run: the fetch frontier `fetch_plan_state` builds
     /// depends on when concurrent workers' flips land, so compare it
@@ -363,7 +362,7 @@ pub struct NetStats {
     /// like [`NetStats::handoff_bytes`].
     pub handoff_frames: u64,
     /// Deepest fetch ping-pong any single plan needed (bounded by the
-    /// walk radius; see [`labels::NET_HANDOFF`]).
+    /// walk radius; see [`Phase::NetHandoff`]).
     pub max_handoff_rounds: u64,
     /// Full topology rows `WAVE` frames shipped (left and right rows):
     /// rows a worker lacked or held stale. Every other footprint row
@@ -1806,10 +1805,13 @@ fn phase_name(phase: u32) -> &'static str {
     }
 }
 
-/// Wire counters at the start of a phase ([`NetServeLoop::mark`]): the
-/// per-peer byte totals plus the global frame totals, so the phase's
-/// deltas can be attributed when it ends.
-struct WireMark {
+/// An open wire phase ([`NetServeLoop::open_wire`]): its span plus the
+/// wire counters at its start — the per-peer byte totals and the global
+/// frame totals — so [`NetServeLoop::close_wire`] can attribute the
+/// phase's deltas.
+struct WirePhase {
+    phase: Phase,
+    span: Span,
     per_peer: Vec<(u64, u64)>,
     frames: (u64, u64),
 }
@@ -1817,7 +1819,7 @@ struct WireMark {
 impl NetServeLoop {
     /// Solve `base` with the static stack and serve it across
     /// `cfg.shards` worker threads connected by `kind` channels. The
-    /// initial state slices are scattered ([`labels::NET_INIT`]) before
+    /// initial state slices are scattered ([`Phase::NetInit`]) before
     /// this returns.
     pub fn new(base: Bipartite, cfg: ShardedConfig, kind: TransportKind) -> Result<Self, NetError> {
         let inner = ShardedServeLoop::new(base, cfg)?;
@@ -1883,7 +1885,7 @@ impl NetServeLoop {
             topo: TopoRecord::default(),
             wave_lefts: StampSet::default(),
         };
-        this.scatter_init(labels::NET_INIT)?;
+        this.scatter_init(Phase::NetInit)?;
         this.epoch_mark = this.wire_totals();
         Ok(this)
     }
@@ -1924,22 +1926,30 @@ impl NetServeLoop {
         (bs + br, fs + fr)
     }
 
-    /// Snapshot the wire counters at the start of a phase.
-    fn mark(&self) -> WireMark {
-        WireMark {
+    /// Open a wire phase: span it and snapshot the wire counters.
+    fn open_wire(&self, phase: Phase, epoch: u64) -> WirePhase {
+        WirePhase {
+            phase,
+            span: self.tracer.span(phase, epoch),
             per_peer: self.mesh.per_peer_bytes(),
             frames: self.mesh.frames_moved(),
         }
     }
 
-    /// Record one phase's measured wire traffic on the inner ledger
-    /// (⌈bytes/8⌉ words), the phase byte counters, and the metrics
-    /// registry. Returns the words moved, for the phase span to carry.
-    fn note_wire(&mut self, label: &'static str, mark: &WireMark) -> u64 {
+    /// Close a wire phase: record its measured traffic on the inner
+    /// ledger (⌈bytes/8⌉ words), the phase byte counters, and the
+    /// metrics registry, then close its span carrying those words.
+    fn close_wire(&mut self, open: WirePhase) {
+        let WirePhase {
+            phase,
+            mut span,
+            per_peer,
+            frames,
+        } = open;
         let after = self.mesh.per_peer_bytes();
         let (mut sent_total, mut recv_total) = (0u64, 0u64);
         let (mut max_sent, mut max_recv) = (0u64, 0u64);
-        for ((s0, r0), (s1, r1)) in mark.per_peer.iter().zip(&after) {
+        for ((s0, r0), (s1, r1)) in per_peer.iter().zip(&after) {
             let sent = s1 - s0;
             let recv = r1 - r0;
             sent_total += sent;
@@ -1948,21 +1958,22 @@ impl NetServeLoop {
             max_recv = max_recv.max(recv);
         }
         let total = sent_total + recv_total;
-        match label {
-            labels::NET_ROUTE => self.stats.route_bytes += total,
-            labels::NET_COMMIT => self.stats.commit_bytes += total,
-            labels::NET_CENSUS => self.stats.census_bytes += total,
-            labels::NET_RECOVER => self.stats.replayed_bytes += total,
-            labels::NET_WAVE => self.stats.wave_bytes += total,
-            _ => self.stats.init_bytes += total,
+        match phase {
+            Phase::NetRoute => self.stats.route_bytes += total,
+            Phase::NetCommit => self.stats.commit_bytes += total,
+            Phase::NetCensus => self.stats.census_bytes += total,
+            Phase::NetRecover => self.stats.replayed_bytes += total,
+            Phase::NetWave => self.stats.wave_bytes += total,
+            Phase::NetInit => self.stats.init_bytes += total,
+            other => unreachable!("{other:?} is not a wire phase"),
         }
         let (fs, fr) = self.mesh.frames_moved();
         let obs = self.inner.obs_mut();
         obs.inc(Counter::BytesSent, sent_total);
         obs.inc(Counter::BytesReceived, recv_total);
-        obs.inc(Counter::FramesSent, fs - mark.frames.0);
-        obs.inc(Counter::FramesReceived, fr - mark.frames.1);
-        if label == labels::NET_RECOVER {
+        obs.inc(Counter::FramesSent, fs - frames.0);
+        obs.inc(Counter::FramesReceived, fr - frames.1);
+        if phase == Phase::NetRecover {
             obs.inc(Counter::ReplayedBytes, total);
         }
         let words = total.div_ceil(8);
@@ -1972,9 +1983,10 @@ impl NetServeLoop {
             max_received: max_recv.div_ceil(8) as usize,
             max_storage: 0,
             total_storage: 0,
-            label,
+            label: phase.label(),
         });
-        words
+        span.set_words(words);
+        span.close(self.inner.obs_mut());
     }
 
     /// Capture the mesh's flight recorders after a wire failure: what
@@ -2058,19 +2070,13 @@ impl NetServeLoop {
     }
 
     /// Scatter the engine's full state to every worker. Called once at
-    /// construction (`label` = [`labels::NET_INIT`]) and again after
-    /// every respawn (`label` = [`labels::NET_RECOVER`]) — re-INIT is the
-    /// recovery primitive, so the label decides which phase the traffic
+    /// construction (`phase` = [`Phase::NetInit`]) and again after
+    /// every respawn (`phase` = [`Phase::NetRecover`]) — re-INIT is the
+    /// recovery primitive, so `phase` decides which phase the traffic
     /// is metered under.
-    fn scatter_init(&mut self, label: &'static str) -> Result<(), NetError> {
-        let phase = if label == labels::NET_RECOVER {
-            Phase::NetRecover
-        } else {
-            Phase::NetInit
-        };
+    fn scatter_init(&mut self, phase: Phase) -> Result<(), NetError> {
         let epoch = self.epoch();
-        let mut sp = self.tracer.span(phase, epoch);
-        let mark = self.mark();
+        let open = self.open_wire(phase, epoch);
         let matching = self.inner.serial().matching();
         self.synced_mate.clear();
         self.synced_mate
@@ -2107,10 +2113,7 @@ impl NetServeLoop {
                 });
             }
         }
-        let words = self.note_wire(label, &mark);
-        sp.set_words(words);
-        let ns = sp.close();
-        self.inner.obs_mut().phase_ns(phase, ns);
+        self.close_wire(open);
         Ok(())
     }
 
@@ -2144,8 +2147,7 @@ impl NetServeLoop {
     /// p2p wave fold already advanced the mirror past are skipped — the
     /// worker applied them itself, directly or via a peer `FLIP`.
     fn commit_deltas(&mut self, epoch: u64) -> Result<(), NetError> {
-        let mut sp = self.tracer.span(Phase::NetCommit, epoch);
-        let mark = self.mark();
+        let open = self.open_wire(Phase::NetCommit, epoch);
         let p = self.mesh.workers();
         let map = *self.inner.shard_map();
         let matching = self.inner.serial().matching();
@@ -2219,10 +2221,7 @@ impl NetServeLoop {
         for &v in lists.iter().flatten() {
             self.synced_matched[v as usize].clone_from(&matched[v as usize]);
         }
-        let words = self.note_wire(labels::NET_COMMIT, &mark);
-        sp.set_words(words);
-        let ns = sp.close();
-        self.inner.obs_mut().phase_ns(Phase::NetCommit, ns);
+        self.close_wire(open);
         Ok(())
     }
 
@@ -2322,7 +2321,7 @@ impl NetServeLoop {
     /// worker's slice). The caller then retries the interrupted
     /// exchange; p2p outcomes fold only after a full ack barrier, so a
     /// retried wave lands exactly once. Metered as
-    /// [`Phase::NetRecover`] / [`labels::NET_RECOVER`].
+    /// [`Phase::NetRecover`].
     fn rebuild_mesh_and_reinit(&mut self) -> Result<(), NetError> {
         let links = self.mesh.rebuild(self.kind == TransportKind::Tcp)?;
         let old = std::mem::replace(
@@ -2338,7 +2337,7 @@ impl NetServeLoop {
         let (bytes_now, frames_now) = self.wire_totals();
         self.epoch_mark.0 = self.epoch_mark.0.min(bytes_now);
         self.epoch_mark.1 = self.epoch_mark.1.min(frames_now);
-        self.scatter_init(labels::NET_RECOVER)?;
+        self.scatter_init(Phase::NetRecover)?;
         if let Some(d) = self.handoff_timeout {
             self.broadcast_handoff_timeout(d)?;
         }
@@ -2349,10 +2348,10 @@ impl NetServeLoop {
 
     /// Apply one epoch's update batch. The batch is scattered to the
     /// workers owning each update's anchor, echoed back, and the engine
-    /// consumes the echoed wire copies ([`labels::NET_ROUTE`]) wave by
+    /// consumes the echoed wire copies ([`Phase::NetRoute`]) wave by
     /// wave, through one wave executor for both protocols (see the
     /// [module docs](self)); the resulting state deltas are committed to
-    /// the owning workers ([`labels::NET_COMMIT`]).
+    /// the owning workers ([`Phase::NetCommit`]).
     ///
     /// Under a [`SupervisorConfig`] with a respawn budget, a wire fault
     /// in either exchange triggers respawn + re-INIT and the exchange is
@@ -2387,7 +2386,7 @@ impl NetServeLoop {
     /// protocols: stage the batch once, then per wave run the structural
     /// half serially on the coordinator, ship every disjoint-footprint
     /// repair plan to the shard worker owning its ball (one `WAVE` frame
-    /// per worker, [`labels::NET_WAVE`]), and fold the acked outcomes
+    /// per worker, [`Phase::NetWave`]), and fold the acked outcomes
     /// back in arrival order — the fold `ServeLoop::apply_wave` runs,
     /// which is what the `≡ serial` property tests pin down. Plans ship
     /// only on a p2p mesh; every other plan — on a star, every plan —
@@ -2420,7 +2419,7 @@ impl NetServeLoop {
         };
         for wave in 0..staged.waves() {
             let idxs: Vec<usize> = staged.wave_idxs(wave).to_vec();
-            let mut spw = self.tracer.span(Phase::RepairWave, staged.batch_no);
+            let spw = self.tracer.span(Phase::RepairWave, staged.batch_no);
             let (exp0, cap0) = self.inner.serial().wave_counters();
             let (plans, mut results) = {
                 let ups: Vec<&Update> = idxs
@@ -2522,11 +2521,7 @@ impl NetServeLoop {
                 .serial_mut()
                 .absorb_search_counters(exp_remote, cap_remote);
             self.inner.serial_mut().wave_observe(exp0, cap0);
-            self.inner
-                .finish_wave(&mut staged, wave, &results, |words| {
-                    spw.set_words(words);
-                    spw.close()
-                });
+            self.inner.finish_wave(&mut staged, wave, &results, spw);
         }
         Ok(self.inner.finish_batch(staged)?)
     }
@@ -2679,8 +2674,8 @@ impl NetServeLoop {
     /// (all workers get one — an empty frame is the wave barrier), then
     /// collect and validate the acks. Returns the per-plan outcomes in
     /// wave-slot order plus the summed remote search counters. Spoke
-    /// traffic is metered under [`labels::NET_WAVE`]; the
-    /// worker-reported peer traffic under [`labels::NET_HANDOFF`].
+    /// traffic is metered under [`Phase::NetWave`]; the
+    /// worker-reported peer traffic under [`Phase::NetHandoff`].
     #[allow(clippy::type_complexity)]
     fn exchange_wave(
         &mut self,
@@ -2689,8 +2684,7 @@ impl NetServeLoop {
     ) -> Result<(Vec<Option<RemotePlanOutcome>>, u64, u64), NetError> {
         let epoch = self.epoch();
         let p = self.mesh.workers();
-        let mut sp = self.tracer.span(Phase::NetWave, epoch);
-        let mark = self.mark();
+        let open = self.open_wire(Phase::NetWave, epoch);
         for (w, frame) in frames.iter().enumerate() {
             self.send(w, PH_WAVE, epoch, frame)?;
         }
@@ -2782,10 +2776,7 @@ impl NetServeLoop {
                 }
             }
         }
-        let words = self.note_wire(labels::NET_WAVE, &mark);
-        sp.set_words(words);
-        let ns = sp.close();
-        self.inner.obs_mut().phase_ns(Phase::NetWave, ns);
+        self.close_wire(open);
         self.stats.handoff_frames += hframes;
         self.stats.handoff_bytes += hbytes;
         self.stats.max_handoff_rounds = self.stats.max_handoff_rounds.max(hrounds);
@@ -2793,7 +2784,8 @@ impl NetServeLoop {
             // The worker↔worker traffic never crosses the coordinator:
             // it is metered from the workers' own counters, reported on
             // the acks.
-            let mut hsp = self.tracer.span(Phase::NetHandoff, epoch);
+            let phase = Phase::NetHandoff;
+            let mut hsp = self.tracer.span(phase, epoch);
             let hwords = hbytes.div_ceil(8);
             self.inner.ledger_mut().record(RoundRecord {
                 words_moved: hwords,
@@ -2801,11 +2793,10 @@ impl NetServeLoop {
                 max_received: hmax_worker.div_ceil(8) as usize,
                 max_storage: 0,
                 total_storage: 0,
-                label: labels::NET_HANDOFF,
+                label: phase.label(),
             });
             hsp.set_words(hwords);
-            let hns = hsp.close();
-            self.inner.obs_mut().phase_ns(Phase::NetHandoff, hns);
+            hsp.close(self.inner.obs_mut());
         }
         Ok((out, exp, caps))
     }
@@ -2818,8 +2809,7 @@ impl NetServeLoop {
         let epoch = self.epoch();
         let p = self.mesh.workers();
         let map = *self.inner.shard_map();
-        let mut sp = self.tracer.span(Phase::NetRoute, epoch);
-        let mark = self.mark();
+        let open = self.open_wire(Phase::NetRoute, epoch);
 
         let mut groups: Vec<Vec<(u32, &Update)>> = vec![Vec::new(); p];
         for (i, up) in updates.iter().enumerate() {
@@ -2864,10 +2854,7 @@ impl NetServeLoop {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let words = self.note_wire(labels::NET_ROUTE, &mark);
-        sp.set_words(words);
-        let ns = sp.close();
-        self.inner.obs_mut().phase_ns(Phase::NetRoute, ns);
+        self.close_wire(open);
         Ok(wire)
     }
 
@@ -2903,8 +2890,7 @@ impl NetServeLoop {
     ) -> Result<NetEpochReport, NetError> {
         self.commit_deltas(epoch)?;
 
-        let mut sp = self.tracer.span(Phase::NetCensus, epoch);
-        let mark = self.mark();
+        let open = self.open_wire(Phase::NetCensus, epoch);
         let expected = self.expected_census();
         for w in 0..expected.len() {
             self.send(w, PH_CENSUS, epoch, &[])?;
@@ -2928,10 +2914,7 @@ impl NetServeLoop {
             r.expect_end().map_err(|e| self.payload_err(w, e))?;
         }
         self.stats.topology_cache_words = cache_words;
-        let words = self.note_wire(labels::NET_CENSUS, &mark);
-        sp.set_words(words);
-        let ns = sp.close();
-        self.inner.obs_mut().phase_ns(Phase::NetCensus, ns);
+        self.close_wire(open);
 
         let (bytes_now, frames_now) = self.wire_totals();
         let rep = NetEpochReport {
@@ -3266,10 +3249,10 @@ mod tests {
     fn wire_phases_land_on_the_ledger() {
         let (net, _) = drive(TransportKind::Loopback, 3, 13);
         let l = net.ledger();
-        assert!(l.rounds_labeled(labels::NET_INIT) >= 1);
-        assert!(l.rounds_labeled(labels::NET_ROUTE) >= 1);
-        assert!(l.rounds_labeled(labels::NET_COMMIT) >= 1);
-        assert!(l.rounds_labeled(labels::NET_CENSUS) >= 1);
+        assert!(l.rounds_labeled(Phase::NetInit.label()) >= 1);
+        assert!(l.rounds_labeled(Phase::NetRoute.label()) >= 1);
+        assert!(l.rounds_labeled(Phase::NetCommit.label()) >= 1);
+        assert!(l.rounds_labeled(Phase::NetCensus.label()) >= 1);
         let s = net.net_stats();
         assert!(s.bytes_sent > 0 && s.bytes_received > 0);
         assert!(s.route_bytes > 0 && s.commit_bytes > 0 && s.census_bytes > 0);
@@ -3319,7 +3302,7 @@ mod tests {
         assert!(stats.respawns >= 1, "the fault must have cost a respawn");
         assert!(stats.replayed_bytes > 0, "re-INIT traffic is metered");
         assert!(stats.recovery_ns > 0, "recovery wall time is metered");
-        assert!(net.ledger().rounds_labeled(labels::NET_RECOVER) >= 1);
+        assert!(net.ledger().rounds_labeled(Phase::NetRecover.label()) >= 1);
         assert!(net.quarantine_reason().is_none());
         let gathered = net.gather_assignment().unwrap();
         assert_eq!(
@@ -3550,11 +3533,11 @@ mod tests {
         let (net, _) = drive_p2p(TransportKind::Loopback, 3, 13);
         let l = net.ledger();
         assert!(
-            l.rounds_labeled(labels::NET_WAVE) >= 1,
+            l.rounds_labeled(Phase::NetWave.label()) >= 1,
             "waves were shipped"
         );
         assert!(
-            l.rounds_labeled(labels::NET_HANDOFF) >= 1,
+            l.rounds_labeled(Phase::NetHandoff.label()) >= 1,
             "some walk crossed a shard boundary"
         );
         let s = net.net_stats();

@@ -787,7 +787,7 @@ impl ServeLoop {
         report.sweep_expansions = self.matching.expansions() - exp0;
         self.obs
             .inc(Counter::SweepExpansions, report.sweep_expansions);
-        self.obs.phase_ns(Phase::CertSweep, sp.close());
+        sp.close(&mut self.obs);
         if !self.dirty.is_empty() {
             let sp = self.tracer.span(Phase::LevelRepair, epoch);
             // Wave executors mark rights in wave order, the serial engine
@@ -803,7 +803,7 @@ impl ServeLoop {
             };
             let gather = self.tracer.span(Phase::LevelGather, epoch);
             self.level_scratch.gather(&self.dg, &self.dirty, &cfg);
-            self.obs.phase_ns(Phase::LevelGather, gather.close());
+            gather.close(&mut self.obs);
             let rep = self
                 .level_scratch
                 .run_rounds(&self.dg, &mut self.levels, &cfg);
@@ -812,13 +812,13 @@ impl ServeLoop {
             if rep.ball_rights >= self.cfg.repair_ball_cap {
                 self.obs.inc(Counter::LevelCapHits, 1);
             }
-            self.obs.phase_ns(Phase::LevelRepair, sp.close());
+            sp.close(&mut self.obs);
         }
         if self.drift > self.cfg.drift_threshold * self.dg.m() as f64 {
             let sp = self.tracer.span(Phase::Compaction, epoch);
             report.rebuilt = self.fold();
             report.compacted = true;
-            self.obs.phase_ns(Phase::Compaction, sp.close());
+            sp.close(&mut self.obs);
         }
 
         self.dirty.clear();

@@ -44,7 +44,7 @@
 //! What is deliberately **not** persisted: the search and sweep scratch
 //! (rebuilt empty on restore), and the MPC ledger's
 //! round history (a restore starts a fresh accounting epoch with a
-//! [`labels::RESTORE`](sparse_alloc_mpc::shard::labels::RESTORE) phase,
+//! [`Phase::Restore`](sparse_alloc_obs::Phase::Restore) phase,
 //! like a real redeployment). The serving counters do carry over, so
 //! lifetime stats stay monotone across restarts.
 //!
@@ -529,8 +529,8 @@ pub fn read_serial(r: &mut impl Read) -> Result<ServeLoop, SnapshotError> {
 /// Serialize a [`ShardedServeLoop`] into `w`, with one [`ShardManifest`]
 /// per machine of its [`ShardMap`]. The
 /// checkpoint is recorded on the loop's ledger as a round-free
-/// [`labels::CHECKPOINT`](sparse_alloc_mpc::shard::labels::CHECKPOINT)
-/// phase (hence `&mut`).
+/// [`Phase::Checkpoint`](sparse_alloc_obs::Phase::Checkpoint) phase
+/// (hence `&mut`).
 pub fn write_sharded(
     serve: &mut ShardedServeLoop,
     w: &mut impl Write,
@@ -598,21 +598,22 @@ pub fn load_sharded(
 
 /// Write `bytes` to `path` through a temp file beside it (`path` +
 /// `.tmp`): fsync, then rename over `path`, so a crash mid-checkpoint
-/// never leaves a torn file where a good one was. A failed write removes
-/// the temp file and leaves `path` as it was.
+/// never leaves a torn file where a good one was. A failed write or
+/// rename removes the temp file and leaves `path` as it was.
 pub(crate) fn save_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    let written = std::fs::File::create(&tmp).and_then(|mut f| {
-        f.write_all(bytes)?;
-        f.sync_all()
-    });
-    if let Err(e) = written {
+    let saved = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = saved {
         let _ = std::fs::remove_file(&tmp);
         return Err(e.into());
     }
-    std::fs::rename(&tmp, path)?;
     // The rename survives a crash only once the directory entry does.
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
@@ -836,7 +837,7 @@ mod tests {
         write_sharded(&mut sh, &mut bytes).unwrap();
         assert!(
             sh.ledger()
-                .local_steps_labeled(sparse_alloc_mpc::shard::labels::CHECKPOINT)
+                .local_steps_labeled(sparse_alloc_obs::Phase::Checkpoint.label())
                 >= 1
         );
         // Same shard count.
@@ -846,7 +847,7 @@ mod tests {
         assert_eq!(same.stats(), sh.stats());
         assert!(
             same.ledger()
-                .local_steps_labeled(sparse_alloc_mpc::shard::labels::RESTORE)
+                .local_steps_labeled(sparse_alloc_obs::Phase::Restore.label())
                 >= 1
         );
         // Re-shard onto a different count: identical allocation state.

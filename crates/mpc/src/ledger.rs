@@ -433,43 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_phase_vocabulary_matches_the_ledger_labels() {
-        // The trace phase names ARE the ledger labels — `salloc report`
-        // and ci.sh rely on the two vocabularies never drifting apart.
-        use crate::shard::labels;
-        use sparse_alloc_obs::Phase;
-        let expect = [
-            (Phase::BatchSchedule, labels::BATCH_SCHEDULE),
-            (Phase::RouteUpdates, labels::ROUTE_UPDATES),
-            (Phase::RepairWave, labels::REPAIR_WAVE),
-            (Phase::CertSweep, labels::CERT_SWEEP),
-            (Phase::LevelRepair, labels::LEVEL_REPAIR),
-            (Phase::LevelGather, labels::LEVEL_GATHER),
-            (Phase::Compaction, labels::COMPACTION),
-            (Phase::MigrationCommit, labels::MIGRATION_COMMIT),
-            (Phase::ShardState, labels::SHARD_STATE),
-            (Phase::Checkpoint, labels::CHECKPOINT),
-            (Phase::Restore, labels::RESTORE),
-            (Phase::NetRoute, labels::NET_ROUTE),
-            (Phase::NetCommit, labels::NET_COMMIT),
-            (Phase::NetCensus, labels::NET_CENSUS),
-            (Phase::NetInit, labels::NET_INIT),
-            (Phase::NetRecover, labels::NET_RECOVER),
-            (Phase::NetWave, labels::NET_WAVE),
-            (Phase::NetHandoff, labels::NET_HANDOFF),
-        ];
-        assert_eq!(
-            expect.len(),
-            Phase::ALL.len(),
-            "a phase is missing a label pairing"
-        );
-        for (phase, label) in expect {
-            assert_eq!(phase.label(), label);
-            assert_eq!(Phase::from_label(label), Some(phase));
-        }
-    }
-
-    #[test]
     fn absorb_merges() {
         let mut a = Ledger::default();
         a.record(rec(10, 1, 2, 3, "x"));

@@ -1,5 +1,4 @@
-//! Vertex-ownership maps for sharded state, plus the ledger labels of the
-//! distributed serving phases.
+//! Vertex-ownership maps for sharded state.
 //!
 //! The dynamic subsystem (`sparse-alloc-dynamic::distributed`) partitions
 //! its overlay graph, β-levels, and matching state across the machines of
@@ -104,73 +103,6 @@ impl crate::Words for ShardManifest {
     fn words(&self) -> usize {
         5
     }
-}
-
-/// Ledger labels of the distributed serving phases, so cost tables and
-/// tests can attribute rounds and storage peaks to a specific phase.
-pub mod labels {
-    /// Conflict-scheduling an update batch: the per-shard staged
-    /// footprints are resident state of the scheduling phase (round-free;
-    /// storage accounting only, asserted against the space budget like
-    /// any other phase).
-    pub const BATCH_SCHEDULE: &str = "batch_schedule";
-    /// Routing an epoch's update batch to the shards owning their balls.
-    pub const ROUTE_UPDATES: &str = "route_updates";
-    /// One wave of conflict-free parallel ball repairs (cross-shard walk
-    /// handoffs are the payload).
-    pub const REPAIR_WAVE: &str = "repair_wave";
-    /// The serial core's certificate sweep at epoch close (local
-    /// computation: round-free, spanned for its wall time).
-    pub const CERT_SWEEP: &str = "cert_sweep";
-    /// The serial core's β-level repair at epoch close (local
-    /// computation: round-free, spanned for its wall time).
-    pub const LEVEL_REPAIR: &str = "level_repair";
-    /// The gather half of the level repair, nested in its span: ball
-    /// growth and the copy of its live rows (local computation).
-    pub const LEVEL_GATHER: &str = "level_gather";
-    /// The serial core's overlay fold at epoch close, with its level
-    /// re-solve when one runs (local computation: round-free, spanned for
-    /// its wall time).
-    pub const COMPACTION: &str = "compaction";
-    /// Committing the epoch's matching migrations to the shards owning
-    /// the receiving right vertices.
-    pub const MIGRATION_COMMIT: &str = "migration_commit";
-    /// Per-shard resident overlay/level/matching state observation
-    /// (round-free; storage accounting only).
-    pub const SHARD_STATE: &str = "shard_state";
-    /// Writing a warm-restart snapshot: each machine stages its manifest
-    /// and serialized slice (round-free; storage accounting only — the
-    /// bytes leave through the host's filesystem, not the cluster).
-    pub const CHECKPOINT: &str = "checkpoint";
-    /// Restoring from a snapshot: each machine re-adopts its owned slice
-    /// and re-validates its manifest (round-free; storage accounting
-    /// only).
-    pub const RESTORE: &str = "restore";
-    /// Measured wire traffic of the networked route phase (update batch
-    /// scattered to worker processes and echoed back; words =
-    /// ⌈bytes/8⌉ actually framed onto the transport).
-    pub const NET_ROUTE: &str = "net_route";
-    /// Measured wire traffic of the networked commit phase (mate deltas
-    /// and matched-list ops shipped to the owning workers).
-    pub const NET_COMMIT: &str = "net_commit";
-    /// Measured wire traffic of the networked census phase (per-worker
-    /// slice sizes and checksums up).
-    pub const NET_CENSUS: &str = "net_census";
-    /// Measured wire traffic of scattering initial state slices to
-    /// worker processes (construction and restore).
-    pub const NET_INIT: &str = "net_init";
-    /// Measured wire traffic of worker recovery: respawning a dead
-    /// shard worker, re-scattering state, and replaying logged updates
-    /// (transient retries ride under this label too).
-    pub const NET_RECOVER: &str = "net_recover";
-    /// Measured wire traffic of a peer-to-peer repair wave: footprint
-    /// state dispatched to the owning workers and per-plan outcomes +
-    /// flips acknowledged back over the coordinator spokes.
-    pub const NET_WAVE: &str = "net_wave";
-    /// Measured wire traffic of cross-shard walk handoffs: partial walk
-    /// state exchanged *directly* over worker↔worker channels (frontier
-    /// fetches and flip pushes), never through the coordinator.
-    pub const NET_HANDOFF: &str = "net_handoff";
 }
 
 #[cfg(test)]

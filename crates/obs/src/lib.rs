@@ -12,12 +12,13 @@
 //!   histograms keyed by [`Phase`]. Backed by fixed arrays, so the hot
 //!   path never allocates (the same discipline as `dynamic::stamp`'s
 //!   epoch-stamped scratch).
-//! * [`Phase`] — the phase vocabulary, whose string labels are *the
-//!   ledger's labels* (`mpc::shard::labels`), so a trace and the
-//!   simulated cost model speak the same names.
+//! * [`Phase`] — the phase vocabulary. A phase's label is both its
+//!   ledger label and its trace name, so a trace and the simulated cost
+//!   model speak the same names.
 //! * [`Tracer`] / [`Span`] — monotonic-clock phase spans emitted as a
-//!   checksummed JSONL stream ([`trace`] documents the format). A
-//!   disabled tracer emits zero events and allocates nothing.
+//!   checksummed JSONL stream ([`trace`] documents the format); closing
+//!   a span records its latency in the [`Registry`]. A disabled tracer
+//!   emits zero events and allocates nothing.
 //! * [`FlightRecorder`] — a fixed-size ring of recent protocol events
 //!   and frame headers, kept per peer by the transport and dumped on
 //!   any wire fault for post-mortem.

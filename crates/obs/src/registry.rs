@@ -134,10 +134,11 @@ impl Dist {
     }
 }
 
-/// The phase vocabulary. **Labels are the ledger's labels**
-/// (`mpc::shard::labels`): a span in a trace and a `RoundRecord` in the
-/// simulated cost model that describe the same work carry the same
-/// string (asserted by a cross-crate test in `sparse-alloc-mpc`).
+/// The phase vocabulary: the one place a serving phase is named. A
+/// phase's [`label`](Phase::label) is both its ledger label (every
+/// `RoundRecord` and storage observation of the phase carries it) and
+/// its trace name, so a span and the simulated cost of the same work
+/// always agree.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Conflict-scheduling an update batch into waves.
@@ -208,7 +209,7 @@ impl Phase {
         Phase::NetHandoff,
     ];
 
-    /// The ledger label this phase shares with the simulated cost model.
+    /// The phase's name: its ledger label and its trace span name.
     pub fn label(self) -> &'static str {
         match self {
             Phase::BatchSchedule => "batch_schedule",
@@ -302,9 +303,11 @@ impl Registry {
         }
     }
 
-    /// Record a measured phase latency in nanoseconds.
+    /// Record a measured phase latency in nanoseconds. Fed by
+    /// [`Span::close`](crate::Span::close), so a phase's latency is
+    /// recorded exactly when its span closes.
     #[inline]
-    pub fn phase_ns(&mut self, p: Phase, ns: u64) {
+    pub(crate) fn phase_ns(&mut self, p: Phase, ns: u64) {
         if self.enabled {
             self.phases[p as usize].record(ns);
         }

@@ -30,8 +30,9 @@
 //!
 //! [`Tracer::disabled`] carries no writer, no buffer, and no shared
 //! state; [`Tracer::span`] on it builds a stack-only [`Span`] and
-//! [`Span::close`] only reads the clock. Zero events, zero heap
-//! allocations — the property the disabled-path test pins down.
+//! [`Span::close`] only reads the clock and feeds the registry. Zero
+//! events, zero heap allocations — the property the disabled-path test
+//! pins down.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -134,8 +135,8 @@ impl Tracer {
             .map_or(0, |i| i.events.load(Ordering::Relaxed))
     }
 
-    /// Open a phase span. Always measures (the returned duration feeds
-    /// the registry even when tracing is off); emits only if enabled.
+    /// Open a phase span. Always measures ([`Span::close`] feeds the
+    /// registry even when tracing is off); emits only if enabled.
     pub fn span(&self, phase: Phase, epoch: u64) -> Span {
         let (start_ns, depth) = match &self.inner {
             Some(i) => (
@@ -260,11 +261,12 @@ impl Span {
         self.words = words;
     }
 
-    /// Close the span, returning its measured duration in nanoseconds
-    /// (returned on the disabled path too, so the caller can feed the
-    /// registry from the same measurement).
-    pub fn close(mut self) -> u64 {
-        self.finish()
+    /// Close the span and record its measured duration as the phase's
+    /// latency in `reg` (measured on the disabled-tracer path too, so
+    /// the registry sees every phase whether or not a trace is written).
+    pub fn close(mut self, reg: &mut Registry) {
+        let ns = self.finish();
+        reg.phase_ns(self.phase, ns);
     }
 
     fn finish(&mut self) -> u64 {
@@ -499,14 +501,20 @@ mod tests {
     #[test]
     fn spans_nest_and_order_in_the_stream() {
         let (t, buf) = Tracer::in_memory();
+        let mut reg = Registry::new();
         let outer = t.span(Phase::RouteUpdates, 1);
         let mut inner = t.span(Phase::RepairWave, 1);
         inner.set_words(42);
-        let inner_ns = inner.close();
-        let outer_ns = outer.close();
+        inner.close(&mut reg);
+        outer.close(&mut reg);
+        let (inner_ns, outer_ns) = (
+            reg.phase(Phase::RepairWave).max(),
+            reg.phase(Phase::RouteUpdates).max(),
+        );
         assert!(outer_ns >= inner_ns);
         let after = t.span(Phase::CertSweep, 1);
-        drop(after); // drop without close still emits
+        drop(after); // drop without close still emits, but records no latency
+        assert!(reg.phase(Phase::CertSweep).is_empty());
         t.flush();
 
         let evs = read_trace(&text(&buf)).expect("clean stream parses");
@@ -551,7 +559,7 @@ mod tests {
     #[test]
     fn corruption_is_detected_line_exactly() {
         let (t, buf) = Tracer::in_memory();
-        t.span(Phase::NetRoute, 0).close();
+        t.span(Phase::NetRoute, 0).close(&mut Registry::new());
         t.flush();
         let mut bytes = buf.lock().unwrap().clone();
         // Flip one bit inside the second line's body.
@@ -617,9 +625,12 @@ mod tests {
     fn disabled_tracer_emits_zero_events_and_holds_no_state() {
         let t = Tracer::disabled();
         assert!(!t.enabled());
+        let mut reg = Registry::new();
         let mut sp = t.span(Phase::RepairWave, 9);
         sp.set_words(1000);
-        let _ns = sp.close();
+        sp.close(&mut reg);
+        // The latency is still measured and recorded.
+        assert_eq!(reg.phase(Phase::RepairWave).count(), 1);
         t.emit_counter("escalations", 5);
         t.emit_hist("wave_width", &{
             let mut h = Histogram::new();

@@ -167,9 +167,12 @@ const USAGE: &str = "usage: salloc <command>
                                           P-machine MPC cluster (ledger-
                                           accounted rounds and space).
                                           --eager-budget caps the eager walk
-                                          depth (both modes; small values keep
-                                          conflict footprints tight), --waves
-                                          adds a wave-occupancy report line.
+                                          depth (default: full serial, 1 with
+                                          --shards; small values keep conflict
+                                          footprints tight; a serial reference
+                                          for a sharded run needs an explicit
+                                          --eager-budget 1), --waves adds a
+                                          wave-occupancy report line.
                                           --checkpoint writes a warm-restart
                                           snapshot after the run (and, with
                                           --checkpoint-every N, atomically
@@ -618,11 +621,17 @@ fn cmd_dynamic(args: &[String]) -> Result<String, CliError> {
         return Err(err("--waves is a simulator report; drop it with --net"));
     }
     let run = Run::parse(&f, &g)?;
-    // Both modes run the same engine config, so a serial run stays the
-    // reference for a sharded run under identical flags. 0 = the serial
-    // default (the full walk budget).
+    // Each mode starts from its library default: the serial engine's
+    // full eager walk budget, the sharded engine's budget 1 (tight
+    // footprints, see `ShardedConfig::for_eps`). `--eager-budget B`
+    // overrides both, so a serial run is the reference for a sharded run
+    // only under an explicit, shared `--eager-budget`. 0 = the default.
     let eager_budget: usize = f.get("eager-budget", 0)?;
-    let mut cfg = DynamicConfig::for_eps(eps);
+    let mut cfg = if sharded {
+        ShardedConfig::for_eps(eps, shards).dynamic
+    } else {
+        DynamicConfig::for_eps(eps)
+    };
     if eager_budget > 0 {
         cfg.eager_walk_budget = eager_budget;
     }
@@ -1404,8 +1413,10 @@ mod tests {
             "gen forests --nl 120 --nr 90 --k 3 --cap 2 --seed 8 --out {file}"
         )))
         .unwrap();
+        // One eager budget on both sides: the equivalence is per-config.
         let sharded = run(&args(&format!(
-            "dynamic {file} --epochs 2 --events 40 --eps 0.25 --seed 5 --shards 4"
+            "dynamic {file} --epochs 2 --events 40 --eps 0.25 --seed 5 --shards 4 \
+             --eager-budget 1"
         )))
         .unwrap();
         assert!(sharded.contains("sharded serving"), "{sharded}");
@@ -1413,7 +1424,8 @@ mod tests {
         assert!(sharded.contains("4 machines"), "{sharded}");
         // The maintained allocation must be the serial engine's, verbatim.
         let serial = run(&args(&format!(
-            "dynamic {file} --epochs 2 --events 40 --eps 0.25 --seed 5 --no-full"
+            "dynamic {file} --epochs 2 --events 40 --eps 0.25 --seed 5 --no-full \
+             --eager-budget 1"
         )))
         .unwrap();
         let matched = |report: &str| {
@@ -1424,6 +1436,26 @@ mod tests {
                 .to_string()
         };
         assert_eq!(matched(&sharded), matched(&serial));
+        let _ = std::fs::remove_file(&file);
+    }
+
+    /// `--shards` without `--eager-budget` runs the library's sharded
+    /// default (eager budget 1), whose tight footprints keep this cap-1
+    /// forest inside the space budget; `--eager-budget` still overrides,
+    /// and the serial default's full budget (k = 4 at ε 0.25) leaves it.
+    #[test]
+    fn dynamic_sharded_defaults_to_the_sharded_eager_budget() {
+        let file = temp("dynshdef.txt");
+        run(&args(&format!(
+            "gen forests --nl 120 --nr 90 --k 3 --cap 1 --seed 8 --out {file}"
+        )))
+        .unwrap();
+        let base = format!("dynamic {file} --epochs 2 --events 100 --eps 0.25 --seed 5 --no-full");
+        let report = run(&args(&format!("{base} --shards 2"))).unwrap();
+        assert!(report.contains("eager budget 1)"), "{report}");
+        assert!(report.contains("maintained matched"), "{report}");
+        let e = run(&args(&format!("{base} --shards 2 --eager-budget 4"))).unwrap_err();
+        assert!(e.0.contains("exceeding S"), "{e}");
         let _ = std::fs::remove_file(&file);
     }
 
@@ -1457,8 +1489,20 @@ mod tests {
         )))
         .unwrap();
         let summary = run(&args(&format!("report {net_trace}"))).unwrap();
-        assert!(summary.contains("net_route"), "{summary}");
+        for phase in ["net_init", "net_route", "net_commit", "net_census"] {
+            assert!(summary.contains(phase), "{summary}");
+        }
         assert!(summary.contains("wire bytes per peer"), "{summary}");
+
+        // Peer-to-peer: the repair waves' spoke traffic is its own phase.
+        let p2p_trace = temp("dyntr-p2p.jsonl");
+        run(&args(&format!(
+            "dynamic {file} --epochs 1 --events 40 --eps 0.25 --seed 5 --shards 2 --net \
+             --p2p --trace {p2p_trace}"
+        )))
+        .unwrap();
+        let summary = run(&args(&format!("report {p2p_trace}"))).unwrap();
+        assert!(summary.contains("net_wave"), "{summary}");
 
         // Serial: the epoch-close phases are spanned by the inner engine.
         let serial_trace = temp("dyntr-serial.jsonl");
@@ -1479,7 +1523,7 @@ mod tests {
         std::fs::write(&trace, &bytes).unwrap();
         assert!(run(&args(&format!("report {trace}"))).is_err());
 
-        for f in [&file, &trace, &net_trace, &serial_trace] {
+        for f in [&file, &trace, &net_trace, &p2p_trace, &serial_trace] {
             let _ = std::fs::remove_file(f);
         }
     }
@@ -1494,7 +1538,7 @@ mod tests {
         let net_assign = temp("dynnet-net.txt");
         let net = run(&args(&format!(
             "dynamic {file} --epochs 2 --events 40 --eps 0.25 --seed 5 --shards 3 --net \
-             --assign {net_assign}"
+             --eager-budget 1 --assign {net_assign}"
         )))
         .unwrap();
         assert!(net.contains("networked serving"), "{net}");
@@ -1505,7 +1549,7 @@ mod tests {
         let serial_assign = temp("dynnet-serial.txt");
         run(&args(&format!(
             "dynamic {file} --epochs 2 --events 40 --eps 0.25 --seed 5 --no-full \
-             --assign {serial_assign}"
+             --eager-budget 1 --assign {serial_assign}"
         )))
         .unwrap();
         assert_eq!(
@@ -1519,7 +1563,7 @@ mod tests {
         let p2p_assign = temp("dynnet-p2p.txt");
         let p2p = run(&args(&format!(
             "dynamic {file} --epochs 2 --events 40 --eps 0.25 --seed 5 --shards 3 --net \
-             --p2p --assign {p2p_assign}"
+             --p2p --eager-budget 1 --assign {p2p_assign}"
         )))
         .unwrap();
         assert!(p2p.contains("p2p repair waves"), "{p2p}");
@@ -1834,7 +1878,10 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             assert!(serve.checkpoint(dir.as_ref(), Some(w)).is_err());
             let _ = std::fs::remove_dir(&dir);
-            let _ = std::fs::remove_file(format!("{dir}.tmp"));
+            assert!(
+                !std::path::Path::new(&format!("{dir}.tmp")).exists(),
+                "a failed rename leaves no temp file"
+            );
         });
     }
 
