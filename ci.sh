@@ -363,6 +363,16 @@ proptest_p2p() {
         p2p_epochs_with_cross_shard_walks_stay_serial_identical
 }
 
+proptest_ball_growth() {
+    # The properties that pin the one right-ball growth: the footprint
+    # schedule (conflict-free waves ≡ serial), the level repair ball
+    # (repair ≡ scratch) and the unit tests of both modules.
+    cargo test --release -q --test properties \
+        wave_schedules_are_conflict_free_and_serial_equivalent
+    cargo test --release -q --test properties dynamic_repair_matches_scratch
+    cargo test --release -q -p sparse-alloc-dynamic --lib -- batch::tests repair::tests
+}
+
 proptest_compact_fractional() {
     cargo test --release -q -p sparse-alloc-graph --lib delta::tests::compact_matches_builder
     cargo test --release -q --test properties fractional_equals_scratch_under_updates
@@ -413,6 +423,7 @@ if [ "${1:-}" != "fast" ]; then
     run "sharded ≡ serial proptest under --release (conflict-free waves)" proptest_sharded
     run "networked ≡ serial proptests under --release (loopback + TCP transports)" proptest_net
     run "p2p ≡ serial proptests under --release (worker↔worker walk handoffs)" proptest_p2p
+    run "ball-growth proptests under --release (wave schedules ≡ serial, repair ≡ scratch)" proptest_ball_growth
     run "compact ≡ builder and fractional ≡ scratch proptests under --release" proptest_compact_fractional
     run "long soak under --release (certificate, k/(k+1)·OPT, churn budget, fractional bound, restores)" soak_long
     run "transport fault-injection harness under --release (star spokes + p2p peer links)" transport_harness

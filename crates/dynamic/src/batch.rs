@@ -17,12 +17,15 @@
 //! `G⁺` itself is an [`InsertOverlay`] — a thin view staging the batch's
 //! arrivals and inserts over the live [`DeltaGraph`] — so scheduling a
 //! batch costs `O(n)` index arrays plus the footprint work, not an
-//! `O(n + m)` graph clone. Footprint membership uses an epoch-stamped
-//! set ([`StampSet`]): no hashing on the per-edge path, `O(1)` clear
-//! between updates. Footprints themselves live in one flat arena on the
-//! returned [`BatchSchedule`] (see [`BatchSchedule::footprint`]), not in
-//! a `Vec` per plan — scheduling a batch performs `O(1)` heap
-//! allocations, independent of the batch size.
+//! `O(n + m)` graph clone. Footprints grow through the serving core's
+//! one right-ball routine (`repair::grow_ball`, shared with the level
+//! repair and the certificate sweep), whose membership is an
+//! epoch-stamped set ([`StampSet`](crate::stamp::StampSet)): no hashing
+//! on the per-edge path, `O(1)` clear between updates. Footprints
+//! themselves live in one flat arena on the returned [`BatchSchedule`]
+//! (see [`BatchSchedule::footprint`]), not in a `Vec` per plan —
+//! scheduling a batch performs `O(1)` heap allocations, independent of
+//! the batch size.
 //!
 //! # Wave assignment: first-fit on the conflict floor
 //!
@@ -138,8 +141,8 @@
 use sparse_alloc_graph::{DeltaGraph, InsertOverlay, RightId};
 use sparse_alloc_mpc::{MpcError, ShardMap};
 
+use crate::repair::{ball_of_capped_into, BallScratch};
 use crate::serve::DynamicConfig;
-use crate::stamp::StampSet;
 use crate::update::Update;
 
 /// The footprint-size cap every engine schedules with: larger balls are
@@ -269,7 +272,7 @@ fn seeds_of(
             referenced = Some(u);
         }
         if (u as usize) < gplus.n_left() {
-            into.extend(gplus.left_neighbors_iter(u));
+            gplus.for_each_left_neighbor(u, |v| into.push(v));
         }
     };
     match up {
@@ -296,75 +299,6 @@ fn seeds_of(
     deep.retain(|&v| (v as usize) < n_right);
     shallow.retain(|&v| (v as usize) < n_right);
     referenced
-}
-
-/// Grow the right-vertex ball around `seeds` on the union graph, hop by
-/// hop until `radius` is exhausted or the ball holds `max_ball` vertices
-/// (seeds always included), **appending** the (unsorted) ball to `arena`.
-/// Mirrors [`crate::repair::ball_of_capped`], with stamped membership
-/// (`in_ball` is cleared on entry) and caller-owned frontier scratch
-/// instead of fresh allocations per call. Returns the hop count that last
-/// grew the ball — the radius this footprint actually needed.
-#[allow(clippy::too_many_arguments)]
-fn ball_on_gplus(
-    gplus: &InsertOverlay<'_>,
-    seeds: &[RightId],
-    radius: usize,
-    max_ball: usize,
-    in_ball: &mut StampSet,
-    seen_left: &mut StampSet,
-    arena: &mut Vec<RightId>,
-    frontier: &mut Vec<RightId>,
-    next: &mut Vec<RightId>,
-) -> usize {
-    in_ball.clear();
-    seen_left.clear();
-    let start = arena.len();
-    frontier.clear();
-    for &v in seeds {
-        if in_ball.insert(v as usize) {
-            arena.push(v);
-            frontier.push(v);
-        }
-    }
-    let mut depth = 0usize;
-    'grow: for hop in 0..radius {
-        if arena.len() - start >= max_ball {
-            break;
-        }
-        next.clear();
-        for &v in frontier.iter() {
-            gplus.for_each_right_neighbor(v, |u| {
-                // A left's rights all joined the ball the first time it
-                // was scanned: later scans cannot add anything.
-                if !seen_left.insert(u as usize) {
-                    return;
-                }
-                gplus.for_each_left_neighbor(u, |w| {
-                    if in_ball.insert(w as usize) {
-                        arena.push(w);
-                        next.push(w);
-                        depth = hop + 1;
-                    }
-                });
-            });
-            // The closures cannot break out of the hop, so the cap is
-            // enforced between frontier vertices: the segment may
-            // overshoot `max_ball` by one vertex's two-hop expansion.
-            // Sound, because the capped verdict (`len ≥ cap`) is
-            // traversal-order independent, capped footprints escalate to
-            // global plans whose content is diagnostics-only, and
-            // non-capped balls still enumerate exactly.
-            if arena.len() - start >= max_ball {
-                break 'grow;
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        std::mem::swap(frontier, next);
-    }
-    depth
 }
 
 /// Routing destination of one update (`index` is its batch position, for
@@ -410,12 +344,9 @@ fn grow_footprints(
     radius: usize,
     cap: usize,
 ) -> Footprints {
-    let mut in_ball = StampSet::new(gplus.n_right());
-    let mut seen_left = StampSet::new(gplus.n_left());
+    let mut ball = BallScratch::default();
     let mut deep: Vec<RightId> = Vec::new();
     let mut shallow: Vec<RightId> = Vec::new();
-    let mut frontier: Vec<RightId> = Vec::new();
-    let mut next: Vec<RightId> = Vec::new();
     let mut out = Footprints {
         arena: Vec::new(),
         lens: Vec::with_capacity(updates.len()),
@@ -430,41 +361,29 @@ fn grow_footprints(
         // merge; truncation can therefore only make the union *larger*
         // than the cap, never hide a global escalation.
         let start = out.arena.len();
-        let mut depth = ball_on_gplus(
-            gplus,
-            &deep,
-            radius,
-            cap,
-            &mut in_ball,
-            &mut seen_left,
-            &mut out.arena,
-            &mut frontier,
-            &mut next,
-        );
+        let mut depth = ball_of_capped_into(gplus, &deep, radius, cap, &mut ball, &mut out.arena);
         if out.arena.len() - start < cap {
             if radius <= 1 {
                 // The shallow tier's radius is 0: no expansion, the tier
                 // is its seed set. Growing it inside the deep ball's
-                // membership (no clear) keeps the segment duplicate-free,
+                // membership (no clear; an uncapped growth leaves exactly
+                // its ball there) keeps the segment duplicate-free,
                 // so the sort + dedup below is skipped entirely — the
                 // scheduler's common case (the sharded default runs at
                 // eager radius 1).
                 for &v in shallow.iter() {
-                    if in_ball.insert(v as usize) {
+                    if ball.rights.insert(v as usize) {
                         out.arena.push(v);
                     }
                 }
             } else {
-                let shallow_depth = ball_on_gplus(
+                let shallow_depth = ball_of_capped_into(
                     gplus,
                     &shallow,
                     radius - 1,
                     cap,
-                    &mut in_ball,
-                    &mut seen_left,
+                    &mut ball,
                     &mut out.arena,
-                    &mut frontier,
-                    &mut next,
                 );
                 depth = depth.max(shallow_depth);
             }
@@ -979,6 +898,10 @@ mod tests {
         let s = schedule(&dg, &updates, &cfg_k(2), &map, 3).unwrap();
         assert_eq!(s.escalations, 3, "all balls hit the cap");
         assert!(s.plans.iter().all(|p| p.global));
+        assert!(
+            s.plans.iter().all(|p| p.footprint_len == 3),
+            "a capped footprint stops exactly at the cap"
+        );
         assert_eq!(s.waves, 3, "global updates get singleton waves");
         assert_eq!(s.widths, vec![1, 1, 1]);
         check_schedule_sound(&dg, &updates, &cfg_k(2), 3, &s);

@@ -336,6 +336,8 @@ pub struct NetStats {
     pub census_bytes: u64,
     /// Both-direction bytes of initial state scattering.
     pub init_bytes: u64,
+    /// Both-direction bytes of allocation gathers ([`Phase::NetGather`]).
+    pub gather_bytes: u64,
     /// Transient faults retried in place (receive timeouts).
     pub retries: u64,
     /// Workers respawned after non-transient faults.
@@ -1965,6 +1967,7 @@ impl NetServeLoop {
             Phase::NetRecover => self.stats.replayed_bytes += total,
             Phase::NetWave => self.stats.wave_bytes += total,
             Phase::NetInit => self.stats.init_bytes += total,
+            Phase::NetGather => self.stats.gather_bytes += total,
             other => unreachable!("{other:?} is not a wire phase"),
         }
         let (fs, fr) = self.mesh.frames_moved();
@@ -2944,6 +2947,7 @@ impl NetServeLoop {
     /// a retry after recovery is trivially safe.
     fn gather_once(&mut self) -> Result<Assignment, NetError> {
         let epoch = self.epoch();
+        let open = self.open_wire(Phase::NetGather, epoch);
         let p = self.mesh.workers();
         let map = *self.inner.shard_map();
         let n_left = self.synced_mate.len();
@@ -2982,6 +2986,7 @@ impl NetServeLoop {
                 detail: format!("left {u} was gathered by no worker"),
             });
         }
+        self.close_wire(open);
         Ok(Assignment { mate })
     }
 

@@ -27,20 +27,23 @@
 //! simulate the dynamics over plain slices, touching the [`DeltaGraph`]
 //! only for capacities.
 
+use std::ops::ControlFlow;
+
 use sparse_alloc_core::aggregates::{alloc_share, left_aggregate_of, LeftAggregate};
 use sparse_alloc_core::levels::{update_level, PowTable};
-use sparse_alloc_graph::{DeltaGraph, LeftId, RightId};
+use sparse_alloc_graph::{DeltaGraph, InsertOverlay, LeftId, RightId};
 
 use crate::stamp::StampSet;
 
-/// Reusable scratch for repeated ball growths — stamped membership plus
-/// the BFS frontier vectors (the certificate sweep grows a ball per
-/// augmenting flip; stamped clears keep that `O(ball)` instead of `O(n)`
-/// per call, and the frontier reuse keeps it allocation-free). Grows on
-/// demand with the graph.
+/// Reusable scratch of [`grow_ball`] — stamped membership plus the BFS
+/// frontier vectors (the certificate sweep grows a ball per augmenting
+/// flip; stamped clears keep that `O(ball)` instead of `O(n)` per call,
+/// and the frontier reuse keeps it allocation-free). Grows on demand
+/// with the graph.
 #[derive(Debug, Clone, Default)]
-pub struct BallScratch {
-    rights: StampSet,
+pub(crate) struct BallScratch {
+    /// The last growth's ball membership.
+    pub(crate) rights: StampSet,
     lefts: StampSet,
     frontier: Vec<RightId>,
     next: Vec<RightId>,
@@ -104,41 +107,66 @@ pub struct LevelRepairReport {
     pub rounds_run: usize,
 }
 
-/// The right-vertex ball around `seeds`, expanded hop by hop until the
-/// radius is exhausted or the ball holds `max_ball` vertices (seeds are
-/// always included). Sorted. Allocates fresh scratch; repeated growths
-/// go through [`ball_of_capped_into`].
-pub fn ball_of_capped(
-    dg: &DeltaGraph,
-    seeds: &[RightId],
-    radius: usize,
-    max_ball: usize,
-) -> Vec<RightId> {
-    let (mut scratch, mut ball) = (BallScratch::default(), Vec::with_capacity(seeds.len()));
-    ball_of_capped_into(dg, seeds, radius, max_ball, &mut scratch, &mut ball);
-    ball
+/// The adjacency a right-ball growth reads: visitor scans of both sides
+/// and the vertex counts. The live [`DeltaGraph`] implements it for the
+/// level repair and the certificate sweep, the batch's union-graph view
+/// ([`InsertOverlay`]) for the conflict scheduler's footprints.
+pub(crate) trait BallGraph {
+    fn n_left(&self) -> usize;
+    fn n_right(&self) -> usize;
+    fn for_each_left_neighbor(&self, u: LeftId, f: impl FnMut(RightId));
+    fn for_each_right_neighbor(&self, v: RightId, f: impl FnMut(LeftId));
 }
 
-/// [`ball_of_capped`] with caller-owned scratch, writing into a
-/// caller-owned output vector (cleared on entry) — the hot path. The
-/// serve loop grows balls every epoch, so it must not hash, and repeated
-/// calls (one per sweep flip) must not re-zero dense arrays: the stamped
-/// membership clears in `O(1)` and the frontier reuse keeps the growth
-/// allocation-free. Each left vertex's adjacency is scanned at most once
-/// across the whole growth (its rights' membership never changes once
-/// seen), so a growth that touches the whole graph costs `O(n + m)`
-/// instead of `O(m · deg)`.
-pub fn ball_of_capped_into(
-    dg: &DeltaGraph,
-    seeds: &[RightId],
+/// Forward [`BallGraph`] to the inherent methods of the same names.
+macro_rules! ball_graph {
+    ($($t:ty),*) => {$(
+        impl BallGraph for $t {
+            fn n_left(&self) -> usize {
+                <$t>::n_left(self)
+            }
+            fn n_right(&self) -> usize {
+                <$t>::n_right(self)
+            }
+            fn for_each_left_neighbor(&self, u: LeftId, f: impl FnMut(RightId)) {
+                <$t>::for_each_left_neighbor(self, u, f)
+            }
+            fn for_each_right_neighbor(&self, v: RightId, f: impl FnMut(LeftId)) {
+                <$t>::for_each_right_neighbor(self, v, f)
+            }
+        }
+    )*};
+}
+ball_graph!(DeltaGraph, InsertOverlay<'_>);
+
+/// The one right-ball growth: every right ball the serving core needs
+/// (level repair, sweep region and probes, schedule footprints) is this
+/// loop with a different `reach`.
+///
+/// Visits the in-range `seeds` as hop 0, then grows hop by hop up to
+/// `radius` right-to-right hops (right → left → right = 1): frontier
+/// order, each frontier right's unseen lefts, each such left's row.
+/// Every right reached for the first time goes to `reach` with its hop,
+/// in that order; a `Break` ends the growth, and `reach` sees no further
+/// right. The visitors cannot break out of a row, so the rights reached
+/// through one frontier right's lefts are handed over once its scan is
+/// done, which also keeps the per-edge closures small enough to inline.
+/// Membership is stamped in `scratch`, left there for the caller to
+/// read; after a `Break` it may hold rights that were reached but never
+/// handed over. Each left's row is scanned at most once across the
+/// growth — its rights all join the first time — so a growth that
+/// touches the whole graph costs `O(n + m)`, not `O(m · deg)`. The
+/// stamped clears and the frontier reuse keep repeated growths hash-
+/// and allocation-free.
+fn grow_ball<G: BallGraph + ?Sized>(
+    g: &G,
+    seeds: impl IntoIterator<Item = RightId>,
     radius: usize,
-    max_ball: usize,
     scratch: &mut BallScratch,
-    out: &mut Vec<RightId>,
+    mut reach: impl FnMut(RightId, usize) -> ControlFlow<()>,
 ) {
-    out.clear();
-    scratch.rights.grow(dg.n_right());
-    scratch.lefts.grow(dg.n_left());
+    scratch.rights.grow(g.n_right());
+    scratch.lefts.grow(g.n_left());
     scratch.rights.clear();
     scratch.lefts.clear();
     let BallScratch {
@@ -148,30 +176,30 @@ pub fn ball_of_capped_into(
         next,
     } = scratch;
     frontier.clear();
-    for &v in seeds {
-        if (v as usize) < dg.n_right() && in_ball.insert(v as usize) {
-            out.push(v);
+    for v in seeds {
+        if (v as usize) < g.n_right() && in_ball.insert(v as usize) {
+            if reach(v, 0).is_break() {
+                return;
+            }
             frontier.push(v);
         }
     }
-    'grow: for _ in 0..radius {
-        if out.len() >= max_ball {
-            break;
-        }
+    for hop in 1..=radius {
         next.clear();
         for &v in frontier.iter() {
-            for u in dg.right_neighbors_iter(v) {
-                if !seen_left.insert(u as usize) {
-                    continue;
-                }
-                for w in dg.left_neighbors_iter(u) {
-                    if in_ball.insert(w as usize) {
-                        out.push(w);
-                        next.push(w);
-                        if out.len() >= max_ball {
-                            break 'grow;
+            let reached = next.len();
+            g.for_each_right_neighbor(v, |u| {
+                if seen_left.insert(u as usize) {
+                    g.for_each_left_neighbor(u, |w| {
+                        if in_ball.insert(w as usize) {
+                            next.push(w);
                         }
-                    }
+                    });
+                }
+            });
+            for &w in &next[reached..] {
+                if reach(w, hop).is_break() {
+                    return;
                 }
             }
         }
@@ -180,14 +208,47 @@ pub fn ball_of_capped_into(
         }
         std::mem::swap(frontier, next);
     }
-    out.sort_unstable();
+}
+
+/// Append to `out` the right ball around `seeds`, in BFS order, grown
+/// until the radius is exhausted or the appended segment holds
+/// `max_ball` rights (seeds are always included, even past the cap; a
+/// binding cap keeps exactly the first `max_ball` rights). Returns the
+/// last hop that grew the ball. The serve loop clears `out` first and
+/// sorts it after; the scheduler appends footprint segments to its
+/// arena.
+pub(crate) fn ball_of_capped_into<G: BallGraph + ?Sized>(
+    g: &G,
+    seeds: &[RightId],
+    radius: usize,
+    max_ball: usize,
+    scratch: &mut BallScratch,
+    out: &mut Vec<RightId>,
+) -> usize {
+    let start = out.len();
+    let mut depth = 0;
+    grow_ball(g, seeds.iter().copied(), radius, scratch, |w, hop| {
+        // Seeds always join; past them, stop as the segment fills.
+        let full = |len: usize| hop > 0 && len - start >= max_ball;
+        if full(out.len()) {
+            return ControlFlow::Break(());
+        }
+        out.push(w);
+        depth = hop;
+        if full(out.len()) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    depth
 }
 
 /// Does the radius-`radius` right ball around `N(u)` hold a member of
-/// `targets`? The same BFS as [`ball_of_capped_into`] seeded with `u`'s
-/// neighbourhood (uncapped), stopped at the first target it reaches.
-/// Every right the probe adds to its ball costs one unit of `budget`;
-/// `None` means the budget ran out before the probe could decide.
+/// `targets`? The uncapped growth seeded with `u`'s neighbourhood,
+/// stopped at the first target it reaches. Every right the probe adds
+/// to its ball costs one unit of `budget`; `None` means the budget ran
+/// out before the probe could decide.
 pub(crate) fn probe_reaches(
     dg: &DeltaGraph,
     u: LeftId,
@@ -196,51 +257,20 @@ pub(crate) fn probe_reaches(
     scratch: &mut BallScratch,
     budget: &mut usize,
 ) -> Option<bool> {
-    scratch.rights.grow(dg.n_right());
-    scratch.lefts.grow(dg.n_left());
-    scratch.rights.clear();
-    scratch.lefts.clear();
-    let BallScratch {
-        rights: in_ball,
-        lefts: seen_left,
-        frontier,
-        next,
-    } = scratch;
-    frontier.clear();
-    seen_left.insert(u as usize);
-    for w in dg.left_neighbors_iter(u) {
-        if in_ball.insert(w as usize) {
-            *budget = budget.checked_sub(1)?;
-            if targets.contains(w as usize) {
-                return Some(true);
-            }
-            frontier.push(w);
+    let mut verdict = Some(false);
+    grow_ball(dg, dg.left_neighbors_iter(u), radius, scratch, |w, _| {
+        let Some(rest) = budget.checked_sub(1) else {
+            verdict = None;
+            return ControlFlow::Break(());
+        };
+        *budget = rest;
+        if targets.contains(w as usize) {
+            verdict = Some(true);
+            return ControlFlow::Break(());
         }
-    }
-    for _ in 0..radius {
-        next.clear();
-        for &v in frontier.iter() {
-            for x in dg.right_neighbors_iter(v) {
-                if !seen_left.insert(x as usize) {
-                    continue;
-                }
-                for w in dg.left_neighbors_iter(x) {
-                    if in_ball.insert(w as usize) {
-                        *budget = budget.checked_sub(1)?;
-                        if targets.contains(w as usize) {
-                            return Some(true);
-                        }
-                        next.push(w);
-                    }
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        std::mem::swap(frontier, next);
-    }
-    Some(false)
+        ControlFlow::Continue(())
+    });
+    verdict
 }
 
 /// Re-run the proportional level dynamics on the ball around `seeds`,
@@ -281,7 +311,9 @@ impl LevelScratch {
             left_rows,
             ..
         } = self;
+        ball.clear();
         ball_of_capped_into(dg, seeds, cfg.radius, cfg.max_ball, ball_scratch, ball);
+        ball.sort_unstable();
         frontier.clear();
         right_offsets.clear();
         right_rows.clear();
@@ -387,6 +419,27 @@ impl LevelScratch {
     }
 }
 
+/// [`ball_of_capped_into`] into a fresh, sorted vector.
+#[cfg(test)]
+pub(crate) fn ball_of_capped<G: BallGraph + ?Sized>(
+    g: &G,
+    seeds: &[RightId],
+    radius: usize,
+    max_ball: usize,
+) -> Vec<RightId> {
+    let mut ball = Vec::with_capacity(seeds.len());
+    ball_of_capped_into(
+        g,
+        seeds,
+        radius,
+        max_ball,
+        &mut BallScratch::default(),
+        &mut ball,
+    );
+    ball.sort_unstable();
+    ball
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,6 +468,33 @@ mod tests {
         assert_eq!(ball_of_capped(&dg, &[0], 1, usize::MAX), vec![0, 1]);
         assert_eq!(ball_of_capped(&dg, &[0], 2, usize::MAX), vec![0, 1, 2]);
         assert_eq!(ball_of_capped(&dg, &[0], 9, usize::MAX), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_binding_cap_keeps_the_first_rights_in_bfs_order() {
+        // u0 ~ {v0}, u1 ~ {v0, v6}; the batch gives u0 five more rights,
+        // so u0's row alone carries the ball from v0 past a cap of 3.
+        let mut b = BipartiteBuilder::new(2, 7);
+        for (u, v) in [(0u32, 0u32), (1, 0), (1, 6)] {
+            b.add_edge(u, v);
+        }
+        let dg = DeltaGraph::new(b.build_with_uniform_capacity(1).unwrap());
+        let mut live = dg.clone();
+        let mut gplus = dg.insert_overlay();
+        for v in 1..=5 {
+            assert!(live.insert_edge(0, v));
+            assert!(gplus.insert(0, v));
+        }
+        // BFS order: the seed v0, then u0's row v1, v2, … before u1's v6.
+        assert_eq!(ball_of_capped(&live, &[0], 1, 3), [0, 1, 2]);
+        assert_eq!(ball_of_capped(&gplus, &[0], 1, 3), [0, 1, 2]);
+        assert_eq!(
+            ball_of_capped(&gplus, &[0], 1, usize::MAX),
+            [0, 1, 2, 3, 4, 5, 6]
+        );
+        // Seeds join even past the cap; nothing else does.
+        assert_eq!(ball_of_capped(&live, &[6, 0, 5], 1, 2), [0, 5, 6]);
+        assert_eq!(ball_of_capped(&gplus, &[6, 0, 5], 1, 2), [0, 5, 6]);
     }
 
     #[test]

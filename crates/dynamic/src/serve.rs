@@ -306,7 +306,9 @@ impl SweepScratch {
     /// its free neighbours not yet candidates are appended to the
     /// worklist (in ball order).
     fn absorb_ball(&mut self, dg: &DeltaGraph, matching: &Matching, seeds: &[RightId], k: usize) {
+        self.ball_out.clear();
         ball_of_capped_into(dg, seeds, k, usize::MAX, &mut self.ball, &mut self.ball_out);
+        self.ball_out.sort_unstable();
         for &v in &self.ball_out {
             if self.region.insert(v as usize) {
                 for u in dg.right_neighbors_iter(v) {

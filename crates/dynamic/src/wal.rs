@@ -51,6 +51,7 @@ use sparse_alloc_graph::io::{
     encode_frame, read_frame, ByteReader, ByteWriter, FrameError, FrameHeader, IoError,
     FRAME_HEADER_LEN,
 };
+use sparse_alloc_graph::DeltaGraph;
 
 use crate::engine::Engine;
 use crate::update::{put_update, take_update, Update};
@@ -467,7 +468,10 @@ pub struct ReplayStats {
 /// [`WalRecord::EpochEnd`] that *is* replayed verifies the resulting
 /// matching size against the logged one; either way the tail does not
 /// belong to this base, a typed [`WalError::Replay`] raised before the
-/// record touches the engine.
+/// record touches the engine. So is a batch naming a left at or past the
+/// live left count (the batch's earlier arrivals included), a right at
+/// or past `n_right`, or a zero capacity: the checksum catches accidents,
+/// not a rewritten record, and the engine would panic on it.
 /// Replay drives the bare verbs, never [`Engine::run_epoch`], so the
 /// replayed records are not logged a second time.
 pub fn replay<E: Engine>(engine: &mut E, records: &[WalRecord]) -> Result<ReplayStats, WalError> {
@@ -488,6 +492,7 @@ pub fn replay<E: Engine>(engine: &mut E, records: &[WalRecord]) -> Result<Replay
         }
         match rec {
             WalRecord::Batch { updates, .. } => {
+                check_batch(engine.serial().graph(), updates)?;
                 engine.apply_batch(updates).map_err(|e| WalError::Replay {
                     detail: format!("batch re-application failed: {e}"),
                 })?;
@@ -505,6 +510,34 @@ pub fn replay<E: Engine>(engine: &mut E, records: &[WalRecord]) -> Result<Replay
         }
     }
     Ok(stats)
+}
+
+/// Refuse a logged batch the engine would panic on (see [`replay`]). A
+/// delete naming an absent edge stays a no-op, as it was when logged.
+fn check_batch(dg: &DeltaGraph, updates: &[Update]) -> Result<(), WalError> {
+    let n_right = dg.n_right();
+    let mut n_left = dg.n_left();
+    for (i, up) in updates.iter().enumerate() {
+        let bad = match up {
+            Update::Arrive { neighbors } => {
+                n_left += 1;
+                neighbors.iter().any(|&v| v as usize >= n_right)
+            }
+            Update::Depart { u } => *u as usize >= n_left,
+            Update::InsertEdge { u, v } => *u as usize >= n_left || *v as usize >= n_right,
+            Update::DeleteEdge { .. } => false,
+            Update::SetCapacity { v, cap } => *v as usize >= n_right || *cap == 0,
+        };
+        if bad {
+            return Err(WalError::Replay {
+                detail: format!(
+                    "logged update {i} ({up:?}) does not fit the restored graph \
+                     ({n_left} lefts, {n_right} rights)"
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 fn verify_match_size(got: usize, logged: u64, nth: u64) -> Result<(), WalError> {
@@ -820,6 +853,60 @@ mod tests {
             (recovered.assignment().mate, recovered.stats().clone()),
             before,
             "a refused tail leaves the engine untouched"
+        );
+    }
+
+    /// A checksum-valid log whose one batch is an arrival, the arrival's
+    /// departure, then `bad`: replay refuses it with a typed error naming
+    /// update 2, before the engine moves.
+    fn assert_refused(bad: Update, what: &str) {
+        let g = union_of_spanning_trees(40, 30, 2, 2, 5).graph;
+        let n_left = g.n_left() as u32;
+        let mut engine = ServeLoop::new(g, DynamicConfig::for_eps(0.25));
+        let mut w = WalWriter::new(Vec::new());
+        let batch = vec![
+            Update::Arrive {
+                neighbors: vec![0, 1],
+            },
+            Update::Depart { u: n_left },
+            bad,
+        ];
+        w.append_batch(0, &batch).unwrap();
+        w.append_epoch_end(0, 0).unwrap();
+        let log = read_wal(&mut &w.into_inner()[..]).unwrap();
+        let before = (engine.assignment().mate, engine.stats().clone());
+        let n = (engine.graph().n_left(), engine.graph().m());
+        match replay(&mut engine, &log.records) {
+            Err(WalError::Replay { detail }) => {
+                assert!(detail.contains("update 2"), "{what}: {detail}")
+            }
+            other => panic!("{what}: expected Replay, got {other:?}"),
+        }
+        assert_eq!(
+            (engine.assignment().mate, engine.stats().clone()),
+            before,
+            "{what}: a refused batch leaves the engine untouched"
+        );
+        assert_eq!((engine.graph().n_left(), engine.graph().m()), n, "{what}");
+    }
+
+    #[test]
+    fn a_logged_zero_capacity_is_a_typed_replay_error() {
+        assert_refused(Update::SetCapacity { v: 3, cap: 0 }, "cap 0");
+        assert_refused(Update::SetCapacity { v: 30, cap: 1 }, "right 30");
+    }
+
+    #[test]
+    fn a_logged_left_past_the_live_count_is_a_typed_replay_error() {
+        // The batch's own arrival took id 40, so 41 is the first unknown.
+        assert_refused(Update::Depart { u: 41 }, "depart 41");
+        assert_refused(Update::InsertEdge { u: 41, v: 0 }, "insert 41");
+        assert_refused(Update::InsertEdge { u: 0, v: 30 }, "insert right 30");
+        assert_refused(
+            Update::Arrive {
+                neighbors: vec![30],
+            },
+            "arrive at right 30",
         );
     }
 

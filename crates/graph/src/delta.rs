@@ -872,42 +872,11 @@ impl<'a> InsertOverlay<'a> {
         false
     }
 
-    /// Union-graph neighbors of left vertex `u` (live edges, then staged).
-    pub fn left_neighbors_iter(&self, u: LeftId) -> impl Iterator<Item = RightId> + '_ {
-        let (live, head, extra): (bool, u32, &[RightId]) = if (u as usize) < self.base_n_left {
-            (true, self.left_head[u as usize], &[])
-        } else {
-            (
-                false,
-                NO_LINK,
-                self.extra[u as usize - self.base_n_left].as_slice(),
-            )
-        };
-        let base = live
-            .then(|| self.dg.left_neighbors_iter(u))
-            .into_iter()
-            .flatten();
-        base.chain(LinkIter {
-            links: &self.left_links,
-            at: head,
-        })
-        .chain(extra.iter().copied())
-    }
-
-    /// Union-graph neighbors of right vertex `v` (live edges, then staged).
-    pub fn right_neighbors_iter(&self, v: RightId) -> impl Iterator<Item = LeftId> + '_ {
-        self.dg.right_neighbors_iter(v).chain(LinkIter {
-            links: &self.right_links,
-            at: self.right_head[v as usize],
-        })
-    }
-
-    /// Visit every union-graph neighbor of left vertex `u` — the
-    /// closure-based mirror of [`InsertOverlay::left_neighbors_iter`],
-    /// same edges in the same order. The scheduler's ball growth calls
-    /// this once per scanned vertex; the visitor form skips the chained
-    /// iterator state machine and runs the base slice, the link chain,
-    /// and the arrival slice as three plain loops.
+    /// Visit every union-graph neighbor of left vertex `u`: its live
+    /// edges, then its staged ones in staging order. The scheduler's
+    /// ball growth calls this once per scanned vertex; the visitor form
+    /// runs the base slice, the link chain, and the arrival slice as
+    /// three plain loops.
     #[inline]
     pub fn for_each_left_neighbor(&self, u: LeftId, mut f: impl FnMut(RightId)) {
         if (u as usize) < self.base_n_left {
@@ -925,8 +894,8 @@ impl<'a> InsertOverlay<'a> {
         }
     }
 
-    /// Visit every union-graph neighbor of right vertex `v` — the
-    /// closure-based mirror of [`InsertOverlay::right_neighbors_iter`].
+    /// Visit every union-graph neighbor of right vertex `v`: its live
+    /// edges, then its staged ones in staging order.
     #[inline]
     pub fn for_each_right_neighbor(&self, v: RightId, mut f: impl FnMut(LeftId)) {
         self.dg.for_each_right_neighbor(v, &mut f);
@@ -939,31 +908,26 @@ impl<'a> InsertOverlay<'a> {
     }
 }
 
-/// Iterator over one vertex's staged-edge chain.
-struct LinkIter<'a> {
-    links: &'a [(u32, u32)],
-    at: u32,
-}
-
-impl Iterator for LinkIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if self.at == NO_LINK {
-            return None;
-        }
-        let (v, next) = self.links[self.at as usize];
-        self.at = next;
-        Some(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::BipartiteBuilder;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    /// Union-graph row of left `u`, read through the visitor.
+    fn overlay_left(ov: &InsertOverlay<'_>, u: LeftId) -> Vec<RightId> {
+        let mut row = Vec::new();
+        ov.for_each_left_neighbor(u, |v| row.push(v));
+        row
+    }
+
+    /// Union-graph row of right `v`, read through the visitor.
+    fn overlay_right(ov: &InsertOverlay<'_>, v: RightId) -> Vec<LeftId> {
+        let mut row = Vec::new();
+        ov.for_each_right_neighbor(v, |u| row.push(u));
+        row
+    }
 
     fn base() -> Bipartite {
         // L = {0,1,2}, R = {0,1}; edges (0,0) (0,1) (1,0) (2,1), caps [2, 3].
@@ -1213,14 +1177,14 @@ mod tests {
         clone.arrive(&[1, 0, 1]);
         clone.insert_edge(2, 0);
         for u in 0..g.n_left() as u32 {
-            let mut mine: Vec<u32> = g.left_neighbors_iter(u).collect();
+            let mut mine = overlay_left(&g, u);
             let mut theirs: Vec<u32> = clone.left_neighbors_iter(u).collect();
             mine.sort_unstable();
             theirs.sort_unstable();
             assert_eq!(mine, theirs, "left {u}");
         }
         for v in 0..g.n_right() as u32 {
-            let mut mine: Vec<u32> = g.right_neighbors_iter(v).collect();
+            let mut mine = overlay_right(&g, v);
             let mut theirs: Vec<u32> = clone.right_neighbors_iter(v).collect();
             mine.sort_unstable();
             theirs.sort_unstable();
@@ -1243,10 +1207,16 @@ mod tests {
         assert!(g.insert(2, 0));
         assert!(g.insert(1, 1));
         assert!(!g.insert(2, 1), "(2,1) is a live base edge");
-        let l2: Vec<u32> = g.left_neighbors_iter(2).collect();
-        assert_eq!(l2, vec![1, 0], "base edge first, staged tail after");
-        let r0: Vec<u32> = g.right_neighbors_iter(0).collect();
-        assert_eq!(r0, vec![0, 1, 2], "base scan then staged tail");
+        assert_eq!(
+            overlay_left(&g, 2),
+            [1, 0],
+            "base edge first, staged tail after"
+        );
+        assert_eq!(
+            overlay_right(&g, 0),
+            [0, 1, 2],
+            "base scan then staged tail"
+        );
     }
 
     #[test]
@@ -1403,24 +1373,19 @@ mod tests {
                 "DeltaGraph right {v}"
             );
         }
-        for u in 0..ov.n_left() as LeftId {
-            let mut seen = Vec::new();
-            ov.for_each_left_neighbor(u, |v| seen.push(v));
-            assert_eq!(
-                seen,
-                ov.left_neighbors_iter(u).collect::<Vec<_>>(),
-                "overlay left {u}"
-            );
-        }
-        for v in 0..ov.n_right() as RightId {
-            let mut seen = Vec::new();
-            ov.for_each_right_neighbor(v, |u| seen.push(u));
-            assert_eq!(
-                seen,
-                ov.right_neighbors_iter(v).collect::<Vec<_>>(),
-                "overlay right {v}"
-            );
-        }
+        // The overlay's rows: each vertex's live row, then its staged
+        // edges in staging order (the staged arrival has only its own).
+        let lefts: Vec<Vec<RightId>> = (0..ov.n_left() as LeftId)
+            .map(|u| overlay_left(&ov, u))
+            .collect();
+        assert_eq!(
+            lefts,
+            [vec![1, 0], vec![], vec![1, 0], vec![0, 1], vec![0, 1]]
+        );
+        let rights: Vec<Vec<LeftId>> = (0..ov.n_right() as RightId)
+            .map(|v| overlay_right(&ov, v))
+            .collect();
+        assert_eq!(rights, [vec![2, 3, 0, 4], vec![0, 2, 3, 4]]);
     }
 
     /// Every CSR array, every edge id and the capacities of `got` equal

@@ -723,13 +723,6 @@ impl Peer {
         &self.recorder
     }
 
-    /// Mutable flight-recorder access, so a protocol layer above the
-    /// transport can note its own events (NACK decodes, phase context)
-    /// into the same ring the post-mortem dump renders.
-    pub fn flight_mut(&mut self) -> &mut FlightRecorder {
-        &mut self.recorder
-    }
-
     fn fault_note(e: &TransportError) -> &'static str {
         match e {
             TransportError::Frame { .. } => "bad frame off the wire",

@@ -177,6 +177,9 @@ pub enum Phase {
     NetCensus,
     /// Networked initial state scatter on the wire.
     NetInit,
+    /// Networked allocation gather on the wire: every worker's mate
+    /// slice, reassembled by the coordinator.
+    NetGather,
     /// Worker recovery on the wire: respawn, state re-scatter, replay.
     NetRecover,
     /// Peer-to-peer repair wave on the wire: footprint dispatch +
@@ -188,7 +191,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in export order.
-    pub const ALL: [Phase; 18] = [
+    pub const ALL: [Phase; 19] = [
         Phase::BatchSchedule,
         Phase::RouteUpdates,
         Phase::RepairWave,
@@ -204,6 +207,7 @@ impl Phase {
         Phase::NetCommit,
         Phase::NetCensus,
         Phase::NetInit,
+        Phase::NetGather,
         Phase::NetRecover,
         Phase::NetWave,
         Phase::NetHandoff,
@@ -227,6 +231,7 @@ impl Phase {
             Phase::NetCommit => "net_commit",
             Phase::NetCensus => "net_census",
             Phase::NetInit => "net_init",
+            Phase::NetGather => "net_gather",
             Phase::NetRecover => "net_recover",
             Phase::NetWave => "net_wave",
             Phase::NetHandoff => "net_handoff",
@@ -280,11 +285,6 @@ impl Registry {
     /// Toggle recording at runtime (used by the e19 overhead A/B).
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
-    }
-
-    /// Whether record calls are live.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Bump a counter by `n`.

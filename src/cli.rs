@@ -1117,13 +1117,14 @@ impl Report<NetServeLoop> for NetReport {
         mpc_rounds(out, serve.ledger());
         let s = serve.net_stats();
         let wire = format!(
-            "{} bytes in {} frames (route {} / commit {} / census {} / init {})",
+            "{} bytes in {} frames (route {} / commit {} / census {} / init {} / gather {})",
             s.bytes_sent + s.bytes_received,
             s.frames_sent + s.frames_received,
             s.route_bytes,
             s.commit_bytes,
             s.census_bytes,
             s.init_bytes,
+            s.gather_bytes,
         );
         field(out, "wire traffic", wire);
         if self.p2p {
@@ -1489,7 +1490,13 @@ mod tests {
         )))
         .unwrap();
         let summary = run(&args(&format!("report {net_trace}"))).unwrap();
-        for phase in ["net_init", "net_route", "net_commit", "net_census"] {
+        for phase in [
+            "net_init",
+            "net_route",
+            "net_commit",
+            "net_census",
+            "net_gather",
+        ] {
             assert!(summary.contains(phase), "{summary}");
         }
         assert!(summary.contains("wire bytes per peer"), "{summary}");
@@ -1545,6 +1552,21 @@ mod tests {
         assert!(net.contains("3 TCP workers"), "{net}");
         assert!(net.contains("wire traffic"), "{net}");
         assert!(net.contains("gathered matched"), "{net}");
+        // Every wire byte of a star run belongs to one phase: the footer's
+        // total is the sum of its parts.
+        let wire = net
+            .lines()
+            .find(|l| l.contains("wire traffic"))
+            .expect("wire traffic line");
+        let nums: Vec<u64> = wire
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|t| t.parse().ok())
+            .collect();
+        let [total, _frames, parts @ ..] = &nums[..] else {
+            panic!("{wire}");
+        };
+        assert_eq!(parts.len(), 5, "{wire}");
+        assert_eq!(*total, parts.iter().sum::<u64>(), "{wire}");
         // The wire-gathered allocation must equal the serial engine's.
         let serial_assign = temp("dynnet-serial.txt");
         run(&args(&format!(
