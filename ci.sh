@@ -378,6 +378,14 @@ proptest_compact_fractional() {
     cargo test --release -q --test properties fractional_equals_scratch_under_updates
 }
 
+overlay_codec() {
+    # The live graph's overlay store: the edge-set model proptest, the
+    # pinned snapshot bytes and the codec cases, then adversarial frame
+    # and snapshot inputs.
+    cargo test --release -q -p sparse-alloc-graph --lib delta::tests
+    cargo test --release -q -p sparse-alloc-graph --test io_adversarial
+}
+
 soak_long() {
     cargo test --release -q --test soak -- --ignored \
         || { echo "soak FAILED: the served allocation broke a paper guarantee over a long churn run"; exit 1; }
@@ -425,6 +433,7 @@ if [ "${1:-}" != "fast" ]; then
     run "p2p ≡ serial proptests under --release (worker↔worker walk handoffs)" proptest_p2p
     run "ball-growth proptests under --release (wave schedules ≡ serial, repair ≡ scratch)" proptest_ball_growth
     run "compact ≡ builder and fractional ≡ scratch proptests under --release" proptest_compact_fractional
+    run "live-graph overlay under --release (edge-set model, pinned snapshot bytes, codec, adversarial io)" overlay_codec
     run "long soak under --release (certificate, k/(k+1)·OPT, churn budget, fractional bound, restores)" soak_long
     run "transport fault-injection harness under --release (star spokes + p2p peer links)" transport_harness
     run "examples (release) — none may bit-rot" examples_release

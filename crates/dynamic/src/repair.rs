@@ -12,13 +12,14 @@
 //!
 //! Repairs are approximate by design: the ball radius truncates influence
 //! that has geometrically decayed, and the size cap
-//! ([`LevelRepairConfig::max_ball`]) truncates the ball itself. The cap
-//! binds on churn-heavy epochs; when it does, the repaired rights are the
-//! first `max_ball` in BFS order from the dirty list, so which rights get
-//! repaired depends on the order of the seeds. The serve loop checks
-//! what both truncations cost at every overlay fold: it re-solves the
-//! levels from scratch when their fractional weight has fallen below
-//! `(1 − ε/2)·|M|`.
+//! ([`LevelRepairConfig::max_ball`]) truncates the ball itself. At the
+//! serve loop's default cap (4,096 rights) it binds on every epoch of
+//! both servebench workloads, not only on churn-heavy ones: the repaired
+//! rights are then the first `max_ball` in BFS order from the dirty
+//! list, so which rights get repaired depends on the order of the seeds.
+//! The serve loop checks what both truncations cost at every overlay
+//! fold: it re-solves the levels from scratch when their fractional
+//! weight has fallen below `(1 − ε/2)·|M|`.
 //!
 //! A repair ([`repair_levels`]) runs in two halves. The gather grows
 //! the ball, lists its left frontier, and copies the live rows of
@@ -90,8 +91,9 @@ pub struct LevelRepairConfig {
     /// Synchronous proportional rounds to run on the ball.
     pub rounds: usize,
     /// Stop growing the ball once it holds this many right vertices
-    /// (seeds are always included). Bounds repair work under bulk churn
-    /// and binds on churn-heavy epochs; the repaired rights are then the
+    /// (seeds are always included). Bounds repair work under bulk churn;
+    /// at the serve loop's default (4,096) it binds on every epoch of
+    /// both servebench workloads. The repaired rights are then the
     /// first `max_ball` in BFS order from the seed list, so the choice
     /// depends on seed order. The serve loop's fold re-solves the levels
     /// if the truncation has cost them more than `ε/2` of `|M|`.

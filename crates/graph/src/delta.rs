@@ -16,16 +16,21 @@
 //! ids (the left-CSR slot, [`Bipartite::left_edge_range`]), so no
 //! adjacency scan hashes a pair: left scans test bit
 //! `left_edge_range(u).start + i`, right scans the bit of
-//! [`Bipartite::right_edge_ids`]`(v)[j]`. Left vertices keep
+//! [`Bipartite::right_edge_ids`]`(v)[j]`. Overlay edges are stored once,
+//! in one arena of rows: every vertex has a 4-byte row slot into it (an
+//! arrival's whole adjacency, a base left's staged edges, a right's
+//! reverse index), so the overlay part of a scan of a vertex without
+//! overlay edges is one load. Left vertices keep
 //! stable ids across every mutation and across compaction: departures
 //! leave a degree-0 slot behind, arrivals append at the end. The right
 //! vertex set is fixed (capacity changes are in-place), matching the
 //! paper's serving setting where servers are long-lived and clients churn.
 
-use std::collections::HashMap;
-
 use crate::bipartite::{Bipartite, LeftId, RightId};
 use crate::io::{self, ByteReader, ByteWriter, IoError};
+
+/// Row slot of a vertex without an overlay row.
+const NO_ROW: u32 = u32::MAX;
 
 /// A live bipartite graph: an immutable base snapshot plus a mutation
 /// overlay.
@@ -38,13 +43,26 @@ use crate::io::{self, ByteReader, ByteWriter, IoError};
 /// [`overlay_edges`](DeltaGraph::overlay_edges) grows past the caller's
 /// budget, [`compact`](DeltaGraph::compact) produces a fresh snapshot
 /// with identical vertex ids.
+///
+/// Overlay edges live in `rows`, reached through one row slot per
+/// vertex. A slot is handed out on the vertex's first overlay edge, or
+/// at its arrival, and outlives its row's last edge until the next fold:
+/// the snapshot encoding lists every vertex that has held an overlay
+/// edge since the base was built, emptied rows included, so a slot that
+/// was given back would change the bytes.
 #[derive(Debug, Clone)]
 pub struct DeltaGraph {
     base: Bipartite,
-    /// Adjacency of arrived left vertices (ids `base.n_left()..`).
-    extra_adj: Vec<Vec<RightId>>,
-    /// Overlay edges attached to *base* left vertices.
-    added: HashMap<LeftId, Vec<RightId>>,
+    /// Per left vertex, arrivals included (its length is `n_left`): the
+    /// slot in `rows` of the vertex's overlay edges, or [`NO_ROW`]. An
+    /// arrival's row is its whole adjacency, a base left's its staged
+    /// edges.
+    left_row: Vec<u32>,
+    /// Per right vertex: the slot in `rows` of the left endpoints of its
+    /// overlay edges (the reverse index), or [`NO_ROW`].
+    right_row: Vec<u32>,
+    /// The overlay rows, left and right ones alike, by slot.
+    rows: Vec<Vec<u32>>,
     /// Deleted base edges, one bit per base edge id (overlay edges are
     /// deleted in place instead).
     removed: Vec<u64>,
@@ -55,15 +73,6 @@ pub struct DeltaGraph {
     /// vertices with no deletions.
     removed_left: Vec<u32>,
     removed_right: Vec<u32>,
-    /// Reverse index of all overlay edges, per right vertex.
-    added_right: HashMap<RightId, Vec<LeftId>>,
-    /// Per-vertex counts of overlay edges, the additive mirror of
-    /// `removed_left`/`removed_right`: adjacency scans hash into
-    /// `added`/`added_right` only for vertices that actually carry staged
-    /// edges. (`added_left_n` covers base lefts; arrivals live in
-    /// `extra_adj` and never hash.)
-    added_left_n: Vec<u32>,
-    added_right_n: Vec<u32>,
     /// Live capacities (base capacities with in-place overrides).
     caps: Vec<u64>,
     /// Live edge count.
@@ -73,26 +82,17 @@ pub struct DeltaGraph {
 impl DeltaGraph {
     /// Wrap a frozen snapshot with an empty overlay.
     pub fn new(base: Bipartite) -> Self {
-        let caps = base.capacities().to_vec();
-        let m_live = base.m();
-        let removed_left = vec![0; base.n_left()];
-        let removed_right = vec![0; base.n_right()];
-        let added_left_n = vec![0; base.n_left()];
-        let added_right_n = vec![0; base.n_right()];
-        let removed = vec![0; base.m().div_ceil(64)];
         DeltaGraph {
-            base,
-            extra_adj: Vec::new(),
-            added: HashMap::new(),
-            removed,
+            left_row: vec![NO_ROW; base.n_left()],
+            right_row: vec![NO_ROW; base.n_right()],
+            rows: Vec::new(),
+            removed: vec![0; base.m().div_ceil(64)],
             n_removed: 0,
-            removed_left,
-            removed_right,
-            added_right: HashMap::new(),
-            added_left_n,
-            added_right_n,
-            caps,
-            m_live,
+            removed_left: vec![0; base.n_left()],
+            removed_right: vec![0; base.n_right()],
+            caps: base.capacities().to_vec(),
+            m_live: base.m(),
+            base,
         }
     }
 
@@ -104,7 +104,7 @@ impl DeltaGraph {
     /// Number of left vertices, including arrivals and departed slots.
     #[inline]
     pub fn n_left(&self) -> usize {
-        self.base.n_left() + self.extra_adj.len()
+        self.left_row.len()
     }
 
     /// Number of right vertices (fixed for the lifetime of the overlay).
@@ -134,9 +134,9 @@ impl DeltaGraph {
     /// Number of edges living in the overlay (deleted base edges count:
     /// they are consulted on every base scan until compaction).
     pub fn overlay_edges(&self) -> usize {
-        let added: usize = self.added.values().map(Vec::len).sum();
-        let extra: usize = self.extra_adj.iter().map(Vec::len).sum();
-        self.n_removed + added + extra
+        // The live edges are the undeleted base edges plus the staged ones.
+        let staged = self.m_live - (self.base.m() - self.n_removed);
+        self.n_removed + staged
     }
 
     /// Is the live graph its base snapshot, edge for edge and capacity for
@@ -147,61 +147,58 @@ impl DeltaGraph {
         // No deletions and an unchanged edge count leave no staged edge.
         self.n_removed == 0
             && self.m_live == self.base.m()
-            && self.extra_adj.is_empty()
+            && self.n_left() == self.base.n_left()
             && self.caps == self.base.capacities()
+    }
+
+    /// The overlay row of left `u`: all of an arrival's edges, a base
+    /// left's staged ones. Empty past `n_left`.
+    #[inline]
+    fn staged_left(&self, u: LeftId) -> &[RightId] {
+        row_of(&self.rows, &self.left_row, u)
+    }
+
+    /// The overlay row of right `v`: the left endpoints of its overlay
+    /// edges.
+    #[inline]
+    fn staged_right(&self, v: RightId) -> &[LeftId] {
+        row_of(&self.rows, &self.right_row, v)
+    }
+
+    /// Left `u`'s base row, the base edge id of its first entry, and
+    /// whether no edge of it is deleted. Empty for an arrival.
+    #[inline]
+    fn base_row(&self, u: LeftId) -> (&[RightId], usize, bool) {
+        match self.removed_left.get(u as usize) {
+            Some(&r) => (
+                self.base.left_neighbors(u),
+                self.base.left_edge_range(u).start,
+                r == 0,
+            ),
+            None => (&[], 0, true),
+        }
     }
 
     /// Does the live graph contain edge `(u, v)`?
     pub fn has_edge(&self, u: LeftId, v: RightId) -> bool {
-        if (u as usize) < self.base.n_left() {
-            let in_base = base_edge_id(&self.base, u, v)
-                .is_some_and(|e| self.removed_left[u as usize] == 0 || !bit(&self.removed, e));
-            in_base
-                || (self.added_left_n[u as usize] != 0
-                    && self.added.get(&u).is_some_and(|a| a.contains(&v)))
-        } else {
-            self.extra_adj
-                .get(u as usize - self.base.n_left())
-                .is_some_and(|a| a.contains(&v))
-        }
+        base_edge_id(&self.base, u, v)
+            .is_some_and(|e| self.removed_left[u as usize] == 0 || !bit(&self.removed, e))
+            || self.staged_left(u).contains(&v)
     }
 
     /// Live neighbors of left vertex `u`.
     pub fn left_neighbors_iter(&self, u: LeftId) -> impl Iterator<Item = RightId> + Clone + '_ {
-        static EMPTY: [RightId; 0] = [];
-        let (base_slice, overlay): (&[RightId], &[RightId]) = if (u as usize) < self.base.n_left() {
-            (
-                self.base.left_neighbors(u),
-                if self.added_left_n[u as usize] == 0 {
-                    &EMPTY[..]
-                } else {
-                    self.added.get(&u).map_or(&EMPTY[..], Vec::as_slice)
-                },
-            )
-        } else {
-            (
-                &EMPTY[..],
-                self.extra_adj[u as usize - self.base.n_left()].as_slice(),
-            )
-        };
-        let untouched = (u as usize) >= self.base.n_left() || self.removed_left[u as usize] == 0;
-        let first = if untouched {
-            0
-        } else {
-            self.base.left_edge_range(u).start
-        };
+        let (base, first, untouched) = self.base_row(u);
         let removed = &self.removed;
-        base_slice
-            .iter()
+        base.iter()
             .enumerate()
             .filter(move |&(i, _)| untouched || !bit(removed, first + i))
             .map(|(_, &v)| v)
-            .chain(overlay.iter().copied())
+            .chain(self.staged_left(u).iter().copied())
     }
 
     /// Live neighbors of right vertex `v`.
     pub fn right_neighbors_iter(&self, v: RightId) -> impl Iterator<Item = LeftId> + Clone + '_ {
-        static EMPTY: [LeftId; 0] = [];
         let untouched = self.removed_right[v as usize] == 0;
         let (removed, ids) = (&self.removed, self.base.right_edge_ids(v));
         self.base
@@ -210,51 +207,32 @@ impl DeltaGraph {
             .enumerate()
             .filter(move |&(j, _)| untouched || !bit(removed, ids[j] as usize))
             .map(|(_, &u)| u)
-            .chain(
-                if self.added_right_n[v as usize] == 0 {
-                    &EMPTY[..]
-                } else {
-                    self.added_right.get(&v).map_or(&EMPTY[..], Vec::as_slice)
-                }
-                .iter()
-                .copied(),
-            )
+            .chain(self.staged_right(v).iter().copied())
     }
 
     /// Visit every live neighbor of left vertex `u` — the closure-based
     /// mirror of [`DeltaGraph::left_neighbors_iter`], same edges in the
     /// same order. On hot paths (the conflict scheduler's ball growth
     /// calls this once per scanned vertex) the visitor form beats the
-    /// chained iterator: the deleted-edge branch and the overlay map
-    /// probe are hoisted out of the per-edge loop, which runs over plain
+    /// chained iterator: the deleted-edge branch and the overlay row
+    /// lookup are hoisted out of the per-edge loop, which runs over plain
     /// slices.
     #[inline]
     pub fn for_each_left_neighbor(&self, u: LeftId, mut f: impl FnMut(RightId)) {
-        if (u as usize) < self.base.n_left() {
-            let base = self.base.left_neighbors(u);
-            if self.removed_left[u as usize] == 0 {
-                for &v in base {
-                    f(v);
-                }
-            } else {
-                let first = self.base.left_edge_range(u).start;
-                for (i, &v) in base.iter().enumerate() {
-                    if !bit(&self.removed, first + i) {
-                        f(v);
-                    }
-                }
-            }
-            if self.added_left_n[u as usize] != 0 {
-                if let Some(extra) = self.added.get(&u) {
-                    for &v in extra {
-                        f(v);
-                    }
-                }
-            }
-        } else if let Some(extra) = self.extra_adj.get(u as usize - self.base.n_left()) {
-            for &v in extra {
+        let (base, first, untouched) = self.base_row(u);
+        if untouched {
+            for &v in base {
                 f(v);
             }
+        } else {
+            for (i, &v) in base.iter().enumerate() {
+                if !bit(&self.removed, first + i) {
+                    f(v);
+                }
+            }
+        }
+        for &v in self.staged_left(u) {
+            f(v);
         }
     }
 
@@ -275,32 +253,23 @@ impl DeltaGraph {
                 }
             }
         }
-        if self.added_right_n[v as usize] != 0 {
-            if let Some(extra) = self.added_right.get(&v) {
-                for &u in extra {
-                    f(u);
-                }
-            }
+        for &u in self.staged_right(v) {
+            f(u);
         }
     }
 
     /// Live degree of left vertex `u` (0 after departure). `O(1)`: the
-    /// base degree corrected by the per-vertex overlay counts.
+    /// base degree less its deletions, plus the overlay row's length.
     pub fn left_degree(&self, u: LeftId) -> usize {
-        match (u as usize).checked_sub(self.base.n_left()) {
-            None => {
-                self.base.left_degree(u) - self.removed_left[u as usize] as usize
-                    + self.added_left_n[u as usize] as usize
-            }
-            Some(slot) => self.extra_adj.get(slot).map_or(0, Vec::len),
-        }
+        let removed = self.removed_left.get(u as usize).map_or(0, |&r| r as usize);
+        self.base_row(u).0.len() - removed + self.staged_left(u).len()
     }
 
     /// Live degree of right vertex `v`. `O(1)`, like
     /// [`left_degree`](DeltaGraph::left_degree).
     pub fn right_degree(&self, v: RightId) -> usize {
         self.base.right_degree(v) - self.removed_right[v as usize] as usize
-            + self.added_right_n[v as usize] as usize
+            + self.staged_right(v).len()
     }
 
     /// Insert edge `(u, v)`. Returns `false` (and changes nothing) if the
@@ -326,17 +295,10 @@ impl DeltaGraph {
             self.n_removed -= 1;
             self.removed_left[u as usize] -= 1;
             self.removed_right[v as usize] -= 1;
-            self.m_live += 1;
-            return true;
-        }
-        if (u as usize) < self.base.n_left() {
-            self.added.entry(u).or_default().push(v);
-            self.added_left_n[u as usize] += 1;
         } else {
-            self.extra_adj[u as usize - self.base.n_left()].push(v);
+            row_mut(&mut self.rows, &mut self.left_row, u).push(v);
+            row_mut(&mut self.rows, &mut self.right_row, v).push(u);
         }
-        self.added_right.entry(v).or_default().push(u);
-        self.added_right_n[v as usize] += 1;
         self.m_live += 1;
         true
     }
@@ -353,20 +315,8 @@ impl DeltaGraph {
             self.removed_left[u as usize] += 1;
             self.removed_right[v as usize] += 1;
         } else {
-            if (u as usize) < self.base.n_left() {
-                self.added
-                    .get_mut(&u)
-                    .expect("overlay edge")
-                    .retain(|&w| w != v);
-                self.added_left_n[u as usize] -= 1;
-            } else {
-                self.extra_adj[u as usize - self.base.n_left()].retain(|&w| w != v);
-            }
-            self.added_right
-                .get_mut(&v)
-                .expect("reverse overlay edge")
-                .retain(|&w| w != u);
-            self.added_right_n[v as usize] -= 1;
+            row_mut(&mut self.rows, &mut self.left_row, u).retain(|&w| w != v);
+            row_mut(&mut self.rows, &mut self.right_row, v).retain(|&w| w != u);
         }
         self.m_live -= 1;
         true
@@ -397,17 +347,15 @@ impl DeltaGraph {
     /// already occupied by an arrival with edges, or if any neighbor is out
     /// of range.
     pub fn arrive_at(&mut self, u: LeftId, neighbors: &[RightId]) {
-        let base = self.base.n_left();
         assert!(
-            (u as usize) >= base,
+            (u as usize) >= self.base.n_left(),
             "arrive_at({u}) addresses a base vertex"
         );
-        let slot = u as usize - base;
-        if slot >= self.extra_adj.len() {
-            self.extra_adj.resize_with(slot + 1, Vec::new);
+        if (u as usize) >= self.n_left() {
+            self.left_row.resize(u as usize + 1, NO_ROW);
         }
         assert!(
-            self.extra_adj[slot].is_empty(),
+            self.staged_left(u).is_empty(),
             "arrive_at({u}) would overwrite an occupied slot"
         );
         let mut adj: Vec<RightId> = neighbors.to_vec();
@@ -418,11 +366,10 @@ impl DeltaGraph {
                 (v as usize) < self.n_right(),
                 "right vertex {v} out of range"
             );
-            self.added_right.entry(v).or_default().push(u);
-            self.added_right_n[v as usize] += 1;
+            row_mut(&mut self.rows, &mut self.right_row, v).push(u);
         }
         self.m_live += adj.len();
-        self.extra_adj[slot] = adj;
+        *row_mut(&mut self.rows, &mut self.left_row, u) = adj;
     }
 
     /// Left vertex `u` departs: all its incident edges are removed. Its id
@@ -455,8 +402,7 @@ impl DeltaGraph {
     fn push_live_row(&self, u: LeftId, out: &mut Vec<RightId>) {
         let start = out.len();
         self.for_each_left_neighbor(u, |v| out.push(v));
-        let base = (u as usize) < self.base.n_left();
-        if !base || self.added_left_n[u as usize] != 0 {
+        if !self.staged_left(u).is_empty() {
             out[start..].sort_unstable();
         }
     }
@@ -480,27 +426,22 @@ impl DeltaGraph {
     /// compacted would explore walks in CSR order instead — same live
     /// graph, different repairs, diverging state. Persisting the overlay
     /// verbatim (per-vertex list order included) is what makes a restored
-    /// engine bit-identical to the uninterrupted one. Hash-map sections
-    /// are written in sorted key order and deletions as `(u, v)` pairs in
-    /// edge-id order (which is sorted pair order), so identical overlays
-    /// produce identical bytes.
+    /// engine bit-identical to the uninterrupted one. The staged and
+    /// reverse sections list every base left and right holding a row
+    /// slot, in id order, and deletions are `(u, v)` pairs in edge-id
+    /// order (which is sorted pair order), so identical overlays produce
+    /// identical bytes.
     pub fn encode(&self, w: &mut ByteWriter) {
         io::write_bipartite(&self.base, w);
         w.put_vec_u64(&self.caps);
-        w.put_u64(self.extra_adj.len() as u64);
-        for adj in &self.extra_adj {
-            w.put_vec_u32(adj);
+        let base_n = self.base.n_left();
+        w.put_u64((self.n_left() - base_n) as u64);
+        for u in base_n..self.n_left() {
+            w.put_vec_u32(self.staged_left(u as LeftId));
         }
-        let mut added: Vec<(LeftId, &Vec<RightId>)> =
-            self.added.iter().map(|(&u, vs)| (u, vs)).collect();
-        added.sort_unstable_by_key(|&(u, _)| u);
-        w.put_u64(added.len() as u64);
-        for (u, vs) in added {
-            w.put_u32(u);
-            w.put_vec_u32(vs);
-        }
+        put_keyed_rows(&self.rows, &self.left_row[..base_n], w);
         w.put_u64(self.n_removed as u64);
-        for u in 0..self.base.n_left() as LeftId {
+        for u in 0..base_n as LeftId {
             if self.removed_left[u as usize] == 0 {
                 continue;
             }
@@ -512,14 +453,7 @@ impl DeltaGraph {
                 }
             }
         }
-        let mut added_right: Vec<(RightId, &Vec<LeftId>)> =
-            self.added_right.iter().map(|(&v, us)| (v, us)).collect();
-        added_right.sort_unstable_by_key(|&(v, _)| v);
-        w.put_u64(added_right.len() as u64);
-        for (v, us) in added_right {
-            w.put_u32(v);
-            w.put_vec_u32(us);
-        }
+        put_keyed_rows(&self.rows, &self.right_row, w);
     }
 
     /// Parse the overlay state written by [`encode`](DeltaGraph::encode),
@@ -545,35 +479,30 @@ impl DeltaGraph {
         }
         let n_right = base.n_right();
         let check_right = |v: u32| (v as usize) < n_right;
+        let mut rows: Vec<Vec<u32>> = Vec::new();
+        let mut left_row = vec![NO_ROW; base.n_left()];
         let n_extra = r.take_len(8)?;
-        let mut extra_adj: Vec<Vec<RightId>> = Vec::with_capacity(n_extra);
         for _ in 0..n_extra {
             let adj = r.take_vec_u32()?;
-            let mut sorted = adj.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() != adj.len() {
+            if !is_set(&adj) {
                 return Err(bad("duplicate edge in an arrival's adjacency".into()));
             }
             if adj.iter().any(|&v| !check_right(v)) {
                 return Err(bad("arrival neighbor out of range".into()));
             }
-            extra_adj.push(adj);
+            left_row.push(rows.len() as u32);
+            rows.push(adj);
         }
-        let n_left_total = base.n_left() + extra_adj.len();
+        let n_left_total = left_row.len();
 
         let n_added = r.take_len(12)?;
-        let mut added: HashMap<LeftId, Vec<RightId>> = HashMap::with_capacity(n_added);
         for _ in 0..n_added {
             let u = r.take_u32()?;
             let vs = r.take_vec_u32()?;
             if (u as usize) >= base.n_left() {
                 return Err(bad(format!("overlay edges staged on non-base left {u}")));
             }
-            let mut sorted = vs.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() != vs.len() {
+            if !is_set(&vs) {
                 return Err(bad(format!("duplicate overlay edge at left {u}")));
             }
             for &v in &vs {
@@ -584,9 +513,10 @@ impl DeltaGraph {
                     return Err(bad(format!("overlay edge ({u}, {v}) duplicates the base")));
                 }
             }
-            if added.insert(u, vs).is_some() {
+            if left_row[u as usize] != NO_ROW {
                 return Err(bad(format!("left {u} listed twice in the overlay")));
             }
+            *row_mut(&mut rows, &mut left_row, u) = vs;
         }
 
         let n_removed = r.take_len(8)?;
@@ -607,66 +537,53 @@ impl DeltaGraph {
             removed_right[v as usize] += 1;
         }
 
-        // The reverse index must be exactly the forward overlay
-        // transposed — count every staged edge in both directions.
-        let mut pending: HashMap<(LeftId, RightId), i64> = HashMap::new();
-        for (&u, vs) in &added {
-            for &v in vs {
-                *pending.entry((u, v)).or_insert(0) += 1;
-            }
-        }
-        for (i, adj) in extra_adj.iter().enumerate() {
-            let u = (base.n_left() + i) as u32;
-            for &v in adj {
-                *pending.entry((u, v)).or_insert(0) += 1;
-            }
-        }
         let n_ar = r.take_len(12)?;
-        let mut added_right: HashMap<RightId, Vec<LeftId>> = HashMap::with_capacity(n_ar);
+        let mut right_row = vec![NO_ROW; n_right];
         for _ in 0..n_ar {
             let v = r.take_u32()?;
             let us = r.take_vec_u32()?;
             if !check_right(v) {
                 return Err(bad(format!("reverse index right {v} out of range")));
             }
-            for &u in &us {
-                if (u as usize) >= n_left_total {
-                    return Err(bad(format!("reverse index left {u} out of range")));
-                }
-                *pending.entry((u, v)).or_insert(0) -= 1;
+            if let Some(u) = us.iter().find(|&&u| (u as usize) >= n_left_total) {
+                return Err(bad(format!("reverse index left {u} out of range")));
             }
-            if added_right.insert(v, us).is_some() {
+            if right_row[v as usize] != NO_ROW {
                 return Err(bad(format!("right {v} listed twice in the reverse index")));
             }
+            *row_mut(&mut rows, &mut right_row, v) = us;
         }
-        if pending.values().any(|&c| c != 0) {
+        // The reverse index must be exactly the forward overlay
+        // transposed: per right, its sorted row lists the lefts whose
+        // rows hold it. Both sides as `(right, left)` pairs, sorted.
+        let pairs = |slots: &[u32], flip: bool| {
+            let mut pairs: Vec<(u32, u32)> = (0..slots.len() as u32)
+                .flat_map(|x| {
+                    row_of(&rows, slots, x)
+                        .iter()
+                        .map(move |&y| if flip { (y, x) } else { (x, y) })
+                })
+                .collect();
+            pairs.sort_unstable();
+            pairs
+        };
+        let forward = pairs(&left_row, true);
+        if forward != pairs(&right_row, false) {
             return Err(bad(
                 "reverse index disagrees with the staged adjacency".into()
             ));
         }
 
-        let staged: usize = added.values().map(Vec::len).sum::<usize>()
-            + extra_adj.iter().map(Vec::len).sum::<usize>();
-        let m_live = base.m() - n_removed + staged;
-        let mut added_left_n = vec![0u32; base.n_left()];
-        for (&u, vs) in &added {
-            added_left_n[u as usize] = vs.len() as u32;
-        }
-        let mut added_right_n = vec![0u32; base.n_right()];
-        for (&v, us) in &added_right {
-            added_right_n[v as usize] = us.len() as u32;
-        }
+        let m_live = base.m() - n_removed + forward.len();
         Ok(DeltaGraph {
             base,
-            extra_adj,
-            added,
+            left_row,
+            right_row,
+            rows,
             removed,
             n_removed,
             removed_left,
             removed_right,
-            added_right,
-            added_left_n,
-            added_right_n,
             caps,
             m_live,
         })
@@ -690,6 +607,46 @@ impl DeltaGraph {
         }
         Bipartite::from_left_csr(left_offsets, left_adj, self.caps.clone())
     }
+}
+
+/// The overlay row of vertex `x` under `slots`: empty for [`NO_ROW`] and
+/// for ids past the end.
+#[inline]
+fn row_of<'a>(rows: &'a [Vec<u32>], slots: &[u32], x: u32) -> &'a [u32] {
+    match slots.get(x as usize) {
+        Some(&s) if s != NO_ROW => &rows[s as usize],
+        _ => &[],
+    }
+}
+
+/// The overlay row of vertex `x` under `slots`, handing out its slot on
+/// first use.
+fn row_mut<'a>(rows: &'a mut Vec<Vec<u32>>, slots: &mut [u32], x: u32) -> &'a mut Vec<u32> {
+    let s = &mut slots[x as usize];
+    if *s == NO_ROW {
+        *s = rows.len() as u32;
+        rows.push(Vec::new());
+    }
+    &mut rows[*s as usize]
+}
+
+/// Write the vertices of `slots` that hold a row slot, in id order, each
+/// with its (possibly empty) row.
+fn put_keyed_rows(rows: &[Vec<u32>], slots: &[u32], w: &mut ByteWriter) {
+    let held = || slots.iter().enumerate().filter(|&(_, &s)| s != NO_ROW);
+    w.put_u64(held().count() as u64);
+    for (x, &s) in held() {
+        w.put_u32(x as u32);
+        w.put_vec_u32(&rows[s as usize]);
+    }
+}
+
+/// Are the entries of `row` pairwise distinct?
+fn is_set(row: &[u32]) -> bool {
+    let mut sorted = row.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted.len() == row.len()
 }
 
 /// The id of edge `(u, v)` in `base` (deleted from a live graph over it
@@ -730,10 +687,11 @@ const NO_LINK: u32 = u32::MAX;
 /// footprints on the batch's union graph `G⁺` (live edges plus every edge
 /// any update in the batch inserts — deletions are ignored, they only
 /// shrink reachability). Cloning the whole `DeltaGraph` per batch costs
-/// `O(n + m)` with hashing; this view costs `O(n)` dense index arrays at
+/// `O(n + m)`; this view costs `O(n)` dense index arrays at
 /// construction plus `O(1)` per staged insert, and adjacency queries pay
-/// the underlying live scan plus an `O(deg⁺)` linked-list tail — no
-/// hashing on the per-edge path.
+/// the underlying live scan plus an `O(deg⁺)` linked-list tail. A staged
+/// arrival is one more left whose chain starts with its sorted neighbour
+/// set; the live graph's scans answer "no edges" for it.
 ///
 /// The view is *additive only*: staged inserts cannot be deleted, and the
 /// underlying graph stays untouched (scheduling "reverts" by dropping the
@@ -744,20 +702,11 @@ const NO_LINK: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct InsertOverlay<'a> {
     dg: &'a DeltaGraph,
-    base_n_left: usize,
-    /// Adjacency of staged arrivals (ids `dg.n_left()..`), including any
-    /// staged inserts that target them.
-    extra: Vec<Vec<RightId>>,
-    /// Per base-left first/last staged edge (index into `left_links`).
-    left_head: Vec<u32>,
-    left_tail: Vec<u32>,
-    /// `(right endpoint, next link)` chains of staged base-left edges.
-    left_links: Vec<(RightId, u32)>,
-    /// Per right vertex first/last staged edge (index into `right_links`).
-    right_head: Vec<u32>,
-    right_tail: Vec<u32>,
-    /// `(left endpoint, next link)` chains of staged right-side edges.
-    right_links: Vec<(LeftId, u32)>,
+    /// Staged right endpoints per left vertex, staged arrivals included
+    /// (one chain per left, so its length is `n_left`).
+    left: Chains,
+    /// Staged left endpoints per right vertex.
+    right: Chains,
 }
 
 impl<'a> InsertOverlay<'a> {
@@ -765,21 +714,15 @@ impl<'a> InsertOverlay<'a> {
     pub fn new(dg: &'a DeltaGraph) -> Self {
         InsertOverlay {
             dg,
-            base_n_left: dg.n_left(),
-            extra: Vec::new(),
-            left_head: vec![NO_LINK; dg.n_left()],
-            left_tail: vec![NO_LINK; dg.n_left()],
-            left_links: Vec::new(),
-            right_head: vec![NO_LINK; dg.n_right()],
-            right_tail: vec![NO_LINK; dg.n_right()],
-            right_links: Vec::new(),
+            left: Chains::new(dg.n_left()),
+            right: Chains::new(dg.n_right()),
         }
     }
 
     /// Number of left vertices, including staged arrivals.
     #[inline]
     pub fn n_left(&self) -> usize {
-        self.base_n_left + self.extra.len()
+        self.left.head.len()
     }
 
     /// Number of right vertices (fixed).
@@ -796,17 +739,19 @@ impl<'a> InsertOverlay<'a> {
     /// Panics if any neighbor is out of range.
     pub fn arrive(&mut self, neighbors: &[RightId]) -> LeftId {
         let u = self.n_left() as LeftId;
+        self.left.head.push(NO_LINK);
+        self.left.tail.push(NO_LINK);
         let mut adj: Vec<RightId> = neighbors.to_vec();
         adj.sort_unstable();
         adj.dedup();
-        for &v in &adj {
+        for v in adj {
             assert!(
                 (v as usize) < self.n_right(),
                 "right vertex {v} out of range"
             );
-            self.link_right(v, u);
+            self.left.push(u, v);
+            self.right.push(v, u);
         }
-        self.extra.push(adj);
         u
     }
 
@@ -825,73 +770,31 @@ impl<'a> InsertOverlay<'a> {
         if self.has_edge(u, v) {
             return false;
         }
-        if (u as usize) < self.base_n_left {
-            let link = self.left_links.len() as u32;
-            self.left_links.push((v, NO_LINK));
-            match self.left_tail[u as usize] {
-                NO_LINK => self.left_head[u as usize] = link,
-                tail => self.left_links[tail as usize].1 = link,
-            }
-            self.left_tail[u as usize] = link;
-        } else {
-            self.extra[u as usize - self.base_n_left].push(v);
-        }
-        self.link_right(v, u);
+        self.left.push(u, v);
+        self.right.push(v, u);
         true
-    }
-
-    fn link_right(&mut self, v: RightId, u: LeftId) {
-        let link = self.right_links.len() as u32;
-        self.right_links.push((u, NO_LINK));
-        match self.right_tail[v as usize] {
-            NO_LINK => self.right_head[v as usize] = link,
-            tail => self.right_links[tail as usize].1 = link,
-        }
-        self.right_tail[v as usize] = link;
     }
 
     /// Does the union graph contain edge `(u, v)`?
     pub fn has_edge(&self, u: LeftId, v: RightId) -> bool {
-        if (u as usize) >= self.base_n_left {
-            return self
-                .extra
-                .get(u as usize - self.base_n_left)
-                .is_some_and(|a| a.contains(&v));
-        }
         if self.dg.has_edge(u, v) {
             return true;
         }
-        let mut at = self.left_head[u as usize];
-        while at != NO_LINK {
-            let (w, next) = self.left_links[at as usize];
-            if w == v {
-                return true;
-            }
-            at = next;
+        let mut staged = false;
+        if (u as usize) < self.n_left() {
+            self.left.for_each(u, |w| staged |= w == v);
         }
-        false
+        staged
     }
 
     /// Visit every union-graph neighbor of left vertex `u`: its live
     /// edges, then its staged ones in staging order. The scheduler's
     /// ball growth calls this once per scanned vertex; the visitor form
-    /// runs the base slice, the link chain, and the arrival slice as
-    /// three plain loops.
+    /// runs the live scan and the link chain as plain loops.
     #[inline]
     pub fn for_each_left_neighbor(&self, u: LeftId, mut f: impl FnMut(RightId)) {
-        if (u as usize) < self.base_n_left {
-            self.dg.for_each_left_neighbor(u, &mut f);
-            let mut at = self.left_head[u as usize];
-            while at != NO_LINK {
-                let (v, next) = self.left_links[at as usize];
-                f(v);
-                at = next;
-            }
-        } else {
-            for &v in &self.extra[u as usize - self.base_n_left] {
-                f(v);
-            }
-        }
+        self.dg.for_each_left_neighbor(u, &mut f);
+        self.left.for_each(u, f);
     }
 
     /// Visit every union-graph neighbor of right vertex `v`: its live
@@ -899,10 +802,47 @@ impl<'a> InsertOverlay<'a> {
     #[inline]
     pub fn for_each_right_neighbor(&self, v: RightId, mut f: impl FnMut(LeftId)) {
         self.dg.for_each_right_neighbor(v, &mut f);
-        let mut at = self.right_head[v as usize];
+        self.right.for_each(v, f);
+    }
+}
+
+/// Per-vertex chains of staged endpoints, linked through one arena.
+#[derive(Debug)]
+struct Chains {
+    /// First/last link of each vertex's chain (index into `links`).
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// `(other endpoint, next link)`.
+    links: Vec<(u32, u32)>,
+}
+
+impl Chains {
+    fn new(n: usize) -> Self {
+        Chains {
+            head: vec![NO_LINK; n],
+            tail: vec![NO_LINK; n],
+            links: Vec::new(),
+        }
+    }
+
+    /// Append `y` at the tail of `x`'s chain.
+    fn push(&mut self, x: u32, y: u32) {
+        let link = self.links.len() as u32;
+        self.links.push((y, NO_LINK));
+        match self.tail[x as usize] {
+            NO_LINK => self.head[x as usize] = link,
+            last => self.links[last as usize].1 = link,
+        }
+        self.tail[x as usize] = link;
+    }
+
+    /// Visit `x`'s chain in staging order.
+    #[inline]
+    fn for_each(&self, x: u32, mut f: impl FnMut(u32)) {
+        let mut at = self.head[x as usize];
         while at != NO_LINK {
-            let (u, next) = self.right_links[at as usize];
-            f(u);
+            let (y, next) = self.links[at as usize];
+            f(y);
             at = next;
         }
     }
@@ -1217,6 +1157,58 @@ mod tests {
             [0, 1, 2],
             "base scan then staged tail"
         );
+        // A staged arrival's chain is its sorted neighbour set, and a later
+        // insert onto it links in after that.
+        let a = g.arrive(&[1, 1]);
+        assert_eq!(a, 3);
+        assert!(g.insert(a, 0));
+        assert!(!g.insert(a, 1), "the arrival already has (3,1)");
+        assert_eq!(overlay_left(&g, a), [1, 0]);
+        assert!(g.has_edge(a, 1) && g.has_edge(a, 0));
+        assert!(!g.has_edge(a + 1, 0), "no left past the staged arrivals");
+        assert_eq!(overlay_right(&g, 0), [0, 1, 2, a]);
+        assert_eq!(overlay_right(&g, 1), [0, 2, 1, a]);
+    }
+
+    #[test]
+    fn an_emptied_row_keeps_its_slot_until_the_fold() {
+        // A non-base edge staged on a base left and deleted again leaves
+        // both endpoints' rows empty, but still listed: the staged section
+        // names left 1 and the reverse index right 1, each with an empty
+        // row (a u32 id and a zero u64 length, 12 bytes each).
+        let mut d = DeltaGraph::new(base());
+        assert!(d.insert_edge(1, 1));
+        assert!(d.delete_edge(1, 1));
+        assert_eq!(d.overlay_edges(), 0);
+        let mut w = ByteWriter::new();
+        d.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut want = ByteWriter::new();
+        io::write_bipartite(&base(), &mut want);
+        want.put_vec_u64(&[2, 3]);
+        want.put_u64(0); // arrivals
+        want.put_u64(1); // staged rows: left 1, emptied
+        want.put_u32(1);
+        want.put_vec_u32(&[]);
+        want.put_u64(0); // deletions
+        want.put_u64(1); // reverse index: right 1, emptied
+        want.put_u32(1);
+        want.put_vec_u32(&[]);
+        assert_eq!(bytes, want.into_bytes());
+        let mut fresh = ByteWriter::new();
+        DeltaGraph::new(base()).encode(&mut fresh);
+        assert_eq!(bytes.len(), fresh.into_bytes().len() + 24);
+
+        let mut r = ByteReader::new(&bytes);
+        let back = DeltaGraph::decode(&mut r).unwrap();
+        r.expect_end().unwrap();
+        let mut w2 = ByteWriter::new();
+        back.encode(&mut w2);
+        assert_eq!(bytes, w2.into_bytes(), "decode∘encode is the identity");
+        // The fold hands every slot back.
+        let mut folded = ByteWriter::new();
+        DeltaGraph::new(d.compact()).encode(&mut folded);
+        assert_eq!(folded.into_bytes().len(), bytes.len() - 24);
     }
 
     #[test]
@@ -1324,6 +1316,100 @@ mod tests {
         ] {
             let e = decode(pairs).unwrap_err().to_string();
             assert!(e.contains(msg), "{pairs:?}: {e}");
+        }
+    }
+
+    /// Rows of one overlay section: `(vertex, row)`.
+    type Rows<'a> = &'a [(u32, &'a [u32])];
+
+    #[test]
+    fn decode_names_bad_overlay_rows() {
+        // Arrival, staged and reverse sections as given, no deletions.
+        // In `base()`, (1, 1) and (2, 0) are the pairs outside the base.
+        let put_rows = |w: &mut ByteWriter, rows: Rows| {
+            w.put_u64(rows.len() as u64);
+            for &(x, row) in rows {
+                w.put_u32(x);
+                w.put_vec_u32(row);
+            }
+        };
+        let decode = |arrivals: &[&[u32]], staged: Rows, reverse: Rows| {
+            let g = base();
+            let mut w = ByteWriter::new();
+            io::write_bipartite(&g, &mut w);
+            w.put_vec_u64(g.capacities());
+            w.put_u64(arrivals.len() as u64);
+            for row in arrivals {
+                w.put_vec_u32(row);
+            }
+            put_rows(&mut w, staged);
+            w.put_u64(0); // deletions
+            put_rows(&mut w, reverse);
+            let bytes = w.into_bytes();
+            DeltaGraph::decode(&mut ByteReader::new(&bytes)).map(|d| d.m())
+        };
+        assert_eq!(
+            decode(&[&[0]], &[(1, &[1])], &[(0, &[3]), (1, &[1])]).unwrap(),
+            6
+        );
+        let cases: [(&[&[u32]], Rows, Rows, &str); 13] = [
+            (
+                &[&[0, 0]],
+                &[],
+                &[],
+                "duplicate edge in an arrival's adjacency",
+            ),
+            (&[&[2]], &[], &[], "arrival neighbor out of range"),
+            (
+                &[],
+                &[(3, &[0])],
+                &[],
+                "overlay edges staged on non-base left 3",
+            ),
+            (
+                &[],
+                &[(1, &[1, 1])],
+                &[],
+                "duplicate overlay edge at left 1",
+            ),
+            (&[], &[(1, &[5])], &[], "overlay edge (1, 5) out of range"),
+            (
+                &[],
+                &[(1, &[0])],
+                &[],
+                "overlay edge (1, 0) duplicates the base",
+            ),
+            (&[], &[(1, &[1]), (1, &[])], &[], "left 1 listed twice"),
+            (
+                &[],
+                &[(1, &[1])],
+                &[(2, &[1])],
+                "reverse index right 2 out of range",
+            ),
+            (
+                &[],
+                &[(1, &[1])],
+                &[(1, &[3])],
+                "reverse index left 3 out of range",
+            ),
+            (
+                &[],
+                &[(1, &[1])],
+                &[(1, &[1]), (1, &[])],
+                "right 1 listed twice",
+            ),
+            (&[], &[(1, &[1])], &[(1, &[])], "reverse index disagrees"),
+            (
+                &[],
+                &[(1, &[1])],
+                &[(1, &[1, 1])],
+                "reverse index disagrees",
+            ),
+            (&[&[0]], &[], &[(0, &[2])], "reverse index disagrees"),
+        ];
+        for (arrivals, staged, reverse, msg) in cases {
+            let e = decode(arrivals, staged, reverse).unwrap_err().to_string();
+            assert!(e.contains(msg), "{msg}: {e}");
         }
     }
 

@@ -608,21 +608,24 @@ fn read_full(
     wanted: usize,
     already: usize,
 ) -> Result<bool, FrameError> {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
     let mut got = 0;
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                if got == 0 && already == 0 {
-                    return Ok(false);
-                }
+            Ok(0) if already + got == 0 => return Ok(false),
+            Ok(k) if k > 0 => got += k,
+            Err(e) if e.kind() == Interrupted => {}
+            // Before the frame's first byte a read timeout is the caller's
+            // to retry; after it, like an end of stream, it tears the frame.
+            Err(e) if already + got == 0 || !matches!(e.kind(), WouldBlock | TimedOut) => {
+                return Err(FrameError::Io(e))
+            }
+            _ => {
                 return Err(FrameError::Truncated {
                     wanted,
                     got: already + got,
-                });
+                })
             }
-            Ok(k) => got += k,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
         }
     }
     Ok(true)

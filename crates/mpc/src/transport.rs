@@ -1509,6 +1509,36 @@ mod tests {
     }
 
     #[test]
+    fn a_timeout_inside_a_frame_is_not_transient() {
+        // Half a frame, then silence past the receive timeout: the stream
+        // now stops mid-frame, so the failure must not invite a retry in
+        // place, which would read on from the middle of the frame.
+        let (a, mut b) = Peer::tcp_pair(COORDINATOR, 0).unwrap();
+        b.set_recv_timeout(Duration::from_millis(50)).unwrap();
+        let header = FrameHeader {
+            src: COORDINATOR,
+            phase: 1,
+            epoch: 0,
+            seq: 0,
+        };
+        let bytes = encode_frame(&header, &[7; 64]);
+        let half = bytes.len() / 2;
+        let Link::Tcp { stream, .. } = &a.link else {
+            panic!("a TCP pair has TCP links");
+        };
+        (&*stream).write_all(&bytes[..half]).unwrap();
+        let err = b.recv().expect_err("half a frame is not a frame");
+        match &err {
+            TransportError::Frame {
+                err: FrameError::Truncated { wanted, got },
+                ..
+            } => assert_eq!((*wanted, *got), (bytes.len(), half)),
+            other => panic!("a torn frame surfaced as {other:?}"),
+        }
+        assert!(!err.is_transient(), "a torn stream cannot be retried");
+    }
+
+    #[test]
     fn dropping_an_endpoint_closes_the_channel() {
         for (name, a, mut b) in pairs() {
             drop(a);
