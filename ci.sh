@@ -364,9 +364,10 @@ proptest_p2p() {
 }
 
 proptest_ball_growth() {
-    # The properties that pin the one right-ball growth: the footprint
-    # schedule (conflict-free waves ≡ serial), the level repair ball
-    # (repair ≡ scratch) and the unit tests of both modules.
+    # The properties that pin the one right-ball growth, which the
+    # footprint schedule (conflict-free waves ≡ serial) and the sweep
+    # grow, next to the level repair on the dirty rights, which grows no
+    # ball (repair ≡ scratch), and the unit tests of both modules.
     cargo test --release -q --test properties \
         wave_schedules_are_conflict_free_and_serial_equivalent
     cargo test --release -q --test properties dynamic_repair_matches_scratch
@@ -434,7 +435,7 @@ if [ "${1:-}" != "fast" ]; then
     run "ball-growth proptests under --release (wave schedules ≡ serial, repair ≡ scratch)" proptest_ball_growth
     run "compact ≡ builder and fractional ≡ scratch proptests under --release" proptest_compact_fractional
     run "live-graph overlay under --release (edge-set model, pinned snapshot bytes, codec, adversarial io)" overlay_codec
-    run "long soak under --release (certificate, k/(k+1)·OPT, churn budget, fractional bound, restores)" soak_long
+    run "long soak under --release (certificate, k/(k+1)·OPT, churn budget, fractional bound, restores; plus soak_at_servebench_scale: W ≥ (1 − ε/2)·fresh at n = 115k)" soak_long
     run "transport fault-injection harness under --release (star spokes + p2p peer links)" transport_harness
     run "examples (release) — none may bit-rot" examples_release
 fi

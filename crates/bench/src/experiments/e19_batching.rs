@@ -23,16 +23,16 @@
 //! verbatim. Since the certificate sweep derives its candidates from the
 //! few free lefts (64,996 of 65,000 lefts are matched here) instead of
 //! growing a radius-`k` region over the whole graph, that work is β-level
-//! repair: `level_repair` takes ~11–12 ms per epoch (its ball saturates
-//! the 4,096-right cap; ~4 ms of that is the nested `level_gather`,
-//! which copies the ball's live rows into flat arenas for the rounds)
-//! against ~0.2 ms for `cert_sweep`. The sharded path pays the same
+//! repair: `level_repair` takes ~4–5 ms per epoch on the ~2,000 dirty
+//! rights (~2 ms of that is the nested `level_gather`, which copies their
+//! live rows and their lefts' into flat arenas for the rounds) against
+//! ~0.1 ms for `cert_sweep`. The sharded path pays the same
 //! epoch close *plus* its scheduling surplus: footprint growth + one
 //! wave pass (`batch_schedule`, ~6 ms per batch), routing (~0.2 ms), and
 //! shard-state aggregation (~0.7 ms per epoch). The wave executor itself
 //! is cheap: the simulator runs a wave's repairs inline, one after
 //! another, so `repair_wave` has a p50 of ~4 µs over the 951 waves of a
-//! drive. On a 2-vCPU host (nproc = 2) sharded wall time is ~1.6–1.8×
+//! drive. On a 2-vCPU host (nproc = 2) sharded wall time is ~2–2.5×
 //! serial, almost all of the gap being `batch_schedule`. That surplus is
 //! fixed, so every saving in the shared epoch close *raises* the ratio.
 //! The record says so (`one_box_win: false`), and `overhead_ratio` is

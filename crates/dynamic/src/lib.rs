@@ -36,7 +36,7 @@
 //! graph (`k` = [`DynamicConfig::walk_budget`]), hence size
 //! `≥ k/(k+1) · OPT` — the same certificate the static pipeline's
 //! boosting stage produces, maintained incrementally. The fractional
-//! β-levels are repaired on the dirty ball only. Once the churn since
+//! β-levels are repaired on the epoch's dirty rights only. Once the churn since
 //! the last fold exceeds the `O(ε)` budget, the overlay folds into a
 //! fresh snapshot; the fold keeps the matching and re-solves the levels
 //! only if their fractional weight has fallen below `(1 − ε/2)·|M|`.

@@ -4,7 +4,7 @@
 //! β-levels of the proportional dynamics, and the maintained integral
 //! allocation. Updates are applied with `O(τ)`-ball local repairs;
 //! [`ServeLoop::end_epoch`] restores the global `k/(k+1)` walk-freeness
-//! certificate, re-runs the level dynamics on the dirty ball, and folds
+//! certificate, re-runs the level dynamics on the dirty rights, and folds
 //! the overlay into a fresh CSR snapshot once the churn since the last
 //! fold exceeds the `O(ε)` budget. A fold keeps the certified matching;
 //! it re-solves the levels only when their fractional weight has fallen
@@ -33,9 +33,11 @@ use crate::walks::{
     WalkTopology,
 };
 
-/// β-repair ball radius in right-to-right hops. The repair runs
-/// `⌈1/ε⌉` proportional rounds on the ball, clamped to `[2, 8]`.
-const REPAIR_RADIUS: usize = 2;
+/// The largest level magnitude a restore accepts. The aggregates subtract
+/// levels of rights that share a left, so a difference of two accepted
+/// levels stays far from overflow; the dynamics move a level by one per
+/// round, so no served state comes near this.
+const MAX_LEVEL: u64 = (i64::MAX / 4) as u64;
 
 /// Configuration of a [`ServeLoop`].
 #[derive(Debug, Clone)]
@@ -72,17 +74,6 @@ pub struct DynamicConfig {
     /// to the sweep — because wave occupancy on degree-heavy instances
     /// lives or dies by the footprint radius.
     pub eager_walk_budget: usize,
-    /// Cap on the β-repair ball size (right vertices). Bounds the repair
-    /// work per epoch under bulk churn. At the default of 4,096 it binds
-    /// on every epoch of both servebench workloads, not only on
-    /// churn-heavy ones (counted by `Counter::LevelCapHits`). When it
-    /// binds, the repaired rights are the first `repair_ball_cap` in BFS
-    /// order from the epoch's dirty rights, sorted and deduplicated
-    /// first — so the ball is a function of the dirty *set*, not of the
-    /// order updates (or a sharded engine's waves) marked them. A fold
-    /// re-solves the levels if the truncation has cost their fractional
-    /// weight more than `ε/2` of `|M|`.
-    pub repair_ball_cap: usize,
 }
 
 impl DynamicConfig {
@@ -97,7 +88,6 @@ impl DynamicConfig {
             drift_threshold: eps / 2.0,
             eager_search_cap: 64,
             eager_walk_budget: k,
-            repair_ball_cap: 4096,
         }
     }
 
@@ -173,7 +163,8 @@ pub struct EpochReport {
     /// BFS right-vertex expansions the sweep performed. Zero for a no-op
     /// epoch: the previous certificate still stands, so no search runs.
     pub sweep_expansions: u64,
-    /// Right vertices in the β-repair ball (0 if no repair ran).
+    /// Right vertices the β-level repair re-ran: the epoch's distinct
+    /// dirty rights (0 if no repair ran).
     pub ball_rights: usize,
     /// Did the fold re-solve the levels?
     pub rebuilt: bool,
@@ -245,6 +236,8 @@ pub struct ServeLoop {
     dg: DeltaGraph,
     levels: Vec<i64>,
     matching: Matching,
+    /// Update sites since the last epoch close, with repeats: the rights
+    /// whose β-levels the close repairs.
     dirty: Vec<RightId>,
     /// Rights perturbed since the last certificate: every update site plus
     /// every right a successful augmenting flip touched. Drives the
@@ -769,7 +762,7 @@ impl ServeLoop {
     }
 
     /// Close the epoch: restore the global `k/(k+1)` certificate, repair
-    /// the β-levels on the dirty ball, and fold the overlay once the churn
+    /// the β-levels of the dirty rights, and fold the overlay once the churn
     /// since the last fold exceeds `drift_threshold · m`. Each step is its
     /// own phase (`cert_sweep`, `level_repair` with its gather nested as
     /// `level_gather`, `compaction`).
@@ -793,28 +786,22 @@ impl ServeLoop {
         sp.close(&mut self.obs);
         if !self.dirty.is_empty() {
             let sp = self.tracer.span(Phase::LevelRepair, epoch);
-            // Wave executors mark rights in wave order, the serial engine
-            // in batch order; a capped ball grown from the list in either
-            // order would differ, so it grows from the sorted set.
+            // The repair ball is the dirty set: wave executors mark rights
+            // in wave order, the serial engine in batch order, with
+            // repeats. `⌈1/ε⌉` rounds, clamped to `[2, 8]`.
             self.dirty.sort_unstable();
             self.dirty.dedup();
             let cfg = LevelRepairConfig {
                 eps: self.cfg.eps,
-                radius: REPAIR_RADIUS,
                 rounds: ((1.0 / self.cfg.eps).ceil() as usize).clamp(2, 8),
-                max_ball: self.cfg.repair_ball_cap,
             };
             let gather = self.tracer.span(Phase::LevelGather, epoch);
             self.level_scratch.gather(&self.dg, &self.dirty, &cfg);
             gather.close(&mut self.obs);
-            let rep = self
-                .level_scratch
-                .run_rounds(&self.dg, &mut self.levels, &cfg);
-            self.stats.repair_rounds += rep.rounds_run;
-            report.ball_rights = rep.ball_rights;
-            if rep.ball_rights >= self.cfg.repair_ball_cap {
-                self.obs.inc(Counter::LevelCapHits, 1);
-            }
+            self.level_scratch
+                .run_rounds(&self.dg, &mut self.levels, &self.dirty, &cfg);
+            self.stats.repair_rounds += cfg.rounds;
+            report.ball_rights = self.dirty.len();
             sp.close(&mut self.obs);
         }
         if self.drift > self.cfg.drift_threshold * self.dg.m() as f64 {
@@ -1083,8 +1070,9 @@ impl ServeLoop {
     /// Rebuild an engine from exported parts, re-validating the
     /// cross-structure invariants (snapshot payloads are external input):
     /// the matching must be feasible on the restored live graph, the
-    /// level vector must cover the right side, dirty marks must be in
-    /// range, and the drift weight and threshold must be a usable budget.
+    /// level vector must cover the right side with levels whose
+    /// differences cannot overflow, dirty marks must be in range, and the
+    /// drift weight and threshold must be a usable budget.
     pub(crate) fn from_parts(p: ServeParts) -> Result<ServeLoop, String> {
         if p.levels.len() != p.dg.n_right() {
             return Err(format!(
@@ -1092,6 +1080,9 @@ impl ServeLoop {
                 p.levels.len(),
                 p.dg.n_right()
             ));
+        }
+        if let Some(l) = p.levels.iter().find(|l| l.unsigned_abs() > MAX_LEVEL) {
+            return Err(format!("level {l} outside ±{MAX_LEVEL}"));
         }
         let n_right = p.dg.n_right() as u32;
         if p.dirty.iter().chain(&p.sweep_dirty).any(|&v| v >= n_right) {
@@ -1319,23 +1310,31 @@ mod tests {
     }
 
     #[test]
-    fn level_cap_hits_count_epochs_whose_ball_reached_the_cap() {
+    fn the_level_repair_runs_on_the_distinct_dirty_rights() {
+        // Every right starts at capacity 2; raising it to 3 marks the
+        // right dirty, and a repeat marks it again without changing the
+        // graph. So both engines end on one graph and one dirty set.
         let g = union_of_spanning_trees(120, 100, 3, 2, 7).graph;
-        for (cap, hits) in [(1, 1), (usize::MAX, 0)] {
-            let cfg = DynamicConfig {
-                repair_ball_cap: cap,
-                ..DynamicConfig::for_eps(0.25)
-            };
-            let mut s = ServeLoop::new(g.clone(), cfg);
-            for v in [0, 1] {
-                let c = s.graph().capacity(v);
-                s.apply(&Update::SetCapacity { v, cap: c + 1 });
+        let cfg = DynamicConfig::for_eps(0.25);
+        let raise = |s: &mut ServeLoop, order: &[RightId]| {
+            for &v in order {
+                s.apply(&Update::SetCapacity { v, cap: 3 });
             }
-            let r = close(&mut s);
-            assert!(!r.rebuilt);
-            assert!(r.ball_rights >= 2, "both dirty rights are seeds");
-            assert_eq!(s.obs().counter(Counter::LevelCapHits), hits, "cap {cap}");
+            let r = close(s);
+            assert!(!r.rebuilt && !r.compacted);
+            r
+        };
+        let mut once = ServeLoop::new(g.clone(), cfg.clone());
+        let before = once.levels().to_vec();
+        assert_eq!(raise(&mut once, &[0, 5, 9]).ball_rights, 3);
+        let mut repeated = ServeLoop::new(g, cfg);
+        assert_eq!(raise(&mut repeated, &[9, 5, 9, 0, 5, 5]).ball_rights, 3);
+        assert_eq!(repeated.levels(), once.levels());
+        // Only the dirty rights' levels moved, and the repair moved some.
+        for (v, (&now, &was)) in once.levels().iter().zip(&before).enumerate() {
+            assert!(now == was || [0, 5, 9].contains(&v), "level {v} moved");
         }
+        assert_ne!(once.levels(), &before[..], "the repair moved no level");
     }
 
     /// Charge `units` of churn that moves no edge: capacity steps on `v`.
@@ -1432,8 +1431,8 @@ mod tests {
         let bar = (1.0 - 0.25 / 2.0) * n as f64;
         s.levels.iter_mut().for_each(|l| *l = 0);
         assert!(s.fractional().weight < bar);
-        // Churn on the isolated right: its repair ball reaches no level
-        // that matters, so only the fold can mend them.
+        // Churn on the isolated right: its repair moves no level that
+        // matters, so only the fold can mend them.
         charge(&mut s, n + 1, 1);
         let r = close(&mut s);
         assert!(r.compacted && r.rebuilt, "{r:?}");

@@ -26,13 +26,14 @@
 //! ```
 //!
 //! The payload is the [`ByteWriter`] encoding of the engine parts. It
-//! opens with the six [`DynamicConfig`] words (ε, walk budget, drift
-//! threshold, eager search cap, eager walk budget, repair-ball cap);
-//! the repair radius and rounds, the space slack and the footprint cap
-//! are constants of the build and are not stored. The sharded kind
-//! prepends the shard-map word, lifetime counters, and one
-//! [`ShardManifest`] per machine of the recorded [`ShardMap`]. Version 1
-//! files, which stored those settings, are refused as version skew.
+//! opens with the five [`DynamicConfig`] words (ε, walk budget, drift
+//! threshold, eager search cap, eager walk budget); the repair rounds,
+//! the space slack and the footprint cap are constants of the build and
+//! are not stored. The sharded kind prepends the shard-map word,
+//! lifetime counters, and one [`ShardManifest`] per machine of the
+//! recorded [`ShardMap`]. Files of versions 1 (which stored those
+//! settings) and 2 (which stored a level-repair ball cap) are refused as
+//! version skew.
 //! Every corruption path —
 //! truncation, bit flips, version skew, a manifest list that disagrees
 //! with its recorded shard count — surfaces as a typed
@@ -87,7 +88,7 @@ use crate::walks::MatchingState;
 /// The 8-byte magic prefix of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"SALLOCSN";
 /// The format version this build writes and the only one it reads.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 const KIND_SERIAL: u32 = 0;
 const KIND_SHARDED: u32 = 1;
@@ -283,7 +284,6 @@ fn encode_config(cfg: &DynamicConfig, w: &mut ByteWriter) {
     w.put_f64(cfg.drift_threshold);
     w.put_u64(cfg.eager_search_cap as u64);
     w.put_u64(cfg.eager_walk_budget as u64);
-    w.put_u64(cfg.repair_ball_cap as u64);
 }
 
 fn decode_config(r: &mut ByteReader) -> Result<DynamicConfig, SnapshotError> {
@@ -296,7 +296,6 @@ fn decode_config(r: &mut ByteReader) -> Result<DynamicConfig, SnapshotError> {
         drift_threshold,
         eager_search_cap: r.take_u64()? as usize,
         eager_walk_budget: r.take_u64()? as usize,
-        repair_ball_cap: r.take_u64()? as usize,
     })
 }
 
@@ -721,27 +720,65 @@ mod tests {
     fn version_and_magic_mismatches_error_typed() {
         let s = churned_serve();
         let bytes = serial_bytes(&s);
-        // A version-1 header (the format that still carried the repair
-        // and scheduling settings), re-sealed so only the version
-        // differs.
-        let mut v1 = bytes.clone();
-        v1[8] = 1;
-        let body = v1.len() - 8;
-        let crc = fnv1a64(&v1[..body]).to_le_bytes();
-        v1[body..].copy_from_slice(&crc);
-        assert!(matches!(
-            read_serial(&mut &v1[..]).unwrap_err(),
-            SnapshotError::Version {
-                found: 1,
-                supported: 2
-            }
-        ));
+        // Version-1 and version-2 headers (the formats that still carried
+        // the repair and scheduling settings, then the level-repair ball
+        // cap), re-sealed so only the version differs.
+        for old in [1u8, 2] {
+            let mut skewed = bytes.clone();
+            skewed[8] = old;
+            let body = skewed.len() - 8;
+            let crc = fnv1a64(&skewed[..body]).to_le_bytes();
+            skewed[body..].copy_from_slice(&crc);
+            let err = read_serial(&mut &skewed[..]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::Version { found, supported: 3 } if found == old as u32
+                ),
+                "{err}"
+            );
+        }
         let mut nomagic = bytes;
         nomagic[0] = b'X';
         assert!(matches!(
             read_serial(&mut &nomagic[..]).unwrap_err(),
             SnapshotError::BadMagic
         ));
+    }
+
+    #[test]
+    fn levels_whose_differences_can_overflow_are_refused() {
+        // Two rights that share a left: the aggregates subtract their
+        // levels, so extreme levels must not reach `fractional()`.
+        let s = churned_serve();
+        let g = s.snapshot();
+        let (u, _) = (0..g.n_left() as u32)
+            .map(|u| (u, g.left_neighbors(u)))
+            .find(|(_, row)| row.len() >= 2)
+            .expect("a left with two rights");
+        let row = g.left_neighbors(u);
+        let (a, b) = (row[0] as usize, row[1] as usize);
+        let with_levels = |hi: i64, lo: i64| {
+            let mut levels = s.levels().to_vec();
+            levels[a] = hi;
+            levels[b] = lo;
+            let mut parts = s.parts_ref();
+            parts.levels = &levels;
+            let mut payload = ByteWriter::new();
+            encode_serve_parts(&parts, &mut payload);
+            let bytes = frame(KIND_SERIAL, &payload.into_bytes());
+            read_serial(&mut &bytes[..])
+        };
+        for (hi, lo) in [
+            (i64::MAX, i64::MIN),
+            (i64::MAX / 4 + 1, 0),
+            (0, -(i64::MAX / 4) - 1),
+        ] {
+            let err = with_levels(hi, lo).map(drop).unwrap_err();
+            assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
+        }
+        let edge = with_levels(i64::MAX / 4, -(i64::MAX / 4)).expect("levels at the bound");
+        assert_eq!(edge.levels()[a], i64::MAX / 4);
     }
 
     #[test]

@@ -72,27 +72,26 @@ fn repeated_repairs_allocate_nothing_after_warm_up() {
         dg.insert_edge(u, (v + 17) % 300);
     }
     dg.arrive(&[3, 40, 41]);
-    let seed_sets: Vec<Vec<RightId>> = (0..6u32)
-        .map(|k| (0..4).map(|j| (k * 47 + j * 13) % 300).collect())
+    // Sorted sets of 4 to 80 distinct rights, the shape of an epoch's
+    // dirty list after its sort and dedup.
+    let balls: Vec<Vec<RightId>> = (0..6u32)
+        .map(|k| {
+            let mut ball: Vec<RightId> = (0..4 + 15 * k).map(|j| (k * 47 + j * 13) % 300).collect();
+            ball.sort_unstable();
+            ball.dedup();
+            ball
+        })
         .collect();
     let mut levels: Vec<i64> = (0..300).map(|v| (v % 5) as i64 - 2).collect();
     let mut scratch = LevelScratch::default();
-    let capped = LevelRepairConfig {
-        eps: 0.25,
-        radius: 3,
-        rounds: 4,
-        max_ball: 48,
-    };
-    let uncapped = LevelRepairConfig {
-        max_ball: usize::MAX,
-        ..capped
-    };
-    // Balls depend on the graph and the seeds only, so one pass over the
-    // same calls grows the scratch to everything the second pass needs.
+    let configs = [2, 4].map(|rounds| LevelRepairConfig { eps: 0.25, rounds });
+    // The gather depends on the graph and the ball only, so one pass over
+    // the same calls grows the scratch to everything the second pass
+    // needs.
     let mut pass = |levels: &mut [i64]| {
-        for seeds in &seed_sets {
-            for cfg in [&capped, &uncapped] {
-                repair_levels(&dg, levels, seeds, cfg, &mut scratch);
+        for ball in &balls {
+            for cfg in &configs {
+                repair_levels(&dg, levels, ball, cfg, &mut scratch);
             }
         }
     };

@@ -47,13 +47,11 @@ pub enum Counter {
     ReplayedBytes,
     /// Bytes appended to the write-ahead log.
     WalBytes,
-    /// Epochs whose β-level repair ball reached the size cap.
-    LevelCapHits,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 17] = [
+    pub const ALL: [Counter; 16] = [
         Counter::WalkExpansions,
         Counter::SearchCapHits,
         Counter::SweepExpansions,
@@ -70,7 +68,6 @@ impl Counter {
         Counter::NetRespawns,
         Counter::ReplayedBytes,
         Counter::WalBytes,
-        Counter::LevelCapHits,
     ];
 
     /// Stable export name.
@@ -92,7 +89,6 @@ impl Counter {
             Counter::NetRespawns => "net_respawns",
             Counter::ReplayedBytes => "replayed_bytes",
             Counter::WalBytes => "wal_bytes",
-            Counter::LevelCapHits => "level_cap_hits",
         }
     }
 }
@@ -150,11 +146,11 @@ pub enum Phase {
     /// The serial core's `k/(k+1)` certificate sweep: deriving the
     /// candidate free lefts and searching from them.
     CertSweep,
-    /// The serial core's β-level repair on the dirty ball.
+    /// The serial core's β-level repair on the epoch's dirty rights.
     LevelRepair,
-    /// The gather half of `LevelRepair`, nested in its span: growing the
-    /// ball and copying its live rows into flat arenas. The rest of
-    /// `LevelRepair` is the rounds over them.
+    /// The gather half of `LevelRepair`, nested in its span: copying the
+    /// dirty rights' live rows, and those of their adjacent lefts, into
+    /// flat arenas. The rest of `LevelRepair` is the rounds over them.
     LevelGather,
     /// Folding the live graph's overlay into a fresh snapshot once the
     /// churn budget is spent, re-solving the levels when their fractional

@@ -304,15 +304,12 @@ proptest! {
 const EPS: f64 = 0.25;
 
 /// The engine config of every ≡-serial property: the sharded default on
-/// `shards` machines, with a β-repair ball cap small enough to bind on
-/// these instances. A binding cap truncates the level-repair ball to its
-/// first rights in BFS order from the dirty rights, so the harness's
-/// level check sees any dependence on the order a wave executor marked
-/// them in.
+/// `shards` machines. It needs no override: the β-level repair runs on
+/// exactly the epoch's dirty rights, so the harness's level check pins
+/// that every engine marks the same dirty *set*, whatever order its
+/// waves marked the rights in.
 fn harness_cfg(shards: usize) -> ShardedConfig {
-    let mut cfg = ShardedConfig::for_eps(EPS, shards);
-    cfg.dynamic.repair_ball_cap = 4;
-    cfg
+    ShardedConfig::for_eps(EPS, shards)
 }
 
 /// The serial reference the ≡-serial properties compare against: the

@@ -21,8 +21,16 @@
 //!
 //! Plentiful capacity (cap 2) leaves few free lefts, so the sweep mostly
 //! re-certifies; scarce capacity (cap 1) is where the sweep and the
-//! fractional solution do real work. The short case runs in `cargo
-//! test`; the long one is `#[ignore]`d and run by `ci.sh` in release:
+//! fractional solution do real work.
+//!
+//! A third case runs at the serving benchmark's scale (115k vertices,
+//! 0.5 % of `m` churned per epoch), where the level repair touches a
+//! few percent of the rights per epoch and most of the fractional
+//! solution is never repaired: it checks the maintained levels against
+//! a fresh re-solve every few epochs and `k/(k+1)·OPT` at the end.
+//!
+//! The short case runs in `cargo test`; the long and the scale case are
+//! `#[ignore]`d and run by `ci.sh` in release:
 //!
 //! ```sh
 //! cargo test --release --test soak -- --ignored
@@ -194,4 +202,57 @@ fn soak_long() {
         }
     }
     run(&scenarios);
+}
+
+/// The serving benchmark's instance: `union_of_spanning_trees(65_000,
+/// 50_000, 4, cap, 29)` under `churn_stream` seed 31 at 0.5 % of `m` per
+/// epoch, served by `DynamicConfig::for_eps(0.25)`. Every `check_every`
+/// epochs the maintained levels' fractional weight must be `≥ (1 − ε/2)`
+/// × a fresh `run_with_guessing` solve on the live graph; at the end,
+/// `|M| ≥ k/(k+1)·OPT`. Returns the lowest maintained/fresh ratio seen.
+fn soak_at_scale(cap: u64, epochs: usize, check_every: usize) -> f64 {
+    let g = union_of_spanning_trees(65_000, 50_000, 4, cap, 29).graph;
+    let per_epoch = ((g.m() as f64) * 0.005).round() as usize;
+    let updates = churn_stream(&g, epochs * per_epoch, &ChurnMix::default(), 31);
+    let mut s = ServeLoop::new(g, DynamicConfig::for_eps(EPS));
+    let mut lowest = f64::INFINITY;
+    for (i, batch) in updates.chunks(per_epoch).enumerate() {
+        let epoch = i + 1;
+        for up in batch {
+            s.apply(up);
+        }
+        s.end_epoch();
+        if epoch.is_multiple_of(check_every) {
+            let live = s.snapshot();
+            let fresh = run_with_guessing(&live, EPS).result.levels;
+            let fresh_w = finalize_from_levels(&live, &fresh, EPS).weight;
+            let w = s.fractional().weight;
+            lowest = lowest.min(w / fresh_w);
+            assert!(
+                w >= (1.0 - EPS / 2.0) * fresh_w - 1e-9,
+                "cap {cap} epoch {epoch}: maintained fractional weight {w} below (1 − ε/2) × fresh {fresh_w}"
+            );
+        }
+    }
+    s.validate().unwrap_or_else(|e| panic!("cap {cap}: {e}"));
+    let opt = opt_value(&s.snapshot());
+    let k = s.config().walk_budget as f64;
+    assert!(
+        s.match_size() as f64 >= k / (k + 1.0) * opt as f64 - 1e-9,
+        "cap {cap}: |M| = {} below k/(k+1)·OPT, OPT = {opt}",
+        s.match_size()
+    );
+    lowest
+}
+
+/// The serving benchmark's instance: 200 plentiful epochs checked every
+/// 50, 30 scarce ones checked every 10. Release build: run with `cargo
+/// test --release --test soak -- --ignored`.
+#[test]
+#[ignore = "scale soak: run by ci.sh in release"]
+fn soak_at_servebench_scale() {
+    for (cap, epochs, check_every) in [(2u64, 200, 50), (1, 30, 10)] {
+        let lowest = soak_at_scale(cap, epochs, check_every);
+        println!("cap {cap}: lowest maintained/fresh fractional weight {lowest:.5}");
+    }
 }
