@@ -364,10 +364,10 @@ proptest_p2p() {
 }
 
 proptest_ball_growth() {
-    # The properties that pin the one right-ball growth, which the
-    # footprint schedule (conflict-free waves ≡ serial) and the sweep
-    # grow, next to the level repair on the dirty rights, which grows no
-    # ball (repair ≡ scratch), and the unit tests of both modules.
+    # The properties that pin the one right-ball growth, which only the
+    # footprint schedule grows (conflict-free waves ≡ serial), next to
+    # the level repair on the dirty rights, which grows no ball (repair ≡
+    # scratch), and the unit tests of both modules.
     cargo test --release -q --test properties \
         wave_schedules_are_conflict_free_and_serial_equivalent
     cargo test --release -q --test properties dynamic_repair_matches_scratch
@@ -385,6 +385,16 @@ overlay_codec() {
     # and snapshot inputs.
     cargo test --release -q -p sparse-alloc-graph --lib delta::tests
     cargo test --release -q -p sparse-alloc-graph --test io_adversarial
+}
+
+smoke_scarce() {
+    # The serving benchmark on its scarce workload (cap 1), where the
+    # epoch-close certificate sweep does all the work and which the
+    # benchmark contract does not run: its exit code carries the
+    # feasibility and k/(k+1)·OPT gate.
+    cargo run --release --offline -q --manifest-path servebench/Cargo.toml -- \
+        --workload serial-scarce --seconds 2 --trace 0 \
+        || { echo "servebench serial-scarce FAILED its correctness gate"; exit 1; }
 }
 
 soak_long() {
@@ -435,7 +445,8 @@ if [ "${1:-}" != "fast" ]; then
     run "ball-growth proptests under --release (wave schedules ≡ serial, repair ≡ scratch)" proptest_ball_growth
     run "compact ≡ builder and fractional ≡ scratch proptests under --release" proptest_compact_fractional
     run "live-graph overlay under --release (edge-set model, pinned snapshot bytes, codec, adversarial io)" overlay_codec
-    run "long soak under --release (certificate, k/(k+1)·OPT, churn budget, fractional bound, restores; plus soak_at_servebench_scale: W ≥ (1 − ε/2)·fresh at n = 115k)" soak_long
+    run "servebench serial-scarce smoke (feasible, ≥ k/(k+1)·OPT where the sweep does the work)" smoke_scarce
+    run "long soak under --release (certificate, k/(k+1)·OPT, churn budget, fractional bound, restores; plus soak_at_servebench_scale: W ≥ (1 − ε/2)·fresh at n = 115k, and a sharded-config leg whose epoch sweeps must augment)" soak_long
     run "transport fault-injection harness under --release (star spokes + p2p peer links)" transport_harness
     run "examples (release) — none may bit-rot" examples_release
 fi

@@ -20,9 +20,8 @@
 //! The serial engine's eager repairs early-exit on the count-guarded
 //! `DeltaGraph` and cost only a few ms across the whole run, so its
 //! epochs are dominated by the epoch-close work both engines share
-//! verbatim. Since the certificate sweep derives its candidates from the
-//! few free lefts (64,996 of 65,000 lefts are matched here) instead of
-//! growing a radius-`k` region over the whole graph, that work is β-level
+//! verbatim. The certificate sweep searches only from the few free lefts
+//! (64,996 of 65,000 lefts are matched here), so that work is β-level
 //! repair: `level_repair` takes ~4–5 ms per epoch on the ~2,000 dirty
 //! rights (~2 ms of that is the nested `level_gather`, which copies their
 //! live rows and their lefts' into flat arenas for the rounds) against
@@ -205,7 +204,10 @@ pub fn run() {
 
     // The hot-path registry must be ~free when turned off: identical
     // 2-shard drives with metrics disabled vs enabled, interleaved,
-    // median of `SAMPLES` each, gated at ≤ 5% overhead by ci.sh.
+    // median of `SAMPLES` each, gated at ≤ 5% overhead by ci.sh. The
+    // order alternates (even rounds disabled first, odd rounds enabled
+    // first), so a warm-up or drift effect within a round lands on both
+    // sides.
     let ab_drive = |enabled: bool| {
         let mut serve = ShardedServeLoop::new(g.clone(), ShardedConfig::for_eps(EPS, 2))
             .expect("initial state fits the space budget");
@@ -215,9 +217,14 @@ pub fn run() {
         t.elapsed().as_secs_f64() * 1e3
     };
     let (mut off, mut on) = (Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES));
-    for _ in 0..SAMPLES {
-        off.push(ab_drive(false));
-        on.push(ab_drive(true));
+    for round in 0..SAMPLES {
+        if round % 2 == 0 {
+            off.push(ab_drive(false));
+            on.push(ab_drive(true));
+        } else {
+            on.push(ab_drive(true));
+            off.push(ab_drive(false));
+        }
     }
     let (off_ms, on_ms) = (median(off), median(on));
     let metrics_overhead = on_ms / off_ms.max(1e-9);

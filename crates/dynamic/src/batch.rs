@@ -18,8 +18,7 @@
 //! arrivals and inserts over the live [`DeltaGraph`] — so scheduling a
 //! batch costs `O(n)` index arrays plus the footprint work, not an
 //! `O(n + m)` graph clone. Footprints grow through the serving core's
-//! one right-ball routine (`repair::grow_ball`, shared with the level
-//! repair and the certificate sweep), whose membership is an
+//! one right-ball routine (`repair::grow_ball`), whose membership is an
 //! epoch-stamped set ([`StampSet`](crate::stamp::StampSet)): no hashing
 //! on the per-edge path, `O(1)` clear between updates. Footprints
 //! themselves live in one flat arena on the returned [`BatchSchedule`]

@@ -28,8 +28,8 @@ use sparse_alloc_graph::{DeltaGraph, InsertOverlay, LeftId, RightId};
 use crate::stamp::StampSet;
 
 /// Reusable scratch of [`grow_ball`] — stamped membership plus the BFS
-/// frontier vectors (the certificate sweep grows a ball per augmenting
-/// flip; stamped clears keep that `O(ball)` instead of `O(n)` per call,
+/// frontier vectors (the scheduler grows one footprint per update of a
+/// batch; stamped clears keep that `O(ball)` instead of `O(n)` per call,
 /// and the frontier reuse keeps it allocation-free). Grows on demand
 /// with the graph.
 #[derive(Debug, Clone, Default)]
@@ -79,9 +79,9 @@ pub struct LevelRepairConfig {
 }
 
 /// The adjacency a right-ball growth reads: visitor scans of both sides
-/// and the vertex counts. The live [`DeltaGraph`] implements it for the
-/// level repair and the certificate sweep, the batch's union-graph view
-/// ([`InsertOverlay`]) for the conflict scheduler's footprints.
+/// and the vertex counts. The batch's union-graph view
+/// ([`InsertOverlay`]) implements it for the conflict scheduler's
+/// footprints, the live [`DeltaGraph`] for the tests' reference balls.
 pub(crate) trait BallGraph {
     fn n_left(&self) -> usize;
     fn n_right(&self) -> usize;
@@ -110,9 +110,8 @@ macro_rules! ball_graph {
 }
 ball_graph!(DeltaGraph, InsertOverlay<'_>);
 
-/// The one right-ball growth: every right ball the serving core needs
-/// (sweep region and probes, schedule footprints) is this loop with a
-/// different `reach`.
+/// The one right-ball growth: the schedule footprints are this loop,
+/// through [`ball_of_capped_into`].
 ///
 /// Visits the in-range `seeds` as hop 0, then grows hop by hop up to
 /// `radius` right-to-right hops (right → left → right = 1): frontier
@@ -185,8 +184,8 @@ fn grow_ball<G: BallGraph + ?Sized>(
 /// until the radius is exhausted or the appended segment holds `cap`
 /// rights (seeds are always included, even past the cap; a binding cap
 /// keeps exactly the first `cap` rights). Returns the last hop that
-/// grew the ball. The sweep clears `out` first and sorts it after; the
-/// scheduler appends footprint segments to its arena.
+/// grew the ball. The scheduler appends footprint segments to its arena;
+/// it is the only caller outside the tests.
 pub(crate) fn ball_of_capped_into<G: BallGraph + ?Sized>(
     g: &G,
     seeds: &[RightId],
@@ -212,35 +211,6 @@ pub(crate) fn ball_of_capped_into<G: BallGraph + ?Sized>(
         }
     });
     depth
-}
-
-/// Does the radius-`radius` right ball around `N(u)` hold a member of
-/// `targets`? The uncapped growth seeded with `u`'s neighbourhood,
-/// stopped at the first target it reaches. Every right the probe adds
-/// to its ball costs one unit of `budget`; `None` means the budget ran
-/// out before the probe could decide.
-pub(crate) fn probe_reaches(
-    dg: &DeltaGraph,
-    u: LeftId,
-    radius: usize,
-    targets: &StampSet,
-    scratch: &mut BallScratch,
-    budget: &mut usize,
-) -> Option<bool> {
-    let mut verdict = Some(false);
-    grow_ball(dg, dg.left_neighbors_iter(u), radius, scratch, |w, _| {
-        let Some(rest) = budget.checked_sub(1) else {
-            verdict = None;
-            return ControlFlow::Break(());
-        };
-        *budget = rest;
-        if targets.contains(w as usize) {
-            verdict = Some(true);
-            return ControlFlow::Break(());
-        }
-        ControlFlow::Continue(())
-    });
-    verdict
 }
 
 /// Re-run the proportional level dynamics on the rights of `ball`,

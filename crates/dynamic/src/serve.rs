@@ -4,12 +4,13 @@
 //! β-levels of the proportional dynamics, and the maintained integral
 //! allocation. Updates are applied with `O(τ)`-ball local repairs;
 //! [`ServeLoop::end_epoch`] restores the global `k/(k+1)` walk-freeness
-//! certificate, re-runs the level dynamics on the dirty rights, and folds
-//! the overlay into a fresh CSR snapshot once the churn since the last
-//! fold exceeds the `O(ε)` budget. A fold keeps the certified matching;
-//! it re-solves the levels only when their fractional weight has fallen
-//! below `(1 − ε/2)·|M|`. Rounding and boosting run once, in
-//! [`ServeLoop::new`].
+//! certificate with one [`Matching::sweep`] over every free left (skipped
+//! when no update marked a right since the last close), re-runs the level
+//! dynamics on the dirty rights, and folds the overlay into a fresh CSR
+//! snapshot once the churn since the last fold exceeds the `O(ε)` budget.
+//! A fold keeps the certified matching; it re-solves the levels only
+//! when their fractional weight has fallen below `(1 − ε/2)·|M|`.
+//! Rounding and boosting run once, in [`ServeLoop::new`].
 //!
 //! Between epochs, queries ([`ServeLoop::query`],
 //! [`ServeLoop::match_size`]) are `O(1)` reads of maintained state.
@@ -21,12 +22,9 @@ use sparse_alloc_core::fractional::{finalize_from_levels, FractionalAllocation};
 use sparse_alloc_core::guessing::run_with_guessing;
 use sparse_alloc_core::rounding;
 use sparse_alloc_graph::{Assignment, Bipartite, DeltaGraph, LeftId, RightId};
-use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Tracer};
+use sparse_alloc_obs::{Counter, Phase, Registry, Tracer};
 
-use crate::repair::{
-    ball_of_capped_into, probe_reaches, BallScratch, LevelRepairConfig, LevelScratch,
-};
-use crate::stamp::StampSet;
+use crate::repair::{LevelRepairConfig, LevelScratch};
 use crate::update::Update;
 use crate::walks::{
     augment_from_left, reclaim_into, MatchSlots, Matching, MatchingState, SearchScratch,
@@ -156,12 +154,13 @@ pub struct ServeStats {
 pub struct EpochReport {
     /// Augmentations found by the certificate sweep.
     pub sweep_augmentations: usize,
-    /// Free left vertices the sweep actually searched from. Frees whose
-    /// alternating components were untouched since the last epoch are
-    /// skipped (dirty-component tracking) and do not count.
+    /// Searches the sweep started, summed over its passes: every free
+    /// left once per pass. Zero for a no-op epoch (no right marked since
+    /// the last close): the previous certificate still stands, so no
+    /// search runs.
     pub sweep_starts: usize,
     /// BFS right-vertex expansions the sweep performed. Zero for a no-op
-    /// epoch: the previous certificate still stands, so no search runs.
+    /// epoch, like `sweep_starts`.
     pub sweep_expansions: u64,
     /// Right vertices the β-level repair re-ran: the epoch's distinct
     /// dirty rights (0 if no repair ran).
@@ -175,7 +174,7 @@ pub struct EpochReport {
 }
 
 /// Everything a warm restart persists of a [`ServeLoop`] — the engine
-/// state with the rebuildable sweep scratch stripped.
+/// state with the rebuildable level-repair scratch stripped.
 /// This is the *owned* decode-side form, consumed by
 /// [`ServeLoop::from_parts`]; the encode side borrows the live state via
 /// [`ServeLoop::parts_ref`] instead of copying it. The wire form lives
@@ -187,7 +186,6 @@ pub(crate) struct ServeParts {
     pub(crate) levels: Vec<i64>,
     pub(crate) matching: MatchingState,
     pub(crate) dirty: Vec<RightId>,
-    pub(crate) sweep_dirty: Vec<RightId>,
     pub(crate) drift_accumulated: f64,
     pub(crate) stats: ServeStats,
 }
@@ -205,7 +203,6 @@ impl ServeParts {
             matched_at: &self.matching.matched_at,
             expansions: self.matching.expansions,
             dirty: &self.dirty,
-            sweep_dirty: &self.sweep_dirty,
             drift_accumulated: self.drift_accumulated,
             stats: &self.stats,
         }
@@ -224,7 +221,6 @@ pub(crate) struct ServePartsRef<'a> {
     pub(crate) matched_at: &'a [Vec<LeftId>],
     pub(crate) expansions: u64,
     pub(crate) dirty: &'a [RightId],
-    pub(crate) sweep_dirty: &'a [RightId],
     pub(crate) drift_accumulated: f64,
     pub(crate) stats: &'a ServeStats,
 }
@@ -237,12 +233,10 @@ pub struct ServeLoop {
     levels: Vec<i64>,
     matching: Matching,
     /// Update sites since the last epoch close, with repeats: the rights
-    /// whose β-levels the close repairs.
+    /// whose β-levels the close repairs. Every update that can move the
+    /// matching marks one, so an epoch that marked none leaves the last
+    /// certificate standing and the close skips the sweep.
     dirty: Vec<RightId>,
-    /// Rights perturbed since the last certificate: every update site plus
-    /// every right a successful augmenting flip touched. Drives the
-    /// dirty-component sweep and the sharded loop's handoff accounting.
-    sweep_dirty: Vec<RightId>,
     /// Churn charged since the last fold: an arrival its degree (at least
     /// 1), a departure its freed edges, an edge insert or delete 1, a
     /// capacity move its size. Persisted, so a restored engine folds on
@@ -252,12 +246,8 @@ pub struct ServeLoop {
     /// [`ServeLoop::fractional`] calls, each a full recompute (see
     /// [`ServeLoop::fractional_cache_counters`]).
     frac_reads: Cell<u64>,
-    /// Persistent scratch for the per-epoch certificate sweep (stamped
-    /// membership + reusable vectors), so an epoch close performs no
-    /// `O(n)` dense allocations.
-    sweep_scratch: SweepScratch,
     /// Persistent scratch for the per-epoch β-level repair, so it
-    /// performs no `O(n)` dense allocation either.
+    /// performs no `O(n)` dense allocation.
     level_scratch: LevelScratch,
     /// Hot-path metrics (counters, distributions, per-phase latency).
     /// Always carried; a disabled registry turns every record call into
@@ -267,107 +257,6 @@ pub struct ServeLoop {
     /// attaches a sink via [`ServeLoop::set_tracer`]; spans still measure
     /// so the registry's latency histograms fill either way.
     tracer: Tracer,
-}
-
-/// Persistent scratch of [`ServeLoop::certificate_sweep`]: the region
-/// absorbed so far and candidate membership (stamped, `O(1)` clear), the
-/// dirty-right marks the inverted derivation probes for, the candidate
-/// worklist, and the ball-growth scratch + output. Rebuilt empty on
-/// restore — it is ephemeral state no snapshot carries.
-#[derive(Debug, Default)]
-pub(crate) struct SweepScratch {
-    region: StampSet,
-    is_candidate: StampSet,
-    dirty: StampSet,
-    candidates: Vec<u32>,
-    ball: BallScratch,
-    ball_out: Vec<RightId>,
-}
-
-impl SweepScratch {
-    /// Empty the region, the candidate set and the worklist, sized for
-    /// `dg`.
-    fn reset(&mut self, dg: &DeltaGraph) {
-        self.region.grow(dg.n_right());
-        self.region.clear();
-        self.is_candidate.grow(dg.n_left());
-        self.is_candidate.clear();
-        self.candidates.clear();
-    }
-
-    /// Grow the radius-`k` ball around `seeds` into `ball_out`, then
-    /// absorb it: every ball right not yet in the region joins it, and
-    /// its free neighbours not yet candidates are appended to the
-    /// worklist (in ball order).
-    fn absorb_ball(&mut self, dg: &DeltaGraph, matching: &Matching, seeds: &[RightId], k: usize) {
-        self.ball_out.clear();
-        ball_of_capped_into(dg, seeds, k, usize::MAX, &mut self.ball, &mut self.ball_out);
-        self.ball_out.sort_unstable();
-        for &v in &self.ball_out {
-            if self.region.insert(v as usize) {
-                for u in dg.right_neighbors_iter(v) {
-                    if matching.mate(u).is_none() && self.is_candidate.insert(u as usize) {
-                        self.candidates.push(u);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The forward candidate derivation of the certificate sweep: grow the
-/// radius-`k` region around the `dirty` rights and collect the free lefts
-/// adjacent to it. Costs `O(region)` — the whole graph once the dirty set
-/// is spread out. Leaves the region absorbed in `scr`.
-pub(crate) fn forward_candidates(
-    dg: &DeltaGraph,
-    matching: &Matching,
-    dirty: &[RightId],
-    k: usize,
-    scr: &mut SweepScratch,
-) {
-    scr.reset(dg);
-    scr.absorb_ball(dg, matching, dirty, k);
-}
-
-/// The inverted candidate derivation of the certificate sweep: scan for
-/// the free lefts and probe `k` right-hops out from each one's
-/// neighbourhood ([`probe_reaches`]); a free left is a candidate iff its
-/// probe reaches a `dirty` right. Right-hop distance is symmetric, so
-/// this is exactly the set [`forward_candidates`] derives, in ascending
-/// id order, and it leaves the region empty. Returns `false` — with the
-/// candidates incomplete — once the probes together have visited more
-/// than `budget` rights.
-pub(crate) fn probe_candidates(
-    dg: &DeltaGraph,
-    matching: &Matching,
-    dirty: &[RightId],
-    k: usize,
-    mut budget: usize,
-    scr: &mut SweepScratch,
-) -> bool {
-    scr.reset(dg);
-    scr.dirty.grow(dg.n_right());
-    scr.dirty.clear();
-    for &v in dirty {
-        if (v as usize) < dg.n_right() {
-            scr.dirty.insert(v as usize);
-        }
-    }
-    for u in 0..dg.n_left() as LeftId {
-        if matching.mate(u).is_some() {
-            continue;
-        }
-        match probe_reaches(dg, u, k, &scr.dirty, &mut scr.ball, &mut budget) {
-            Some(true) => {
-                scr.is_candidate.insert(u as usize);
-                scr.candidates.push(u);
-            }
-            Some(false) => {}
-            None => return false,
-        }
-    }
-    true
 }
 
 /// The deferred (repair) half of one update: everything
@@ -383,8 +272,8 @@ pub(crate) enum RepairPlan {
     Place { u: LeftId },
     /// Left `u` left: release its match, refill the freed slot.
     Release { u: LeftId },
-    /// Edge `(u, v)` died: if it carried the match, re-place `u` (marking
-    /// its surviving neighborhood for the sweep on failure) and refill `v`.
+    /// Edge `(u, v)` died: if it carried the match, re-place `u` and
+    /// refill `v`.
     Rematch { u: LeftId, v: RightId },
     /// Capacity of `v` dropped: evict the excess, re-place each victim.
     Evict { v: RightId },
@@ -403,8 +292,9 @@ pub(crate) struct RepairOutcome {
     pub(crate) augmentations: usize,
     /// Matches released by departures, dead edges, and capacity cuts.
     pub(crate) evictions: usize,
-    /// Rights this repair perturbed (flipped walks, sweep hints), in the
-    /// serial observation order.
+    /// Rights this repair's flipped walks touched, in the serial
+    /// observation order: the sharded loop charges the foreign ones as
+    /// handoff traffic.
     pub(crate) dirty: Vec<RightId>,
 }
 
@@ -428,14 +318,11 @@ pub(crate) fn run_repair<T: WalkTopology + ?Sized>(
         u: LeftId,
         k: usize,
         cap: usize,
-    ) -> bool {
+    ) {
         if augment_from_left(slots, scratch, dg, u, k, cap) {
             out.size_delta += 1;
             out.augmentations += 1;
             out.dirty.extend_from_slice(&scratch.last_walk);
-            true
-        } else {
-            false
         }
     }
     fn backward<T: WalkTopology + ?Sized>(
@@ -475,16 +362,7 @@ pub(crate) fn run_repair<T: WalkTopology + ?Sized>(
                 slots.unmatch(u);
                 out.size_delta -= 1;
                 out.evictions += 1;
-                if !forward(dg, slots, scratch, &mut out, u, k, cap) {
-                    // u is newly free, but its link to the dirty right is
-                    // the deleted edge itself: mark its surviving
-                    // neighborhood so the epoch sweep examines u even
-                    // when the (capped) eager search above gave up. Every
-                    // other path that frees a left keeps a live marked
-                    // neighbor (evictions keep the capacity-cut right,
-                    // arrivals mark their whole edge set).
-                    out.dirty.extend(dg.left_neighbors(u));
-                }
+                forward(dg, slots, scratch, &mut out, u, k, cap);
                 backward(dg, slots, scratch, &mut out, v, k, cap);
             }
         }
@@ -534,11 +412,9 @@ impl ServeLoop {
             levels: solved.levels,
             matching,
             dirty: Vec::new(),
-            sweep_dirty: Vec::new(),
             drift: 0.0,
             stats: ServeStats::default(),
             frac_reads: Cell::new(0),
-            sweep_scratch: SweepScratch::default(),
             level_scratch: LevelScratch::default(),
             obs: Registry::new(),
             tracer: Tracer::default(),
@@ -636,7 +512,6 @@ impl ServeLoop {
         self.obs
             .inc(Counter::Augmentations, out.augmentations as u64);
         self.obs.inc(Counter::Evictions, out.evictions as u64);
-        self.sweep_dirty.extend_from_slice(&out.dirty);
     }
 
     /// Apply one conflict-free wave of updates: structural mutations run
@@ -685,23 +560,14 @@ impl ServeLoop {
     ) -> (Vec<RepairPlan>, Vec<WaveUpdateResult>) {
         let mut plans: Vec<RepairPlan> = Vec::with_capacity(updates.len());
         let mut results: Vec<WaveUpdateResult> = Vec::with_capacity(updates.len());
-        let mut mark_from: Vec<usize> = Vec::with_capacity(updates.len());
-        for (i, up) in updates.iter().enumerate() {
-            mark_from.push(self.sweep_dirty.len());
-            let (plan, arrived) = self.apply_structural(up, arrive_ids[i]);
+        for (up, &arrive_id) in updates.iter().zip(arrive_ids) {
+            let from = self.dirty.len();
+            let (plan, arrived) = self.apply_structural(up, arrive_id);
             plans.push(plan);
             results.push(WaveUpdateResult {
                 arrived,
-                touched: Vec::new(),
+                touched: self.dirty[from..].to_vec(),
             });
-        }
-        for (i, r) in results.iter_mut().enumerate() {
-            let to = mark_from
-                .get(i + 1)
-                .copied()
-                .unwrap_or(self.sweep_dirty.len());
-            r.touched
-                .extend_from_slice(&self.sweep_dirty[mark_from[i]..to]);
         }
         (plans, results)
     }
@@ -769,13 +635,18 @@ impl ServeLoop {
     pub fn end_epoch(&mut self) -> EpochReport {
         self.stats.epochs += 1;
         let epoch = self.stats.epochs as u64;
-        self.obs
-            .observe(Dist::SweepSize, self.sweep_dirty.len() as u64);
         let mut report = EpochReport::default();
 
         let sp = self.tracer.span(Phase::CertSweep, epoch);
         let exp0 = self.matching.expansions();
-        let (aug, starts) = self.certificate_sweep();
+        // An epoch that marked no right moved no edge, capacity or match
+        // (an edgeless arrival or departure opens no walk): the last
+        // certificate stands, and nothing is searched.
+        let (aug, starts) = if self.dirty.is_empty() {
+            (0, 0)
+        } else {
+            self.matching.sweep(&self.dg, self.cfg.walk_budget)
+        };
         self.stats.augmentations += aug;
         self.obs.inc(Counter::Augmentations, aug as u64);
         report.sweep_augmentations = aug;
@@ -812,7 +683,6 @@ impl ServeLoop {
         }
 
         self.dirty.clear();
-        self.sweep_dirty.clear();
         report.match_size = self.matching.size();
         report
     }
@@ -839,115 +709,11 @@ impl ServeLoop {
         resolve
     }
 
-    /// Restore the `k/(k+1)` certificate, skipping free left vertices
-    /// whose alternating components were untouched since the last epoch.
-    ///
-    /// Soundness: the previous epoch ended walk-free, and every mutation
-    /// since (graph edits, capacity moves, augmenting flips, newly freed
-    /// lefts) marked its rights in `sweep_dirty`. A search from a free `u`
-    /// only reads state within `k` right-hops of `N(u)`, so if that region
-    /// contains no dirty right the search is guaranteed to fail exactly as
-    /// it did at the last certificate — skipping it cannot change the
-    /// outcome, which keeps this sweep's result identical to an
-    /// unrestricted [`Matching::sweep`]. Flips performed *during* the
-    /// sweep grow the region, and passes repeat until one is clean,
-    /// certifying every (reachable) free vertex against the same final
-    /// matching.
-    ///
-    /// The candidate set — *free* lefts within `k` right-hops of a dirty
-    /// right — is derived once, from whichever side is smaller:
-    ///
-    /// - **forward** ([`forward_candidates`]), when free lefts are at
-    ///   least as many as the dirty marks (`sweep_dirty`, duplicates
-    ///   included): grow the radius-`k` region around the dirty rights
-    ///   and collect the free lefts adjacent to it;
-    /// - **inverted** ([`probe_candidates`]), when free lefts are fewer:
-    ///   probe `k` right-hops out from each free left's neighbourhood and
-    ///   keep the lefts whose probe reaches a dirty right. Right-hop
-    ///   distance is symmetric — `N(u)` has a right within `k` hops of a
-    ///   dirty right exactly when a dirty right has one within `k` hops
-    ///   of `N(u)` — so this is the forward set, not an approximation. If
-    ///   the probes together visit more than `n_right` rights the sweep
-    ///   falls back to the forward derivation, which bounds the epoch's
-    ///   worst case at about twice the forward cost.
-    ///
-    /// The set is extended exactly when a flip grows the region, so a pass
-    /// costs `O(|candidates|)` mate probes plus the searches, instead of
-    /// re-testing every left's neighborhood against the region each pass.
-    /// The sweep only ever augments, so a left matched when the region
-    /// reached it can never become free later — skipping matched lefts at
-    /// derivation loses nothing. New candidates discovered mid-pass are
-    /// appended (searched later the same pass); passes iterate in
-    /// ascending id order and repeat until clean, so every candidate is
-    /// certified against the final matching. The inverted derivation
-    /// starts the region empty, so a flip's ball re-scans rights the
-    /// forward region already held; their free neighbours are candidates
-    /// already and `is_candidate` drops them, so both derivations append
-    /// the same lefts in the same order and the sweep result is
-    /// byte-identical.
-    ///
-    /// Returns `(augmentations, searches started)`.
-    fn certificate_sweep(&mut self) -> (usize, usize) {
-        if self.sweep_dirty.is_empty() {
-            return (0, 0); // no-op epoch: the old certificate stands
-        }
-        let k = self.cfg.walk_budget;
-        self.matching.ensure_left(self.dg.n_left());
-        // The scratch persists across epochs (stamped membership clears
-        // in `O(1)`, the vectors keep their capacity): the sweep performs
-        // no dense `O(n)` allocation per epoch close.
-        let mut scr = std::mem::take(&mut self.sweep_scratch);
-        let (dg, dirty) = (&self.dg, &self.sweep_dirty);
-        let free = dg.n_left() - self.matching.size();
-        if free >= dirty.len()
-            || !probe_candidates(dg, &self.matching, dirty, k, dg.n_right(), &mut scr)
-        {
-            forward_candidates(dg, &self.matching, dirty, k, &mut scr);
-        }
-        let out = self.search_candidates(&mut scr);
-        self.sweep_scratch = scr;
-        out
-    }
-
-    /// The search half of [`ServeLoop::certificate_sweep`]: exact searches
-    /// from the derived candidates, in ascending id order, absorbing each
-    /// flip's ball, until a pass augments nothing. Returns
-    /// `(augmentations, searches started)`.
-    fn search_candidates(&mut self, scr: &mut SweepScratch) -> (usize, usize) {
-        let k = self.cfg.walk_budget;
-        let dg = &self.dg;
-        let mut total = 0usize;
-        let mut starts = 0usize;
-        loop {
-            scr.candidates.sort_unstable();
-            let mut progressed = 0usize;
-            let mut at = 0usize;
-            while at < scr.candidates.len() {
-                let u = scr.candidates[at];
-                at += 1;
-                if self.matching.mate(u).is_some() {
-                    continue;
-                }
-                starts += 1;
-                // Searches are uncapped: the certificate must be exact.
-                if self.matching.try_augment_from_left(dg, u, k, usize::MAX) {
-                    progressed += 1;
-                    scr.absorb_ball(dg, &self.matching, self.matching.last_walk(), k);
-                }
-            }
-            total += progressed;
-            if progressed == 0 {
-                return (total, starts);
-            }
-        }
-    }
-
     fn mark_dirty(&mut self, v: RightId) {
         // The dirty list stays small per epoch; linear dedup would be
         // quadratic under heavy churn, so duplicates are tolerated until
         // `end_epoch` sorts and deduplicates the list.
         self.dirty.push(v);
-        self.sweep_dirty.push(v);
     }
 
     /// The current match of left vertex `u`. `O(1)`.
@@ -1049,7 +815,7 @@ impl ServeLoop {
 
     /// Borrow everything a warm restart persists (see
     /// [`snapshot`](crate::snapshot) for the on-disk format) — no copy:
-    /// checkpoints serialize the live state in place. The sweep and
+    /// checkpoints serialize the live state in place. The search and
     /// level-repair scratch are deliberately absent: both are rebuildable
     /// caches whose loss changes no observable allocation state.
     pub(crate) fn parts_ref(&self) -> ServePartsRef<'_> {
@@ -1061,7 +827,6 @@ impl ServeLoop {
             matched_at: self.matching.matched_at_slice(),
             expansions: self.matching.expansions(),
             dirty: &self.dirty,
-            sweep_dirty: &self.sweep_dirty,
             drift_accumulated: self.drift,
             stats: &self.stats,
         }
@@ -1085,7 +850,7 @@ impl ServeLoop {
             return Err(format!("level {l} outside ±{MAX_LEVEL}"));
         }
         let n_right = p.dg.n_right() as u32;
-        if p.dirty.iter().chain(&p.sweep_dirty).any(|&v| v >= n_right) {
+        if p.dirty.iter().any(|&v| v >= n_right) {
             return Err("dirty mark out of range".into());
         }
         if !(p.drift_accumulated.is_finite() && p.drift_accumulated >= 0.0) {
@@ -1110,11 +875,9 @@ impl ServeLoop {
             levels: p.levels,
             matching,
             dirty: p.dirty,
-            sweep_dirty: p.sweep_dirty,
             drift: p.drift_accumulated,
             stats: p.stats,
             frac_reads: Cell::new(0),
-            sweep_scratch: SweepScratch::default(),
             level_scratch: LevelScratch::default(),
             obs: Registry::new(),
             tracer: Tracer::default(),
@@ -1502,6 +1265,28 @@ mod tests {
         s.validate().unwrap();
     }
 
+    #[test]
+    fn the_sweep_searches_a_free_left_far_from_every_dirty_right() {
+        // Two components: u0 and u1 share the unit slot v0, so one of them
+        // stays free; u2 alone holds v1. Raising v1's capacity marks only
+        // v1, which no walk from the free left reaches. The sweep still
+        // searches from that left: the certificate is re-checked from
+        // every free left, not only from those near the epoch's marks.
+        let mut b = BipartiteBuilder::new(3, 2);
+        b.add_edge(0, 0);
+        b.add_edge(1, 0);
+        b.add_edge(2, 1);
+        let g = b.build(vec![1, 1]).unwrap();
+        let mut s = serve(g, 0.25);
+        assert_eq!(s.match_size(), 2);
+        s.apply(&Update::SetCapacity { v: 1, cap: 2 });
+        let r = close(&mut s);
+        assert_eq!(r.sweep_starts, 1, "the free left was not searched: {r:?}");
+        assert_eq!(r.sweep_expansions, 1, "its search expands v0 once");
+        assert_eq!(r.sweep_augmentations, 0);
+        assert_eq!(s.match_size(), 2);
+    }
+
     /// `finalize_from_levels` on a builder-built snapshot of the live
     /// edges — the reference `ServeLoop::fractional` must match bit for bit.
     fn fractional_from_scratch(s: &ServeLoop) -> FractionalAllocation {
@@ -1622,8 +1407,7 @@ mod tests {
     }
 
     /// An engine churned by `updates` with no epoch closed since its
-    /// (certified) start, so its dirty marks cover every change since the
-    /// last certificate. A tiny eager cap leaves the longer walks to the
+    /// (certified) start. A tiny eager cap leaves the longer walks to the
     /// sweep; `k` is the walk budget.
     fn churned(g: Bipartite, updates: &[Update], k: usize, eager_cap: usize) -> ServeLoop {
         let mut cfg = DynamicConfig::for_eps(0.25);
@@ -1636,129 +1420,6 @@ mod tests {
             s.apply(up);
         }
         s
-    }
-
-    /// What one sweep from a given candidate derivation did: the derived
-    /// candidates (sorted: the sweep searches in ascending id order),
-    /// `(augmentations, searches started)`, and the final mates.
-    type SweepRun = (Vec<u32>, (usize, usize), Vec<Option<RightId>>);
-
-    fn sweep_forward(s: &mut ServeLoop) -> SweepRun {
-        s.matching.ensure_left(s.dg.n_left());
-        let mut scr = SweepScratch::default();
-        let k = s.cfg.walk_budget;
-        forward_candidates(&s.dg, &s.matching, &s.sweep_dirty, k, &mut scr);
-        finish_sweep(s, scr)
-    }
-
-    fn sweep_inverted(s: &mut ServeLoop) -> SweepRun {
-        s.matching.ensure_left(s.dg.n_left());
-        let mut scr = SweepScratch::default();
-        let k = s.cfg.walk_budget;
-        let decided = probe_candidates(&s.dg, &s.matching, &s.sweep_dirty, k, usize::MAX, &mut scr);
-        assert!(decided, "an unbounded probe always decides");
-        finish_sweep(s, scr)
-    }
-
-    fn finish_sweep(s: &mut ServeLoop, mut scr: SweepScratch) -> SweepRun {
-        let mut derived = scr.candidates.clone();
-        derived.sort_unstable();
-        let out = s.search_candidates(&mut scr);
-        (derived, out, s.assignment().mate)
-    }
-
-    /// Both derivations against each other and against `end_epoch` (which
-    /// picks one by the crossover rule, budget fallback included); every
-    /// result must pass the certificate oracle. Returns the forward run
-    /// and `(free lefts, dirty marks)` before the sweep.
-    fn derivations_agree(
-        g: &Bipartite,
-        updates: &[Update],
-        k: usize,
-        eager_cap: usize,
-    ) -> (SweepRun, (usize, usize)) {
-        let mut fwd = churned(g.clone(), updates, k, eager_cap);
-        let mut inv = churned(g.clone(), updates, k, eager_cap);
-        let mut live = churned(g.clone(), updates, k, eager_cap);
-        let sides = (live.dg.n_left() - live.match_size(), live.sweep_dirty.len());
-        let f = sweep_forward(&mut fwd);
-        let i = sweep_inverted(&mut inv);
-        assert_eq!(f, i, "forward and inverted sweeps diverged");
-        let r = close(&mut live);
-        assert_eq!(
-            (r.sweep_augmentations, r.sweep_starts),
-            f.1,
-            "end_epoch's sweep diverged"
-        );
-        assert_eq!(live.assignment().mate, f.2);
-        for s in [&fwd, &inv] {
-            s.validate().unwrap();
-            s.validate_certificate().unwrap();
-        }
-        (f, sides)
-    }
-
-    #[test]
-    fn inverted_derivation_matches_forward_when_free_lefts_are_scarce() {
-        // Plentiful capacity (few free lefts) under heavy churn, eager
-        // searches capped at 0: the crossover picks the inverted side and
-        // the sweep augments mid-pass. Pin both on a spread of seeds, on
-        // sparse graphs (one or two spanning trees) whose distances
-        // exceed the walk budgets, so a probe one hop short would miss.
-        use crate::adapter::{churn_stream, ChurnMix};
-        let (mut scarce, mut mid_pass) = (0, 0);
-        for seed in 0..24u64 {
-            let trees = 1 + seed as u32 % 2;
-            let g = union_of_spanning_trees(60, 40, trees, 2, seed).graph;
-            let updates = churn_stream(&g, 40, &ChurnMix::default(), seed + 100);
-            for (k, eager_cap) in [(1, 0), (2, 0), (4, 0), (4, 64)] {
-                let ((_, (aug, _), _), (free, dirty)) =
-                    derivations_agree(&g, &updates, k, eager_cap);
-                if free < dirty {
-                    scarce += 1;
-                    if aug > 0 {
-                        mid_pass += 1;
-                    }
-                }
-            }
-        }
-        assert!(
-            scarce > 0,
-            "no instance had fewer free lefts than dirty marks"
-        );
-        assert!(
-            mid_pass > 0,
-            "no free < dirty instance augmented in the sweep"
-        );
-    }
-
-    #[test]
-    fn an_exhausted_probe_budget_leaves_the_derivation_undecided() {
-        // 40 lefts on 30 unit slots: free lefts with neighbours exist, so
-        // a budget of 0 rights cannot decide, and `certificate_sweep`
-        // falls back to the forward derivation; a full budget decides.
-        let g = union_of_spanning_trees(40, 30, 2, 1, 3).graph;
-        let updates = [Update::DeleteEdge { u: 0, v: 0 }];
-        let k = 4;
-        let s = churned(g.clone(), &updates, k, 0);
-        let mut scr = SweepScratch::default();
-        assert!(!probe_candidates(
-            &s.dg,
-            &s.matching,
-            &s.sweep_dirty,
-            k,
-            0,
-            &mut scr
-        ));
-        assert!(probe_candidates(
-            &s.dg,
-            &s.matching,
-            &s.sweep_dirty,
-            k,
-            usize::MAX,
-            &mut scr
-        ));
-        derivations_agree(&g, &updates, k, 0);
     }
 
     /// A small instance: up to 20 lefts, 14 rights, capacities 1–3.
@@ -1777,11 +1438,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// On random small instances and update streams, the forward and
-        /// inverted candidate derivations return the same candidates, and
-        /// sweeps from them (and `end_epoch`'s own) end in the same mates.
+        /// On random small instances and update streams, with the eager
+        /// searches capped short so the sweep does the re-routing, the
+        /// epoch close leaves no augmenting walk within the budget.
         #[test]
-        fn candidate_derivations_agree(
+        fn end_epoch_certifies_random_churn(
             g in small_instance(),
             ops in proptest::collection::vec((0u8..5, 0u32..1_000_000, 0u32..1_000_000, 1u64..=3), 0..30),
             k in 1usize..5,
@@ -1801,7 +1462,7 @@ mod tests {
                     _ => Update::SetCapacity { v: a % nr, cap },
                 });
             }
-            derivations_agree(&g, &updates, k, eager_cap);
+            close(&mut churned(g, &updates, k, eager_cap));
         }
     }
 }

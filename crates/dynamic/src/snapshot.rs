@@ -32,8 +32,8 @@
 //! are not stored. The sharded kind prepends the shard-map word,
 //! lifetime counters, and one [`ShardManifest`] per machine of the
 //! recorded [`ShardMap`]. Files of versions 1 (which stored those
-//! settings) and 2 (which stored a level-repair ball cap) are refused as
-//! version skew.
+//! settings), 2 (which stored a level-repair ball cap) and 3 (which
+//! stored a second dirty list for the sweep) are refused as version skew.
 //! Every corruption path —
 //! truncation, bit flips, version skew, a manifest list that disagrees
 //! with its recorded shard count — surfaces as a typed
@@ -42,8 +42,8 @@
 //! payload is external input; the checksum detects accidents, not
 //! adversaries).
 //!
-//! What is deliberately **not** persisted: the search and sweep scratch
-//! (rebuilt empty on restore), and the MPC ledger's
+//! What is deliberately **not** persisted: the search and level-repair
+//! scratch (rebuilt empty on restore), and the MPC ledger's
 //! round history (a restore starts a fresh accounting epoch with a
 //! [`Phase::Restore`](sparse_alloc_obs::Phase::Restore) phase,
 //! like a real redeployment). The serving counters do carry over, so
@@ -88,7 +88,7 @@ use crate::walks::MatchingState;
 /// The 8-byte magic prefix of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"SALLOCSN";
 /// The format version this build writes and the only one it reads.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 const KIND_SERIAL: u32 = 0;
 const KIND_SHARDED: u32 = 1;
@@ -316,7 +316,6 @@ fn encode_serve_parts(p: &ServePartsRef<'_>, w: &mut ByteWriter) {
     }
     w.put_u64(p.expansions);
     w.put_vec_u32(p.dirty);
-    w.put_vec_u32(p.sweep_dirty);
     w.put_f64(p.drift_accumulated);
     for c in [
         p.stats.updates,
@@ -348,7 +347,6 @@ fn decode_serve_parts(r: &mut ByteReader) -> Result<ServeParts, SnapshotError> {
     }
     let expansions = r.take_u64()?;
     let dirty = r.take_vec_u32()?;
-    let sweep_dirty = r.take_vec_u32()?;
     let drift_accumulated = r.take_f64()?;
     let mut stats = [0usize; 7];
     for s in &mut stats {
@@ -364,7 +362,6 @@ fn decode_serve_parts(r: &mut ByteReader) -> Result<ServeParts, SnapshotError> {
             expansions,
         },
         dirty,
-        sweep_dirty,
         drift_accumulated,
         stats: ServeStats {
             updates: stats[0],
@@ -720,10 +717,11 @@ mod tests {
     fn version_and_magic_mismatches_error_typed() {
         let s = churned_serve();
         let bytes = serial_bytes(&s);
-        // Version-1 and version-2 headers (the formats that still carried
-        // the repair and scheduling settings, then the level-repair ball
-        // cap), re-sealed so only the version differs.
-        for old in [1u8, 2] {
+        // Version-1, -2 and -3 headers (the formats that still carried the
+        // repair and scheduling settings, then the level-repair ball cap,
+        // then the sweep's dirty list), re-sealed so only the version
+        // differs.
+        for old in [1u8, 2, 3] {
             let mut skewed = bytes.clone();
             skewed[8] = old;
             let body = skewed.len() - 8;
@@ -733,7 +731,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    SnapshotError::Version { found, supported: 3 } if found == old as u32
+                    SnapshotError::Version { found, supported: 4 } if found == old as u32
                 ),
                 "{err}"
             );

@@ -14,7 +14,8 @@
 //! * [`Matching::sweep`] — repeated passes of the forward search over all
 //!   free left vertices until a pass augments nothing. The final clean
 //!   pass certifies the walk-freeness invariant against one fixed
-//!   matching, restoring the `k/(k+1)` guarantee exactly.
+//!   matching, restoring the `k/(k+1)` guarantee exactly. It is the
+//!   serve loop's epoch-close certificate sweep.
 //!
 //! All searches run on [`DeltaGraph`] adjacency directly — no CSR
 //! materialization — and reuse stamped visit buffers so repeated calls
@@ -60,7 +61,8 @@
 //! let mut m = Matching::new(&dg);
 //! assert!(m.try_augment_from_left(&dg, 0, 1, usize::MAX)); // u0 – v0
 //! assert!(!m.try_augment_from_left(&dg, 1, 1, usize::MAX), "k = 1 forbids the walk");
-//! assert_eq!(m.sweep(&dg, 2), 1, "k = 2 re-routes u0 and pulls u1 in");
+//! // One augmentation, from the one search a free left started.
+//! assert_eq!(m.sweep(&dg, 2), (1, 1), "k = 2 re-routes u0 and pulls u1 in");
 //! assert_eq!(m.mate(0), Some(1));
 //! assert_eq!(m.mate(1), Some(0));
 //! m.validate(&dg).unwrap();
@@ -499,16 +501,6 @@ impl Matching {
         dg.capacity(v).saturating_sub(self.load(v))
     }
 
-    /// Right vertices touched by the most recent successful augmenting
-    /// flip — every right an edge was flipped onto *or* off of, so a
-    /// change observer (dirty-component tracking, cross-shard handoff
-    /// accounting) sees the full perturbed region. Overwritten by the next
-    /// successful search; may contain duplicates.
-    #[inline]
-    pub fn last_walk(&self) -> &[RightId] {
-        &self.scratch.last_walk
-    }
-
     /// Lifetime count of BFS right-vertex expansions across all searches
     /// (eager repairs and sweeps alike). Monotone; sample before/after a
     /// phase to measure its search work.
@@ -621,25 +613,26 @@ impl Matching {
     /// vertices until a pass augments nothing. The final (augmenting-free)
     /// pass certifies every free vertex against the *same* matching, so on
     /// return the allocation has size `≥ k/(k+1) · OPT` on the live graph.
-    /// Returns the number of augmentations performed.
-    pub fn sweep(&mut self, dg: &DeltaGraph, k: usize) -> usize {
+    /// Returns `(augmentations, searches started)`.
+    pub fn sweep(&mut self, dg: &DeltaGraph, k: usize) -> (usize, usize) {
         self.ensure_left(dg.n_left());
-        let mut total = 0usize;
+        let (mut total, mut starts) = (0usize, 0usize);
         loop {
             let mut progressed = 0usize;
             for u in 0..dg.n_left() as u32 {
                 // The mate check is the only per-vertex work for matched
                 // vertices; a free degree-0 vertex costs one empty BFS.
                 // Searches are uncapped: the certificate must be exact.
-                if self.mate[u as usize].is_none()
-                    && self.try_augment_from_left(dg, u, k, usize::MAX)
-                {
-                    progressed += 1;
+                if self.mate[u as usize].is_none() {
+                    starts += 1;
+                    if self.try_augment_from_left(dg, u, k, usize::MAX) {
+                        progressed += 1;
+                    }
                 }
             }
             total += progressed;
             if progressed == 0 {
-                return total;
+                return (total, starts);
             }
         }
     }
@@ -735,8 +728,12 @@ mod tests {
             let dg = DeltaGraph::new(g);
             for k in [1usize, 2, 4, 8] {
                 let mut m = Matching::new(&dg);
-                m.sweep(&dg, k);
+                let (aug, starts) = m.sweep(&dg, k);
                 m.validate(&dg).unwrap();
+                assert_eq!(aug, m.size(), "every match is one augmentation");
+                // The first pass starts one search per (then free) left,
+                // the clean last pass one per left still free.
+                assert!(starts >= dg.n_left() + dg.n_left() - m.size());
                 let bound = (k as f64) / (k as f64 + 1.0) * opt as f64;
                 assert!(
                     m.size() as f64 >= bound - 1e-9,
@@ -765,10 +762,10 @@ mod tests {
         let dg = trap();
         let mut m = Matching::new(&dg);
         assert!(m.try_augment_from_left(&dg, 0, 1, usize::MAX));
-        assert_eq!(m.last_walk(), &[0], "length-1 walk touches one right");
+        assert_eq!(m.scratch.last_walk, [0], "length-1 walk touches one right");
         // The length-3 walk re-routes u0 from v0 to v1: both rights flip.
         assert!(m.try_augment_from_left(&dg, 1, 2, usize::MAX));
-        let mut w = m.last_walk().to_vec();
+        let mut w = m.scratch.last_walk.clone();
         w.sort_unstable();
         w.dedup();
         assert_eq!(w, vec![0, 1]);
@@ -778,7 +775,7 @@ mod tests {
         let mut m = Matching::new(&dg);
         m.set_mate(0, 0);
         assert!(m.reclaim_into(&dg, 1, 2, usize::MAX));
-        let mut w = m.last_walk().to_vec();
+        let mut w = m.scratch.last_walk.clone();
         w.sort_unstable();
         w.dedup();
         assert_eq!(w, vec![0, 1]);
@@ -801,7 +798,7 @@ mod tests {
     fn eviction_and_unmatch_bookkeeping() {
         let dg = trap();
         let mut m = Matching::new(&dg);
-        m.sweep(&dg, 4);
+        assert_eq!(m.sweep(&dg, 4), (2, 2), "one search per free left");
         assert_eq!(m.size(), 2);
         let evicted = m.evict_one(0).unwrap();
         assert_eq!(m.size(), 1);

@@ -102,19 +102,16 @@ pub enum Dist {
     BallSize,
     /// Eager-search radius each repaired update actually needed.
     FootprintRadius,
-    /// Vertices visited by each per-epoch certificate sweep.
-    SweepSize,
     /// Updates per applied batch.
     BatchSize,
 }
 
 impl Dist {
     /// Every distribution, in export order.
-    pub const ALL: [Dist; 5] = [
+    pub const ALL: [Dist; 4] = [
         Dist::WaveWidth,
         Dist::BallSize,
         Dist::FootprintRadius,
-        Dist::SweepSize,
         Dist::BatchSize,
     ];
 
@@ -124,7 +121,6 @@ impl Dist {
             Dist::WaveWidth => "wave_width",
             Dist::BallSize => "ball_size",
             Dist::FootprintRadius => "footprint_radius",
-            Dist::SweepSize => "sweep_size",
             Dist::BatchSize => "batch_size",
         }
     }
@@ -143,8 +139,8 @@ pub enum Phase {
     RouteUpdates,
     /// One conflict-free parallel repair wave.
     RepairWave,
-    /// The serial core's `k/(k+1)` certificate sweep: deriving the
-    /// candidate free lefts and searching from them.
+    /// The serial core's `k/(k+1)` certificate sweep: searching from
+    /// every free left until a pass augments nothing.
     CertSweep,
     /// The serial core's β-level repair on the epoch's dirty rights.
     LevelRepair,

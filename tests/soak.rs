@@ -27,7 +27,10 @@
 //! 0.5 % of `m` churned per epoch), where the level repair touches a
 //! few percent of the rights per epoch and most of the fractional
 //! solution is never repaired: it checks the maintained levels against
-//! a fresh re-solve every few epochs and `k/(k+1)·OPT` at the end.
+//! a fresh re-solve every few epochs and `k/(k+1)·OPT` at the end. Its
+//! last leg serves with the sharded configuration, whose one-hop eager
+//! searches leave re-routing to the epoch sweep, and checks that the
+//! sweep augmented.
 //!
 //! The short case runs in `cargo test`; the long and the scale case are
 //! `#[ignore]`d and run by `ci.sh` in release:
@@ -206,22 +209,23 @@ fn soak_long() {
 
 /// The serving benchmark's instance: `union_of_spanning_trees(65_000,
 /// 50_000, 4, cap, 29)` under `churn_stream` seed 31 at 0.5 % of `m` per
-/// epoch, served by `DynamicConfig::for_eps(0.25)`. Every `check_every`
+/// epoch, served by a serial engine with `cfg`. Every `check_every`
 /// epochs the maintained levels' fractional weight must be `≥ (1 − ε/2)`
 /// × a fresh `run_with_guessing` solve on the live graph; at the end,
-/// `|M| ≥ k/(k+1)·OPT`. Returns the lowest maintained/fresh ratio seen.
-fn soak_at_scale(cap: u64, epochs: usize, check_every: usize) -> f64 {
+/// `|M| ≥ k/(k+1)·OPT`. Returns the lowest maintained/fresh ratio seen
+/// and the augmentations the epoch sweeps found.
+fn soak_at_scale(cap: u64, cfg: DynamicConfig, epochs: usize, check_every: usize) -> (f64, usize) {
     let g = union_of_spanning_trees(65_000, 50_000, 4, cap, 29).graph;
     let per_epoch = ((g.m() as f64) * 0.005).round() as usize;
     let updates = churn_stream(&g, epochs * per_epoch, &ChurnMix::default(), 31);
-    let mut s = ServeLoop::new(g, DynamicConfig::for_eps(EPS));
-    let mut lowest = f64::INFINITY;
+    let mut s = ServeLoop::new(g, cfg);
+    let (mut lowest, mut swept) = (f64::INFINITY, 0);
     for (i, batch) in updates.chunks(per_epoch).enumerate() {
         let epoch = i + 1;
         for up in batch {
             s.apply(up);
         }
-        s.end_epoch();
+        swept += s.end_epoch().sweep_augmentations;
         if epoch.is_multiple_of(check_every) {
             let live = s.snapshot();
             let fresh = run_with_guessing(&live, EPS).result.levels;
@@ -242,17 +246,34 @@ fn soak_at_scale(cap: u64, epochs: usize, check_every: usize) -> f64 {
         "cap {cap}: |M| = {} below k/(k+1)·OPT, OPT = {opt}",
         s.match_size()
     );
-    lowest
+    (lowest, swept)
 }
 
 /// The serving benchmark's instance: 200 plentiful epochs checked every
-/// 50, 30 scarce ones checked every 10. Release build: run with `cargo
-/// test --release --test soak -- --ignored`.
+/// 50 and 30 scarce ones checked every 10, both with the serial
+/// defaults, then 40 plentiful epochs checked every 10 with the sharded
+/// engines' configuration. Its eager searches take one hop, so the
+/// epoch sweep must do the re-routing, and the leg fails unless some
+/// sweep augmented. Release build: run with `cargo test --release --test
+/// soak -- --ignored`.
 #[test]
 #[ignore = "scale soak: run by ci.sh in release"]
 fn soak_at_servebench_scale() {
-    for (cap, epochs, check_every) in [(2u64, 200, 50), (1, 30, 10)] {
-        let lowest = soak_at_scale(cap, epochs, check_every);
-        println!("cap {cap}: lowest maintained/fresh fractional weight {lowest:.5}");
+    let serial = DynamicConfig::for_eps(EPS);
+    let sharded = ShardedConfig::for_eps(EPS, 2).dynamic;
+    for (leg, cap, cfg, epochs, check_every) in [
+        ("serial", 2u64, serial.clone(), 200, 50),
+        ("serial", 1, serial, 30, 10),
+        ("sharded", 2, sharded, 40, 10),
+    ] {
+        let (lowest, swept) = soak_at_scale(cap, cfg, epochs, check_every);
+        println!(
+            "{leg} cap {cap}: lowest maintained/fresh fractional weight {lowest:.5}, \
+             sweep augmentations {swept}"
+        );
+        assert!(
+            leg == "serial" || swept > 0,
+            "{leg} cap {cap}: no epoch sweep augmented"
+        );
     }
 }
