@@ -45,6 +45,16 @@ run() {
     [ "$rc" -eq 0 ] || failed+=("$title")
 }
 
+loc() {
+    # Informational, never fails: the line counts the roadmap's north star
+    # tracks, each file counted up to its first `#[cfg(test)]`.
+    awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { n[FILENAME]++ }
+        END { for (f in n) printf "%6d  %s\n", n[f], f }' \
+        crates/dynamic/src/*.rs src/cli.rs | sort -k2 \
+        | awk '{ print } $2 ~ /^crates\/dynamic\// { t += $1 }
+            END { printf "%6d  crates/dynamic/src (non-test total)\n", t }' || true
+}
+
 servebench_tests() {
     cargo test -q --manifest-path servebench/Cargo.toml \
         || { echo "servebench FAILED to build or test against the current engine API"; exit 1; }
@@ -424,6 +434,7 @@ rustdoc() {
         cargo doc --workspace --no-deps --quiet
 }
 
+run "north-star line counts (informational: non-test lines of crates/dynamic/src and src/cli.rs)" loc
 run "servebench builds and its tests pass (it compiles against the engines' reports)" servebench_tests
 
 if [ "${1:-}" != "fast" ]; then

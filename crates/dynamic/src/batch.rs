@@ -532,7 +532,8 @@ pub fn schedule(
 
 /// Clone-based conflict-freedom oracle: recompute every footprint on an
 /// `O(n + m)` copy of `G⁺` (the independent path — dense graph clone,
-/// [`crate::repair::ball_of_capped`] growth) and check the schedule's
+/// [`crate::repair::ball_of_capped`] growth through an overlay with
+/// nothing staged) and check the schedule's
 /// structural soundness against it:
 ///
 /// * bookkeeping: one plan per update, `widths` sums to the plan count,
@@ -580,6 +581,7 @@ pub(crate) fn check_schedule_sound(
 
     let radius = cfg.eager_radius();
     let cap = footprint_cap.max(1);
+    let view = gplus.insert_overlay();
     let mut fps: Vec<Vec<RightId>> = Vec::with_capacity(updates.len());
     let mut globals: Vec<bool> = Vec::with_capacity(updates.len());
     let mut resources: Vec<Option<u32>> = Vec::with_capacity(updates.len());
@@ -610,10 +612,10 @@ pub(crate) fn check_schedule_sound(
         }
         deep.retain(|&v| (v as usize) < gplus.n_right());
         shallow.retain(|&v| (v as usize) < gplus.n_right());
-        let mut footprint = ball_of_capped(&gplus, &deep, radius, cap);
+        let mut footprint = ball_of_capped(&view, &deep, radius, cap);
         if footprint.len() < cap {
             footprint.extend(ball_of_capped(
-                &gplus,
+                &view,
                 &shallow,
                 radius.saturating_sub(1),
                 cap,

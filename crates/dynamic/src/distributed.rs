@@ -48,33 +48,8 @@ use sparse_alloc_mpc::{Cluster, Ledger, MpcConfig, MpcError, ShardMap, Words};
 use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Span, Tracer};
 
 use crate::batch::{schedule, BatchSchedule, FOOTPRINT_CAP};
-use crate::serve::{
-    DynamicConfig, EpochReport, ServeLoop, ServeParts, ServePartsRef, ServeStats, WaveUpdateResult,
-};
+use crate::serve::{DynamicConfig, EpochReport, ServeLoop, ServeStats, WaveUpdateResult};
 use crate::update::Update;
-
-/// Everything a warm restart persists of a [`ShardedServeLoop`]: the
-/// serial engine's parts plus the shard count and counters.
-/// The ledger's round history is *not* persisted — accounting restarts
-/// with a [`Phase::Restore`] phase, the same way a real redeployment
-/// starts a fresh accounting epoch — but the serving counters
-/// ([`ShardedStats`]) carry over so lifetime reports stay monotone.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardedParts {
-    pub(crate) inner: ServeParts,
-    pub(crate) shards: usize,
-    pub(crate) stats: ShardedStats,
-}
-
-/// Borrowed view of a [`ShardedServeLoop`]'s persistent state — the
-/// encode-side twin of [`ShardedParts`], so checkpoints never clone the
-/// engine.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardedPartsRef<'a> {
-    pub(crate) inner: ServePartsRef<'a>,
-    pub(crate) shards: usize,
-    pub(crate) stats: &'a ShardedStats,
-}
 
 /// Slack factor of the per-machine space budget: a machine may hold
 /// this many times its fair share of the state (hash imbalance, message
@@ -254,37 +229,31 @@ impl ShardedServeLoop {
         (SPACE_SLACK * total.div_ceil(self.map.shards())).max(128)
     }
 
-    /// Borrow everything a warm restart persists — no copy; see
-    /// [`snapshot`](crate::snapshot) for the wire form.
-    pub(crate) fn parts_ref(&self) -> ShardedPartsRef<'_> {
-        ShardedPartsRef {
-            inner: self.inner.parts_ref(),
-            shards: self.map.shards(),
-            stats: &self.stats,
-        }
-    }
-
-    /// Rebuild a sharded loop from exported parts, optionally re-sharding
-    /// onto `shards_override` machines (ownership is a pure function of
-    /// the vertex id, so re-sharding is a re-keying, not a migration).
-    /// The restore is recorded as a [`Phase::Restore`] accounting phase
-    /// and the resident state is re-checked against the (possibly new)
+    /// Rebuild a sharded loop around a restored serial engine with the
+    /// recorded shard count and counters, optionally re-sharding onto
+    /// `shards_override` machines (ownership is a pure function of the
+    /// vertex id, so re-sharding is a re-keying, not a migration). The
+    /// ledger's round history is not persisted: the restore starts a
+    /// fresh accounting epoch with a [`Phase::Restore`] phase, like a
+    /// real redeployment, while the serving counters carry over. The
+    /// resident state is re-checked against the (possibly new)
     /// per-machine budget — a restore that would not fit the claimed
     /// space regime fails here instead of on the first epoch.
     pub(crate) fn from_parts(
-        p: ShardedParts,
+        inner: ServeLoop,
+        shards: usize,
+        stats: ShardedStats,
         shards_override: Option<usize>,
     ) -> Result<Self, String> {
-        let shards = shards_override.unwrap_or(p.shards);
+        let shards = shards_override.unwrap_or(shards);
         if shards == 0 {
             return Err("at least one shard".into());
         }
-        let inner = ServeLoop::from_parts(p.inner)?;
         let mut this = ShardedServeLoop {
             inner,
             map: ShardMap::new(shards),
             ledger: Ledger::default(),
-            stats: p.stats,
+            stats,
             tracer: Tracer::default(),
         };
         let words = this.shard_state_words();
@@ -624,14 +593,13 @@ impl ShardedServeLoop {
         let (_, sort_ledger) = cluster.into_items();
         epoch.absorb(&sort_ledger);
 
-        let before = self.inner.assignment().mate;
+        let before = self.inner.matching().mate_slice().to_vec();
         let serial = self.inner.end_epoch();
 
         // Commit phase: every changed pair migrates to the shard owning
         // its new right (unmatches go home to the old right's owner).
-        let after = self.inner.assignment().mate;
         let mut migrations: Vec<(u32, u32, u32)> = Vec::new();
-        for (u, &now) in after.iter().enumerate() {
+        for (u, &now) in self.inner.matching().mate_slice().iter().enumerate() {
             let was = before.get(u).copied().flatten();
             if was != now {
                 migrations.push((

@@ -29,9 +29,9 @@ use crate::stamp::StampSet;
 
 /// Reusable scratch of [`grow_ball`] — stamped membership plus the BFS
 /// frontier vectors (the scheduler grows one footprint per update of a
-/// batch; stamped clears keep that `O(ball)` instead of `O(n)` per call,
-/// and the frontier reuse keeps it allocation-free). Grows on demand
-/// with the graph.
+/// batch on its `G⁺`; stamped clears keep that `O(ball)` instead of
+/// `O(n)` per call, and the frontier reuse keeps it allocation-free).
+/// Grows on demand with the graph.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BallScratch {
     /// The last growth's ball membership.
@@ -78,40 +78,10 @@ pub struct LevelRepairConfig {
     pub rounds: usize,
 }
 
-/// The adjacency a right-ball growth reads: visitor scans of both sides
-/// and the vertex counts. The batch's union-graph view
-/// ([`InsertOverlay`]) implements it for the conflict scheduler's
-/// footprints, the live [`DeltaGraph`] for the tests' reference balls.
-pub(crate) trait BallGraph {
-    fn n_left(&self) -> usize;
-    fn n_right(&self) -> usize;
-    fn for_each_left_neighbor(&self, u: LeftId, f: impl FnMut(RightId));
-    fn for_each_right_neighbor(&self, v: RightId, f: impl FnMut(LeftId));
-}
-
-/// Forward [`BallGraph`] to the inherent methods of the same names.
-macro_rules! ball_graph {
-    ($($t:ty),*) => {$(
-        impl BallGraph for $t {
-            fn n_left(&self) -> usize {
-                <$t>::n_left(self)
-            }
-            fn n_right(&self) -> usize {
-                <$t>::n_right(self)
-            }
-            fn for_each_left_neighbor(&self, u: LeftId, f: impl FnMut(RightId)) {
-                <$t>::for_each_left_neighbor(self, u, f)
-            }
-            fn for_each_right_neighbor(&self, v: RightId, f: impl FnMut(LeftId)) {
-                <$t>::for_each_right_neighbor(self, v, f)
-            }
-        }
-    )*};
-}
-ball_graph!(DeltaGraph, InsertOverlay<'_>);
-
 /// The one right-ball growth: the schedule footprints are this loop,
-/// through [`ball_of_capped_into`].
+/// through [`ball_of_capped_into`], on the batch's union graph `G⁺`
+/// (the [`InsertOverlay`] that stages the batch's inserts over the live
+/// graph; with nothing staged it reads the live graph alone).
 ///
 /// Visits the in-range `seeds` as hop 0, then grows hop by hop up to
 /// `radius` right-to-right hops (right → left → right = 1): frontier
@@ -128,8 +98,8 @@ ball_graph!(DeltaGraph, InsertOverlay<'_>);
 /// touches the whole graph costs `O(n + m)`, not `O(m · deg)`. The
 /// stamped clears and the frontier reuse keep repeated growths hash-
 /// and allocation-free.
-fn grow_ball<G: BallGraph + ?Sized>(
-    g: &G,
+fn grow_ball(
+    g: &InsertOverlay<'_>,
     seeds: impl IntoIterator<Item = RightId>,
     radius: usize,
     scratch: &mut BallScratch,
@@ -186,8 +156,8 @@ fn grow_ball<G: BallGraph + ?Sized>(
 /// keeps exactly the first `cap` rights). Returns the last hop that
 /// grew the ball. The scheduler appends footprint segments to its arena;
 /// it is the only caller outside the tests.
-pub(crate) fn ball_of_capped_into<G: BallGraph + ?Sized>(
-    g: &G,
+pub(crate) fn ball_of_capped_into(
+    g: &InsertOverlay<'_>,
     seeds: &[RightId],
     radius: usize,
     cap: usize,
@@ -354,8 +324,8 @@ impl LevelScratch {
 
 /// [`ball_of_capped_into`] into a fresh, sorted vector.
 #[cfg(test)]
-pub(crate) fn ball_of_capped<G: BallGraph + ?Sized>(
-    g: &G,
+pub(crate) fn ball_of_capped(
+    g: &InsertOverlay<'_>,
     seeds: &[RightId],
     radius: usize,
     cap: usize,
@@ -392,10 +362,11 @@ mod tests {
             b.add_edge(u, v);
         }
         let dg = DeltaGraph::new(b.build_with_uniform_capacity(1).unwrap());
-        assert_eq!(ball_of_capped(&dg, &[0], 0, usize::MAX), vec![0]);
-        assert_eq!(ball_of_capped(&dg, &[0], 1, usize::MAX), vec![0, 1]);
-        assert_eq!(ball_of_capped(&dg, &[0], 2, usize::MAX), vec![0, 1, 2]);
-        assert_eq!(ball_of_capped(&dg, &[0], 9, usize::MAX), vec![0, 1, 2]);
+        let g = dg.insert_overlay();
+        assert_eq!(ball_of_capped(&g, &[0], 0, usize::MAX), vec![0]);
+        assert_eq!(ball_of_capped(&g, &[0], 1, usize::MAX), vec![0, 1]);
+        assert_eq!(ball_of_capped(&g, &[0], 2, usize::MAX), vec![0, 1, 2]);
+        assert_eq!(ball_of_capped(&g, &[0], 9, usize::MAX), vec![0, 1, 2]);
     }
 
     #[test]
@@ -413,15 +384,18 @@ mod tests {
             assert!(live.insert_edge(0, v));
             assert!(gplus.insert(0, v));
         }
-        // BFS order: the seed v0, then u0's row v1, v2, … before u1's v6.
-        assert_eq!(ball_of_capped(&live, &[0], 1, 3), [0, 1, 2]);
+        // The live graph edited in place, read through an overlay with
+        // nothing staged, agrees with the staged overlay. BFS order: the
+        // seed v0, then u0's row v1, v2, … before u1's v6.
+        let unstaged = live.insert_overlay();
+        assert_eq!(ball_of_capped(&unstaged, &[0], 1, 3), [0, 1, 2]);
         assert_eq!(ball_of_capped(&gplus, &[0], 1, 3), [0, 1, 2]);
         assert_eq!(
             ball_of_capped(&gplus, &[0], 1, usize::MAX),
             [0, 1, 2, 3, 4, 5, 6]
         );
         // Seeds join even past the cap; nothing else does.
-        assert_eq!(ball_of_capped(&live, &[6, 0, 5], 1, 2), [0, 5, 6]);
+        assert_eq!(ball_of_capped(&unstaged, &[6, 0, 5], 1, 2), [0, 5, 6]);
         assert_eq!(ball_of_capped(&gplus, &[6, 0, 5], 1, 2), [0, 5, 6]);
     }
 
@@ -456,7 +430,7 @@ mod tests {
         let before = levels.clone();
         // The radius-1 ball around right 3: rights that share a left,
         // so the repaired levels read each other's moves.
-        let ball = ball_of_capped(&dg, &[3], 1, usize::MAX);
+        let ball = ball_of_capped(&dg.insert_overlay(), &[3], 1, usize::MAX);
         assert!(ball.len() > 2);
         let cfg = LevelRepairConfig { eps, rounds: 3 };
         repair(&dg, &mut levels, &ball, &cfg);
@@ -549,7 +523,7 @@ mod tests {
             let seeds: Vec<RightId> = (0..step % 4 + 1)
                 .map(|j| (step * 11 + j * 17) % n_right)
                 .collect();
-            let ball = ball_of_capped(&dg, &seeds, step as usize % 3, 30);
+            let ball = ball_of_capped(&dg.insert_overlay(), &seeds, step as usize % 3, 30);
             let cfg = LevelRepairConfig {
                 eps: 0.2,
                 rounds: 2 + step as usize % 4,

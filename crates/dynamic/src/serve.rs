@@ -4,8 +4,9 @@
 //! β-levels of the proportional dynamics, and the maintained integral
 //! allocation. Updates are applied with `O(τ)`-ball local repairs;
 //! [`ServeLoop::end_epoch`] restores the global `k/(k+1)` walk-freeness
-//! certificate with one [`Matching::sweep`] over every free left (skipped
-//! when no update marked a right since the last close), re-runs the level
+//! certificate with one [`Matching::sweep`] over every free left with a
+//! live edge (skipped when no update marked a right since the last close),
+//! re-runs the level
 //! dynamics on the dirty rights, and folds the overlay into a fresh CSR
 //! snapshot once the churn since the last fold exceeds the `O(ε)` budget.
 //! A fold keeps the certified matching; it re-solves the levels only
@@ -155,9 +156,10 @@ pub struct EpochReport {
     /// Augmentations found by the certificate sweep.
     pub sweep_augmentations: usize,
     /// Searches the sweep started, summed over its passes: every free
-    /// left once per pass. Zero for a no-op epoch (no right marked since
-    /// the last close): the previous certificate still stands, so no
-    /// search runs.
+    /// left with a live edge once per pass (a free left of degree 0, such
+    /// as a departed slot, has no walk to find). Zero for a no-op epoch
+    /// (no right marked since the last close): the previous certificate
+    /// still stands, so no search runs.
     pub sweep_starts: usize,
     /// BFS right-vertex expansions the sweep performed. Zero for a no-op
     /// epoch, like `sweep_starts`.
@@ -174,10 +176,9 @@ pub struct EpochReport {
 }
 
 /// Everything a warm restart persists of a [`ServeLoop`] — the engine
-/// state with the rebuildable level-repair scratch stripped.
-/// This is the *owned* decode-side form, consumed by
-/// [`ServeLoop::from_parts`]; the encode side borrows the live state via
-/// [`ServeLoop::parts_ref`] instead of copying it. The wire form lives
+/// state with the rebuildable search and level-repair scratch stripped —
+/// as the snapshot decoder hands it to [`ServeLoop::from_parts`]. The
+/// encoder reads the live engine in place instead. The wire form lives
 /// in [`snapshot`](crate::snapshot).
 #[derive(Debug, Clone)]
 pub(crate) struct ServeParts {
@@ -188,41 +189,6 @@ pub(crate) struct ServeParts {
     pub(crate) dirty: Vec<RightId>,
     pub(crate) drift_accumulated: f64,
     pub(crate) stats: ServeStats,
-}
-
-impl ServeParts {
-    /// The borrowed view of these parts — what the snapshot encoder and
-    /// the manifest derivation consume, so decoded state can be
-    /// re-manifested through the exact code path that wrote it.
-    pub(crate) fn as_parts_ref(&self) -> ServePartsRef<'_> {
-        ServePartsRef {
-            cfg: &self.cfg,
-            dg: &self.dg,
-            levels: &self.levels,
-            mate: &self.matching.mate,
-            matched_at: &self.matching.matched_at,
-            expansions: self.matching.expansions,
-            dirty: &self.dirty,
-            drift_accumulated: self.drift_accumulated,
-            stats: &self.stats,
-        }
-    }
-}
-
-/// Borrowed view of a [`ServeLoop`]'s persistent state (the encode-side
-/// twin of [`ServeParts`]): checkpoints serialize through this, so
-/// writing a snapshot never clones the `O(n + m)` engine state.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ServePartsRef<'a> {
-    pub(crate) cfg: &'a DynamicConfig,
-    pub(crate) dg: &'a DeltaGraph,
-    pub(crate) levels: &'a [i64],
-    pub(crate) mate: &'a [Option<RightId>],
-    pub(crate) matched_at: &'a [Vec<LeftId>],
-    pub(crate) expansions: u64,
-    pub(crate) dirty: &'a [RightId],
-    pub(crate) drift_accumulated: f64,
-    pub(crate) stats: &'a ServeStats,
 }
 
 /// The dynamic allocation engine.
@@ -813,23 +779,15 @@ impl ServeLoop {
         &self.cfg
     }
 
-    /// Borrow everything a warm restart persists (see
-    /// [`snapshot`](crate::snapshot) for the on-disk format) — no copy:
-    /// checkpoints serialize the live state in place. The search and
-    /// level-repair scratch are deliberately absent: both are rebuildable
-    /// caches whose loss changes no observable allocation state.
-    pub(crate) fn parts_ref(&self) -> ServePartsRef<'_> {
-        ServePartsRef {
-            cfg: &self.cfg,
-            dg: &self.dg,
-            levels: &self.levels,
-            mate: self.matching.mate_slice(),
-            matched_at: self.matching.matched_at_slice(),
-            expansions: self.matching.expansions(),
-            dirty: &self.dirty,
-            drift_accumulated: self.drift,
-            stats: &self.stats,
-        }
+    /// The update sites marked since the last epoch close, with repeats
+    /// (checkpointing persists them as they stand).
+    pub(crate) fn dirty(&self) -> &[RightId] {
+        &self.dirty
+    }
+
+    /// The churn charged since the last fold (checkpointing persists it).
+    pub(crate) fn drift(&self) -> f64 {
+        self.drift
     }
 
     /// Rebuild an engine from exported parts, re-validating the
@@ -1285,6 +1243,32 @@ mod tests {
         assert_eq!(r.sweep_expansions, 1, "its search expands v0 once");
         assert_eq!(r.sweep_augmentations, 0);
         assert_eq!(s.match_size(), 2);
+    }
+
+    #[test]
+    fn a_departed_left_starts_no_sweep_search() {
+        // u0, u1 and u2 share the unit slot v0, so two of them stay free.
+        // One free left departs: its slot stays free but keeps no edge, so
+        // no walk can start there, and the sweeps search the other free
+        // left only.
+        let mut b = BipartiteBuilder::new(3, 1);
+        for u in 0..3 {
+            b.add_edge(u, 0);
+        }
+        let g = b.build(vec![1]).unwrap();
+        let mut s = serve(g, 0.25);
+        assert_eq!(s.match_size(), 1);
+        let gone = (0..3).find(|&u| s.query(u).is_none()).unwrap();
+        s.apply(&Update::Depart { u: gone });
+        let r = close(&mut s);
+        assert_eq!(r.sweep_starts, 1, "the departed slot was searched: {r:?}");
+        // An epoch that marks v0 and moves nothing.
+        s.apply(&Update::SetCapacity { v: 0, cap: 1 });
+        let r = close(&mut s);
+        assert_eq!(r.sweep_starts, 1, "the departed slot was searched: {r:?}");
+        assert_eq!(r.sweep_expansions, 1, "the live free left expands v0 once");
+        assert_eq!(r.sweep_augmentations, 0);
+        assert_eq!(s.match_size(), 1);
     }
 
     /// `finalize_from_levels` on a builder-built snapshot of the live

@@ -25,22 +25,24 @@
 //! [ n..n+8) FNV-1a-64 over bytes [0..n)   — mismatch: typed error
 //! ```
 //!
-//! The payload is the [`ByteWriter`] encoding of the engine parts. It
-//! opens with the five [`DynamicConfig`] words (ε, walk budget, drift
-//! threshold, eager search cap, eager walk budget); the repair rounds,
-//! the space slack and the footprint cap are constants of the build and
-//! are not stored. The sharded kind prepends the shard-map word,
-//! lifetime counters, and one [`ShardManifest`] per machine of the
-//! recorded [`ShardMap`]. Files of versions 1 (which stored those
-//! settings), 2 (which stored a level-repair ball cap) and 3 (which
-//! stored a second dirty list for the sweep) are refused as version skew.
-//! Every corruption path —
+//! The payload is the [`ByteWriter`] encoding of the engine's persistent
+//! state, read from the live engine in place. It opens with the five
+//! [`DynamicConfig`] words (ε, walk budget, drift threshold, eager search
+//! cap, eager walk budget); the repair rounds, the space slack and the
+//! footprint cap are constants of the build and are not stored. The
+//! sharded kind prepends the shard-map word, lifetime counters, and one
+//! [`ShardManifest`] per machine of the recorded [`ShardMap`]. Files of
+//! versions 1 (which stored those settings), 2 (which stored a
+//! level-repair ball cap) and 3 (which stored a second dirty list for the
+//! sweep) are refused as version skew. Every corruption path —
 //! truncation, bit flips, version skew, a manifest list that disagrees
 //! with its recorded shard count — surfaces as a typed
-//! [`SnapshotError`], never a panic, and every decoded structure is
-//! re-validated against its invariants before serving resumes (the
-//! payload is external input; the checksum detects accidents, not
-//! adversaries).
+//! [`SnapshotError`], never a panic. A restore decodes the serial
+//! engine's parts and rebuilds the engine from them, re-validating every
+//! structure against its invariants before serving resumes (the payload
+//! is external input; the checksum detects accidents, not adversaries);
+//! a sharded restore then checks the rebuilt engine against its
+//! manifests.
 //!
 //! What is deliberately **not** persisted: the search and level-repair
 //! scratch (rebuilt empty on restore), and the MPC ledger's
@@ -81,8 +83,8 @@ use sparse_alloc_graph::io::{fnv1a64, ByteReader, ByteWriter, IoError};
 use sparse_alloc_graph::DeltaGraph;
 use sparse_alloc_mpc::{ShardManifest, ShardMap};
 
-use crate::distributed::{ShardedParts, ShardedPartsRef, ShardedServeLoop, ShardedStats};
-use crate::serve::{DynamicConfig, ServeLoop, ServeParts, ServePartsRef, ServeStats};
+use crate::distributed::{ShardedServeLoop, ShardedStats};
+use crate::serve::{DynamicConfig, ServeLoop, ServeParts, ServeStats};
 use crate::walks::MatchingState;
 
 /// The 8-byte magic prefix of every snapshot file.
@@ -302,29 +304,33 @@ fn decode_config(r: &mut ByteReader) -> Result<DynamicConfig, SnapshotError> {
 /// `None` mate sentinel: right ids are dense and far below this.
 const NO_MATE: u32 = u32::MAX;
 
-fn encode_serve_parts(p: &ServePartsRef<'_>, w: &mut ByteWriter) {
-    encode_config(p.cfg, w);
-    p.dg.encode(w);
-    w.put_vec_i64(p.levels);
-    w.put_u64(p.mate.len() as u64);
-    for m in p.mate {
+/// Encode the engine's persistent state, read in place (the parts
+/// [`decode_serve_parts`] reads back).
+fn encode_serve(s: &ServeLoop, w: &mut ByteWriter) {
+    encode_config(s.config(), w);
+    s.graph().encode(w);
+    w.put_vec_i64(s.levels());
+    let (mate, matched_at) = (s.matching().mate_slice(), s.matching().matched_at_slice());
+    w.put_u64(mate.len() as u64);
+    for m in mate {
         w.put_u32(m.unwrap_or(NO_MATE));
     }
-    w.put_u64(p.matched_at.len() as u64);
-    for at in p.matched_at {
+    w.put_u64(matched_at.len() as u64);
+    for at in matched_at {
         w.put_vec_u32(at);
     }
-    w.put_u64(p.expansions);
-    w.put_vec_u32(p.dirty);
-    w.put_f64(p.drift_accumulated);
+    w.put_u64(s.matching().expansions());
+    w.put_vec_u32(s.dirty());
+    w.put_f64(s.drift());
+    let stats = s.stats();
     for c in [
-        p.stats.updates,
-        p.stats.epochs,
-        p.stats.rebuilds,
-        p.stats.compactions,
-        p.stats.augmentations,
-        p.stats.evictions,
-        p.stats.repair_rounds,
+        stats.updates,
+        stats.epochs,
+        stats.rebuilds,
+        stats.compactions,
+        stats.augmentations,
+        stats.evictions,
+        stats.repair_rounds,
     ] {
         w.put_u64(c as u64);
     }
@@ -377,13 +383,14 @@ fn decode_serve_parts(r: &mut ByteReader) -> Result<ServeParts, SnapshotError> {
 
 // -------------------------------------------------------- sharded payload
 
-/// Derive the per-shard manifests of a serialized state under `map`: one
+/// Derive the per-shard manifests of an engine's state under `map`: one
 /// entry per machine with its owned-vertex counts, resident words (the
 /// quantity the ledger's storage accounting charges), and a checksum over
 /// the machine's owned slice — rights in id order (capacity, level,
 /// matched partners), then lefts in id order (mate).
-fn manifests_of(p: &ServePartsRef<'_>, map: &ShardMap) -> Vec<ShardManifest> {
-    let dg = p.dg;
+fn manifests_of(serve: &ServeLoop, map: &ShardMap) -> Vec<ShardManifest> {
+    let dg = serve.graph();
+    let matched_at = serve.matching().matched_at_slice();
     let shards = map.shards();
     let mut slices: Vec<ByteWriter> = (0..shards).map(|_| ByteWriter::new()).collect();
     let mut out: Vec<ShardManifest> = (0..shards as u32)
@@ -399,8 +406,8 @@ fn manifests_of(p: &ServePartsRef<'_>, map: &ShardMap) -> Vec<ShardManifest> {
         let w = &mut slices[s];
         w.put_u32(v);
         w.put_u64(dg.capacity(v));
-        w.put_i64(p.levels.get(v as usize).copied().unwrap_or(0));
-        w.put_vec_u32(p.matched_at.get(v as usize).map_or(&[][..], |a| a));
+        w.put_i64(serve.levels()[v as usize]);
+        w.put_vec_u32(&matched_at[v as usize]);
     }
     for u in 0..dg.n_left() as u32 {
         let s = map.owner_of_left(u);
@@ -408,7 +415,7 @@ fn manifests_of(p: &ServePartsRef<'_>, map: &ShardMap) -> Vec<ShardManifest> {
         out[s].resident_words += 2;
         let w = &mut slices[s];
         w.put_u32(u);
-        w.put_u32(p.mate.get(u as usize).copied().flatten().unwrap_or(NO_MATE));
+        w.put_u32(serve.query(u).unwrap_or(NO_MATE));
     }
     for (m, w) in out.iter_mut().zip(slices) {
         m.state_checksum = fnv1a64(&w.into_bytes());
@@ -416,21 +423,22 @@ fn manifests_of(p: &ServePartsRef<'_>, map: &ShardMap) -> Vec<ShardManifest> {
     out
 }
 
-fn encode_sharded_payload(p: &ShardedPartsRef<'_>, manifests: &[ShardManifest]) -> Vec<u8> {
+fn encode_sharded_payload(sh: &ShardedServeLoop, manifests: &[ShardManifest]) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u64(ShardMap::new(p.shards).to_word());
+    w.put_u64(sh.shard_map().to_word());
+    let stats = sh.stats();
     for c in [
-        p.stats.batches,
-        p.stats.waves,
-        p.stats.routed_updates,
-        p.stats.migrations,
-        p.stats.escalations,
-        p.stats.widest_wave,
-        p.stats.delayed,
+        stats.batches,
+        stats.waves,
+        stats.routed_updates,
+        stats.migrations,
+        stats.escalations,
+        stats.widest_wave,
+        stats.delayed,
     ] {
         w.put_u64(c as u64);
     }
-    w.put_u64(p.stats.handoff_words);
+    w.put_u64(stats.handoff_words);
     w.put_u64(manifests.len() as u64);
     for m in manifests {
         w.put_u32(m.shard);
@@ -439,13 +447,15 @@ fn encode_sharded_payload(p: &ShardedPartsRef<'_>, manifests: &[ShardManifest]) 
         w.put_u64(m.resident_words);
         w.put_u64(m.state_checksum);
     }
-    encode_serve_parts(&p.inner, &mut w);
+    encode_serve(sh.serial(), &mut w);
     w.into_bytes()
 }
 
-fn decode_sharded_payload(
+/// Decode the sharded payload's head, up to the serial engine's parts:
+/// the recorded map, the sharded counters and the manifests.
+fn decode_sharded_head(
     r: &mut ByteReader,
-) -> Result<(ShardedParts, Vec<ShardManifest>), SnapshotError> {
+) -> Result<(ShardMap, ShardedStats, Vec<ShardManifest>), SnapshotError> {
     let map = ShardMap::from_word(r.take_u64()?).map_err(invalid)?;
     let mut counters = [0usize; 7];
     for c in &mut counters {
@@ -476,22 +486,17 @@ fn decode_sharded_payload(
         }
         manifests.push(m);
     }
-    let inner = decode_serve_parts(r)?;
-    let parts = ShardedParts {
-        inner,
-        shards: map.shards(),
-        stats: ShardedStats {
-            batches: counters[0],
-            waves: counters[1],
-            routed_updates: counters[2],
-            handoff_words,
-            migrations: counters[3],
-            escalations: counters[4],
-            widest_wave: counters[5],
-            delayed: counters[6],
-        },
+    let stats = ShardedStats {
+        batches: counters[0],
+        waves: counters[1],
+        routed_updates: counters[2],
+        handoff_words,
+        migrations: counters[3],
+        escalations: counters[4],
+        widest_wave: counters[5],
+        delayed: counters[6],
     };
-    Ok((parts, manifests))
+    Ok((map, stats, manifests))
 }
 
 // ------------------------------------------------------------- public API
@@ -500,7 +505,7 @@ fn decode_sharded_payload(
 /// place — a checkpoint costs the encoding, not a state clone.
 pub fn write_serial(serve: &ServeLoop, w: &mut impl Write) -> Result<(), SnapshotError> {
     let mut payload = ByteWriter::new();
-    encode_serve_parts(&serve.parts_ref(), &mut payload);
+    encode_serve(serve, &mut payload);
     w.write_all(&frame(KIND_SERIAL, &payload.into_bytes()))?;
     Ok(())
 }
@@ -532,11 +537,10 @@ pub fn write_sharded(
     w: &mut impl Write,
 ) -> Result<(), SnapshotError> {
     serve.note_checkpoint();
-    let parts = serve.parts_ref();
-    let manifests = manifests_of(&parts.inner, serve.shard_map());
+    let manifests = manifests_of(serve.serial(), serve.shard_map());
     w.write_all(&frame(
         KIND_SHARDED,
-        &encode_sharded_payload(&parts, &manifests),
+        &encode_sharded_payload(serve, &manifests),
     ))?;
     Ok(())
 }
@@ -545,9 +549,10 @@ pub fn write_sharded(
 ///
 /// With `shards = None` the loop resumes under its recorded shard count;
 /// `Some(p)` re-shards onto `p` machines (ownership is a pure function of
-/// the vertex id). Either way the decoded state is validated against the
-/// recorded manifests *first* — shard by shard, under the recorded map —
-/// and then re-checked against the target count's space budget.
+/// the vertex id). Either way the restored engine, once it passes every
+/// check a serial restore makes, is validated against the recorded
+/// manifests — shard by shard, under the recorded map — and then
+/// re-checked against the target count's space budget.
 pub fn read_sharded(
     r: &mut impl Read,
     shards: Option<usize>,
@@ -562,11 +567,11 @@ pub fn read_sharded(
         });
     }
     let mut r = ByteReader::new(payload);
-    let (parts, manifests) = decode_sharded_payload(&mut r)?;
+    let (map, stats, manifests) = decode_sharded_head(&mut r)?;
+    let parts = decode_serve_parts(&mut r)?;
     r.expect_end().map_err(SnapshotError::from)?;
-    let recorded_map = ShardMap::new(parts.shards);
-    let derived = manifests_of(&parts.inner.as_parts_ref(), &recorded_map);
-    for (got, want) in manifests.iter().zip(&derived) {
+    let serve = ServeLoop::from_parts(parts).map_err(invalid)?;
+    for (got, want) in manifests.iter().zip(&manifests_of(&serve, &map)) {
         if got != want {
             return Err(invalid(format!(
                 "shard {} manifest disagrees with the decoded state \
@@ -575,7 +580,7 @@ pub fn read_sharded(
             )));
         }
     }
-    ShardedServeLoop::from_parts(parts, shards).map_err(invalid)
+    ShardedServeLoop::from_parts(serve, map.shards(), stats, shards).map_err(invalid)
 }
 
 /// Restore a serial [`ServeLoop`] from the file at `path`.
@@ -641,6 +646,30 @@ mod tests {
         let mut bytes = Vec::new();
         write_serial(s, &mut bytes).unwrap();
         bytes
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        // A small fixed engine churned serial and 2-shard, each with dirty
+        // marks pending: the FNV-1a-64 of each snapshot is pinned, so a
+        // codec change that moves one byte of either format fails here.
+        let serial = serial_bytes(&churned_serve());
+        let g = union_of_spanning_trees(50, 40, 2, 2, 9).graph;
+        let updates = churn_stream(&g, 60, &ChurnMix::default(), 5);
+        let mut sh = ShardedServeLoop::new(g, ShardedConfig::for_eps(0.25, 2)).unwrap();
+        for (i, chunk) in updates.chunks(20).enumerate() {
+            sh.apply_batch(chunk).unwrap();
+            if i < 2 {
+                sh.end_epoch().unwrap();
+            }
+        }
+        let mut sharded = Vec::new();
+        write_sharded(&mut sh, &mut sharded).unwrap();
+        assert_eq!(
+            (fnv1a64(&serial), fnv1a64(&sharded)),
+            (0x6fe6fa4086d530c4, 0x4751b46767f122ad),
+            "snapshot bytes moved"
+        );
     }
 
     #[test]
@@ -756,16 +785,21 @@ mod tests {
             .expect("a left with two rights");
         let row = g.left_neighbors(u);
         let (a, b) = (row[0] as usize, row[1] as usize);
+        // The level vector's entries follow the config words, the graph
+        // and the vector's length word.
+        let mut head = ByteWriter::new();
+        encode_config(s.config(), &mut head);
+        s.graph().encode(&mut head);
+        let level_at = |v: usize| HEADER + head.len() + 8 + 8 * v;
+        let bytes = serial_bytes(&s);
         let with_levels = |hi: i64, lo: i64| {
-            let mut levels = s.levels().to_vec();
-            levels[a] = hi;
-            levels[b] = lo;
-            let mut parts = s.parts_ref();
-            parts.levels = &levels;
-            let mut payload = ByteWriter::new();
-            encode_serve_parts(&parts, &mut payload);
-            let bytes = frame(KIND_SERIAL, &payload.into_bytes());
-            read_serial(&mut &bytes[..])
+            let mut bad = bytes.clone();
+            bad[level_at(a)..level_at(a) + 8].copy_from_slice(&hi.to_le_bytes());
+            bad[level_at(b)..level_at(b) + 8].copy_from_slice(&lo.to_le_bytes());
+            let body = bad.len() - 8;
+            let crc = fnv1a64(&bad[..body]).to_le_bytes();
+            bad[body..].copy_from_slice(&crc);
+            read_serial(&mut &bad[..])
         };
         for (hi, lo) in [
             (i64::MAX, i64::MIN),
@@ -830,10 +864,9 @@ mod tests {
         // recorded shard count is rejected before any state is adopted.
         let g = union_of_spanning_trees(30, 20, 2, 2, 4).graph;
         let sh = ShardedServeLoop::new(g, ShardedConfig::for_eps(0.25, 3)).unwrap();
-        let parts = sh.parts_ref();
-        let mut manifests = manifests_of(&parts.inner, sh.shard_map());
+        let mut manifests = manifests_of(sh.serial(), sh.shard_map());
         manifests.pop();
-        let bytes = frame(KIND_SHARDED, &encode_sharded_payload(&parts, &manifests));
+        let bytes = frame(KIND_SHARDED, &encode_sharded_payload(&sh, &manifests));
         let err = read_sharded(&mut &bytes[..], None).unwrap_err();
         assert!(
             matches!(
@@ -851,10 +884,9 @@ mod tests {
     fn manifest_state_disagreement_is_rejected() {
         let g = union_of_spanning_trees(30, 20, 2, 2, 6).graph;
         let sh = ShardedServeLoop::new(g, ShardedConfig::for_eps(0.25, 2)).unwrap();
-        let parts = sh.parts_ref();
-        let mut manifests = manifests_of(&parts.inner, sh.shard_map());
+        let mut manifests = manifests_of(sh.serial(), sh.shard_map());
         manifests[1].state_checksum ^= 1;
-        let bytes = frame(KIND_SHARDED, &encode_sharded_payload(&parts, &manifests));
+        let bytes = frame(KIND_SHARDED, &encode_sharded_payload(&sh, &manifests));
         let err = read_sharded(&mut &bytes[..], None).unwrap_err();
         assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
     }

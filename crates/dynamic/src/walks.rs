@@ -3,19 +3,21 @@
 //! The Appendix-B boosting argument says an allocation with no augmenting
 //! walk of length `≤ 2k−1` has size `≥ k/(k+1) · OPT`. The static
 //! pipeline establishes that certificate once (`core::boosting`); this
-//! module maintains it under updates:
+//! module maintains it under updates with two bounded searches:
 //!
-//! * [`Matching::try_augment_from_left`] — forward BFS from a newly free
-//!   left vertex, exploring at most `k−1` matched hops (the `O(τ)`-ball
-//!   around the update site).
-//! * [`Matching::reclaim_into`] — backward BFS from freshly freed right
-//!   capacity, pulling in a free left vertex through an alternating walk
-//!   of the same bounded length.
-//! * [`Matching::sweep`] — repeated passes of the forward search over all
-//!   free left vertices until a pass augments nothing. The final clean
-//!   pass certifies the walk-freeness invariant against one fixed
-//!   matching, restoring the `k/(k+1)` guarantee exactly. It is the
-//!   serve loop's epoch-close certificate sweep.
+//! * `augment_from_left` — forward BFS from a free left vertex,
+//!   exploring at most `k−1` matched hops (the `O(τ)`-ball around the
+//!   update site).
+//! * `reclaim_into` — backward BFS from freshly freed right capacity,
+//!   pulling in a free left vertex through an alternating walk of the same
+//!   bounded length.
+//!
+//! The serve loop's eager repairs (`serve::run_repair`) run both per
+//! update. [`Matching::sweep`], the epoch-close certificate sweep, runs
+//! the forward search over every free left with a live edge, pass after
+//! pass, until a pass augments nothing: the final clean pass certifies
+//! the walk-freeness invariant against one fixed matching, restoring the
+//! `k/(k+1)` guarantee exactly.
 //!
 //! All searches run on [`DeltaGraph`] adjacency directly — no CSR
 //! materialization — and reuse stamped visit buffers so repeated calls
@@ -25,8 +27,8 @@
 //!
 //! The searches are written against two separable pieces of state: the
 //! per-vertex match cells (`MatchSlots`) and a per-caller scratch space
-//! (`SearchScratch`). The serial [`Matching`] methods borrow both from
-//! `&mut self`; a p2p shard worker instead runs the same searches over
+//! (`SearchScratch`). The serial engine borrows both from its
+//! [`Matching`]; a p2p shard worker instead runs the same searches over
 //! its local mirror of a wave's shipped footprint slice. What makes that
 //! slice sufficient is the conflict scheduler's footprint argument: a
 //! bounded search from an update site reads and writes match cells only
@@ -59,9 +61,11 @@
 //! let dg = DeltaGraph::new(b.build_with_uniform_capacity(1).unwrap());
 //!
 //! let mut m = Matching::new(&dg);
-//! assert!(m.try_augment_from_left(&dg, 0, 1, usize::MAX)); // u0 – v0
-//! assert!(!m.try_augment_from_left(&dg, 1, 1, usize::MAX), "k = 1 forbids the walk");
-//! // One augmentation, from the one search a free left started.
+//! // k = 1 places u0 on v0 and finds no walk for u1: two searches in the
+//! // first pass, one in the clean second pass.
+//! assert_eq!(m.sweep(&dg, 1), (1, 3));
+//! assert_eq!(m.mate(1), None, "k = 1 forbids the length-3 walk");
+//! // One augmentation, from the one search the free u1 started.
 //! assert_eq!(m.sweep(&dg, 2), (1, 1), "k = 2 re-routes u0 and pulls u1 in");
 //! assert_eq!(m.mate(0), Some(1));
 //! assert_eq!(m.mate(1), Some(0));
@@ -495,12 +499,6 @@ impl Matching {
         self.matched_at[v as usize].len() as u64
     }
 
-    /// Residual capacity of `v` on the live graph (0 if overfilled).
-    #[inline]
-    pub fn residual(&self, dg: &DeltaGraph, v: RightId) -> u64 {
-        dg.capacity(v).saturating_sub(self.load(v))
-    }
-
     /// Lifetime count of BFS right-vertex expansions across all searches
     /// (eager repairs and sweeps alike). Monotone; sample before/after a
     /// phase to measure its search work.
@@ -548,88 +546,38 @@ impl Matching {
         }
     }
 
-    /// Unmatch `u`, returning its former partner.
-    pub fn unmatch(&mut self, u: LeftId) -> Option<RightId> {
-        let old = self.split().0.unmatch(u)?;
-        self.size -= 1;
-        Some(old)
-    }
-
-    /// Evict one matched partner of `v` (most recently matched first),
-    /// returning it. Used when a capacity decrease overfills `v`.
-    pub fn evict_one(&mut self, v: RightId) -> Option<LeftId> {
-        let u = self.split().0.evict_one(v)?;
-        self.size -= 1;
-        Some(u)
-    }
-
     fn set_mate(&mut self, u: LeftId, v: RightId) {
         if self.split().0.set_mate(u, v) {
             self.size += 1;
         }
     }
 
-    /// Forward search from free left vertex `u`: try to match it through
-    /// an augmenting walk of length `≤ 2k−1`, expanding at most `visit_cap`
-    /// right vertices. Returns whether the matching grew.
-    pub fn try_augment_from_left(
-        &mut self,
-        dg: &DeltaGraph,
-        u: LeftId,
-        k: usize,
-        visit_cap: usize,
-    ) -> bool {
-        self.ensure_left(dg.n_left());
-        let (mut slots, scratch) = self.split();
-        let grew = augment_from_left(&mut slots, scratch, dg, u, k, visit_cap);
-        if grew {
-            self.size += 1;
-        }
-        grew
-    }
-
-    /// Backward search: right vertex `v` has residual capacity — pull in
-    /// a free left vertex through an augmenting walk of length `≤ 2k−1`,
-    /// expanding at most `visit_cap` rights. Returns whether the matching
-    /// grew.
-    pub fn reclaim_into(
-        &mut self,
-        dg: &DeltaGraph,
-        v: RightId,
-        k: usize,
-        visit_cap: usize,
-    ) -> bool {
-        self.ensure_left(dg.n_left());
-        let (mut slots, scratch) = self.split();
-        let grew = reclaim_into(&mut slots, scratch, dg, v, k, visit_cap);
-        if grew {
-            self.size += 1;
-        }
-        grew
-    }
-
     /// Restore the `≤ 2k−1` walk-freeness certificate globally: repeat
-    /// passes of [`Matching::try_augment_from_left`] over all free left
-    /// vertices until a pass augments nothing. The final (augmenting-free)
-    /// pass certifies every free vertex against the *same* matching, so on
-    /// return the allocation has size `≥ k/(k+1) · OPT` on the live graph.
-    /// Returns `(augmentations, searches started)`.
+    /// passes of the uncapped forward search (`augment_from_left`) over
+    /// all free left vertices until a pass augments nothing. The final
+    /// (augmenting-free) pass certifies every free vertex against the
+    /// *same* matching, so on return the allocation has size
+    /// `≥ k/(k+1) · OPT` on the live graph. A free left of live degree 0
+    /// (a departed slot, an edgeless arrival) has no walk and starts no
+    /// search. Returns `(augmentations, searches started)`.
     pub fn sweep(&mut self, dg: &DeltaGraph, k: usize) -> (usize, usize) {
         self.ensure_left(dg.n_left());
         let (mut total, mut starts) = (0usize, 0usize);
         loop {
             let mut progressed = 0usize;
+            let (mut slots, scratch) = self.split();
             for u in 0..dg.n_left() as u32 {
                 // The mate check is the only per-vertex work for matched
-                // vertices; a free degree-0 vertex costs one empty BFS.
+                // vertices, the `O(1)` degree check for edgeless ones.
                 // Searches are uncapped: the certificate must be exact.
-                if self.mate[u as usize].is_none() {
+                if slots.mate(u).is_none() && dg.left_degree(u) > 0 {
                     starts += 1;
-                    if self.try_augment_from_left(dg, u, k, usize::MAX) {
+                    if augment_from_left(&mut slots, scratch, dg, u, k, usize::MAX) {
                         progressed += 1;
                     }
                 }
             }
+            self.size += progressed;
             total += progressed;
             if progressed == 0 {
                 return (total, starts);
@@ -678,6 +626,32 @@ mod tests {
     use sparse_alloc_graph::generators::{random_bipartite, union_of_spanning_trees};
     use sparse_alloc_graph::BipartiteBuilder;
 
+    /// One uncapped forward search from `u`, counting its growth into
+    /// `|M|` the way [`Matching::sweep`] does.
+    fn forward(m: &mut Matching, dg: &DeltaGraph, u: LeftId, k: usize) -> bool {
+        m.ensure_left(dg.n_left());
+        let (mut slots, scratch) = m.split();
+        let grew = augment_from_left(&mut slots, scratch, dg, u, k, usize::MAX);
+        m.size += grew as usize;
+        grew
+    }
+
+    /// One uncapped backward search into `v`, counted like [`forward`].
+    fn backward(m: &mut Matching, dg: &DeltaGraph, v: RightId, k: usize) -> bool {
+        m.ensure_left(dg.n_left());
+        let (mut slots, scratch) = m.split();
+        let grew = reclaim_into(&mut slots, scratch, dg, v, k, usize::MAX);
+        m.size += grew as usize;
+        grew
+    }
+
+    /// Evict `v`'s most recently matched partner, as a repair does.
+    fn evict_one(m: &mut Matching, v: RightId) -> Option<LeftId> {
+        let u = m.split().0.evict_one(v)?;
+        m.size -= 1;
+        Some(u)
+    }
+
     fn trap() -> DeltaGraph {
         // u0 ~ {v0, v1}, u1 ~ {v0}: matching u0–v0 blocks u1 until a
         // length-3 walk re-routes u0 to v1.
@@ -692,11 +666,11 @@ mod tests {
     fn forward_search_respects_the_budget() {
         let dg = trap();
         let mut m = Matching::new(&dg);
-        assert!(m.try_augment_from_left(&dg, 0, 1, usize::MAX));
+        assert!(forward(&mut m, &dg, 0, 1));
         assert_eq!(m.mate(0), Some(0));
         // k = 1 forbids the length-3 walk; k = 2 allows it.
-        assert!(!m.try_augment_from_left(&dg, 1, 1, usize::MAX));
-        assert!(m.try_augment_from_left(&dg, 1, 2, usize::MAX));
+        assert!(!forward(&mut m, &dg, 1, 1));
+        assert!(forward(&mut m, &dg, 1, 2));
         assert_eq!(m.mate(0), Some(1));
         assert_eq!(m.mate(1), Some(0));
         m.validate(&dg).unwrap();
@@ -709,11 +683,8 @@ mod tests {
         // Match u0–v0 by hand; u1 stays free. Freeing capacity at v1 must
         // pull u1 in through the walk u1 – v0 – u0 – v1.
         m.set_mate(0, 0);
-        assert!(
-            !m.reclaim_into(&dg, 1, 1, usize::MAX),
-            "k = 1 cannot re-route"
-        );
-        assert!(m.reclaim_into(&dg, 1, 2, usize::MAX));
+        assert!(!backward(&mut m, &dg, 1, 1), "k = 1 cannot re-route");
+        assert!(backward(&mut m, &dg, 1, 2));
         assert_eq!(m.size(), 2);
         assert_eq!(m.mate(0), Some(1));
         assert_eq!(m.mate(1), Some(0));
@@ -761,10 +732,10 @@ mod tests {
     fn last_walk_records_both_sides_of_every_flip() {
         let dg = trap();
         let mut m = Matching::new(&dg);
-        assert!(m.try_augment_from_left(&dg, 0, 1, usize::MAX));
+        assert!(forward(&mut m, &dg, 0, 1));
         assert_eq!(m.scratch.last_walk, [0], "length-1 walk touches one right");
         // The length-3 walk re-routes u0 from v0 to v1: both rights flip.
-        assert!(m.try_augment_from_left(&dg, 1, 2, usize::MAX));
+        assert!(forward(&mut m, &dg, 1, 2));
         let mut w = m.scratch.last_walk.clone();
         w.sort_unstable();
         w.dedup();
@@ -774,7 +745,7 @@ mod tests {
         let dg = trap();
         let mut m = Matching::new(&dg);
         m.set_mate(0, 0);
-        assert!(m.reclaim_into(&dg, 1, 2, usize::MAX));
+        assert!(backward(&mut m, &dg, 1, 2));
         let mut w = m.scratch.last_walk.clone();
         w.sort_unstable();
         w.dedup();
@@ -790,7 +761,7 @@ mod tests {
         assert!(m.expansions() > before, "sweep expands rights");
         let after = m.expansions();
         // A search over a saturated instance still pays its expansions.
-        assert!(!m.try_augment_from_left(&dg, 0, 4, usize::MAX));
+        assert!(!forward(&mut m, &dg, 0, 4));
         assert_eq!(m.expansions(), after, "matched start is a no-op");
     }
 
@@ -800,12 +771,12 @@ mod tests {
         let mut m = Matching::new(&dg);
         assert_eq!(m.sweep(&dg, 4), (2, 2), "one search per free left");
         assert_eq!(m.size(), 2);
-        let evicted = m.evict_one(0).unwrap();
+        let evicted = evict_one(&mut m, 0).unwrap();
         assert_eq!(m.size(), 1);
         assert_eq!(m.mate(evicted), None);
         assert_eq!(m.load(0), 0);
         m.validate(&dg).unwrap();
-        assert_eq!(m.evict_one(0), None);
+        assert_eq!(evict_one(&mut m, 0), None);
     }
 
     #[test]
@@ -819,10 +790,10 @@ mod tests {
         let mut m = Matching::new(&dg);
         let u0 = dg.arrive(&[0, 1]);
         m.ensure_left(dg.n_left());
-        assert!(m.try_augment_from_left(&dg, u0, 4, usize::MAX));
+        assert!(forward(&mut m, &dg, u0, 4));
         let u1 = dg.arrive(&[0]);
         m.ensure_left(dg.n_left());
-        assert!(m.try_augment_from_left(&dg, u1, 4, usize::MAX));
+        assert!(forward(&mut m, &dg, u1, 4));
         assert_eq!(m.size(), 2);
         m.validate(&dg).unwrap();
 
@@ -830,8 +801,9 @@ mod tests {
         let freed = dg.depart(u0);
         if let Some(v) = m.mate(u0) {
             assert!(freed.contains(&v));
-            m.unmatch(u0);
-            assert!(!m.reclaim_into(&dg, v, 4, usize::MAX));
+            m.split().0.unmatch(u0);
+            m.size -= 1;
+            assert!(!backward(&mut m, &dg, v, 4));
         }
         m.validate(&dg).unwrap();
         assert_eq!(m.size(), 1);
