@@ -375,9 +375,12 @@ proptest_p2p() {
 
 proptest_ball_growth() {
     # The properties that pin the one right-ball growth, which only the
-    # footprint schedule grows (conflict-free waves ≡ serial), next to
-    # the level repair on the dirty rights, which grows no ball (repair ≡
-    # scratch), and the unit tests of both modules.
+    # footprint schedule grows, next to the level repair on the dirty
+    # rights, which grows no ball (repair ≡ scratch), and the unit tests
+    # of both modules. The simulator prices waves but runs no wave (it
+    # applies a batch in batch order), so wave-order execution is
+    # exercised by `batch::tests`' conflict-freedom oracle here and by
+    # the p2p proptests above.
     cargo test --release -q --test properties \
         wave_schedules_are_conflict_free_and_serial_equivalent
     cargo test --release -q --test properties dynamic_repair_matches_scratch
@@ -450,7 +453,7 @@ if [ "${1:-}" != "fast" ]; then
     run "e21 networked serving (wire-gathered ≡ serial over loopback + TCP, gated)" gate_e21
     run "e22 self-healing (recovery ≡ serial, WAL cost, gated)" gate_e22
     run "e23 p2p repair waves (handoffs metered, coordinator bytes < star, ≡ serial, gated)" gate_e23
-    run "sharded ≡ serial proptest under --release (conflict-free waves)" proptest_sharded
+    run "sharded ≡ serial proptest under --release (batch-order execution, wave-priced rounds)" proptest_sharded
     run "networked ≡ serial proptests under --release (loopback + TCP transports)" proptest_net
     run "p2p ≡ serial proptests under --release (worker↔worker walk handoffs)" proptest_p2p
     run "ball-growth proptests under --release (wave schedules ≡ serial, repair ≡ scratch)" proptest_ball_growth

@@ -28,11 +28,13 @@
 //! ~0.1 ms for `cert_sweep`. The sharded path pays the same
 //! epoch close *plus* its scheduling surplus: footprint growth + one
 //! wave pass (`batch_schedule`, ~6 ms per batch), routing (~0.2 ms), and
-//! shard-state aggregation (~0.7 ms per epoch). The wave executor itself
-//! is cheap: the simulator runs a wave's repairs inline, one after
-//! another, so `repair_wave` has a p50 of ~4 µs over the 951 waves of a
-//! drive. On a 2-vCPU host (nproc = 2) sharded wall time is ~2–2.5×
-//! serial, almost all of the gap being `batch_schedule`. That surplus is
+//! shard-state aggregation (~0.7 ms per epoch). The repair itself is
+//! cheap: the waves only price the batch (one `repair_wave` ledger round
+//! each, 951 per drive), and the simulator runs the batch through the
+//! serial core's `apply` in batch order, as one `repair_wave` span per
+//! batch with a p50 of ~0.8–0.9 ms. On a 2-vCPU host (nproc = 2)
+//! sharded wall time is ~2–2.5× serial, almost all of the gap being
+//! `batch_schedule`. That surplus is
 //! fixed, so every saving in the shared epoch close *raises* the ratio.
 //! The record says so (`one_box_win: false`), and `overhead_ratio` is
 //! the ratcheted quantity (`ci.sh` caps it at 1.6× serial absolute and

@@ -48,9 +48,11 @@
 //!
 //! * **Arrival ids are precomputed, not serialized.** Staging assigns
 //!   every in-batch arrival the id the serial engine would (sequential,
-//!   batch order), and the wave executor passes that id down to
+//!   batch order), and p2p's wave executor passes that id down to
 //!   [`DeltaGraph::arrive_at`] — so footprint-disjoint arrivals share a
 //!   wave, where the old scheduler gave every arrival a singleton wave.
+//!   (The simulator runs the batch in batch order, where every arrival
+//!   takes its staged id anyway.)
 //! * **The arrival id space is a per-id resource.** An `Arrive` touches
 //!   its own id; any update referencing an in-batch id touches that id.
 //!   Touches order in batch order through the per-id floor array, which
@@ -217,7 +219,7 @@ impl BatchSchedule {
 /// Stage the batch's arrivals and inserts on the union-graph view,
 /// recording the id each arrival will be assigned. Ids are sequential in
 /// batch order — exactly the ids the serial engine would allocate — and
-/// the wave executor replays them via [`DeltaGraph::arrive_at`], so
+/// p2p's wave executor replays them via [`DeltaGraph::arrive_at`], so
 /// scheduling an arrival off its batch position cannot scramble the id
 /// space.
 fn stage_gplus<'a>(

@@ -16,12 +16,14 @@
 //!    than half its space budget in one round.
 //! 2. **Repair waves** ([`Phase::RepairWave`]) — the
 //!    [`batch`](crate::batch) scheduler groups updates whose conservative
-//!    balls are vertex-disjoint; each wave repairs its balls in one
-//!    simulated round (disjointness makes the repairs commute, so the
-//!    result equals serial application — the property
-//!    `tests/properties.rs` proves).
-//!    Augmenting walks that cross shard boundaries pay for every foreign
-//!    right they flip: the wave's round carries those handoff words.
+//!    balls are vertex-disjoint, and each wave is priced as one
+//!    simulated round. The waves are priced, not executed: the serial
+//!    core runs the batch in batch order, which lands on the state a
+//!    wave-by-wave run reaches (disjoint balls commute, and a
+//!    conflicting update always sits in a later wave — the property
+//!    `tests/properties.rs` proves). Augmenting walks that cross shard
+//!    boundaries pay for every foreign right they flip: each wave's
+//!    round carries its updates' handoff words.
 //! 3. **Sweep** — the `k/(k+1)` certificate sweep: the free-left census
 //!    is sorted by id (distributed sample sort — the global sweep order),
 //!    the sweep runs, and the matching migrations it produced are
@@ -45,7 +47,7 @@ use sparse_alloc_graph::{Assignment, Bipartite, LeftId, RightId};
 use sparse_alloc_mpc::ledger::RoundRecord;
 use sparse_alloc_mpc::primitives::{aggregate_by_key, broadcast_value, sort_by_key};
 use sparse_alloc_mpc::{Cluster, Ledger, MpcConfig, MpcError, ShardMap, Words};
-use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Span, Tracer};
+use sparse_alloc_obs::{Counter, Dist, Phase, Registry, Tracer};
 
 use crate::batch::{schedule, BatchSchedule, FOOTPRINT_CAP};
 use crate::serve::{DynamicConfig, EpochReport, ServeLoop, ServeStats, WaveUpdateResult};
@@ -136,10 +138,11 @@ pub struct ShardedEpochReport {
     pub budget: usize,
 }
 
-/// One update batch after scheduling + routing but before any wave ran:
-/// the state [`ShardedServeLoop::stage_batch`] hands whichever executor
-/// drives the waves (the in-process one, or the networked engine, which
-/// on a p2p mesh ships each wave to its owning shard workers).
+/// One update batch after scheduling + routing but before any update
+/// ran: the state [`ShardedServeLoop::stage_batch`] hands the executor.
+/// The simulator runs the batch in batch order and charges its waves
+/// afterwards; p2p's wave executor runs it wave by wave, shipping each
+/// wave to its owning shard workers.
 #[derive(Debug)]
 pub(crate) struct StagedBatch {
     /// The conflict-wave schedule.
@@ -365,11 +368,9 @@ impl ShardedServeLoop {
     }
 
     /// Schedule + route one epoch's update batch without running any
-    /// wave: everything the coordinator does before repairs execute,
-    /// shared by the in-process wave executor ([`Self::apply_batch`]) and
-    /// the networked engine (which drives [`Self::finish_wave`] /
-    /// [`Self::finish_batch`] itself).
-    /// Returns `None` for an empty batch.
+    /// update: the batch's price, shared by [`Self::apply_batch`] and
+    /// p2p's wave executor (which drives [`Self::finish_wave`] /
+    /// [`Self::finish_batch`] itself). Returns `None` for an empty batch.
     pub(crate) fn stage_batch(
         &mut self,
         updates: &[Update],
@@ -464,20 +465,19 @@ impl ShardedServeLoop {
         }))
     }
 
-    /// Absorb one executed wave into the staged batch's accounting: the
-    /// simulated `repair_wave` round carrying the wave's cross-shard
-    /// repair traffic (rights touched outside the owning shard), the wave
-    /// counters, and the width observation. Both executors call this
-    /// after running wave `wave`, so the simulated cost model cannot drift
-    /// between them. `span` is the wave's open [`Phase::RepairWave`]
-    /// span; it closes here carrying the moved words.
-    pub(crate) fn finish_wave(
+    /// Charge wave `wave` to the staged batch: the simulated
+    /// `repair_wave` round carrying the cross-shard repair traffic of its
+    /// updates (rights touched outside the owning shard), the wave
+    /// counter, and the width observation. `results` are the wave's
+    /// updates, in wave order. Both executors call this once per wave,
+    /// so the simulated cost model cannot drift between them. Returns
+    /// the round's words.
+    pub(crate) fn finish_wave<'a>(
         &mut self,
         staged: &mut StagedBatch,
         wave: usize,
-        results: &[WaveUpdateResult],
-        mut span: Span,
-    ) {
+        results: impl IntoIterator<Item = &'a WaveUpdateResult>,
+    ) -> u64 {
         let p = self.map.shards();
         let mut sent = vec![0u64; p];
         let mut recv = vec![0u64; p];
@@ -508,10 +508,8 @@ impl ShardedServeLoop {
         });
         staged.handoff_total += words;
         self.stats.waves += 1;
-        span.set_words(words);
-        let obs = self.inner.obs_mut();
-        span.close(obs);
-        obs.observe(Dist::WaveWidth, width);
+        self.inner.obs_mut().observe(Dist::WaveWidth, width);
+        words
     }
 
     /// Close out a staged batch after every wave ran: fold the schedule
@@ -538,38 +536,35 @@ impl ShardedServeLoop {
         })
     }
 
-    /// Apply one epoch's update batch: schedule conflict-free waves,
-    /// route every update to the shard owning its ball, and repair wave
-    /// by wave through [`ServeLoop`]'s wave executor. Disjoint balls
-    /// commute, so the engine state equals serial application of the
-    /// batch in arrival order.
+    /// Apply one epoch's update batch: schedule conflict-free waves and
+    /// route every update to the shard owning its ball, then run the
+    /// delivered updates through the serial core in batch order and
+    /// charge one `repair_wave` round per wave from the rights its
+    /// updates touched. Batch order is sound: within a wave the balls
+    /// are disjoint, and a conflicting earlier update always sits in an
+    /// earlier wave, so each update's repair sees the state a
+    /// wave-by-wave run would. The engine state therefore equals the
+    /// serial engine's after the same updates, byte for byte.
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, MpcError> {
         let Some(mut staged) = self.stage_batch(updates)? else {
             return Ok(BatchReport::default());
         };
-
+        let mut span = self.tracer.span(Phase::RepairWave, staged.batch_no);
+        let results: Vec<WaveUpdateResult> = staged
+            .routed
+            .iter()
+            .map(|up| {
+                let up = up.as_ref().expect("every update was delivered");
+                self.inner.apply_touching(up)
+            })
+            .collect();
         for w in 0..staged.waves() {
-            let spw = self.tracer.span(Phase::RepairWave, staged.batch_no);
-            let idxs = staged.wave_idxs(w);
-            let wave_updates: Vec<&Update> = idxs
-                .iter()
-                .map(|&i| {
-                    staged.routed[i]
-                        .as_ref()
-                        .expect("every update was delivered")
-                })
-                .collect();
-            // The wave may run arrivals out of batch order (a commuting
-            // later arrival can share an earlier wave): hand the engine
-            // the ids staging precomputed so each arrival lands in its
-            // serial slot.
-            let arrive_ids: Vec<Option<u32>> = idxs
-                .iter()
-                .map(|&i| staged.sched.plans[i].arrive_id)
-                .collect();
-            let results = self.inner.apply_wave(&wave_updates, &arrive_ids);
-            self.finish_wave(&mut staged, w, &results, spw);
+            let wave: Vec<&WaveUpdateResult> =
+                staged.wave_idxs(w).iter().map(|&i| &results[i]).collect();
+            self.finish_wave(&mut staged, w, wave);
         }
+        span.set_words(staged.handoff_total);
+        span.close(self.inner.obs_mut());
         self.finish_batch(staged)
     }
 
@@ -584,9 +579,11 @@ impl ShardedServeLoop {
         let p = self.map.shards();
         let mut epoch = Ledger::default();
 
-        // Sweep order: distributed sample sort of the free-left census.
-        let frees: Vec<u32> = (0..self.inner.graph().n_left() as u32)
-            .filter(|&u| self.inner.query(u).is_none())
+        // Sweep order: distributed sample sort of the free-left census —
+        // the free lefts with a live edge, where `Matching::sweep` starts.
+        let dg = self.inner.graph();
+        let frees: Vec<u32> = (0..dg.n_left() as u32)
+            .filter(|&u| self.inner.query(u).is_none() && dg.left_degree(u) > 0)
             .collect();
         let cluster = Cluster::from_items(MpcConfig::strict(p, budget), frees)?;
         let cluster = sort_by_key(cluster, |&u| u)?;
@@ -692,9 +689,9 @@ impl ShardedServeLoop {
         &self.inner
     }
 
-    /// Mutable access to the serial engine — the networked executor
-    /// drives the wave primitives (`wave_structural`, outcome absorption,
-    /// row replay) on it directly.
+    /// Mutable access to the serial engine — p2p's wave executor drives
+    /// the wave primitives (`wave_structural`, outcome absorption, row
+    /// replay) on it directly.
     pub(crate) fn serial_mut(&mut self) -> &mut ServeLoop {
         &mut self.inner
     }
@@ -752,6 +749,7 @@ impl ShardedServeLoop {
 mod tests {
     use super::*;
     use crate::adapter::{churn_stream, ChurnMix};
+    use crate::snapshot::write_serial;
     use sparse_alloc_graph::generators::union_of_spanning_trees;
     use sparse_alloc_graph::BipartiteBuilder;
 
@@ -822,6 +820,74 @@ mod tests {
         sharded.validate().unwrap();
         assert_eq!(sharded.assignment().mate, serial.assignment().mate);
         assert_eq!(sharded.serial().levels(), serial.levels());
+    }
+
+    #[test]
+    fn the_simulator_leaves_the_serial_engines_bytes_mid_epoch() {
+        // The same churn batches through a sharded and a serial engine,
+        // the last epoch left open: the sharded engine's serial core is
+        // byte for byte the serial engine, pending dirty marks included.
+        for shards in [2usize, 3] {
+            let g = union_of_spanning_trees(60, 45, 2, 2, 23).graph;
+            let updates = churn_stream(&g, 90, &ChurnMix::default(), 23);
+            let cfg = ShardedConfig::for_eps(0.25, shards);
+            let mut serial = ServeLoop::new(g.clone(), cfg.dynamic.clone());
+            let mut sharded = ShardedServeLoop::new(g, cfg).unwrap();
+            for (i, chunk) in updates.chunks(30).enumerate() {
+                sharded.apply_batch(chunk).unwrap();
+                for up in chunk {
+                    serial.apply(up);
+                }
+                if i < 2 {
+                    sharded.end_epoch().unwrap();
+                    serial.end_epoch();
+                }
+            }
+            let bytes = |s: &ServeLoop| {
+                let mut b = Vec::new();
+                write_serial(s, &mut b).unwrap();
+                b
+            };
+            assert!(
+                bytes(sharded.serial()) == bytes(&serial),
+                "{shards} shards left other bytes than the serial engine"
+            );
+        }
+    }
+
+    #[test]
+    fn a_departed_free_left_stays_out_of_the_census() {
+        // Ten lefts share the unit slot v0, so nine stay free; six of the
+        // free ones depart and keep no edge. The census sorts the three
+        // free lefts with a live edge, where the sweep starts, and nothing
+        // else: its `sort-*` rounds are those of sorting exactly them.
+        let mut b = BipartiteBuilder::new(10, 1);
+        for u in 0..10 {
+            b.add_edge(u, 0);
+        }
+        let g = b.build(vec![1]).unwrap();
+        let mut s = ShardedServeLoop::new(g, ShardedConfig::for_eps(0.25, 2)).unwrap();
+        let frees: Vec<u32> = (0..10).filter(|&u| s.query(u).is_none()).collect();
+        let (gone, live) = frees.split_at(6);
+        let departs: Vec<Update> = gone.iter().map(|&u| Update::Depart { u }).collect();
+        s.apply_batch(&departs).unwrap();
+        let sort_rounds = |l: &Ledger, from: usize| -> Vec<RoundRecord> {
+            l.history[from..]
+                .iter()
+                .filter(|r| r.label.starts_with("sort-"))
+                .cloned()
+                .collect()
+        };
+        let sorted = |items: &[u32]| {
+            let config = MpcConfig::strict(2, s.space_budget());
+            let cluster = Cluster::from_items(config, items.to_vec()).unwrap();
+            sort_rounds(sort_by_key(cluster, |&u| u).unwrap().ledger(), 0)
+        };
+        let (want, all) = (sorted(live), sorted(&frees));
+        assert_ne!(want, all, "the census sizes must tell the two apart");
+        let from = s.ledger().history.len();
+        s.end_epoch().unwrap();
+        assert_eq!(sort_rounds(s.ledger(), from), want);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! | verb | serial | sharded | networked |
 //! |---|---|---|---|
-//! | [`Engine::apply_batch`] | `apply` per update | routed repair waves | wire route + waves |
+//! | [`Engine::apply_batch`] | `apply` per update | scheduled + routed, then `apply` per update, priced per wave | wire route + the sharded batch (p2p: repair waves on the workers) |
 //! | [`Engine::end_epoch`] | certificate sweep | + migration commit, census | + wire commit, census |
 //! | [`Engine::served`] | the maintained matching | the maintained matching | gathered from the workers over the wire |
 //! | [`Engine::checkpoint_bytes`] | serial snapshot | sharded snapshot | sharded snapshot |
@@ -69,15 +69,20 @@ pub trait Engine {
     /// the epoch counter.
     fn end_epoch(&mut self) -> Result<Self::Report, EngineError>;
 
-    /// The allocation the engine serves.
-    fn served(&mut self) -> Result<Assignment, EngineError>;
+    /// The allocation the engine serves: the serial core's matching,
+    /// unless the engine gathers it from elsewhere.
+    fn served(&mut self) -> Result<Assignment, EngineError> {
+        Ok(self.serial().assignment())
+    }
 
     /// The serial core: configuration, lifetime stats (the epoch
     /// counter), match size and the live graph.
     fn serial(&self) -> &ServeLoop;
 
-    /// The stack's metrics registry.
-    fn obs(&self) -> &Registry;
+    /// The stack's metrics registry, owned by the serial core.
+    fn obs(&self) -> &Registry {
+        self.serial().obs()
+    }
 
     /// Mutable access to the stack's metrics registry.
     fn obs_mut(&mut self) -> &mut Registry;
@@ -85,8 +90,11 @@ pub trait Engine {
     /// Install a phase tracer on the whole stack.
     fn set_tracer(&mut self, tracer: Tracer);
 
-    /// Full consistency check of the engine state.
-    fn validate(&self) -> Result<(), String>;
+    /// Full consistency check of the engine state, which lives in the
+    /// serial core.
+    fn validate(&self) -> Result<(), String> {
+        self.serial().validate()
+    }
 
     /// Encode a full snapshot of the engine.
     fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError>;
@@ -164,16 +172,8 @@ impl Engine for ServeLoop {
         Ok(ServeLoop::end_epoch(self))
     }
 
-    fn served(&mut self) -> Result<Assignment, EngineError> {
-        Ok(self.assignment())
-    }
-
     fn serial(&self) -> &ServeLoop {
         self
-    }
-
-    fn obs(&self) -> &Registry {
-        ServeLoop::obs(self)
     }
 
     fn obs_mut(&mut self) -> &mut Registry {
@@ -182,10 +182,6 @@ impl Engine for ServeLoop {
 
     fn set_tracer(&mut self, tracer: Tracer) {
         ServeLoop::set_tracer(self, tracer);
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        ServeLoop::validate(self)
     }
 
     fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError> {
@@ -207,16 +203,8 @@ impl Engine for ShardedServeLoop {
         Ok(ShardedServeLoop::end_epoch(self)?)
     }
 
-    fn served(&mut self) -> Result<Assignment, EngineError> {
-        Ok(self.assignment())
-    }
-
     fn serial(&self) -> &ServeLoop {
         ShardedServeLoop::serial(self)
-    }
-
-    fn obs(&self) -> &Registry {
-        ShardedServeLoop::obs(self)
     }
 
     fn obs_mut(&mut self) -> &mut Registry {
@@ -225,10 +213,6 @@ impl Engine for ShardedServeLoop {
 
     fn set_tracer(&mut self, tracer: Tracer) {
         ShardedServeLoop::set_tracer(self, tracer);
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        ShardedServeLoop::validate(self)
     }
 
     fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError> {
@@ -258,20 +242,12 @@ impl Engine for NetServeLoop {
         NetServeLoop::serial(self)
     }
 
-    fn obs(&self) -> &Registry {
-        NetServeLoop::obs(self)
-    }
-
     fn obs_mut(&mut self) -> &mut Registry {
         NetServeLoop::obs_mut(self)
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
         NetServeLoop::set_tracer(self, tracer);
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        NetServeLoop::validate(self)
     }
 
     fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError> {

@@ -45,9 +45,9 @@
 //!
 //! [`ShardedServeLoop`] runs the same engine sharded across an
 //! [`mpc`](sparse_alloc_mpc) cluster: state is hash-partitioned by vertex
-//! ownership, each update batch is routed to the shards owning its balls
-//! and repaired in conflict-free parallel waves ([`batch`]), and the
-//! per-epoch certificate sweep is a ledger-accounted MPC phase (sorted
+//! ownership, each update batch is routed to the shards owning its balls,
+//! priced as conflict-free waves ([`batch`]) and applied in batch order,
+//! and the per-epoch certificate sweep is a ledger-accounted MPC phase (sorted
 //! free-left census, cross-shard migration commit, aggregated census,
 //! broadcast summary) whose per-machine space is asserted against an
 //! `n^δ`-style budget every epoch. For any update sequence and any shard

@@ -73,17 +73,19 @@
 //!
 //! # Peer-to-peer repair waves
 //!
-//! Both protocols hold the same worker slice and run one wave executor
-//! ([`NetServeLoop::apply_batch`]): per wave, the structural half runs on
-//! the coordinator's engine, then the repairs fold in arrival order. A
-//! star mesh has no worker↔worker links, so it ships no plan: every
-//! repair runs on the coordinator, and its deltas reach the workers on
-//! the next `COMMIT` — coordinator traffic that grows with the repair
-//! volume. [`NetServeLoop::new_p2p`] keeps the star for scheduling,
-//! routing, and epoch barriers, but links the workers pairwise by the
-//! same framed channels ([`Mesh::loopback_mesh`] / [`Mesh::tcp_mesh`])
-//! and ships each disjoint-footprint repair to the worker owning its
-//! ball:
+//! Both protocols hold the same worker slice. A star mesh has no
+//! worker↔worker links, so it runs no wave: between its `ROUTE` and
+//! `COMMIT` exchanges the coordinator runs the simulator's batch
+//! ([`ShardedServeLoop::apply_batch`]) on the echoed updates, in batch
+//! order, and the deltas reach the workers on the `COMMIT` —
+//! coordinator traffic that grows with the repair volume.
+//! [`NetServeLoop::new_p2p`] keeps the star for scheduling, routing, and
+//! epoch barriers, but links the workers pairwise by the same framed
+//! channels ([`Mesh::loopback_mesh`] / [`Mesh::tcp_mesh`]) and runs the
+//! batch wave by wave — the only wave executor left: per wave, the
+//! structural half runs on the coordinator's engine, each
+//! disjoint-footprint repair ships to the worker owning its ball, and
+//! the outcomes fold in arrival order:
 //!
 //! | phase | direction | payload |
 //! |---|---|---|
@@ -2351,10 +2353,11 @@ impl NetServeLoop {
 
     /// Apply one epoch's update batch. The batch is scattered to the
     /// workers owning each update's anchor, echoed back, and the engine
-    /// consumes the echoed wire copies ([`Phase::NetRoute`]) wave by
-    /// wave, through one wave executor for both protocols (see the
-    /// [module docs](self)); the resulting state deltas are committed to
-    /// the owning workers ([`Phase::NetCommit`]).
+    /// consumes the echoed wire copies ([`Phase::NetRoute`]): a star
+    /// runs them as the simulator's batch, in batch order; a p2p mesh
+    /// wave by wave (see the [module docs](self)).
+    /// The resulting state deltas are committed to the owning workers
+    /// ([`Phase::NetCommit`]).
     ///
     /// Under a [`SupervisorConfig`] with a respawn budget, a wire fault
     /// in either exchange triggers respawn + re-INIT and the exchange is
@@ -2375,7 +2378,11 @@ impl NetServeLoop {
         };
         // The engine consumes what the wire delivered — a codec bug
         // surfaces as divergence from serial, not silence.
-        let report = self.run_waves(&wire)?;
+        let report = if self.p2p {
+            self.run_waves(&wire)?
+        } else {
+            self.inner.apply_batch(&wire)?
+        };
         loop {
             match self.commit_deltas(self.epoch()) {
                 Ok(()) => break,
@@ -2385,17 +2392,16 @@ impl NetServeLoop {
         Ok(report)
     }
 
-    /// The wave executor behind [`Self::apply_batch`], for both
-    /// protocols: stage the batch once, then per wave run the structural
-    /// half serially on the coordinator, ship every disjoint-footprint
-    /// repair plan to the shard worker owning its ball (one `WAVE` frame
-    /// per worker, [`Phase::NetWave`]), and fold the acked outcomes
-    /// back in arrival order — the fold `ServeLoop::apply_wave` runs,
-    /// which is what the `≡ serial` property tests pin down. Plans ship
-    /// only on a p2p mesh; every other plan — on a star, every plan —
-    /// runs on the coordinator's engine in the same fold slot, as do
-    /// the plans the scheduler kept serial there (global footprints,
-    /// empty footprints, structural no-ops).
+    /// p2p's wave executor behind [`Self::apply_batch`]: stage the batch
+    /// once, then per wave run the structural half serially on the
+    /// coordinator, ship every disjoint-footprint repair plan to the
+    /// shard worker owning its ball (one `WAVE` frame per worker,
+    /// [`Phase::NetWave`]), and fold the acked outcomes back in arrival
+    /// order, which is what the `≡ serial` property tests pin down. The
+    /// plans the scheduler kept serial (global footprints, empty
+    /// footprints, structural no-ops) run on the coordinator's engine in
+    /// the same fold slot. This executor, its wave-order fold and the
+    /// forced arrival ids it passes down are p2p-only, and go with p2p.
     ///
     /// A wire fault mid-wave rebuilds the whole mesh
     /// ([`Self::rebuild_mesh_and_reinit`]) — the re-INIT scatters the
@@ -2422,7 +2428,7 @@ impl NetServeLoop {
         };
         for wave in 0..staged.waves() {
             let idxs: Vec<usize> = staged.wave_idxs(wave).to_vec();
-            let spw = self.tracer.span(Phase::RepairWave, staged.batch_no);
+            let mut spw = self.tracer.span(Phase::RepairWave, staged.batch_no);
             let (exp0, cap0) = self.inner.serial().wave_counters();
             let (plans, mut results) = {
                 let ups: Vec<&Update> = idxs
@@ -2459,19 +2465,15 @@ impl NetServeLoop {
                     TopoRecord::forget(&mut self.topo.lefts, u);
                 }
             }
-            // Which plans ship: on a p2p mesh, disjoint footprint,
-            // non-empty, and a real repair to run. Everything else stays
-            // local.
+            // Which plans ship: disjoint footprint, non-empty, and a real
+            // repair to run. Everything else stays local.
             let shipped: Vec<Option<usize>> = idxs
                 .iter()
                 .enumerate()
                 .map(|(j, &i)| {
                     let pl = &staged.sched.plans[i];
-                    (self.p2p
-                        && !pl.global
-                        && pl.footprint_len > 0
-                        && !matches!(plans[j], RepairPlan::Noop))
-                    .then_some(pl.owner)
+                    (!pl.global && pl.footprint_len > 0 && !matches!(plans[j], RepairPlan::Noop))
+                        .then_some(pl.owner)
                 })
                 .collect();
             let (mut remote, exp_remote, cap_remote) = if shipped.iter().any(Option::is_some) {
@@ -2524,7 +2526,8 @@ impl NetServeLoop {
                 .serial_mut()
                 .absorb_search_counters(exp_remote, cap_remote);
             self.inner.serial_mut().wave_observe(exp0, cap0);
-            self.inner.finish_wave(&mut staged, wave, &results, spw);
+            spw.set_words(self.inner.finish_wave(&mut staged, wave, &results));
+            spw.close(self.inner.obs_mut());
         }
         Ok(self.inner.finish_batch(staged)?)
     }

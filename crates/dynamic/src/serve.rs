@@ -347,8 +347,8 @@ pub(crate) fn run_repair<T: WalkTopology + ?Sized>(
     out
 }
 
-/// What [`ServeLoop::apply_wave`] reports per update, for the sharded
-/// loop's ledger accounting.
+/// What one update did, for the sharded loop's `repair_wave` accounting
+/// ([`ServeLoop::apply_touching`], or p2p's wave fold).
 #[derive(Debug)]
 pub(crate) struct WaveUpdateResult {
     /// Id assigned to an [`Update::Arrive`], `None` otherwise.
@@ -398,15 +398,32 @@ impl ServeLoop {
         arrived
     }
 
+    /// [`ServeLoop::apply`], also reporting the rights the update
+    /// touched: its structural marks, then the rights its repair's
+    /// flipped walks touched. The sharded loop charges the foreign ones
+    /// as its waves' handoff traffic.
+    pub(crate) fn apply_touching(&mut self, update: &Update) -> WaveUpdateResult {
+        let (exp0, cap0) = self.wave_counters();
+        let from = self.dirty.len();
+        let (plan, arrived) = self.apply_structural(update, None);
+        let out = self.run_plan_local(&plan);
+        let mut touched = self.dirty[from..].to_vec();
+        touched.extend_from_slice(&out.dirty);
+        self.absorb_outcome(out);
+        self.wave_observe(exp0, cap0);
+        WaveUpdateResult { arrived, touched }
+    }
+
     /// The structural half of one update: mutate the live graph, charge
     /// the drift budget, mark dirty rights — everything that must happen
     /// serially in arrival order. Returns the deferred repair plan and
     /// the id an arrival was assigned.
     ///
-    /// `forced_arrive` is the left id a batch scheduler staged for an
-    /// `Arrive` (waves may run arrivals out of batch order — the staged
-    /// id pins each to its serial slot via [`DeltaGraph::arrive_at`]);
-    /// `None` allocates the next id, as the serial path always does.
+    /// `forced_arrive` is p2p-only: the left id the batch scheduler
+    /// staged for an `Arrive` that p2p's wave executor runs out of batch
+    /// order (the staged id pins it to its serial slot via
+    /// [`DeltaGraph::arrive_at`]). `None` allocates the next id, as every
+    /// batch-order path does.
     fn apply_structural(
         &mut self,
         update: &Update,
@@ -480,45 +497,13 @@ impl ServeLoop {
         self.obs.inc(Counter::Evictions, out.evictions as u64);
     }
 
-    /// Apply one conflict-free wave of updates: structural mutations run
-    /// first, in wave order, then every repair runs in arrival order and
-    /// its deferred effects (sizes, stats, dirty marks) are folded in —
-    /// the same order the networked coordinator folds its waves in.
-    ///
-    /// The caller (the sharded serve loop) guarantees that the wave's
-    /// non-global updates have pairwise vertex-disjoint footprints on the
-    /// batch's union graph `G⁺`, with the scheduler's radius covering
-    /// every match cell a repair reads or writes. That makes the repairs
-    /// *commute*: a repair never observes another same-wave repair's
-    /// writes (they are confined to the other footprint), and it never
-    /// observes another same-wave update's structural edits either —
-    /// reading an edited adjacency list would place the edited edge's
-    /// right endpoint in both footprints. Hence running the structural
-    /// half of the whole wave ahead of its repairs lands on the state
-    /// serial application reaches, which is why
-    /// `ShardedServeLoop ≡ ServeLoop`.
-    pub(crate) fn apply_wave(
-        &mut self,
-        updates: &[&Update],
-        arrive_ids: &[Option<u32>],
-    ) -> Vec<WaveUpdateResult> {
-        debug_assert_eq!(updates.len(), arrive_ids.len());
-        let (exp0, cap0) = self.wave_counters();
-        let (plans, mut results) = self.wave_structural(updates, arrive_ids);
-        for (plan, result) in plans.iter().zip(&mut results) {
-            let out = self.run_plan_local(plan);
-            result.touched.extend_from_slice(&out.dirty);
-            self.absorb_outcome(out);
-        }
-        self.wave_observe(exp0, cap0);
-        results
-    }
-
-    /// Phase A of a wave — structural mutations, serial, wave order.
+    /// Phase A of a p2p wave — structural mutations, serial, wave order.
     /// Arrivals land in their scheduler-staged id slots, so running a
     /// wave's arrivals out of batch order cannot scramble the id space.
     /// Returns the deferred repair plans and the per-update results with
-    /// `touched` pre-filled from the structural dirty marks.
+    /// `touched` pre-filled from the structural dirty marks. This and
+    /// the row replay and remote counter fold below serve p2p's wave
+    /// executor alone, and go with it.
     pub(crate) fn wave_structural(
         &mut self,
         updates: &[&Update],
@@ -539,9 +524,9 @@ impl ServeLoop {
     }
 
     /// Run one deferred repair on this engine's own match cells, in the
-    /// caller's (arrival) order — how the networked coordinator executes
-    /// the plans it does *not* ship (every plan on a star mesh; globals,
-    /// no-ops and empty footprints on a p2p mesh).
+    /// caller's (arrival) order: the repair half of [`ServeLoop::apply`],
+    /// and how p2p's coordinator executes the plans it does *not* ship
+    /// (globals, no-ops and empty footprints).
     pub(crate) fn run_plan_local(&mut self, plan: &RepairPlan) -> RepairOutcome {
         let eager_k = self.cfg.eager_budget();
         let ecap = self.cfg.eager_search_cap;
@@ -623,9 +608,9 @@ impl ServeLoop {
         sp.close(&mut self.obs);
         if !self.dirty.is_empty() {
             let sp = self.tracer.span(Phase::LevelRepair, epoch);
-            // The repair ball is the dirty set: wave executors mark rights
-            // in wave order, the serial engine in batch order, with
-            // repeats. `⌈1/ε⌉` rounds, clamped to `[2, 8]`.
+            // The repair ball is the dirty set, marked with repeats: in
+            // batch order by the serial and sharded engines, in wave order
+            // by p2p's wave executor. `⌈1/ε⌉` rounds, clamped to `[2, 8]`.
             self.dirty.sort_unstable();
             self.dirty.dedup();
             let cfg = LevelRepairConfig {
