@@ -389,6 +389,8 @@ proptest_ball_growth() {
 
 proptest_compact_fractional() {
     cargo test --release -q -p sparse-alloc-graph --lib delta::tests::compact_matches_builder
+    cargo test --release -q -p sparse-alloc-graph --lib delta::tests::left_rows_visit_compacts_rows
+    cargo test --release -q -p sparse-alloc-core --lib fractional::tests::row_scatter_equals_the_right_csr_route
     cargo test --release -q --test properties fractional_equals_scratch_under_updates
 }
 
@@ -457,7 +459,7 @@ if [ "${1:-}" != "fast" ]; then
     run "networked ≡ serial proptests under --release (loopback + TCP transports)" proptest_net
     run "p2p ≡ serial proptests under --release (worker↔worker walk handoffs)" proptest_p2p
     run "ball-growth proptests under --release (wave schedules ≡ serial, repair ≡ scratch)" proptest_ball_growth
-    run "compact ≡ builder and fractional ≡ scratch proptests under --release" proptest_compact_fractional
+    run "compact ≡ builder, live-row view ≡ compact, row-scatter ≡ right-CSR fractional and fractional ≡ scratch proptests under --release" proptest_compact_fractional
     run "live-graph overlay under --release (edge-set model, pinned snapshot bytes, codec, adversarial io)" overlay_codec
     run "servebench serial-scarce smoke (feasible, ≥ k/(k+1)·OPT where the sweep does the work)" smoke_scarce
     run "long soak under --release (certificate, k/(k+1)·OPT, churn budget, fractional bound, restores; plus soak_at_servebench_scale: W ≥ (1 − ε/2)·fresh at n = 115k, and a sharded-config leg whose epoch sweeps must augment)" soak_long

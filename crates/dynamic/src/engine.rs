@@ -185,9 +185,7 @@ impl Engine for ServeLoop {
     }
 
     fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError> {
-        let mut bytes = Vec::new();
-        snapshot::write_serial(self, &mut bytes)?;
-        Ok(bytes)
+        Ok(snapshot::serial_bytes(self))
     }
 }
 
@@ -216,9 +214,7 @@ impl Engine for ShardedServeLoop {
     }
 
     fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, EngineError> {
-        let mut bytes = Vec::new();
-        snapshot::write_sharded(self, &mut bytes)?;
-        Ok(bytes)
+        Ok(snapshot::sharded_bytes(self))
     }
 }
 

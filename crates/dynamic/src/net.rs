@@ -1910,9 +1910,7 @@ impl NetServeLoop {
     /// [`snapshot::load_sharded`].
     /// [`Engine::checkpoint`](crate::Engine::checkpoint) writes these.
     pub fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, NetError> {
-        let mut bytes = Vec::new();
-        snapshot::write_sharded(&mut self.inner, &mut bytes)?;
-        Ok(bytes)
+        Ok(snapshot::sharded_bytes(&mut self.inner))
     }
 
     // ------------------------------------------------------- plumbing

@@ -700,25 +700,22 @@ impl ServeLoop {
     }
 
     /// The fractional allocation induced by the maintained levels on the
-    /// live graph: Algorithm 1's closing aggregation (lines 5–6) over a
-    /// fresh [`DeltaGraph::compact`] snapshot, edge ids in its order.
-    /// `O(n + m)` per call, bit-identical to `finalize_from_levels` on a
-    /// builder-built snapshot of the live edges. When the live graph is
-    /// its base ([`DeltaGraph::live_equals_base`], as after a fold) the
-    /// aggregation reads the base directly: `compact` would rebuild it
-    /// array for array.
+    /// live graph: Algorithm 1's closing aggregation (lines 5–6), read
+    /// straight from the live left rows ([`LeftRows`](sparse_alloc_graph::LeftRows) on the
+    /// [`DeltaGraph`]) with no compaction and no right index. Edge ids
+    /// follow the live rows in left order, as a
+    /// [`DeltaGraph::compact`] snapshot would number them. `O(n + m)`
+    /// per call over the live rows, bit-identical to
+    /// `finalize_from_levels` on a builder-built snapshot of the live
+    /// edges.
     ///
     /// Nothing is memoized: every churn epoch edits the edge set, which
-    /// shifts the snapshot's edge ids, so a memo keyed on them could be
-    /// reused only after epochs that move levels or capacities alone.
-    /// Those epochs pay the same linear recompute.
+    /// shifts the edge ids, so a memo keyed on them could be reused only
+    /// after epochs that move levels or capacities alone. Those epochs
+    /// pay the same linear recompute.
     pub fn fractional(&self) -> FractionalAllocation {
         self.frac_reads.set(self.frac_reads.get() + 1);
-        let (eps, levels) = (self.cfg.eps, &self.levels);
-        if self.dg.live_equals_base() {
-            return finalize_from_levels(self.dg.base(), levels, eps);
-        }
-        finalize_from_levels(&self.dg.compact(), levels, eps)
+        finalize_from_levels(&self.dg, &self.levels, self.cfg.eps)
     }
 
     /// Counters of [`ServeLoop::fractional`], shaped
@@ -1314,8 +1311,8 @@ mod tests {
             assert!(f.x == want.x && f.weight == want.weight);
         };
 
-        // A churn epoch whose close folds: the read is served from the
-        // folded base, and equals the builder recompute.
+        // A churn epoch whose close folds: the live graph is its folded
+        // base, and the read equals the builder recompute.
         let edges: Vec<(u32, u32)> = s.snapshot().edges().map(|(_, u, v)| (u, v)).collect();
         for &(u, v) in edges.iter().step_by(7) {
             s.apply(&Update::DeleteEdge { u, v });
@@ -1324,12 +1321,18 @@ mod tests {
             neighbors: vec![3, 8],
         });
         assert!(close(&mut s).compacted, "the epoch folds");
-        assert!(s.graph().live_equals_base(), "a fold leaves no overlay");
+        let live_is_base = |s: &ServeLoop| {
+            let dg = s.graph();
+            dg.overlay_edges() == 0
+                && dg.n_left() == dg.base().n_left()
+                && dg.capacities() == dg.base().capacities()
+        };
+        assert!(live_is_base(&s), "a fold leaves no overlay");
         check(&s);
 
         // A capacity-only epoch: the edges are the base's but the
-        // capacities are not, so the read must compact — the base's
-        // capacities give a different allocation.
+        // capacities are not, so the read must take the live capacities —
+        // the base's give a different allocation.
         let allocs = allocs_for_levels(s.graph().base(), s.levels(), s.config().eps);
         let v = (0..allocs.len())
             .max_by(|&a, &b| allocs[a].total_cmp(&allocs[b]))
@@ -1340,7 +1343,7 @@ mod tests {
             cap: 1,
         });
         assert!(!close(&mut s).compacted);
-        assert!(!s.graph().live_equals_base());
+        assert!(!live_is_base(&s));
         check(&s);
         let stale = finalize_from_levels(s.graph().base(), s.levels(), s.config().eps);
         assert!(

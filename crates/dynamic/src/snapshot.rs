@@ -209,14 +209,21 @@ fn invalid(msg: impl Into<String>) -> SnapshotError {
 
 // ---------------------------------------------------------------- framing
 
-/// Wrap a payload in the header + checksum frame.
-fn frame(kind: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER + payload.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Frame the payload `encode` writes, in place: the header goes first
+/// with a zero length, the payload is encoded straight after it, then the
+/// length is backfilled and the checksum of header and payload appended.
+/// Every checkpoint, serial or sharded, is framed here, and its payload is
+/// never copied.
+fn frame(kind: u32, encode: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u64(u64::from_le_bytes(MAGIC));
+    w.put_u32(VERSION);
+    w.put_u32(kind);
+    w.put_u64(0);
+    encode(&mut w);
+    let mut out = w.into_bytes();
+    let len = (out.len() - HEADER) as u64;
+    out[HEADER - 8..HEADER].copy_from_slice(&len.to_le_bytes());
     let crc = fnv1a64(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -423,8 +430,9 @@ fn manifests_of(serve: &ServeLoop, map: &ShardMap) -> Vec<ShardManifest> {
     out
 }
 
-fn encode_sharded_payload(sh: &ShardedServeLoop, manifests: &[ShardManifest]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Encode the sharded payload: the map, the counters, the manifests and
+/// then the serial engine's state.
+fn encode_sharded(sh: &ShardedServeLoop, manifests: &[ShardManifest], w: &mut ByteWriter) {
     w.put_u64(sh.shard_map().to_word());
     let stats = sh.stats();
     for c in [
@@ -447,8 +455,7 @@ fn encode_sharded_payload(sh: &ShardedServeLoop, manifests: &[ShardManifest]) ->
         w.put_u64(m.resident_words);
         w.put_u64(m.state_checksum);
     }
-    encode_serve(sh.serial(), &mut w);
-    w.into_bytes()
+    encode_serve(sh.serial(), w);
 }
 
 /// Decode the sharded payload's head, up to the serial engine's parts:
@@ -504,10 +511,13 @@ fn decode_sharded_head(
 /// Serialize a serial [`ServeLoop`] into `w`. The engine is read in
 /// place — a checkpoint costs the encoding, not a state clone.
 pub fn write_serial(serve: &ServeLoop, w: &mut impl Write) -> Result<(), SnapshotError> {
-    let mut payload = ByteWriter::new();
-    encode_serve(serve, &mut payload);
-    w.write_all(&frame(KIND_SERIAL, &payload.into_bytes()))?;
+    w.write_all(&serial_bytes(serve))?;
     Ok(())
+}
+
+/// The bytes [`write_serial`] writes.
+pub(crate) fn serial_bytes(serve: &ServeLoop) -> Vec<u8> {
+    frame(KIND_SERIAL, |w| encode_serve(serve, w))
 }
 
 /// Restore a serial [`ServeLoop`] from the bytes [`write_serial`] wrote.
@@ -536,13 +546,15 @@ pub fn write_sharded(
     serve: &mut ShardedServeLoop,
     w: &mut impl Write,
 ) -> Result<(), SnapshotError> {
+    w.write_all(&sharded_bytes(serve))?;
+    Ok(())
+}
+
+/// The bytes [`write_sharded`] writes (it records the checkpoint too).
+pub(crate) fn sharded_bytes(serve: &mut ShardedServeLoop) -> Vec<u8> {
     serve.note_checkpoint();
     let manifests = manifests_of(serve.serial(), serve.shard_map());
-    w.write_all(&frame(
-        KIND_SHARDED,
-        &encode_sharded_payload(serve, &manifests),
-    ))?;
-    Ok(())
+    frame(KIND_SHARDED, |w| encode_sharded(serve, &manifests, w))
 }
 
 /// Restore a [`ShardedServeLoop`] from the bytes [`write_sharded`] wrote.
@@ -840,7 +852,7 @@ mod tests {
     fn the_retired_delta_kind_is_refused_typed() {
         // Kind 2 once framed a delta checkpoint. Neither reader accepts
         // it: a well-formed frame of that kind is a typed kind error.
-        let bytes = frame(2, &[0u8; 56]);
+        let bytes = frame(2, |w| (0..7).for_each(|_| w.put_u64(0)));
         for err in [
             read_serial(&mut &bytes[..]).map(drop).unwrap_err(),
             read_sharded(&mut &bytes[..], None).map(drop).unwrap_err(),
@@ -866,7 +878,7 @@ mod tests {
         let sh = ShardedServeLoop::new(g, ShardedConfig::for_eps(0.25, 3)).unwrap();
         let mut manifests = manifests_of(sh.serial(), sh.shard_map());
         manifests.pop();
-        let bytes = frame(KIND_SHARDED, &encode_sharded_payload(&sh, &manifests));
+        let bytes = frame(KIND_SHARDED, |w| encode_sharded(&sh, &manifests, w));
         let err = read_sharded(&mut &bytes[..], None).unwrap_err();
         assert!(
             matches!(
@@ -886,7 +898,7 @@ mod tests {
         let sh = ShardedServeLoop::new(g, ShardedConfig::for_eps(0.25, 2)).unwrap();
         let mut manifests = manifests_of(sh.serial(), sh.shard_map());
         manifests[1].state_checksum ^= 1;
-        let bytes = frame(KIND_SHARDED, &encode_sharded_payload(&sh, &manifests));
+        let bytes = frame(KIND_SHARDED, |w| encode_sharded(&sh, &manifests, w));
         let err = read_sharded(&mut &bytes[..], None).unwrap_err();
         assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
     }

@@ -310,6 +310,43 @@ impl Bipartite {
     }
 }
 
+/// A graph read row by row from the left: what an aggregation that walks
+/// the left CSR once needs, without the right index. [`Bipartite`] hands
+/// over its rows; [`crate::DeltaGraph`] visits its live rows exactly as
+/// [`crate::DeltaGraph::compact`] would lay them out, so per-edge output
+/// written in visit order is indexed by the compacted snapshot's edge ids.
+pub trait LeftRows {
+    /// Number of right vertices.
+    fn n_right(&self) -> usize;
+    /// Number of edges: the total length of the visited rows.
+    fn m(&self) -> usize;
+    /// Capacity of every right vertex, indexed by right id.
+    fn capacities(&self) -> &[u64];
+    /// Visit the row of every left vertex in id order, sorted and
+    /// duplicate-free. Edge ids follow visit order.
+    fn for_each_left_row(&self, f: impl FnMut(&[RightId]));
+}
+
+impl LeftRows for Bipartite {
+    fn n_right(&self) -> usize {
+        Bipartite::n_right(self)
+    }
+
+    fn m(&self) -> usize {
+        Bipartite::m(self)
+    }
+
+    fn capacities(&self) -> &[u64] {
+        &self.capacities
+    }
+
+    fn for_each_left_row(&self, mut f: impl FnMut(&[RightId])) {
+        for row in self.left_offsets.windows(2) {
+            f(&self.left_adj[row[0]..row[1]]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use crate::BipartiteBuilder;

@@ -26,7 +26,7 @@
 //! vertex set is fixed (capacity changes are in-place), matching the
 //! paper's serving setting where servers are long-lived and clients churn.
 
-use crate::bipartite::{Bipartite, LeftId, RightId};
+use crate::bipartite::{Bipartite, LeftId, LeftRows, RightId};
 use crate::io::{self, ByteReader, ByteWriter, IoError};
 
 /// Row slot of a vertex without an overlay row.
@@ -137,18 +137,6 @@ impl DeltaGraph {
         // The live edges are the undeleted base edges plus the staged ones.
         let staged = self.m_live - (self.base.m() - self.n_removed);
         self.n_removed + staged
-    }
-
-    /// Is the live graph its base snapshot, edge for edge and capacity for
-    /// capacity? Then [`compact`](DeltaGraph::compact) would rebuild
-    /// [`base`](DeltaGraph::base) array for array, and a reader can use
-    /// the base as it stands. True right after a fold. `O(n_right)`.
-    pub fn live_equals_base(&self) -> bool {
-        // No deletions and an unchanged edge count leave no staged edge.
-        self.n_removed == 0
-            && self.m_live == self.base.m()
-            && self.n_left() == self.base.n_left()
-            && self.caps == self.base.capacities()
     }
 
     /// The overlay row of left `u`: all of an arrival's edges, a base
@@ -606,6 +594,39 @@ impl DeltaGraph {
             left_offsets.push(left_adj.len());
         }
         Bipartite::from_left_csr(left_offsets, left_adj, self.caps.clone())
+    }
+}
+
+/// The live rows, as [`compact`](DeltaGraph::compact) lays them out: a
+/// base row with no deletion and no staged edge is handed over as the base
+/// slice itself, any other row is rebuilt by `push_live_row` in one reused
+/// buffer. `O(n + m)` plus the sorts of the rows with overlay edges, and
+/// no snapshot.
+impl LeftRows for DeltaGraph {
+    fn n_right(&self) -> usize {
+        DeltaGraph::n_right(self)
+    }
+
+    fn m(&self) -> usize {
+        self.m_live
+    }
+
+    fn capacities(&self) -> &[u64] {
+        &self.caps
+    }
+
+    fn for_each_left_row(&self, mut f: impl FnMut(&[RightId])) {
+        let mut row = Vec::new();
+        for u in 0..self.n_left() as LeftId {
+            let (base, _, untouched) = self.base_row(u);
+            if untouched && self.staged_left(u).is_empty() {
+                f(base);
+            } else {
+                row.clear();
+                self.push_live_row(u, &mut row);
+                f(&row);
+            }
+        }
     }
 }
 
@@ -1665,6 +1686,48 @@ mod tests {
         );
     }
 
+    /// One churn step of the overlay proptests, drawn from `(kind, a, b,
+    /// cap)`: an arrival whose neighbour list repeats a right, a
+    /// departure, an insert (onto an arrival it appends out of order), a
+    /// delete of a live base or overlay edge, a re-insert of a deleted
+    /// edge (reviving a deleted base edge), a capacity move or a fold.
+    fn churn_step(
+        d: &mut DeltaGraph,
+        deleted: &mut Vec<(LeftId, RightId)>,
+        (kind, a, b, cap): (u8, u32, u32, u64),
+    ) {
+        let (nl, nr) = (d.n_left() as u32, d.n_right() as u32);
+        match kind {
+            0 => {
+                d.arrive(&[a % nr, b % nr, a % nr]);
+            }
+            1 if nl > 0 => {
+                for v in d.depart(a % nl) {
+                    deleted.push((a % nl, v));
+                }
+            }
+            2 if nl > 0 => {
+                d.insert_edge(a % nl, b % nr);
+            }
+            3 if nl > 0 => {
+                let u = a % nl;
+                let row: Vec<RightId> = d.left_neighbors_iter(u).collect();
+                if !row.is_empty() {
+                    let v = row[b as usize % row.len()];
+                    assert!(d.delete_edge(u, v));
+                    deleted.push((u, v));
+                }
+            }
+            4 if !deleted.is_empty() => {
+                let (u, v) = deleted.swap_remove(a as usize % deleted.len());
+                d.insert_edge(u, v);
+            }
+            5 => d.set_capacity(a % nr, cap),
+            6 => *d = DeltaGraph::new(d.compact()),
+            _ => {}
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1752,44 +1815,44 @@ mod tests {
         ) {
             let mut d = DeltaGraph::new(g);
             let mut deleted: Vec<(LeftId, RightId)> = Vec::new();
-            for (step, &(kind, a, b, cap)) in ops.iter().enumerate() {
-                let (nl, nr) = (d.n_left() as u32, d.n_right() as u32);
-                match kind {
-                    // An arrival whose neighbour list repeats a right.
-                    0 => {
-                        d.arrive(&[a % nr, b % nr, a % nr]);
-                    }
-                    1 if nl > 0 => {
-                        for v in d.depart(a % nl) {
-                            deleted.push((a % nl, v));
-                        }
-                    }
-                    // Inserts land on base lefts and arrivals alike; on an
-                    // arrival they append out of order.
-                    2 if nl > 0 => {
-                        d.insert_edge(a % nl, b % nr);
-                    }
-                    // Delete a live edge of `u` — a base or an overlay edge.
-                    3 if nl > 0 => {
-                        let u = a % nl;
-                        let row: Vec<RightId> = d.left_neighbors_iter(u).collect();
-                        if !row.is_empty() {
-                            let v = row[b as usize % row.len()];
-                            prop_assert!(d.delete_edge(u, v));
-                            deleted.push((u, v));
-                        }
-                    }
-                    // Re-insert a deleted edge (revives deleted base edges).
-                    4 if !deleted.is_empty() => {
-                        let (u, v) = deleted.swap_remove(a as usize % deleted.len());
-                        d.insert_edge(u, v);
-                    }
-                    5 => d.set_capacity(a % nr, cap),
-                    6 => d = DeltaGraph::new(d.compact()),
-                    _ => {}
-                }
-                let what = format!("step {step} (op {kind})");
+            for (step, &op) in ops.iter().enumerate() {
+                churn_step(&mut d, &mut deleted, op);
+                let what = format!("step {step} (op {})", op.0);
                 assert_same_graph(&d.compact(), &builder_snapshot(&d), &what);
+            }
+        }
+
+        #[test]
+        fn left_rows_visit_compacts_rows(
+            g in small_base(),
+            ops in proptest::collection::vec((0u8..7, 0u32..1_000, 0u32..1_000, 1u64..=4), 0..40),
+        ) {
+            // After arrivals, departures, deletions, re-inserts, capacity
+            // moves and folds, the view visits exactly the compacted
+            // graph's rows, in id order; a row with no deletion and no
+            // staged edge is the base's own slice.
+            let mut d = DeltaGraph::new(g);
+            let mut deleted: Vec<(LeftId, RightId)> = Vec::new();
+            for (step, &op) in ops.iter().enumerate() {
+                churn_step(&mut d, &mut deleted, op);
+                let c = d.compact();
+                let mut next: LeftId = 0;
+                d.for_each_left_row(|row| {
+                    let u = next;
+                    assert_eq!(row, c.left_neighbors(u), "step {step}: row {u}");
+                    let base = d.base();
+                    if (u as usize) < base.n_left()
+                        && d.removed_left[u as usize] == 0
+                        && d.staged_left(u).is_empty()
+                    {
+                        assert!(std::ptr::eq(row, base.left_neighbors(u)), "step {step}: row {u} copied");
+                    }
+                    next += 1;
+                });
+                prop_assert_eq!(next as usize, c.n_left());
+                prop_assert_eq!(LeftRows::m(&d), c.m());
+                prop_assert_eq!(LeftRows::n_right(&d), c.n_right());
+                prop_assert_eq!(LeftRows::capacities(&d), c.capacities());
             }
         }
     }

@@ -191,6 +191,7 @@ impl ByteWriter {
 
     /// Append a `u64` length prefix followed by the items.
     pub fn put_vec_u32(&mut self, xs: &[u32]) {
+        self.buf.reserve(8 + 4 * xs.len());
         self.put_u64(xs.len() as u64);
         for &x in xs {
             self.put_u32(x);
@@ -199,6 +200,7 @@ impl ByteWriter {
 
     /// Append a `u64` length prefix followed by the items.
     pub fn put_vec_u64(&mut self, xs: &[u64]) {
+        self.buf.reserve(8 + 8 * xs.len());
         self.put_u64(xs.len() as u64);
         for &x in xs {
             self.put_u64(x);
@@ -207,6 +209,7 @@ impl ByteWriter {
 
     /// Append a `u64` length prefix followed by the items.
     pub fn put_vec_i64(&mut self, xs: &[i64]) {
+        self.buf.reserve(8 + 8 * xs.len());
         self.put_u64(xs.len() as u64);
         for &x in xs {
             self.put_i64(x);

@@ -10,6 +10,8 @@
 //! * [`DeltaGraph`] — a mutation overlay over a frozen snapshot (edge
 //!   inserts/deletes, left arrivals/departures, capacity changes) with
 //!   periodic compaction, for the dynamic-allocation engine.
+//! * [`LeftRows`] — the left-row view both implement, so an aggregation
+//!   over the left rows reads a live graph without compacting it.
 //! * [`generators`] — graph families with *controllable arboricity*
 //!   (union-of-random-spanning-trees, stars, random bipartite, power-law
 //!   ad-workloads, grids, adversarial layered instances).
@@ -64,7 +66,7 @@ pub mod sparsity;
 pub mod stats;
 
 pub use assignment::Assignment;
-pub use bipartite::{Bipartite, EdgeId, LeftId, RightId, Side};
+pub use bipartite::{Bipartite, EdgeId, LeftId, LeftRows, RightId, Side};
 pub use builder::BipartiteBuilder;
 pub use capacities::CapacityModel;
 pub use delta::{DeltaGraph, InsertOverlay};

@@ -13,8 +13,24 @@ use crate::ledger::RoundRecord;
 use crate::words::Words;
 
 /// Broadcast `value` (resident on one machine) to all machines, charging
-/// the tree cost. Returns the per-machine copies.
+/// the tree cost under the `broadcast` label. Returns the per-machine
+/// copies.
 pub fn broadcast_value<T, V>(cluster: &mut Cluster<T>, value: &V) -> Result<Vec<V>, MpcError>
+where
+    T: Words + Send + Sync,
+    V: Words + Clone,
+{
+    broadcast_value_labeled(cluster, value, "broadcast")
+}
+
+/// [`broadcast_value`] with the tree's rounds recorded under `label`, so a
+/// primitive that broadcasts as one of its steps (the sample sort's
+/// splitters) keeps its rounds under its own name.
+pub fn broadcast_value_labeled<T, V>(
+    cluster: &mut Cluster<T>,
+    value: &V,
+    label: &'static str,
+) -> Result<Vec<V>, MpcError>
 where
     T: Words + Send + Sync,
     V: Words + Clone,
@@ -38,7 +54,7 @@ where
                 max_received: w,
                 max_storage: 0,
                 total_storage: 0,
-                label: "broadcast",
+                label,
             });
             informed += newly;
         }

@@ -23,7 +23,7 @@ pub mod sort;
 
 pub use aggregate::aggregate_by_key;
 pub use ball::{grow_balls, Ball, BallInput};
-pub use broadcast::broadcast_value;
+pub use broadcast::{broadcast_value, broadcast_value_labeled};
 pub use dedup::{count_distinct, dedup_by_key};
 pub use prefix::{global_sum, prefix_sums};
 pub use sort::sort_by_key;

@@ -4,7 +4,8 @@
 //! 1. sort locally (0 rounds);
 //! 2. every machine sends `p − 1` evenly spaced local samples to machine 0
 //!    (1 round);
-//! 3. machine 0 picks `p − 1` global splitters, broadcast (tree rounds);
+//! 3. machine 0 picks `p − 1` global splitters, broadcast (tree rounds,
+//!    labelled `sort-splitters`);
 //! 4. items are routed by splitter bucket (1 round) and sorted locally.
 //!
 //! After the call, machine `i`'s items are sorted and all ≤ machine
@@ -12,7 +13,7 @@
 
 use crate::cluster::Cluster;
 use crate::error::MpcError;
-use crate::primitives::broadcast::broadcast_value;
+use crate::primitives::broadcast::broadcast_value_labeled;
 use crate::words::Words;
 
 /// Sort the cluster's items by `key`. Keys must be cheap to clone; ties are
@@ -64,7 +65,7 @@ where
             splitters.push(all_samples[idx.min(all_samples.len() - 1)].clone());
         }
     }
-    let splitters = broadcast_value(&mut cluster, &splitters)?
+    let splitters = broadcast_value_labeled(&mut cluster, &splitters, "sort-splitters")?
         .pop()
         .expect("at least one machine");
 
@@ -131,6 +132,18 @@ mod tests {
             "rounds = {}",
             ledger.rounds
         );
+    }
+
+    #[test]
+    fn every_sort_round_is_labelled_as_the_sort() {
+        // The splitter broadcast records under `sort-splitters`, not the
+        // shared `broadcast` label, so a per-label table charges the
+        // whole sort to the sort.
+        let c = Cluster::from_items(MpcConfig::lenient(8, 100_000), (0u32..200).rev().collect());
+        let ledger = sort_by_key(c.unwrap(), |&x| x).unwrap().into_items().1;
+        assert!(ledger.rounds_labeled("sort-splitters") >= 1);
+        assert_eq!(ledger.rounds_labeled("broadcast"), 0);
+        assert!(ledger.history.iter().all(|r| r.label.starts_with("sort-")));
     }
 
     #[test]
